@@ -15,9 +15,9 @@ import sys
 
 from . import jsonio, syntax as sx
 from .cutelim import CutEliminationError, cut_positions, eliminate_cuts
-from .hylo import FragmentError, is_hylo, prove_hylo
-from .kernel import check_derivation, sequent
-from .model import (DataGraph, check_sequent_validity, eval_node,
+from .hylo import is_hylo, prove_hylo
+from .kernel import KernelError, check_derivation, sequent
+from .model import (DataGraph, ModelError, check_sequent_validity, eval_node,
                     ingest_datagraph, model_from_json, model_to_json)
 from .search import Proved, Refuted, SearchConfig, Unknown, prove
 
@@ -235,7 +235,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, FragmentError, sx.SyntaxError_, sx.SymbolSpaceError) as e:
+    except (CliError, KernelError, ModelError, sx.SyntaxError_,
+            sx.SymbolSpaceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,6 +9,7 @@ abstracted into comparison classes) and bounded countermodel search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -323,12 +324,6 @@ def _partitions(items):
         yield [[first]] + part
 
 
-def _deps(expr):
-    uses_v = bool(sx.prop_symbols_of(expr))
-    uses_r = bool(sx.mod_symbols_of(expr))
-    return uses_v, uses_r
-
-
 def _g_assignments(noms, nodes):
     """Nominal assignments canonical up to node relabeling.
 
@@ -362,73 +357,84 @@ def _scratch_model(nodes):
     return m
 
 
+@functools.cache
+def _size_tables(n_count):
+    """Per-size enumeration tables: nodes, node subsets, pair subsets, partitions."""
+    nodes = tuple(f"n{t}" for t in range(1, n_count + 1))
+    pairs = [(x, y) for x in nodes for y in nodes]
+    node_subsets = tuple(frozenset(s) for r in range(n_count + 1)
+                         for s in itertools.combinations(nodes, r))
+    pair_subsets = tuple(frozenset(s) for r in range(len(pairs) + 1)
+                         for s in itertools.combinations(pairs, r))
+    partitions = tuple(_partition_from_classes(frozenset(nodes), blocks)
+                       for blocks in _partitions(nodes))
+    return nodes, node_subsets, pair_subsets, partitions
+
+
+def _extend(m, levels, t):
+    """Depth-first backtrack over levels[t:]; True once all demands hold.
+
+    Each level assigns one component into its table and checks the demands
+    whose symbols are then all fixed. A deeper level's stale entry is never
+    read: a demand only reads symbols of its own level or shallower ones.
+    """
+    if t == len(levels):
+        return True
+    table, sym, options, demands = levels[t]
+    for value in options:
+        table[sym] = value
+        if all(eval_node(m, m.default_node, phi) == want
+               for phi, want in demands) and _extend(m, levels, t + 1):
+            return True
+    return False
+
+
 def find_countermodel(seq, max_nodes):
     """Search models of at most `max_nodes` nodes refuting the sequent.
 
-    Returns a refuting model or None (inconclusive within the bound). The
-    enumeration is exhaustive per size; members not depending on valuations
-    or relations prune the corresponding inner loops early.
+    Returns a refuting model or None (no countermodel within the bound).
+    Sizes are searched in ascending order and each exhaustively, so the first
+    model returned has the minimum number of nodes; which model of that size
+    comes first is an artefact of the enumeration order and may change.
+
+    The search tree has one level per model component: the nominal
+    assignment, then one partition per comparison symbol, one relation per
+    modality and one valuation per proposition. Each refutation demand (an
+    antecedent member true, a consequent member false) is checked at the
+    level that fixes the last symbol it reads.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be at least 1")
     props, noms, mods, cmps = _signature(seq)
+    # level 0 fixes g; level t >= 1 fixes the component symbols[t - 1]
+    symbols = ([("cmp_class", c) for c in cmps] + [("rels", a) for a in mods]
+               + [("val", p) for p in props])
+    level_of = {key: t for t, key in enumerate(symbols, start=1)}
     # refutation demands: all of ante true, all of cons false
     demands = [(phi, True) for phi in sorted(seq.ante, key=sx.print_node)] + \
               [(phi, False) for phi in sorted(seq.cons, key=sx.print_node)]
-    base = [d for d in demands if _deps(d[0]) == (False, False)]
-    with_v = [d for d in demands if _deps(d[0]) == (True, False)]
-    with_r = [d for d in demands if _deps(d[0])[1]]
+    checks = [[] for _ in range(len(symbols) + 1)]
+    for phi, want in demands:
+        reads = ([("cmp_class", c) for c in sx.cmp_symbols_of(phi)]
+                 + [("rels", a) for a in sx.mod_symbols_of(phi)]
+                 + [("val", p) for p in sx.prop_symbols_of(phi)])
+        checks[max((level_of[r] for r in reads), default=0)].append((phi, want))
 
     for n_count in range(1, max_nodes + 1):
-        nodes = [f"n{t}" for t in range(1, n_count + 1)]
-        here = nodes[0]
-        pair_list = [(x, y) for x in nodes for y in nodes]
-        all_partitions = [
-            {c: _partition_from_classes(frozenset(nodes), blocks)
-             for c, blocks in zip(cmps, parts)}
-            for parts in itertools.product(list(_partitions(nodes)),
-                                           repeat=len(cmps))]
-        v_choices = [
-            {p: frozenset(ns) for p, ns in zip(props, choice)}
-            for choice in itertools.product(
-                *[list(itertools.chain.from_iterable(
-                    itertools.combinations(nodes, r)
-                    for r in range(n_count + 1)))
-                  for _ in props])]
-        r_subsets = [frozenset(s) for s in itertools.chain.from_iterable(
-            itertools.combinations(pair_list, r)
-            for r in range(len(pair_list) + 1))]
-        r_choices = [dict(zip(mods, combo)) for combo in
-                     itertools.product(r_subsets, repeat=len(mods))]
-
+        nodes, node_subsets, pair_subsets, partitions = _size_tables(n_count)
         m = _scratch_model(nodes)
+        options = {"cmp_class": partitions, "rels": pair_subsets,
+                   "val": node_subsets}
+        levels = [(getattr(m, attr), sym, options[attr], checks[t])
+                  for t, (attr, sym) in enumerate(symbols, start=1)]
         for g in _g_assignments(noms, nodes):
             m.g = g
-            for cmp_map in all_partitions:
-                m.cmp_class = cmp_map
-                m.rels, m.val = {}, {}
-                if not all(eval_node(m, here, phi) == want
-                           for phi, want in base):
-                    continue
-                for val in v_choices:
-                    m.val = val
-                    m.rels = {}
-                    if not all(eval_node(m, here, phi) == want
-                               for phi, want in with_v):
-                        continue
-                    if not with_r:
-                        return HybridDataModel.make(
-                            nodes, rels={a: set() for a in mods},
-                            cmps={c: _blocks_of(cmp_map[c]) for c in cmps},
-                            g=m.g, val=val)
-                    for rels in r_choices:
-                        m.rels = rels
-                        if all(eval_node(m, here, phi) == want
-                               for phi, want in with_r):
-                            return HybridDataModel.make(
-                                nodes, rels=rels,
-                                cmps={c: _blocks_of(cmp_map[c]) for c in cmps},
-                                g=m.g, val=val)
+            if all(eval_node(m, m.default_node, phi) == want
+                   for phi, want in checks[0]) and _extend(m, levels, 0):
+                return HybridDataModel.make(
+                    nodes, rels=m.rels,
+                    cmps={c: _blocks_of(m.cmp_class[c]) for c in cmps},
+                    g=g, val=m.val)
     return None
 
 

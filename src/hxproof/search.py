@@ -339,7 +339,14 @@ def _evidence_cut_move(seq, cfg, fired):
 
 
 def _attempt(seq, depth_left, fresh_left, cfg, steps, fired=frozenset()):
-    """Search one branch; returns a closed derivation or None."""
+    """Search one branch; returns a closed derivation or None.
+
+    Every branch that gives up records why in steps["bound"]: "depth" (the
+    depth bound stopped a move), "fresh" (a left diamond or comparison is
+    left but the fresh-nominal budget cannot pay for it) or "saturated" (no
+    move applies). Search stops at the first failed branch, so the last
+    record is the reason for the overall failure.
+    """
     trail = []
     cur = seq
     fired = set(fired)
@@ -375,6 +382,7 @@ def _attempt(seq, depth_left, fresh_left, cfg, steps, fired=frozenset()):
         if move is not None:
             rule, inst = move
             if cost and depth_left <= 0:
+                steps["bound"] = "depth"
                 return None
             depth_left -= cost
             trail.append((rule, inst, cur))
@@ -382,6 +390,7 @@ def _attempt(seq, depth_left, fresh_left, cfg, steps, fired=frozenset()):
             continue
 
         if depth_left <= 0:
+            steps["bound"] = "depth"
             return None
 
         ev = _evidence_cut_move(cur, cfg, fired)
@@ -426,6 +435,8 @@ def _attempt(seq, depth_left, fresh_left, cfg, steps, fired=frozenset()):
             cur = premises(cur, rule, inst)[0]
             continue
 
+        steps["bound"] = ("fresh" if _fresh_moves(cur, cfg, float("inf"))
+                          else "saturated")
         return None
 
 
@@ -450,6 +461,7 @@ def prove(goal, cfg=None):
                 raise KernelError("countermodel search returned a non-refuting model")
             return Refuted(m)
     return Unknown({"visited": steps["visited"],
+                    "bound": steps["bound"],
                     "max_depth": cfg.max_depth,
                     "max_fresh_nominals": cfg.max_fresh_nominals})
 

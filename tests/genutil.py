@@ -3,6 +3,10 @@
 Forward derivation generation builds random proofs exclusively through the
 kernel's checked operations, so every end-sequent it yields is provable by
 construction. Model generation draws finite structures over a signature.
+
+Every draw among the members of a set goes through a sorted list, so a seed
+(HXPROOF_SEED in the acceptance suite) fixes the draws under every
+PYTHONHASHSEED.
 """
 
 from hxproof.kernel import (
@@ -13,7 +17,7 @@ from hxproof.kernel import (
 from hxproof.model import HybridDataModel
 from hxproof.syntax import (
     At, Atom, BOT, CmpKind, Compare, Diamond, Implies, Jump,
-    Nominal, Prop, Test, concat, dia,
+    Nominal, Prop, Test, concat, dia, print_node,
 )
 
 SIG = {
@@ -130,7 +134,8 @@ def rand_axiom(rng, sig=SIG):
 
 
 def _pick(rng, items):
-    items = list(items)
+    """Uniform choice, independent of the iteration order of `items`."""
+    items = sorted(items, key=repr)
     return rng.choice(items) if items else None
 
 
@@ -319,7 +324,7 @@ def _f_subst_drop(rng, d, sig):
     licensing atoms survive in the conclusion (weakened in if needed)."""
     s = d.conclusion
     options = []
-    for e in s.ante:
+    for e in sorted(s.ante, key=print_node):
         match e:
             case At(j, body) if s1_shape(body):
                 i = rng.choice(sig["noms"])
@@ -477,5 +482,6 @@ def conclusion_for_rule(rng, rule, sig=SIG):
 
 def derivation_of(concl, rng, sig=SIG):
     """A derivation of a conclusion containing a planted axiom pair."""
-    planted = [e for e in concl.ante & concl.cons if ax_shape(e)]
+    planted = sorted((e for e in concl.ante & concl.cons if ax_shape(e)),
+                     key=print_node)
     return axiom(AX, concl, {"phi": planted[0]})

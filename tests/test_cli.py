@@ -34,6 +34,17 @@ def test_parse_error_exit_code(capsys):
     assert code == 3 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("prove", "p |- p"),                       # not a restricted member
+    ("eval", "--graph", str(GOLDEN / "example1-graph.json"),
+     "--at", "nX", "<friends>Person"),         # unknown node
+], ids=["prove-unrestricted", "eval-unknown-node"])
+def test_bad_input_exits_3_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_example1(capsys):
     code, out, _ = run(capsys, "eval", "--model",
                        str(GOLDEN / "example1-model.json"), "--at", "n1",

@@ -10,12 +10,13 @@ from hxproof.cutelim import (
 from hxproof.derived import axg
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
-    AX, BOT_RULE, CUT, CutComplexity, axiom, check_derivation, cut,
-    cut_complexity, sequent, weaken,
+    AT_R, AX, BOT_RULE, CMP_R, CUT, CutComplexity, axiom, check_derivation,
+    cut, cut_complexity, infer, sequent, weaken,
 )
-from hxproof.search import invert
+from hxproof.model import find_countermodel
+from hxproof.search import SearchConfig, Unknown, invert, prove
 from hxproof.syntax import (
-    At, Atom, BOT, CmpKind, Compare, Diamond, Implies, Nominal, Prop,
+    At, Atom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
 )
 
 P, Q = Prop("p"), Prop("q")
@@ -136,6 +137,37 @@ def test_reflexivity_cannot_be_made_cut_free():
     # so elimination honestly reports failure on this end-sequent
     with pytest.raises(CutEliminationError):
         eliminate_cuts(prove_axiom_suite()["reflexivity"])
+
+
+def test_wrapped_jump_evidence_cannot_be_made_cut_free():
+    # A right comparison over the jump path j: needs the wrapped evidence
+    # @k @j y on the left. No rule adds such a formula to an antecedent, so a
+    # cut-free derivation has it only as a subformula of its end-sequent.
+    # Here it is the cut formula (AtR on the left, required by CmpR on the
+    # right): the end-sequent is valid, cut-free search saturates on it, and
+    # elimination reports failure. Random cut compositions can reach it too.
+    ji = At("j", Nominal("i"))
+    phi = At("k", ji)
+    left = infer(AT_R, sequent({ji}, {phi}),
+                 {"j": "k", "i": "j", "phi": Nominal("i")},
+                 [axiom(AX, sequent({ji}, {ji}), {"phi": ji})])
+    ev = Compare(Jump("k"), CmpKind.EQ, "c", Jump("i"))
+    goal = At("k", Compare(Atom("a"), CmpKind.EQ, "c", Jump("j")))
+    rconc = sequent({ev, At("k", Diamond("a", Nominal("k"))), phi}, {goal})
+    right = infer(CMP_R, rconc,
+                  {"i": "k", "alpha": Atom("a"), "beta": Jump("j"),
+                   "kind": CmpKind.EQ, "c": "c", "j": "k", "k": "i"},
+                  [axiom(AX, rconc.add_cons(ev), {"phi": ev})])
+    d = cut(left, right, phi)
+    end = d.conclusion
+    assert phi not in end.ante and find_countermodel(end, 2) is None
+    cut_free = SearchConfig(max_depth=24, max_fresh_nominals=6,
+                            enable_countermodel=False,
+                            allow_evidence_cuts=False)
+    r = prove(end, cut_free)
+    assert isinstance(r, Unknown) and r.report["bound"] == "saturated"
+    with pytest.raises(CutEliminationError):
+        eliminate_cuts(d)
 
 
 # ---------------------------------------------------------------------------

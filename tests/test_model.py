@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import random
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from genutil import rand_model, rand_node, SIG
+from genutil import rand_model, rand_node, rand_sequent, SIG
 from hxproof import syntax as sx
 from hxproof.kernel import sequent
 from hxproof.model import (
@@ -14,6 +15,10 @@ from hxproof.model import (
     check_sequent_validity, eval_box_compare, eval_node, eval_path,
     find_countermodel, ingest_datagraph, model_from_json, model_to_json,
     satisfies_set,
+)
+from hxproof.model import (
+    _blocks_of, _g_assignments, _partition_from_classes, _partitions,
+    _scratch_model, _signature,
 )
 from hxproof.syntax import (
     At, Atom, BOT, CmpKind, Compare, Jump, Nominal, Prop, Test, concat,
@@ -248,3 +253,101 @@ def test_countermodel_two_nodes():
     m = find_countermodel(s, 2)
     assert m is not None and len(m.nodes) == 2
     assert not check_sequent_validity(m, s)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: the three-tier enumerator find_countermodel replaced
+# ---------------------------------------------------------------------------
+
+def _deps(expr):
+    uses_v = bool(sx.prop_symbols_of(expr))
+    uses_r = bool(sx.mod_symbols_of(expr))
+    return uses_v, uses_r
+
+
+def naive_countermodel(seq, max_nodes):
+    """Exhaustive search in three tiers: demands reading neither valuations
+    nor relations, then valuations, then relations (full products each)."""
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be at least 1")
+    props, noms, mods, cmps = _signature(seq)
+    # refutation demands: all of ante true, all of cons false
+    demands = [(phi, True) for phi in sorted(seq.ante, key=sx.print_node)] + \
+              [(phi, False) for phi in sorted(seq.cons, key=sx.print_node)]
+    base = [d for d in demands if _deps(d[0]) == (False, False)]
+    with_v = [d for d in demands if _deps(d[0]) == (True, False)]
+    with_r = [d for d in demands if _deps(d[0])[1]]
+
+    for n_count in range(1, max_nodes + 1):
+        nodes = [f"n{t}" for t in range(1, n_count + 1)]
+        here = nodes[0]
+        pair_list = [(x, y) for x in nodes for y in nodes]
+        all_partitions = [
+            {c: _partition_from_classes(frozenset(nodes), blocks)
+             for c, blocks in zip(cmps, parts)}
+            for parts in itertools.product(list(_partitions(nodes)),
+                                           repeat=len(cmps))]
+        v_choices = [
+            {p: frozenset(ns) for p, ns in zip(props, choice)}
+            for choice in itertools.product(
+                *[list(itertools.chain.from_iterable(
+                    itertools.combinations(nodes, r)
+                    for r in range(n_count + 1)))
+                  for _ in props])]
+        r_subsets = [frozenset(s) for s in itertools.chain.from_iterable(
+            itertools.combinations(pair_list, r)
+            for r in range(len(pair_list) + 1))]
+        r_choices = [dict(zip(mods, combo)) for combo in
+                     itertools.product(r_subsets, repeat=len(mods))]
+
+        m = _scratch_model(nodes)
+        for g in _g_assignments(noms, nodes):
+            m.g = g
+            for cmp_map in all_partitions:
+                m.cmp_class = cmp_map
+                m.rels, m.val = {}, {}
+                if not all(eval_node(m, here, phi) == want
+                           for phi, want in base):
+                    continue
+                for val in v_choices:
+                    m.val = val
+                    m.rels = {}
+                    if not all(eval_node(m, here, phi) == want
+                               for phi, want in with_v):
+                        continue
+                    if not with_r:
+                        return HybridDataModel.make(
+                            nodes, rels={a: set() for a in mods},
+                            cmps={c: _blocks_of(cmp_map[c]) for c in cmps},
+                            g=m.g, val=val)
+                    for rels in r_choices:
+                        m.rels = rels
+                        if all(eval_node(m, here, phi) == want
+                               for phi, want in with_r):
+                            return HybridDataModel.make(
+                                nodes, rels=rels,
+                                cmps={c: _blocks_of(cmp_map[c]) for c in cmps},
+                                g=m.g, val=val)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 2))
+def test_countermodel_agrees_with_naive_oracle(seed, max_nodes):
+    s = rand_sequent(random.Random(seed))
+    m = find_countermodel(s, max_nodes)
+    oracle = naive_countermodel(s, max_nodes)
+    assert (m is None) == (oracle is None)
+    if m is not None:
+        assert check_sequent_validity(m, s) is False
+        # sizes ascend and each is searched exhaustively
+        assert len(m.nodes) == len(oracle.nodes)
+
+
+def test_countermodel_none_when_antecedent_cannot_hold():
+    # @k <a !=c (false?)> never holds, so no model refutes the sequent; every
+    # demand reading the relation is checked before any valuation is chosen
+    s = sequent(*sx.parse_sequent_parts(
+        "@i (<eps !=c eps> -> <a>p), @j @k @i q, @k <a !=c (false?)> "
+        "|- @i ~(j -> k)"))
+    assert find_countermodel(s, 3) is None

@@ -67,6 +67,20 @@ def test_prove_unknown_without_countermodel():
                                            enable_countermodel=False))
     assert isinstance(r, Unknown)
     assert r.report["visited"] >= 1
+    assert r.report["bound"] == "saturated"
+
+
+def test_unknown_names_the_bound_hit():
+    # valid: the last antecedent member never holds, but the proof needs
+    # more than the default depth
+    s = seq("@i (<eps !=c eps> -> <a>p), @j @k @i q, @k <a !=c (false?)> "
+            "|- @i ~(j -> k)")
+    r = prove(s)
+    assert isinstance(r, Unknown) and r.report["bound"] == "depth"
+    assert isinstance(prove(s, SearchConfig(max_depth=16)), Proved)
+    r = prove(seq("@i <a>p |- @i q"),
+              SearchConfig(max_fresh_nominals=0, enable_countermodel=False))
+    assert isinstance(r, Unknown) and r.report["bound"] == "fresh"
 
 
 def test_prove_never_both():
