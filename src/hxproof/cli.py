@@ -8,7 +8,6 @@ members), so identical inputs produce byte-identical results.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import pathlib
 import sys
@@ -160,10 +159,8 @@ def cmd_corpus(args):
         print("warning: no derivation files found", file=sys.stderr)
         return EXIT_OK
     failures = 0
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        results = list(pool.map(
-            lambda p: (p, _check_file(p)[1]), files))
-    for path, violations in results:
+    for path in files:
+        violations = _check_file(path)[1]
         status = "ok" if not violations else f"FAIL ({violations[0]})"
         print(f"{path.name}: {status}")
         failures += bool(violations)
@@ -235,8 +232,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, KernelError, ModelError, sx.SyntaxError_,
-            sx.SymbolSpaceError) as e:
+    except (CliError, KernelError, ModelError, jsonio.DecodeError,
+            sx.SyntaxError_, sx.SymbolSpaceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

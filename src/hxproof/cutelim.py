@@ -19,18 +19,18 @@ nearest enclosing conclusion with cut-free proof search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import total_ordering
 
 from .derived import exactly
 from .kernel import (
     AT_L, AT_R, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R, IMP_L, IMP_R,
-    NEQ_L, NEQ_R, S2, WL, WR,
-    CutComplexity, Derivation, KernelError, axiom,
-    cut, cut_complexity, derivation_nominals, infer, premises,
-    substitute_nominal_derivation, weaken_to,
+    METAVAR_KINDS, NEQ_L, NEQ_R, RULES, S2, WL, WR,
+    Derivation, KernelError, Sequent, SideConditionViolated, axiom, cut,
+    freeze_inst, infer, premises, principal, required, weaken_to,
 )
 from .syntax import (
-    At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal,
-    fresh_nominals, print_node,
+    At, Bottom, CmpKind, Compare, Diamond, Jump, Nominal,
+    fresh_nominals, nominals_of, print_node, rename_nominal, size,
 )
 
 
@@ -95,94 +95,110 @@ def select_cut(d):
 # Roles of the cut expression in a premiss derivation
 # ---------------------------------------------------------------------------
 
-def _left_principal(rule, inst):
-    """The formula a left rule consumes from the antecedent."""
-    i = inst.get("i")
-    match rule:
-        case "ImpL":
-            return At(i, Implies(inst["phi"], inst["psi"]))
-        case "AtL":
-            return At(inst["j"], At(i, inst["phi"]))
-        case "DiaL":
-            return At(i, Diamond(inst["a"], inst["phi"]))
-        case "CmpL":
-            return At(i, Compare(inst["alpha"], inst["kind"], inst["c"],
-                                 inst["beta"]))
-        case "NEqL":
-            return Compare(Jump(i), CmpKind.NEQ, inst["c"], Jump(inst["j"]))
-    return None
-
-
-def _right_principal(rule, inst):
-    """The formula a right rule acts on in the consequent."""
-    i = inst.get("i")
-    match rule:
-        case "ImpR":
-            return At(i, Implies(inst["phi"], inst["psi"]))
-        case "AtR":
-            return At(inst["j"], At(i, inst["phi"]))
-        case "DiaR":
-            return At(i, Diamond(inst["a"], inst["phi"]))
-        case "CmpR":
-            return At(i, Compare(inst["alpha"], inst["kind"], inst["c"],
-                                 inst["beta"]))
-        case "NEqR":
-            return Compare(Jump(i), CmpKind.NEQ, inst["c"], Jump(inst["j"]))
-    return None
-
-
-def _required_left(rule, inst):
-    """Antecedent formulas a rule needs and keeps across its premisses."""
-    i, j, k = inst.get("i"), inst.get("j"), inst.get("k")
-    match rule:
-        case "At5":
-            return {At(i, Nominal(j)), At(i, Nominal(k))}
-        case "S1":
-            return {At(i, Nominal(j)), At(i, inst["phi"])}
-        case "S2":
-            return {At(j, Nominal(k)), At(i, Diamond(inst["a"], Nominal(j)))}
-        case "S3":
-            return {At(i, Nominal(j)),
-                    Compare(Jump(i), CmpKind.EQ, inst["c"], Jump(k))}
-        case "Eq5":
-            c = inst["c"]
-            return {Compare(Jump(i), CmpKind.EQ, c, Jump(j)),
-                    Compare(Jump(i), CmpKind.EQ, c, Jump(k))}
-        case "DiaR":
-            return {At(i, Diamond(inst["a"], Nominal(j)))}
-        case "CmpR":
-            from .syntax import dia
-            return {At(i, dia(inst["alpha"], Nominal(j))),
-                    At(i, dia(inst["beta"], Nominal(k)))}
-    return set()
-
-
 def _role_in_right(node, phi):
     inst = node.inst_dict
-    if _left_principal(node.rule, inst) == phi:
+    if principal(node.rule, inst) == ("ante", phi):
         return "principal"
-    if phi in _required_left(node.rule, inst):
+    if phi in required(node.rule, inst):
         return "required"
     return "context"
 
 
 def _role_in_left(node, phi):
-    if _right_principal(node.rule, node.inst_dict) == phi:
+    if principal(node.rule, node.inst_dict) == ("cons", phi):
         return "principal"
     return "context"
 
 
 # ---------------------------------------------------------------------------
-# Eigen-nominal hygiene
+# Cut measure, renaming and eigen-nominal hygiene
 # ---------------------------------------------------------------------------
 
+@total_ordering
+@dataclass(frozen=True)
+class CutComplexity:
+    """Lexicographic (size of active cut expression, cut height)."""
+
+    k: int
+    h: int
+
+    def __lt__(self, other):
+        return (self.k, self.h) < (other.k, other.h)
+
+    def as_tuple(self):
+        return (self.k, self.h)
+
+
+def cut_height(node):
+    if node.rule != CUT:
+        raise KernelError("cut_height on a non-Cut node")
+    return node.children[0].height + node.children[1].height
+
+
+def cut_complexity(node):
+    if node.rule != CUT:
+        raise KernelError("cut_complexity on a non-Cut node")
+    return CutComplexity(size(node.inst_dict["phi"]), cut_height(node))
+
+
+def _rename_nominal_inst(inst, old, new):
+    out = {}
+    for key, v in inst:
+        match METAVAR_KINDS[key]:
+            case "nominal":
+                out[key] = new if v == old else v
+            case "path" | "node":
+                out[key] = rename_nominal(v, old, new)
+            case _:
+                out[key] = v
+    return freeze_inst(out)
+
+
+def rename_nominal_derivation(d, old, new):
+    """Rewrite a derivation under a nominal renaming (capture-avoiding).
+
+    `new` must not occur anywhere in the tree; the result re-checks.
+    """
+    if old == new:
+        return d
+    if any(new in node.conclusion.nominals() for _, node in d.walk()):
+        raise SideConditionViolated(
+            f"nominal {new} already occurs in the derivation")
+    return substitute_nominal_derivation(d, old, new)
+
+
+def substitute_nominal_derivation(d, old, new):
+    """Unchecked nominal substitution throughout a derivation.
+
+    Callers must ensure no eigen-nominal capture (the eliminator refreshes
+    eigen-nominals first); use rename_nominal_derivation for the safe form.
+    """
+    if old == new:
+        return d
+    seq = Sequent(
+        frozenset(rename_nominal(e, old, new) for e in d.conclusion.ante),
+        frozenset(rename_nominal(e, old, new) for e in d.conclusion.cons))
+    kids = tuple(substitute_nominal_derivation(c, old, new)
+                 for c in d.children)
+    return Derivation(seq, d.rule, _rename_nominal_inst(d.inst, old, new), kids)
+
+
+def derivation_nominals(d):
+    out = set()
+    for _, node in d.walk():
+        out |= node.conclusion.nominals()
+        for key, v in node.inst:
+            match METAVAR_KINDS[key]:
+                case "nominal":
+                    out.add(v)
+                case "path" | "node":
+                    out |= nominals_of(v)
+    return out
+
+
 def _eigens_of(node):
-    match node.rule:
-        case "Nom" | "DiaL":
-            return [node.inst_dict["j"]]
-        case "CmpL":
-            return [node.inst_dict["j"], node.inst_dict["k"]]
-    return []
+    r = RULES.get(node.rule)
+    return [node.inst_dict[m] for m in r.eigens] if r else []
 
 
 def eigen_refresh(d, forbidden):

@@ -9,6 +9,8 @@ the restricted rule set, and simulations of the reference calculus's rules
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .derived import and_left, and_right, exactly, step, transfer
 from .kernel import (
     ALL_RULES, AT_T, COMPARISON_RULES, DIA_L, DIA_R, IMP_L, IMP_R, S1,
@@ -39,15 +41,9 @@ def prove_hylo(goal, cfg=None):
     if not is_hylo(goal):
         raise FragmentError("goal mentions data comparisons")
     cfg = cfg or SearchConfig()
-    cfg = SearchConfig(
-        max_depth=cfg.max_depth,
-        max_fresh_nominals=cfg.max_fresh_nominals,
-        rule_order=cfg.rule_order,
-        enable_countermodel=cfg.enable_countermodel,
-        countermodel_nodes=cfg.countermodel_nodes,
-        allowed_rules=frozenset(cfg.allowed_rules) & HYLO_RULES,
-        allow_evidence_cuts=False)
-    return prove(goal, cfg)
+    return prove(goal, replace(
+        cfg, allowed_rules=frozenset(cfg.allowed_rules) & HYLO_RULES,
+        allow_evidence_cuts=False))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,35 @@ from __future__ import annotations
 import json
 
 from . import syntax as sx
-from .kernel import Derivation, Sequent, freeze_inst
+from .kernel import (
+    METAVAR_KINDS, Derivation, Sequent, freeze_inst, principal_exprs,
+)
+
+
+class DecodeError(ValueError):
+    """JSON that does not encode an expression, sequent or derivation."""
+
+
+def _field(d, key, typ=object):
+    try:
+        v = d[key]
+    except (KeyError, TypeError):
+        raise DecodeError(f"missing field {key!r}") from None
+    if not isinstance(v, typ):
+        raise DecodeError(f"field {key!r} is not a {typ.__name__}: {v!r}")
+    return v
+
+
+def _name(d, key):
+    return _field(d, key, str)
+
+
+def _cmpkind(d, key="kind"):
+    value = _name(d, key)
+    try:
+        return sx.CmpKind(value)
+    except ValueError:
+        raise DecodeError(f"unknown comparison kind: {value!r}") from None
 
 
 def node_to_json(e):
@@ -33,23 +61,24 @@ def node_to_json(e):
 
 
 def node_from_json(d):
-    match d["tag"]:
+    match _field(d, "tag"):
         case "prop":
-            return sx.Prop(d["name"])
+            return sx.Prop(_name(d, "name"))
         case "nom":
-            return sx.Nominal(d["name"])
+            return sx.Nominal(_name(d, "name"))
         case "bot":
             return sx.BOT
         case "imp":
-            return sx.Implies(node_from_json(d["lhs"]), node_from_json(d["rhs"]))
+            return sx.Implies(node_from_json(_field(d, "lhs")),
+                              node_from_json(_field(d, "rhs")))
         case "at":
-            return sx.At(d["nom"], node_from_json(d["body"]))
+            return sx.At(_name(d, "nom"), node_from_json(_field(d, "body")))
         case "dia":
-            return sx.Diamond(d["mod"], node_from_json(d["body"]))
+            return sx.Diamond(_name(d, "mod"), node_from_json(_field(d, "body")))
         case "cmp":
-            return sx.Compare(path_from_json(d["left"]), sx.CmpKind(d["kind"]),
-                              d["cmp"], path_from_json(d["right"]))
-    raise ValueError(f"unknown node tag: {d['tag']!r}")
+            return sx.Compare(path_from_json(_field(d, "left")), _cmpkind(d),
+                              _name(d, "cmp"), path_from_json(_field(d, "right")))
+    raise DecodeError(f"unknown node tag: {d['tag']!r}")
 
 
 def path_to_json(p):
@@ -67,16 +96,17 @@ def path_to_json(p):
 
 
 def path_from_json(d):
-    match d["tag"]:
+    match _field(d, "tag"):
         case "mod":
-            return sx.Atom(d["name"])
+            return sx.Atom(_name(d, "name"))
         case "jump":
-            return sx.Jump(d["nom"])
+            return sx.Jump(_name(d, "nom"))
         case "test":
-            return sx.Test(node_from_json(d["body"]))
+            return sx.Test(node_from_json(_field(d, "body")))
         case "concat":
-            return sx.Concat(path_from_json(d["left"]), path_from_json(d["right"]))
-    raise ValueError(f"unknown path tag: {d['tag']!r}")
+            return sx.Concat(path_from_json(_field(d, "left")),
+                             path_from_json(_field(d, "right")))
+    raise DecodeError(f"unknown path tag: {d['tag']!r}")
 
 
 def sequent_to_json(s):
@@ -85,49 +115,44 @@ def sequent_to_json(s):
 
 
 def sequent_from_json(d):
-    return Sequent.make((node_from_json(e) for e in d["ante"]),
-                        (node_from_json(e) for e in d["cons"]))
+    return Sequent.make((node_from_json(e) for e in _field(d, "ante", list)),
+                        (node_from_json(e) for e in _field(d, "cons", list)))
 
 
 def _inst_value_to_json(key, v):
-    if key in ("i", "j", "k"):
-        return {"kind": "nominal", "name": v}
-    if key == "a":
-        return {"kind": "modality", "name": v}
-    if key == "c":
-        return {"kind": "comparison", "name": v}
-    if key == "kind":
-        return {"kind": "cmpkind", "value": v.value}
-    if key in ("alpha", "beta"):
-        return {"kind": "path", "expr": path_to_json(v)}
-    return {"kind": "node", "expr": node_to_json(v)}
-
-
-def _inst_value_from_json(d):
-    match d["kind"]:
+    kind = METAVAR_KINDS[key]
+    match kind:
         case "nominal" | "modality" | "comparison":
-            return d["name"]
+            return {"kind": kind, "name": v}
         case "cmpkind":
-            return sx.CmpKind(d["value"])
+            return {"kind": kind, "value": v.value}
         case "path":
-            return path_from_json(d["expr"])
+            return {"kind": kind, "expr": path_to_json(v)}
+    return {"kind": kind, "expr": node_to_json(v)}
+
+
+def _inst_value_from_json(key, d):
+    kind = _name(d, "kind")
+    if key in METAVAR_KINDS and kind != METAVAR_KINDS[key]:
+        raise DecodeError(
+            f"metavariable {key} holds a {kind}, not a {METAVAR_KINDS[key]}")
+    match kind:
+        case "nominal" | "modality" | "comparison":
+            return _name(d, "name")
+        case "cmpkind":
+            return _cmpkind(d, "value")
+        case "path":
+            return path_from_json(_field(d, "expr"))
         case "node":
-            return node_from_json(d["expr"])
-    raise ValueError(f"unknown instantiation value kind: {d['kind']!r}")
+            return node_from_json(_field(d, "expr"))
+    raise DecodeError(f"unknown instantiation value kind: {kind!r}")
 
 
 def derivation_to_json(d):
-    from .kernel import OPEN, principal_exprs
-    try:
-        principal = sorted(
-            (node_to_json(e)
-             for e in principal_exprs(d.conclusion, d.rule, d.inst_dict)),
-            key=str) if d.rule != OPEN else []
-    except Exception:
-        principal = []
+    principal = principal_exprs(d.rule, d.inst_dict)
     return {
         "rule": d.rule,
-        "principal": principal,
+        "principal": sorted(map(node_to_json, principal), key=str),
         "inst": {key: _inst_value_to_json(key, v) for key, v in d.inst},
         "conclusion": sequent_to_json(d.conclusion),
         "children": [derivation_to_json(c) for c in d.children],
@@ -135,10 +160,11 @@ def derivation_to_json(d):
 
 
 def derivation_from_json(d):
-    inst = freeze_inst({key: _inst_value_from_json(v) for key, v in d["inst"].items()})
+    inst = freeze_inst({key: _inst_value_from_json(key, v)
+                        for key, v in _field(d, "inst", dict).items()})
     return Derivation(
-        sequent_from_json(d["conclusion"]), d["rule"], inst,
-        tuple(derivation_from_json(c) for c in d["children"]))
+        sequent_from_json(_field(d, "conclusion")), _name(d, "rule"), inst,
+        tuple(derivation_from_json(c) for c in _field(d, "children", list)))
 
 
 def dumps_canonical(obj):

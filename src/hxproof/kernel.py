@@ -1,22 +1,23 @@
-"""Trusted proof kernel: sequents, inference rules, derivation checking.
+"""Trusted proof kernel: sequents, the rule table, derivation checking.
 
 Sequents are pairs of finite sets of restricted node expressions (everything
-is @-prefixed or an atomic comparison between two jumps). Each rule is a
-schema applied backward: `premises(goal, rule, inst)` returns the premiss
-sequents for a fully explicit instantiation, enforcing shape and freshness
-side conditions. `check_derivation` re-verifies every node of a tree against
-the schemas, so trees built through the forward helpers (`infer`, `cut`,
-`weaken`) can never be unsound.
+is @-prefixed or an atomic comparison between two jumps). Each logical rule
+is one record of `RULES`, read backward: `premises(goal, rule, inst)` checks
+that `inst` binds exactly the rule's metavariables with values of their
+kinds, enforces the shape and freshness side conditions, and returns the
+premiss sequents. `check_derivation` re-verifies every node of a tree and
+reports every failure as a `Violation`, so trees built through the forward
+helpers (`infer`, `cut`, `weaken`) can never be unsound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import total_ordering
+from types import SimpleNamespace
 
 from .syntax import (
-    At, Bottom, BOT, CmpKind, Compare, Diamond, Implies, Jump,
-    Nominal, Prop, dia, nominals_of, print_node, rename_nominal, size,
+    At, Bottom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
+    dia, is_node_expr, is_path_expr, nominals_of, print_node,
 )
 
 
@@ -112,7 +113,7 @@ def sequent(ante=(), cons=()):
 
 
 # ---------------------------------------------------------------------------
-# Rule identifiers
+# Rule identifiers and metavariables
 # ---------------------------------------------------------------------------
 
 AX, BOT_RULE = "Ax", "Bot"
@@ -123,14 +124,36 @@ EQ_T, EQ_5, NEQ_L, NEQ_R = "EqT", "Eq5", "NEqL", "NEqR"
 CUT, WL, WR = "Cut", "WL", "WR"
 OPEN = "Open"  # open fragment leaf, never accepted by a closed check
 
-LOGICAL_RULES = (
-    AX, BOT_RULE, IMP_L, IMP_R, AT_T, AT_5, NOM, S1, S2, S3,
-    AT_L, AT_R, DIA_L, DIA_R, CMP_L, CMP_R, EQ_T, EQ_5, NEQ_L, NEQ_R,
-)
 STRUCTURAL_RULES = (CUT, WL, WR)
-ALL_RULES = LOGICAL_RULES + STRUCTURAL_RULES
 
-COMPARISON_RULES = frozenset({CMP_L, CMP_R, EQ_T, EQ_5, NEQ_L, NEQ_R, S3})
+# Every metavariable name has one kind, shared by all rules and by the JSON
+# encoding of instantiations.
+METAVAR_KINDS = {
+    "i": "nominal", "j": "nominal", "k": "nominal",
+    "a": "modality", "c": "comparison", "kind": "cmpkind",
+    "alpha": "path", "beta": "path", "phi": "node", "psi": "node",
+}
+
+_KIND_OK = {
+    "nominal": lambda v: isinstance(v, str),
+    "modality": lambda v: isinstance(v, str),
+    "comparison": lambda v: isinstance(v, str),
+    "cmpkind": lambda v: isinstance(v, CmpKind),
+    "path": is_path_expr,
+    "node": is_node_expr,
+}
+
+
+def _check_inst(metavars, inst):
+    """The instantiation binds exactly `metavars`, each to a value of its kind."""
+    if inst.keys() != set(metavars):
+        raise ShapeViolation(
+            f"instantiation must bind exactly {' '.join(metavars)}, "
+            f"not {' '.join(sorted(map(str, inst)))}")
+    for m in metavars:
+        kind = METAVAR_KINDS[m]
+        if not _KIND_OK[kind](inst[m]):
+            raise ShapeViolation(f"metavariable {m} is not a {kind}: {inst[m]!r}")
 
 
 def ax_shape(e):
@@ -153,19 +176,148 @@ def s1_shape(phi):
             return False
 
 
-def _need(cond, exc, msg):
-    if not cond:
-        raise exc(msg)
+# ---------------------------------------------------------------------------
+# The rule table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Rule:
+    """One logical rule, read backward from its conclusion.
+
+    `metavars` and `eigens` are given as space-separated names. Templates
+    are functions of the instantiation, whose metavariables are attributes.
+    `principal` must occur on `side` of the conclusion and is dropped from
+    every premiss when `consumes`; each `required` formula must occur in the
+    antecedent and is kept. Each entry of `premisses` gives the (antecedent,
+    consequent) formulas that premiss adds. The `eigens` must be pairwise
+    distinct and absent from the conclusion, and each (metavariable, test,
+    description) in `shape` is a form condition on one value.
+    """
+
+    metavars: tuple
+    principal: object = None
+    side: str = "ante"
+    consumes: bool = False
+    required: tuple = ()
+    premisses: tuple = ()
+    eigens: tuple = ""
+    shape: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "metavars", tuple(self.metavars.split()))
+        object.__setattr__(self, "eigens", tuple(self.eigens.split()))
 
 
-def _in_ante(goal, e, what):
-    _need(e in goal.ante, PrincipalMissing,
-          f"{what} not in antecedent: {print_node(e)}")
+def _alias(i, j):
+    return At(i, Nominal(j))
 
 
-def _in_cons(goal, e, what):
-    _need(e in goal.cons, PrincipalMissing,
-          f"{what} not in consequent: {print_node(e)}")
+def _eq(i, c, j):
+    return Compare(Jump(i), CmpKind.EQ, c, Jump(j))
+
+
+def _imp(v):
+    return At(v.i, Implies(v.phi, v.psi))
+
+
+def _at_at(v):
+    return At(v.j, At(v.i, v.phi))
+
+
+def _neq(v):
+    return Compare(Jump(v.i), CmpKind.NEQ, v.c, Jump(v.j))
+
+
+def _cmp(v):
+    return At(v.i, Compare(v.alpha, v.kind, v.c, v.beta))
+
+
+RULES = {
+    AX: Rule("phi", principal=lambda v: v.phi, side="cons",
+             required=(lambda v: v.phi,),
+             shape=(("phi", ax_shape, "axiom expression has the wrong form"),)),
+    BOT_RULE: Rule("i", principal=lambda v: At(v.i, BOT)),
+    IMP_L: Rule("i phi psi", principal=_imp, consumes=True,
+                premisses=(lambda v: ([], [At(v.i, v.phi)]),
+                           lambda v: ([At(v.i, v.psi)], []))),
+    IMP_R: Rule("i phi psi", principal=_imp, side="cons", consumes=True,
+                premisses=(lambda v: ([At(v.i, v.phi)], [At(v.i, v.psi)]),)),
+    AT_T: Rule("i", premisses=(lambda v: ([_alias(v.i, v.i)], []),)),
+    AT_5: Rule("i j k",
+               required=(lambda v: _alias(v.i, v.j), lambda v: _alias(v.i, v.k)),
+               premisses=(lambda v: ([_alias(v.j, v.k)], []),)),
+    NOM: Rule("i j", eigens="j",
+              premisses=(lambda v: ([_alias(v.i, v.j)], []),)),
+    S1: Rule("i j phi",
+             required=(lambda v: _alias(v.i, v.j), lambda v: At(v.i, v.phi)),
+             premisses=(lambda v: ([At(v.j, v.phi)], []),),
+             shape=(("phi", s1_shape, "S1 body must be p, false, or <a>k"),)),
+    S2: Rule("i j k a",
+             required=(lambda v: _alias(v.j, v.k),
+                       lambda v: At(v.i, Diamond(v.a, Nominal(v.j)))),
+             premisses=(lambda v: ([At(v.i, Diamond(v.a, Nominal(v.k)))], []),)),
+    S3: Rule("i j k c",
+             required=(lambda v: _alias(v.i, v.j), lambda v: _eq(v.i, v.c, v.k)),
+             premisses=(lambda v: ([_eq(v.j, v.c, v.k)], []),)),
+    AT_L: Rule("i j phi", principal=_at_at, consumes=True,
+               premisses=(lambda v: ([At(v.i, v.phi)], []),)),
+    AT_R: Rule("i j phi", principal=_at_at, side="cons", consumes=True,
+               premisses=(lambda v: ([], [At(v.i, v.phi)]),)),
+    DIA_L: Rule("i a phi j", principal=lambda v: At(v.i, Diamond(v.a, v.phi)),
+                consumes=True, eigens="j",
+                premisses=(lambda v: ([At(v.i, Diamond(v.a, Nominal(v.j))),
+                                       At(v.j, v.phi)], []),)),
+    DIA_R: Rule("i a phi j", principal=lambda v: At(v.i, Diamond(v.a, v.phi)),
+                side="cons",
+                required=(lambda v: At(v.i, Diamond(v.a, Nominal(v.j))),),
+                premisses=(lambda v: ([], [At(v.j, v.phi)]),)),
+    CMP_L: Rule("i alpha beta kind c j k", principal=_cmp, consumes=True,
+                eigens="j k",
+                premisses=(lambda v: (
+                    [At(v.i, dia(v.alpha, Nominal(v.j))),
+                     At(v.i, dia(v.beta, Nominal(v.k))),
+                     Compare(Jump(v.j), v.kind, v.c, Jump(v.k))], []),)),
+    CMP_R: Rule("i alpha beta kind c j k", principal=_cmp, side="cons",
+                required=(lambda v: At(v.i, dia(v.alpha, Nominal(v.j))),
+                          lambda v: At(v.i, dia(v.beta, Nominal(v.k)))),
+                premisses=(lambda v: (
+                    [], [Compare(Jump(v.j), v.kind, v.c, Jump(v.k))]),)),
+    EQ_T: Rule("i c", premisses=(lambda v: ([_eq(v.i, v.c, v.i)], []),)),
+    EQ_5: Rule("i j k c",
+               required=(lambda v: _eq(v.i, v.c, v.j), lambda v: _eq(v.i, v.c, v.k)),
+               premisses=(lambda v: ([_eq(v.j, v.c, v.k)], []),)),
+    NEQ_L: Rule("i j c", principal=_neq, consumes=True,
+                premisses=(lambda v: ([], [_eq(v.i, v.c, v.j)]),)),
+    NEQ_R: Rule("i j c", principal=_neq, side="cons", consumes=True,
+                premisses=(lambda v: ([_eq(v.i, v.c, v.j)], []),)),
+}
+
+LOGICAL_RULES = tuple(RULES)
+ALL_RULES = LOGICAL_RULES + STRUCTURAL_RULES
+COMPARISON_RULES = frozenset(n for n, r in RULES.items() if "c" in r.metavars)
+
+
+def _instance(rule, inst):
+    """The table record of a logical rule and its checked instantiation."""
+    r = RULES.get(rule)
+    if r is None:
+        if rule in STRUCTURAL_RULES:
+            raise KernelError(f"{rule} is applied forward; use cut()/weaken()")
+        raise KernelError(f"unknown rule: {rule}")
+    _check_inst(r.metavars, inst)
+    return r, SimpleNamespace(**inst)
+
+
+def principal(rule, inst):
+    """(side, expression) of a logical rule's principal, or None."""
+    r, v = _instance(rule, inst)
+    return None if r.principal is None else (r.side, r.principal(v))
+
+
+def required(rule, inst):
+    """The antecedent formulas a logical rule needs and keeps."""
+    r, v = _instance(rule, inst)
+    return {t(v) for t in r.required}
 
 
 def premises(goal, rule, inst):
@@ -174,176 +326,52 @@ def premises(goal, rule, inst):
     `inst` maps the schema metavariables to concrete symbols/expressions.
     Structural rules are forward-only; ask `cut`/`weaken` instead.
     """
-    i = inst.get("i")
-    j = inst.get("j")
-    k = inst.get("k")
-    match rule:
-        case "Ax":
-            phi = inst["phi"]
-            _need(ax_shape(phi), SideConditionViolated,
-                  f"axiom expression has the wrong form: {print_node(phi)}")
-            _in_ante(goal, phi, "axiom expression")
-            _in_cons(goal, phi, "axiom expression")
-            return []
-        case "Bot":
-            _in_ante(goal, At(i, BOT), "falsum")
-            return []
-        case "ImpL":
-            p = At(i, Implies(inst["phi"], inst["psi"]))
-            _in_ante(goal, p, "principal")
-            rest = goal.drop_ante(p)
-            return [rest.add_cons(At(i, inst["phi"])),
-                    rest.add_ante(At(i, inst["psi"]))]
-        case "ImpR":
-            p = At(i, Implies(inst["phi"], inst["psi"]))
-            _in_cons(goal, p, "principal")
-            return [goal.drop_cons(p).add_ante(At(i, inst["phi"]))
-                        .add_cons(At(i, inst["psi"]))]
-        case "AtT":
-            return [goal.add_ante(At(i, Nominal(i)))]
-        case "At5":
-            _in_ante(goal, At(i, Nominal(j)), "alias @_i j")
-            _in_ante(goal, At(i, Nominal(k)), "alias @_i k")
-            return [goal.add_ante(At(j, Nominal(k)))]
-        case "Nom":
-            _need(j not in goal.nominals(), SideConditionViolated,
-                  f"nominal {j} occurs in the conclusion")
-            return [goal.add_ante(At(i, Nominal(j)))]
-        case "S1":
-            phi = inst["phi"]
-            _need(s1_shape(phi), SideConditionViolated,
-                  f"S1 body must be p, false, or <a>k: {print_node(phi)}")
-            _in_ante(goal, At(i, Nominal(j)), "alias @_i j")
-            _in_ante(goal, At(i, phi), "carrier @_i phi")
-            return [goal.add_ante(At(j, phi))]
-        case "S2":
-            a = inst["a"]
-            _in_ante(goal, At(j, Nominal(k)), "alias @_j k")
-            _in_ante(goal, At(i, Diamond(a, Nominal(j))), "step @_i<a>j")
-            return [goal.add_ante(At(i, Diamond(a, Nominal(k))))]
-        case "S3":
-            c = inst["c"]
-            _in_ante(goal, At(i, Nominal(j)), "alias @_i j")
-            _in_ante(goal, Compare(Jump(i), CmpKind.EQ, c, Jump(k)), "comparison")
-            return [goal.add_ante(Compare(Jump(j), CmpKind.EQ, c, Jump(k)))]
-        case "AtL":
-            p = At(j, At(i, inst["phi"]))
-            _in_ante(goal, p, "principal")
-            return [goal.drop_ante(p).add_ante(At(i, inst["phi"]))]
-        case "AtR":
-            p = At(j, At(i, inst["phi"]))
-            _in_cons(goal, p, "principal")
-            return [goal.drop_cons(p).add_cons(At(i, inst["phi"]))]
-        case "DiaL":
-            a, phi = inst["a"], inst["phi"]
-            p = At(i, Diamond(a, phi))
-            _in_ante(goal, p, "principal")
-            _need(j not in goal.nominals(), SideConditionViolated,
-                  f"nominal {j} occurs in the conclusion")
-            return [goal.drop_ante(p)
-                        .add_ante(At(i, Diamond(a, Nominal(j))), At(j, phi))]
-        case "DiaR":
-            a, phi = inst["a"], inst["phi"]
-            p = At(i, Diamond(a, phi))
-            _in_cons(goal, p, "principal")
-            _in_ante(goal, At(i, Diamond(a, Nominal(j))), "witness step")
-            return [goal.add_cons(At(j, phi))]
-        case "CmpL":
-            alpha, beta = inst["alpha"], inst["beta"]
-            kind, c = inst["kind"], inst["c"]
-            p = At(i, Compare(alpha, kind, c, beta))
-            _in_ante(goal, p, "principal")
-            _need(j != k, SideConditionViolated, "witness nominals must differ")
-            fresh_clash = {j, k} & goal.nominals()
-            _need(not fresh_clash, SideConditionViolated,
-                  f"nominal(s) {sorted(fresh_clash)} occur in the conclusion")
-            return [goal.drop_ante(p).add_ante(
-                At(i, dia(alpha, Nominal(j))),
-                At(i, dia(beta, Nominal(k))),
-                Compare(Jump(j), kind, c, Jump(k)))]
-        case "CmpR":
-            alpha, beta = inst["alpha"], inst["beta"]
-            kind, c = inst["kind"], inst["c"]
-            p = At(i, Compare(alpha, kind, c, beta))
-            _in_cons(goal, p, "principal")
-            _in_ante(goal, At(i, dia(alpha, Nominal(j))), "path evidence (left)")
-            _in_ante(goal, At(i, dia(beta, Nominal(k))), "path evidence (right)")
-            return [goal.add_cons(Compare(Jump(j), kind, c, Jump(k)))]
-        case "EqT":
-            c = inst["c"]
-            return [goal.add_ante(Compare(Jump(i), CmpKind.EQ, c, Jump(i)))]
-        case "Eq5":
-            c = inst["c"]
-            _in_ante(goal, Compare(Jump(i), CmpKind.EQ, c, Jump(j)), "comparison")
-            _in_ante(goal, Compare(Jump(i), CmpKind.EQ, c, Jump(k)), "comparison")
-            return [goal.add_ante(Compare(Jump(j), CmpKind.EQ, c, Jump(k)))]
-        case "NEqL":
-            c = inst["c"]
-            p = Compare(Jump(i), CmpKind.NEQ, c, Jump(j))
-            _in_ante(goal, p, "principal")
-            return [goal.drop_ante(p)
-                        .add_cons(Compare(Jump(i), CmpKind.EQ, c, Jump(j)))]
-        case "NEqR":
-            c = inst["c"]
-            p = Compare(Jump(i), CmpKind.NEQ, c, Jump(j))
-            _in_cons(goal, p, "principal")
-            return [goal.drop_cons(p)
-                        .add_ante(Compare(Jump(i), CmpKind.EQ, c, Jump(j)))]
-        case "Cut" | "WL" | "WR":
-            raise KernelError(f"{rule} is applied forward; use cut()/weaken()")
-    raise KernelError(f"unknown rule: {rule}")
+    r, v = _instance(rule, inst)
+    for m, ok, what in r.shape:
+        if not ok(inst[m]):
+            raise SideConditionViolated(f"{what}: {print_node(inst[m])}")
+    ante, cons = goal.ante, goal.cons
+    if r.principal is not None:
+        p = r.principal(v)
+        if p not in (ante if r.side == "ante" else cons):
+            raise PrincipalMissing(
+                f"{rule} principal not in {r.side}: {print_node(p)}")
+        if r.consumes and r.side == "ante":
+            ante = ante - {p}
+        elif r.consumes:
+            cons = cons - {p}
+    for t in r.required:
+        e = t(v)
+        if e not in goal.ante:
+            raise PrincipalMissing(
+                f"{rule} needs in the antecedent: {print_node(e)}")
+    if r.eigens:
+        fresh = [inst[m] for m in r.eigens]
+        if len(set(fresh)) != len(fresh):
+            raise SideConditionViolated("eigen-nominals must differ")
+        clash = set(fresh) & goal.nominals()
+        if clash:
+            raise SideConditionViolated(
+                f"nominal(s) {sorted(clash)} occur in the conclusion")
+    out = []
+    for t in r.premisses:
+        add_ante, add_cons = t(v)
+        out.append(Sequent(ante.union(add_ante), cons.union(add_cons)))
+    return out
 
 
-def apply_rule(goal, rule, inst):
-    """Public name for the backward reading; see `premises`."""
-    return premises(goal, rule, inst)
-
-
-def principal_exprs(goal, rule, inst):
+def principal_exprs(rule, inst):
     """The expressions a rule instance acts on inside its conclusion."""
-    i, j, k = inst.get("i"), inst.get("j"), inst.get("k")
-    match rule:
-        case "Ax":
-            return {inst["phi"]}
-        case "Bot":
-            return {At(i, BOT)}
-        case "ImpL" | "ImpR":
-            return {At(i, Implies(inst["phi"], inst["psi"]))}
-        case "AtT" | "Nom" | "EqT":
-            return set()
-        case "At5":
-            return {At(i, Nominal(j)), At(i, Nominal(k))}
-        case "S1":
-            return {At(i, Nominal(j)), At(i, inst["phi"])}
-        case "S2":
-            return {At(j, Nominal(k)), At(i, Diamond(inst["a"], Nominal(j)))}
-        case "S3":
-            return {At(i, Nominal(j)),
-                    Compare(Jump(i), CmpKind.EQ, inst["c"], Jump(k))}
-        case "AtL" | "AtR":
-            return {At(j, At(i, inst["phi"]))}
-        case "DiaL":
-            return {At(i, Diamond(inst["a"], inst["phi"]))}
-        case "DiaR":
-            return {At(i, Diamond(inst["a"], inst["phi"])),
-                    At(i, Diamond(inst["a"], Nominal(j)))}
-        case "CmpL":
-            return {At(i, Compare(inst["alpha"], inst["kind"], inst["c"], inst["beta"]))}
-        case "CmpR":
-            return {At(i, Compare(inst["alpha"], inst["kind"], inst["c"], inst["beta"])),
-                    At(i, dia(inst["alpha"], Nominal(j))),
-                    At(i, dia(inst["beta"], Nominal(k)))}
-        case "Eq5":
-            c = inst["c"]
-            return {Compare(Jump(i), CmpKind.EQ, c, Jump(j)),
-                    Compare(Jump(i), CmpKind.EQ, c, Jump(k))}
-        case "NEqL" | "NEqR":
-            return {Compare(Jump(i), CmpKind.NEQ, inst["c"], Jump(j))}
-        case "Cut":
-            return set()
-        case "WL" | "WR":
-            return {inst["phi"]}
-    raise KernelError(f"unknown rule: {rule}")
+    if rule in (CUT, OPEN):
+        return set()
+    if rule in (WL, WR):
+        _check_inst(("phi",), inst)
+        return {inst["phi"]}
+    r, v = _instance(rule, inst)
+    out = {t(v) for t in r.required}
+    if r.principal is not None:
+        out.add(r.principal(v))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -419,31 +447,22 @@ def infer(rule, conclusion, inst, children):
     return Derivation(conclusion, rule, freeze_inst(inst), tuple(children))
 
 
-def cut(left, right, phi):
-    """(Cut): from Γ ⊢ Δ, φ and φ, Γ' ⊢ Δ' conclude Γ, Γ' ⊢ Δ, Δ'."""
+def _cut_conclusion(left, right, phi):
     if not is_restricted(phi):
         raise ShapeViolation(f"cut expression not restricted: {print_node(phi)}")
     if phi not in left.conclusion.cons:
         raise KernelError(f"cut expression missing on the left: {print_node(phi)}")
     if phi not in right.conclusion.ante:
         raise KernelError(f"cut expression missing on the right: {print_node(phi)}")
-    concl = Sequent(
+    return Sequent(
         left.conclusion.ante | (right.conclusion.ante - {phi}),
         (left.conclusion.cons - {phi}) | right.conclusion.cons)
-    return Derivation(concl, CUT, freeze_inst({"phi": phi}), (left, right))
 
 
-def cut_conclusion_ok(node):
-    left, right = node.children
-    phi = node.inst_dict["phi"]
-    if not is_restricted(phi):
-        return False
-    if phi not in left.conclusion.cons or phi not in right.conclusion.ante:
-        return False
-    want = Sequent(
-        left.conclusion.ante | (right.conclusion.ante - {phi}),
-        (left.conclusion.cons - {phi}) | right.conclusion.cons)
-    return want == node.conclusion
+def cut(left, right, phi):
+    """(Cut): from Γ ⊢ Δ, φ and φ, Γ' ⊢ Δ' conclude Γ, Γ' ⊢ Δ, Δ'."""
+    return Derivation(_cut_conclusion(left, right, phi), CUT,
+                      freeze_inst({"phi": phi}), (left, right))
 
 
 def weaken(d, side, phi):
@@ -512,11 +531,15 @@ def _check_node(node, allow_open):
             raise KernelError("open leaf in a closed derivation")
         if node.children:
             raise KernelError("open leaf with children")
+        _check_inst((), node.inst_dict)
         return
+    if node.rule in STRUCTURAL_RULES:
+        _check_inst(("phi",), node.inst_dict)
     if node.rule == CUT:
         if len(node.children) != 2:
             raise KernelError("Cut needs exactly two premisses")
-        if not cut_conclusion_ok(node):
+        if _cut_conclusion(*node.children, node.inst_dict["phi"]) \
+                != node.conclusion:
             raise KernelError("Cut conclusion does not match its premisses")
         return
     if node.rule in (WL, WR):
@@ -525,18 +548,12 @@ def _check_node(node, allow_open):
         if not weakening_ok(node):
             raise KernelError("weakening conclusion does not match its premiss")
         return
-    if node.rule not in LOGICAL_RULES:
-        raise KernelError(f"unknown rule: {node.rule}")
     want = premises(node.conclusion, node.rule, node.inst_dict)
     got = [c.conclusion for c in node.children]
     if want != got:
         raise KernelError(
             f"{node.rule} premisses do not match: want "
             f"{[str(s) for s in want]}, got {[str(s) for s in got]}")
-
-
-def is_provable_tree(d):
-    return not check_derivation(d, allow_open=False)
 
 
 def open_leaves(d):
@@ -558,95 +575,3 @@ def graft(fragment, fillers):
         return fragment
     kids = tuple(graft(c, fillers) for c in fragment.children)
     return Derivation(fragment.conclusion, fragment.rule, fragment.inst, kids)
-
-
-# ---------------------------------------------------------------------------
-# Cut bookkeeping and renaming
-# ---------------------------------------------------------------------------
-
-@total_ordering
-@dataclass(frozen=True)
-class CutComplexity:
-    """Lexicographic (size of active cut expression, cut height)."""
-
-    k: int
-    h: int
-
-    def __lt__(self, other):
-        return (self.k, self.h) < (other.k, other.h)
-
-    def as_tuple(self):
-        return (self.k, self.h)
-
-
-def cut_height(node):
-    if node.rule != CUT:
-        raise KernelError("cut_height on a non-Cut node")
-    return node.children[0].height + node.children[1].height
-
-
-def cut_complexity(node):
-    if node.rule != CUT:
-        raise KernelError("cut_complexity on a non-Cut node")
-    return CutComplexity(size(node.inst_dict["phi"]), cut_height(node))
-
-
-def _rename_inst_value(v, old, new):
-    if isinstance(v, str):
-        return new if v == old else v
-    if isinstance(v, (CmpKind,)):
-        return v
-    return rename_nominal(v, old, new)
-
-
-def _rename_nominal_inst(inst, rule, old, new):
-    out = {}
-    for key, v in inst:
-        if key in ("a", "c"):  # modality / comparison symbols, not nominals
-            out[key] = v
-        else:
-            out[key] = _rename_inst_value(v, old, new)
-    return freeze_inst(out)
-
-
-def rename_nominal_derivation(d, old, new):
-    """Rewrite a derivation under a nominal renaming (capture-avoiding).
-
-    `new` must not occur anywhere in the tree; the result re-checks.
-    """
-    if old == new:
-        return d
-    if any(new in node.conclusion.nominals() for _, node in d.walk()):
-        raise SideConditionViolated(
-            f"nominal {new} already occurs in the derivation")
-    return substitute_nominal_derivation(d, old, new)
-
-
-def substitute_nominal_derivation(d, old, new):
-    """Unchecked nominal substitution throughout a derivation.
-
-    Callers must ensure no eigen-nominal capture (the eliminator refreshes
-    eigen-nominals first); use rename_nominal_derivation for the safe form.
-    """
-    if old == new:
-        return d
-    seq = Sequent(
-        frozenset(rename_nominal(e, old, new) for e in d.conclusion.ante),
-        frozenset(rename_nominal(e, old, new) for e in d.conclusion.cons))
-    kids = tuple(substitute_nominal_derivation(c, old, new)
-                 for c in d.children)
-    return Derivation(seq, d.rule, _rename_nominal_inst(d.inst, d.rule, old, new), kids)
-
-
-def derivation_nominals(d):
-    out = set()
-    for _, node in d.walk():
-        out |= node.conclusion.nominals()
-        for key, v in node.inst:
-            if key in ("a", "c"):
-                continue
-            if isinstance(v, str):
-                out.add(v)
-            elif not isinstance(v, CmpKind):
-                out |= nominals_of(v)
-    return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .derived import axg, cmp_tauto, exactly, step
 from .kernel import (
     ALL_RULES, AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L,
-    DIA_R, EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, NOM, S1, S2, S3,
+    DIA_R, EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1, S2, S3,
     Derivation, KernelError, Sequent, ax_shape, axiom, check_derivation,
     cut, expr_key, infer, premises, s1_shape, weaken, weaken_to,
 )
@@ -25,18 +25,9 @@ from .syntax import (
     Nominal, Test, dia, fresh_nominals, neg, top,
 )
 
-DEFAULT_RULE_ORDER = (
-    NEQ_L, NEQ_R, AT_L, AT_R, IMP_R,            # invertible decompositions
-    AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5,         # closure saturation
-    IMP_L,                                      # branching
-    DIA_L, CMP_L,                               # fresh-nominal rules
-    DIA_R, CMP_R,                               # right witness rules
-)
-
-
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds and strategy knobs for backward search.
+    """Bounds and rule restrictions for backward search.
 
     `max_depth` counts decomposition/branching/witness steps along a branch;
     closure saturation is separately bounded by its finite instance space.
@@ -44,7 +35,6 @@ class SearchConfig:
 
     max_depth: int = 12
     max_fresh_nominals: int = 4
-    rule_order: tuple = DEFAULT_RULE_ORDER
     enable_countermodel: bool = True
     countermodel_nodes: int = 3
     allowed_rules: frozenset = frozenset(ALL_RULES)
@@ -122,9 +112,9 @@ CLOSURE_RULES = (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)
 def _closure_move(seq, cfg):
     """First closure-rule instance whose added atom is genuinely new.
 
-    Rules fire in the order given by cfg.rule_order; since each instance
-    fires at most once (the added atom marks it as done) the saturation
-    reaches the same fixpoint under any order.
+    Rules fire in CLOSURE_RULES order; since each instance fires at most
+    once (the added atom marks it as done) the saturation reaches the same
+    fixpoint under any order.
     """
     noms = sorted(seq.nominals())
     cmps = sorted({e.cmp for e in seq.ante | seq.cons if isinstance(e, Compare)})
@@ -133,8 +123,7 @@ def _closure_move(seq, cfg):
                if isinstance(e, At) and isinstance(e.body, Nominal)]
     eqs = [e for e in _sorted(ante)
            if isinstance(e, Compare) and e.kind is CmpKind.EQ]
-    order = [r for r in cfg.rule_order if r in CLOSURE_RULES and cfg.allows(r)]
-    for rule in order:
+    for rule in filter(cfg.allows, CLOSURE_RULES):
         if rule == AT_T:
             for i in noms:
                 if At(i, Nominal(i)) not in ante:
@@ -470,7 +459,9 @@ def prove(goal, cfg=None):
 # Rule inverses
 # ---------------------------------------------------------------------------
 
-WEAKENING_INVERTIBLE = {AT_T, AT_5, NOM, S1, S2, S3, EQ_T, EQ_5, DIA_R, CMP_R}
+# one premiss that keeps the whole conclusion: the premiss is a weakening of it
+WEAKENING_INVERTIBLE = frozenset(
+    name for name, r in RULES.items() if len(r.premisses) == 1 and not r.consumes)
 
 
 def invert(rule, d, inst):
@@ -562,8 +553,3 @@ def invert(rule, d, inst):
 
     raise KernelError(f"no inverse construction for rule {rule}")
 
-
-def prove_axiom_suite():
-    """The locked reference derivations; see hxproof.goldens."""
-    from .goldens import prove_axiom_suite as _suite
-    return _suite()

@@ -230,6 +230,32 @@ def size(e):
     raise TypeError(f"not an expression: {e!r}")
 
 
+def is_node_expr(e):
+    """True iff e is a well-formed node expression with string symbols."""
+    match e:
+        case Prop(str()) | Nominal(str()) | Bottom():
+            return True
+        case Implies(lhs, rhs):
+            return is_node_expr(lhs) and is_node_expr(rhs)
+        case At(str(), body) | Diamond(str(), body):
+            return is_node_expr(body)
+        case Compare(left, CmpKind(), str(), right):
+            return is_path_expr(left) and is_path_expr(right)
+    return False
+
+
+def is_path_expr(p):
+    """True iff p is a well-formed path expression with string symbols."""
+    match p:
+        case Atom(str()) | Jump(str()):
+            return True
+        case Test(body):
+            return is_node_expr(body)
+        case Concat(left, right):
+            return is_path_expr(left) and is_path_expr(right)
+    return False
+
+
 def subexpressions(e) -> Iterator:
     """Yield e and every subexpression (paths and nodes alike)."""
     yield e

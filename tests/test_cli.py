@@ -45,6 +45,30 @@ def test_bad_input_exits_3_with_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _drop_inst(blob):
+    del blob["inst"]
+
+
+def _unknown_tag(blob):
+    blob["conclusion"]["ante"][0]["tag"] = "box"
+
+
+def _kind_mismatch(blob):
+    blob["inst"]["phi"] = {"kind": "nominal", "name": "i"}
+
+
+@pytest.mark.parametrize("mutate", [_drop_inst, _unknown_tag, _kind_mismatch],
+                         ids=["missing-field", "unknown-tag", "kind-mismatch"])
+def test_check_undecodable_json_exits_3_with_one_line(tmp_path, capsys, mutate):
+    blob = json.loads((GOLDEN / "nom2.json").read_text())
+    mutate(blob)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_example1(capsys):
     code, out, _ = run(capsys, "eval", "--model",
                        str(GOLDEN / "example1-model.json"), "--at", "n1",

@@ -4,14 +4,14 @@ import pytest
 
 from genutil import rand_derivation, rand_restricted
 from hxproof.cutelim import (
-    CutEliminationError, cut_positions, eliminate_cuts, reduce_once,
-    select_cut, topmost_cuts,
+    CutComplexity, CutEliminationError, cut_complexity, cut_positions,
+    eliminate_cuts, reduce_once, select_cut, topmost_cuts,
 )
 from hxproof.derived import axg
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
-    AT_R, AX, BOT_RULE, CMP_R, CUT, CutComplexity, axiom, check_derivation,
-    cut, cut_complexity, infer, sequent, weaken,
+    AT_R, AX, BOT_RULE, CMP_R, CUT, axiom, check_derivation, cut, infer,
+    sequent, weaken,
 )
 from hxproof.model import find_countermodel
 from hxproof.search import SearchConfig, Unknown, invert, prove

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -5,22 +7,26 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from genutil import rand_derivation
+from hxproof import jsonio
+from hxproof.cutelim import (
+    cut_complexity, cut_height, derivation_nominals, rename_nominal_derivation,
+)
 from hxproof.kernel import (
     AX, CMP_L, CUT, DIA_L, DIA_R, EQ_T,
-    IMP_L, NOM, S1, S2, S3, WL,
+    IMP_L, METAVAR_KINDS, NOM, S1, S2, S3, WL,
     Derivation, KernelError, PrincipalMissing, ShapeViolation,
     SideConditionViolated, Violation, axiom, check_derivation, cut,
-    cut_complexity, cut_height, derivation_nominals, infer, is_restricted,
-    open_leaf, premises, rename_nominal_derivation, sequent, weaken,
+    freeze_inst, infer, is_restricted, open_leaf, premises, sequent, weaken,
     weaken_to,
 )
 from hxproof.goldens import reflexivity
 from hxproof.syntax import (
     At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    eps,
+    Test, eps,
 )
 
 P, Q = Prop("p"), Prop("q")
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
 
 def atcmp(i, j, kind=CmpKind.EQ, c="c"):
@@ -160,6 +166,42 @@ def test_reflexivity_transcription_checks_and_mutates():
                           tuple(strip_eqt(c) for c in node.children))
     broken = strip_eqt(d)
     assert check_derivation(broken) != []
+
+
+def _golden_sites():
+    """(rule, metavariable) -> (derivation, path) of its first golden node."""
+    sites = {}
+    for p in sorted(GOLDEN.glob("*.json")):
+        if "model" in p.stem or "graph" in p.stem:
+            continue
+        d = jsonio.derivation_from_json(json.loads(p.read_text()))
+        for path, node in d.walk():
+            for key in node.inst_dict:
+                sites.setdefault((node.rule, key), (d, path))
+    return sites
+
+
+_SITES = _golden_sites()
+_WRONG_KIND = {"nominal": Nominal("i"), "modality": Prop("a"),
+               "comparison": CmpKind.EQ, "cmpkind": "eq", "path": P,
+               "node": "p"}
+# unhashable values; inside a tree for the kinds that are trees
+_UNHASHABLE = {"path": Test(["x"]), "node": At("i", ["x"])}
+
+
+@pytest.mark.parametrize("rule,key", sorted(_SITES),
+                         ids=[f"{r}-{k}" for r, k in sorted(_SITES)])
+def test_malformed_instantiation_is_a_violation(rule, key):
+    d, path = _SITES[rule, key]
+    node = d.at(path)
+    inst, kind = node.inst_dict, METAVAR_KINDS[key]
+    dropped = {k: v for k, v in inst.items() if k != key}
+    for bad in (dropped, dict(inst, **{key + "2": inst[key]}),
+                dict(inst, **{key: _WRONG_KIND[kind]}),
+                dict(inst, **{key: _UNHASHABLE.get(kind, ["x"])})):
+        mutated = d.replace(path, Derivation(
+            node.conclusion, node.rule, freeze_inst(bad), node.children))
+        assert [v.path for v in check_derivation(mutated)] == [path]
 
 
 def test_check_reports_paths():
