@@ -7,10 +7,13 @@ members so identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 
 from . import syntax as sx
 from .kernel import (
-    METAVAR_KINDS, Derivation, Sequent, freeze_inst, principal_exprs,
+    METAVAR_KINDS, Derivation, Sequent, ShapeViolation, expr_key, freeze_inst,
+    principal_exprs,
 )
 
 
@@ -109,17 +112,41 @@ def path_from_json(d):
     raise DecodeError(f"unknown path tag: {d['tag']!r}")
 
 
+class _Formulas(dict):
+    """Each distinct formula's print key and JSON object, made once.
+
+    Sequent members are ordered by their printed form (`kernel.expr_key`),
+    and every node of a derivation carries its whole sequent, so without a
+    table the same formulas are printed and encoded again at every node.
+    With one table per top-level call, equal formulas become one shared
+    JSON object, which `dumps_canonical` renders once.
+    """
+
+    def __missing__(self, e):
+        entry = self[e] = (expr_key(e), node_to_json(e))
+        return entry
+
+    def members(self, es):
+        return [j for _, j in sorted(map(self.__getitem__, es), key=itemgetter(0))]
+
+    def sequent(self, s):
+        return {"ante": self.members(s.ante), "cons": self.members(s.cons)}
+
+
 def sequent_to_json(s):
-    return {"ante": [node_to_json(e) for e in s.sorted_ante()],
-            "cons": [node_to_json(e) for e in s.sorted_cons()]}
+    return _Formulas().sequent(s)
 
 
 def sequent_from_json(d):
-    return Sequent.make((node_from_json(e) for e in _field(d, "ante", list)),
-                        (node_from_json(e) for e in _field(d, "cons", list)))
+    ante = [node_from_json(e) for e in _field(d, "ante", list)]
+    cons = [node_from_json(e) for e in _field(d, "cons", list)]
+    try:
+        return Sequent.make(ante, cons)
+    except ShapeViolation as e:                # a member that is not restricted
+        raise DecodeError(str(e)) from None
 
 
-def _inst_value_to_json(key, v):
+def _inst_value_to_json(key, v, formulas):
     kind = METAVAR_KINDS[key]
     match kind:
         case "nominal" | "modality" | "comparison":
@@ -128,7 +155,7 @@ def _inst_value_to_json(key, v):
             return {"kind": kind, "value": v.value}
         case "path":
             return {"kind": kind, "expr": path_to_json(v)}
-    return {"kind": kind, "expr": node_to_json(v)}
+    return {"kind": kind, "expr": formulas[v][1]}
 
 
 def _inst_value_from_json(key, d):
@@ -149,13 +176,18 @@ def _inst_value_from_json(key, d):
 
 
 def derivation_to_json(d):
+    """The JSON object of `d`; equal formulas in it are one shared object."""
+    return _derivation_to_json(d, _Formulas())
+
+
+def _derivation_to_json(d, formulas):
     principal = principal_exprs(d.rule, d.inst_dict)
     return {
         "rule": d.rule,
-        "principal": sorted(map(node_to_json, principal), key=str),
-        "inst": {key: _inst_value_to_json(key, v) for key, v in d.inst},
-        "conclusion": sequent_to_json(d.conclusion),
-        "children": [derivation_to_json(c) for c in d.children],
+        "principal": sorted((formulas[e][1] for e in principal), key=str),
+        "inst": {key: _inst_value_to_json(key, v, formulas) for key, v in d.inst},
+        "conclusion": formulas.sequent(d.conclusion),
+        "children": [_derivation_to_json(c, formulas) for c in d.children],
     }
 
 
@@ -168,4 +200,59 @@ def derivation_from_json(d):
 
 
 def dumps_canonical(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Exactly `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, in one pass.
+
+    The stdlib runs its pure-Python encoder whenever `indent` is set; this
+    writer appends string pieces to one list instead. A container met again
+    in the same call (a formula shared by `derivation_to_json`) is rendered
+    once and re-indented at each later occurrence. Keys must be `str`.
+    """
+    pieces = []
+    _write(obj, "\n", pieces, {})
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write(o, nl, pieces, memo):
+    """Append the text of `o` to `pieces`. `nl` is a newline followed by the
+    indent of the line `o` starts on; `memo` maps the id of each container
+    written so far to its span of `pieces` and `nl`, or, once the container
+    has been met twice, to its text at indent zero."""
+    if isinstance(o, str):
+        pieces.append(_escape(o))
+        return
+    if not isinstance(o, (dict, list, tuple)):
+        pieces.append(json.dumps(o))           # numbers, booleans, None
+        return
+    if not o:
+        pieces.append("{}" if isinstance(o, dict) else "[]")
+        return
+    seen = memo.get(id(o))
+    if seen is not None:
+        if not isinstance(seen, str):
+            start, end, first_nl = seen
+            seen = "".join(pieces[start:end]).replace(first_nl, "\n")
+            memo[id(o)] = seen
+        pieces.append(seen.replace("\n", nl))
+        return
+    start = len(pieces)
+    inner = nl + "  "
+    if isinstance(o, dict):
+        sep = "{" + inner
+        for key in sorted(o):
+            value = o[key]
+            if type(value) is str:
+                pieces.append(sep + _escape(key) + ": " + _escape(value))
+            else:
+                pieces.append(sep + _escape(key) + ": ")
+                _write(value, inner, pieces, memo)
+            sep = "," + inner
+        pieces.append(nl + "}")
+    else:
+        sep = "[" + inner
+        for value in o:
+            pieces.append(sep)
+            _write(value, inner, pieces, memo)
+            sep = "," + inner
+        pieces.append(nl + "]")
+    memo[id(o)] = (start, len(pieces), nl)

@@ -72,12 +72,6 @@ class Sequent:
     def make(ante=(), cons=()):
         return Sequent(frozenset(ante), frozenset(cons))
 
-    def sorted_ante(self):
-        return sorted(self.ante, key=expr_key)
-
-    def sorted_cons(self):
-        return sorted(self.cons, key=expr_key)
-
     def add_ante(self, *es):
         return Sequent(self.ante | set(es), self.cons)
 
@@ -103,8 +97,8 @@ class Sequent:
         return out
 
     def __str__(self):
-        lhs = ", ".join(print_node(e) for e in self.sorted_ante())
-        rhs = ", ".join(print_node(e) for e in self.sorted_cons())
+        lhs = ", ".join(sorted(map(print_node, self.ante)))
+        rhs = ", ".join(sorted(map(print_node, self.cons)))
         return f"{lhs} |- {rhs}".strip()
 
 

@@ -220,7 +220,21 @@ class DataGraph:
 
     @staticmethod
     def from_json(d):
-        return DataGraph(nodes=list(d["nodes"]), edges=list(d.get("edges", [])))
+        nodes = _field(d, "nodes", list, "the graph")
+        edges = _field(d, "edges", list, "the graph", [])
+        for t, nd in enumerate(nodes):
+            where = f"node {t}"
+            _field(nd, "id", str, where)
+            _names(_field(nd, "labels", list, where, []), f"labels of {where}")
+            _field(nd, "index", (str, type(None)), where, None)
+            for attr, value in _field(nd, "attrs", dict, where, {}).items():
+                if isinstance(value, (list, dict)):
+                    raise ModelError(f"attribute {attr!r} of {where} is not "
+                                     f"a string, number, boolean or null")
+        for t, edge in enumerate(edges):
+            for key in ("from", "label", "to"):
+                _field(edge, key, str, f"edge {t}")
+        return DataGraph(nodes=list(nodes), edges=list(edges))
 
     def to_json(self):
         return {"nodes": self.nodes, "edges": self.edges}
@@ -289,13 +303,55 @@ def model_to_json(model):
 
 
 def model_from_json(d, strict_nominals=False):
+    def table(key, decode):
+        return {k: decode(v, f"{key} {k!r}")
+                for k, v in _field(d, key, dict, "the model", {}).items()}
+
     return HybridDataModel.make(
-        d["nodes"],
-        rels={a: [tuple(p) for p in pairs] for a, pairs in d.get("rels", {}).items()},
-        cmps=d.get("cmp", {}),
-        g=d.get("g", {}),
-        val=d.get("val", {}),
+        _names(_field(d, "nodes", list, "the model"), "nodes"),
+        rels=table("rels", lambda v, what: [tuple(p) for p in _lists(v, what, 2)]),
+        cmps=table("cmp", _lists),
+        g=table("g", _name),
+        val=table("val", _names),
         strict_nominals=strict_nominals)
+
+
+# Malformed model and graph files raise ModelError, one message each.
+
+_REQUIRED = object()
+
+
+def _field(d, key, typ, where, default=_REQUIRED):
+    """`d[key]` checked to be a `typ`; an absent optional field is `default`."""
+    if not isinstance(d, dict):
+        raise ModelError(f"{where} is not an object")
+    if key not in d:
+        if default is _REQUIRED:
+            raise ModelError(f"{where} has no field {key!r}")
+        return default
+    if not isinstance(d[key], typ):
+        raise ModelError(f"field {key!r} of {where} has the wrong type: {d[key]!r}")
+    return d[key]
+
+
+def _name(v, what):
+    if not isinstance(v, str):
+        raise ModelError(f"{what} is not a name: {v!r}")
+    return v
+
+
+def _names(v, what, arity=None):
+    if not isinstance(v, list) or not all(isinstance(x, str) for x in v) \
+            or arity not in (None, len(v)):
+        shape = "a list of names" if arity is None else f"a list of {arity} names"
+        raise ModelError(f"{what} is not {shape}: {v!r}")
+    return v
+
+
+def _lists(v, what, arity=None):
+    if not isinstance(v, list):
+        raise ModelError(f"{what} is not a list: {v!r}")
+    return [_names(x, f"an entry of {what}", arity) for x in v]
 
 
 # ---------------------------------------------------------------------------

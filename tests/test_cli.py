@@ -69,6 +69,24 @@ def test_check_undecodable_json_exits_3_with_one_line(tmp_path, capsys, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,flag,blob", [
+    ("eval", "--graph", {"nodes": [{"id": "n1"}, {"id": "n2"}],
+                         "edges": [{"from": "n1", "to": "n2"}]}),
+    ("eval", "--model", {"nodes": ["n1", "n2"], "rels": {"a": [["n1"]]}}),
+    ("entail", "--graph", {"edges": []}),
+    ("entail", "--model", {"rels": {}}),
+], ids=["edge-without-label", "one-node-pair", "graph-without-nodes",
+        "model-without-nodes"])
+def test_malformed_model_file_exits_3_with_one_line(tmp_path, capsys,
+                                                     command, flag, blob):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    query = "<a>p" if command == "eval" else "@i p |- @i p"
+    code, out, err = run(capsys, command, flag, str(bad), query)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_eval_example1(capsys):
     code, out, _ = run(capsys, "eval", "--model",
                        str(GOLDEN / "example1-model.json"), "--at", "n1",

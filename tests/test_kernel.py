@@ -13,7 +13,7 @@ from hxproof.cutelim import (
 )
 from hxproof.kernel import (
     AX, CMP_L, CUT, DIA_L, DIA_R, EQ_T,
-    IMP_L, METAVAR_KINDS, NOM, S1, S2, S3, WL,
+    IMP_L, METAVAR_KINDS, NOM, OPEN, RULES, S1, S2, S3, WL, WR,
     Derivation, KernelError, PrincipalMissing, ShapeViolation,
     SideConditionViolated, Violation, axiom, check_derivation, cut,
     freeze_inst, infer, is_restricted, open_leaf, premises, sequent, weaken,
@@ -309,3 +309,89 @@ def test_fresh_nominals_absent_from_their_conclusions(seed):
             assert inst["j"] not in node.conclusion.nominals()
         elif node.rule == CMP_L:
             assert not ({inst["j"], inst["k"]} & node.conclusion.nominals())
+
+
+# ---------------------------------------------------------------------------
+# hostile input: mutated golden JSON
+# ---------------------------------------------------------------------------
+
+_GOLDEN_TEXTS = {p.stem: p.read_text() for p in sorted(GOLDEN.glob("*.json"))
+                 if "model" not in p.stem and "graph" not in p.stem}
+_END_SEQUENTS = {name: jsonio.derivation_from_json(json.loads(text)).conclusion
+                 for name, text in _GOLDEN_TEXTS.items()}
+_RULE_NAMES = sorted(RULES) + [CUT, WL, WR, OPEN, "NoSuchRule"]
+_RETYPED = (None, 0, 1.5, True, "x", [], {}, [{}], {"tag": "prop"})
+
+
+def _derivation_nodes(blob):
+    out, stack = [], [blob]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += node["children"]
+    return out
+
+
+def _containers(value):
+    """Every non-empty dict and list inside `value`, `value` first."""
+    out, stack = [], [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (dict, list)) and v:
+            out.append(v)
+            stack += v.values() if isinstance(v, dict) else v
+    return out
+
+
+def _drop(blob, draw):
+    parent = draw(st.sampled_from(_containers(blob)))
+    del parent[draw(st.sampled_from(list(parent) if isinstance(parent, dict)
+                                    else range(len(parent))))]
+
+
+def _retype(blob, draw):
+    parent = draw(st.sampled_from(_containers(blob)))
+    key = draw(st.sampled_from(list(parent) if isinstance(parent, dict)
+                               else range(len(parent))))
+    parent[key] = draw(st.sampled_from(_RETYPED))
+
+
+def _swap_rule(blob, draw):
+    node = draw(st.sampled_from(_derivation_nodes(blob)))
+    node["rule"] = draw(st.sampled_from(
+        [r for r in _RULE_NAMES if r != node["rule"]]))
+
+
+def _perturb_member(blob, draw):
+    """Replace one conclusion member with a member found elsewhere in the
+    tree, the member moved under a fresh nominal, or a formula that is not a
+    sequent member (the member's body, or falsum)."""
+    nodes = _derivation_nodes(blob)
+    node = draw(st.sampled_from(nodes))
+    sides = [s for s in ("ante", "cons") if node["conclusion"][s]]
+    if not sides:
+        return
+    members = node["conclusion"][draw(st.sampled_from(sides))]
+    t = draw(st.integers(0, len(members) - 1))
+    elsewhere = [m for n in nodes for s in ("ante", "cons")
+                 for m in n["conclusion"][s]]
+    members[t] = draw(st.sampled_from(elsewhere)
+                      | st.just({"tag": "at", "nom": "zz", "body": members[t]})
+                      | st.just(members[t].get("body", {"tag": "bot"})))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_GOLDEN_TEXTS)),
+       st.sampled_from([_drop, _retype, _swap_rule, _perturb_member]),
+       st.data())
+def test_mutated_golden_decodes_or_fails_cleanly_and_never_passes_as_original(
+        name, mutate, data):
+    blob = json.loads(_GOLDEN_TEXTS[name])
+    mutate(blob, data.draw)
+    try:
+        d = jsonio.derivation_from_json(blob)
+    except jsonio.DecodeError:
+        return
+    violations = check_derivation(d)
+    if d.conclusion != _END_SEQUENTS[name]:
+        assert violations, "a tree with a changed end-sequent was accepted"
