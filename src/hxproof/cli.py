@@ -30,7 +30,7 @@ class CliError(Exception):
 def _read_json(path):
     try:
         return json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise CliError(f"cannot read {path}: {e}") from None
 
 
@@ -66,9 +66,9 @@ def cmd_eval(args):
     at = args.at if args.at is not None else model.default_node
     value = eval_node(model, at, expr)
     _emit(args, {"value": value, "at": at}, str(value).lower())
-    if model.defaulted_nominals:
-        print(f"note: defaulted nominals {sorted(model.defaulted_nominals)}",
-              file=sys.stderr)
+    defaulted = sx.nominals_of(expr) - model.g.keys()
+    if defaulted:
+        print(f"note: defaulted nominals {sorted(defaulted)}", file=sys.stderr)
     return EXIT_OK if value else EXIT_FAIL
 
 
@@ -235,6 +235,10 @@ def main(argv=None):
     except (CliError, KernelError, ModelError, jsonio.DecodeError,
             sx.SyntaxError_, sx.SymbolSpaceError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # the reader, the decoder, the checker and the writer all recurse
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

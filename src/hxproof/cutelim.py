@@ -3,8 +3,9 @@
 Each pass selects a (Cut) with no other cut above it, so both premiss
 derivations are cut-free, and applies the matching transformation family:
 axiom and weakening interactions discharge the cut outright, a non-principal
-cut permutes upward, and principal pairs split into cuts of strictly smaller
-complexity under the lexicographic (expression size, cut height) measure.
+cut permutes upward, and a rule cut against its dual (`kernel.dual`), both
+principal, splits into cuts of strictly smaller complexity under the
+lexicographic (expression size, cut height) measure.
 Eigen-nominals are renamed eagerly before any permutation can capture them.
 
 Two right rules can meet across a cut (the witness of a right comparison or
@@ -21,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import total_ordering
 
-from .derived import exactly
+from .derived import crossed, exactly
 from .kernel import (
-    AT_L, AT_R, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R, IMP_L, IMP_R,
-    METAVAR_KINDS, NEQ_L, NEQ_R, RULES, S2, WL, WR,
-    Derivation, KernelError, Sequent, SideConditionViolated, axiom, cut,
-    freeze_inst, infer, premises, principal, required, weaken_to,
+    AX, BOT_RULE, CUT, DIA_R, METAVAR_KINDS, RULES, S2, WL, WR,
+    Derivation, KernelError, Sequent, SideConditionViolated, added, axiom,
+    cut, dual, freeze_inst, infer, premises, principal, required, weaken_to,
 )
 from .syntax import (
-    At, Bottom, CmpKind, Compare, Diamond, Jump, Nominal,
+    At, Bottom, Diamond, Nominal,
     fresh_nominals, nominals_of, print_node, rename_nominal, size,
 )
 
@@ -279,21 +279,11 @@ def _transform(node, scope_noms):
         return _permute(node, into="left", scope_noms=scope_noms)
 
     # principal on both sides
-    sel = cut_complexity(node)
-    fam = (left.rule, right.rule)
     try:
-        if fam == (IMP_R, IMP_L):
-            return _family_imp(node, sel)
-        if fam == (AT_R, AT_L):
-            return _family_at(node, sel)
-        if fam == (NEQ_R, NEQ_L):
-            return _family_neq(node, sel)
-        if fam == (DIA_R, DIA_L):
-            return _family_dia(node, sel, scope_noms)
-        if fam == (CMP_R, CMP_L):
-            return _family_cmp(node, sel, scope_noms)
+        if dual(left.rule) == right.rule:
+            return _principal_pair(node, scope_noms)
         if left.rule == DIA_R and role_r == "required":
-            return _family_dia_required(node, sel)
+            return _family_dia_required(node)
     except CutStuck:
         raise
     except KernelError as e:
@@ -350,70 +340,41 @@ def _permute(node, into, scope_noms):
             introduced, f"permute-{into}-{target.rule}")
 
 
-def _family_imp(node, sel):
+def _principal_pair(node, scope_noms):
+    """A right rule cut against its left dual, both principal on the cut.
+
+    The left premiss is cut against each right premiss in turn, on the
+    formula one rule adds on the left and the other on the right. A left
+    rule that keeps the cut formula (DiaR, CmpR) first has it cut against
+    the whole right derivation, and the right rule's eigen-nominals are
+    renamed to the left instance's witnesses.
+    """
     left, right = node.children
     inst = left.inst_dict
-    i, phi1, phi2 = inst["i"], inst["phi"], inst["psi"]
-    d_l = left.children[0]
-    q1, q2 = right.children
-    e1 = cut(q1, d_l, At(i, phi1))
-    e2 = cut(e1, q2, At(i, phi2))
-    out = exactly(e2, node.conclusion)
-    return out, [cut_complexity(e1), cut_complexity(e2)], "principal-imp"
+    (cur,) = left.children
+    introduced = []
+    if not RULES[left.rule].consumes:
+        cur = cut(cur, right, node.inst_dict["phi"])
+        introduced.append(cut_complexity(cur))
+    eigens = RULES[right.rule].eigens
+    if eigens:
+        right = eigen_refresh(right, scope_noms | derivation_nominals(left))
+        for m in eigens:
+            right = substitute_nominal_derivation(right, right.inst_dict[m],
+                                                  inst[m])
+    (ours,) = added(left.rule, inst)
+    for q, theirs in zip(right.children, added(right.rule, inst)):
+        e = crossed(ours, theirs)
+        # oriented by the right premiss: ImpR adds @i phi on both sides
+        # when phi and psi are equal
+        cur = cut(q, cur, e) if e in theirs[1] else cut(cur, q, e)
+        introduced.append(cut_complexity(cur))
+    # event kinds name the connective: principal-imp, -at, -dia, -cmp, -neq
+    kind = "principal-" + right.rule.removesuffix("L").lower()
+    return exactly(cur, node.conclusion), introduced, kind
 
 
-def _family_at(node, sel):
-    left, right = node.children
-    inst = left.inst_dict
-    inner = At(inst["i"], inst["phi"])
-    newcut = cut(left.children[0], right.children[0], inner)
-    out = exactly(newcut, node.conclusion)
-    return out, [cut_complexity(newcut)], "principal-at"
-
-
-def _family_neq(node, sel):
-    left, right = node.children
-    inst = left.inst_dict
-    eq = Compare(Jump(inst["i"]), CmpKind.EQ, inst["c"], Jump(inst["j"]))
-    newcut = cut(right.children[0], left.children[0], eq)
-    out = exactly(newcut, node.conclusion)
-    return out, [cut_complexity(newcut)], "principal-neq"
-
-
-def _family_dia(node, sel, scope_noms):
-    left, right = node.children
-    phi = node.inst_dict["phi"]
-    w = left.inst_dict["j"]
-    body = left.inst_dict["phi"]
-    cut1 = cut(left.children[0], right, phi)
-    fresh_right = eigen_refresh(
-        right, scope_noms | derivation_nominals(left) | {w})
-    u = fresh_right.inst_dict["j"]
-    q = substitute_nominal_derivation(fresh_right.children[0], u, w)
-    step_formula = At(w, body)
-    cut2 = cut(cut1, q, step_formula)
-    out = exactly(cut2, node.conclusion)
-    return out, [cut_complexity(cut1), cut_complexity(cut2)], "principal-dia"
-
-
-def _family_cmp(node, sel, scope_noms):
-    left, right = node.children
-    phi = node.inst_dict["phi"]
-    kind, c = left.inst_dict["kind"], left.inst_dict["c"]
-    x, y = left.inst_dict["j"], left.inst_dict["k"]
-    cut1 = cut(left.children[0], right, phi)
-    fresh_right = eigen_refresh(
-        right, scope_noms | derivation_nominals(left) | {x, y})
-    u, v = fresh_right.inst_dict["j"], fresh_right.inst_dict["k"]
-    q = substitute_nominal_derivation(fresh_right.children[0], u, x)
-    q = substitute_nominal_derivation(q, v, y)
-    atom = Compare(Jump(x), kind, c, Jump(y))
-    cut2 = cut(cut1, q, atom)
-    out = exactly(cut2, node.conclusion)
-    return out, [cut_complexity(cut1), cut_complexity(cut2)], "principal-cmp"
-
-
-def _family_dia_required(node, sel):
+def _family_dia_required(node):
     """Right rules on both sides: route the modal step through substitution."""
     left, right = node.children
     phi = node.inst_dict["phi"]

@@ -113,6 +113,26 @@ def axg(goal, i, phi):
     raise MacroError(f"AxG: unexpected expression {print_node(phi)}")
 
 
+def identity(goal, e):
+    """Close a goal with the sequent member `e` on both sides."""
+    match e:
+        case At(i, phi):
+            return axg(goal, i, phi)
+        case Compare(Jump(x), kind, c, Jump(y)):
+            return cmp_tauto(goal, x, kind, c, y)
+    raise MacroError(f"identity: not a sequent member: {print_node(e)}")
+
+
+def crossed(x, y):
+    """The one formula that two premisses' additions put on opposite sides.
+
+    `x` and `y` are (antecedent, consequent) pairs from `kernel.added`, one
+    premiss of each of two dual rules under one instantiation.
+    """
+    (e,) = (set(x[0]) & set(y[1])) | (set(x[1]) & set(y[0]))
+    return e
+
+
 def transfer(goal, i, j, phi):
     """Generalized substitution: close @_i j, @_i phi, Γ ⊢ Δ, @_j phi.
 

@@ -222,6 +222,10 @@ def _neq(v):
     return Compare(Jump(v.i), CmpKind.NEQ, v.c, Jump(v.j))
 
 
+def _dia(v):
+    return At(v.i, Diamond(v.a, v.phi))
+
+
 def _cmp(v):
     return At(v.i, Compare(v.alpha, v.kind, v.c, v.beta))
 
@@ -257,12 +261,10 @@ RULES = {
                premisses=(lambda v: ([At(v.i, v.phi)], []),)),
     AT_R: Rule("i j phi", principal=_at_at, side="cons", consumes=True,
                premisses=(lambda v: ([], [At(v.i, v.phi)]),)),
-    DIA_L: Rule("i a phi j", principal=lambda v: At(v.i, Diamond(v.a, v.phi)),
-                consumes=True, eigens="j",
+    DIA_L: Rule("i a phi j", principal=_dia, consumes=True, eigens="j",
                 premisses=(lambda v: ([At(v.i, Diamond(v.a, Nominal(v.j))),
                                        At(v.j, v.phi)], []),)),
-    DIA_R: Rule("i a phi j", principal=lambda v: At(v.i, Diamond(v.a, v.phi)),
-                side="cons",
+    DIA_R: Rule("i a phi j", principal=_dia, side="cons",
                 required=(lambda v: At(v.i, Diamond(v.a, Nominal(v.j))),),
                 premisses=(lambda v: ([], [At(v.j, v.phi)]),)),
     CMP_L: Rule("i alpha beta kind c j k", principal=_cmp, consumes=True,
@@ -290,6 +292,12 @@ LOGICAL_RULES = tuple(RULES)
 ALL_RULES = LOGICAL_RULES + STRUCTURAL_RULES
 COMPARISON_RULES = frozenset(n for n, r in RULES.items() if "c" in r.metavars)
 
+# A left and a right rule sharing one principal template are duals: under one
+# instantiation, the premisses of each close against those of the other.
+_DUALS = {n: m for n, r in RULES.items() for m, s in RULES.items()
+          if r.principal is not None and s.principal is r.principal
+          and s.side != r.side}
+
 
 def _instance(rule, inst):
     """The table record of a logical rule and its checked instantiation."""
@@ -312,6 +320,17 @@ def required(rule, inst):
     """The antecedent formulas a logical rule needs and keeps."""
     r, v = _instance(rule, inst)
     return {t(v) for t in r.required}
+
+
+def added(rule, inst):
+    """Per premiss, the (antecedent, consequent) formulas a logical rule adds."""
+    r, v = _instance(rule, inst)
+    return [t(v) for t in r.premisses]
+
+
+def dual(rule):
+    """The logical rule with the same principal on the other side, or None."""
+    return _DUALS.get(rule)
 
 
 def premises(goal, rule, inst):

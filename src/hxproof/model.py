@@ -61,7 +61,6 @@ class HybridDataModel:
     val: dict             # prop symbol -> frozenset of nodes
     strict_nominals: bool = False
     default_node: str = field(default=None)
-    defaulted_nominals: set = field(default_factory=set)
 
     def __post_init__(self):
         if not self.nodes:
@@ -104,7 +103,6 @@ class HybridDataModel:
         except KeyError:
             if self.strict_nominals:
                 raise UnassignedNominal(f"nominal {nominal!r} is unassigned") from None
-            self.defaulted_nominals.add(nominal)
             return self.default_node
 
     def related(self, a, n, m):
@@ -409,7 +407,6 @@ def _scratch_model(nodes):
     m.val = {}
     m.strict_nominals = False
     m.default_node = nodes[0]
-    m.defaulted_nominals = set()
     return m
 
 

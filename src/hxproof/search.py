@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .derived import axg, cmp_tauto, exactly, step
+from .derived import axg, crossed, exactly, identity, step
 from .kernel import (
     ALL_RULES, AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L,
     DIA_R, EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1, S2, S3,
-    Derivation, KernelError, Sequent, ax_shape, axiom, check_derivation,
-    cut, expr_key, infer, premises, s1_shape, weaken, weaken_to,
+    Derivation, KernelError, Sequent, added, ax_shape, axiom,
+    check_derivation, cut, dual, expr_key, infer, premises, principal,
+    s1_shape, weaken_to,
 )
 from .model import HybridDataModel, check_sequent_validity, find_countermodel
 from .syntax import (
@@ -459,97 +460,31 @@ def prove(goal, cfg=None):
 # Rule inverses
 # ---------------------------------------------------------------------------
 
-# one premiss that keeps the whole conclusion: the premiss is a weakening of it
-WEAKENING_INVERTIBLE = frozenset(
-    name for name, r in RULES.items() if len(r.premisses) == 1 and not r.consumes)
-
-
 def invert(rule, d, inst):
     """Derivations of each premiss of `rule`, given one of its conclusion.
 
-    Additive rules invert by weakening; the remaining decompositions use the
-    cut constructions (one per premiss). Axioms invert vacuously.
+    A rule that keeps its principal inverts by weakening (an axiom has no
+    premisses to derive). A rule that consumes its principal p inverts by
+    one cut on p against its dual rule, whose premisses close by identity
+    against what this rule adds.
     """
     concl = d.conclusion
     targets = premises(concl, rule, inst)
-    if rule in (AX, BOT_RULE):
-        return []
-    if rule in WEAKENING_INVERTIBLE:
+    if not RULES[rule].consumes:
         return [weaken_to(d, t) for t in targets]
+    other = dual(rule)
+    side, p = principal(rule, inst)
+    ours = added(rule, inst)
 
-    i = inst.get("i")
-    if rule == IMP_R:
-        phi, psi = inst["phi"], inst["psi"]
-        p = At(i, Implies(phi, psi))
-        left = weaken_to(d, concl.add_ante(At(i, phi)).add_cons(At(i, psi)))
-        right_goal = Sequent.make({p, At(i, phi)}, {At(i, psi)})
-        right = step(IMP_L, right_goal, {"i": i, "phi": phi, "psi": psi},
-                     [lambda s: axg(s, i, phi), lambda s: axg(s, i, psi)])
-        return [exactly(cut(left, right, p), targets[0])]
+    def closed(goal, mine):
+        return step(other, goal, inst,
+                    [lambda s, e=crossed(mine, theirs): identity(s, e)
+                     for theirs in added(other, inst)])
 
-    if rule == IMP_L:
-        phi, psi = inst["phi"], inst["psi"]
-        p = At(i, Implies(phi, psi))
-        t1, t2 = targets
-        e1 = step(IMP_R, t1.add_cons(p), {"i": i, "phi": phi, "psi": psi},
-                  [lambda s: axg(s, i, phi)])
-        first = exactly(cut(e1, d, p), t1)
-        e2 = step(IMP_R, t2.add_cons(p), {"i": i, "phi": phi, "psi": psi},
-                  [lambda s: axg(s, i, psi)])
-        second = exactly(cut(e2, weaken(d, "left", At(i, psi)), p), t2)
-        return [first, second]
-
-    if rule == AT_L:
-        j, phi = inst["j"], inst["phi"]
-        p = At(j, At(i, phi))
-        e = step(AT_R, targets[0].add_cons(p), {"j": j, "i": i, "phi": phi},
-                 [lambda s: axg(s, i, phi)])
-        return [exactly(cut(e, d, p), targets[0])]
-
-    if rule == AT_R:
-        j, phi = inst["j"], inst["phi"]
-        p = At(j, At(i, phi))
-        left = weaken_to(d, concl.add_cons(At(i, phi)))
-        right_goal = Sequent.make({p}, {At(i, phi)})
-        right = step(AT_L, right_goal, {"j": j, "i": i, "phi": phi},
-                     [lambda s: axg(s, i, phi)])
-        return [exactly(cut(left, right, p), targets[0])]
-
-    if rule == DIA_L:
-        a, phi, j = inst["a"], inst["phi"], inst["j"]
-        p = At(i, Diamond(a, phi))
-        e = step(DIA_R, targets[0].add_cons(p),
-                 {"i": i, "a": a, "phi": phi, "j": j},
-                 [lambda s: axg(s, j, phi)])
-        return [exactly(cut(e, d, p), targets[0])]
-
-    if rule == CMP_L:
-        alpha, beta = inst["alpha"], inst["beta"]
-        kind, c, j, k = inst["kind"], inst["c"], inst["j"], inst["k"]
-        p = At(i, Compare(alpha, kind, c, beta))
-        e = step(CMP_R, targets[0].add_cons(p),
-                 {"i": i, "alpha": alpha, "beta": beta, "kind": kind,
-                  "c": c, "j": j, "k": k},
-                 [lambda s: cmp_tauto(s, j, kind, c, k)])
-        return [exactly(cut(e, d, p), targets[0])]
-
-    if rule == NEQ_L:
-        j, c = inst["j"], inst["c"]
-        p = Compare(Jump(i), CmpKind.NEQ, c, Jump(j))
-        eq = Compare(Jump(i), CmpKind.EQ, c, Jump(j))
-        e = step(NEQ_R, targets[0].add_cons(p), {"i": i, "j": j, "c": c},
-                 [lambda s: axiom(AX, s, {"phi": eq})])
-        return [exactly(cut(e, d, p), targets[0])]
-
-    if rule == NEQ_R:
-        j, c = inst["j"], inst["c"]
-        p = Compare(Jump(i), CmpKind.NEQ, c, Jump(j))
-        eq = Compare(Jump(i), CmpKind.EQ, c, Jump(j))
-        left = weaken(d, "left", eq)
-        right_goal = Sequent.make({p, eq}, set())
-        right = step(NEQ_L, right_goal, {"i": i, "j": j, "c": c},
-                     [lambda s: axiom(AX, s, {"phi": eq})])
-        return [exactly(cut(left, right, p), targets[0])]
-
-    raise KernelError(f"no inverse construction for rule {rule}")
-
+    if side == "ante":
+        return [exactly(cut(closed(t.add_cons(p), mine), d, p), t)
+                for t, mine in zip(targets, ours)]
+    ((ante, cons),) = ours
+    left = weaken_to(d, Sequent(concl.ante.union(ante), concl.cons.union(cons)))
+    right = closed(Sequent.make([p, *ante], cons), ours[0])
+    return [exactly(cut(left, right, p), targets[0])]

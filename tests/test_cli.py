@@ -69,6 +69,39 @@ def test_check_undecodable_json_exits_3_with_one_line(tmp_path, capsys, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _deep_derivation(depth):
+    """`depth` nested weakenings of a member over the nom2 golden, as text."""
+    text = (GOLDEN / "nom2.json").read_text()
+    blob = json.loads(text)
+    phi = blob["conclusion"]["ante"][0]
+    head = json.dumps({"rule": "WL", "principal": [phi],
+                       "inst": {"phi": {"kind": "node", "expr": phi}},
+                       "conclusion": blob["conclusion"]})
+    return (head[:-1] + ', "children": [') * depth + text + "]}" * depth
+
+
+def _deep_formula(depth):
+    """An (Ax) leaf on @i (false -> ... -> p), `depth` implications deep."""
+    body = '{"tag": "imp", "lhs": {"tag": "bot"}, "rhs": ' * depth \
+        + '{"tag": "prop", "name": "p"}' + "}" * depth
+    at = '{"tag": "at", "nom": "i", "body": ' + body + "}"
+    return ('{"rule": "Ax", "principal": [], "children": [], '
+            f'"inst": {{"phi": {{"kind": "node", "expr": {at}}}}}, '
+            f'"conclusion": {{"ante": [{at}], "cons": [{at}]}}}}')
+
+
+# the first is too deep for the JSON reader, the second for the kernel
+@pytest.mark.parametrize("text", [_deep_derivation(1000), _deep_formula(600)],
+                         ids=["derivation-1000", "formula-600"])
+def test_deeply_nested_input_exits_3_with_one_line(tmp_path, capsys, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    for argv in (("check", str(deep)), ("cutfree", str(deep))):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,flag,blob", [
     ("eval", "--graph", {"nodes": [{"id": "n1"}, {"id": "n2"}],
                          "edges": [{"from": "n1", "to": "n2"}]}),
@@ -96,6 +129,16 @@ def test_eval_example1(capsys):
                        str(GOLDEN / "example1-model.json"), "--at", "n4",
                        "Person")
     assert code == 1 and out.strip() == "false"
+
+
+def test_eval_notes_defaulted_nominals(capsys):
+    model = str(GOLDEN / "example1-model.json")
+    code, out, err = run(capsys, "eval", "--model", model, "@i1 Person")
+    assert code == 0 and out.strip() == "true" and err == ""
+    code, out, err = run(capsys, "eval", "--model", model,
+                         "@ghost Person -> @i1 <eps =name k:>")
+    assert code == 0 and out.strip() == "true"  # both at the least node, n1
+    assert err == "note: defaulted nominals ['ghost', 'k']\n"
 
 
 def test_eval_from_graph(capsys):

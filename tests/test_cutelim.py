@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from genutil import rand_derivation, rand_restricted
+from genutil import (conclusion_for_rule, derivation_of, rand_derivation,
+                     rand_restricted)
 from hxproof.cutelim import (
     CutComplexity, CutEliminationError, cut_complexity, cut_positions,
     eliminate_cuts, reduce_once, select_cut, topmost_cuts,
@@ -10,8 +11,9 @@ from hxproof.cutelim import (
 from hxproof.derived import axg
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
-    AT_R, AX, BOT_RULE, CMP_R, CUT, axiom, check_derivation, cut, infer,
-    sequent, weaken,
+    AT_L, AT_R, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, IMP_L, LOGICAL_RULES,
+    NEQ_L, axiom, check_derivation, cut, dual, infer, premises, sequent,
+    weaken,
 )
 from hxproof.model import find_countermodel
 from hxproof.search import SearchConfig, Unknown, invert, prove
@@ -171,7 +173,7 @@ def test_wrapped_jump_evidence_cannot_be_made_cut_free():
 
 
 # ---------------------------------------------------------------------------
-# the three inverse constructions
+# inverse constructions and the dual-pair reductions
 # ---------------------------------------------------------------------------
 
 def test_inverse_constructions_eliminate():
@@ -195,6 +197,24 @@ def test_inverse_constructions_eliminate():
                          {"i": "i", "alpha": Atom("a"), "beta": Atom("b"),
                           "kind": kind, "c": "c", "j": "u", "k": "v"})
         _run(prem3)
+
+
+@pytest.mark.parametrize("rule,kind", [
+    (IMP_L, "principal-imp"), (AT_L, "principal-at"), (DIA_L, "principal-dia"),
+    (CMP_L, "principal-cmp"), (NEQ_L, "principal-neq"),
+])
+def test_dual_pair_principal_reduction(rule, kind):
+    # inverting a left rule cuts its dual against it, principal on both sides
+    rng = random.Random(LOGICAL_RULES.index(rule))
+    for _ in range(5):
+        concl, inst = conclusion_for_rule(rng, rule)
+        d = infer(rule, concl, inst, [derivation_of(p, rng)
+                                      for p in premises(concl, rule, inst)])
+        for prem in invert(rule, d, inst):
+            (_, node), = topmost_cuts(prem)
+            assert [c.rule for c in node.children] == [dual(rule), rule]
+            assert reduce_once(prem)[1].kind == kind
+            _run(prem)
 
 
 # ---------------------------------------------------------------------------

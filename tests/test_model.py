@@ -204,7 +204,6 @@ def test_strict_nominals_flag():
         eval_node(m, "x", Nominal("ghost"))
     m2 = HybridDataModel.make(["x", "y"])
     assert eval_node(m2, min(m2.nodes), Nominal("ghost"))  # default node
-    assert "ghost" in m2.defaulted_nominals
 
 
 def test_model_json_roundtrip(example1):
