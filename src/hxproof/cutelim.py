@@ -30,7 +30,7 @@ from .kernel import (
 )
 from .syntax import (
     At, Bottom, Diamond, Nominal,
-    fresh_nominals, nominals_of, print_node, rename_nominal, size,
+    fresh_nominals, print_node, rename_nominal, size,
 )
 
 
@@ -161,7 +161,7 @@ def rename_nominal_derivation(d, old, new):
     """
     if old == new:
         return d
-    if any(new in node.conclusion.nominals() for _, node in d.walk()):
+    if new in d.nominals():
         raise SideConditionViolated(
             f"nominal {new} already occurs in the derivation")
     return substitute_nominal_derivation(d, old, new)
@@ -183,19 +183,6 @@ def substitute_nominal_derivation(d, old, new):
     return Derivation(seq, d.rule, _rename_nominal_inst(d.inst, old, new), kids)
 
 
-def derivation_nominals(d):
-    out = set()
-    for _, node in d.walk():
-        out |= node.conclusion.nominals()
-        for key, v in node.inst:
-            match METAVAR_KINDS[key]:
-                case "nominal":
-                    out.add(v)
-                case "path" | "node":
-                    out |= nominals_of(v)
-    return out
-
-
 def _eigens_of(node):
     r = RULES.get(node.rule)
     return [node.inst_dict[m] for m in r.eigens] if r else []
@@ -203,7 +190,7 @@ def _eigens_of(node):
 
 def eigen_refresh(d, forbidden):
     """Rename every eigen-nominal in the tree to a globally fresh one."""
-    forbidden = set(forbidden) | derivation_nominals(d)
+    forbidden = set(forbidden) | d.nominals()
 
     def go(node):
         for old in _eigens_of(node):
@@ -302,7 +289,7 @@ def _permute(node, into, scope_noms):
 
     if _eigens_of(target):
         target = eigen_refresh(
-            target, scope_noms | derivation_nominals(other) | concl.nominals())
+            target, scope_noms | other.nominals() | concl.nominals())
 
     if target.rule in (WL, WR):
         child = target.children[0]
@@ -358,7 +345,7 @@ def _principal_pair(node, scope_noms):
         introduced.append(cut_complexity(cur))
     eigens = RULES[right.rule].eigens
     if eigens:
-        right = eigen_refresh(right, scope_noms | derivation_nominals(left))
+        right = eigen_refresh(right, scope_noms | left.nominals())
         for m in eigens:
             right = substitute_nominal_derivation(right, right.inst_dict[m],
                                                   inst[m])
@@ -408,7 +395,7 @@ def reduce_once(d):
     if sel is None:
         raise ValueError("derivation is cut-free")
     path, node = sel
-    scope = derivation_nominals(d)
+    scope = d.nominals()
     try:
         replacement, introduced, kind = _transform(node, scope)
     except CutStuck as e:

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _escape
-from operator import itemgetter
 
 from . import syntax as sx
 from .kernel import (
-    METAVAR_KINDS, Derivation, Sequent, ShapeViolation, expr_key, freeze_inst,
+    METAVAR_KINDS, Derivation, Sequent, ShapeViolation, freeze_inst,
     principal_exprs,
 )
 
@@ -63,7 +62,25 @@ def node_to_json(e):
     raise TypeError(f"not a node expression: {e!r}")
 
 
+# Deeper expressions are refused, so that the layers that still recurse over
+# an expression (shape checks, substitution, encoding, the canonical writer)
+# stay well inside the interpreter's default recursion limit.
+MAX_NESTING = 500
+
+
 def node_from_json(d):
+    return _node(d, MAX_NESTING)
+
+
+def path_from_json(d):
+    return _path(d, MAX_NESTING)
+
+
+def _node(d, room):
+    """The node expression `d` encodes, at most `room` levels deep."""
+    if room <= 0:
+        raise DecodeError(f"expression nested more than {MAX_NESTING} levels deep")
+    room -= 1
     match _field(d, "tag"):
         case "prop":
             return sx.Prop(_name(d, "name"))
@@ -72,15 +89,15 @@ def node_from_json(d):
         case "bot":
             return sx.BOT
         case "imp":
-            return sx.Implies(node_from_json(_field(d, "lhs")),
-                              node_from_json(_field(d, "rhs")))
+            return sx.Implies(_node(_field(d, "lhs"), room),
+                              _node(_field(d, "rhs"), room))
         case "at":
-            return sx.At(_name(d, "nom"), node_from_json(_field(d, "body")))
+            return sx.At(_name(d, "nom"), _node(_field(d, "body"), room))
         case "dia":
-            return sx.Diamond(_name(d, "mod"), node_from_json(_field(d, "body")))
+            return sx.Diamond(_name(d, "mod"), _node(_field(d, "body"), room))
         case "cmp":
-            return sx.Compare(path_from_json(_field(d, "left")), _cmpkind(d),
-                              _name(d, "cmp"), path_from_json(_field(d, "right")))
+            return sx.Compare(_path(_field(d, "left"), room), _cmpkind(d),
+                              _name(d, "cmp"), _path(_field(d, "right"), room))
     raise DecodeError(f"unknown node tag: {d['tag']!r}")
 
 
@@ -98,39 +115,41 @@ def path_to_json(p):
     raise TypeError(f"not a path: {p!r}")
 
 
-def path_from_json(d):
+def _path(d, room):
+    """The path expression `d` encodes, at most `room` levels deep."""
+    if room <= 0:
+        raise DecodeError(f"expression nested more than {MAX_NESTING} levels deep")
+    room -= 1
     match _field(d, "tag"):
         case "mod":
             return sx.Atom(_name(d, "name"))
         case "jump":
             return sx.Jump(_name(d, "nom"))
         case "test":
-            return sx.Test(node_from_json(_field(d, "body")))
+            return sx.Test(_node(_field(d, "body"), room))
         case "concat":
-            return sx.Concat(path_from_json(_field(d, "left")),
-                             path_from_json(_field(d, "right")))
+            return sx.Concat(_path(_field(d, "left"), room),
+                             _path(_field(d, "right"), room))
     raise DecodeError(f"unknown path tag: {d['tag']!r}")
 
 
 class _Formulas(dict):
-    """Each distinct formula's print key and JSON object, made once.
+    """Each distinct formula's JSON object, made once.
 
-    Sequent members are ordered by their printed form (`kernel.expr_key`),
-    and every node of a derivation carries its whole sequent, so without a
-    table the same formulas are printed and encoded again at every node.
-    With one table per top-level call, equal formulas become one shared
-    JSON object, which `dumps_canonical` renders once.
+    Every node of a derivation carries its whole sequent, so without a table
+    the same formulas are encoded again at every node. With one table per
+    top-level call, equal formulas become one shared JSON object, which
+    `dumps_canonical` renders once. Members are listed in the sequent's
+    cached print-key order.
     """
 
     def __missing__(self, e):
-        entry = self[e] = (expr_key(e), node_to_json(e))
-        return entry
-
-    def members(self, es):
-        return [j for _, j in sorted(map(self.__getitem__, es), key=itemgetter(0))]
+        j = self[e] = node_to_json(e)
+        return j
 
     def sequent(self, s):
-        return {"ante": self.members(s.ante), "cons": self.members(s.cons)}
+        return {"ante": [self[e] for e in s.sorted_ante],
+                "cons": [self[e] for e in s.sorted_cons]}
 
 
 def sequent_to_json(s):
@@ -155,7 +174,7 @@ def _inst_value_to_json(key, v, formulas):
             return {"kind": kind, "value": v.value}
         case "path":
             return {"kind": kind, "expr": path_to_json(v)}
-    return {"kind": kind, "expr": formulas[v][1]}
+    return {"kind": kind, "expr": formulas[v]}
 
 
 def _inst_value_from_json(key, d):
@@ -184,7 +203,7 @@ def _derivation_to_json(d, formulas):
     principal = principal_exprs(d.rule, d.inst_dict)
     return {
         "rule": d.rule,
-        "principal": sorted((formulas[e][1] for e in principal), key=str),
+        "principal": sorted((formulas[e] for e in principal), key=str),
         "inst": {key: _inst_value_to_json(key, v, formulas) for key, v in d.inst},
         "conclusion": formulas.sequent(d.conclusion),
         "children": [_derivation_to_json(c, formulas) for c in d.children],

@@ -13,6 +13,7 @@ helpers (`infer`, `cut`, `weaken`) can never be unsound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 from .syntax import (
@@ -53,12 +54,16 @@ def is_restricted(e):
 
 
 def expr_key(e):
-    """Stable total order on expressions, used for canonical display."""
-    return print_node(e)
+    """Stable total order on expressions, used for canonical display: the
+    print key each expression caches."""
+    return e.key
 
 
 @dataclass(frozen=True)
 class Sequent:
+    """Antecedent and consequent sets; the sorted members and the nominals
+    are computed on first use and kept."""
+
     ante: frozenset
     cons: frozenset
 
@@ -90,15 +95,27 @@ class Sequent:
     def issubset(self, other):
         return self.ante <= other.ante and self.cons <= other.cons
 
+    @cached_property
+    def sorted_ante(self):
+        """The antecedent as a tuple in print-key order."""
+        return tuple(sorted(self.ante, key=expr_key))
+
+    @cached_property
+    def sorted_cons(self):
+        """The consequent as a tuple in print-key order."""
+        return tuple(sorted(self.cons, key=expr_key))
+
+    @cached_property
+    def _noms(self):
+        return frozenset().union(*map(nominals_of, self.ante | self.cons))
+
     def nominals(self):
-        out = set()
-        for e in self.ante | self.cons:
-            out |= nominals_of(e)
-        return out
+        """The nominals of every member, as a new set."""
+        return set(self._noms)
 
     def __str__(self):
-        lhs = ", ".join(sorted(map(print_node, self.ante)))
-        rhs = ", ".join(sorted(map(print_node, self.cons)))
+        lhs = ", ".join(map(print_node, self.sorted_ante))
+        rhs = ", ".join(map(print_node, self.sorted_cons))
         return f"{lhs} |- {rhs}".strip()
 
 
@@ -434,6 +451,23 @@ class Derivation:
 
     def rules_used(self):
         return {node.rule for _, node in self.walk()}
+
+    @cached_property
+    def _noms(self):
+        out = set(self.conclusion._noms)
+        for key, v in self.inst:
+            match METAVAR_KINDS[key]:
+                case "nominal":
+                    out.add(v)
+                case "path" | "node":
+                    out |= v.noms
+        return frozenset(out.union(*(c._noms for c in self.children)))
+
+    def nominals(self):
+        """The nominals of every conclusion and instantiation in the tree,
+        as a new set; each node keeps its subtree's set, so a tree rebuilt
+        along one path recomputes only that path."""
+        return set(self._noms)
 
 
 def open_leaf(seq):

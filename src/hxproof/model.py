@@ -464,8 +464,8 @@ def find_countermodel(seq, max_nodes):
                + [("val", p) for p in props])
     level_of = {key: t for t, key in enumerate(symbols, start=1)}
     # refutation demands: all of ante true, all of cons false
-    demands = [(phi, True) for phi in sorted(seq.ante, key=sx.print_node)] + \
-              [(phi, False) for phi in sorted(seq.cons, key=sx.print_node)]
+    demands = [(phi, True) for phi in seq.sorted_ante] + \
+              [(phi, False) for phi in seq.sorted_cons]
     checks = [[] for _ in range(len(symbols) + 1)]
     for phi, want in demands:
         reads = ([("cmp_class", c) for c in sx.cmp_symbols_of(phi)]

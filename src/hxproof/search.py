@@ -17,7 +17,7 @@ from .kernel import (
     ALL_RULES, AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L,
     DIA_R, EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1, S2, S3,
     Derivation, KernelError, Sequent, added, ax_shape, axiom,
-    check_derivation, cut, dual, expr_key, infer, premises, principal,
+    check_derivation, cut, dual, infer, premises, principal,
     s1_shape, weaken_to,
 )
 from .model import HybridDataModel, check_sequent_validity, find_countermodel
@@ -67,15 +67,11 @@ class Unknown:
 # Search engine
 # ---------------------------------------------------------------------------
 
-def _sorted(eset):
-    return sorted(eset, key=expr_key)
-
-
 def _try_close(seq):
-    for e in _sorted(seq.ante & seq.cons):
-        if ax_shape(e):
+    for e in seq.sorted_ante:
+        if e in seq.cons and ax_shape(e):
             return axiom(AX, seq, {"phi": e})
-    for e in _sorted(seq.ante):
+    for e in seq.sorted_ante:
         match e:
             case At(i, Bottom()):
                 return axiom(BOT_RULE, seq, {"i": i})
@@ -86,7 +82,7 @@ def _try_close(seq):
 
 def _decomposition_move(seq, cfg):
     """First applicable invertible non-branching decomposition."""
-    for e in _sorted(seq.ante):
+    for e in seq.sorted_ante:
         match e:
             case Compare(Jump(i), CmpKind.NEQ, c, Jump(j)) if cfg.allows(NEQ_L):
                 return NEQ_L, {"i": i, "j": j, "c": c}
@@ -94,7 +90,7 @@ def _decomposition_move(seq, cfg):
                 return AT_L, {"j": j, "i": i, "phi": phi}
             case _:
                 pass
-    for e in _sorted(seq.cons):
+    for e in seq.sorted_cons:
         match e:
             case Compare(Jump(i), CmpKind.NEQ, c, Jump(j)) if cfg.allows(NEQ_R):
                 return NEQ_R, {"i": i, "j": j, "c": c}
@@ -120,9 +116,9 @@ def _closure_move(seq, cfg):
     noms = sorted(seq.nominals())
     cmps = sorted({e.cmp for e in seq.ante | seq.cons if isinstance(e, Compare)})
     ante = seq.ante
-    aliases = [(e.nom, e.body.name) for e in _sorted(ante)
+    aliases = [(e.nom, e.body.name) for e in seq.sorted_ante
                if isinstance(e, At) and isinstance(e.body, Nominal)]
-    eqs = [e for e in _sorted(ante)
+    eqs = [e for e in seq.sorted_ante
            if isinstance(e, Compare) and e.kind is CmpKind.EQ]
     for rule in filter(cfg.allows, CLOSURE_RULES):
         if rule == AT_T:
@@ -141,13 +137,13 @@ def _closure_move(seq, cfg):
                         return AT_5, {"i": i, "j": j, "k": k}
         elif rule == S1:
             for i, j in aliases:
-                for e in _sorted(ante):
+                for e in seq.sorted_ante:
                     if isinstance(e, At) and e.nom == i and s1_shape(e.body) \
                             and At(j, e.body) not in ante:
                         return S1, {"i": i, "j": j, "phi": e.body}
         elif rule == S2:
             steps = [(e.nom, e.body.mod, e.body.body.name)
-                     for e in _sorted(ante)
+                     for e in seq.sorted_ante
                      if isinstance(e, At) and isinstance(e.body, Diamond)
                      and isinstance(e.body.body, Nominal)]
             for j, k in aliases:
@@ -177,7 +173,7 @@ def _closure_move(seq, cfg):
 def _branch_move(seq, cfg):
     if not cfg.allows(IMP_L):
         return None
-    for e in _sorted(seq.ante):
+    for e in seq.sorted_ante:
         match e:
             case At(i, Implies(phi, psi)):
                 return IMP_L, {"i": i, "phi": phi, "psi": psi}
@@ -189,7 +185,7 @@ def _branch_move(seq, cfg):
 def _fresh_moves(seq, cfg, fresh_left):
     """Left diamond / comparison decompositions, cheapest first."""
     out = []
-    for e in _sorted(seq.ante):
+    for e in seq.sorted_ante:
         match e:
             case At(i, Diamond(a, phi)) if not isinstance(phi, Nominal) \
                     and cfg.allows(DIA_L) and fresh_left >= 1:
@@ -208,7 +204,7 @@ def _fresh_moves(seq, cfg, fresh_left):
 def _witness_move(seq, cfg, fired):
     """Right witness rules; `fired` keys stop re-introduction loops."""
     noms = sorted(seq.nominals())
-    for e in _sorted(seq.cons):
+    for e in seq.sorted_cons:
         match e:
             case At(i, Diamond(a, phi)) if cfg.allows(DIA_R):
                 for j in noms:
@@ -292,7 +288,7 @@ def _evidence_cut_move(seq, cfg, fired):
         return None
     epsilon = Test(top())
     noms = sorted(seq.nominals())
-    for e in _sorted(seq.cons):
+    for e in seq.sorted_cons:
         if not (isinstance(e, At) and isinstance(e.body, Compare)):
             continue
         i0, cmp_ = e.nom, e.body

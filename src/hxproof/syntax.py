@@ -5,12 +5,24 @@ primitives only: the surface syntax accepts the usual sugar (true, ~, &, |,
 <->, eps, [a]phi, [a =c b], <path>phi for composite paths) and expands it at
 parse time. Symbols live in four disjoint spaces: propositions, nominals,
 modalities, comparisons.
+
+Expressions are hash-consed (Filliâtre & Conchon 2006, "Type-safe modular
+hash-consing"): building one returns the one existing object equal to it, so
+equality is identity. A distinct expression is made once, and then keeps a
+content hash computed from its children's cached hashes, its canonical print
+key and its set of nominals, so a formula shared by many sequents is hashed,
+printed and scanned once. The intern table holds its objects weakly, so
+memory stays bounded by the expressions in use. An object with a field value
+that cannot be hashed, or with a child that is not an expression, is left
+out of the table and without caches: it compares by identity and cannot be
+hashed or printed.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -39,27 +51,101 @@ class CmpKind(enum.Enum):
         return CmpKind.NEQ if self is CmpKind.EQ else CmpKind.EQ
 
 
-@dataclass(frozen=True)
-class Atom:
+# (class, *fields) -> the one object with that content
+_INTERNED = weakref.WeakValueDictionary()
+
+
+class Expr:
+    """Base of the AST classes: construction goes through the intern table.
+
+    The subclasses are frozen dataclasses without generated `__init__` or
+    `__eq__`: `__new__` sets the fields, the dataclass gives `repr` and
+    `__match_args__`, and equality is the default identity. Their fields are
+    slots, like the caches here: an instance with a `__dict__` beside slots
+    reads its fields more slowly in every `match`. `key` is the canonical
+    print key (`print_node` at precedence 0, or `print_path`), `noms` the
+    frozenset of nominals occurring in the expression, and `_level` the
+    highest precedence at which a node prints without parentheses (None for
+    paths).
+    """
+
+    __slots__ = ("_hash", "key", "noms", "_level", "__weakref__")
+
+    def __new__(cls, *fields):
+        ident = (cls, *fields)
+        try:
+            # a hit reads the table's dict of weak references directly,
+            # skipping the Python-level WeakValueDictionary.get
+            ref = _INTERNED.data.get(ident)
+        except TypeError:                   # a field that cannot be hashed
+            return _bare(cls, fields)
+        if ref is not None:
+            e = ref()
+            if e is not None:
+                return e
+        e = _bare(cls, fields)
+        if _fill_caches(e, fields):
+            _INTERNED[ident] = e
+        return e
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            raise TypeError(f"unhashable expression: {self!r}") from None
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+def _bare(cls, fields):
+    """A new object of `cls` holding `fields`, outside the table."""
+    names = cls.__match_args__
+    if len(fields) != len(names):
+        raise TypeError(f"{cls.__name__} takes {len(names)} field(s), "
+                        f"got {len(fields)}")
+    e = object.__new__(cls)
+    for name, value in zip(names, fields):
+        object.__setattr__(e, name, value)
+    return e
+
+
+def _fill_caches(e, fields):
+    """Set e's hash, print key, level and nominals; False for a malformed e."""
+    try:
+        key, level = _render(e)
+        noms = _nominals(e)
+    except (AttributeError, TypeError):     # a child that is not an expression
+        return False
+    setattr_ = object.__setattr__
+    setattr_(e, "_hash", hash(fields))
+    setattr_(e, "key", key)
+    setattr_(e, "noms", noms)
+    setattr_(e, "_level", level)
+    return True
+
+
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Atom(Expr):
     """Atomic modality step (an accessibility relation symbol)."""
     mod: str
 
 
-@dataclass(frozen=True)
-class Jump:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Jump(Expr):
     """Jump-to-key path `i:` resetting the path at the node named i."""
     nom: str
 
 
-@dataclass(frozen=True)
-class Test:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Test(Expr):
     """Test path `phi?`: stay put, require phi."""
     __test__ = False  # keep pytest from collecting this class
     body: "NodeExpr"
 
 
-@dataclass(frozen=True)
-class Concat:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Concat(Expr):
     """Binary path composition; n-ary paths are right-nested chains."""
     left: "PathExpr"
     right: "PathExpr"
@@ -68,43 +154,43 @@ class Concat:
 PathExpr = Union[Atom, Jump, Test, Concat]
 
 
-@dataclass(frozen=True)
-class Prop:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Prop(Expr):
     name: str
 
 
-@dataclass(frozen=True)
-class Nominal:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Nominal(Expr):
     name: str
 
 
-@dataclass(frozen=True)
-class Bottom:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Bottom(Expr):
     pass
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Implies(Expr):
     lhs: "NodeExpr"
     rhs: "NodeExpr"
 
 
-@dataclass(frozen=True)
-class At:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class At(Expr):
     """Satisfaction operator @_i phi: evaluate phi at the node named i."""
     nom: str
     body: "NodeExpr"
 
 
-@dataclass(frozen=True)
-class Diamond:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Diamond(Expr):
     """Existential step along an atomic modality."""
     mod: str
     body: "NodeExpr"
 
 
-@dataclass(frozen=True)
-class Compare:
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class Compare(Expr):
     """Data comparison <alpha =c beta> / <alpha !=c beta> (existential)."""
     left: PathExpr
     kind: CmpKind
@@ -114,15 +200,13 @@ class Compare:
 
 NodeExpr = Union[Prop, Nominal, Bottom, Implies, At, Diamond, Compare]
 
-BOT = Bottom()
-
 
 # ---------------------------------------------------------------------------
 # Sugar constructors (all expand to primitives)
 # ---------------------------------------------------------------------------
 
 def top():
-    return Implies(BOT, BOT)
+    return TOP
 
 
 def neg(phi):
@@ -272,18 +356,26 @@ def subexpressions(e) -> Iterator:
             pass
 
 
+def _nominals(e):
+    """The nominal set of a newly made expression, from its children's."""
+    match e:
+        case Nominal(name) | Jump(name):
+            return frozenset((name,))
+        case At(nom, body):
+            return body.noms | {nom}
+        case Implies(lhs, rhs) | Concat(lhs, rhs) | Compare(lhs, _, _, rhs):
+            return lhs.noms | rhs.noms
+        case Diamond(_, body) | Test(body):
+            return body.noms
+    return frozenset()
+
+
 def nominals_of(e):
-    """All nominals occurring syntactically (as Nominal, At index, or Jump)."""
-    out = set()
-    for sub in subexpressions(e):
-        match sub:
-            case Nominal(name) | Jump(name):
-                out.add(name)
-            case At(nom, _):
-                out.add(nom)
-            case _:
-                pass
-    return out
+    """All nominals occurring syntactically (as Nominal, At index, or Jump).
+
+    A new set each call; the expression's own cache is the frozenset `noms`.
+    """
+    return set(e.noms)
 
 
 def prop_symbols_of(e):
@@ -307,28 +399,28 @@ def cmp_symbols_of(e):
 
 def rename_nominal(e, old, new):
     """Replace every occurrence of nominal `old` by `new`."""
-    if old == new:
+    if old == new or old not in e.noms:
         return e
-    r = lambda x: rename_nominal(x, old, new)
     match e:
-        case Nominal(name):
-            return Nominal(new) if name == old else e
-        case Jump(nom):
-            return Jump(new) if nom == old else e
-        case Prop() | Bottom() | Atom():
-            return e
+        case Nominal(_):
+            return Nominal(new)
+        case Jump(_):
+            return Jump(new)
         case Implies(lhs, rhs):
-            return Implies(r(lhs), r(rhs))
+            return Implies(rename_nominal(lhs, old, new),
+                           rename_nominal(rhs, old, new))
         case At(nom, body):
-            return At(new if nom == old else nom, r(body))
+            return At(new if nom == old else nom, rename_nominal(body, old, new))
         case Diamond(mod, body):
-            return Diamond(mod, r(body))
+            return Diamond(mod, rename_nominal(body, old, new))
         case Test(body):
-            return Test(r(body))
+            return Test(rename_nominal(body, old, new))
         case Concat(left, right):
-            return Concat(r(left), r(right))
+            return Concat(rename_nominal(left, old, new),
+                          rename_nominal(right, old, new))
         case Compare(left, kind, cmp_sym, right):
-            return Compare(r(left), kind, cmp_sym, r(right))
+            return Compare(rename_nominal(left, old, new), kind, cmp_sym,
+                           rename_nominal(right, old, new))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -703,84 +795,101 @@ _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
 def _sugar_view(e):
     """Classify an Implies node into its sweetest printable form."""
     # order matters: top < iff < and < or < box/boxcmp < neg < plain
-    if e == top():
+    if e.lhs is BOT and e.rhs is BOT:
         return ("top",)
-    if isinstance(e, Implies) and e.rhs == BOT:
+    if e.rhs is BOT:
         inner = e.lhs
         if isinstance(inner, Implies) and isinstance(inner.rhs, Implies) \
-                and inner.rhs.rhs == BOT:
+                and inner.rhs.rhs is BOT:
             a, b = inner.lhs, inner.rhs.lhs
             # iff is a conjunction of two converse implications
             if isinstance(a, Implies) and isinstance(b, Implies) \
-                    and a.lhs == b.rhs and a.rhs == b.lhs:
+                    and a.lhs is b.rhs and a.rhs is b.lhs:
                 return ("iff", a.lhs, a.rhs)
             return ("and", a, b)
         if isinstance(inner, Compare):
             return ("boxcmp", inner.left, inner.kind.flip(), inner.cmp, inner.right)
         if isinstance(inner, Diamond) and isinstance(inner.body, Implies) \
-                and inner.body.rhs == BOT:
+                and inner.body.rhs is BOT:
             return ("box", inner.mod, inner.body.lhs)
         return ("neg", inner)
-    if isinstance(e, Implies) and isinstance(e.lhs, Implies) and e.lhs.rhs == BOT:
+    if isinstance(e.lhs, Implies) and e.lhs.rhs is BOT:
         return ("or", e.lhs.lhs, e.rhs)
     return None
 
 
-def print_node(e, prec=0):
-    """Canonical text form; parse_node(print_node(e)) == e."""
+def _render(e):
+    """(print key, level) of a newly made expression, from its children's
+    keys; the level of a node is the highest precedence at which it prints
+    without parentheses, and None for a path."""
     match e:
         case Prop(name) | Nominal(name):
-            return name
+            return name, _PREC_UNARY
         case Bottom():
-            return "false"
+            return "false", _PREC_UNARY
         case At(nom, body):
-            return f"@{nom} {print_node(body, _PREC_UNARY)}"
+            return f"@{nom} {print_node(body, _PREC_UNARY)}", _PREC_UNARY
         case Diamond(mod, body):
-            return f"<{mod}>{print_node(body, _PREC_UNARY)}"
+            return f"<{mod}>{print_node(body, _PREC_UNARY)}", _PREC_UNARY
         case Compare(left, kind, cmp_sym, right):
             op = "=" if kind is CmpKind.EQ else "!="
-            return f"<{print_path(left)} {op}{cmp_sym} {print_path(right)}>"
+            return (f"<{print_path(left)} {op}{cmp_sym} {print_path(right)}>",
+                    _PREC_UNARY)
         case Implies(lhs, rhs):
-            view = _sugar_view(e)
-            match view:
+            match _sugar_view(e):
                 case ("top",):
-                    return "true"
+                    return "true", _PREC_UNARY
                 case ("iff", a, b):
-                    s = f"{print_node(a, _PREC_IMP)} <-> {print_node(b, _PREC_IMP)}"
-                    return f"({s})" if prec > _PREC_IFF else s
+                    return (f"{print_node(a, _PREC_IMP)} <-> "
+                            f"{print_node(b, _PREC_IMP)}", _PREC_IFF)
                 case ("and", a, b):
-                    s = f"{print_node(a, _PREC_UNARY)} & {print_node(b, _PREC_AND)}"
-                    return f"({s})" if prec > _PREC_AND else s
+                    return (f"{print_node(a, _PREC_UNARY)} & "
+                            f"{print_node(b, _PREC_AND)}", _PREC_AND)
                 case ("or", a, b):
-                    s = f"{print_node(a, _PREC_AND)} | {print_node(b, _PREC_OR)}"
-                    return f"({s})" if prec > _PREC_OR else s
+                    return (f"{print_node(a, _PREC_AND)} | "
+                            f"{print_node(b, _PREC_OR)}", _PREC_OR)
                 case ("boxcmp", alpha, kind, cmp_sym, beta):
                     op = "=" if kind is CmpKind.EQ else "!="
-                    return f"[{print_path(alpha)} {op}{cmp_sym} {print_path(beta)}]"
+                    return (f"[{print_path(alpha)} {op}{cmp_sym} "
+                            f"{print_path(beta)}]", _PREC_UNARY)
                 case ("box", mod, body):
-                    return f"[{mod}]{print_node(body, _PREC_UNARY)}"
+                    return f"[{mod}]{print_node(body, _PREC_UNARY)}", _PREC_UNARY
                 case ("neg", inner):
-                    return f"~{print_node(inner, _PREC_UNARY)}"
-            s = f"{print_node(lhs, _PREC_IMP + 1)} -> {print_node(rhs, _PREC_IMP)}"
-            return f"({s})" if prec > _PREC_IMP else s
-    raise TypeError(f"not a node expression: {e!r}")
-
-
-def print_path(p):
-    match p:
+                    return f"~{print_node(inner, _PREC_UNARY)}", _PREC_UNARY
+            return (f"{print_node(lhs, _PREC_IMP + 1)} -> "
+                    f"{print_node(rhs, _PREC_IMP)}", _PREC_IMP)
         case Atom(mod):
-            return mod
+            return mod, None
         case Jump(nom):
-            return f"{nom}:"
+            return f"{nom}:", None
         case Test(body):
-            if body == top():
-                return "eps"
+            if body is TOP:
+                return "eps", None
             if isinstance(body, (Prop, Nominal, Bottom)):
-                return f"({print_node(body)}?)"
-            return f"(({print_node(body)})?)"
+                return f"({print_node(body)}?)", None
+            return f"(({print_node(body)})?)", None
         case Concat(left, right):
             ls = print_path(left)
             if isinstance(left, Concat):
                 ls = f"({ls})"
-            return f"{ls} {print_path(right)}"
+            return f"{ls} {print_path(right)}", None
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def print_node(e, prec=0):
+    """Canonical text form; parse_node(print_node(e)) is e."""
+    level = getattr(e, "_level", None)
+    if level is None:
+        raise TypeError(f"not a node expression: {e!r}")
+    return e.key if prec <= level else f"({e.key})"
+
+
+def print_path(p):
+    if isinstance(p, (Atom, Jump, Test, Concat)) and hasattr(p, "key"):
+        return p.key
     raise TypeError(f"not a path: {p!r}")
+
+
+# Made last: building an expression renders it with the printer above.
+BOT = Bottom()
+TOP = Implies(BOT, BOT)

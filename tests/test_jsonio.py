@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from genutil import rand_derivation
 from hxproof import jsonio
-from hxproof.jsonio import dumps_canonical
+from hxproof.jsonio import MAX_NESTING, DecodeError, dumps_canonical
+from hxproof.kernel import check_derivation
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 GOLDEN_FILES = sorted(GOLDEN.glob("*.json"))
@@ -76,3 +77,30 @@ def test_values_encode_as_the_oracle(obj):
 def test_non_str_key_is_a_type_error(obj):
     with pytest.raises(TypeError):
         dumps_canonical(obj)
+
+
+def _deep_leaf(depth):
+    """An (Ax) leaf on @i (false -> ... -> p), `depth` implications deep."""
+    body = {"tag": "prop", "name": "p"}
+    for _ in range(depth):
+        body = {"tag": "imp", "lhs": {"tag": "bot"}, "rhs": body}
+    at = {"tag": "at", "nom": "i", "body": body}
+    return {"rule": "Ax", "principal": [], "children": [],
+            "inst": {"phi": {"kind": "node", "expr": at}},
+            "conclusion": {"ante": [at], "cons": [at]}}
+
+
+def test_formula_at_the_nesting_bound_decodes_checks_and_encodes():
+    # @i, the implications and p: MAX_NESTING levels in all
+    d = jsonio.derivation_from_json(_deep_leaf(MAX_NESTING - 2))
+    [violation] = check_derivation(d)
+    assert "axiom expression has the wrong form" in violation.message
+    text = dumps_canonical(jsonio.derivation_to_json(d))
+    assert jsonio.derivation_from_json(json.loads(text)) == d
+
+
+def test_formula_past_the_nesting_bound_is_a_decode_error():
+    with pytest.raises(DecodeError, match="nested more than"):
+        jsonio.derivation_from_json(_deep_leaf(MAX_NESTING - 1))
+    with pytest.raises(DecodeError, match="nested more than"):
+        jsonio.derivation_from_json(_deep_leaf(600))

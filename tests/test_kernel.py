@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from genutil import rand_derivation
 from hxproof import jsonio
 from hxproof.cutelim import (
-    cut_complexity, cut_height, derivation_nominals, rename_nominal_derivation,
+    cut_complexity, cut_height, rename_nominal_derivation,
 )
 from hxproof.kernel import (
     AX, CMP_L, CUT, DIA_L, DIA_R, EQ_T,
@@ -273,7 +273,7 @@ def test_rename_nominal_derivation():
               [open_leaf(prem)])
     renamed = rename_nominal_derivation(d, "u", "w")
     assert check_derivation(renamed, allow_open=True) == []
-    assert "w" in derivation_nominals(renamed)
+    assert "w" in renamed.nominals()
     with pytest.raises(SideConditionViolated):
         rename_nominal_derivation(d, "u", "i")  # i occurs already
 
@@ -282,7 +282,7 @@ def test_rename_fresh_nominal_in_checked_derivation_rechecks():
     rng = random.Random(21)
     for _ in range(20):
         d = rand_derivation(rng, steps=5)
-        noms = derivation_nominals(d)
+        noms = d.nominals()
         if not noms:
             continue
         old = sorted(noms)[0]

@@ -1,7 +1,12 @@
+import gc
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from genutil import rand_node, rand_path, rand_sequent
 from hxproof import jsonio
 from hxproof import syntax as sx
 from hxproof.syntax import (
@@ -245,3 +250,77 @@ def test_fresh_nominals_distinct():
     t2 = SymbolTable()
     t2.register("_n0", "nom")
     assert t2.fresh() != "_n0"
+
+
+# ---------------------------------------------------------------------------
+# hash-consing
+# ---------------------------------------------------------------------------
+
+seeds = st.integers(0, 2**32)
+drawn_nodes = seeds.map(lambda seed: rand_node(random.Random(seed), depth=3))
+drawn_paths = seeds.map(lambda seed: rand_path(random.Random(seed), depth=2))
+
+
+def _rebuilt(e):
+    """A structural copy of e, made bottom-up through the constructors."""
+    if not isinstance(e, sx.Expr):
+        return e
+    return type(e)(*(_rebuilt(getattr(e, f)) for f in e.__match_args__))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.booleans())
+def test_building_twice_gives_one_object(seed, path):
+    draw = rand_path if path else rand_node
+    e = draw(random.Random(seed), depth=3)
+    assert draw(random.Random(seed), depth=3) is e
+    assert _rebuilt(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_nodes, drawn_paths)
+def test_printing_and_parsing_gives_the_same_object(e, p):
+    assert parse_node(print_node(e)) is e
+    assert parse_path(sx.print_path(p)) is p
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_nodes | drawn_paths)
+def test_equal_expressions_have_equal_content_hashes(e):
+    copy = _rebuilt(e)
+    assert copy == e and hash(copy) == hash(e)
+    # the hash is the one of the fields, so it is independent of identity
+    assert hash(e) == hash(tuple(getattr(e, f) for f in e.__match_args__))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_nodes, seeds)
+def test_returned_nominal_sets_are_copies(e, seed):
+    seq = rand_sequent(random.Random(seed))
+    for get in (lambda: nominals_of(e), seq.nominals):
+        first = get()
+        want = set(first)
+        first.add("_mutated")
+        first.discard(next(iter(want), None))
+        assert get() == want
+
+
+def test_dropped_expressions_leave_the_intern_table():
+    gc.collect()
+    before = len(sx._INTERNED)
+    kept = [At(f"i{t}", Implies(Prop(f"p{t}"), BOT)) for t in range(1000)]
+    assert len(sx._INTERNED) >= before + 3000
+    del kept
+    gc.collect()
+    assert len(sx._INTERNED) <= before
+
+
+def test_unhashable_field_leaves_the_object_uninterned():
+    a, b = At("i", ["x"]), At("i", ["x"])
+    assert a is not b and a != b
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError):
+        print_node(a)
+    assert not sx.is_node_expr(a)
