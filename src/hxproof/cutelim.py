@@ -68,17 +68,23 @@ class ReduceEvent:
 # ---------------------------------------------------------------------------
 
 def cut_positions(d):
-    return [(path, node) for path, node in d.walk() if node.rule == CUT]
+    """Every cut with its path, in preorder; cut-free subtrees, told by
+    their cached cut count, are not entered."""
+    out = []
+    stack = [((), d)] if d.cuts else []
+    while stack:
+        path, node = stack.pop()
+        if node.rule == CUT:
+            out.append((path, node))
+        for t in range(len(node.children) - 1, -1, -1):
+            if node.children[t].cuts:
+                stack.append((path + (t,), node.children[t]))
+    return out
 
 
 def topmost_cuts(d):
     """Cuts with no other cut above them (their premisses are cut-free)."""
-    out = []
-    for path, node in cut_positions(d):
-        if not any(n.rule == CUT for child in node.children
-                   for _, n in child.walk()):
-            out.append((path, node))
-    return out
+    return [(path, node) for path, node in cut_positions(d) if node.cuts == 1]
 
 
 def select_cut(d):
@@ -419,7 +425,7 @@ def _fallback_reprove(d, path, fallback_cfg):
         result = prove(target, cfg)
         if isinstance(result, Proved):
             sub = result.derivation
-            if any(n.rule == CUT for _, n in sub.walk()):
+            if sub.cuts:
                 continue
             return d.replace(prefix, sub), prefix, target
     raise CutEliminationError(
@@ -435,7 +441,7 @@ def eliminate_cuts(d, trace=None, fallback_cfg=None, max_steps=200000):
     """
     end = d.conclusion
     for _ in range(max_steps):
-        if not cut_positions(d):
+        if not d.cuts:
             if d.conclusion != end:
                 raise CutEliminationError("end-sequent changed")
             return d

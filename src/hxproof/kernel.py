@@ -53,6 +53,13 @@ def is_restricted(e):
             return False
 
 
+def _check_members(es):
+    for e in es:
+        if not is_restricted(e):
+            raise ShapeViolation(
+                f"not a restricted sequent member: {print_node(e)}")
+
+
 def expr_key(e):
     """Stable total order on expressions, used for canonical display: the
     print key each expression caches."""
@@ -68,10 +75,8 @@ class Sequent:
     cons: frozenset
 
     def __post_init__(self):
-        for e in list(self.ante) + list(self.cons):
-            if not is_restricted(e):
-                raise ShapeViolation(
-                    f"not a restricted sequent member: {print_node(e)}")
+        _check_members(self.ante)
+        _check_members(self.cons)
 
     @staticmethod
     def make(ante=(), cons=()):
@@ -121,6 +126,18 @@ class Sequent:
 
 def sequent(ante=(), cons=()):
     return Sequent.make(ante, cons)
+
+
+def _premiss(ante, cons, add_ante, add_cons):
+    """The sequent ante, add_ante |- cons, add_cons, where `ante` and `cons`
+    are parts of a `Sequent`, whose members were checked when it was built:
+    only the added formulas are checked here."""
+    _check_members(add_ante)
+    _check_members(add_cons)
+    s = object.__new__(Sequent)
+    object.__setattr__(s, "ante", ante.union(add_ante))
+    object.__setattr__(s, "cons", cons.union(add_cons))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +402,7 @@ def premises(goal, rule, inst):
                 f"nominal(s) {sorted(clash)} occur in the conclusion")
     out = []
     for t in r.premisses:
-        add_ante, add_cons = t(v)
-        out.append(Sequent(ante.union(add_ante), cons.union(add_cons)))
+        out.append(_premiss(ante, cons, *t(v)))
     return out
 
 
@@ -414,17 +430,21 @@ def freeze_inst(inst):
 
 @dataclass(frozen=True)
 class Derivation:
-    """A sequent-labeled tree; every node records its full rule instance."""
+    """A sequent-labeled tree; every node records its full rule instance,
+    its height and the number of cuts in its subtree."""
 
     conclusion: Sequent
     rule: str
     inst: tuple
     children: tuple = ()
     height: int = field(init=False, compare=False, default=0)
+    cuts: int = field(init=False, compare=False, default=0)
 
     def __post_init__(self):
         h = 1 + max((c.height for c in self.children), default=0)
         object.__setattr__(self, "height", h)
+        object.__setattr__(self, "cuts", (self.rule == CUT)
+                           + sum(c.cuts for c in self.children))
 
     @property
     def inst_dict(self):

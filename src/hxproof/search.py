@@ -10,6 +10,7 @@ calculus itself is open, so exhaustion reports Unknown honestly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .derived import axg, crossed, exactly, identity, step
@@ -106,67 +107,104 @@ def _decomposition_move(seq, cfg):
 CLOSURE_RULES = (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)
 
 
-def _closure_move(seq, cfg):
-    """First closure-rule instance whose added atom is genuinely new.
+class _Shape:
+    """The antecedent atoms of one sequent, indexed by their names.
+
+    Built in one pass over `sorted_ante`, so that a move finder asks whether
+    a candidate formula is present with a tuple lookup instead of building
+    the formula. `aliases` holds (i, k) for each @i k, `bodies` (j, phi) for
+    each @j phi, `steps` (i, a, k) for each @i <a>k and `eqs` (i, c, j) for
+    each <i: =c j:>. The lists keep print-key order, so the finders visit
+    candidates in the order of a scan over `sorted_ante`.
+    """
+
+    __slots__ = ("noms", "cmps", "aliases", "bodies", "steps", "eqs",
+                 "alias_list", "eq_list", "aliases_of", "bodies_of",
+                 "steps_into", "eqs_from")
+
+    def __init__(self, seq):
+        cmps = {e.cmp for e in seq.sorted_cons if isinstance(e, Compare)}
+        bodies, steps, alias_list, eq_list = set(), set(), [], []
+        aliases_of, bodies_of, steps_into, eqs_from = (
+            defaultdict(list) for _ in range(4))
+        for e in seq.sorted_ante:
+            if isinstance(e, At):
+                i, phi = e.nom, e.body
+                bodies.add((i, phi))
+                bodies_of[i].append(phi)
+                if isinstance(phi, Nominal):
+                    alias_list.append((i, phi.name))
+                    aliases_of[i].append(phi.name)
+                elif isinstance(phi, Diamond) and isinstance(phi.body, Nominal):
+                    steps.add((i, phi.mod, phi.body.name))
+                    steps_into[phi.body.name].append((i, phi.mod))
+            else:                           # <i: ^c j:>, by the sequent's shape
+                cmps.add(e.cmp)
+                if e.kind is CmpKind.EQ:
+                    eq_list.append((e.left.nom, e.cmp, e.right.nom))
+                    eqs_from[e.left.nom].append((e.cmp, e.right.nom))
+        self.noms, self.cmps = sorted(seq.nominals()), sorted(cmps)
+        self.aliases, self.bodies = set(alias_list), bodies
+        self.steps, self.eqs = steps, set(eq_list)
+        self.alias_list, self.eq_list = alias_list, eq_list
+        self.aliases_of, self.bodies_of = aliases_of, bodies_of
+        self.steps_into, self.eqs_from = steps_into, eqs_from
+
+
+class _Evidence(dict):
+    """(alpha, x) -> dia(alpha, x), the body of the evidence @i <alpha>x that
+    a right comparison needs. A path cannot be keyed by names, so each body
+    is built once per `prove` call, in the table that call owns."""
+
+    def __missing__(self, key):
+        alpha, x = key
+        body = self[key] = dia(alpha, Nominal(x))
+        return body
+
+
+def _closure_move(shape, cfg):
+    """First closure-rule instance whose added atom is genuinely new, in the
+    sequent indexed by `shape`.
 
     Rules fire in CLOSURE_RULES order; since each instance fires at most
     once (the added atom marks it as done) the saturation reaches the same
     fixpoint under any order.
     """
-    noms = sorted(seq.nominals())
-    cmps = sorted({e.cmp for e in seq.ante | seq.cons if isinstance(e, Compare)})
-    ante = seq.ante
-    aliases = [(e.nom, e.body.name) for e in seq.sorted_ante
-               if isinstance(e, At) and isinstance(e.body, Nominal)]
-    eqs = [e for e in seq.sorted_ante
-           if isinstance(e, Compare) and e.kind is CmpKind.EQ]
     for rule in filter(cfg.allows, CLOSURE_RULES):
         if rule == AT_T:
-            for i in noms:
-                if At(i, Nominal(i)) not in ante:
+            for i in shape.noms:
+                if (i, i) not in shape.aliases:
                     return AT_T, {"i": i}
         elif rule == EQ_T:
-            for i in noms:
-                for c in cmps:
-                    if Compare(Jump(i), CmpKind.EQ, c, Jump(i)) not in ante:
+            for i in shape.noms:
+                for c in shape.cmps:
+                    if (i, c, i) not in shape.eqs:
                         return EQ_T, {"i": i, "c": c}
         elif rule == AT_5:
-            for i, j in aliases:
-                for i2, k in aliases:
-                    if i2 == i and At(j, Nominal(k)) not in ante:
+            for i, j in shape.alias_list:
+                for k in shape.aliases_of[i]:
+                    if (j, k) not in shape.aliases:
                         return AT_5, {"i": i, "j": j, "k": k}
         elif rule == S1:
-            for i, j in aliases:
-                for e in seq.sorted_ante:
-                    if isinstance(e, At) and e.nom == i and s1_shape(e.body) \
-                            and At(j, e.body) not in ante:
-                        return S1, {"i": i, "j": j, "phi": e.body}
+            for i, j in shape.alias_list:
+                for phi in shape.bodies_of[i]:
+                    if s1_shape(phi) and (j, phi) not in shape.bodies:
+                        return S1, {"i": i, "j": j, "phi": phi}
         elif rule == S2:
-            steps = [(e.nom, e.body.mod, e.body.body.name)
-                     for e in seq.sorted_ante
-                     if isinstance(e, At) and isinstance(e.body, Diamond)
-                     and isinstance(e.body.body, Nominal)]
-            for j, k in aliases:
-                for i, a, j2 in steps:
-                    if j2 == j and At(i, Diamond(a, Nominal(k))) not in ante:
+            for j, k in shape.alias_list:
+                for i, a in shape.steps_into[j]:
+                    if (i, a, k) not in shape.steps:
                         return S2, {"i": i, "j": j, "k": k, "a": a}
         elif rule == S3:
-            for i, j in aliases:
-                for e in eqs:
-                    if e.left.nom == i:
-                        k = e.right.nom
-                        if Compare(Jump(j), CmpKind.EQ, e.cmp, Jump(k)) \
-                                not in ante:
-                            return S3, {"i": i, "j": j, "k": k, "c": e.cmp}
+            for i, j in shape.alias_list:
+                for c, k in shape.eqs_from[i]:
+                    if (j, c, k) not in shape.eqs:
+                        return S3, {"i": i, "j": j, "k": k, "c": c}
         elif rule == EQ_5:
-            for e1 in eqs:
-                for e2 in eqs:
-                    if e1.left == e2.left and e1.cmp == e2.cmp:
-                        j, k = e1.right.nom, e2.right.nom
-                        if Compare(Jump(j), CmpKind.EQ, e1.cmp, Jump(k)) \
-                                not in ante:
-                            return EQ_5, {"i": e1.left.nom, "j": j, "k": k,
-                                          "c": e1.cmp}
+            for i, c, j in shape.eq_list:
+                for c2, k in shape.eqs_from[i]:
+                    if c2 == c and (j, c, k) not in shape.eqs:
+                        return EQ_5, {"i": i, "j": j, "k": k, "c": c}
     return None
 
 
@@ -201,24 +239,23 @@ def _fresh_moves(seq, cfg, fresh_left):
     return out
 
 
-def _witness_move(seq, cfg, fired):
+def _witness_move(seq, cfg, fired, shape, evidence):
     """Right witness rules; `fired` keys stop re-introduction loops."""
-    noms = sorted(seq.nominals())
     for e in seq.sorted_cons:
         match e:
             case At(i, Diamond(a, phi)) if cfg.allows(DIA_R):
-                for j in noms:
+                for j in shape.noms:
+                    if (i, a, j) not in shape.steps:
+                        continue
                     key = (DIA_R, e, j)
-                    if At(i, Diamond(a, Nominal(j))) in seq.ante \
-                            and key not in fired \
-                            and At(j, phi) not in seq.cons:
+                    if key not in fired and At(j, phi) not in seq.cons:
                         return (DIA_R, {"i": i, "a": a, "phi": phi, "j": j}), key
             case At(i, Compare(alpha, kind, c, beta)) if cfg.allows(CMP_R):
-                for x in noms:
-                    if At(i, dia(alpha, Nominal(x))) not in seq.ante:
+                for x in shape.noms:
+                    if (i, evidence[alpha, x]) not in shape.bodies:
                         continue
-                    for y in noms:
-                        if At(i, dia(beta, Nominal(y))) not in seq.ante:
+                    for y in shape.noms:
+                        if (i, evidence[beta, y]) not in shape.bodies:
                             continue
                         key = (CMP_R, e, x, y)
                         added = Compare(Jump(x), kind, c, Jump(y))
@@ -276,7 +313,7 @@ def _wrap_evidence_lemma(goal, i0, inner):
                 {"j": i0, "i": inner.nom, "phi": inner.body}, [close])
 
 
-def _evidence_cut_move(seq, cfg, fired):
+def _evidence_cut_move(seq, cfg, fired, shape, evidence):
     """Evidence-assembly cuts for a right comparison.
 
     Empty-path components turn a known @_i x into @_i (true & x); jump-headed
@@ -287,7 +324,7 @@ def _evidence_cut_move(seq, cfg, fired):
     if not cfg.allow_evidence_cuts or not cfg.allows(CMP_R):
         return None
     epsilon = Test(top())
-    noms = sorted(seq.nominals())
+    noms = shape.noms
     for e in seq.sorted_cons:
         if not (isinstance(e, At) and isinstance(e.body, Compare)):
             continue
@@ -295,21 +332,21 @@ def _evidence_cut_move(seq, cfg, fired):
         pieces = []
         ok = True
         for comp in (cmp_.left, cmp_.right):
-            if any(At(i0, dia(comp, Nominal(x))) in seq.ante for x in noms):
+            if any((i0, evidence[comp, x]) in shape.bodies for x in noms):
                 continue
             piece = None
             if comp == epsilon:
                 for x in noms:
-                    if At(i0, Nominal(x)) in seq.ante:
-                        piece = ("eps", x, At(i0, dia(epsilon, Nominal(x))))
+                    if (i0, x) in shape.aliases:
+                        piece = ("eps", x, At(i0, evidence[epsilon, x]))
                         break
             else:
                 m, rest = _jump_head(comp)
                 if m is not None:
                     for x in noms:
-                        inner = At(m, Nominal(x)) if rest is None \
-                            else At(m, dia(rest, Nominal(x)))
-                        if inner in seq.ante:
+                        body = Nominal(x) if rest is None else evidence[rest, x]
+                        if (m, body) in shape.bodies:
+                            inner = At(m, body)
                             piece = ("wrap", inner, At(i0, inner))
                             break
             if piece is None:
@@ -324,8 +361,11 @@ def _evidence_cut_move(seq, cfg, fired):
 
 
 
-def _attempt(seq, depth_left, fresh_left, cfg, steps, fired=frozenset()):
+def _attempt(seq, depth_left, fresh_left, cfg, steps, evidence,
+             fired=frozenset()):
     """Search one branch; returns a closed derivation or None.
+
+    `evidence` is the calling `prove`'s table of comparison evidence.
 
     Every branch that gives up records why in steps["bound"]: "depth" (the
     depth bound stopped a move), "fresh" (a left diamond or comparison is
@@ -348,10 +388,12 @@ def _attempt(seq, depth_left, fresh_left, cfg, steps, fired=frozenset()):
         closed = _try_close(cur)
         if closed is not None:
             return fold(closed)
+        shape = _Shape(cur)
 
         # witness rules are additive and invertible; they run before the
         # consuming decompositions so assembled path evidence gets used
-        wit = _witness_move(cur, cfg, fired) if depth_left > 0 else None
+        wit = _witness_move(cur, cfg, fired, shape, evidence) \
+            if depth_left > 0 else None
         if wit is not None:
             (rule, inst), key = wit
             fired.add(key)
@@ -363,7 +405,7 @@ def _attempt(seq, depth_left, fresh_left, cfg, steps, fired=frozenset()):
         move = _decomposition_move(cur, cfg)
         cost = 1
         if move is None:
-            move = _closure_move(cur, cfg)
+            move = _closure_move(shape, cfg)
             cost = 0
         if move is not None:
             rule, inst = move
@@ -379,35 +421,37 @@ def _attempt(seq, depth_left, fresh_left, cfg, steps, fired=frozenset()):
             steps["bound"] = "depth"
             return None
 
-        ev = _evidence_cut_move(cur, cfg, fired)
+        ev = _evidence_cut_move(cur, cfg, fired, shape, evidence)
         if ev is not None:
             pieces, key = ev
             bases, lemmas, cur2 = [], [], cur
-            for kind_, data, evidence in pieces:
+            for kind_, data, formula in pieces:
                 bases.append(cur2)
                 if kind_ == "eps":
-                    lemmas.append(_eps_evidence_lemma(cur2, evidence.nom, data))
+                    lemmas.append(_eps_evidence_lemma(cur2, formula.nom, data))
                 else:
-                    lemmas.append(_wrap_evidence_lemma(cur2, evidence.nom, data))
-                cur2 = cur2.add_ante(evidence)
+                    lemmas.append(_wrap_evidence_lemma(cur2, formula.nom, data))
+                cur2 = cur2.add_ante(formula)
             rest = _attempt(cur2, depth_left - 1, fresh_left, cfg, steps,
-                            fired | {key})
+                            evidence, fired | {key})
             if rest is None:
                 return None
             out = rest
-            for base, lemma, (_, _, evidence) in zip(
+            for base, lemma, (_, _, formula) in zip(
                     reversed(bases), reversed(lemmas), reversed(pieces)):
-                out = exactly(cut(lemma, out, evidence), base)
+                out = exactly(cut(lemma, out, formula), base)
             return fold(out)
 
         branch = _branch_move(cur, cfg)
         if branch is not None:
             rule, inst = branch
             p1, p2 = premises(cur, rule, inst)
-            left = _attempt(p1, depth_left - 1, fresh_left, cfg, steps, fired)
+            left = _attempt(p1, depth_left - 1, fresh_left, cfg, steps,
+                            evidence, fired)
             if left is None:
                 return None
-            right = _attempt(p2, depth_left - 1, fresh_left, cfg, steps, fired)
+            right = _attempt(p2, depth_left - 1, fresh_left, cfg, steps,
+                             evidence, fired)
             if right is None:
                 return None
             return fold(infer(rule, cur, inst, [left, right]))
@@ -434,7 +478,8 @@ def prove(goal, cfg=None):
     """
     cfg = cfg or SearchConfig()
     steps = {"visited": 0}
-    d = _attempt(goal, cfg.max_depth, cfg.max_fresh_nominals, cfg, steps)
+    d = _attempt(goal, cfg.max_depth, cfg.max_fresh_nominals, cfg, steps,
+                 _Evidence())
     if d is not None:
         violations = check_derivation(d)
         if violations:

@@ -90,7 +90,8 @@ def _deep_formula(depth):
             f'"conclusion": {{"ante": [{at}], "cons": [{at}]}}}}')
 
 
-# the first is too deep for the JSON reader, the second for the kernel
+# the first is too deep for the JSON reader; the second is refused by the
+# decoder's nesting bound (jsonio.MAX_NESTING)
 @pytest.mark.parametrize("text", [_deep_derivation(1000), _deep_formula(600)],
                          ids=["derivation-1000", "formula-600"])
 def test_deeply_nested_input_exits_3_with_one_line(tmp_path, capsys, text):

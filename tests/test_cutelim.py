@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from genutil import (conclusion_for_rule, derivation_of, rand_derivation,
                      rand_restricted)
+from hxproof import cutelim
 from hxproof.cutelim import (
     CutComplexity, CutEliminationError, cut_complexity, cut_positions,
     eliminate_cuts, reduce_once, select_cut, topmost_cuts,
@@ -20,6 +23,8 @@ from hxproof.search import SearchConfig, Unknown, invert, prove
 from hxproof.syntax import (
     At, Atom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
 )
+from test_acceptance import (SEED, _composition_corpus,
+                             _inverse_construction_corpus, _paste_corpus)
 
 P, Q = Prop("p"), Prop("q")
 
@@ -316,3 +321,63 @@ def test_nested_cuts_eliminate():
             continue
         done += 1
         _run(outer)
+
+
+# ---------------------------------------------------------------------------
+# cut positions from the cached cut counts, against a plain walk
+# ---------------------------------------------------------------------------
+
+def walk_cut_positions(d):
+    return [(path, node) for path, node in d.walk() if node.rule == CUT]
+
+
+def walk_topmost_cuts(d):
+    return [(path, node) for path, node in walk_cut_positions(d)
+            if not any(n.rule == CUT for child in node.children
+                       for _, n in child.walk())]
+
+
+def _same_cut_positions(d):
+    assert cut_positions(d) == walk_cut_positions(d)
+    assert topmost_cuts(d) == walk_topmost_cuts(d)
+    assert d.cuts == len(walk_cut_positions(d))
+
+
+def _rand_cut_tree(rng, depth):
+    """A random derivation with cuts nested up to `depth` deep on both
+    sides, some of them under a weakening."""
+    if depth == 0 or rng.random() < 0.3:
+        return rand_derivation(rng, steps=rng.randint(1, 4))
+    phi = rand_restricted(rng, depth=1)
+    d = cut(weaken(_rand_cut_tree(rng, depth - 1), "right", phi),
+            weaken(_rand_cut_tree(rng, depth - 1), "left", phi), phi)
+    if rng.random() < 0.5:
+        d = weaken(d, "left", rand_restricted(rng, depth=1))
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_cut_positions_agree_with_a_plain_walk(seed):
+    rng = random.Random(seed)
+    _same_cut_positions(rand_derivation(rng, steps=4))
+    _same_cut_positions(_rand_cut_tree(rng, 4))
+
+
+def test_cut_positions_agree_with_a_plain_walk_on_criterion_5(monkeypatch):
+    # every derivation the elimination loop passes through, fallback
+    # re-proofs included
+    seen = []
+    reduce = cutelim.reduce_once
+
+    def checked(d):
+        _same_cut_positions(d)
+        seen.append(d)
+        return reduce(d)
+
+    monkeypatch.setattr(cutelim, "reduce_once", checked)
+    rng = random.Random(SEED + 2)
+    for d in (_inverse_construction_corpus(rng) + _paste_corpus(rng)
+              + _composition_corpus(rng)):
+        _same_cut_positions(eliminate_cuts(d))
+    assert len(seen) > 100

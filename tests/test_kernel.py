@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from genutil import rand_derivation
+from genutil import conclusion_for_rule, rand_derivation
 from hxproof import jsonio
 from hxproof.cutelim import (
     cut_complexity, cut_height, rename_nominal_derivation,
 )
 from hxproof.kernel import (
     AX, CMP_L, CUT, DIA_L, DIA_R, EQ_T,
-    IMP_L, METAVAR_KINDS, NOM, OPEN, RULES, S1, S2, S3, WL, WR,
-    Derivation, KernelError, PrincipalMissing, ShapeViolation,
+    IMP_L, LOGICAL_RULES, METAVAR_KINDS, NOM, OPEN, RULES, S1, S2, S3, WL,
+    WR, Derivation, KernelError, PrincipalMissing, Sequent, ShapeViolation,
     SideConditionViolated, Violation, axiom, check_derivation, cut,
     freeze_inst, infer, is_restricted, open_leaf, premises, sequent, weaken,
     weaken_to,
@@ -44,6 +44,29 @@ def test_restricted_membership():
     assert not is_restricted(Compare(Atom("a"), CmpKind.EQ, "c", Jump("j")))
     with pytest.raises(ShapeViolation):
         sequent({P}, ())
+
+
+def test_every_sequent_constructor_but_premises_checks_every_member():
+    ok = At("i", P)
+    builds = [lambda: Sequent(frozenset({ok, P}), frozenset()),
+              lambda: Sequent.make((ok,), (P,)),
+              lambda: sequent({ok}, ()).add_cons(P)]
+    for build in builds:
+        with pytest.raises(ShapeViolation):
+            build()
+    with pytest.raises(jsonio.DecodeError, match="not a restricted"):
+        jsonio.sequent_from_json({"ante": [jsonio.node_to_json(P)], "cons": []})
+
+
+def test_premisses_hold_only_restricted_members():
+    # premises checks only what a rule adds to its checked conclusion; a
+    # premiss rebuilt through the checking constructor is the same sequent
+    rng = random.Random(7)
+    for rule in LOGICAL_RULES:
+        for _ in range(5):
+            concl, inst = conclusion_for_rule(rng, rule)
+            for prem in premises(concl, rule, inst):
+                assert Sequent(prem.ante, prem.cons) == prem
 
 
 def test_sequents_are_sets():

@@ -4,23 +4,26 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from genutil import (conclusion_for_rule, derivation_of,
-                     rand_model, rand_sequent)
+from genutil import (SIG, conclusion_for_rule, derivation_of, rand_kind,
+                     rand_model, rand_node, rand_path, rand_sequent)
+from hxproof import search
 from hxproof import syntax as sx
 from hxproof.goldens import (nom2_golden, paste_template, prove_axiom_suite,
                              transitivity)
 from hxproof.kernel import (
-    AT_5, CMP_R, CUT, EQ_5, EQ_T, LOGICAL_RULES, S3,
-    check_derivation, premises, sequent,
+    AT_5, AT_T, CMP_R, CUT, DIA_R, EQ_5, EQ_T, LOGICAL_RULES, S1, S2, S3,
+    check_derivation, premises, s1_shape, sequent,
 )
 from hxproof.model import check_sequent_validity, find_countermodel
 from hxproof.search import (Proved, Refuted, SearchConfig, Unknown, invert,
                             prove)
 from hxproof.syntax import (
-    At, Atom, CmpKind, Compare, Implies, Jump, Nominal, Prop,
+    BOT, At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
+    Test, dia, top,
 )
 
 CFG = SearchConfig(max_depth=16, countermodel_nodes=2)
+CRITERION_6_SEED = 20250810 + 3     # the acceptance suite's default draw
 
 
 def seq(text, table=None):
@@ -149,7 +152,7 @@ def test_nom2_golden_cut_formulas():
     # the alias cut below, the modal-step cut above
     cut_exprs = [n.inst_dict["phi"] for _, n in d.walk() if n.rule == CUT]
     assert cut_exprs[0] == At("i", Nominal("j"))
-    assert cut_exprs[1] == At("i", sx.Diamond("a", Nominal("k")))
+    assert cut_exprs[1] == At("i", Diamond("a", Nominal("k")))
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +202,249 @@ def test_search_results_survive_model_fuzz(seed):
     if isinstance(r, Proved):
         for _ in range(10):
             assert check_sequent_validity(rand_model(rng, max_nodes=4), s)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: the move finders that built each candidate formula
+# ---------------------------------------------------------------------------
+
+def oracle_closure_move(seq, cfg):
+    """First closure-rule instance whose added atom is genuinely new, found
+    by building each candidate atom and testing its membership."""
+    noms = sorted(seq.nominals())
+    cmps = sorted({e.cmp for e in seq.ante | seq.cons if isinstance(e, Compare)})
+    ante = seq.ante
+    aliases = [(e.nom, e.body.name) for e in seq.sorted_ante
+               if isinstance(e, At) and isinstance(e.body, Nominal)]
+    eqs = [e for e in seq.sorted_ante
+           if isinstance(e, Compare) and e.kind is CmpKind.EQ]
+    for rule in filter(cfg.allows, (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)):
+        if rule == AT_T:
+            for i in noms:
+                if At(i, Nominal(i)) not in ante:
+                    return AT_T, {"i": i}
+        elif rule == EQ_T:
+            for i in noms:
+                for c in cmps:
+                    if Compare(Jump(i), CmpKind.EQ, c, Jump(i)) not in ante:
+                        return EQ_T, {"i": i, "c": c}
+        elif rule == AT_5:
+            for i, j in aliases:
+                for i2, k in aliases:
+                    if i2 == i and At(j, Nominal(k)) not in ante:
+                        return AT_5, {"i": i, "j": j, "k": k}
+        elif rule == S1:
+            for i, j in aliases:
+                for e in seq.sorted_ante:
+                    if isinstance(e, At) and e.nom == i and s1_shape(e.body) \
+                            and At(j, e.body) not in ante:
+                        return S1, {"i": i, "j": j, "phi": e.body}
+        elif rule == S2:
+            steps = [(e.nom, e.body.mod, e.body.body.name)
+                     for e in seq.sorted_ante
+                     if isinstance(e, At) and isinstance(e.body, Diamond)
+                     and isinstance(e.body.body, Nominal)]
+            for j, k in aliases:
+                for i, a, j2 in steps:
+                    if j2 == j and At(i, Diamond(a, Nominal(k))) not in ante:
+                        return S2, {"i": i, "j": j, "k": k, "a": a}
+        elif rule == S3:
+            for i, j in aliases:
+                for e in eqs:
+                    if e.left.nom == i:
+                        k = e.right.nom
+                        if Compare(Jump(j), CmpKind.EQ, e.cmp, Jump(k)) \
+                                not in ante:
+                            return S3, {"i": i, "j": j, "k": k, "c": e.cmp}
+        elif rule == EQ_5:
+            for e1 in eqs:
+                for e2 in eqs:
+                    if e1.left == e2.left and e1.cmp == e2.cmp:
+                        j, k = e1.right.nom, e2.right.nom
+                        if Compare(Jump(j), CmpKind.EQ, e1.cmp, Jump(k)) \
+                                not in ante:
+                            return EQ_5, {"i": e1.left.nom, "j": j, "k": k,
+                                          "c": e1.cmp}
+    return None
+
+
+def oracle_witness_move(seq, cfg, fired):
+    """Right witness rules, found by building each candidate premise."""
+    noms = sorted(seq.nominals())
+    for e in seq.sorted_cons:
+        match e:
+            case At(i, Diamond(a, phi)) if cfg.allows(DIA_R):
+                for j in noms:
+                    key = (DIA_R, e, j)
+                    if At(i, Diamond(a, Nominal(j))) in seq.ante \
+                            and key not in fired \
+                            and At(j, phi) not in seq.cons:
+                        return (DIA_R, {"i": i, "a": a, "phi": phi, "j": j}), key
+            case At(i, Compare(alpha, kind, c, beta)) if cfg.allows(CMP_R):
+                for x in noms:
+                    if At(i, dia(alpha, Nominal(x))) not in seq.ante:
+                        continue
+                    for y in noms:
+                        if At(i, dia(beta, Nominal(y))) not in seq.ante:
+                            continue
+                        key = (CMP_R, e, x, y)
+                        added = Compare(Jump(x), kind, c, Jump(y))
+                        if key not in fired and added not in seq.cons:
+                            return (CMP_R, {"i": i, "alpha": alpha,
+                                            "beta": beta, "kind": kind,
+                                            "c": c, "j": x, "k": y}), key
+            case _:
+                pass
+    return None
+
+
+def oracle_evidence_cut_move(seq, cfg, fired):
+    """Evidence-assembly cuts, found by building each candidate evidence."""
+    if not cfg.allow_evidence_cuts or not cfg.allows(CMP_R):
+        return None
+    epsilon = Test(top())
+    noms = sorted(seq.nominals())
+    for e in seq.sorted_cons:
+        if not (isinstance(e, At) and isinstance(e.body, Compare)):
+            continue
+        i0, cmp_ = e.nom, e.body
+        pieces = []
+        ok = True
+        for comp in (cmp_.left, cmp_.right):
+            if any(At(i0, dia(comp, Nominal(x))) in seq.ante for x in noms):
+                continue
+            piece = None
+            if comp == epsilon:
+                for x in noms:
+                    if At(i0, Nominal(x)) in seq.ante:
+                        piece = ("eps", x, At(i0, dia(epsilon, Nominal(x))))
+                        break
+            else:
+                m, rest = search._jump_head(comp)
+                if m is not None:
+                    for x in noms:
+                        inner = At(m, Nominal(x)) if rest is None \
+                            else At(m, dia(rest, Nominal(x)))
+                        if inner in seq.ante:
+                            piece = ("wrap", inner, At(i0, inner))
+                            break
+            if piece is None:
+                ok = False
+                break
+            pieces.append(piece)
+        if ok and pieces:
+            key = ("Ev", e, tuple(p[2] for p in pieces))
+            if key not in fired and all(p[2] not in seq.ante for p in pieces):
+                return pieces, key
+    return None
+
+
+def _moves(seq, cfg, fired):
+    """(closure, witness, evidence cut) moves of the search's finders."""
+    shape, evidence = search._Shape(seq), search._Evidence()
+    return (search._closure_move(shape, cfg),
+            search._witness_move(seq, cfg, fired, shape, evidence),
+            search._evidence_cut_move(seq, cfg, fired, shape, evidence))
+
+
+def _oracle_moves(seq, cfg, fired):
+    return (oracle_closure_move(seq, cfg),
+            oracle_witness_move(seq, cfg, fired),
+            oracle_evidence_cut_move(seq, cfg, fired))
+
+
+# two modalities and two comparisons, so that the order in which the
+# finders visit them shows
+SIG2 = dict(SIG, mods=("a", "b"), cmps=("c", "d"))
+
+
+def _rand_atoms(rng, count):
+    """Aliases, modal steps, equalities and S1 bodies over SIG2."""
+    out = []
+    for _ in range(count):
+        i, j = rng.choice(SIG2["noms"]), rng.choice(SIG2["noms"])
+        out.append(rng.choice([
+            At(i, Nominal(j)),
+            At(i, Diamond(rng.choice(SIG2["mods"]), Nominal(j))),
+            Compare(Jump(i), CmpKind.EQ, rng.choice(SIG2["cmps"]), Jump(j)),
+            At(i, Prop(rng.choice(SIG2["props"]))),
+            At(i, BOT),
+        ]))
+    return out
+
+
+def _rand_goals(rng, count):
+    """Right diamonds and comparisons, the principals of the witness rules,
+    and left evidence for some of the comparisons' paths."""
+    goals, evidence = [], []
+    for _ in range(count):
+        i = rng.choice(SIG2["noms"])
+        if rng.random() < 0.5:
+            body = Diamond(rng.choice(SIG2["mods"]), rand_node(rng, SIG2, 0))
+        else:
+            body = Compare(rand_path(rng, SIG2, 1), rand_kind(rng),
+                           rng.choice(SIG2["cmps"]), rand_path(rng, SIG2, 1))
+            for path in (body.left, body.right):
+                for x in SIG2["noms"]:
+                    if rng.random() < 0.4:
+                        evidence.append(At(i, dia(path, Nominal(x))))
+        goals.append(At(i, body))
+    return goals, evidence
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_move_finders_agree_with_formula_building_oracles(seed, restrict):
+    # walk a saturation from a random sequent with extra atoms, comparing
+    # the three finders at every step, with some rules disallowed half the
+    # time so every later rule gets to be the first applicable one
+    rng = random.Random(seed)
+    s = rand_sequent(rng, SIG2, max_side=2, depth=1)
+    s = s.add_ante(*_rand_atoms(rng, rng.randint(0, 8)))
+    goals, evidence = _rand_goals(rng, rng.randint(0, 2))
+    s = s.add_ante(*evidence).add_cons(*goals)
+    rules = set(LOGICAL_RULES)
+    if restrict:
+        rules -= set(rng.sample(sorted(search.CLOSURE_RULES), 3))
+    cfg = SearchConfig(allowed_rules=frozenset(rules))
+    fired = set()
+    for _ in range(40):
+        got = _moves(s, cfg, fired)
+        assert got == _oracle_moves(s, cfg, fired)
+        closure, witness, _ = got
+        if witness is not None:
+            (rule, inst), key = witness
+            fired.add(key)
+        elif closure is not None:
+            rule, inst = closure
+        else:
+            break
+        s = premises(s, rule, inst)[0]
+
+
+def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
+    # criterion 6's draw; the witness finders are checked with the arguments
+    # search passes them, and all three finders on every sequent it visits
+    visited, calls = [], []
+    for name, oracle in (("_witness_move", oracle_witness_move),
+                         ("_evidence_cut_move", oracle_evidence_cut_move)):
+        def checked(seq, cfg, fired, shape, evidence, _name=name,
+                    _oracle=oracle, _real=getattr(search, name)):
+            got = _real(seq, cfg, fired, shape, evidence)
+            assert got == _oracle(seq, cfg, fired), seq
+            calls.append(_name)
+            return got
+        monkeypatch.setattr(search, name, checked)
+    try_close = search._try_close
+    monkeypatch.setattr(search, "_try_close",
+                        lambda seq: visited.append(seq) or try_close(seq))
+
+    rng = random.Random(CRITERION_6_SEED)
+    cfg = SearchConfig(max_depth=12, enable_countermodel=False)
+    for _ in range(500):
+        prove(rand_sequent(rng, SIG, max_side=3, depth=2), cfg)
+    assert len(visited) > 2000
+    assert set(calls) == {"_witness_move", "_evidence_cut_move"}
+    monkeypatch.undo()
+    for s in visited:
+        assert _moves(s, cfg, frozenset()) == _oracle_moves(s, cfg, frozenset())
