@@ -16,8 +16,9 @@ from . import jsonio, syntax as sx
 from .cutelim import CutEliminationError, cut_positions, eliminate_cuts
 from .hylo import is_hylo, prove_hylo
 from .kernel import KernelError, check_derivation, sequent
-from .model import (DataGraph, ModelError, check_sequent_validity, eval_node,
-                    ingest_datagraph, model_from_json, model_to_json)
+from .model import (MAX_COUNTERMODEL_NODES, DataGraph, ModelError,
+                    check_sequent_validity, eval_node, ingest_datagraph,
+                    model_from_json, model_to_json)
 from .search import Proved, Refuted, SearchConfig, Unknown, prove
 
 EXIT_OK, EXIT_FAIL, EXIT_UNKNOWN, EXIT_USAGE = 0, 1, 2, 3
@@ -81,6 +82,9 @@ def cmd_entail(args):
 
 
 def cmd_prove(args):
+    if not 0 <= args.countermodel_nodes <= MAX_COUNTERMODEL_NODES:
+        raise CliError(f"--countermodel-nodes must be between 0 and "
+                       f"{MAX_COUNTERMODEL_NODES}")
     seq = _parse_sequent(args.sequent)
     cfg = SearchConfig(max_depth=args.max_depth,
                        max_fresh_nominals=args.fresh_budget,
@@ -201,7 +205,8 @@ def build_parser():
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--fresh-budget", type=int, default=4)
     p.add_argument("--countermodel-nodes", type=int, default=3,
-                   help="0 disables countermodel search")
+                   help=f"0 disables countermodel search; at most "
+                        f"{MAX_COUNTERMODEL_NODES}")
     p.add_argument("--fragment", choices=("full", "hylo"), default="full")
     add_emit(p)
     p.set_defaults(fn=cmd_prove)

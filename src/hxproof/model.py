@@ -397,48 +397,199 @@ def _g_assignments(noms, nodes):
         yield dict(zip(noms, assign))
 
 
-def _scratch_model(nodes):
-    """Unvalidated mutable model for the enumeration loops."""
-    m = HybridDataModel.__new__(HybridDataModel)
-    m.nodes = frozenset(nodes)
-    m.rels = {}
-    m.cmp_class = {}
-    m.g = {}
-    m.val = {}
-    m.strict_nominals = False
-    m.default_node = nodes[0]
-    return m
+# Candidate models are bit masks over node positions 0..n-1 (position t is
+# node "n{t+1}", and position 0 is the default node): a valuation is one
+# mask, a nominal one bit, a relation a tuple of successor masks (one per
+# node) and a comparison a tuple of class masks.
+
+MAX_COUNTERMODEL_NODES = 4   # 5 nodes would mean 2^25 relations per modality
 
 
 @functools.cache
 def _size_tables(n_count):
-    """Per-size enumeration tables: nodes, node subsets, pair subsets, partitions."""
+    """Per-size enumeration tables: nodes, valuations, relations, comparisons.
+
+    Valuations and relations are listed as the node and pair subsets they
+    stand for, by size and then lexicographically; comparisons in the order
+    of `_partitions`, each block one class mask.
+    """
     nodes = tuple(f"n{t}" for t in range(1, n_count + 1))
-    pairs = [(x, y) for x in nodes for y in nodes]
-    node_subsets = tuple(frozenset(s) for r in range(n_count + 1)
-                         for s in itertools.combinations(nodes, r))
-    pair_subsets = tuple(frozenset(s) for r in range(len(pairs) + 1)
-                         for s in itertools.combinations(pairs, r))
-    partitions = tuple(_partition_from_classes(frozenset(nodes), blocks)
-                       for blocks in _partitions(nodes))
-    return nodes, node_subsets, pair_subsets, partitions
+    positions = range(n_count)
+    valuations = tuple(sum(1 << x for x in s) for r in range(n_count + 1)
+                       for s in itertools.combinations(positions, r))
+    pairs = [(x, y) for x in positions for y in positions]
+    relations = []
+    for r in range(len(pairs) + 1):
+        for s in itertools.combinations(pairs, r):
+            succ = [0] * n_count
+            for x, y in s:
+                succ[x] |= 1 << y
+            relations.append(tuple(succ))
+    partitions = tuple(tuple(sum(1 << x for x in block) for block in blocks)
+                       for blocks in _partitions(list(positions)))
+    return nodes, valuations, tuple(relations), partitions
 
 
-def _extend(m, levels, t):
+@functools.cache
+def _label_tables(n_count):
+    """Per-size constants of labelling: each node's bit, the full mask, and
+    for each mask its member positions and its diagonal (the endpoint masks
+    of a test path that holds exactly there)."""
+    bits = tuple(1 << x for x in range(n_count))
+    masks = range(1 << n_count)
+    members = tuple(tuple(x for x, bit in enumerate(bits) if y & bit)
+                    for y in masks)
+    diagonal = tuple(tuple(bit & y for bit in bits) for y in masks)
+    return bits, masks[-1], members, diagonal
+
+
+@functools.cache
+def _pair_table(classes, eq, n_count):
+    """Entry x << n_count | y: does the comparison hold between endpoint masks
+    x and y, given the class masks (`eq` for =c, otherwise !=c)."""
+    def holds(x, y):
+        if eq:
+            # some class meets both endpoint masks
+            return any(x & cls and y & cls for cls in classes)
+        # both non-empty, and their union fits inside no single class
+        return bool(x and y) and all((x | y) & ~cls for cls in classes)
+    size = 1 << n_count
+    return bytes(holds(x, y) for x in range(size) for y in range(size))
+
+
+# read straight from their slot: a cell would cost as much
+_LEAVES = (Prop, Nominal, Bottom, Atom)
+
+
+def _compiler(n_count, slot, env, cells):
+    """Compile expressions into closures over bit-mask model components.
+
+    `closure_of(e)` gives `(closure, level)`. The closure returns the mask of
+    the nodes where a node expression holds, or a path's tuple of endpoint
+    masks, one per node; it reads each symbol from `env[k]`, where
+    `slot[key] == (k, level)` for the keys ("g", nominal), ("cmp_class", c),
+    ("rels", a) and ("val", p). An expression's level is the highest level
+    of the symbols it reads. A compound subexpression of a lower level than
+    its parent is read from a cell: a new slot of `env`, appended with its
+    closure to `cells[level]`, to be filled once that level is fixed.
+    Each distinct expression is compiled once.
+    """
+    bits, full, members, diagonal = _label_tables(n_count)
+    memo, cell_of = {}, {}
+
+    def closure_of(e):
+        if e not in memo:
+            memo[e] = build(e)
+        return memo[e]
+
+    def level(*es):
+        return max(closure_of(e)[1] for e in es)
+
+    def read(e, t):
+        """The closure through which a reader at level t reads e."""
+        f, s = closure_of(e)
+        if s == t or isinstance(e, _LEAVES):
+            return f
+        if e not in cell_of:
+            cell_of[e] = len(env)
+            env.append(None)
+            cells[s].append((cell_of[e], f))
+        c = cell_of[e]
+        return lambda: env[c]
+
+    def build(e):
+        match e:
+            case Prop(p):
+                k, t = slot["val", p]
+                return (lambda: env[k]), t
+            case Nominal(i):
+                k, t = slot["g", i]
+                return (lambda: env[k]), t
+            case Bottom():
+                return (lambda: 0), 0
+            case Implies(lhs, rhs):
+                t = level(lhs, rhs)
+                f, g = read(lhs, t), read(rhs, t)
+                return (lambda: full & ~f() | g()), t
+            case At(i, body):
+                k, t = slot["g", i][0], level(body)
+                f = read(body, t)
+                return (lambda: full if f() & env[k] else 0), t
+            case Diamond(a, body):
+                k, t = slot["rels", a]
+                t = max(t, level(body))
+                f = read(body, t)
+
+                def preimage():
+                    b, out = f(), 0
+                    for bit, succ in zip(bits, env[k]):
+                        if succ & b:
+                            out |= bit
+                    return out
+                return preimage, t
+            case Compare(alpha, kind, c, beta):
+                k, t = slot["cmp_class", c]
+                t = max(t, level(alpha, beta))
+                f, g = read(alpha, t), read(beta, t)
+                eq = kind is CmpKind.EQ
+
+                def compare():
+                    table, out = _pair_table(env[k], eq, n_count), 0
+                    for bit, x, y in zip(bits, f(), g()):
+                        if table[x << n_count | y]:
+                            out |= bit
+                    return out
+                return compare, t
+            case Atom(a):
+                k, t = slot["rels", a]
+                return (lambda: env[k]), t
+            case Jump(i):
+                k, t = slot["g", i]
+                return (lambda: (env[k],) * n_count), t
+            case Test(body):
+                t = level(body)
+                f = read(body, t)
+                return (lambda: diagonal[f()]), t
+            case Concat(left, right):
+                t = level(left, right)
+                f, g = read(left, t), read(right, t)
+
+                def compose():
+                    succ, out = g(), []
+                    for y in f():
+                        z = 0
+                        for x in members[y]:
+                            z |= succ[x]
+                        out.append(z)
+                    return tuple(out)
+                return compose, t
+        raise TypeError(f"not an expression: {e!r}")
+
+    return closure_of
+
+
+def _extend(env, levels, t):
     """Depth-first backtrack over levels[t:]; True once all demands hold.
 
-    Each level assigns one component into its table and checks the demands
-    whose symbols are then all fixed. A deeper level's stale entry is never
-    read: a demand only reads symbols of its own level or shallower ones.
+    Each level assigns one symbol's slot in `env` and checks the demands
+    whose symbols are then all fixed, each at the default node (bit 0).
+    Once they hold it fills the level's cells, which deeper levels read. A
+    deeper level's stale slot is never read: a demand or cell only reads
+    symbols of its own level or shallower ones.
     """
     if t == len(levels):
         return True
-    table, sym, options, demands = levels[t]
+    k, options, demands, cells = levels[t]
     for value in options:
-        table[sym] = value
-        if all(eval_node(m, m.default_node, phi) == want
-               for phi, want in demands) and _extend(m, levels, t + 1):
-            return True
+        env[k] = value
+        for f, want in demands:
+            if f() & 1 != want:
+                break
+        else:
+            for c, f in cells:
+                env[c] = f()
+            if _extend(env, levels, t + 1):
+                return True
     return False
 
 
@@ -448,51 +599,74 @@ def find_countermodel(seq, max_nodes):
     Returns a refuting model or None (no countermodel within the bound).
     Sizes are searched in ascending order and each exhaustively, so the first
     model returned has the minimum number of nodes; which model of that size
-    comes first is an artefact of the enumeration order and may change.
+    comes first is fixed by the enumeration order. `max_nodes` above
+    MAX_COUNTERMODEL_NODES raises ValueError before anything is enumerated.
 
     The search tree has one level per model component: the nominal
     assignment, then one partition per comparison symbol, one relation per
-    modality and one valuation per proposition. Each refutation demand (an
-    antecedent member true, a consequent member false) is checked at the
-    level that fixes the last symbol it reads.
+    modality and one valuation per proposition. Candidates are bit masks
+    (`_size_tables`), listed in the order of the node subsets, pair subsets
+    and partitions they stand for, the order of the set-based search they
+    replaced, so the same model comes first. Each refutation demand (an
+    antecedent member true, a consequent member false) is compiled once per
+    size into a closure returning its satisfaction mask (`_compiler`) and
+    checked at the level that fixes the last symbol it reads. A compound
+    subexpression that a shallower level fixes is computed once per
+    assignment of that level, not once per deeper candidate. The model
+    checker proper is `eval_node`; `prove` verifies every returned model
+    with it.
     """
-    if max_nodes < 1:
-        raise ValueError("max_nodes must be at least 1")
+    if not 1 <= max_nodes <= MAX_COUNTERMODEL_NODES:
+        raise ValueError(f"max_nodes must be between 1 and "
+                         f"{MAX_COUNTERMODEL_NODES}, not {max_nodes}")
     props, noms, mods, cmps = _signature(seq)
     # level 0 fixes g; level t >= 1 fixes the component symbols[t - 1]
     symbols = ([("cmp_class", c) for c in cmps] + [("rels", a) for a in mods]
                + [("val", p) for p in props])
-    level_of = {key: t for t, key in enumerate(symbols, start=1)}
+    slot = {("g", i): (k, 0) for k, i in enumerate(noms)}
+    slot.update({key: (len(noms) + t - 1, t)
+                 for t, key in enumerate(symbols, start=1)})
     # refutation demands: all of ante true, all of cons false
-    demands = [(phi, True) for phi in seq.sorted_ante] + \
-              [(phi, False) for phi in seq.sorted_cons]
-    checks = [[] for _ in range(len(symbols) + 1)]
-    for phi, want in demands:
-        reads = ([("cmp_class", c) for c in sx.cmp_symbols_of(phi)]
-                 + [("rels", a) for a in sx.mod_symbols_of(phi)]
-                 + [("val", p) for p in sx.prop_symbols_of(phi)])
-        checks[max((level_of[r] for r in reads), default=0)].append((phi, want))
+    demands = [(phi, 1) for phi in seq.sorted_ante] + \
+              [(phi, 0) for phi in seq.sorted_cons]
 
     for n_count in range(1, max_nodes + 1):
-        nodes, node_subsets, pair_subsets, partitions = _size_tables(n_count)
-        m = _scratch_model(nodes)
-        options = {"cmp_class": partitions, "rels": pair_subsets,
-                   "val": node_subsets}
-        levels = [(getattr(m, attr), sym, options[attr], checks[t])
-                  for t, (attr, sym) in enumerate(symbols, start=1)]
-        for g in _g_assignments(noms, nodes):
-            m.g = g
-            if all(eval_node(m, m.default_node, phi) == want
-                   for phi, want in checks[0]) and _extend(m, levels, 0):
-                return HybridDataModel.make(
-                    nodes, rels=m.rels,
-                    cmps={c: _blocks_of(m.cmp_class[c]) for c in cmps},
-                    g=g, val=m.val)
+        nodes, valuations, relations, partitions = _size_tables(n_count)
+        env = [None] * len(slot)
+        checks = [[] for _ in range(len(symbols) + 1)]
+        cells = [[] for _ in range(len(symbols) + 1)]
+        closure_of = _compiler(n_count, slot, env, cells)
+        for phi, want in demands:
+            f, t = closure_of(phi)
+            checks[t].append((f, want))
+        options = {"cmp_class": partitions, "rels": relations,
+                   "val": valuations}
+        levels = [(slot[key][0], options[key[0]], checks[t], cells[t])
+                  for t, key in enumerate(symbols, start=1)]
+        for g in _g_assignments(noms, range(n_count)):
+            for i, x in g.items():
+                env[slot["g", i][0]] = 1 << x
+            if all(f() & 1 == want for f, want in checks[0]):
+                for c, f in cells[0]:
+                    env[c] = f()
+                if _extend(env, levels, 0):
+                    return _model_of(nodes, env, slot, g)
     return None
 
 
-def _blocks_of(class_of):
-    blocks = {}
-    for n, cid in class_of.items():
-        blocks.setdefault(cid, []).append(n)
-    return [sorted(b) for b in blocks.values()]
+def _model_of(nodes, env, slot, g):
+    """The HybridDataModel named by the bit-mask components in `env`."""
+    def names(mask):
+        return [n for x, n in enumerate(nodes) if mask >> x & 1]
+
+    rels, cmps, val = {}, {}, {}
+    for (kind, sym), (k, _) in slot.items():
+        if kind == "rels":
+            rels[sym] = [(n, m) for n, succ in zip(nodes, env[k])
+                         for m in names(succ)]
+        elif kind == "cmp_class":
+            cmps[sym] = [names(cls) for cls in env[k]]
+        elif kind == "val":
+            val[sym] = names(env[k])
+    return HybridDataModel.make(nodes, rels=rels, cmps=cmps,
+                                g={i: nodes[x] for i, x in g.items()}, val=val)

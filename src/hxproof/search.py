@@ -494,7 +494,9 @@ def prove(goal, cfg=None):
     return Unknown({"visited": steps["visited"],
                     "bound": steps["bound"],
                     "max_depth": cfg.max_depth,
-                    "max_fresh_nominals": cfg.max_fresh_nominals})
+                    "max_fresh_nominals": cfg.max_fresh_nominals,
+                    "countermodel_nodes": (cfg.countermodel_nodes
+                                           if cfg.enable_countermodel else 0)})
 
 
 # ---------------------------------------------------------------------------

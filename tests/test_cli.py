@@ -165,6 +165,19 @@ def test_prove_exit_codes(capsys):
     assert run(capsys, "prove", "--countermodel-nodes", "0", "|- @i p")[0] == 2
 
 
+@pytest.mark.parametrize("nodes", ["5", "-1"])
+def test_prove_countermodel_bound_out_of_range_exits_3(capsys, monkeypatch,
+                                                       nodes):
+    # refused before any search: a five-node enumeration would not finish
+    def no_search(*args):
+        raise AssertionError("search started")
+    monkeypatch.setattr("hxproof.cli.prove", no_search)
+    code, out, err = run(capsys, "prove", "--countermodel-nodes", nodes,
+                         "@i p |- @i q")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_prove_emits_checked_derivation(capsys):
     code, out, _ = run(capsys, "prove", "--emit", "json",
                        "|- @i <eps =c eps>")

@@ -17,8 +17,8 @@ from hxproof.model import (
     satisfies_set,
 )
 from hxproof.model import (
-    _blocks_of, _g_assignments, _partition_from_classes, _partitions,
-    _scratch_model, _signature,
+    MAX_COUNTERMODEL_NODES, _compiler, _g_assignments,
+    _partition_from_classes, _partitions, _signature, _size_tables,
 )
 from hxproof.syntax import (
     At, Atom, BOT, CmpKind, Compare, Jump, Nominal, Prop, Test, concat,
@@ -247,6 +247,79 @@ def test_countermodel_none_for_valid():
     assert find_countermodel(s, 2) is None
 
 
+def test_countermodel_refuses_more_than_four_nodes(monkeypatch):
+    # refused before any table is built: five nodes mean 2^25 relations
+    def no_tables(n_count):
+        raise AssertionError("enumeration started")
+    monkeypatch.setattr("hxproof.model._size_tables", no_tables)
+    s = sequent({At("i", sx.Diamond("a", Nominal("j"))), At("j", Prop("p"))},
+                {At("i", sx.Diamond("a", Prop("p")))})
+    for bad in (0, MAX_COUNTERMODEL_NODES + 1):
+        with pytest.raises(ValueError):
+            find_countermodel(s, bad)
+
+
+def test_size_tables_list_masks_in_subset_order():
+    # the same model comes first as with node/pair subsets and partitions
+    for n_count in (1, 2, 3):
+        nodes, valuations, relations, partitions = _size_tables(n_count)
+        pairs = [(x, y) for x in nodes for y in nodes]
+        subsets = [s for r in range(len(pairs) + 1)
+                   for s in itertools.combinations(pairs, r)]
+        assert relations == tuple(
+            tuple(sum(1 << nodes.index(y) for x2, y in s if x2 == x)
+                  for x in nodes) for s in subsets)
+        assert valuations == tuple(
+            sum(1 << nodes.index(x) for x in s) for r in range(n_count + 1)
+            for s in itertools.combinations(nodes, r))
+        assert partitions == tuple(
+            tuple(sum(1 << nodes.index(x) for x in block) for block in blocks)
+            for blocks in _partitions(list(nodes)))
+
+
+# "d" is in no random model: it compares as the identity partition
+MASK_SIG = dict(SIG, cmps=("c", "d"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 3))
+def test_compiled_mask_agrees_with_eval_node(seed, depth):
+    rng = random.Random(seed)
+    m = rand_model(rng, max_nodes=3)
+    phi = rand_node(rng, MASK_SIG, depth)
+    nodes = sorted(m.nodes)
+
+    def mask(holds):
+        return sum(1 << x for x, n in enumerate(nodes) if holds(n))
+
+    value = {("g", i): mask(lambda n: m.node_of(i) == n)
+             for i in MASK_SIG["noms"]}
+    for a in MASK_SIG["mods"]:
+        value["rels", a] = tuple(mask(lambda y: m.related(a, x, y))
+                                 for x in nodes)
+    for c in MASK_SIG["cmps"]:
+        value["cmp_class", c] = tuple(sorted(
+            {mask(lambda y: m.same_class(c, x, y)) for x in nodes}))
+    for p in MASK_SIG["props"]:
+        value["val", p] = mask(lambda n: m.holds(p, n))
+    # random levels, so that subexpressions are read through cells
+    symbols = [key for key in value if key[0] != "g"]
+    rng.shuffle(symbols)
+    slot = {key: (k, 0) for k, key in enumerate(value) if key[0] == "g"}
+    slot.update({key: (len(slot) + t, t + 1) for t, key in enumerate(symbols)})
+    env = [None] * len(slot)
+    for key, (k, _) in slot.items():
+        env[k] = value[key]
+    cells = [[] for _ in range(len(symbols) + 1)]
+    f, _ = _compiler(len(nodes), slot, env, cells)(phi)
+    for level in cells:
+        for c, cell in level:
+            env[c] = cell()
+    got = f()
+    for x, n in enumerate(nodes):
+        assert bool(got >> x & 1) == eval_node(m, n, phi)
+
+
 def test_countermodel_two_nodes():
     s = sequent({At("i", sx.Diamond("a", Prop("p")))}, {At("i", Prop("p"))})
     m = find_countermodel(s, 2)
@@ -262,6 +335,26 @@ def _deps(expr):
     uses_v = bool(sx.prop_symbols_of(expr))
     uses_r = bool(sx.mod_symbols_of(expr))
     return uses_v, uses_r
+
+
+def _scratch_model(nodes):
+    """Unvalidated mutable model for the enumeration loops."""
+    m = HybridDataModel.__new__(HybridDataModel)
+    m.nodes = frozenset(nodes)
+    m.rels = {}
+    m.cmp_class = {}
+    m.g = {}
+    m.val = {}
+    m.strict_nominals = False
+    m.default_node = nodes[0]
+    return m
+
+
+def _blocks_of(class_of):
+    blocks = {}
+    for n, cid in class_of.items():
+        blocks.setdefault(cid, []).append(n)
+    return [sorted(b) for b in blocks.values()]
 
 
 def naive_countermodel(seq, max_nodes):

@@ -71,6 +71,7 @@ def test_prove_unknown_without_countermodel():
     assert isinstance(r, Unknown)
     assert r.report["visited"] >= 1
     assert r.report["bound"] == "saturated"
+    assert r.report["countermodel_nodes"] == 0
 
 
 def test_unknown_names_the_bound_hit():
@@ -80,6 +81,7 @@ def test_unknown_names_the_bound_hit():
             "|- @i ~(j -> k)")
     r = prove(s)
     assert isinstance(r, Unknown) and r.report["bound"] == "depth"
+    assert r.report["countermodel_nodes"] == SearchConfig().countermodel_nodes
     assert isinstance(prove(s, SearchConfig(max_depth=16)), Proved)
     r = prove(seq("@i <a>p |- @i q"),
               SearchConfig(max_fresh_nominals=0, enable_countermodel=False))
