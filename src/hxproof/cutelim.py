@@ -10,11 +10,10 @@ Eigen-nominals are renamed eagerly before any permutation can capture them.
 
 Two right rules can meet across a cut (the witness of a right comparison or
 substitution produced by a right diamond); those reduce through the
-substitution rule for modal steps. A cut whose formula is a wrapped
-satisfaction or implication required as path evidence on the right admits no
-local cut-free replacement at all (the evidence shape is not derivable on
-the left without cut); `eliminate_cuts` then falls back to re-deriving the
-nearest enclosing conclusion with cut-free proof search.
+substitution rule for modal steps. A cut that none of these families reduces
+(for instance a right diamond over a compound body, required as path
+evidence by a right comparison) is stuck: `eliminate_cuts` raises
+`CutStuck`, whose message starts "stuck cut", and never re-proves by search.
 """
 
 from __future__ import annotations
@@ -41,16 +40,12 @@ class CutEliminationError(KernelError):
 class CutStuck(CutEliminationError):
     """The selected cut admits no local, measure-decreasing replacement."""
 
-    def __init__(self, path, message):
-        self.path = path
-        super().__init__(message)
-
 
 @dataclass
 class ReduceEvent:
     kind: str
     path: tuple
-    selected: CutComplexity | None
+    selected: CutComplexity
     introduced: list = field(default_factory=list)
 
     def decreasing(self):
@@ -58,8 +53,7 @@ class ReduceEvent:
 
     def as_json(self):
         return {"kind": self.kind, "path": list(self.path),
-                "selected": None if self.selected is None
-                else self.selected.as_tuple(),
+                "selected": self.selected.as_tuple(),
                 "introduced": [c.as_tuple() for c in self.introduced]}
 
 
@@ -280,9 +274,9 @@ def _transform(node, scope_noms):
     except CutStuck:
         raise
     except KernelError as e:
-        raise CutStuck((), f"family construction failed: {e}") from None
-    raise CutStuck((), f"no local reduction: {left.rule} against {right.rule} "
-                       f"over {print_node(phi)}")
+        raise CutStuck(f"family construction failed: {e}") from None
+    raise CutStuck(f"no local reduction: {left.rule} against {right.rule} "
+                   f"over {print_node(phi)}")
 
 
 def _permute(node, into, scope_noms):
@@ -301,11 +295,11 @@ def _permute(node, into, scope_noms):
         child = target.children[0]
         if into == "right":
             if phi not in child.conclusion.ante:
-                raise CutStuck((), "cut formula lost under weakening")
+                raise CutStuck("cut formula lost under weakening")
             newcut = cut(other, child, phi)
         else:
             if phi not in child.conclusion.cons:
-                raise CutStuck((), "cut formula lost under weakening")
+                raise CutStuck("cut formula lost under weakening")
             newcut = cut(child, other, phi)
         inner = weaken_to(newcut, concl)
         return inner, [cut_complexity(newcut)], f"permute-{into}-weakening"
@@ -316,11 +310,11 @@ def _permute(node, into, scope_noms):
     for q, want in zip(target.children, expected):
         if into == "right":
             if phi not in q.conclusion.ante:
-                raise CutStuck((), "cut formula not in premiss context")
+                raise CutStuck("cut formula not in premiss context")
             newcut = cut(other, q, phi)
         else:
             if phi not in q.conclusion.cons:
-                raise CutStuck((), "cut formula not in premiss context")
+                raise CutStuck("cut formula not in premiss context")
             newcut = cut(q, other, phi)
         introduced.append(cut_complexity(newcut))
         if newcut.conclusion == want:
@@ -328,7 +322,7 @@ def _permute(node, into, scope_noms):
         elif newcut.conclusion.issubset(want):
             kids.append(weaken_to(newcut, want))
         else:
-            raise CutStuck((), f"permuted premiss does not fit {target.rule}")
+            raise CutStuck(f"permuted premiss does not fit {target.rule}")
     return (infer(target.rule, concl, target.inst_dict, kids),
             introduced, f"permute-{into}-{target.rule}")
 
@@ -373,7 +367,7 @@ def _family_dia_required(node):
     phi = node.inst_dict["phi"]
     body = left.inst_dict["phi"]
     if not isinstance(body, Nominal):
-        raise CutStuck((), "required modal evidence with a non-nominal body")
+        raise CutStuck("required modal evidence with a non-nominal body")
     i, a, w = left.inst_dict["i"], left.inst_dict["a"], left.inst_dict["j"]
     x = body.name
     cut1 = cut(left.children[0], right, phi)
@@ -394,8 +388,8 @@ def _family_dia_required(node):
 def reduce_once(d):
     """Apply one transformation to the selected topmost cut.
 
-    Returns (derivation, event); raises CutStuck when only the non-local
-    fallback applies and ValueError when the tree is already cut-free.
+    Returns (derivation, event); raises CutStuck when no local family
+    reduces the cut and ValueError when the tree is already cut-free.
     """
     sel = select_cut(d)
     if sel is None:
@@ -405,7 +399,8 @@ def reduce_once(d):
     try:
         replacement, introduced, kind = _transform(node, scope)
     except CutStuck as e:
-        raise CutStuck(path, str(e)) from None
+        where = "/".join(map(str, path)) or "root"
+        raise CutStuck(f"stuck cut at {where}: {e}") from None
     event = ReduceEvent(kind, path, cut_complexity(node), introduced)
     if not event.decreasing():
         raise CutEliminationError(
@@ -413,31 +408,11 @@ def reduce_once(d):
     return d.replace(path, replacement), event
 
 
-def _fallback_reprove(d, path, fallback_cfg):
-    """Re-derive the nearest enclosing conclusion with cut-free search."""
-    from .search import Proved, SearchConfig, prove
-    cfg = fallback_cfg or SearchConfig(
-        max_depth=24, max_fresh_nominals=6, enable_countermodel=False,
-        allow_evidence_cuts=False)
-    for cut_len in range(len(path), -1, -1):
-        prefix = path[:cut_len]
-        target = d.at(prefix).conclusion
-        result = prove(target, cfg)
-        if isinstance(result, Proved):
-            sub = result.derivation
-            if sub.cuts:
-                continue
-            return d.replace(prefix, sub), prefix, target
-    raise CutEliminationError(
-        "stuck cut and no enclosing conclusion re-derivable cut-free")
-
-
-def eliminate_cuts(d, trace=None, fallback_cfg=None, max_steps=200000):
+def eliminate_cuts(d, trace=None, max_steps=200000):
     """Iterate reduce_once to a cut-free derivation of the same end-sequent.
 
-    Where no local transformation family applies (wrapped path
-    evidence on the right), the smallest enclosing subderivation whose
-    conclusion has a cut-free proof is re-derived by bounded search.
+    Each step is local and lowers the cut measure; a cut with no local
+    reduction raises CutStuck (a CutEliminationError) instead.
     """
     end = d.conclusion
     for _ in range(max_steps):
@@ -445,11 +420,7 @@ def eliminate_cuts(d, trace=None, fallback_cfg=None, max_steps=200000):
             if d.conclusion != end:
                 raise CutEliminationError("end-sequent changed")
             return d
-        try:
-            d, event = reduce_once(d)
-        except CutStuck as e:
-            d, prefix, _ = _fallback_reprove(d, e.path, fallback_cfg)
-            event = ReduceEvent("fallback-reprove", prefix, None, [])
+        d, event = reduce_once(d)
         if trace is not None:
             trace.append(event)
     raise CutEliminationError("step limit exceeded")

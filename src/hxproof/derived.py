@@ -12,7 +12,7 @@ from __future__ import annotations
 from .kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R,
     EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, S1,
-    KernelError, Sequent, axiom, cut, graft, infer,
+    KernelError, axiom, cut, evidence, graft, infer,
     open_leaf, premises, s1_shape, weaken_to,
 )
 from .syntax import (
@@ -137,7 +137,7 @@ def transfer(goal, i, j, phi):
     """Generalized substitution: close @_i j, @_i phi, Γ ⊢ Δ, @_j phi.
 
     Extends (S1) beyond its restricted shapes by structural recursion; the
-    comparison case routes path evidence through cuts.
+    comparison case moves path evidence indexed by i to j through cuts.
     """
     alias = At(i, Nominal(j))
     carrier = At(i, phi)
@@ -194,22 +194,21 @@ def transfer(goal, i, j, phi):
                         [after_dial])
         case Compare(alpha, kind, c, beta):
             u, v = _fresh_for(goal, 2)
-            ev_a, ev_b = dia(alpha, Nominal(u)), dia(beta, Nominal(v))
             inst = {"i": i, "alpha": alpha, "beta": beta, "kind": kind, "c": c,
                     "j": u, "k": v}
+            # evidence whose index a head jump fixes is the same at i and j;
+            # the rest moves across the alias, each through one cut
+            moved = [evidence(j, p, w) for p, w in ((alpha, u), (beta, v))
+                     if evidence(i, p, w) != evidence(j, p, w)]
             def after_cmpl(s):
-                # bring @_j-side path evidence in through two cuts
-                left1 = transfer(s.add_cons(At(j, ev_a)), i, j, ev_a)
-                s_b = Sequent(s.ante | {At(j, ev_a)}, s.cons)
-                left2 = transfer(s_b.add_cons(At(j, ev_b)), i, j, ev_b)
-                s_c = Sequent(s_b.ante | {At(j, ev_b)}, s_b.cons)
                 def after_cmpr(s2_):
                     return cmp_tauto(s2_, u, kind, c, v)
-                core = step(CMP_R, s_c,
-                            {"i": j, "alpha": alpha, "beta": beta, "kind": kind,
-                             "c": c, "j": u, "k": v}, [after_cmpr])
-                inner = cut(left2, core, At(j, ev_b))
-                return exactly(cut(left1, inner, At(j, ev_a)), s)
+                d = step(CMP_R, s.add_ante(*moved), dict(inst, i=j),
+                         [after_cmpr])
+                for t in reversed(range(len(moved))):
+                    e, base = moved[t], s.add_ante(*moved[:t])
+                    d = cut(transfer(base.add_cons(e), i, j, e.body), d, e)
+                return exactly(d, s)
             return step(CMP_L, goal, inst, [after_cmpl])
     raise MacroError(f"transfer: unexpected expression {print_node(phi)}")
 

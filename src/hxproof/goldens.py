@@ -11,58 +11,36 @@ from __future__ import annotations
 
 from .derived import (
     and_left, and_right, axg, cmp_flip, cmp_tauto, exactly, iff_right, step,
-    top_left,
 )
 from .hylo import simulate_reference_rule
 from .kernel import (
-    AT_5, AT_L, AT_R, AT_T, AX, CMP_L, CMP_R, DIA_L, EQ_5, EQ_T, IMP_L,
+    AT_5, AT_R, AT_T, AX, CMP_L, CMP_R, DIA_L, EQ_5, EQ_T, IMP_L,
     IMP_R, S3, axiom, cut, graft, sequent, weaken_to,
 )
 from .syntax import (
     At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop, concat,
-    conj, dia, eps, iff, nominals_of, top,
+    conj, dia, eps, iff, nominals_of,
 )
 
 
 def reflexivity(i="i", c="c"):
-    """⊢ @_i <eps =c eps>, via @T, ⊤L, inverse ∧L, ⟨▲⟩R, EqT, Ax."""
+    """⊢ @_i <eps =c eps>, via @T, ⟨▲⟩R, EqT, Ax.
+
+    The evidence of the empty path at i with endpoint i is the alias @_i i,
+    which @T puts in the antecedent.
+    """
     goal_expr = At(i, Compare(eps(), CmpKind.EQ, c, eps()))
     root = sequent((), {goal_expr})
-    ev = At(i, dia(eps(), Nominal(i)))          # @_i (true & i)
+    inst = {"i": i, "alpha": eps(), "beta": eps(), "kind": CmpKind.EQ,
+            "c": c, "j": i, "k": i}
 
-    def l1(s):  # @_i i ⊢ @_i<eps =c eps>   -- ⊤L then inverse ∧L via cut
-        def l2(s2):  # @_i true, @_i i ⊢ ...
-            lemma = and_right(s2.add_cons(ev), i, top(), Nominal(i))
-            lemma = graft(lemma, lambda leaf: _close_axish(leaf, i))
-            def l3(s3):  # @_i (true & i) ⊢ ...
-                inst = {"i": i, "alpha": eps(), "beta": eps(),
-                        "kind": CmpKind.EQ, "c": c, "j": i, "k": i}
-                def l4(s4):
-                    def l5(s5):
-                        e = Compare(Jump(i), CmpKind.EQ, c, Jump(i))
-                        return axiom(AX, s5, {"phi": e})
-                    return step(EQ_T, s4, {"i": i, "c": c}, [l5])
-                return step(CMP_R, s3, inst, [l4])
-            body = l3(sequent({ev}, {goal_expr}))
-            return exactly(cut(lemma, body, ev), s2)
-        return _top_left_closed(s, i, l2)
-    return step(AT_T, root, {"i": i}, [l1])
+    def close(s):
+        e = Compare(Jump(i), CmpKind.EQ, c, Jump(i))
+        return step(EQ_T, s, {"i": i, "c": c},
+                    [lambda s2: axiom(AX, s2, {"phi": e})])
 
-
-def _top_left_closed(goal, i, continue_with):
-    frag = top_left(goal, i)
-    (leaf,) = [n.conclusion for _, n in frag.walk() if n.rule == "Open"]
-    return graft(frag, {leaf: continue_with(leaf)})
-
-
-def _close_axish(leaf, i):
-    """Close ⊢ ... @_i true / ⊢ ... @_i i leaves inside the reflexivity tree."""
-    for e in leaf.cons:
-        if e == At(i, top()) and e in leaf.ante:
-            return axg(leaf, i, top())
-        if e == At(i, Nominal(i)) and e in leaf.ante:
-            return axiom(AX, leaf, {"phi": e})
-    raise ValueError(f"unexpected open leaf {leaf}")
+    return step(AT_T, root, {"i": i},
+                [lambda s: step(CMP_R, s, inst, [close])])
 
 
 def symmetry(alpha=Atom("a"), beta=Atom("b"), kind=CmpKind.EQ, i="i", c="c"):
@@ -122,25 +100,17 @@ def transitivity(alpha=Atom("a"), beta=Atom("b"), i="i", c="c"):
             return weaken_to(t9(small), s2)
         return step(AT_5, s, {"i": i, "j": v, "k": u}, [after_at5])
 
-    def t6(s):     # ⟨▲⟩R with the atomic endpoints
+    def t4(s):     # ⟨▲⟩R with the atomic endpoints
         inst = {"i": i, "alpha": alpha, "beta": beta, "kind": CmpKind.EQ,
                 "c": c, "j": x, "k": y}
         return step(CMP_R, s, inst, [t7])
 
-    def t5(s):     # unpack @_i(true & v)
-        frag = and_left(s, i, top(), Nominal(v))
-        return graft(frag, t6)
-
-    def t4(s):     # unpack @_i(true & u)
-        frag = and_left(s, i, top(), Nominal(u))
-        return graft(frag, t5)
-
-    def t3(s):     # decompose @_i<eps =c beta> with fresh v, y
+    def t3(s):     # decompose @_i<eps =c beta> with fresh v, y: adds @_i v
         inst = {"i": i, "alpha": eps(), "beta": beta, "kind": CmpKind.EQ,
                 "c": c, "j": v, "k": y}
         return step(CMP_L, s, inst, [t4])
 
-    def t2(s):     # decompose @_i<alpha =c eps> with fresh x, u
+    def t2(s):     # decompose @_i<alpha =c eps> with fresh x, u: adds @_i u
         inst = {"i": i, "alpha": alpha, "beta": eps(), "kind": CmpKind.EQ,
                 "c": c, "j": x, "k": u}
         return step(CMP_L, s, inst, [t3])
@@ -182,33 +152,28 @@ def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ
     def p1(s):  # @_i<j: a alpha ^ beta> ⊢ @_i chi
         inst = {"i": i, "alpha": full_path, "beta": beta, "kind": kind,
                 "c": c, "j": x, "k": y}
-        def p2(s2):  # evidence decomposed; principal @_i@_j<a><alpha>x
-            def p3(s3):  # @L stripped the outer @_i
-                def p4(s4):  # <a>-step split off with fresh k
-                    return _paste_cut(s4)
-                return step(DIA_L, s3, {"i": j, "a": a,
-                                        "phi": dia(alpha, Nominal(x)), "j": k},
-                            [p4])
-            return step(AT_L, s2, {"j": i, "i": j,
-                                   "phi": dia(concat(Atom(a), alpha), Nominal(x))},
-                        [p3])
+        def p2(s2):  # evidence @_j<a><alpha>x: split off the <a>-step, fresh k
+            return step(DIA_L, s2, {"i": j, "a": a,
+                                    "phi": dia(alpha, Nominal(x)), "j": k},
+                        [_paste_cut])
         return step(CMP_L, s, inst, [p2])
 
     def _paste_cut(s4):
-        # left: prove the conjunction; right: consume it via the premiss
-        left_goal = s4.add_cons(cut_expr)
+        # left: prove the conjunction from the antecedent alone; right:
+        # consume it via the premiss
+        left_goal = sequent(s4.ante, {cut_expr})
         left = and_right(left_goal, i, At(j, step_atom), kpath_cmp)
 
         def fill(leaf):
-            target_a = At(i, At(j, step_atom))
-            target_b = At(i, kpath_cmp)
-            if target_a in leaf.cons:
-                def inner(s5):
-                    return axg(s5, j, step_atom)
+            if At(i, At(j, step_atom)) in leaf.cons:
                 return step(AT_R, leaf, {"j": i, "i": j, "phi": step_atom},
-                            [inner])
-            if target_b in leaf.cons:
-                return _paste_evidence_wrap(leaf)
+                            [lambda s5: axg(s5, j, step_atom)])
+            if At(i, kpath_cmp) in leaf.cons:
+                # the evidence of k: alpha at x is @_k<alpha>x, from DiaL
+                inst = {"i": i, "alpha": concat(Jump(k), alpha), "beta": beta,
+                        "kind": kind, "c": c, "j": x, "k": y}
+                return step(CMP_R, leaf, inst,
+                            [lambda s5: cmp_tauto(s5, x, kind, c, y)])
             raise ValueError(f"unexpected conjunction leaf {leaf}")
 
         left = graft(left, fill)
@@ -228,22 +193,6 @@ def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ
                            sequent({cut_expr}, {At(i, chi)}))
 
         return exactly(cut(left, right_branch(), cut_expr), s4)
-
-    def _paste_evidence_wrap(leaf):
-        # inverse @L: re-wrap @_k<alpha>x as @_i@_k<alpha>x by a cut
-        bare = At(k, dia(alpha, Nominal(x)))
-        wrapped = At(i, dia(concat(Jump(k), alpha), Nominal(x)))
-        lgoal = leaf.add_cons(wrapped)
-        left = step(AT_R, lgoal, {"j": i, "i": k, "phi": dia(alpha, Nominal(x))},
-                    [lambda s: axg(s, k, dia(alpha, Nominal(x)))])
-        rgoal = sequent({wrapped, At(i, dia(beta, Nominal(y))),
-                         Compare(Jump(x), kind, c, Jump(y))},
-                        {At(i, kpath_cmp)})
-        inst = {"i": i, "alpha": concat(Jump(k), alpha), "beta": beta,
-                "kind": kind, "c": c, "j": x, "k": y}
-        right = step(CMP_R, rgoal, inst,
-                     [lambda s: cmp_tauto(s, x, kind, c, y)])
-        return exactly(cut(left, right, wrapped), leaf)
 
     return step(IMP_R, root, {"i": i, "phi": lhs, "psi": chi}, [p1])
 

@@ -42,8 +42,7 @@ def prove_hylo(goal, cfg=None):
         raise FragmentError("goal mentions data comparisons")
     cfg = cfg or SearchConfig()
     return prove(goal, replace(
-        cfg, allowed_rules=frozenset(cfg.allowed_rules) & HYLO_RULES,
-        allow_evidence_cuts=False))
+        cfg, allowed_rules=frozenset(cfg.allowed_rules) & HYLO_RULES))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 from .syntax import (
     At, Bottom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    dia, is_node_expr, is_path_expr, nominals_of, print_node,
+    TOP, dia, is_node_expr, is_path_expr, nominals_of, print_node,
 )
 
 
@@ -264,6 +264,35 @@ def _cmp(v):
     return At(v.i, Compare(v.alpha, v.kind, v.c, v.beta))
 
 
+def evidence(i, alpha, x):
+    """The path evidence @i <alpha> x of a comparison, normalized while its
+    head allows: a leading jump is absorbed into the index (@i @m psi is
+    @m psi) and a leading eps is dropped (@i (true & psi) is @i psi).
+
+    CmpL adds this formula and CmpR requires it. For jumps and eps followed
+    by at most one step it is an atom (an alias or a modal step) that other
+    rules put in an antecedent, so such comparisons need no cut.
+    """
+    body = dia(alpha, Nominal(x))
+    while True:
+        match body:
+            case At(m, psi):
+                i, body = m, psi
+            case Implies(Implies(t, Implies(psi, Bottom())), Bottom()) \
+                    if t == TOP:
+                body = psi
+            case _:
+                return At(i, body)
+
+
+def _ev_alpha(v):
+    return evidence(v.i, v.alpha, v.j)
+
+
+def _ev_beta(v):
+    return evidence(v.i, v.beta, v.k)
+
+
 RULES = {
     AX: Rule("phi", principal=lambda v: v.phi, side="cons",
              required=(lambda v: v.phi,),
@@ -304,12 +333,10 @@ RULES = {
     CMP_L: Rule("i alpha beta kind c j k", principal=_cmp, consumes=True,
                 eigens="j k",
                 premisses=(lambda v: (
-                    [At(v.i, dia(v.alpha, Nominal(v.j))),
-                     At(v.i, dia(v.beta, Nominal(v.k))),
+                    [_ev_alpha(v), _ev_beta(v),
                      Compare(Jump(v.j), v.kind, v.c, Jump(v.k))], []),)),
     CMP_R: Rule("i alpha beta kind c j k", principal=_cmp, side="cons",
-                required=(lambda v: At(v.i, dia(v.alpha, Nominal(v.j))),
-                          lambda v: At(v.i, dia(v.beta, Nominal(v.k)))),
+                required=(_ev_alpha, _ev_beta),
                 premisses=(lambda v: (
                     [], [Compare(Jump(v.j), v.kind, v.c, Jump(v.k))]),)),
     EQ_T: Rule("i c", premisses=(lambda v: ([_eq(v.i, v.c, v.i)], []),)),

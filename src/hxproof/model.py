@@ -357,12 +357,22 @@ def _lists(v, what, arity=None):
 # ---------------------------------------------------------------------------
 
 def _signature(seq):
+    """The sorted propositions, nominals, modalities and comparison symbols
+    of a sequent, from one walk over its members' subexpressions."""
     props, noms, mods, cmps = set(), set(), set(), set()
     for e in seq.ante | seq.cons:
-        props |= sx.prop_symbols_of(e)
-        noms |= sx.nominals_of(e)
-        mods |= sx.mod_symbols_of(e)
-        cmps |= sx.cmp_symbols_of(e)
+        for sub in sx.subexpressions(e):
+            match sub:
+                case Prop(p):
+                    props.add(p)
+                case Nominal(i) | Jump(i) | At(i, _):
+                    noms.add(i)
+                case Atom(a) | Diamond(a, _):
+                    mods.add(a)
+                case Compare(_, _, c, _):
+                    cmps.add(c)
+                case _:
+                    pass
     return sorted(props), sorted(noms), sorted(mods), sorted(cmps)
 
 

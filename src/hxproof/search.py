@@ -13,26 +13,29 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .derived import axg, crossed, exactly, identity, step
+from .derived import crossed, exactly, identity, step
 from .kernel import (
     ALL_RULES, AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L,
     DIA_R, EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1, S2, S3,
     Derivation, KernelError, Sequent, added, ax_shape, axiom,
-    check_derivation, cut, dual, infer, premises, principal,
+    check_derivation, cut, dual, evidence, infer, premises, principal,
     s1_shape, weaken_to,
 )
 from .model import HybridDataModel, check_sequent_validity, find_countermodel
 from .syntax import (
-    At, Bottom, BOT, CmpKind, Compare, Concat, Diamond, Implies, Jump,
-    Nominal, Test, dia, fresh_nominals, neg, top,
+    At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal,
+    fresh_nominals,
 )
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Bounds and rule restrictions for backward search.
 
-    `max_depth` counts decomposition/branching/witness steps along a branch;
-    closure saturation is separately bounded by its finite instance space.
+    `max_depth` counts decomposition, branching, fresh-nominal and DiaR
+    witness steps along a branch. Closure saturation, CmpR witness steps and
+    NEqL/NEqR are free: closure and CmpR instances fire at most once each
+    over the branch's finite nominals, and the NEq rules consume inequality
+    atoms, which only the comparison rules add.
     """
 
     max_depth: int = 12
@@ -40,7 +43,6 @@ class SearchConfig:
     enable_countermodel: bool = True
     countermodel_nodes: int = 3
     allowed_rules: frozenset = frozenset(ALL_RULES)
-    allow_evidence_cuts: bool = True
 
     def allows(self, rule):
         return rule in self.allowed_rules
@@ -105,6 +107,8 @@ def _decomposition_move(seq, cfg):
 
 
 CLOSURE_RULES = (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)
+# moves the depth bound does not count (see SearchConfig)
+FREE_RULES = frozenset(CLOSURE_RULES + (NEQ_L, NEQ_R))
 
 
 class _Shape:
@@ -152,14 +156,14 @@ class _Shape:
 
 
 class _Evidence(dict):
-    """(alpha, x) -> dia(alpha, x), the body of the evidence @i <alpha>x that
-    a right comparison needs. A path cannot be keyed by names, so each body
-    is built once per `prove` call, in the table that call owns."""
+    """(i, alpha, x) -> evidence(i, alpha, x), the formula a right comparison
+    at i needs for path alpha and endpoint x. A path cannot be keyed by
+    names, so each is built once per `prove` call, in the table that call
+    owns."""
 
     def __missing__(self, key):
-        alpha, x = key
-        body = self[key] = dia(alpha, Nominal(x))
-        return body
+        e = self[key] = evidence(*key)
+        return e
 
 
 def _closure_move(shape, cfg):
@@ -239,11 +243,12 @@ def _fresh_moves(seq, cfg, fresh_left):
     return out
 
 
-def _witness_move(seq, cfg, fired, shape, evidence):
-    """Right witness rules; `fired` keys stop re-introduction loops."""
+def _witness_move(seq, cfg, fired, shape, evidence, dia_ok):
+    """Right witness rules; `fired` keys stop re-introduction loops. DiaR
+    candidates are skipped unless `dia_ok` (the depth bound allows them)."""
     for e in seq.sorted_cons:
         match e:
-            case At(i, Diamond(a, phi)) if cfg.allows(DIA_R):
+            case At(i, Diamond(a, phi)) if dia_ok and cfg.allows(DIA_R):
                 for j in shape.noms:
                     if (i, a, j) not in shape.steps:
                         continue
@@ -252,10 +257,10 @@ def _witness_move(seq, cfg, fired, shape, evidence):
                         return (DIA_R, {"i": i, "a": a, "phi": phi, "j": j}), key
             case At(i, Compare(alpha, kind, c, beta)) if cfg.allows(CMP_R):
                 for x in shape.noms:
-                    if (i, evidence[alpha, x]) not in shape.bodies:
+                    if evidence[i, alpha, x] not in seq.ante:
                         continue
                     for y in shape.noms:
-                        if (i, evidence[beta, y]) not in shape.bodies:
+                        if evidence[i, beta, y] not in seq.ante:
                             continue
                         key = (CMP_R, e, x, y)
                         added = Compare(Jump(x), kind, c, Jump(y))
@@ -266,99 +271,6 @@ def _witness_move(seq, cfg, fired, shape, evidence):
             case _:
                 pass
     return None
-
-
-def _eps_evidence_lemma(goal, i, x):
-    """Closed proof of Γ ⊢ Δ, @_i (true & x) given @_i x on the left.
-
-    Assembles empty-path evidence for a right comparison; this is the one
-    place the search itself reaches for (Cut).
-    """
-    ev_body = dia(Test(top()), Nominal(x))   # true & x, expanded
-    inner = Implies(top(), neg(Nominal(x)))
-    def after_impr(s):
-        def branch1(s1_):
-            def after_impr2(s2_):
-                return axiom(BOT_RULE, s2_, {"i": i})
-            return step(IMP_R, s1_, {"i": i, "phi": BOT, "psi": BOT},
-                        [after_impr2])
-        def branch2(s1_):
-            return step(IMP_L, s1_, {"i": i, "phi": Nominal(x), "psi": BOT},
-                        [lambda s2_: axiom(AX, s2_, {"phi": At(i, Nominal(x))}),
-                         lambda s2_: axiom(BOT_RULE, s2_, {"i": i})])
-        return step(IMP_L, s, {"i": i, "phi": top(), "psi": neg(Nominal(x))},
-                    [branch1, branch2])
-    lemma_goal = goal.add_cons(At(i, ev_body))
-    return step(IMP_R, lemma_goal, {"i": i, "phi": inner, "psi": BOT},
-                [after_impr])
-
-
-def _jump_head(path):
-    match path:
-        case Jump(m):
-            return m, None
-        case Concat(Jump(m), rest):
-            return m, rest
-        case _:
-            return None, None
-
-
-def _wrap_evidence_lemma(goal, i0, inner):
-    """Closed proof of Γ ⊢ Δ, @_i0 @_m psi given @_m psi on the left."""
-    def close(s):
-        if ax_shape(inner):
-            return axiom(AX, s, {"phi": inner})
-        return axg(s, inner.nom, inner.body)
-    return step(AT_R, goal.add_cons(At(i0, inner)),
-                {"j": i0, "i": inner.nom, "phi": inner.body}, [close])
-
-
-def _evidence_cut_move(seq, cfg, fired, shape, evidence):
-    """Evidence-assembly cuts for a right comparison.
-
-    Empty-path components turn a known @_i x into @_i (true & x); jump-headed
-    components re-wrap a known @_m psi as @_i @_m psi. All missing pieces for
-    one comparison are returned together so they survive until the witness
-    rule consumes them.
-    """
-    if not cfg.allow_evidence_cuts or not cfg.allows(CMP_R):
-        return None
-    epsilon = Test(top())
-    noms = shape.noms
-    for e in seq.sorted_cons:
-        if not (isinstance(e, At) and isinstance(e.body, Compare)):
-            continue
-        i0, cmp_ = e.nom, e.body
-        pieces = []
-        ok = True
-        for comp in (cmp_.left, cmp_.right):
-            if any((i0, evidence[comp, x]) in shape.bodies for x in noms):
-                continue
-            piece = None
-            if comp == epsilon:
-                for x in noms:
-                    if (i0, x) in shape.aliases:
-                        piece = ("eps", x, At(i0, evidence[epsilon, x]))
-                        break
-            else:
-                m, rest = _jump_head(comp)
-                if m is not None:
-                    for x in noms:
-                        body = Nominal(x) if rest is None else evidence[rest, x]
-                        if (m, body) in shape.bodies:
-                            inner = At(m, body)
-                            piece = ("wrap", inner, At(i0, inner))
-                            break
-            if piece is None:
-                ok = False
-                break
-            pieces.append(piece)
-        if ok and pieces:
-            key = ("Ev", e, tuple(p[2] for p in pieces))
-            if key not in fired and all(p[2] not in seq.ante for p in pieces):
-                return pieces, key
-    return None
-
 
 
 def _attempt(seq, depth_left, fresh_left, cfg, steps, evidence,
@@ -390,25 +302,24 @@ def _attempt(seq, depth_left, fresh_left, cfg, steps, evidence,
             return fold(closed)
         shape = _Shape(cur)
 
-        # witness rules are additive and invertible; they run before the
-        # consuming decompositions so assembled path evidence gets used
-        wit = _witness_move(cur, cfg, fired, shape, evidence) \
-            if depth_left > 0 else None
+        # witness rules are additive and invertible, so they can run before
+        # the consuming decompositions: a comparison whose evidence is in the
+        # antecedent is answered before the decompositions grow the sequent
+        wit = _witness_move(cur, cfg, fired, shape, evidence, depth_left > 0)
         if wit is not None:
             (rule, inst), key = wit
             fired.add(key)
-            depth_left -= 1
+            depth_left -= rule == DIA_R
             trail.append((rule, inst, cur))
             cur = premises(cur, rule, inst)[0]
             continue
 
         move = _decomposition_move(cur, cfg)
-        cost = 1
         if move is None:
             move = _closure_move(shape, cfg)
-            cost = 0
         if move is not None:
             rule, inst = move
+            cost = rule not in FREE_RULES
             if cost and depth_left <= 0:
                 steps["bound"] = "depth"
                 return None
@@ -420,27 +331,6 @@ def _attempt(seq, depth_left, fresh_left, cfg, steps, evidence,
         if depth_left <= 0:
             steps["bound"] = "depth"
             return None
-
-        ev = _evidence_cut_move(cur, cfg, fired, shape, evidence)
-        if ev is not None:
-            pieces, key = ev
-            bases, lemmas, cur2 = [], [], cur
-            for kind_, data, formula in pieces:
-                bases.append(cur2)
-                if kind_ == "eps":
-                    lemmas.append(_eps_evidence_lemma(cur2, formula.nom, data))
-                else:
-                    lemmas.append(_wrap_evidence_lemma(cur2, formula.nom, data))
-                cur2 = cur2.add_ante(formula)
-            rest = _attempt(cur2, depth_left - 1, fresh_left, cfg, steps,
-                            evidence, fired | {key})
-            if rest is None:
-                return None
-            out = rest
-            for base, lemma, (_, _, formula) in zip(
-                    reversed(bases), reversed(lemmas), reversed(pieces)):
-                out = exactly(cut(lemma, out, formula), base)
-            return fold(out)
 
         branch = _branch_move(cur, cfg)
         if branch is not None:

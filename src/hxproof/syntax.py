@@ -393,10 +393,6 @@ def mod_symbols_of(e):
     return out
 
 
-def cmp_symbols_of(e):
-    return {s.cmp for s in subexpressions(e) if isinstance(s, Compare)}
-
-
 def rename_nominal(e, old, new):
     """Replace every occurrence of nominal `old` by `new`."""
     if old == new or old not in e.noms:

@@ -12,12 +12,13 @@ PYTHONHASHSEED.
 from hxproof.kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R,
     EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, S1, S2, S3,
-    KernelError, Sequent, axiom, ax_shape, infer, s1_shape, sequent, weaken,
+    KernelError, Sequent, axiom, ax_shape, evidence, infer, s1_shape, sequent,
+    weaken,
 )
 from hxproof.model import HybridDataModel
 from hxproof.syntax import (
     At, Atom, BOT, CmpKind, Compare, Diamond, Implies, Jump,
-    Nominal, Prop, Test, concat, dia, print_node,
+    Nominal, Prop, Test, concat, print_node,
 )
 
 SIG = {
@@ -288,8 +289,7 @@ def _f_cmpl(rng, d, sig):
                        Jump(rng.choice(sig["noms"]))])
     kind = rand_kind(rng)
     i, c = rng.choice(sig["noms"]), rng.choice(sig["cmps"])
-    ev1 = At(i, dia(alpha, Nominal(j)))
-    ev2 = At(i, dia(beta, Nominal(k)))
+    ev1, ev2 = evidence(i, alpha, j), evidence(i, beta, k)
     atom = Compare(Jump(j), kind, c, Jump(k))
     d2 = weaken(weaken(weaken(d, "left", ev1), "left", ev2), "left", atom)
     concl = d2.conclusion.drop_ante(ev1, ev2, atom) \
@@ -308,8 +308,7 @@ def _f_cmpr(rng, d, sig):
     alpha = Atom(rng.choice(sig["mods"]))
     beta = Jump(rng.choice(sig["noms"]))
     i = rng.choice(sig["noms"])
-    ev1 = At(i, dia(alpha, Nominal(j)))
-    ev2 = At(i, dia(beta, Nominal(k)))
+    ev1, ev2 = evidence(i, alpha, j), evidence(i, beta, k)
     principal = At(i, Compare(alpha, e.kind, e.cmp, beta))
     d2 = weaken(weaken(weaken(d, "left", ev1), "left", ev2),
                 "right", principal)
@@ -461,7 +460,7 @@ def conclusion_for_rule(rng, rule, sig=SIG):
         case "CmpR":
             alpha, beta = rand_path(rng, sig, 0), rand_path(rng, sig, 0)
             return with_extra(
-                ante={At(i, dia(alpha, Nominal(j))), At(i, dia(beta, Nominal(k)))},
+                ante={evidence(i, alpha, j), evidence(i, beta, k)},
                 cons={At(i, Compare(alpha, kind, c, beta))}), \
                 {"i": i, "alpha": alpha, "beta": beta, "kind": kind, "c": c,
                  "j": j, "k": k}

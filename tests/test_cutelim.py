@@ -14,14 +14,15 @@ from hxproof.cutelim import (
 from hxproof.derived import axg
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
-    AT_L, AT_R, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, IMP_L, LOGICAL_RULES,
-    NEQ_L, axiom, check_derivation, cut, dual, infer, premises, sequent,
-    weaken,
+    AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
+    IMP_L, LOGICAL_RULES, NEQ_L, axiom, check_derivation, cut, dual, infer,
+    premises, sequent, weaken,
 )
 from hxproof.model import find_countermodel
-from hxproof.search import SearchConfig, Unknown, invert, prove
+from hxproof.search import Proved, SearchConfig, Unknown, invert, prove
 from hxproof.syntax import (
     At, Atom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
+    concat, eps,
 )
 from test_acceptance import (SEED, _composition_corpus,
                              _inverse_construction_corpus, _paste_corpus)
@@ -35,16 +36,12 @@ def _closed(out, original):
     assert check_derivation(out) == []
 
 
-def _run(d, expect_fallbacks=None):
+def _run(d):
     trace = []
     out = eliminate_cuts(d, trace=trace)
     _closed(out, d)
     for ev in trace:
-        if ev.selected is not None:
-            assert ev.decreasing(), ev
-    if expect_fallbacks is not None:
-        got = sum(1 for ev in trace if ev.kind == "fallback-reprove")
-        assert got == expect_fallbacks
+        assert ev.decreasing(), ev
     return out, trace
 
 
@@ -121,7 +118,7 @@ def test_cut_free_input_returned_unchanged():
 
 
 def test_nom2_golden_eliminates_without_fallback():
-    out, trace = _run(prove_axiom_suite()["nom2"], expect_fallbacks=0)
+    out, trace = _run(prove_axiom_suite()["nom2"])
 
 
 def test_paste_golden_eliminates():
@@ -139,20 +136,27 @@ def test_paste_variants_eliminate():
         _run(d)
 
 
-def test_reflexivity_cannot_be_made_cut_free():
-    # the empty-path evidence @_i(true & i) has no cut-free left derivation,
-    # so elimination honestly reports failure on this end-sequent
-    with pytest.raises(CutEliminationError):
-        eliminate_cuts(prove_axiom_suite()["reflexivity"])
+def test_reflexivity_is_proved_and_eliminated_cut_free():
+    # the empty-path evidence at i with endpoint i is the alias @_i i, which
+    # AtT adds: the golden and search's proof are cut-free, and a cut on the
+    # alias eliminates
+    d = prove_axiom_suite()["reflexivity"]
+    assert [n.rule for _, n in d.walk()] == [AT_T, CMP_R, EQ_T, AX]
+    r = prove(d.conclusion, SearchConfig(enable_countermodel=False))
+    assert isinstance(r, Proved) and r.derivation.cuts == 0
+    alias = At("i", Nominal("i"))
+    left = infer(AT_T, sequent((), {alias}), {"i": "i"},
+                 [axiom(AX, sequent({alias}, {alias}), {"phi": alias})])
+    right = weaken(d.children[0], "left", alias)
+    out, trace = _run(cut(left, right, alias))
+    assert out.conclusion == d.conclusion
 
 
-def test_wrapped_jump_evidence_cannot_be_made_cut_free():
-    # A right comparison over the jump path j: needs the wrapped evidence
-    # @k @j y on the left. No rule adds such a formula to an antecedent, so a
-    # cut-free derivation has it only as a subformula of its end-sequent.
-    # Here it is the cut formula (AtR on the left, required by CmpR on the
-    # right): the end-sequent is valid, cut-free search saturates on it, and
-    # elimination reports failure. Random cut compositions can reach it too.
+def test_wrapped_jump_evidence_eliminates_cut_free():
+    # A right comparison over the jump path j: at k with endpoint i needs
+    # the evidence @j i, not @k @j i. Cut on the wrapped form (AtR on the
+    # left, AtL before CmpR on the right) is a principal pair, and search
+    # proves the same end-sequent without a cut.
     ji = At("j", Nominal("i"))
     phi = At("k", ji)
     left = infer(AT_R, sequent({ji}, {phi}),
@@ -160,21 +164,48 @@ def test_wrapped_jump_evidence_cannot_be_made_cut_free():
                  [axiom(AX, sequent({ji}, {ji}), {"phi": ji})])
     ev = Compare(Jump("k"), CmpKind.EQ, "c", Jump("i"))
     goal = At("k", Compare(Atom("a"), CmpKind.EQ, "c", Jump("j")))
-    rconc = sequent({ev, At("k", Diamond("a", Nominal("k"))), phi}, {goal})
-    right = infer(CMP_R, rconc,
-                  {"i": "k", "alpha": Atom("a"), "beta": Jump("j"),
-                   "kind": CmpKind.EQ, "c": "c", "j": "k", "k": "i"},
-                  [axiom(AX, rconc.add_cons(ev), {"phi": ev})])
+    step = At("k", Diamond("a", Nominal("k")))
+    rprem = sequent({ev, step, ji}, {goal})
+    right = infer(AT_L, rprem.drop_ante(ji).add_ante(phi),
+                  {"j": "k", "i": "j", "phi": Nominal("i")},
+                  [infer(CMP_R, rprem,
+                         {"i": "k", "alpha": Atom("a"), "beta": Jump("j"),
+                          "kind": CmpKind.EQ, "c": "c", "j": "k", "k": "i"},
+                         [axiom(AX, rprem.add_cons(ev), {"phi": ev})])])
     d = cut(left, right, phi)
     end = d.conclusion
     assert phi not in end.ante and find_countermodel(end, 2) is None
-    cut_free = SearchConfig(max_depth=24, max_fresh_nominals=6,
-                            enable_countermodel=False,
-                            allow_evidence_cuts=False)
-    r = prove(end, cut_free)
-    assert isinstance(r, Unknown) and r.report["bound"] == "saturated"
-    with pytest.raises(CutEliminationError):
+    out, trace = _run(d)
+    assert trace[0].kind == "principal-at"
+    r = prove(end, SearchConfig(enable_countermodel=False))
+    assert isinstance(r, Proved) and r.derivation.cuts == 0
+
+
+def test_unreducible_cut_is_stuck():
+    # DiaR over a compound body on the left, required as the evidence of the
+    # two-step path a b by CmpR on the right: no local family reduces it, and
+    # elimination reports the stuck cut instead of re-proving. The end-sequent
+    # is valid, but no rule assembles @i <a><b>x from its steps on the left,
+    # so search saturates on it too.
+    ab = At("i", Diamond("a", Diamond("b", Nominal("x"))))
+    w_step = At("w", Diamond("b", Nominal("x")))
+    lconc = sequent({At("i", Diamond("a", Nominal("w"))), w_step}, {ab})
+    left = infer(DIA_R, lconc, {"i": "i", "a": "a", "phi": w_step.body,
+                                "j": "w"},
+                 [axg(lconc.add_cons(w_step), "w", w_step.body)])
+    path = concat(Atom("a"), Atom("b"))
+    eq = Compare(Jump("x"), CmpKind.EQ, "c", Jump("i"))
+    rconc = sequent({ab, At("i", Nominal("i")), eq},
+                    {At("i", Compare(path, CmpKind.EQ, "c", eps()))})
+    right = infer(CMP_R, rconc, {"i": "i", "alpha": path, "beta": eps(),
+                                 "kind": CmpKind.EQ, "c": "c", "j": "x",
+                                 "k": "i"},
+                  [axiom(AX, rconc.add_cons(eq), {"phi": eq})])
+    d = cut(left, right, ab)
+    with pytest.raises(CutEliminationError, match="^stuck cut at root: "):
         eliminate_cuts(d)
+    r = prove(d.conclusion, SearchConfig(max_depth=24))
+    assert isinstance(r, Unknown) and r.report["bound"] == "saturated"
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +290,7 @@ def test_degenerate_witness_cut_is_redundant():
     right = infer(DIA_R, rconc,
                   {"i": "j", "a": "a", "phi": Prop("p"), "j": "k"}, [rax])
     d = cut(left, right, phi)
-    out, trace = _run(d, expect_fallbacks=0)
+    out, trace = _run(d)
     assert trace[0].kind == "redundant-left"
 
 
@@ -299,7 +330,7 @@ def test_right_right_family_uses_the_substitution_bridge():
                   {"i": "i", "j": "m", "phi": Diamond("a", Nominal("x"))},
                   [rclose])
     d = cut(left, right, phi)
-    out, trace = _run(d, expect_fallbacks=0)
+    out, trace = _run(d)
     assert any(ev.kind == "right-right-s2" for ev in trace)
 
 
@@ -365,8 +396,7 @@ def test_cut_positions_agree_with_a_plain_walk(seed):
 
 
 def test_cut_positions_agree_with_a_plain_walk_on_criterion_5(monkeypatch):
-    # every derivation the elimination loop passes through, fallback
-    # re-proofs included
+    # every derivation the elimination loop passes through
     seen = []
     reduce = cutelim.reduce_once
 

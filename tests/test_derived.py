@@ -153,6 +153,12 @@ def test_transfer_with_comparison_uses_cut():
     d = transfer(goal, "i", "j", phi)
     assert check_derivation(d) == []
     assert CUT in d.rules_used()
+    # the evidence of jump-headed paths is the same at i and j: no cut
+    phi = Compare(Jump("k"), CmpKind.EQ, "c", concat(Jump("k"), Atom("a")))
+    goal = sequent({At("i", Nominal("j")), At("i", phi)}, {At("j", phi)})
+    d = transfer(goal, "i", "j", phi)
+    assert check_derivation(d) == []
+    assert CUT not in d.rules_used()
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,25 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from genutil import conclusion_for_rule, rand_derivation
+from genutil import (SIG, conclusion_for_rule, rand_derivation, rand_model,
+                     rand_path)
 from hxproof import jsonio
 from hxproof.cutelim import (
     cut_complexity, cut_height, rename_nominal_derivation,
 )
 from hxproof.kernel import (
-    AX, CMP_L, CUT, DIA_L, DIA_R, EQ_T,
+    AX, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
     IMP_L, LOGICAL_RULES, METAVAR_KINDS, NOM, OPEN, RULES, S1, S2, S3, WL,
     WR, Derivation, KernelError, PrincipalMissing, Sequent, ShapeViolation,
-    SideConditionViolated, Violation, axiom, check_derivation, cut,
+    SideConditionViolated, Violation, axiom, check_derivation, cut, evidence,
     freeze_inst, infer, is_restricted, open_leaf, premises, sequent, weaken,
     weaken_to,
 )
 from hxproof.goldens import reflexivity
+from hxproof.model import eval_node
 from hxproof.syntax import (
     At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    Test, eps,
+    Test, concat, dia, eps,
 )
 
 P, Q = Prop("p"), Prop("q")
@@ -145,14 +147,44 @@ def test_freshness_side_conditions():
 
 
 def test_cmp_rules_expand_path_evidence():
-    cm = Compare(Jump("m"), CmpKind.EQ, "c", Atom("b"))
-    goal = sequent({At("i", cm)}, ())
-    [prem] = premises(goal, CMP_L, {"i": "i", "alpha": Jump("m"),
-                                    "beta": Atom("b"), "kind": CmpKind.EQ,
-                                    "c": "c", "j": "u", "k": "v"})
-    assert At("i", At("m", Nominal("u"))) in prem.ante
-    assert At("i", Diamond("b", Nominal("v"))) in prem.ante
-    assert atcmp("u", "v") in prem.ante
+    # CmpL adds, and CmpR requires, @i <alpha> u with a head jump absorbed
+    # into the index and a head eps dropped; a jump after a step stays
+    ev_b = At("i", Diamond("b", Nominal("v")))
+    for alpha, ev in [
+        (Atom("a"), At("i", Diamond("a", Nominal("u")))),
+        (Jump("m"), At("m", Nominal("u"))),
+        (eps(), At("i", Nominal("u"))),
+        (concat(eps(), Jump("m")), At("m", Nominal("u"))),
+        (concat(Jump("m"), Jump("n"), Atom("a")),
+         At("n", Diamond("a", Nominal("u")))),
+        (concat(Atom("a"), Jump("m")),
+         At("i", Diamond("a", At("m", Nominal("u"))))),
+    ]:
+        assert evidence("i", alpha, "u") == ev
+        cm = At("i", Compare(alpha, CmpKind.EQ, "c", Atom("b")))
+        inst = {"i": "i", "alpha": alpha, "beta": Atom("b"),
+                "kind": CmpKind.EQ, "c": "c", "j": "u", "k": "v"}
+        [prem] = premises(sequent({cm}, ()), CMP_L, inst)
+        assert prem.ante == {ev, ev_b, atcmp("u", "v")}
+        [prem] = premises(sequent({ev, ev_b}, {cm}), CMP_R, inst)
+        assert prem.cons == {cm, atcmp("u", "v")}
+        with pytest.raises(PrincipalMissing):
+            premises(sequent({ev_b}, {cm}), CMP_R, inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_evidence_agrees_with_the_unnormalized_formula(seed):
+    # the normalization is sound: @i @m psi is @m psi (Agree) and
+    # @i (true & psi) is @i psi, in every model
+    rng = random.Random(seed)
+    alpha = concat(*(rand_path(rng, SIG, 1) for _ in range(rng.randint(1, 3))))
+    i, x = rng.choice(SIG["noms"]), rng.choice(SIG["noms"])
+    m = rand_model(rng, max_nodes=3)
+    raw = At(i, dia(alpha, Nominal(x)))
+    ev = evidence(i, alpha, x)
+    for n in sorted(m.nodes):
+        assert eval_node(m, n, ev) == eval_node(m, n, raw), (alpha, m)
 
 
 def test_diar_requires_witness_step():
@@ -278,8 +310,8 @@ def test_heights():
     ax1 = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
     assert ax1.height == 1
     assert weaken(ax1, "left", At("j", Q)).height == 2
-    # the transcribed reflexivity tree: two nested lemma branches
-    assert reflexivity().height == 9
+    # the reflexivity tree: AtT, CmpR, EqT, Ax
+    assert reflexivity().height == 4
 
 
 def test_infer_rejects_wrong_children():

@@ -12,14 +12,13 @@ from hxproof.goldens import (nom2_golden, paste_template, prove_axiom_suite,
                              transitivity)
 from hxproof.kernel import (
     AT_5, AT_T, CMP_R, CUT, DIA_R, EQ_5, EQ_T, LOGICAL_RULES, S1, S2, S3,
-    check_derivation, premises, s1_shape, sequent,
+    check_derivation, evidence, premises, s1_shape, sequent,
 )
 from hxproof.model import check_sequent_validity, find_countermodel
 from hxproof.search import (Proved, Refuted, SearchConfig, Unknown, invert,
                             prove)
 from hxproof.syntax import (
     BOT, At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    Test, dia, top,
 )
 
 CFG = SearchConfig(max_depth=16, countermodel_nodes=2)
@@ -76,9 +75,9 @@ def test_prove_unknown_without_countermodel():
 
 def test_unknown_names_the_bound_hit():
     # valid: the last antecedent member never holds, but the proof needs
-    # more than the default depth
-    s = seq("@i (<eps !=c eps> -> <a>p), @j @k @i q, @k <a !=c (false?)> "
-            "|- @i ~(j -> k)")
+    # more than the default depth (13 steps)
+    s = seq("@i (<eps !=c eps> -> <a>p), @j @k @i @k @i q, "
+            "@k <a !=c (false?)> |- @i (p -> q -> ~(j -> k))")
     r = prove(s)
     assert isinstance(r, Unknown) and r.report["bound"] == "depth"
     assert r.report["countermodel_nodes"] == SearchConfig().countermodel_nodes
@@ -270,12 +269,12 @@ def oracle_closure_move(seq, cfg):
     return None
 
 
-def oracle_witness_move(seq, cfg, fired):
+def oracle_witness_move(seq, cfg, fired, dia_ok=True):
     """Right witness rules, found by building each candidate premise."""
     noms = sorted(seq.nominals())
     for e in seq.sorted_cons:
         match e:
-            case At(i, Diamond(a, phi)) if cfg.allows(DIA_R):
+            case At(i, Diamond(a, phi)) if dia_ok and cfg.allows(DIA_R):
                 for j in noms:
                     key = (DIA_R, e, j)
                     if At(i, Diamond(a, Nominal(j))) in seq.ante \
@@ -284,10 +283,10 @@ def oracle_witness_move(seq, cfg, fired):
                         return (DIA_R, {"i": i, "a": a, "phi": phi, "j": j}), key
             case At(i, Compare(alpha, kind, c, beta)) if cfg.allows(CMP_R):
                 for x in noms:
-                    if At(i, dia(alpha, Nominal(x))) not in seq.ante:
+                    if evidence(i, alpha, x) not in seq.ante:
                         continue
                     for y in noms:
-                        if At(i, dia(beta, Nominal(y))) not in seq.ante:
+                        if evidence(i, beta, y) not in seq.ante:
                             continue
                         key = (CMP_R, e, x, y)
                         added = Compare(Jump(x), kind, c, Jump(y))
@@ -300,59 +299,17 @@ def oracle_witness_move(seq, cfg, fired):
     return None
 
 
-def oracle_evidence_cut_move(seq, cfg, fired):
-    """Evidence-assembly cuts, found by building each candidate evidence."""
-    if not cfg.allow_evidence_cuts or not cfg.allows(CMP_R):
-        return None
-    epsilon = Test(top())
-    noms = sorted(seq.nominals())
-    for e in seq.sorted_cons:
-        if not (isinstance(e, At) and isinstance(e.body, Compare)):
-            continue
-        i0, cmp_ = e.nom, e.body
-        pieces = []
-        ok = True
-        for comp in (cmp_.left, cmp_.right):
-            if any(At(i0, dia(comp, Nominal(x))) in seq.ante for x in noms):
-                continue
-            piece = None
-            if comp == epsilon:
-                for x in noms:
-                    if At(i0, Nominal(x)) in seq.ante:
-                        piece = ("eps", x, At(i0, dia(epsilon, Nominal(x))))
-                        break
-            else:
-                m, rest = search._jump_head(comp)
-                if m is not None:
-                    for x in noms:
-                        inner = At(m, Nominal(x)) if rest is None \
-                            else At(m, dia(rest, Nominal(x)))
-                        if inner in seq.ante:
-                            piece = ("wrap", inner, At(i0, inner))
-                            break
-            if piece is None:
-                ok = False
-                break
-            pieces.append(piece)
-        if ok and pieces:
-            key = ("Ev", e, tuple(p[2] for p in pieces))
-            if key not in fired and all(p[2] not in seq.ante for p in pieces):
-                return pieces, key
-    return None
-
-
-def _moves(seq, cfg, fired):
-    """(closure, witness, evidence cut) moves of the search's finders."""
-    shape, evidence = search._Shape(seq), search._Evidence()
+def _moves(seq, cfg, fired, dia_ok=True):
+    """(closure, witness) moves of the search's finders."""
+    shape = search._Shape(seq)
     return (search._closure_move(shape, cfg),
-            search._witness_move(seq, cfg, fired, shape, evidence),
-            search._evidence_cut_move(seq, cfg, fired, shape, evidence))
+            search._witness_move(seq, cfg, fired, shape, search._Evidence(),
+                                 dia_ok))
 
 
-def _oracle_moves(seq, cfg, fired):
+def _oracle_moves(seq, cfg, fired, dia_ok=True):
     return (oracle_closure_move(seq, cfg),
-            oracle_witness_move(seq, cfg, fired),
-            oracle_evidence_cut_move(seq, cfg, fired))
+            oracle_witness_move(seq, cfg, fired, dia_ok))
 
 
 # two modalities and two comparisons, so that the order in which the
@@ -378,7 +335,7 @@ def _rand_atoms(rng, count):
 def _rand_goals(rng, count):
     """Right diamonds and comparisons, the principals of the witness rules,
     and left evidence for some of the comparisons' paths."""
-    goals, evidence = [], []
+    goals, ev = [], []
     for _ in range(count):
         i = rng.choice(SIG2["noms"])
         if rng.random() < 0.5:
@@ -389,31 +346,33 @@ def _rand_goals(rng, count):
             for path in (body.left, body.right):
                 for x in SIG2["noms"]:
                     if rng.random() < 0.4:
-                        evidence.append(At(i, dia(path, Nominal(x))))
+                        ev.append(evidence(i, path, x))
         goals.append(At(i, body))
-    return goals, evidence
+    return goals, ev
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9), st.booleans())
 def test_move_finders_agree_with_formula_building_oracles(seed, restrict):
     # walk a saturation from a random sequent with extra atoms, comparing
-    # the three finders at every step, with some rules disallowed half the
-    # time so every later rule gets to be the first applicable one
+    # the two finders at every step, with some rules disallowed half the
+    # time so every later rule gets to be the first applicable one, and
+    # now and then with DiaR out of depth
     rng = random.Random(seed)
     s = rand_sequent(rng, SIG2, max_side=2, depth=1)
     s = s.add_ante(*_rand_atoms(rng, rng.randint(0, 8)))
-    goals, evidence = _rand_goals(rng, rng.randint(0, 2))
-    s = s.add_ante(*evidence).add_cons(*goals)
+    goals, ev = _rand_goals(rng, rng.randint(0, 2))
+    s = s.add_ante(*ev).add_cons(*goals)
     rules = set(LOGICAL_RULES)
     if restrict:
         rules -= set(rng.sample(sorted(search.CLOSURE_RULES), 3))
     cfg = SearchConfig(allowed_rules=frozenset(rules))
     fired = set()
     for _ in range(40):
-        got = _moves(s, cfg, fired)
-        assert got == _oracle_moves(s, cfg, fired)
-        closure, witness, _ = got
+        dia_ok = rng.random() < 0.8
+        got = _moves(s, cfg, fired, dia_ok)
+        assert got == _oracle_moves(s, cfg, fired, dia_ok)
+        closure, witness = got
         if witness is not None:
             (rule, inst), key = witness
             fired.add(key)
@@ -425,18 +384,18 @@ def test_move_finders_agree_with_formula_building_oracles(seed, restrict):
 
 
 def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
-    # criterion 6's draw; the witness finders are checked with the arguments
-    # search passes them, and all three finders on every sequent it visits
+    # criterion 6's draw; the witness finder is checked with the arguments
+    # search passes it, and both finders on every sequent it visits
     visited, calls = [], []
-    for name, oracle in (("_witness_move", oracle_witness_move),
-                         ("_evidence_cut_move", oracle_evidence_cut_move)):
-        def checked(seq, cfg, fired, shape, evidence, _name=name,
-                    _oracle=oracle, _real=getattr(search, name)):
-            got = _real(seq, cfg, fired, shape, evidence)
-            assert got == _oracle(seq, cfg, fired), seq
-            calls.append(_name)
-            return got
-        monkeypatch.setattr(search, name, checked)
+    witness_move = search._witness_move
+
+    def checked(seq, cfg, fired, shape, evidence, dia_ok):
+        got = witness_move(seq, cfg, fired, shape, evidence, dia_ok)
+        assert got == oracle_witness_move(seq, cfg, fired, dia_ok), seq
+        calls.append(dia_ok)
+        return got
+
+    monkeypatch.setattr(search, "_witness_move", checked)
     try_close = search._try_close
     monkeypatch.setattr(search, "_try_close",
                         lambda seq: visited.append(seq) or try_close(seq))
@@ -446,7 +405,7 @@ def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
     for _ in range(500):
         prove(rand_sequent(rng, SIG, max_side=3, depth=2), cfg)
     assert len(visited) > 2000
-    assert set(calls) == {"_witness_move", "_evidence_cut_move"}
+    assert set(calls) == {True, False}
     monkeypatch.undo()
     for s in visited:
         assert _moves(s, cfg, frozenset()) == _oracle_moves(s, cfg, frozenset())
