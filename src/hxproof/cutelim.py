@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import total_ordering
 
-from .derived import crossed, exactly
+from .derived import crossed
 from .kernel import (
     AX, BOT_RULE, CUT, DIA_R, METAVAR_KINDS, RULES, S2, WL, WR,
     Derivation, KernelError, Sequent, SideConditionViolated, added, axiom,
@@ -31,6 +31,10 @@ from .syntax import (
     At, Bottom, Diamond, Nominal,
     fresh_nominals, print_node, rename_nominal, size,
 )
+
+
+# a guard only: each reduction step lowers the cut measure
+MAX_REDUCE_STEPS = 200000
 
 
 class CutEliminationError(KernelError):
@@ -358,7 +362,7 @@ def _principal_pair(node, scope_noms):
         introduced.append(cut_complexity(cur))
     # event kinds name the connective: principal-imp, -at, -dia, -cmp, -neq
     kind = "principal-" + right.rule.removesuffix("L").lower()
-    return exactly(cur, node.conclusion), introduced, kind
+    return weaken_to(cur, node.conclusion), introduced, kind
 
 
 def _family_dia_required(node):
@@ -377,7 +381,7 @@ def _family_dia_required(node):
     s2_concl = bridged.conclusion.drop_ante(phi)
     s2_node = infer(S2, s2_concl, {"i": i, "j": w, "k": x, "a": a}, [bridged])
     cut2 = cut(cut1, s2_node, step_formula)
-    out = exactly(cut2, node.conclusion)
+    out = weaken_to(cut2, node.conclusion)
     return out, [cut_complexity(cut1), cut_complexity(cut2)], "right-right-s2"
 
 
@@ -408,14 +412,14 @@ def reduce_once(d):
     return d.replace(path, replacement), event
 
 
-def eliminate_cuts(d, trace=None, max_steps=200000):
+def eliminate_cuts(d, trace=None):
     """Iterate reduce_once to a cut-free derivation of the same end-sequent.
 
     Each step is local and lowers the cut measure; a cut with no local
     reduction raises CutStuck (a CutEliminationError) instead.
     """
     end = d.conclusion
-    for _ in range(max_steps):
+    for _ in range(MAX_REDUCE_STEPS):
         if not d.cuts:
             if d.conclusion != end:
                 raise CutEliminationError("end-sequent changed")

@@ -208,17 +208,9 @@ def transfer(goal, i, j, phi):
                 for t in reversed(range(len(moved))):
                     e, base = moved[t], s.add_ante(*moved[:t])
                     d = cut(transfer(base.add_cons(e), i, j, e.body), d, e)
-                return exactly(d, s)
+                return weaken_to(d, s)
             return step(CMP_L, goal, inst, [after_cmpl])
     raise MacroError(f"transfer: unexpected expression {print_node(phi)}")
-
-
-def exactly(d, want):
-    if d.conclusion != want:
-        if d.conclusion.issubset(want):
-            return weaken_to(d, want)
-        raise MacroError(f"built {d.conclusion}, wanted {want}")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +224,7 @@ def top_left(goal, i):
     def after_impr(s):
         return axiom(BOT_RULE, s, {"i": i})
     lemma = step(IMP_R, lemma_goal, {"i": i, "phi": BOT, "psi": BOT}, [after_impr])
-    return exactly(cut(lemma, open_leaf(goal.add_ante(t)), t), goal)
+    return weaken_to(cut(lemma, open_leaf(goal.add_ante(t)), t), goal)
 
 
 def and_left(goal, i, phi, psi):
@@ -325,7 +317,7 @@ def cmp_flip(goal, x, kind, c, y):
             return step(EQ_T, s2_, {"i": y, "c": c}, [after_eqt])
         return step(NEQ_L, s, {"i": x, "j": y, "c": c}, [after_neql])
     lemma = step(NEQ_R, lemma_goal, {"i": y, "j": x, "c": c}, [after_neqr])
-    return exactly(cut(lemma, open_leaf(declared), flipped), goal)
+    return weaken_to(cut(lemma, open_leaf(declared), flipped), goal)
 
 
 # ---------------------------------------------------------------------------

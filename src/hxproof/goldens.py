@@ -10,7 +10,7 @@ applications only and pass the kernel check.
 from __future__ import annotations
 
 from .derived import (
-    and_left, and_right, axg, cmp_flip, cmp_tauto, exactly, iff_right, step,
+    and_left, and_right, axg, cmp_flip, cmp_tauto, iff_right, step,
 )
 from .hylo import simulate_reference_rule
 from .kernel import (
@@ -189,10 +189,10 @@ def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ
                           "psi": chi},
                          [lambda s: axg(s, i, conj(At(j, step_atom), kpath_cmp)),
                           lambda s: axg(s, i, chi)])
-            return exactly(cut(lhs_d, rhs_d, inner_cut),
-                           sequent({cut_expr}, {At(i, chi)}))
+            return weaken_to(cut(lhs_d, rhs_d, inner_cut),
+                             sequent({cut_expr}, {At(i, chi)}))
 
-        return exactly(cut(left, right_branch(), cut_expr), s4)
+        return weaken_to(cut(left, right_branch(), cut_expr), s4)
 
     return step(IMP_R, root, {"i": i, "phi": lhs, "psi": chi}, [p1])
 

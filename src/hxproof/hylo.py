@@ -2,26 +2,22 @@
 
 Restricting sequents to @-prefixed formulas without data comparisons and
 dropping every comparison rule yields a complete calculus for the basic
-hybrid language. This module provides the fragment test, proof search under
-the restricted rule set, and simulations of the reference calculus's rules
-(Ref, Nom1, Nom2, BoxL1, BoxR, AndL, AndR) as derived-rule fragments.
+hybrid language. This module provides the fragment test, proof search on
+fragment goals, and simulations of the reference calculus's rules (Ref,
+Nom1, Nom2, BoxL1, BoxR, AndL, AndR) as derived-rule fragments.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .derived import and_left, and_right, exactly, step, transfer
+from .derived import and_left, and_right, step, transfer
 from .kernel import (
-    ALL_RULES, AT_T, COMPARISON_RULES, DIA_L, DIA_R, IMP_L, IMP_R, S1,
-    KernelError, Sequent, axiom, cut, infer, open_leaf, sequent, weaken,
-    weaken_to,
+    AT_T, DIA_L, DIA_R, IMP_L, IMP_R, S1, KernelError, Sequent, axiom, cut,
+    infer, open_leaf, sequent, weaken, weaken_to,
 )
+from .search import prove
 from .syntax import (
     At, BOT, Compare, Diamond, Nominal, neg, subexpressions,
 )
-
-HYLO_RULES = frozenset(ALL_RULES) - COMPARISON_RULES
 
 
 class FragmentError(KernelError):
@@ -36,13 +32,12 @@ def is_hylo(obj):
 
 
 def prove_hylo(goal, cfg=None):
-    """Proof search restricted to the comparison-free rule set."""
-    from .search import SearchConfig, prove
+    """Proof search on a comparison-free goal. No comparison rule has an
+    atom to act on in such a goal or in any premiss search reaches from it,
+    so every derivation found stays in the fragment."""
     if not is_hylo(goal):
         raise FragmentError("goal mentions data comparisons")
-    cfg = cfg or SearchConfig()
-    return prove(goal, replace(
-        cfg, allowed_rules=frozenset(cfg.allowed_rules) & HYLO_RULES))
+    return prove(goal, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +64,8 @@ def _sim_nom1(goal, inst):
     inner_left = weaken_to(open_leaf(open2), open2.add_ante(alias).add_cons(target))
     closed = transfer(
         sequent(goal.ante | {alias, carrier}, goal.cons), i, j, phi)
-    inner = exactly(cut(inner_left, closed, carrier), goal.add_ante(alias))
-    return exactly(cut(left1, inner, alias), goal)
+    inner = weaken_to(cut(inner_left, closed, carrier), goal.add_ante(alias))
+    return weaken_to(cut(left1, inner, alias), goal)
 
 
 def _sim_nom2(goal, inst):
@@ -89,8 +84,8 @@ def _sim_nom2(goal, inst):
     inner3 = weaken(weaken(open_leaf(open3), "left", stepped), "left", alias)
     s1_node = infer(S1, s1_goal, {"i": i, "j": j, "phi": Diamond(a, Nominal(k))},
                     [inner3])
-    inner_cut = exactly(cut(left2, s1_node, stepped), goal.add_ante(alias))
-    return exactly(cut(open_leaf(open1), inner_cut, alias), goal)
+    inner_cut = weaken_to(cut(left2, s1_node, stepped), goal.add_ante(alias))
+    return weaken_to(cut(open_leaf(open1), inner_cut, alias), goal)
 
 
 def _sim_box_l1(goal, inst):
@@ -120,7 +115,7 @@ def _sim_box_l1(goal, inst):
 
     body = after_cut(goal.add_ante(stepped))
     left = weaken(open_leaf(open1), "left", principal)
-    return exactly(cut(left, body, stepped), goal)
+    return weaken_to(cut(left, body, stepped), goal)
 
 
 def _sim_box_r(goal, inst):

@@ -28,10 +28,6 @@ class UnknownNode(ModelError):
     pass
 
 
-class UnassignedNominal(ModelError):
-    pass
-
-
 def _partition_from_classes(nodes, classes):
     """Normalize a list of blocks into a node -> class-id map over `nodes`."""
     class_of = {}
@@ -59,7 +55,6 @@ class HybridDataModel:
     cmp_class: dict       # comparison symbol -> {node: class id}
     g: dict               # nominal -> node (partial; see default_node)
     val: dict             # prop symbol -> frozenset of nodes
-    strict_nominals: bool = False
     default_node: str = field(default=None)
 
     def __post_init__(self):
@@ -80,7 +75,7 @@ class HybridDataModel:
                     raise UnknownNode(f"valuation of {p} uses unknown node")
 
     @staticmethod
-    def make(nodes, rels=None, cmps=None, g=None, val=None, strict_nominals=False):
+    def make(nodes, rels=None, cmps=None, g=None, val=None):
         """Build from plain collections; `cmps` maps symbol -> list of blocks."""
         nodes = frozenset(nodes)
         cmp_class = {c: _partition_from_classes(nodes, blocks)
@@ -91,19 +86,13 @@ class HybridDataModel:
                   for a, pairs in (rels or {}).items()},
             cmp_class=cmp_class,
             g=dict(g or {}),
-            val={p: frozenset(ns) for p, ns in (val or {}).items()},
-            strict_nominals=strict_nominals)
+            val={p: frozenset(ns) for p, ns in (val or {}).items()})
 
     # -- component access -------------------------------------------------
 
     def node_of(self, nominal):
         """Total nominal assignment; unplaced nominals go to the default node."""
-        try:
-            return self.g[nominal]
-        except KeyError:
-            if self.strict_nominals:
-                raise UnassignedNominal(f"nominal {nominal!r} is unassigned") from None
-            return self.default_node
+        return self.g.get(nominal, self.default_node)
 
     def related(self, a, n, m):
         return (n, m) in self.rels.get(a, frozenset())
@@ -300,7 +289,7 @@ def model_to_json(model):
     }
 
 
-def model_from_json(d, strict_nominals=False):
+def model_from_json(d):
     def table(key, decode):
         return {k: decode(v, f"{key} {k!r}")
                 for k, v in _field(d, key, dict, "the model", {}).items()}
@@ -310,8 +299,7 @@ def model_from_json(d, strict_nominals=False):
         rels=table("rels", lambda v, what: [tuple(p) for p in _lists(v, what, 2)]),
         cmps=table("cmp", _lists),
         g=table("g", _name),
-        val=table("val", _names),
-        strict_nominals=strict_nominals)
+        val=table("val", _names))
 
 
 # Malformed model and graph files raise ModelError, one message each.

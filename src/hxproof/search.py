@@ -13,23 +13,22 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .derived import crossed, exactly, identity, step
+from .derived import crossed, identity, step
 from .kernel import (
-    ALL_RULES, AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L,
-    DIA_R, EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1, S2, S3,
-    Derivation, KernelError, Sequent, added, ax_shape, axiom,
-    check_derivation, cut, dual, evidence, infer, premises, principal,
-    s1_shape, weaken_to,
+    AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R, EQ_5,
+    EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1, S2, S3, Derivation,
+    KernelError, Sequent, added, axiom, check_derivation, cut, dual,
+    evidence, infer, premises, principal, weaken_to,
 )
 from .model import HybridDataModel, check_sequent_validity, find_countermodel
 from .syntax import (
-    At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal,
+    At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
     fresh_nominals,
 )
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds and rule restrictions for backward search.
+    """Bounds for backward search.
 
     `max_depth` counts decomposition, branching, fresh-nominal and DiaR
     witness steps along a branch. Closure saturation, CmpR witness steps and
@@ -42,10 +41,6 @@ class SearchConfig:
     max_fresh_nominals: int = 4
     enable_countermodel: bool = True
     countermodel_nodes: int = 3
-    allowed_rules: frozenset = frozenset(ALL_RULES)
-
-    def allows(self, rule):
-        return rule in self.allowed_rules
 
 
 @dataclass(frozen=True)
@@ -70,89 +65,104 @@ class Unknown:
 # Search engine
 # ---------------------------------------------------------------------------
 
-def _try_close(seq):
-    for e in seq.sorted_ante:
-        if e in seq.cons and ax_shape(e):
-            return axiom(AX, seq, {"phi": e})
-    for e in seq.sorted_ante:
-        match e:
-            case At(i, Bottom()):
-                return axiom(BOT_RULE, seq, {"i": i})
-            case _:
-                pass
-    return None
-
-
-def _decomposition_move(seq, cfg):
-    """First applicable invertible non-branching decomposition."""
-    for e in seq.sorted_ante:
-        match e:
-            case Compare(Jump(i), CmpKind.NEQ, c, Jump(j)) if cfg.allows(NEQ_L):
-                return NEQ_L, {"i": i, "j": j, "c": c}
-            case At(j, At(i, phi)) if cfg.allows(AT_L):
-                return AT_L, {"j": j, "i": i, "phi": phi}
-            case _:
-                pass
-    for e in seq.sorted_cons:
-        match e:
-            case Compare(Jump(i), CmpKind.NEQ, c, Jump(j)) if cfg.allows(NEQ_R):
-                return NEQ_R, {"i": i, "j": j, "c": c}
-            case At(j, At(i, phi)) if cfg.allows(AT_R):
-                return AT_R, {"j": j, "i": i, "phi": phi}
-            case At(i, Implies(phi, psi)) if cfg.allows(IMP_R):
-                return IMP_R, {"i": i, "phi": phi, "psi": psi}
-            case _:
-                pass
-    return None
-
-
 CLOSURE_RULES = (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)
 # moves the depth bound does not count (see SearchConfig)
 FREE_RULES = frozenset(CLOSURE_RULES + (NEQ_L, NEQ_R))
 
 
-class _Shape:
-    """The antecedent atoms of one sequent, indexed by their names.
+class _Index:
+    """What the move finders need of one sequent, from one match of each
+    member, in print-key order.
 
-    Built in one pass over `sorted_ante`, so that a move finder asks whether
-    a candidate formula is present with a tuple lookup instead of building
-    the formula. `aliases` holds (i, k) for each @i k, `bodies` (j, phi) for
-    each @j phi, `steps` (i, a, k) for each @i <a>k and `eqs` (i, c, j) for
-    each <i: =c j:>. The lists keep print-key order, so the finders visit
-    candidates in the order of a scan over `sorted_ante`.
+    `closing` is the first axiom instance (Ax before Bot), `decomposition`
+    the first invertible non-branching decomposition (antecedent before
+    consequent) and `branch` the first left implication, each a (rule,
+    instantiation) pair or None. `fresh` holds (cost, rule, parts) for each
+    left diamond or comparison, cost being the fresh nominals it needs, and
+    `goals` (rule, member, parts) for each right diamond or comparison. The
+    antecedent atoms are kept by name, so that a finder asks whether a
+    candidate is present without building it: `aliases` holds (i, k) for
+    each @i k, `eqs` (i, c, j) for each <i: =c j:>, `aliases_of[i]` each k,
+    `eqs_from[i]` each (c, j), `bodies_of[j]` each phi of an @j phi that S1
+    may substitute and `steps_into[k]` each (i, a) of an @i <a>k.
     """
 
-    __slots__ = ("noms", "cmps", "aliases", "bodies", "steps", "eqs",
-                 "alias_list", "eq_list", "aliases_of", "bodies_of",
-                 "steps_into", "eqs_from")
+    __slots__ = ("seq", "noms", "cmps", "closing", "decomposition", "branch",
+                 "fresh", "goals", "aliases", "eqs", "aliases_of", "eqs_from",
+                 "bodies_of", "steps_into")
 
     def __init__(self, seq):
-        cmps = {e.cmp for e in seq.sorted_cons if isinstance(e, Compare)}
-        bodies, steps, alias_list, eq_list = set(), set(), [], []
+        cons = seq.cons
+        ax = bot = ante_dec = cons_dec = branch = None
+        cmps, aliases, eqs, fresh, goals = set(), [], [], [], []
         aliases_of, bodies_of, steps_into, eqs_from = (
             defaultdict(list) for _ in range(4))
         for e in seq.sorted_ante:
-            if isinstance(e, At):
-                i, phi = e.nom, e.body
-                bodies.add((i, phi))
-                bodies_of[i].append(phi)
-                if isinstance(phi, Nominal):
-                    alias_list.append((i, phi.name))
-                    aliases_of[i].append(phi.name)
-                elif isinstance(phi, Diamond) and isinstance(phi.body, Nominal):
-                    steps.add((i, phi.mod, phi.body.name))
-                    steps_into[phi.body.name].append((i, phi.mod))
-            else:                           # <i: ^c j:>, by the sequent's shape
-                cmps.add(e.cmp)
-                if e.kind is CmpKind.EQ:
-                    eq_list.append((e.left.nom, e.cmp, e.right.nom))
-                    eqs_from[e.left.nom].append((e.cmp, e.right.nom))
+            match e:
+                case At(i, phi):
+                    match phi:
+                        case Nominal(k):
+                            aliases.append((i, k))
+                            aliases_of[i].append(k)
+                            if ax is None and e in cons:
+                                ax = e
+                        case Diamond(a, Nominal(k)):
+                            bodies_of[i].append(phi)
+                            steps_into[k].append((i, a))
+                        case Prop():
+                            bodies_of[i].append(phi)
+                            if ax is None and e in cons:
+                                ax = e
+                        case Implies(psi, chi):
+                            if branch is None:
+                                branch = IMP_L, {"i": i, "phi": psi, "psi": chi}
+                        case Diamond(a, psi):
+                            fresh.append((1, DIA_L, (i, a, psi)))
+                        case At(k, psi):
+                            if ante_dec is None:
+                                ante_dec = AT_L, {"j": i, "i": k, "phi": psi}
+                        case Compare(alpha, kind, c, beta):
+                            fresh.append((2, CMP_L, (i, alpha, beta, kind, c)))
+                        case Bottom():
+                            bodies_of[i].append(phi)
+                            if bot is None:
+                                bot = i
+                case Compare(Jump(i), kind, c, Jump(j)):
+                    cmps.add(c)
+                    if kind is CmpKind.EQ:
+                        eqs.append((i, c, j))
+                        eqs_from[i].append((c, j))
+                        if ax is None and e in cons:
+                            ax = e
+                    elif ante_dec is None:
+                        ante_dec = NEQ_L, {"i": i, "j": j, "c": c}
+        for e in seq.sorted_cons:
+            match e:
+                case At(i, phi):
+                    match phi:
+                        case At(k, psi):
+                            if cons_dec is None:
+                                cons_dec = AT_R, {"j": i, "i": k, "phi": psi}
+                        case Implies(psi, chi):
+                            if cons_dec is None:
+                                cons_dec = IMP_R, {"i": i, "phi": psi, "psi": chi}
+                        case Diamond(a, psi):
+                            goals.append((DIA_R, e, (i, a, psi)))
+                        case Compare(alpha, kind, c, beta):
+                            goals.append((CMP_R, e, (i, alpha, beta, kind, c)))
+                case Compare(Jump(i), kind, c, Jump(j)):
+                    cmps.add(c)
+                    if kind is CmpKind.NEQ and cons_dec is None:
+                        cons_dec = NEQ_R, {"i": i, "j": j, "c": c}
+        self.seq = seq
         self.noms, self.cmps = sorted(seq.nominals()), sorted(cmps)
-        self.aliases, self.bodies = set(alias_list), bodies
-        self.steps, self.eqs = steps, set(eq_list)
-        self.alias_list, self.eq_list = alias_list, eq_list
-        self.aliases_of, self.bodies_of = aliases_of, bodies_of
-        self.steps_into, self.eqs_from = steps_into, eqs_from
+        self.closing = ((AX, {"phi": ax}) if ax is not None else
+                        (BOT_RULE, {"i": bot}) if bot is not None else None)
+        self.decomposition = ante_dec or cons_dec
+        self.branch, self.fresh, self.goals = branch, fresh, goals
+        self.aliases, self.eqs = aliases, eqs
+        self.aliases_of, self.eqs_from = aliases_of, eqs_from
+        self.bodies_of, self.steps_into = bodies_of, steps_into
 
 
 class _Evidence(dict):
@@ -166,115 +176,91 @@ class _Evidence(dict):
         return e
 
 
-def _closure_move(shape, cfg):
-    """First closure-rule instance whose added atom is genuinely new, in the
-    sequent indexed by `shape`.
+def _closure_moves(ix):
+    """Every closure-rule instance whose added atom is genuinely new, in the
+    sequent indexed by `ix`, in CLOSURE_RULES order.
 
-    Rules fire in CLOSURE_RULES order; since each instance fires at most
-    once (the added atom marks it as done) the saturation reaches the same
-    fixpoint under any order.
+    Search takes the first; since each instance fires at most once (the
+    added atom marks it as done) the saturation reaches the same fixpoint
+    under any order.
     """
-    for rule in filter(cfg.allows, CLOSURE_RULES):
-        if rule == AT_T:
-            for i in shape.noms:
-                if (i, i) not in shape.aliases:
-                    return AT_T, {"i": i}
-        elif rule == EQ_T:
-            for i in shape.noms:
-                for c in shape.cmps:
-                    if (i, c, i) not in shape.eqs:
-                        return EQ_T, {"i": i, "c": c}
-        elif rule == AT_5:
-            for i, j in shape.alias_list:
-                for k in shape.aliases_of[i]:
-                    if (j, k) not in shape.aliases:
-                        return AT_5, {"i": i, "j": j, "k": k}
-        elif rule == S1:
-            for i, j in shape.alias_list:
-                for phi in shape.bodies_of[i]:
-                    if s1_shape(phi) and (j, phi) not in shape.bodies:
-                        return S1, {"i": i, "j": j, "phi": phi}
-        elif rule == S2:
-            for j, k in shape.alias_list:
-                for i, a in shape.steps_into[j]:
-                    if (i, a, k) not in shape.steps:
-                        return S2, {"i": i, "j": j, "k": k, "a": a}
-        elif rule == S3:
-            for i, j in shape.alias_list:
-                for c, k in shape.eqs_from[i]:
-                    if (j, c, k) not in shape.eqs:
-                        return S3, {"i": i, "j": j, "k": k, "c": c}
-        elif rule == EQ_5:
-            for i, c, j in shape.eq_list:
-                for c2, k in shape.eqs_from[i]:
-                    if c2 == c and (j, c, k) not in shape.eqs:
-                        return EQ_5, {"i": i, "j": j, "k": k, "c": c}
-    return None
+    aliases_of, eqs_from = ix.aliases_of, ix.eqs_from
+    for i in ix.noms:
+        if i not in aliases_of[i]:
+            yield AT_T, {"i": i}
+    for i, j in ix.aliases:
+        for k in aliases_of[i]:
+            if k not in aliases_of[j]:
+                yield AT_5, {"i": i, "j": j, "k": k}
+    for i, j in ix.aliases:
+        for phi in ix.bodies_of[i]:
+            if phi not in ix.bodies_of[j]:
+                yield S1, {"i": i, "j": j, "phi": phi}
+    for j, k in ix.aliases:
+        for i, a in ix.steps_into[j]:
+            if (i, a) not in ix.steps_into[k]:
+                yield S2, {"i": i, "j": j, "k": k, "a": a}
+    for i, j in ix.aliases:
+        for c, k in eqs_from[i]:
+            if (c, k) not in eqs_from[j]:
+                yield S3, {"i": i, "j": j, "k": k, "c": c}
+    for i in ix.noms:
+        for c in ix.cmps:
+            if (c, i) not in eqs_from[i]:
+                yield EQ_T, {"i": i, "c": c}
+    for i, c, j in ix.eqs:
+        for c2, k in eqs_from[i]:
+            if c2 == c and (c, k) not in eqs_from[j]:
+                yield EQ_5, {"i": i, "j": j, "k": k, "c": c}
 
 
-def _branch_move(seq, cfg):
-    if not cfg.allows(IMP_L):
-        return None
-    for e in seq.sorted_ante:
-        match e:
-            case At(i, Implies(phi, psi)):
-                return IMP_L, {"i": i, "phi": phi, "psi": psi}
-            case _:
-                pass
-    return None
-
-
-def _fresh_moves(seq, cfg, fresh_left):
-    """Left diamond / comparison decompositions, cheapest first."""
-    out = []
-    for e in seq.sorted_ante:
-        match e:
-            case At(i, Diamond(a, phi)) if not isinstance(phi, Nominal) \
-                    and cfg.allows(DIA_L) and fresh_left >= 1:
-                (j,) = fresh_nominals(1, seq.nominals())
-                out.append((DIA_L, {"i": i, "a": a, "phi": phi, "j": j}, 1))
-            case At(i, Compare(alpha, kind, c, beta)) if cfg.allows(CMP_L) \
-                    and fresh_left >= 2:
-                j, k = fresh_nominals(2, seq.nominals())
-                out.append((CMP_L, {"i": i, "alpha": alpha, "beta": beta,
-                                    "kind": kind, "c": c, "j": j, "k": k}, 2))
-            case _:
-                pass
-    return out
-
-
-def _witness_move(seq, cfg, fired, shape, evidence, dia_ok):
+def _witness_move(ix, fired, evidence, dia_ok):
     """Right witness rules; `fired` keys stop re-introduction loops. DiaR
     candidates are skipped unless `dia_ok` (the depth bound allows them)."""
-    for e in seq.sorted_cons:
-        match e:
-            case At(i, Diamond(a, phi)) if dia_ok and cfg.allows(DIA_R):
-                for j in shape.noms:
-                    if (i, a, j) not in shape.steps:
+    cons, ante = ix.seq.cons, ix.seq.ante
+    for rule, e, parts in ix.goals:
+        if rule == CMP_R:
+            i, alpha, beta, kind, c = parts
+            for x in ix.noms:
+                if evidence[i, alpha, x] not in ante:
+                    continue
+                for y in ix.noms:
+                    if evidence[i, beta, y] not in ante:
                         continue
-                    key = (DIA_R, e, j)
-                    if key not in fired and At(j, phi) not in seq.cons:
-                        return (DIA_R, {"i": i, "a": a, "phi": phi, "j": j}), key
-            case At(i, Compare(alpha, kind, c, beta)) if cfg.allows(CMP_R):
-                for x in shape.noms:
-                    if evidence[i, alpha, x] not in seq.ante:
-                        continue
-                    for y in shape.noms:
-                        if evidence[i, beta, y] not in seq.ante:
-                            continue
-                        key = (CMP_R, e, x, y)
-                        added = Compare(Jump(x), kind, c, Jump(y))
-                        if key not in fired and added not in seq.cons:
-                            return (CMP_R, {"i": i, "alpha": alpha,
-                                            "beta": beta, "kind": kind,
-                                            "c": c, "j": x, "k": y}), key
-            case _:
-                pass
+                    key = (CMP_R, e, x, y)
+                    if key not in fired and \
+                            Compare(Jump(x), kind, c, Jump(y)) not in cons:
+                        return CMP_R, {"i": i, "alpha": alpha, "beta": beta,
+                                       "kind": kind, "c": c, "j": x,
+                                       "k": y}, key
+        elif dia_ok:
+            i, a, phi = parts
+            for j in ix.noms:
+                key = (DIA_R, e, j)
+                if (i, a) in ix.steps_into[j] and key not in fired \
+                        and At(j, phi) not in cons:
+                    return DIA_R, {"i": i, "a": a, "phi": phi, "j": j}, key
     return None
 
 
-def _attempt(seq, depth_left, fresh_left, cfg, steps, evidence,
-             fired=frozenset()):
+def _fresh_move(ix, fresh_left):
+    """The first left diamond or comparison the fresh-nominal budget can
+    pay for, with its eigen-nominals drawn, and its cost; or None."""
+    for cost, rule, parts in ix.fresh:
+        if cost > fresh_left:
+            continue
+        if rule == DIA_L:
+            i, a, phi = parts
+            (j,) = fresh_nominals(1, ix.seq.nominals())
+            return DIA_L, {"i": i, "a": a, "phi": phi, "j": j}, cost
+        i, alpha, beta, kind, c = parts
+        j, k = fresh_nominals(2, ix.seq.nominals())
+        return CMP_L, {"i": i, "alpha": alpha, "beta": beta, "kind": kind,
+                       "c": c, "j": j, "k": k}, cost
+    return None
+
+
+def _attempt(seq, depth_left, fresh_left, steps, evidence, fired=frozenset()):
     """Search one branch; returns a closed derivation or None.
 
     `evidence` is the calling `prove`'s table of comparison evidence.
@@ -297,67 +283,49 @@ def _attempt(seq, depth_left, fresh_left, cfg, steps, evidence,
 
     while True:
         steps["visited"] += 1
-        closed = _try_close(cur)
-        if closed is not None:
-            return fold(closed)
-        shape = _Shape(cur)
+        ix = _Index(cur)
+        if ix.closing is not None:
+            rule, inst = ix.closing
+            return fold(axiom(rule, cur, inst))
 
         # witness rules are additive and invertible, so they can run before
         # the consuming decompositions: a comparison whose evidence is in the
         # antecedent is answered before the decompositions grow the sequent
-        wit = _witness_move(cur, cfg, fired, shape, evidence, depth_left > 0)
-        if wit is not None:
-            (rule, inst), key = wit
+        if wit := _witness_move(ix, fired, evidence, depth_left > 0):
+            rule, inst, key = wit
             fired.add(key)
             depth_left -= rule == DIA_R
-            trail.append((rule, inst, cur))
-            cur = premises(cur, rule, inst)[0]
-            continue
-
-        move = _decomposition_move(cur, cfg)
-        if move is None:
-            move = _closure_move(shape, cfg)
-        if move is not None:
+        elif move := ix.decomposition or next(_closure_moves(ix), None):
             rule, inst = move
             cost = rule not in FREE_RULES
             if cost and depth_left <= 0:
                 steps["bound"] = "depth"
                 return None
             depth_left -= cost
-            trail.append((rule, inst, cur))
-            cur = premises(cur, rule, inst)[0]
-            continue
-
-        if depth_left <= 0:
+        elif depth_left <= 0:
             steps["bound"] = "depth"
             return None
-
-        branch = _branch_move(cur, cfg)
-        if branch is not None:
-            rule, inst = branch
+        elif ix.branch is not None:
+            rule, inst = ix.branch
             p1, p2 = premises(cur, rule, inst)
-            left = _attempt(p1, depth_left - 1, fresh_left, cfg, steps,
-                            evidence, fired)
+            left = _attempt(p1, depth_left - 1, fresh_left, steps, evidence,
+                            fired)
             if left is None:
                 return None
-            right = _attempt(p2, depth_left - 1, fresh_left, cfg, steps,
-                             evidence, fired)
+            right = _attempt(p2, depth_left - 1, fresh_left, steps, evidence,
+                             fired)
             if right is None:
                 return None
             return fold(infer(rule, cur, inst, [left, right]))
-
-        fresh = _fresh_moves(cur, cfg, fresh_left)
-        if fresh:
-            rule, inst, spent = fresh[0]
+        elif fresh := _fresh_move(ix, fresh_left):
+            rule, inst, spent = fresh
             fresh_left -= spent
             depth_left -= 1
-            trail.append((rule, inst, cur))
-            cur = premises(cur, rule, inst)[0]
-            continue
-
-        steps["bound"] = ("fresh" if _fresh_moves(cur, cfg, float("inf"))
-                          else "saturated")
-        return None
+        else:
+            steps["bound"] = "fresh" if ix.fresh else "saturated"
+            return None
+        trail.append((rule, inst, cur))
+        cur = premises(cur, rule, inst)[0]
 
 
 def prove(goal, cfg=None):
@@ -368,7 +336,7 @@ def prove(goal, cfg=None):
     """
     cfg = cfg or SearchConfig()
     steps = {"visited": 0}
-    d = _attempt(goal, cfg.max_depth, cfg.max_fresh_nominals, cfg, steps,
+    d = _attempt(goal, cfg.max_depth, cfg.max_fresh_nominals, steps,
                  _Evidence())
     if d is not None:
         violations = check_derivation(d)
@@ -415,9 +383,9 @@ def invert(rule, d, inst):
                      for theirs in added(other, inst)])
 
     if side == "ante":
-        return [exactly(cut(closed(t.add_cons(p), mine), d, p), t)
+        return [weaken_to(cut(closed(t.add_cons(p), mine), d, p), t)
                 for t, mine in zip(targets, ours)]
     ((ante, cons),) = ours
     left = weaken_to(d, Sequent(concl.ante.union(ante), concl.cons.union(cons)))
     right = closed(Sequent.make([p, *ante], cons), ours[0])
-    return [exactly(cut(left, right, p), targets[0])]
+    return [weaken_to(cut(left, right, p), targets[0])]

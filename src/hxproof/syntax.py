@@ -439,17 +439,12 @@ def looks_nominal(name):
 
 
 class SymbolTable:
-    """Interned symbol spaces plus a fresh-nominal counter.
-
-    Fresh nominals come from the reserved `_n<k>` namespace, disjoint from
-    anything registered, so freshness side conditions are decidable locally.
-    """
+    """Interned symbol spaces."""
 
     SPACES = ("prop", "nom", "mod", "cmp")
 
     def __init__(self):
         self.space = {}
-        self._fresh_counter = 0
 
     def register(self, name, space):
         if space not in self.SPACES:
@@ -459,10 +454,6 @@ class SymbolTable:
             raise SymbolSpaceError(
                 f"symbol {name!r} used as both {prior} and {space}")
         self.space[name] = space
-        if space == "nom" and name.startswith(FRESH_PREFIX):
-            tail = name[len(FRESH_PREFIX):]
-            if tail.isdigit():
-                self._fresh_counter = max(self._fresh_counter, int(tail) + 1)
         return name
 
     def register_expr(self, e):
@@ -482,15 +473,6 @@ class SymbolTable:
                 case _:
                     pass
         return e
-
-    def fresh(self):
-        """A nominal not occurring in anything registered so far."""
-        while True:
-            cand = f"{FRESH_PREFIX}{self._fresh_counter}"
-            self._fresh_counter += 1
-            if cand not in self.space:
-                self.register(cand, "nom")
-                return cand
 
 
 def fresh_nominals(count, avoid):

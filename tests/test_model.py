@@ -11,7 +11,7 @@ from genutil import rand_model, rand_node, rand_sequent, SIG
 from hxproof import syntax as sx
 from hxproof.kernel import sequent
 from hxproof.model import (
-    DataGraph, HybridDataModel, ModelError, UnassignedNominal, UnknownNode,
+    DataGraph, HybridDataModel, ModelError, UnknownNode,
     check_sequent_validity, eval_box_compare, eval_node, eval_path,
     find_countermodel, ingest_datagraph, model_from_json, model_to_json,
     satisfies_set,
@@ -198,12 +198,9 @@ def test_ingest_rejects_duplicate_index():
         ingest_datagraph(dg)
 
 
-def test_strict_nominals_flag():
-    m = HybridDataModel.make(["x"], strict_nominals=True)
-    with pytest.raises(UnassignedNominal):
-        eval_node(m, "x", Nominal("ghost"))
-    m2 = HybridDataModel.make(["x", "y"])
-    assert eval_node(m2, min(m2.nodes), Nominal("ghost"))  # default node
+def test_unassigned_nominal_names_the_default_node():
+    m = HybridDataModel.make(["x", "y"])
+    assert eval_node(m, min(m.nodes), Nominal("ghost"))
 
 
 def test_model_json_roundtrip(example1):
@@ -345,7 +342,6 @@ def _scratch_model(nodes):
     m.cmp_class = {}
     m.g = {}
     m.val = {}
-    m.strict_nominals = False
     m.default_node = nodes[0]
     return m
 

@@ -11,8 +11,9 @@ from hxproof import syntax as sx
 from hxproof.goldens import (nom2_golden, paste_template, prove_axiom_suite,
                              transitivity)
 from hxproof.kernel import (
-    AT_5, AT_T, CMP_R, CUT, DIA_R, EQ_5, EQ_T, LOGICAL_RULES, S1, S2, S3,
-    check_derivation, evidence, premises, s1_shape, sequent,
+    AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R,
+    EQ_5, EQ_T, IMP_L, IMP_R, LOGICAL_RULES, NEQ_L, NEQ_R, S1, S2, S3,
+    ax_shape, check_derivation, evidence, premises, s1_shape, sequent,
 )
 from hxproof.model import check_sequent_validity, find_countermodel
 from hxproof.search import (Proved, Refuted, SearchConfig, Unknown, invert,
@@ -209,8 +210,8 @@ def test_search_results_survive_model_fuzz(seed):
 # independent oracles: the move finders that built each candidate formula
 # ---------------------------------------------------------------------------
 
-def oracle_closure_move(seq, cfg):
-    """First closure-rule instance whose added atom is genuinely new, found
+def oracle_closure_moves(seq):
+    """Every closure-rule instance whose added atom is genuinely new, found
     by building each candidate atom and testing its membership."""
     noms = sorted(seq.nominals())
     cmps = sorted({e.cmp for e in seq.ante | seq.cons if isinstance(e, Compare)})
@@ -219,69 +220,56 @@ def oracle_closure_move(seq, cfg):
                if isinstance(e, At) and isinstance(e.body, Nominal)]
     eqs = [e for e in seq.sorted_ante
            if isinstance(e, Compare) and e.kind is CmpKind.EQ]
-    for rule in filter(cfg.allows, (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)):
-        if rule == AT_T:
-            for i in noms:
-                if At(i, Nominal(i)) not in ante:
-                    return AT_T, {"i": i}
-        elif rule == EQ_T:
-            for i in noms:
-                for c in cmps:
-                    if Compare(Jump(i), CmpKind.EQ, c, Jump(i)) not in ante:
-                        return EQ_T, {"i": i, "c": c}
-        elif rule == AT_5:
-            for i, j in aliases:
-                for i2, k in aliases:
-                    if i2 == i and At(j, Nominal(k)) not in ante:
-                        return AT_5, {"i": i, "j": j, "k": k}
-        elif rule == S1:
-            for i, j in aliases:
-                for e in seq.sorted_ante:
-                    if isinstance(e, At) and e.nom == i and s1_shape(e.body) \
-                            and At(j, e.body) not in ante:
-                        return S1, {"i": i, "j": j, "phi": e.body}
-        elif rule == S2:
-            steps = [(e.nom, e.body.mod, e.body.body.name)
-                     for e in seq.sorted_ante
-                     if isinstance(e, At) and isinstance(e.body, Diamond)
-                     and isinstance(e.body.body, Nominal)]
-            for j, k in aliases:
-                for i, a, j2 in steps:
-                    if j2 == j and At(i, Diamond(a, Nominal(k))) not in ante:
-                        return S2, {"i": i, "j": j, "k": k, "a": a}
-        elif rule == S3:
-            for i, j in aliases:
-                for e in eqs:
-                    if e.left.nom == i:
-                        k = e.right.nom
-                        if Compare(Jump(j), CmpKind.EQ, e.cmp, Jump(k)) \
-                                not in ante:
-                            return S3, {"i": i, "j": j, "k": k, "c": e.cmp}
-        elif rule == EQ_5:
-            for e1 in eqs:
-                for e2 in eqs:
-                    if e1.left == e2.left and e1.cmp == e2.cmp:
-                        j, k = e1.right.nom, e2.right.nom
-                        if Compare(Jump(j), CmpKind.EQ, e1.cmp, Jump(k)) \
-                                not in ante:
-                            return EQ_5, {"i": e1.left.nom, "j": j, "k": k,
-                                          "c": e1.cmp}
-    return None
+    for i in noms:
+        if At(i, Nominal(i)) not in ante:
+            yield AT_T, {"i": i}
+    for i, j in aliases:
+        for i2, k in aliases:
+            if i2 == i and At(j, Nominal(k)) not in ante:
+                yield AT_5, {"i": i, "j": j, "k": k}
+    for i, j in aliases:
+        for e in seq.sorted_ante:
+            if isinstance(e, At) and e.nom == i and s1_shape(e.body) \
+                    and At(j, e.body) not in ante:
+                yield S1, {"i": i, "j": j, "phi": e.body}
+    steps = [(e.nom, e.body.mod, e.body.body.name) for e in seq.sorted_ante
+             if isinstance(e, At) and isinstance(e.body, Diamond)
+             and isinstance(e.body.body, Nominal)]
+    for j, k in aliases:
+        for i, a, j2 in steps:
+            if j2 == j and At(i, Diamond(a, Nominal(k))) not in ante:
+                yield S2, {"i": i, "j": j, "k": k, "a": a}
+    for i, j in aliases:
+        for e in eqs:
+            if e.left.nom == i:
+                k = e.right.nom
+                if Compare(Jump(j), CmpKind.EQ, e.cmp, Jump(k)) not in ante:
+                    yield S3, {"i": i, "j": j, "k": k, "c": e.cmp}
+    for i in noms:
+        for c in cmps:
+            if Compare(Jump(i), CmpKind.EQ, c, Jump(i)) not in ante:
+                yield EQ_T, {"i": i, "c": c}
+    for e1 in eqs:
+        for e2 in eqs:
+            if e1.left == e2.left and e1.cmp == e2.cmp:
+                j, k = e1.right.nom, e2.right.nom
+                if Compare(Jump(j), CmpKind.EQ, e1.cmp, Jump(k)) not in ante:
+                    yield EQ_5, {"i": e1.left.nom, "j": j, "k": k, "c": e1.cmp}
 
 
-def oracle_witness_move(seq, cfg, fired, dia_ok=True):
+def oracle_witness_move(seq, fired, dia_ok=True):
     """Right witness rules, found by building each candidate premise."""
     noms = sorted(seq.nominals())
     for e in seq.sorted_cons:
         match e:
-            case At(i, Diamond(a, phi)) if dia_ok and cfg.allows(DIA_R):
+            case At(i, Diamond(a, phi)) if dia_ok:
                 for j in noms:
                     key = (DIA_R, e, j)
                     if At(i, Diamond(a, Nominal(j))) in seq.ante \
                             and key not in fired \
                             and At(j, phi) not in seq.cons:
-                        return (DIA_R, {"i": i, "a": a, "phi": phi, "j": j}), key
-            case At(i, Compare(alpha, kind, c, beta)) if cfg.allows(CMP_R):
+                        return DIA_R, {"i": i, "a": a, "phi": phi, "j": j}, key
+            case At(i, Compare(alpha, kind, c, beta)):
                 for x in noms:
                     if evidence(i, alpha, x) not in seq.ante:
                         continue
@@ -291,25 +279,76 @@ def oracle_witness_move(seq, cfg, fired, dia_ok=True):
                         key = (CMP_R, e, x, y)
                         added = Compare(Jump(x), kind, c, Jump(y))
                         if key not in fired and added not in seq.cons:
-                            return (CMP_R, {"i": i, "alpha": alpha,
-                                            "beta": beta, "kind": kind,
-                                            "c": c, "j": x, "k": y}), key
+                            return CMP_R, {"i": i, "alpha": alpha,
+                                           "beta": beta, "kind": kind,
+                                           "c": c, "j": x, "k": y}, key
             case _:
                 pass
     return None
 
 
-def _moves(seq, cfg, fired, dia_ok=True):
-    """(closure, witness) moves of the search's finders."""
-    shape = search._Shape(seq)
-    return (search._closure_move(shape, cfg),
-            search._witness_move(seq, cfg, fired, shape, search._Evidence(),
-                                 dia_ok))
+def oracle_first_moves(seq):
+    """The index's first closing, decomposition and branch instances and
+    its fresh-nominal candidates, each found by its own scan that tests
+    the rule's principal with the kernel's shape tests."""
+    def first(members, shapes):
+        for e in members:
+            for rule, inst in shapes(e):
+                return rule, inst
+        return None
+
+    closing = (first(seq.sorted_ante,
+                     lambda e: [(AX, {"phi": e})]
+                     if e in seq.cons and ax_shape(e) else [])
+               or first(seq.sorted_ante,
+                        lambda e: [(BOT_RULE, {"i": e.nom})]
+                        if isinstance(e, At) and e.body == BOT else []))
+
+    def decomposition(side):
+        def shapes(e):
+            if isinstance(e, Compare) and e.kind is CmpKind.NEQ:
+                return [(NEQ_L if side == "ante" else NEQ_R,
+                         {"i": e.left.nom, "j": e.right.nom, "c": e.cmp})]
+            if isinstance(e, At) and isinstance(e.body, At):
+                return [(AT_L if side == "ante" else AT_R,
+                         {"j": e.nom, "i": e.body.nom, "phi": e.body.body})]
+            if side == "cons" and isinstance(e, At) \
+                    and isinstance(e.body, Implies):
+                return [(IMP_R, {"i": e.nom, "phi": e.body.lhs,
+                                 "psi": e.body.rhs})]
+            return []
+        return shapes
+
+    branch = first(seq.sorted_ante,
+                   lambda e: [(IMP_L, {"i": e.nom, "phi": e.body.lhs,
+                                       "psi": e.body.rhs})]
+                   if isinstance(e, At) and isinstance(e.body, Implies)
+                   else [])
+    fresh = [(1, DIA_L, (e.nom, e.body.mod, e.body.body))
+             if isinstance(e.body, Diamond)
+             else (2, CMP_L, (e.nom, e.body.left, e.body.right, e.body.kind,
+                              e.body.cmp))
+             for e in seq.sorted_ante if isinstance(e, At)
+             and (isinstance(e.body, Compare)
+                  or isinstance(e.body, Diamond)
+                  and not isinstance(e.body.body, Nominal))]
+    return (closing,
+            first(seq.sorted_ante, decomposition("ante"))
+            or first(seq.sorted_cons, decomposition("cons")),
+            branch, fresh)
 
 
-def _oracle_moves(seq, cfg, fired, dia_ok=True):
-    return (oracle_closure_move(seq, cfg),
-            oracle_witness_move(seq, cfg, fired, dia_ok))
+def _moves(seq, fired, dia_ok=True):
+    """The moves the search's index finds."""
+    ix = search._Index(seq)
+    return ((ix.closing, ix.decomposition, ix.branch, ix.fresh),
+            list(search._closure_moves(ix)),
+            search._witness_move(ix, fired, search._Evidence(), dia_ok))
+
+
+def _oracle_moves(seq, fired, dia_ok=True):
+    return (oracle_first_moves(seq), list(oracle_closure_moves(seq)),
+            oracle_witness_move(seq, fired, dia_ok))
 
 
 # two modalities and two comparisons, so that the order in which the
@@ -352,32 +391,28 @@ def _rand_goals(rng, count):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10**9), st.booleans())
-def test_move_finders_agree_with_formula_building_oracles(seed, restrict):
+@given(st.integers(0, 10**9))
+def test_move_finders_agree_with_formula_building_oracles(seed):
     # walk a saturation from a random sequent with extra atoms, comparing
-    # the two finders at every step, with some rules disallowed half the
-    # time so every later rule gets to be the first applicable one, and
-    # now and then with DiaR out of depth
+    # the index and the finders with the oracles at every step, now and then
+    # with DiaR out of depth
     rng = random.Random(seed)
     s = rand_sequent(rng, SIG2, max_side=2, depth=1)
     s = s.add_ante(*_rand_atoms(rng, rng.randint(0, 8)))
     goals, ev = _rand_goals(rng, rng.randint(0, 2))
     s = s.add_ante(*ev).add_cons(*goals)
-    rules = set(LOGICAL_RULES)
-    if restrict:
-        rules -= set(rng.sample(sorted(search.CLOSURE_RULES), 3))
-    cfg = SearchConfig(allowed_rules=frozenset(rules))
     fired = set()
     for _ in range(40):
         dia_ok = rng.random() < 0.8
-        got = _moves(s, cfg, fired, dia_ok)
-        assert got == _oracle_moves(s, cfg, fired, dia_ok)
-        closure, witness = got
+        got = _moves(s, fired, dia_ok)
+        assert got == _oracle_moves(s, fired, dia_ok)
+        _, closures, witness = got
         if witness is not None:
-            (rule, inst), key = witness
+            rule, inst, key = witness
             fired.add(key)
-        elif closure is not None:
-            rule, inst = closure
+        elif closures:
+            # any instance, so that every later one gets to be taken
+            rule, inst = rng.choice(closures)
         else:
             break
         s = premises(s, rule, inst)[0]
@@ -385,20 +420,20 @@ def test_move_finders_agree_with_formula_building_oracles(seed, restrict):
 
 def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
     # criterion 6's draw; the witness finder is checked with the arguments
-    # search passes it, and both finders on every sequent it visits
+    # search passes it, and the index and every finder on every sequent it
+    # visits
     visited, calls = [], []
-    witness_move = search._witness_move
+    witness_move, index = search._witness_move, search._Index
 
-    def checked(seq, cfg, fired, shape, evidence, dia_ok):
-        got = witness_move(seq, cfg, fired, shape, evidence, dia_ok)
-        assert got == oracle_witness_move(seq, cfg, fired, dia_ok), seq
+    def checked(ix, fired, evidence, dia_ok):
+        got = witness_move(ix, fired, evidence, dia_ok)
+        assert got == oracle_witness_move(ix.seq, fired, dia_ok), ix.seq
         calls.append(dia_ok)
         return got
 
     monkeypatch.setattr(search, "_witness_move", checked)
-    try_close = search._try_close
-    monkeypatch.setattr(search, "_try_close",
-                        lambda seq: visited.append(seq) or try_close(seq))
+    monkeypatch.setattr(search, "_Index",
+                        lambda seq: visited.append(seq) or index(seq))
 
     rng = random.Random(CRITERION_6_SEED)
     cfg = SearchConfig(max_depth=12, enable_countermodel=False)
@@ -408,4 +443,4 @@ def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
     assert set(calls) == {True, False}
     monkeypatch.undo()
     for s in visited:
-        assert _moves(s, cfg, frozenset()) == _oracle_moves(s, cfg, frozenset())
+        assert _moves(s, frozenset()) == _oracle_moves(s, frozenset())

@@ -243,13 +243,9 @@ def test_left_nested_concat_roundtrips():
 
 
 def test_fresh_nominals_distinct():
-    t = SymbolTable()
-    t.register("i", "nom")
-    a, b = t.fresh(), t.fresh()
+    a, b = sx.fresh_nominals(2, {"i"})
     assert a != b and a.startswith("_n") and b.startswith("_n")
-    t2 = SymbolTable()
-    t2.register("_n0", "nom")
-    assert t2.fresh() != "_n0"
+    assert sx.fresh_nominals(1, {"_n0"}) != ["_n0"]
 
 
 # ---------------------------------------------------------------------------
