@@ -211,10 +211,6 @@ def eigen_refresh(d, forbidden):
 # Transformation families
 # ---------------------------------------------------------------------------
 
-def _axiom_formula(node):
-    return node.inst_dict["phi"] if node.rule == AX else None
-
-
 def _transform(node, scope_noms):
     """Replace one topmost cut; returns (replacement, introduced, kind)."""
     left, right = node.children
@@ -223,14 +219,14 @@ def _transform(node, scope_noms):
 
     # axiom premisses
     if left.rule == AX:
-        chi = _axiom_formula(left)
+        chi = left.inst_dict["phi"]
         if chi != phi:
             return axiom(AX, concl, {"phi": chi}), [], "axiom-left"
         return weaken_to(right, concl), [], "axiom-left-cutformula"
     if left.rule == BOT_RULE:
         return axiom(BOT_RULE, concl, {"i": left.inst_dict["i"]}), [], "bot-left"
     if right.rule == AX:
-        chi = _axiom_formula(right)
+        chi = right.inst_dict["phi"]
         if chi != phi:
             return axiom(AX, concl, {"phi": chi}), [], "axiom-right"
         return weaken_to(left, concl), [], "axiom-right-cutformula"

@@ -16,9 +16,8 @@ from .kernel import (
     open_leaf, premises, s1_shape, weaken_to,
 )
 from .syntax import (
-    At, Atom, Bottom, BOT, CmpKind, Compare, Concat, Diamond, Implies, Jump,
-    Nominal, Prop, Test, conj, dia, fresh_nominals, neg, nominals_of,
-    print_node, top,
+    At, Bottom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
+    conj, fresh_nominals, neg, print_node,
 )
 
 
@@ -44,13 +43,6 @@ def fill_open(reached, declared):
     if reached == declared:
         return open_leaf(declared)
     return weaken_to(open_leaf(declared), reached)
-
-
-def _fresh_for(goal, count, *extra):
-    avoid = set(goal.nominals())
-    for e in extra:
-        avoid |= nominals_of(e) if not isinstance(e, str) else {e}
-    return fresh_nominals(count, avoid)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +86,7 @@ def axg(goal, i, phi):
                 return step(AT_R, s, {"j": i, "i": m, "phi": body}, [right_done])
             return step(AT_L, goal, {"j": i, "i": m, "phi": body}, [left_done])
         case Diamond(a, body):
-            (u,) = _fresh_for(goal, 1)
+            (u,) = fresh_nominals(1, goal.nominals())
             def left_done(s):
                 def right_done(s2_):
                     return axg(s2_, u, body)
@@ -103,7 +95,7 @@ def axg(goal, i, phi):
             return step(DIA_L, goal, {"i": i, "a": a, "phi": body, "j": u},
                         [left_done])
         case Compare(alpha, kind, c, beta):
-            u, v = _fresh_for(goal, 2)
+            u, v = fresh_nominals(2, goal.nominals())
             inst = {"i": i, "alpha": alpha, "beta": beta, "kind": kind, "c": c}
             def left_done(s):
                 def right_done(s2_):
@@ -181,7 +173,7 @@ def transfer(goal, i, j, phi):
                             [branch1, branch2])
             return step(IMP_R, goal, {"i": j, "phi": lhs, "psi": rhs}, [right_done])
         case Diamond(a, body):
-            (u,) = _fresh_for(goal, 1)
+            (u,) = fresh_nominals(1, goal.nominals())
             def after_dial(s):
                 def after_s1(s2_):
                     def after_diar(s3_):
@@ -193,7 +185,7 @@ def transfer(goal, i, j, phi):
             return step(DIA_L, goal, {"i": i, "a": a, "phi": body, "j": u},
                         [after_dial])
         case Compare(alpha, kind, c, beta):
-            u, v = _fresh_for(goal, 2)
+            u, v = fresh_nominals(2, goal.nominals())
             inst = {"i": i, "alpha": alpha, "beta": beta, "kind": kind, "c": c,
                     "j": u, "k": v}
             # evidence whose index a head jump fixes is the same at i and j;
@@ -216,16 +208,6 @@ def transfer(goal, i, j, phi):
 # ---------------------------------------------------------------------------
 # Fragment macros (open leaves are the derived rule's premisses)
 # ---------------------------------------------------------------------------
-
-def top_left(goal, i):
-    """(⊤L): prove Γ ⊢ Δ from @_i true, Γ ⊢ Δ."""
-    t = At(i, top())
-    lemma_goal = goal.add_cons(t)
-    def after_impr(s):
-        return axiom(BOT_RULE, s, {"i": i})
-    lemma = step(IMP_R, lemma_goal, {"i": i, "phi": BOT, "psi": BOT}, [after_impr])
-    return weaken_to(cut(lemma, open_leaf(goal.add_ante(t)), t), goal)
-
 
 def and_left(goal, i, phi, psi):
     """(∧L): one open leaf @_i phi, @_i psi, Γ ⊢ Δ."""
@@ -318,129 +300,3 @@ def cmp_flip(goal, x, kind, c, y):
         return step(NEQ_L, s, {"i": x, "j": y, "c": c}, [after_neql])
     lemma = step(NEQ_R, lemma_goal, {"i": y, "j": x, "c": c}, [after_neqr])
     return weaken_to(cut(lemma, open_leaf(declared), flipped), goal)
-
-
-# ---------------------------------------------------------------------------
-# Generalized diamond rules
-# ---------------------------------------------------------------------------
-
-def general_dia_left(goal, i, path, phi):
-    """Decompose @_i <path> phi on the left down to atomic steps.
-
-    Returns a fragment with one open leaf carrying the fully decomposed
-    evidence (fresh nominals for atomic steps, jump and test reductions).
-    """
-    e = At(i, dia(path, phi))
-    if e not in goal.ante:
-        raise MacroError(f"generalized diamond: principal missing: {print_node(e)}")
-    match path:
-        case Atom(a):
-            (u,) = _fresh_for(goal, 1)
-            return step(DIA_L, goal, {"i": i, "a": a, "phi": phi, "j": u},
-                        [open_leaf])
-        case Jump(m):
-            return step(AT_L, goal, {"j": i, "i": m, "phi": phi}, [open_leaf])
-        case Test(psi):
-            frag = and_left(goal, i, psi, phi)
-            if psi != top():
-                return frag
-            # strip the vacuous @_i true from the open leaf
-            (leaf_seq,) = [n.conclusion for _, n in frag.walk() if n.rule == "Open"]
-            stripped = leaf_seq.drop_ante(At(i, top()))
-            filler = weaken_to(open_leaf(stripped), leaf_seq)
-            return graft(frag, {leaf_seq: filler})
-        case Concat(head, tail):
-            return _general_dia_concat_left(goal, i, head, tail, phi)
-    raise MacroError(f"not a path: {path!r}")
-
-
-def _general_dia_concat_left(goal, i, head, tail, phi):
-    rest = dia(tail, phi)
-    match head:
-        case Atom(a):
-            (u,) = _fresh_for(goal, 1, rest)
-            frag = step(DIA_L, goal, {"i": i, "a": a, "phi": rest, "j": u},
-                        [open_leaf])
-            hand_off = (u, rest)
-        case Jump(m):
-            frag = step(AT_L, goal, {"j": i, "i": m, "phi": rest}, [open_leaf])
-            hand_off = (m, rest)
-        case Test(psi):
-            frag = and_left(goal, i, psi, rest)
-            hand_off = (i, rest)
-        case Concat(h2, t2):
-            frag = _general_dia_concat_left(goal, i, h2, Concat(t2, tail), phi)
-            return frag
-        case _:
-            raise MacroError(f"not a path: {head!r}")
-    (leaf,) = [n.conclusion for _, n in frag.walk() if n.rule == "Open"]
-    base, _ = hand_off
-    return graft(frag, {leaf: general_dia_left(leaf, base, tail, phi)})
-
-
-def general_dia_right(goal, i, path, phi, witnesses=()):
-    """Introduce @_i <path> phi on the right, given witness nominals.
-
-    `witnesses` supplies one nominal per atomic step along the path, in
-    order; jumps and tests consume none.
-    """
-    e = At(i, dia(path, phi))
-    if e not in goal.cons:
-        raise MacroError(f"generalized diamond: principal missing: {print_node(e)}")
-    witnesses = list(witnesses)
-    match path:
-        case Atom(a):
-            u = witnesses.pop(0)
-            return step(DIA_R, goal, {"i": i, "a": a, "phi": phi, "j": u},
-                        [open_leaf])
-        case Jump(m):
-            return step(AT_R, goal, {"j": i, "i": m, "phi": phi}, [open_leaf])
-        case Test(psi):
-            return and_right(goal, i, psi, phi)
-        case Concat(head, tail):
-            rest = dia(tail, phi)
-            match head:
-                case Atom(a):
-                    u = witnesses[0]
-                    frag = step(DIA_R, goal, {"i": i, "a": a, "phi": rest, "j": u},
-                                [open_leaf])
-                    nxt, used = u, 1
-                case Jump(m):
-                    frag = step(AT_R, goal, {"j": i, "i": m, "phi": rest},
-                                [open_leaf])
-                    nxt, used = m, 0
-                case _:
-                    raise MacroError("right decomposition handles atom/jump heads")
-            (leaf,) = [n.conclusion for _, n in frag.walk() if n.rule == "Open"]
-            return graft(frag, {leaf: general_dia_right(
-                leaf, nxt, tail, phi, witnesses[used:])})
-    raise MacroError(f"not a path: {path!r}")
-
-
-# ---------------------------------------------------------------------------
-# Named dispatch
-# ---------------------------------------------------------------------------
-
-MACROS = {
-    "AxG": lambda goal, inst: axg(goal, inst["i"], inst["phi"]),
-    "TopL": lambda goal, inst: top_left(goal, inst["i"]),
-    "AndL": lambda goal, inst: and_left(goal, inst["i"], inst["phi"], inst["psi"]),
-    "AndR": lambda goal, inst: and_right(goal, inst["i"], inst["phi"], inst["psi"]),
-    "IffR": lambda goal, inst: iff_right(goal, inst["i"], inst["phi"], inst["psi"]),
-    "CmpB": lambda goal, inst: cmp_flip(goal, inst["i"], inst["kind"],
-                                        inst["c"], inst["j"]),
-    "GenS1": lambda goal, inst: transfer(goal, inst["i"], inst["j"], inst["phi"]),
-    "DiaGenL": lambda goal, inst: general_dia_left(goal, inst["i"],
-                                                   inst["alpha"], inst["phi"]),
-    "DiaGenR": lambda goal, inst: general_dia_right(
-        goal, inst["i"], inst["alpha"], inst["phi"], inst.get("witnesses", ())),
-}
-
-
-def expand_macro(name, goal, inst):
-    """Expand a named derived rule at `goal`; unknown names raise."""
-    try:
-        fn = MACROS[name]
-    except KeyError:
-        raise MacroError(f"unknown macro: {name}") from None
-    return fn(goal, inst)

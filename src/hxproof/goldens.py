@@ -23,12 +23,13 @@ from .syntax import (
 )
 
 
-def reflexivity(i="i", c="c"):
+def reflexivity():
     """⊢ @_i <eps =c eps>, via @T, ⟨▲⟩R, EqT, Ax.
 
     The evidence of the empty path at i with endpoint i is the alias @_i i,
     which @T puts in the antecedent.
     """
+    i, c = "i", "c"
     goal_expr = At(i, Compare(eps(), CmpKind.EQ, c, eps()))
     root = sequent((), {goal_expr})
     inst = {"i": i, "alpha": eps(), "beta": eps(), "kind": CmpKind.EQ,
@@ -43,8 +44,9 @@ def reflexivity(i="i", c="c"):
                 [lambda s: step(CMP_R, s, inst, [close])])
 
 
-def symmetry(alpha=Atom("a"), beta=Atom("b"), kind=CmpKind.EQ, i="i", c="c"):
-    """⊢ @_i(<alpha ^ beta> <-> <beta ^ alpha>) for atomic paths."""
+def symmetry():
+    """⊢ @_i(<a =c b> <-> <b =c a>)."""
+    alpha, beta, kind, i, c = Atom("a"), Atom("b"), CmpKind.EQ, "i", "c"
     fwd = Compare(alpha, kind, c, beta)
     bwd = Compare(beta, kind, c, alpha)
     root = sequent((), {At(i, iff(fwd, bwd))})
@@ -71,8 +73,9 @@ def symmetry(alpha=Atom("a"), beta=Atom("b"), kind=CmpKind.EQ, i="i", c="c"):
     return graft(frag, one_direction)
 
 
-def transitivity(alpha=Atom("a"), beta=Atom("b"), i="i", c="c"):
-    """⊢ @_i(<alpha =c eps> & <eps =c beta> -> <alpha =c beta>)."""
+def transitivity():
+    """⊢ @_i(<a =c eps> & <eps =c b> -> <a =c b>)."""
+    alpha, beta, i, c = Atom("a"), Atom("b"), "i", "c"
     x, u, v, y = "_x", "_u", "_v", "_y"
     lhs1 = Compare(alpha, CmpKind.EQ, c, eps())
     lhs2 = Compare(eps(), CmpKind.EQ, c, beta)
@@ -212,11 +215,12 @@ def _paste_premiss_default(goal, i, chi, antecedent):
                 [after_impr])
 
 
-def nom2_golden(i="i", j="j", k="k", a="a"):
+def nom2_golden():
     """The fresh-alias simulation tree, instantiated and closed.
 
     End-sequent: @_i j, @_i <a> k ⊢ @_j <a> k.
     """
+    i, j, k, a = "i", "j", "k", "a"
     gamma = {At(i, Nominal(j)), At(i, Diamond(a, Nominal(k)))}
     delta = {At(j, Diamond(a, Nominal(k)))}
     goal = sequent(gamma, delta)

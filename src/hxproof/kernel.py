@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from types import SimpleNamespace
 
 from .syntax import (
@@ -60,12 +61,6 @@ def _check_members(es):
                 f"not a restricted sequent member: {print_node(e)}")
 
 
-def expr_key(e):
-    """Stable total order on expressions, used for canonical display: the
-    print key each expression caches."""
-    return e.key
-
-
 @dataclass(frozen=True)
 class Sequent:
     """Antecedent and consequent sets; the sorted members and the nominals
@@ -103,12 +98,12 @@ class Sequent:
     @cached_property
     def sorted_ante(self):
         """The antecedent as a tuple in print-key order."""
-        return tuple(sorted(self.ante, key=expr_key))
+        return tuple(sorted(self.ante, key=attrgetter("key")))
 
     @cached_property
     def sorted_cons(self):
         """The consequent as a tuple in print-key order."""
-        return tuple(sorted(self.cons, key=expr_key))
+        return tuple(sorted(self.cons, key=attrgetter("key")))
 
     @cached_property
     def _noms(self):
@@ -350,7 +345,6 @@ RULES = {
 }
 
 LOGICAL_RULES = tuple(RULES)
-ALL_RULES = LOGICAL_RULES + STRUCTURAL_RULES
 COMPARISON_RULES = frozenset(n for n, r in RULES.items() if "c" in r.metavars)
 
 # A left and a right rule sharing one principal template are duals: under one
@@ -577,9 +571,9 @@ def weaken_to(d, target):
     if not d.conclusion.issubset(target):
         raise KernelError(
             f"cannot weaken {d.conclusion} to non-superset {target}")
-    for e in sorted(target.ante - d.conclusion.ante, key=expr_key):
+    for e in sorted(target.ante - d.conclusion.ante, key=attrgetter("key")):
         d = weaken(d, "left", e)
-    for e in sorted(target.cons - d.conclusion.cons, key=expr_key):
+    for e in sorted(target.cons - d.conclusion.cons, key=attrgetter("key")):
         d = weaken(d, "right", e)
     return d
 

@@ -223,9 +223,6 @@ class DataGraph:
                 _field(edge, key, str, f"edge {t}")
         return DataGraph(nodes=list(nodes), edges=list(edges))
 
-    def to_json(self):
-        return {"nodes": self.nodes, "edges": self.edges}
-
 
 def ingest_datagraph(dg):
     """Abstract a data graph into a hybrid data model.

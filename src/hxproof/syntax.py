@@ -263,37 +263,6 @@ def box_cmp(alpha, kind, cmp_sym, beta):
     return neg(Compare(alpha, kind.flip(), cmp_sym, beta))
 
 
-def atomic_cmp(i, kind, cmp_sym, j):
-    """The restricted comparison <i: ^c j:> between two named nodes."""
-    return Compare(Jump(i), kind, cmp_sym, Jump(j))
-
-
-ABBREVIATIONS = {
-    "top": (0, lambda: top()),
-    "not": (1, neg),
-    "or": (2, disj),
-    "and": (2, conj),
-    "iff": (2, iff),
-    "eps": (0, lambda: eps()),
-    "jump_dia": (2, lambda nom, phi: At(nom, phi)),
-    "test_dia": (2, lambda psi, phi: conj(psi, phi)),
-    "concat_dia": (3, lambda a, b, phi: dia(Concat(a, b), phi)),
-    "box": (2, box),
-    "box_cmp": (4, box_cmp),
-}
-
-
-def expand_abbrev(name, *args):
-    """Expand a named abbreviation to its primitive form."""
-    try:
-        arity, fn = ABBREVIATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown abbreviation: {name}") from None
-    if len(args) != arity:
-        raise ValueError(f"{name} expects {arity} argument(s), got {len(args)}")
-    return fn(*args)
-
-
 # ---------------------------------------------------------------------------
 # Term measures and traversals
 # ---------------------------------------------------------------------------
@@ -378,21 +347,6 @@ def nominals_of(e):
     return set(e.noms)
 
 
-def prop_symbols_of(e):
-    return {s.name for s in subexpressions(e) if isinstance(s, Prop)}
-
-
-def mod_symbols_of(e):
-    out = set()
-    for sub in subexpressions(e):
-        match sub:
-            case Atom(mod) | Diamond(mod, _):
-                out.add(mod)
-            case _:
-                pass
-    return out
-
-
 def rename_nominal(e, old, new):
     """Replace every occurrence of nominal `old` by `new`."""
     if old == new or old not in e.noms:
@@ -455,24 +409,6 @@ class SymbolTable:
                 f"symbol {name!r} used as both {prior} and {space}")
         self.space[name] = space
         return name
-
-    def register_expr(self, e):
-        """Intern every symbol occurring in an expression."""
-        for sub in subexpressions(e):
-            match sub:
-                case Prop(name):
-                    self.register(name, "prop")
-                case Nominal(name) | Jump(name):
-                    self.register(name, "nom")
-                case At(nom, _):
-                    self.register(nom, "nom")
-                case Diamond(mod, _) | Atom(mod):
-                    self.register(mod, "mod")
-                case Compare(_, _, cmp_sym, _):
-                    self.register(cmp_sym, "cmp")
-                case _:
-                    pass
-        return e
 
 
 def fresh_nominals(count, avoid):
@@ -540,8 +476,8 @@ class _Parser:
         self.i = 0
         self.table = table
 
-    def peek(self, ahead=0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self):
+        return self.toks[self.i]
 
     def next(self):
         t = self.toks[self.i]

@@ -5,7 +5,6 @@ import pytest
 
 from hxproof import jsonio
 from hxproof.cli import main
-from hxproof.goldens import prove_axiom_suite
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 

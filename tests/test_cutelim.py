@@ -277,7 +277,6 @@ def test_degenerate_witness_cut_is_redundant():
     # principal's body nominal, so the cut formula sits in the left premiss's
     # own antecedent and the cut discharges by weakening alone
     from hxproof.kernel import DIA_R, infer
-    from hxproof.syntax import neg
     phi = At("j", Diamond("a", Nominal("k")))          # @_j<a>k
     lconc = sequent({phi, At("k", Nominal("k"))}, {phi})
     lax = axiom(AX, lconc.add_cons(At("k", Nominal("k"))),

@@ -6,15 +6,14 @@ import hypothesis.strategies as st
 
 from genutil import rand_node, SIG
 from hxproof.derived import (
-    MacroError, and_left, and_right, axg, cmp_flip, cmp_tauto, expand_macro,
-    general_dia_left, general_dia_right, iff_right, top_left, transfer,
+    MacroError, and_left, and_right, axg, cmp_flip, cmp_tauto, iff_right,
+    transfer,
 )
 from hxproof.kernel import (
     CUT, axiom, check_derivation, graft, open_leaves, sequent,
 )
 from hxproof.syntax import (
-    At, Atom, CmpKind, Compare, Diamond, Jump, Nominal,
-    Prop, Test, concat, conj, dia, eps, iff, top,
+    At, Atom, CmpKind, Compare, Jump, Nominal, Prop, Test, concat, conj, iff,
 )
 
 P, Q = Prop("p"), Prop("q")
@@ -94,14 +93,6 @@ def test_iff_right_fragment():
                      sequent({At("i", Q)}, {At("i", P)})}
 
 
-def test_top_left_fragment():
-    goal = sequent({At("m", P)}, {At("m", Q)})
-    frag = top_left(goal, "i")
-    assert check_derivation(frag, allow_open=True) == []
-    opens = [s for _, s in open_leaves(frag)]
-    assert opens == [goal.add_ante(At("i", top()))]
-
-
 @pytest.mark.parametrize("kind", [CmpKind.EQ, CmpKind.NEQ])
 def test_cmp_flip_fragment(kind):
     principal = Compare(Jump("x"), kind, "c", Jump("y"))
@@ -162,70 +153,19 @@ def test_transfer_with_comparison_uses_cut():
 
 
 # ---------------------------------------------------------------------------
-# generalized diamonds
-# ---------------------------------------------------------------------------
-
-def test_general_dia_left_jump():
-    e = At("i", dia(Jump("j"), P))
-    goal = sequent({e}, {At("m", Q)})
-    frag = general_dia_left(goal, "i", Jump("j"), P)
-    assert check_derivation(frag, allow_open=True) == []
-    opens = [s for _, s in open_leaves(frag)]
-    assert opens == [goal.drop_ante(e).add_ante(At("j", P))]
-
-
-def test_general_dia_left_eps_strips_to_body():
-    e = At("i", dia(eps(), P))
-    goal = sequent({e}, {At("m", Q)})
-    frag = general_dia_left(goal, "i", eps(), P)
-    assert check_derivation(frag, allow_open=True) == []
-    opens = [s for _, s in open_leaves(frag)]
-    assert opens == [goal.drop_ante(e).add_ante(At("i", P))]
-
-
-def test_general_dia_left_two_atoms_two_fresh():
-    path = concat(Atom("a"), Atom("b"))
-    e = At("i", dia(path, P))
-    goal = sequent({e}, {At("m", Q)})
-    frag = general_dia_left(goal, "i", path, P)
-    assert check_derivation(frag, allow_open=True) == []
-    [(unused, leaf)] = open_leaves(frag)
-    dials = [n for _, n in frag.walk() if n.rule == "DiaL"]
-    assert len(dials) == 2
-    fresh = {n.inst_dict["j"] for n in dials}
-    assert len(fresh) == 2 and all(x.startswith("_n") for x in fresh)
-    # the decomposed evidence chain ends at the body
-    assert any(isinstance(m, At) and m.body == P for m in leaf.ante)
-
-
-def test_general_dia_right_atom_and_jump():
-    e = At("i", dia(Atom("a"), P))
-    goal = sequent({At("i", Diamond("a", Nominal("w")))}, {e})
-    frag = general_dia_right(goal, "i", Atom("a"), P, witnesses=["w"])
-    assert check_derivation(frag, allow_open=True) == []
-
-    e2 = At("i", dia(Jump("m"), P))
-    goal2 = sequent((), {e2})
-    frag2 = general_dia_right(goal2, "i", Jump("m"), P)
-    assert check_derivation(frag2, allow_open=True) == []
-    opens = [s for _, s in open_leaves(frag2)]
-    assert opens == [goal2.drop_cons(e2).add_cons(At("m", P))]
-
-
-# ---------------------------------------------------------------------------
-# named dispatch and stub closure
+# fragments closed by stubs
 # ---------------------------------------------------------------------------
 
 def test_expand_macro_dispatch_and_stub_closure():
+    """An and_left fragment's open leaf closes by a grafted stub axiom."""
     goal = sequent({At("i", conj(P, Q)), At("m", P)}, {At("m", P)})
-    frag = expand_macro("AndL", goal, {"i": "i", "phi": P, "psi": Q})
+    frag = and_left(goal, "i", P, Q)
     closed = graft(frag, closable_stub)
     assert check_derivation(closed) == []
-    with pytest.raises(MacroError):
-        expand_macro("NoSuchRule", goal, {})
 
 
 def test_expand_macro_schema_mismatch():
+    """and_left refuses a goal without its principal conjunction."""
     goal = sequent({At("m", P)}, {At("m", P)})
     with pytest.raises(MacroError):
-        expand_macro("AndL", goal, {"i": "i", "phi": P, "psi": Q})
+        and_left(goal, "i", P, Q)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from genutil import rand_derivation
 from hxproof import jsonio
+from hxproof.goldens import prove_axiom_suite
 from hxproof.jsonio import MAX_NESTING, DecodeError, dumps_canonical
 from hxproof.kernel import check_derivation
 
@@ -30,6 +31,14 @@ def test_golden_files_encode_as_the_oracle(path):
         return
     again = jsonio.derivation_to_json(jsonio.derivation_from_json(blob))
     assert dumps_canonical(again) == oracle(again) == text
+
+
+def test_goldens_regenerate_byte_for_byte():
+    suite = prove_axiom_suite()
+    assert len(suite) == 5
+    for name, d in suite.items():
+        text = (GOLDEN / f"{name}.json").read_text()
+        assert dumps_canonical(jsonio.derivation_to_json(d)) == text, name
 
 
 def test_drawn_derivations_encode_as_the_oracle():

@@ -329,8 +329,9 @@ def test_countermodel_two_nodes():
 # ---------------------------------------------------------------------------
 
 def _deps(expr):
-    uses_v = bool(sx.prop_symbols_of(expr))
-    uses_r = bool(sx.mod_symbols_of(expr))
+    subs = list(sx.subexpressions(expr))
+    uses_v = any(isinstance(s, Prop) for s in subs)
+    uses_r = any(isinstance(s, (Atom, sx.Diamond)) for s in subs)
     return uses_v, uses_r
 
 

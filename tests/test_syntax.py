@@ -12,7 +12,7 @@ from hxproof import syntax as sx
 from hxproof.syntax import (
     At, Atom, BOT, Bottom, CmpKind, Compare, Concat, Diamond, Implies, Jump,
     Nominal, Prop, Test, SymbolTable, SymbolSpaceError, SyntaxError_,
-    concat, conj, disj, eps, expand_abbrev, iff, neg, nominals_of,
+    concat, conj, disj, eps, iff, neg, nominals_of,
     parse_node, parse_path, print_node, rename_nominal, size, top,
 )
 
@@ -128,25 +128,6 @@ def test_parse_sequent_parts():
     assert cons == [At("i", Prop("q"))]
     empty_l, one_r = sx.parse_sequent_parts("|- @i p")
     assert empty_l == [] and len(one_r) == 1
-
-
-# ---------------------------------------------------------------------------
-# abbreviation expansion
-# ---------------------------------------------------------------------------
-
-def test_expand_abbrev_table():
-    assert expand_abbrev("top") == Implies(BOT, BOT)
-    assert expand_abbrev("eps") == Test(Implies(BOT, BOT))
-    assert expand_abbrev("not", Prop("p")) == Implies(Prop("p"), BOT)
-    assert expand_abbrev("and", Prop("p"), Prop("q")) == \
-        neg(Implies(Prop("p"), neg(Prop("q"))))
-    assert expand_abbrev("box_cmp", Atom("a"), CmpKind.EQ, "c", Atom("b")) == \
-        neg(Compare(Atom("a"), CmpKind.NEQ, "c", Atom("b")))
-    assert expand_abbrev("jump_dia", "j", Prop("p")) == At("j", Prop("p"))
-    with pytest.raises(ValueError):
-        expand_abbrev("nope")
-    with pytest.raises(ValueError):
-        expand_abbrev("not", Prop("p"), Prop("q"))
 
 
 @given(node_exprs)
