@@ -170,8 +170,17 @@ def cmd_corpus(args):
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is one line on stderr and exit code 3, like other bad
+    input; the command parsers are made of this class too."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="hxproof",
         description="Proof toolkit for data-aware hybrid path logic")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -124,15 +124,15 @@ def transitivity():
     return step(IMP_R, root, {"i": i, "phi": conj(lhs1, lhs2), "psi": rhs}, [t1])
 
 
-def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ,
-                   c="c", i="i", j="j", k="k", premiss=None):
+def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ):
     """Key-paste translation: ⊢ @_i(<j: a alpha ^ beta> -> chi).
 
-    `premiss` must be a derivation of ⊢ @_i((@_j<a>k & <k: alpha ^ beta>) -> chi);
-    when omitted, chi must make that sequent provable by the default builder.
-    The nominals j, k and the witnesses must not occur in chi, alpha, beta.
+    chi must be a trivial implication phi -> phi, which makes the premiss
+    ⊢ @_i((@_j<a>k & <k: alpha ^ beta>) -> chi) provable by ->R twice and an
+    axiom. The nominals j, k and the witnesses must not occur in chi, alpha,
+    beta.
     """
-    x, y = "_x", "_y"
+    c, i, j, k, x, y = "c", "i", "j", "k", "_x", "_y"
     used = nominals_of(chi) | nominals_of(alpha) | nominals_of(beta) | {i}
     for nom in (j, k, x, y):
         if nom in used:
@@ -141,14 +141,15 @@ def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ
     lhs = Compare(full_path, kind, c, beta)
     kpath_cmp = Compare(concat(Jump(k), alpha), kind, c, beta)
     step_atom = Diamond(a, Nominal(k))
-    cut_expr = At(i, conj(At(j, step_atom), kpath_cmp))
-    premiss_goal = sequent((), {At(i, Implies(conj(At(j, step_atom), kpath_cmp),
-                                              chi))})
-    if premiss is None:
-        premiss = _paste_premiss_default(premiss_goal, i, chi,
-                                         conj(At(j, step_atom), kpath_cmp))
-    if premiss.conclusion != premiss_goal:
-        raise ValueError("premiss derivation proves the wrong sequent")
+    both = conj(At(j, step_atom), kpath_cmp)
+    cut_expr = At(i, both)
+    if not (isinstance(chi, Implies) and chi.lhs is chi.rhs):
+        raise ValueError("chi must be a trivial implication phi -> phi")
+    phi = chi.lhs
+    premiss = step(IMP_R, sequent((), {At(i, Implies(both, chi))}),
+                   {"i": i, "phi": both, "psi": chi},
+                   [lambda s: step(IMP_R, s, {"i": i, "phi": phi, "psi": phi},
+                                   [lambda s2: axg(s2, i, phi)])])
 
     root = sequent((), {At(i, Implies(lhs, chi))})
 
@@ -183,14 +184,12 @@ def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ
 
         def right_branch():
             # inverse ->R: from ⊢ @_i(X -> chi) obtain @_i X ⊢ @_i chi
-            inner_cut = At(i, Implies(conj(At(j, step_atom), kpath_cmp), chi))
+            inner_cut = At(i, Implies(both, chi))
             lgoal = sequent({cut_expr}, {At(i, chi), inner_cut})
             lhs_d = weaken_to(premiss, lgoal)
             rgoal = sequent({inner_cut, cut_expr}, {At(i, chi)})
-            rhs_d = step(IMP_L, rgoal,
-                         {"i": i, "phi": conj(At(j, step_atom), kpath_cmp),
-                          "psi": chi},
-                         [lambda s: axg(s, i, conj(At(j, step_atom), kpath_cmp)),
+            rhs_d = step(IMP_L, rgoal, {"i": i, "phi": both, "psi": chi},
+                         [lambda s: axg(s, i, both),
                           lambda s: axg(s, i, chi)])
             return weaken_to(cut(lhs_d, rhs_d, inner_cut),
                              sequent({cut_expr}, {At(i, chi)}))
@@ -198,21 +197,6 @@ def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ
         return weaken_to(cut(left, right_branch(), cut_expr), s4)
 
     return step(IMP_R, root, {"i": i, "phi": lhs, "psi": chi}, [p1])
-
-
-def _paste_premiss_default(goal, i, chi, antecedent):
-    """Prove ⊢ @_i(X -> chi) when chi is itself a trivial implication."""
-    def after_impr(s):
-        match chi:
-            case Implies(lhs, rhs) if lhs == rhs:
-                def inner(s2):
-                    return axg(s2, i, lhs)
-                return step(IMP_R, s, {"i": i, "phi": lhs, "psi": rhs}, [inner])
-            case _:
-                raise ValueError(
-                    "no default premiss builder for this chi; pass premiss=")
-    return step(IMP_R, goal, {"i": i, "phi": antecedent, "psi": chi},
-                [after_impr])
 
 
 def nom2_golden():

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .derived import and_left, and_right, step, transfer
 from .kernel import (
-    AT_T, DIA_L, DIA_R, IMP_L, IMP_R, S1, KernelError, Sequent, axiom, cut,
-    infer, open_leaf, sequent, weaken, weaken_to,
+    AT_T, BOT_RULE, DIA_L, DIA_R, IMP_L, IMP_R, S1, KernelError, Sequent,
+    axiom, cut, infer, open_leaf, sequent, weaken, weaken_to,
 )
 from .search import prove
 from .syntax import (
@@ -109,7 +109,7 @@ def _sim_box_l1(goal, inst):
             return step(DIA_R, s1_, {"i": i, "a": a, "phi": neg(phi), "j": j},
                         [after_diar])
         def branch2(s1_):
-            return axiom("Bot", s1_, {"i": i})
+            return axiom(BOT_RULE, s1_, {"i": i})
         return step(IMP_L, s, {"i": i, "phi": Diamond(a, neg(phi)), "psi": BOT},
                     [branch1, branch2])
 
@@ -134,7 +134,7 @@ def _sim_box_r(goal, inst):
             def br1(s3_):
                 return weaken_to(open_leaf(declared), s3_)
             def br2(s3_):
-                return axiom("Bot", s3_, {"i": j})
+                return axiom(BOT_RULE, s3_, {"i": j})
             return step(IMP_L, s2_, {"i": j, "phi": phi, "psi": BOT}, [br1, br2])
         return step(DIA_L, s, {"i": i, "a": a, "phi": neg(phi), "j": j},
                     [after_dial])

@@ -11,8 +11,8 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from . import syntax as sx
 from .kernel import (
-    METAVAR_KINDS, Derivation, Sequent, ShapeViolation, freeze_inst,
-    principal_exprs,
+    METAVAR_KINDS, Derivation, ShapeViolation, freeze_inst, principal_exprs,
+    sequent,
 )
 
 
@@ -160,7 +160,7 @@ def sequent_from_json(d):
     ante = [node_from_json(e) for e in _field(d, "ante", list)]
     cons = [node_from_json(e) for e in _field(d, "cons", list)]
     try:
-        return Sequent.make(ante, cons)
+        return sequent(ante, cons)
     except ShapeViolation as e:                # a member that is not restricted
         raise DecodeError(str(e)) from None
 

@@ -4,10 +4,11 @@ Sequents are pairs of finite sets of restricted node expressions (everything
 is @-prefixed or an atomic comparison between two jumps). Each logical rule
 is one record of `RULES`, read backward: `premises(goal, rule, inst)` checks
 that `inst` binds exactly the rule's metavariables with values of their
-kinds, enforces the shape and freshness side conditions, and returns the
-premiss sequents. `check_derivation` re-verifies every node of a tree and
-reports every failure as a `Violation`, so trees built through the forward
-helpers (`infer`, `cut`, `weaken`) can never be unsound.
+kinds (by class, as expressions are well formed when built), enforces the
+shape and freshness side conditions, and returns the premiss sequents.
+`check_derivation` re-verifies every node of a tree and reports every failure
+as a `Violation`, so trees built through the forward helpers (`infer`, `cut`,
+`weaken`) can never be unsound.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from operator import attrgetter
 from types import SimpleNamespace
 
 from .syntax import (
-    At, Bottom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    TOP, dia, is_node_expr, is_path_expr, nominals_of, print_node,
+    At, Bottom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal,
+    NodeExpr, PathExpr, Prop, TOP, dia, nominals_of, print_node,
 )
 
 
@@ -73,10 +74,6 @@ class Sequent:
         _check_members(self.ante)
         _check_members(self.cons)
 
-    @staticmethod
-    def make(ante=(), cons=()):
-        return Sequent(frozenset(ante), frozenset(cons))
-
     def add_ante(self, *es):
         return Sequent(self.ante | set(es), self.cons)
 
@@ -88,9 +85,6 @@ class Sequent:
 
     def drop_cons(self, *es):
         return Sequent(self.ante, self.cons - set(es))
-
-    def union(self, other):
-        return Sequent(self.ante | other.ante, self.cons | other.cons)
 
     def issubset(self, other):
         return self.ante <= other.ante and self.cons <= other.cons
@@ -120,7 +114,7 @@ class Sequent:
 
 
 def sequent(ante=(), cons=()):
-    return Sequent.make(ante, cons)
+    return Sequent(frozenset(ante), frozenset(cons))
 
 
 def _premiss(ante, cons, add_ante, add_cons):
@@ -157,13 +151,11 @@ METAVAR_KINDS = {
     "alpha": "path", "beta": "path", "phi": "node", "psi": "node",
 }
 
-_KIND_OK = {
-    "nominal": lambda v: isinstance(v, str),
-    "modality": lambda v: isinstance(v, str),
-    "comparison": lambda v: isinstance(v, str),
-    "cmpkind": lambda v: isinstance(v, CmpKind),
-    "path": is_path_expr,
-    "node": is_node_expr,
+# The class of each kind's values. Expressions are well formed when they are
+# built, so a value's class is its whole check.
+_KIND_CLASS = {
+    "nominal": str, "modality": str, "comparison": str, "cmpkind": CmpKind,
+    "path": PathExpr, "node": NodeExpr,
 }
 
 
@@ -175,7 +167,7 @@ def _check_inst(metavars, inst):
             f"not {' '.join(sorted(map(str, inst)))}")
     for m in metavars:
         kind = METAVAR_KINDS[m]
-        if not _KIND_OK[kind](inst[m]):
+        if not isinstance(inst[m], _KIND_CLASS[kind]):
             raise ShapeViolation(f"metavariable {m} is not a {kind}: {inst[m]!r}")
 
 
@@ -471,10 +463,15 @@ class Derivation:
     def inst_dict(self):
         return dict(self.inst)
 
-    def walk(self, path=()):
-        yield path, self
-        for t, c in enumerate(self.children):
-            yield from c.walk(path + (t,))
+    def walk(self):
+        """(path of child indices, node) for every node, in preorder; with
+        an explicit stack instead of recursion, so at any height."""
+        stack = [((), self)]
+        while stack:
+            path, node = stack.pop()
+            yield path, node
+            for t in reversed(range(len(node.children))):
+                stack.append(((*path, t), node.children[t]))
 
     def at(self, path):
         d = self

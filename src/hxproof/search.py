@@ -18,7 +18,7 @@ from .kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R, EQ_5,
     EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1, S2, S3, Derivation,
     KernelError, Sequent, added, axiom, check_derivation, cut, dual,
-    evidence, infer, premises, principal, weaken_to,
+    evidence, infer, premises, principal, sequent, weaken_to,
 )
 from .model import HybridDataModel, check_sequent_validity, find_countermodel
 from .syntax import (
@@ -387,5 +387,5 @@ def invert(rule, d, inst):
                 for t, mine in zip(targets, ours)]
     ((ante, cons),) = ours
     left = weaken_to(d, Sequent(concl.ante.union(ante), concl.cons.union(cons)))
-    right = closed(Sequent.make([p, *ante], cons), ours[0])
+    right = closed(sequent([p, *ante], cons), ours[0])
     return [weaken_to(cut(left, right, p), targets[0])]

@@ -12,10 +12,12 @@ equality is identity. A distinct expression is made once, and then keeps a
 content hash computed from its children's cached hashes, its canonical print
 key and its set of nominals, so a formula shared by many sequents is hashed,
 printed and scanned once. The intern table holds its objects weakly, so
-memory stays bounded by the expressions in use. An object with a field value
-that cannot be hashed, or with a child that is not an expression, is left
-out of the table and without caches: it compares by identity and cannot be
-hashed or printed.
+memory stays bounded by the expressions in use. Every expression is in the
+table: a constructor checks each field against the sort its annotation
+names (a string symbol, a comparison kind, a node or a path expression) the
+one time a distinct expression is made, and raises TypeError for a field of
+the wrong sort or one that cannot be hashed. So an expression is well formed
+by construction, and the kernel checks a value's kind by its class alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import enum
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, get_args, get_type_hints
 
 
 class SyntaxError_(Exception):
@@ -77,52 +79,44 @@ class Expr:
             # a hit reads the table's dict of weak references directly,
             # skipping the Python-level WeakValueDictionary.get
             ref = _INTERNED.data.get(ident)
-        except TypeError:                   # a field that cannot be hashed
-            return _bare(cls, fields)
+        except TypeError:
+            raise TypeError(f"{cls.__name__} field cannot be hashed: "
+                            f"{fields!r}") from None
         if ref is not None:
             e = ref()
             if e is not None:
                 return e
-        e = _bare(cls, fields)
-        if _fill_caches(e, fields):
-            _INTERNED[ident] = e
-        return e
+        return _intern(cls, fields, ident)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            raise TypeError(f"unhashable expression: {self!r}") from None
+        return self._hash
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
-def _bare(cls, fields):
-    """A new object of `cls` holding `fields`, outside the table."""
-    names = cls.__match_args__
-    if len(fields) != len(names):
-        raise TypeError(f"{cls.__name__} takes {len(names)} field(s), "
+def _intern(cls, fields, ident):
+    """The new expression of `cls` holding `fields`, with its caches set and
+    entered in the table; TypeError for a field of the wrong sort."""
+    sorts = _SORTS[cls]
+    if len(fields) != len(sorts):
+        raise TypeError(f"{cls.__name__} takes {len(sorts)} field(s), "
                         f"got {len(fields)}")
     e = object.__new__(cls)
-    for name, value in zip(names, fields):
-        object.__setattr__(e, name, value)
-    return e
-
-
-def _fill_caches(e, fields):
-    """Set e's hash, print key, level and nominals; False for a malformed e."""
-    try:
-        key, level = _render(e)
-        noms = _nominals(e)
-    except (AttributeError, TypeError):     # a child that is not an expression
-        return False
     setattr_ = object.__setattr__
+    for (name, sort), value in zip(sorts, fields):
+        if not isinstance(value, sort):
+            raise TypeError(f"{cls.__name__}.{name} must be "
+                            f"{' | '.join(c.__name__ for c in sort)}, "
+                            f"not {value!r}")
+        setattr_(e, name, value)
+    key, level = _render(e)
     setattr_(e, "_hash", hash(fields))
     setattr_(e, "key", key)
-    setattr_(e, "noms", noms)
+    setattr_(e, "noms", _nominals(e))
     setattr_(e, "_level", level)
-    return True
+    _INTERNED[ident] = e
+    return e
 
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)
@@ -151,7 +145,7 @@ class Concat(Expr):
     right: "PathExpr"
 
 
-PathExpr = Union[Atom, Jump, Test, Concat]
+PathExpr = Atom | Jump | Test | Concat
 
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)
@@ -198,7 +192,18 @@ class Compare(Expr):
     right: PathExpr
 
 
-NodeExpr = Union[Prop, Nominal, Bottom, Implies, At, Diamond, Compare]
+NodeExpr = Prop | Nominal | Bottom | Implies | At | Diamond | Compare
+
+
+def _field_sorts(cls):
+    """(name, classes of its sort) for each field of `cls`, read from the
+    field annotations."""
+    hints = get_type_hints(cls)
+    return tuple((name, get_args(hints[name]) or (hints[name],))
+                 for name in cls.__match_args__)
+
+
+_SORTS = {cls: _field_sorts(cls) for cls in get_args(PathExpr | NodeExpr)}
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +286,6 @@ def size(e):
         case Concat(left, right):
             return size(left) + size(right)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def is_node_expr(e):
-    """True iff e is a well-formed node expression with string symbols."""
-    match e:
-        case Prop(str()) | Nominal(str()) | Bottom():
-            return True
-        case Implies(lhs, rhs):
-            return is_node_expr(lhs) and is_node_expr(rhs)
-        case At(str(), body) | Diamond(str(), body):
-            return is_node_expr(body)
-        case Compare(left, CmpKind(), str(), right):
-            return is_path_expr(left) and is_path_expr(right)
-    return False
-
-
-def is_path_expr(p):
-    """True iff p is a well-formed path expression with string symbols."""
-    match p:
-        case Atom(str()) | Jump(str()):
-            return True
-        case Test(body):
-            return is_node_expr(body)
-        case Concat(left, right):
-            return is_path_expr(left) and is_path_expr(right)
-    return False
 
 
 def subexpressions(e) -> Iterator:
@@ -792,16 +771,15 @@ def _render(e):
 
 def print_node(e, prec=0):
     """Canonical text form; parse_node(print_node(e)) is e."""
-    level = getattr(e, "_level", None)
-    if level is None:
+    if not isinstance(e, NodeExpr):
         raise TypeError(f"not a node expression: {e!r}")
-    return e.key if prec <= level else f"({e.key})"
+    return e.key if prec <= e._level else f"({e.key})"
 
 
 def print_path(p):
-    if isinstance(p, (Atom, Jump, Test, Concat)) and hasattr(p, "key"):
-        return p.key
-    raise TypeError(f"not a path: {p!r}")
+    if not isinstance(p, PathExpr):
+        raise TypeError(f"not a path: {p!r}")
+    return p.key
 
 
 # Made last: building an expression renders it with the printer above.

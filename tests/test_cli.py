@@ -44,6 +44,25 @@ def test_bad_input_exits_3_with_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("prove", "|- @i p", "--bogus"),
+    ("prove", "|- @i p", "--max-depth", "x"),
+    (),
+], ids=["unknown-flag", "bad-value", "missing-command"])
+def test_usage_error_exits_3_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 3 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "--help"])
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
 def _drop_inst(blob):
     del blob["inst"]
 

@@ -24,7 +24,7 @@ from hxproof.goldens import reflexivity
 from hxproof.model import eval_node
 from hxproof.syntax import (
     At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    Test, concat, dia, eps,
+    concat, dia, eps,
 )
 
 P, Q = Prop("p"), Prop("q")
@@ -51,7 +51,7 @@ def test_restricted_membership():
 def test_every_sequent_constructor_but_premises_checks_every_member():
     ok = At("i", P)
     builds = [lambda: Sequent(frozenset({ok, P}), frozenset()),
-              lambda: Sequent.make((ok,), (P,)),
+              lambda: sequent((ok,), (P,)),
               lambda: sequent({ok}, ()).add_cons(P)]
     for build in builds:
         with pytest.raises(ShapeViolation):
@@ -240,8 +240,6 @@ _SITES = _golden_sites()
 _WRONG_KIND = {"nominal": Nominal("i"), "modality": Prop("a"),
                "comparison": CmpKind.EQ, "cmpkind": "eq", "path": P,
                "node": "p"}
-# unhashable values; inside a tree for the kinds that are trees
-_UNHASHABLE = {"path": Test(["x"]), "node": At("i", ["x"])}
 
 
 @pytest.mark.parametrize("rule,key", sorted(_SITES),
@@ -253,7 +251,7 @@ def test_malformed_instantiation_is_a_violation(rule, key):
     dropped = {k: v for k, v in inst.items() if k != key}
     for bad in (dropped, dict(inst, **{key + "2": inst[key]}),
                 dict(inst, **{key: _WRONG_KIND[kind]}),
-                dict(inst, **{key: _UNHASHABLE.get(kind, ["x"])})):
+                dict(inst, **{key: ["x"]})):
         mutated = d.replace(path, Derivation(
             node.conclusion, node.rule, freeze_inst(bad), node.children))
         assert [v.path for v in check_derivation(mutated)] == [path]
@@ -265,6 +263,15 @@ def test_check_reports_paths():
                          good.inst, (good,))
     violations = check_derivation(wrapped)
     assert violations and isinstance(violations[0], Violation)
+
+
+def test_check_is_total_at_any_height():
+    # each weakening is one level; checking walks with a stack, not recursion
+    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
+    extra = {At(f"i{t}", P) for t in range(1200)}
+    d = weaken_to(leaf, sequent({At("i", P)} | extra, {At("i", P)}))
+    assert d.height == 1201
+    assert check_derivation(d) == []
 
 
 def test_open_leaves_only_with_flag():

@@ -293,11 +293,45 @@ def test_dropped_expressions_leave_the_intern_table():
     assert len(sx._INTERNED) <= before
 
 
-def test_unhashable_field_leaves_the_object_uninterned():
-    a, b = At("i", ["x"]), At("i", ["x"])
-    assert a is not b and a != b
-    with pytest.raises(TypeError):
-        hash(a)
-    with pytest.raises(TypeError):
-        print_node(a)
-    assert not sx.is_node_expr(a)
+# One well-formed field tuple per AST class.
+_WELL_FORMED = {
+    Atom: ("a",), Jump: ("j",), Test: (Prop("p"),),
+    Concat: (Atom("a"), Atom("b")), Prop: ("p",), Nominal: ("i",),
+    Bottom: (), Implies: (Prop("p"), BOT), At: ("i", Prop("p")),
+    Diamond: ("a", Prop("p")), Compare: (Atom("a"), CmpKind.EQ, "c", Jump("j")),
+}
+_FIELD_VALUES = ("p", CmpKind.EQ, Atom("a"), Prop("p"), None, 1, ["x"], {"x": 1})
+
+
+def _sort(v):
+    if isinstance(v, (Atom, Jump, Test, Concat)):
+        return "path"
+    return "node" if isinstance(v, sx.Expr) else type(v).__name__
+
+
+def _malformed(cls, fields):
+    """Each field replaced by every value of another sort (the unhashable
+    values among them), and one field too many."""
+    for pos, good in enumerate(fields):
+        for bad in _FIELD_VALUES:
+            if _sort(bad) != _sort(good):
+                yield fields[:pos] + (bad,) + fields[pos + 1:]
+    yield (*fields, "x")
+
+
+def test_malformed_fields_raise_and_leave_the_table_alone():
+    # the dataclass decorator leaves behind the class it replaced by one with slots
+    assert set(_WELL_FORMED) == {c for c in sx.Expr.__subclasses__()
+                                 if c is getattr(sx, c.__name__)}
+    gc.collect()
+    gc.disable()                 # no collection may shrink the table meanwhile
+    try:
+        for cls, fields in _WELL_FORMED.items():
+            assert type(cls(*fields)) is cls
+            for bad in _malformed(cls, fields):
+                before = len(sx._INTERNED)
+                with pytest.raises(TypeError, match=rf"^{cls.__name__}\b"):
+                    cls(*bad)
+                assert len(sx._INTERNED) == before, (cls, bad)
+    finally:
+        gc.enable()
