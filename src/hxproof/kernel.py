@@ -75,10 +75,10 @@ class Sequent:
         _check_members(self.cons)
 
     def add_ante(self, *es):
-        return Sequent(self.ante | set(es), self.cons)
+        return _premiss(self.ante, self.cons, es, ())
 
     def add_cons(self, *es):
-        return Sequent(self.ante, self.cons | set(es))
+        return _premiss(self.ante, self.cons, (), es)
 
     def drop_ante(self, *es):
         return Sequent(self.ante - set(es), self.cons)
@@ -490,22 +490,32 @@ class Derivation:
     def rules_used(self):
         return {node.rule for _, node in self.walk()}
 
-    @cached_property
-    def _noms(self):
-        out = set(self.conclusion._noms)
-        for key, v in self.inst:
-            match METAVAR_KINDS[key]:
-                case "nominal":
-                    out.add(v)
-                case "path" | "node":
-                    out |= v.noms
-        return frozenset(out.union(*(c._noms for c in self.children)))
-
     def nominals(self):
         """The nominals of every conclusion and instantiation in the tree,
-        as a new set; each node keeps its subtree's set, so a tree rebuilt
-        along one path recomputes only that path."""
-        return set(self._noms)
+        as a new set. Each node keeps its subtree's set, so a tree rebuilt
+        along one path recomputes only that path; the sets are filled
+        bottom-up over an explicit stack, so at any height."""
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if "_noms" in node.__dict__:
+                stack.pop()
+                continue
+            todo = [c for c in node.children if "_noms" not in c.__dict__]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            out = set(node.conclusion._noms)
+            for key, v in node.inst:
+                match METAVAR_KINDS[key]:
+                    case "nominal":
+                        out.add(v)
+                    case "path" | "node":
+                        out |= v.noms
+            node.__dict__["_noms"] = frozenset(
+                out.union(*(c.__dict__["_noms"] for c in node.children)))
+        return set(self.__dict__["_noms"])
 
 
 def open_leaf(seq):

@@ -10,6 +10,7 @@ calculus itself is open, so exhaustion reports Unknown honestly.
 
 from __future__ import annotations
 
+from bisect import bisect, bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -70,99 +71,202 @@ CLOSURE_RULES = (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)
 FREE_RULES = frozenset(CLOSURE_RULES + (NEQ_L, NEQ_R))
 
 
-class _Index:
-    """What the move finders need of one sequent, from one match of each
-    member, in print-key order.
+class _Table(list):
+    """Values in the print-key order of the members they came from; `keys`
+    holds those members' print keys, in step, for the bisects."""
 
-    `closing` is the first axiom instance (Ax before Bot), `decomposition`
-    the first invertible non-branching decomposition (antecedent before
-    consequent) and `branch` the first left implication, each a (rule,
-    instantiation) pair or None. `fresh` holds (cost, rule, parts) for each
-    left diamond or comparison, cost being the fresh nominals it needs, and
-    `goals` (rule, member, parts) for each right diamond or comparison. The
-    antecedent atoms are kept by name, so that a finder asks whether a
-    candidate is present without building it: `aliases` holds (i, k) for
-    each @i k, `eqs` (i, c, j) for each <i: =c j:>, `aliases_of[i]` each k,
-    `eqs_from[i]` each (c, j), `bodies_of[j]` each phi of an @j phi that S1
-    may substitute and `steps_into[k]` each (i, a) of an @i <a>k.
+    __slots__ = ("keys",)
+
+    def __init__(self, vals=(), keys=()):
+        super().__init__(vals)
+        self.keys = list(keys)
+
+    def add(self, key, val):
+        t = bisect(self.keys, key)
+        self.keys.insert(t, key)
+        self.insert(t, val)
+
+    def drop(self, key):
+        t = bisect_left(self.keys, key)
+        del self.keys[t], self[t]
+
+    def copy(self):
+        return _Table(self, self.keys)
+
+
+# the index's tables of values in member order, not keyed and keyed by name
+_TABLES = ("ax", "bot", "ante_dec", "cons_dec", "branches", "fresh", "goals",
+           "aliases", "eqs")
+_KEYED = ("aliases_of", "eqs_from", "bodies_of", "steps_into")
+
+
+def _role(e):
+    """What a member gives the index: the (table, name, value) entries it
+    adds as an antecedent and as a consequent member (name None for a table
+    that is not keyed), and its comparison symbol if it is an atomic
+    comparison."""
+    ante, cons, cmp = [], [], None
+    match e:
+        case At(i, phi):
+            match phi:
+                case Nominal(k):
+                    ante += [("aliases", None, (i, k)), ("aliases_of", i, k)]
+                    cons.append(("ax", None, e))
+                case Diamond(a, Nominal(k)):
+                    ante += [("bodies_of", i, phi), ("steps_into", k, (i, a))]
+                    cons.append(("goals", None, (DIA_R, e, (i, a, phi.body))))
+                case Prop():
+                    ante.append(("bodies_of", i, phi))
+                    cons.append(("ax", None, e))
+                case Implies(psi, chi):
+                    ante.append(("branches", None,
+                                 (IMP_L, {"i": i, "phi": psi, "psi": chi})))
+                    cons.append(("cons_dec", None,
+                                 (IMP_R, {"i": i, "phi": psi, "psi": chi})))
+                case Diamond(a, psi):
+                    ante.append(("fresh", None, (1, DIA_L, (i, a, psi))))
+                    cons.append(("goals", None, (DIA_R, e, (i, a, psi))))
+                case At(k, psi):
+                    ante.append(("ante_dec", None,
+                                 (AT_L, {"j": i, "i": k, "phi": psi})))
+                    cons.append(("cons_dec", None,
+                                 (AT_R, {"j": i, "i": k, "phi": psi})))
+                case Compare(alpha, kind, c, beta):
+                    parts = (i, alpha, beta, kind, c)
+                    ante.append(("fresh", None, (2, CMP_L, parts)))
+                    cons.append(("goals", None, (CMP_R, e, parts)))
+                case Bottom():
+                    ante += [("bodies_of", i, phi),
+                             ("bot", None, (BOT_RULE, {"i": i}))]
+        case Compare(Jump(i), kind, c, Jump(j)):
+            cmp = c
+            if kind is CmpKind.EQ:
+                ante += [("eqs", None, (i, c, j)), ("eqs_from", i, (c, j))]
+                cons.append(("ax", None, e))
+            else:
+                ante.append(("ante_dec", None,
+                             (NEQ_L, {"i": i, "j": j, "c": c})))
+                cons.append(("cons_dec", None,
+                             (NEQ_R, {"i": i, "j": j, "c": c})))
+    return tuple(ante), tuple(cons), cmp
+
+
+class _Roles(dict):
+    """member -> _role(member), worked out once per `prove` call: the root
+    index of a `prove` call makes the table, and its copies share it."""
+
+    def __missing__(self, e):
+        r = self[e] = _role(e)
+        return r
+
+
+class _Index:
+    """What the move finders need of one sequent, kept up to date along a
+    branch. `update` moves the index to the next sequent by the members it
+    drops and adds; a left implication's left premiss gets a `copy`, and
+    `_Index(seq)` is an empty index updated by the whole of seq. Each
+    distinct member is matched once per `prove` call (see `_role`), and each
+    table keeps its values in the print-key order of the members they came
+    from.
+
+    `closing` is the first axiom instance (Ax, the first of the consequent
+    members of axiom shape in `ax` that is also in the antecedent, before
+    Bot), `decomposition` the first invertible non-branching decomposition
+    (antecedent before consequent) and `branch` the first left implication,
+    each a (rule, instantiation) pair or None. `fresh` holds (cost, rule,
+    parts) for each left diamond or comparison, cost being the fresh
+    nominals it needs, and `goals` (rule, member, parts) for each right
+    diamond or comparison. The antecedent atoms are kept by name, so that a
+    finder asks whether a candidate is present without building it:
+    `aliases` holds (i, k) for each @i k, `eqs` (i, c, j) for each
+    <i: =c j:>, `aliases_of[i]` each k, `eqs_from[i]` each (c, j),
+    `bodies_of[j]` each phi of an @j phi that S1 may substitute and
+    `steps_into[k]` each (i, a) of an @i <a>k. `noms` and `cmps` are the
+    sorted nominals and atomic comparison symbols, kept exact by counting
+    the member occurrences that hold each, since a step can consume the
+    last member that holds one.
     """
 
-    __slots__ = ("seq", "noms", "cmps", "closing", "decomposition", "branch",
-                 "fresh", "goals", "aliases", "eqs", "aliases_of", "eqs_from",
-                 "bodies_of", "steps_into")
+    __slots__ = ("seq", "roles", "noms", "cmps", "nom_count", "cmp_count",
+                 *_TABLES, *_KEYED)
 
     def __init__(self, seq):
-        cons = seq.cons
-        ax = bot = ante_dec = cons_dec = branch = None
-        cmps, aliases, eqs, fresh, goals = set(), [], [], [], []
-        aliases_of, bodies_of, steps_into, eqs_from = (
-            defaultdict(list) for _ in range(4))
-        for e in seq.sorted_ante:
-            match e:
-                case At(i, phi):
-                    match phi:
-                        case Nominal(k):
-                            aliases.append((i, k))
-                            aliases_of[i].append(k)
-                            if ax is None and e in cons:
-                                ax = e
-                        case Diamond(a, Nominal(k)):
-                            bodies_of[i].append(phi)
-                            steps_into[k].append((i, a))
-                        case Prop():
-                            bodies_of[i].append(phi)
-                            if ax is None and e in cons:
-                                ax = e
-                        case Implies(psi, chi):
-                            if branch is None:
-                                branch = IMP_L, {"i": i, "phi": psi, "psi": chi}
-                        case Diamond(a, psi):
-                            fresh.append((1, DIA_L, (i, a, psi)))
-                        case At(k, psi):
-                            if ante_dec is None:
-                                ante_dec = AT_L, {"j": i, "i": k, "phi": psi}
-                        case Compare(alpha, kind, c, beta):
-                            fresh.append((2, CMP_L, (i, alpha, beta, kind, c)))
-                        case Bottom():
-                            bodies_of[i].append(phi)
-                            if bot is None:
-                                bot = i
-                case Compare(Jump(i), kind, c, Jump(j)):
-                    cmps.add(c)
-                    if kind is CmpKind.EQ:
-                        eqs.append((i, c, j))
-                        eqs_from[i].append((c, j))
-                        if ax is None and e in cons:
-                            ax = e
-                    elif ante_dec is None:
-                        ante_dec = NEQ_L, {"i": i, "j": j, "c": c}
-        for e in seq.sorted_cons:
-            match e:
-                case At(i, phi):
-                    match phi:
-                        case At(k, psi):
-                            if cons_dec is None:
-                                cons_dec = AT_R, {"j": i, "i": k, "phi": psi}
-                        case Implies(psi, chi):
-                            if cons_dec is None:
-                                cons_dec = IMP_R, {"i": i, "phi": psi, "psi": chi}
-                        case Diamond(a, psi):
-                            goals.append((DIA_R, e, (i, a, psi)))
-                        case Compare(alpha, kind, c, beta):
-                            goals.append((CMP_R, e, (i, alpha, beta, kind, c)))
-                case Compare(Jump(i), kind, c, Jump(j)):
-                    cmps.add(c)
-                    if kind is CmpKind.NEQ and cons_dec is None:
-                        cons_dec = NEQ_R, {"i": i, "j": j, "c": c}
+        self.seq, self.roles = sequent(), _Roles()
+        self.noms, self.cmps, self.nom_count, self.cmp_count = [], [], {}, {}
+        for name in _TABLES:
+            setattr(self, name, _Table())
+        for name in _KEYED:
+            setattr(self, name, defaultdict(_Table))
+        self.update(seq)
+
+    def copy(self):
+        c = object.__new__(type(self))
+        c.seq, c.roles = self.seq, self.roles
+        c.noms, c.cmps = self.noms.copy(), self.cmps.copy()
+        c.nom_count, c.cmp_count = self.nom_count.copy(), self.cmp_count.copy()
+        for name in _TABLES:
+            setattr(c, name, getattr(self, name).copy())
+        for name in _KEYED:
+            setattr(c, name, defaultdict(_Table, {
+                k: t.copy() for k, t in getattr(self, name).items()}))
+        return c
+
+    @property
+    def closing(self):
+        ante = self.seq.ante
+        for e in self.ax:
+            if e in ante:
+                return AX, {"phi": e}
+        return self.bot[0] if self.bot else None
+
+    @property
+    def decomposition(self):
+        t = self.ante_dec or self.cons_dec
+        return t[0] if t else None
+
+    @property
+    def branch(self):
+        return self.branches[0] if self.branches else None
+
+    def update(self, seq):
+        """Index `seq` in place of the sequent indexed so far."""
+        old, roles = self.seq, self.roles
+        for side, was, now in ((0, old.ante, seq.ante),
+                               (1, old.cons, seq.cons)):
+            for e in was - now:
+                self._enter(e, roles[e], side, -1)
+            for e in now - was:
+                self._enter(e, roles[e], side, 1)
         self.seq = seq
-        self.noms, self.cmps = sorted(seq.nominals()), sorted(cmps)
-        self.closing = ((AX, {"phi": ax}) if ax is not None else
-                        (BOT_RULE, {"i": bot}) if bot is not None else None)
-        self.decomposition = ante_dec or cons_dec
-        self.branch, self.fresh, self.goals = branch, fresh, goals
-        self.aliases, self.eqs = aliases, eqs
-        self.aliases_of, self.eqs_from = aliases_of, eqs_from
-        self.bodies_of, self.steps_into = bodies_of, steps_into
+
+    def _enter(self, e, role, side, sign):
+        """Add (sign 1) or remove (sign -1) one occurrence of member `e`."""
+        key = e.key
+        for name, sub, val in role[side]:
+            t = getattr(self, name)
+            if sub is not None:
+                t = t[sub]
+            if sign > 0:
+                t.add(key, val)
+            else:
+                t.drop(key)
+        _count(self.nom_count, self.noms, e.noms, sign)
+        if role[2] is not None:
+            _count(self.cmp_count, self.cmps, (role[2],), sign)
+
+
+def _count(counts, present, names, sign):
+    """Move each of `names` by `sign` in `counts`, keeping the sorted list
+    `present` of the names counted above zero."""
+    for n in names:
+        c = counts.get(n, 0) + sign
+        if c == 0:
+            del counts[n]
+            present.remove(n)
+        else:
+            if c == 1 and sign > 0:
+                insort(present, n)
+            counts[n] = c
 
 
 class _Evidence(dict):
@@ -251,17 +355,18 @@ def _fresh_move(ix, fresh_left):
             continue
         if rule == DIA_L:
             i, a, phi = parts
-            (j,) = fresh_nominals(1, ix.seq.nominals())
+            (j,) = fresh_nominals(1, ix.noms)
             return DIA_L, {"i": i, "a": a, "phi": phi, "j": j}, cost
         i, alpha, beta, kind, c = parts
-        j, k = fresh_nominals(2, ix.seq.nominals())
+        j, k = fresh_nominals(2, ix.noms)
         return CMP_L, {"i": i, "alpha": alpha, "beta": beta, "kind": kind,
                        "c": c, "j": j, "k": k}, cost
     return None
 
 
-def _attempt(seq, depth_left, fresh_left, steps, evidence, fired=frozenset()):
-    """Search one branch; returns a closed derivation or None.
+def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
+    """Search the branch of the sequent `ix` indexes; returns a closed
+    derivation or None. The branch owns `ix` and updates it at every step.
 
     `evidence` is the calling `prove`'s table of comparison evidence.
 
@@ -272,7 +377,6 @@ def _attempt(seq, depth_left, fresh_left, steps, evidence, fired=frozenset()):
     record is the reason for the overall failure.
     """
     trail = []
-    cur = seq
     fired = set(fired)
 
     def fold(topd):
@@ -283,7 +387,7 @@ def _attempt(seq, depth_left, fresh_left, steps, evidence, fired=frozenset()):
 
     while True:
         steps["visited"] += 1
-        ix = _Index(cur)
+        cur = ix.seq
         if ix.closing is not None:
             rule, inst = ix.closing
             return fold(axiom(rule, cur, inst))
@@ -308,11 +412,14 @@ def _attempt(seq, depth_left, fresh_left, steps, evidence, fired=frozenset()):
         elif ix.branch is not None:
             rule, inst = ix.branch
             p1, p2 = premises(cur, rule, inst)
-            left = _attempt(p1, depth_left - 1, fresh_left, steps, evidence,
-                            fired)
+            left_ix = ix.copy()
+            left_ix.update(p1)
+            left = _attempt(left_ix, depth_left - 1, fresh_left, steps,
+                            evidence, fired)
             if left is None:
                 return None
-            right = _attempt(p2, depth_left - 1, fresh_left, steps, evidence,
+            ix.update(p2)
+            right = _attempt(ix, depth_left - 1, fresh_left, steps, evidence,
                              fired)
             if right is None:
                 return None
@@ -325,7 +432,7 @@ def _attempt(seq, depth_left, fresh_left, steps, evidence, fired=frozenset()):
             steps["bound"] = "fresh" if ix.fresh else "saturated"
             return None
         trail.append((rule, inst, cur))
-        cur = premises(cur, rule, inst)[0]
+        ix.update(premises(cur, rule, inst)[0])
 
 
 def prove(goal, cfg=None):
@@ -336,7 +443,7 @@ def prove(goal, cfg=None):
     """
     cfg = cfg or SearchConfig()
     steps = {"visited": 0}
-    d = _attempt(goal, cfg.max_depth, cfg.max_fresh_nominals, steps,
+    d = _attempt(_Index(goal), cfg.max_depth, cfg.max_fresh_nominals, steps,
                  _Evidence())
     if d is not None:
         violations = check_derivation(d)

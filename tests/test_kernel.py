@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from genutil import (SIG, conclusion_for_rule, rand_derivation, rand_model,
                      rand_path)
-from hxproof import jsonio
+from hxproof import jsonio, kernel
 from hxproof.cutelim import (
     cut_complexity, cut_height, rename_nominal_derivation,
 )
@@ -272,6 +272,36 @@ def test_check_is_total_at_any_height():
     d = weaken_to(leaf, sequent({At("i", P)} | extra, {At("i", P)}))
     assert d.height == 1201
     assert check_derivation(d) == []
+
+
+def test_nominals_at_any_height():
+    # the per-node sets are filled bottom-up over a stack, not by recursion
+    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
+    extra = {At(f"i{t}", P) for t in range(1200)}
+    d = weaken_to(leaf, sequent({At("i", P)} | extra, {At("i", P)}))
+    assert d.nominals() == {"i"} | {f"i{t}" for t in range(1200)}
+    # a tree rebuilt along one path keeps the sets of the subtrees it reuses
+    kept = d.__dict__["_noms"]
+    w = weaken(d, "right", At("j", Q))
+    assert w.nominals() == d.nominals() | {"j"}
+    assert d.__dict__["_noms"] is kept
+
+
+def test_weaken_to_checks_only_the_added_members(monkeypatch):
+    # each weakening checks its one added member, in weaken and in the
+    # sequent it builds, so a chain of n costs O(n) checks, not O(n^2)
+    n = 2400
+    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
+    target = sequent({At("i", P)} | {At(f"i{t}", P) for t in range(n // 2)},
+                     {At("i", P)} | {At(f"j{t}", Q) for t in range(n // 2)})
+    calls = []
+    restricted = kernel.is_restricted
+    monkeypatch.setattr(kernel, "is_restricted",
+                        lambda e: calls.append(e) or restricted(e))
+    d = weaken_to(leaf, target)
+    monkeypatch.undo()
+    assert d.conclusion == target and d.height == n + 1
+    assert 0 < len(calls) <= 2 * n
 
 
 def test_open_leaves_only_with_flag():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from genutil import (SIG, conclusion_for_rule, derivation_of, rand_kind,
-                     rand_model, rand_node, rand_path, rand_sequent)
+from genutil import (SIG, conclusion_for_rule, derivation_of, rand_derivation,
+                     rand_kind, rand_model, rand_node, rand_path,
+                     rand_sequent)
 from hxproof import search
 from hxproof import syntax as sx
 from hxproof.goldens import (nom2_golden, paste_template, prove_axiom_suite,
@@ -418,12 +419,35 @@ def test_move_finders_agree_with_formula_building_oracles(seed):
         s = premises(s, rule, inst)[0]
 
 
+def _search_visits(monkeypatch, goals, cfg, seen):
+    """Prove each goal with `seen(ix, before)` called on the index at every
+    sequent search visits, `before` being the sequent it indexed until then:
+    the root's index is built by an update from the empty sequent and each
+    later sequent's by one, so each visit is one update."""
+    update = search._Index.update
+
+    def recorded(ix, seq):
+        before = ix.seq
+        update(ix, seq)
+        seen(ix, before)
+
+    monkeypatch.setattr(search._Index, "update", recorded)
+    for goal in goals:
+        prove(goal, cfg)
+    monkeypatch.undo()
+
+
+def _criterion_6_goals():
+    rng = random.Random(CRITERION_6_SEED)
+    return [rand_sequent(rng, SIG, max_side=3, depth=2) for _ in range(500)]
+
+
 def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
     # criterion 6's draw; the witness finder is checked with the arguments
     # search passes it, and the index and every finder on every sequent it
     # visits
     visited, calls = [], []
-    witness_move, index = search._witness_move, search._Index
+    witness_move = search._witness_move
 
     def checked(ix, fired, evidence, dia_ok):
         got = witness_move(ix, fired, evidence, dia_ok)
@@ -432,15 +456,66 @@ def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
         return got
 
     monkeypatch.setattr(search, "_witness_move", checked)
-    monkeypatch.setattr(search, "_Index",
-                        lambda seq: visited.append(seq) or index(seq))
-
-    rng = random.Random(CRITERION_6_SEED)
-    cfg = SearchConfig(max_depth=12, enable_countermodel=False)
-    for _ in range(500):
-        prove(rand_sequent(rng, SIG, max_side=3, depth=2), cfg)
+    _search_visits(monkeypatch, _criterion_6_goals(),
+                   SearchConfig(max_depth=12, enable_countermodel=False),
+                   lambda ix, before: visited.append(ix.seq))
     assert len(visited) > 2000
     assert set(calls) == {True, False}
-    monkeypatch.undo()
     for s in visited:
         assert _moves(s, frozenset()) == _oracle_moves(s, frozenset())
+
+
+def _tables(ix):
+    """Everything an index holds, as plain values; a keyed table emptied by
+    the members a step dropped, or made by a finder's lookup, counts as
+    absent."""
+    def plain(t):
+        return list(t), list(t.keys)
+
+    out = {name: plain(getattr(ix, name)) for name in search._TABLES}
+    for name in search._KEYED:
+        out[name] = {k: plain(t) for k, t in getattr(ix, name).items() if t}
+    out.update(seq=ix.seq, noms=list(ix.noms), cmps=list(ix.cmps),
+               nom_count=dict(ix.nom_count), cmp_count=dict(ix.cmp_count))
+    return out
+
+
+def test_updated_index_equals_a_fresh_one_wherever_search_goes(monkeypatch):
+    # criterion 6's draw and provable-by-construction conclusions, whose
+    # proofs also take the rules that consume their principal
+    rng = random.Random(5)
+    goals = _criterion_6_goals() + [
+        rand_derivation(rng, SIG, steps=5).conclusion for _ in range(150)]
+    seen, drops = [], []
+
+    def record(ix, before):
+        seen.append(_tables(ix))
+        drops.append(not before.issubset(ix.seq))
+
+    _search_visits(monkeypatch, goals,
+                   SearchConfig(max_depth=12, enable_countermodel=False),
+                   record)
+    assert len(seen) > 3000
+    # many steps consumed a principal, so the index dropped members
+    assert sum(drops) > 500
+    for got in seen:
+        assert got == _tables(search._Index(got["seq"])), got["seq"]
+
+
+def test_updating_a_branch_copy_leaves_the_original_unchanged():
+    s = seq("@i (p -> q), @i (<a>(j -> k) -> @j p), @i <a =c b>, @i j "
+            "|- @i q, @j (p -> <a !=c eps>)")
+    ix = search._Index(s)
+    rule, inst = ix.branch
+    p1, p2 = premises(s, rule, inst)
+    before = _tables(ix)
+    left = ix.copy()
+    left.update(p1)
+    while (move := left.decomposition or next(search._closure_moves(left),
+                                               None)) is not None:
+        left.update(premises(left.seq, *move)[0])
+    assert left.seq != p1
+    assert _tables(ix) == before
+    assert _tables(left) == _tables(search._Index(left.seq))
+    ix.update(p2)
+    assert _tables(ix) == _tables(search._Index(p2))
