@@ -250,7 +250,8 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # the reader, the decoder, the checker and the writer all recurse
+        # the JSON reader, the canonical writer and cut elimination recurse
+        # once per derivation level
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,6 +7,8 @@ members so identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
+import marshal
+import reprlib
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import syntax as sx
@@ -20,13 +22,25 @@ class DecodeError(ValueError):
     """JSON that does not encode an expression, sequent or derivation."""
 
 
+_REPR = reprlib.Repr()
+
+
+def _show(v):
+    """`v` quoted for a DecodeError, cut short, so that a long or deeply
+    nested value gives a short message rather than a RecursionError."""
+    try:
+        return _REPR.repr(v)
+    except ValueError:                         # an int too long to print
+        return f"a {type(v).__name__}"
+
+
 def _field(d, key, typ=object):
     try:
         v = d[key]
     except (KeyError, TypeError):
         raise DecodeError(f"missing field {key!r}") from None
     if not isinstance(v, typ):
-        raise DecodeError(f"field {key!r} is not a {typ.__name__}: {v!r}")
+        raise DecodeError(f"field {key!r} is not a {typ.__name__}: {_show(v)}")
     return v
 
 
@@ -39,7 +53,7 @@ def _cmpkind(d, key="kind"):
     try:
         return sx.CmpKind(value)
     except ValueError:
-        raise DecodeError(f"unknown comparison kind: {value!r}") from None
+        raise DecodeError(f"unknown comparison kind: {_show(value)}") from None
 
 
 def node_to_json(e):
@@ -72,10 +86,6 @@ def node_from_json(d):
     return _node(d, MAX_NESTING)
 
 
-def path_from_json(d):
-    return _path(d, MAX_NESTING)
-
-
 def _node(d, room):
     """The node expression `d` encodes, at most `room` levels deep."""
     if room <= 0:
@@ -98,7 +108,7 @@ def _node(d, room):
         case "cmp":
             return sx.Compare(_path(_field(d, "left"), room), _cmpkind(d),
                               _name(d, "cmp"), _path(_field(d, "right"), room))
-    raise DecodeError(f"unknown node tag: {d['tag']!r}")
+    raise DecodeError(f"unknown node tag: {_show(d['tag'])}")
 
 
 def path_to_json(p):
@@ -130,7 +140,7 @@ def _path(d, room):
         case "concat":
             return sx.Concat(_path(_field(d, "left"), room),
                              _path(_field(d, "right"), room))
-    raise DecodeError(f"unknown path tag: {d['tag']!r}")
+    raise DecodeError(f"unknown path tag: {_show(d['tag'])}")
 
 
 class _Formulas(dict):
@@ -156,11 +166,42 @@ def sequent_to_json(s):
     return _Formulas().sequent(s)
 
 
+class _Exprs(dict):
+    """Each distinct formula's expression, decoded once.
+
+    Every node of a derivation carries its whole sequent, so the same
+    formula's JSON value recurs at every node. One table per top-level call
+    maps `marshal.dumps` of a value to the expression it decodes to; the key
+    costs about a quarter of decoding the value again. marshal writes each
+    value with its type's own code, save that it writes any bytes-like
+    object as bytes (each is refused alike), so equal bytes mean values that
+    decode alike, and a hit returns what decoding would. Equal values that
+    marshal differently (keys in another order, other sharing of identical
+    objects) only miss. A value that marshal refuses (an object of another
+    type, or one nested past marshal's own limit) is decoded without the
+    table.
+    """
+
+    def node(self, v):
+        try:
+            key = marshal.dumps(v)
+        except ValueError:
+            return _node(v, MAX_NESTING)
+        e = self.get(key)
+        if e is None:
+            e = self[key] = _node(v, MAX_NESTING)
+        return e
+
+
 def sequent_from_json(d):
-    ante = [node_from_json(e) for e in _field(d, "ante", list)]
-    cons = [node_from_json(e) for e in _field(d, "cons", list)]
+    return _sequent(d, _Exprs())
+
+
+def _sequent(d, exprs):
+    """The sequent the object `d` encodes, its members decoded by `exprs`."""
+    ante, cons = _field(d, "ante", list), _field(d, "cons", list)
     try:
-        return sequent(ante, cons)
+        return sequent(map(exprs.node, ante), map(exprs.node, cons))
     except ShapeViolation as e:                # a member that is not restricted
         raise DecodeError(str(e)) from None
 
@@ -177,7 +218,8 @@ def _inst_value_to_json(key, v, formulas):
     return {"kind": kind, "expr": formulas[v]}
 
 
-def _inst_value_from_json(key, d):
+def _inst_value(key, d, exprs):
+    """The value of metavariable `key` that the object `d` encodes."""
     kind = _name(d, "kind")
     if key in METAVAR_KINDS and kind != METAVAR_KINDS[key]:
         raise DecodeError(
@@ -188,34 +230,69 @@ def _inst_value_from_json(key, d):
         case "cmpkind":
             return _cmpkind(d, "value")
         case "path":
-            return path_from_json(_field(d, "expr"))
+            return _path(_field(d, "expr"), MAX_NESTING)
         case "node":
-            return node_from_json(_field(d, "expr"))
-    raise DecodeError(f"unknown instantiation value kind: {kind!r}")
+            return exprs.node(_field(d, "expr"))
+    raise DecodeError(f"unknown instantiation value kind: {_show(kind)}")
+
+
+def _inst(d, exprs):
+    """The instantiation the object `d` encodes, frozen."""
+    out = {}
+    for key, v in d.items():
+        if not isinstance(key, str):
+            raise DecodeError(f"metavariable is not a str: {_show(key)}")
+        out[key] = _inst_value(key, v, exprs)
+    return freeze_inst(out)
 
 
 def derivation_to_json(d):
-    """The JSON object of `d`; equal formulas in it are one shared object."""
-    return _derivation_to_json(d, _Formulas())
-
-
-def _derivation_to_json(d, formulas):
-    principal = principal_exprs(d.rule, d.inst_dict)
-    return {
-        "rule": d.rule,
-        "principal": sorted((formulas[e] for e in principal), key=str),
-        "inst": {key: _inst_value_to_json(key, v, formulas) for key, v in d.inst},
-        "conclusion": formulas.sequent(d.conclusion),
-        "children": [_derivation_to_json(c, formulas) for c in d.children],
-    }
+    """The JSON object of `d`; equal formulas in it are one shared object.
+    The levels are walked over an explicit stack, so at any height."""
+    formulas = _Formulas()
+    out = []
+    stack = [(d, out)]
+    while stack:
+        node, siblings = stack.pop()
+        kids = []
+        siblings.append({
+            "rule": node.rule,
+            "principal": sorted((formulas[e] for e in
+                                 principal_exprs(node.rule, node.inst_dict)),
+                                key=str),
+            "inst": {key: _inst_value_to_json(key, v, formulas)
+                     for key, v in node.inst},
+            "conclusion": formulas.sequent(node.conclusion),
+            "children": kids,
+        })
+        stack += [(c, kids) for c in reversed(node.children)]
+    return out[0]
 
 
 def derivation_from_json(d):
-    inst = freeze_inst({key: _inst_value_from_json(key, v)
-                        for key, v in _field(d, "inst", dict).items()})
-    return Derivation(
-        sequent_from_json(_field(d, "conclusion")), _name(d, "rule"), inst,
-        tuple(derivation_from_json(c) for c in _field(d, "children", list)))
+    """The derivation the object `d` encodes. Each distinct formula is
+    decoded once per call (`_Exprs`), and the levels are walked over an
+    explicit stack, so at any height."""
+    exprs = _Exprs()
+    done = []                  # decoded subtrees, each after its left sibling
+    stack = [(d, None)]
+    while stack:
+        d, head = stack.pop()
+        if head is not None:   # `d` counts the children, the last of `done`
+            start = len(done) - d
+            kids = tuple(done[start:])
+            del done[start:]
+            done.append(Derivation(*head, kids))
+            continue
+        head = (_sequent(_field(d, "conclusion"), exprs), _name(d, "rule"),
+                _inst(_field(d, "inst", dict), exprs))
+        kids = _field(d, "children", list)
+        if kids:
+            stack.append((len(kids), head))
+            stack += [(c, None) for c in reversed(kids)]
+        else:
+            done.append(Derivation(*head))
+    return done[0]
 
 
 def dumps_canonical(obj):

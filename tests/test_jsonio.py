@@ -12,7 +12,10 @@ from genutil import rand_derivation
 from hxproof import jsonio
 from hxproof.goldens import prove_axiom_suite
 from hxproof.jsonio import MAX_NESTING, DecodeError, dumps_canonical
-from hxproof.kernel import check_derivation
+from hxproof.kernel import (
+    AX, Derivation, axiom, check_derivation, sequent, weaken_to,
+)
+from hxproof.syntax import At, Prop
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 GOLDEN_FILES = sorted(GOLDEN.glob("*.json"))
@@ -88,12 +91,17 @@ def test_non_str_key_is_a_type_error(obj):
         dumps_canonical(obj)
 
 
-def _deep_leaf(depth):
-    """An (Ax) leaf on @i (false -> ... -> p), `depth` implications deep."""
+def _deep_member(depth):
+    """The JSON object of @i (false -> ... -> p), `depth` implications deep."""
     body = {"tag": "prop", "name": "p"}
     for _ in range(depth):
         body = {"tag": "imp", "lhs": {"tag": "bot"}, "rhs": body}
-    at = {"tag": "at", "nom": "i", "body": body}
+    return {"tag": "at", "nom": "i", "body": body}
+
+
+def _deep_leaf(depth):
+    """An (Ax) leaf on @i (false -> ... -> p), `depth` implications deep."""
+    at = _deep_member(depth)
     return {"rule": "Ax", "principal": [], "children": [],
             "inst": {"phi": {"kind": "node", "expr": at}},
             "conclusion": {"ante": [at], "cons": [at]}}
@@ -113,3 +121,130 @@ def test_formula_past_the_nesting_bound_is_a_decode_error():
         jsonio.derivation_from_json(_deep_leaf(MAX_NESTING - 1))
     with pytest.raises(DecodeError, match="nested more than"):
         jsonio.derivation_from_json(_deep_leaf(600))
+
+
+# ---------------------------------------------------------------------------
+# the decoder: height, totality, and the per-call member table
+# ---------------------------------------------------------------------------
+
+def test_a_derivation_of_any_height_round_trips_through_json_objects():
+    # both directions walk the levels over a stack; json.loads and
+    # dumps_canonical still recurse, so the text of this tree does not load
+    p = At("i", Prop("p"))
+    extra = {At(f"i{t}", Prop("p")) for t in range(1200)}
+    d = weaken_to(axiom(AX, sequent({p}, {p}), {"phi": p}),
+                  sequent({p} | extra, {p}))
+    assert d.height == 1201
+    back = jsonio.derivation_from_json(jsonio.derivation_to_json(d))
+    assert back.height == d.height
+    assert ([(n.conclusion, n.rule, n.inst) for _, n in back.walk()]
+            == [(n.conclusion, n.rule, n.inst) for _, n in d.walk()])
+
+
+DERIVATION_TEXTS = [p.read_text() for p in GOLDEN_FILES
+                    if "model" not in p.stem and "graph" not in p.stem]
+WORDS = st.sampled_from([
+    "tag", "name", "nom", "body", "lhs", "rhs", "mod", "left", "right",
+    "kind", "cmp", "expr", "value", "rule", "inst", "conclusion", "children",
+    "ante", "cons", "prop", "bot", "imp", "at", "dia", "jump", "test",
+    "concat", "nominal", "modality", "comparison", "cmpkind", "path", "node",
+    "eq", "neq", "i", "phi", "Ax", "WL"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4) | WORDS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(WORDS | st.text(max_size=3), inner,
+                                     max_size=4)),
+    max_leaves=10)
+# Python values no JSON text yields: a set (marshal writes it), an object
+# (marshal refuses it), an int too long for repr, and a member nested past
+# marshal's depth limit
+ODD_VALUES = [set(), {"at"}, object(), 10 ** 5000, _deep_member(2100)]
+
+
+def _slots(blob):
+    """(container, key or index) for every value inside `blob`, and one
+    holding `blob` itself."""
+    root = [blob]
+    out, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        keys = list(v) if isinstance(v, dict) else range(len(v))
+        for k in keys:
+            out.append((v, k))
+            if isinstance(v[k], (dict, list)):
+                stack.append(v[k])
+    return root, out
+
+
+def _decodes_or_fails_cleanly(blob):
+    try:
+        d = jsonio.derivation_from_json(blob)
+    except DecodeError:
+        return
+    assert isinstance(d, Derivation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DERIVATION_TEXTS), st.data())
+def test_any_value_at_any_field_decodes_or_is_a_decode_error(text, data):
+    root, slots = _slots(json.loads(text))
+    parent, key = data.draw(st.sampled_from(slots))
+    parent[key] = data.draw(JSON_VALUES | st.sampled_from(ODD_VALUES))
+    _decodes_or_fails_cleanly(root[0])
+
+
+@pytest.mark.parametrize("odd", ODD_VALUES,
+                         ids=["set", "str-set", "object", "long-int", "deep"])
+def test_values_no_json_text_yields_are_decode_errors_at_every_field(odd):
+    root, slots = _slots(json.loads(DERIVATION_TEXTS[0]))
+    for parent, key in slots:
+        kept = parent[key]
+        parent[key] = odd
+        _decodes_or_fails_cleanly(root[0])
+        parent[key] = kept
+
+
+def test_a_metavariable_that_is_not_a_str_is_a_decode_error():
+    # a JSON object's keys are strings; a Python caller's need not be, and
+    # freezing an instantiation sorts its keys
+    blob = _deep_leaf(1)
+    blob["inst"][1] = blob["inst"]["phi"]
+    with pytest.raises(DecodeError, match="metavariable is not a str"):
+        jsonio.derivation_from_json(blob)
+
+
+def _reordered(value, rng):
+    """A copy of the JSON value `value` in which every object is a new
+    dict with its keys in a drawn order."""
+    if isinstance(value, list):
+        return [_reordered(v, rng) for v in value]
+    if isinstance(value, dict):
+        items = list(value.items())
+        rng.shuffle(items)
+        return {k: _reordered(v, rng) for k, v in items}
+    return value
+
+
+def test_equal_members_decode_alike_in_any_key_order_or_sharing():
+    d = rand_derivation(random.Random(7), steps=12)
+    canonical = jsonio.derivation_to_json(d)
+    messy = _reordered(canonical, random.Random(1))
+    members = [m for node in [messy, *messy["children"]]
+               for m in node["conclusion"]["ante"] + node["conclusion"]["cons"]]
+    members[0]["note"] = "ignored"
+    orders = {}
+    for m in members:
+        orders.setdefault(json.dumps(m, sort_keys=True), set()).add(tuple(m))
+    assert any(len(keys) > 1 for keys in orders.values())
+    assert jsonio.derivation_from_json(messy) == d
+    assert jsonio.derivation_from_json(canonical) == d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 16))
+def test_drawn_derivations_decode_to_themselves(rng, steps):
+    d = rand_derivation(rng, steps=steps)
+    obj = jsonio.derivation_to_json(d)
+    assert jsonio.derivation_from_json(obj) == d
+    assert jsonio.derivation_from_json(json.loads(dumps_canonical(obj))) == d
