@@ -5,6 +5,13 @@ one comparison equivalence per comparison symbol (stored as a partition, so
 reflexivity/symmetry/transitivity hold by construction), a total nominal
 assignment, and a valuation. Includes data-graph ingestion (attribute values
 abstracted into comparison classes) and bounded countermodel search.
+
+The model checker (`eval_node`, `satisfies_set`, `check_sequent_validity`)
+labels bottom-up with node masks, as in global model checking: each call
+reads the model into bit masks once and labels each distinct subexpression
+once, `<a>` as a pre-image and a path step as a union of successor masks.
+That takes O(|phi| * (nodes + edges)) mask operations apart from
+comparisons, which loop over class masks at each node.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 from . import syntax as sx
 from .syntax import (
     At, Atom, Bottom, CmpKind, Compare, Concat, Diamond, Implies, Jump,
-    Nominal, Prop, Test,
+    NodeExpr, Nominal, Prop, Test,
 )
 
 
@@ -48,7 +55,14 @@ def _partition_from_classes(nodes, classes):
 
 @dataclass
 class HybridDataModel:
-    """M = (N, {R_a}, {~_c}, g, V); immutable after construction by convention."""
+    """M = (N, {R_a}, {~_c}, g, V).
+
+    The product never changes a model once it is built, but nothing stops a
+    caller from doing so (the tests' brute-force countermodel search assigns
+    `g`, `cmp_class`, `rels` and `val` of one model in turn), so no derived
+    data is cached on the model: each model-checking call reads the fields
+    afresh.
+    """
 
     nodes: frozenset
     rels: dict            # modality symbol -> frozenset of (n, m) pairs
@@ -94,9 +108,6 @@ class HybridDataModel:
         """Total nominal assignment; unplaced nominals go to the default node."""
         return self.g.get(nominal, self.default_node)
 
-    def related(self, a, n, m):
-        return (n, m) in self.rels.get(a, frozenset())
-
     def same_class(self, c, n, m):
         classes = self.cmp_class.get(c)
         if classes is None:
@@ -104,94 +115,161 @@ class HybridDataModel:
             return n == m
         return classes[n] == classes[m]
 
-    def cmp_pairs(self, c):
-        """The comparison as an explicit pair set (for invariant checks)."""
-        return frozenset((n, m) for n in self.nodes for m in self.nodes
-                         if self.same_class(c, n, m))
-
-    def holds(self, p, n):
-        return n in self.val.get(p, frozenset())
-
 
 # ---------------------------------------------------------------------------
 # Satisfaction
 # ---------------------------------------------------------------------------
 
-def eval_path(model, n, n2, alpha):
-    """M, n, n2 |= alpha for a path expression."""
-    if n not in model.nodes or n2 not in model.nodes:
-        raise UnknownNode(f"unknown node in ({n!r}, {n2!r})")
-    match alpha:
-        case Atom(a):
-            return model.related(a, n, n2)
-        case Jump(i):
-            return model.node_of(i) == n2
-        case Test(phi):
-            return n == n2 and eval_node(model, n, phi)
-        case Concat(left, right):
-            return any(eval_path(model, n, mid, left)
-                       and eval_path(model, mid, n2, right)
-                       for mid in model.nodes)
-    raise TypeError(f"not a path: {alpha!r}")
+class _Labelling:
+    """Bottom-up labelling of one model with node masks.
+
+    Bit x of a mask stands for the node at position x of `sorted(nodes)`.
+    A node expression's label is the mask of the nodes where it holds, and a
+    path's label is a tuple of endpoint masks, one per start node. The
+    components are read from the model once, when the labelling is made: a
+    tuple of successor masks per modality, each node's class mask per
+    comparison symbol, and a mask per proposition. Each distinct
+    subexpression is then labelled once.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        nodes = sorted(model.nodes)
+        self.pos = pos = {n: x for x, n in enumerate(nodes)}
+        self.bits = bits = tuple(1 << x for x in range(len(nodes)))
+        self.full = (1 << len(nodes)) - 1
+        self.succ = {}
+        for a, pairs in model.rels.items():
+            succ = [0] * len(nodes)
+            for n, m in pairs:
+                succ[pos[n]] |= bits[pos[m]]
+            self.succ[a] = tuple(succ)
+        self.classes = {}
+        for c, class_of in model.cmp_class.items():
+            block = {}
+            for n, bit in zip(nodes, bits):
+                block[class_of[n]] = block.get(class_of[n], 0) | bit
+            self.classes[c] = tuple(block[class_of[n]] for n in nodes)
+        self.val = {p: sum(bits[pos[n]] for n in ns)
+                    for p, ns in model.val.items()}
+        self.memo = {}
+
+    def holds(self, phi, n):
+        """M, n |= phi; UnknownNode for a node outside the model, TypeError
+        if phi is not a node expression."""
+        if n not in self.pos:
+            raise UnknownNode(f"unknown node {n!r}")
+        if not isinstance(phi, NodeExpr):
+            raise TypeError(f"not a node expression: {phi!r}")
+        return bool(self.label(phi) >> self.pos[n] & 1)
+
+    def label(self, e):
+        out = self.memo.get(e)
+        if out is None:
+            out = self.memo[e] = self._build(e)
+        return out
+
+    def _nominal(self, i):
+        return self.bits[self.pos[self.model.node_of(i)]]
+
+    def _build(self, e):
+        match e:
+            case Prop(p):
+                return self.val.get(p, 0)
+            case Nominal(i):
+                return self._nominal(i)
+            case Bottom():
+                return 0
+            case Implies(lhs, rhs):
+                return self.full & ~self.label(lhs) | self.label(rhs)
+            case At(i, body):
+                return self.full if self.label(body) & self._nominal(i) else 0
+            case Diamond(a, body):
+                # the pre-image of the body's mask
+                target, out = self.label(body), 0
+                for bit, succ in zip(self.bits, self.succ.get(a, ())):
+                    if succ & target:
+                        out |= bit
+                return out
+            case Compare(alpha, kind, c, beta):
+                # an unmentioned symbol compares as the identity partition
+                classes = self.classes.get(c, self.bits)
+                eq, out = kind is CmpKind.EQ, 0
+                for bit, x, y in zip(self.bits, self.label(alpha),
+                                     self.label(beta)):
+                    if x and y and (_meet(x, y, classes) if eq
+                                    else _split(x | y, classes)):
+                        out |= bit
+                return out
+            case Atom(a):
+                return self.succ.get(a, (0,) * len(self.bits))
+            case Jump(i):
+                return (self._nominal(i),) * len(self.bits)
+            case Test(body):
+                here = self.label(body)
+                return tuple(bit & here for bit in self.bits)
+            case Concat(left, right):
+                # each start node's endpoints: the union of the right
+                # path's endpoint masks over the left path's endpoints
+                ends, out = self.label(right), []
+                for y in self.label(left):
+                    z = 0
+                    while y:
+                        low = y & -y
+                        z |= ends[low.bit_length() - 1]
+                        y ^= low
+                    out.append(z)
+                return tuple(out)
+        raise TypeError(f"not an expression: {e!r}")
 
 
-def _path_targets(model, n, alpha):
-    return [m for m in model.nodes if eval_path(model, n, m, alpha)]
+def _meet(x, y, classes):
+    """Does some class meet both masks? `classes[t]` is the class mask of
+    the node at position t; each class meeting x is visited once."""
+    while x:
+        cls = classes[(x & -x).bit_length() - 1]
+        if cls & y:
+            return True
+        x &= ~cls
+    return False
+
+
+def _split(u, classes):
+    """Does the non-empty mask u meet two classes?"""
+    return bool(u & ~classes[(u & -u).bit_length() - 1])
 
 
 def eval_node(model, n, phi):
-    """M, n |= phi for a node expression in primitive form."""
-    if n not in model.nodes:
-        raise UnknownNode(f"unknown node {n!r}")
-    match phi:
-        case Prop(p):
-            return model.holds(p, n)
-        case Nominal(i):
-            return model.node_of(i) == n
-        case Bottom():
-            return False
-        case Implies(lhs, rhs):
-            return (not eval_node(model, n, lhs)) or eval_node(model, n, rhs)
-        case At(i, body):
-            return eval_node(model, model.node_of(i), body)
-        case Diamond(a, body):
-            return any(model.related(a, n, m) and eval_node(model, m, body)
-                       for m in model.nodes)
-        case Compare(alpha, kind, c, beta):
-            # both comparison forms are existential; neq is NOT the negation of eq
-            want = kind is CmpKind.EQ
-            ends_a = _path_targets(model, n, alpha)
-            if not ends_a:
-                return False
-            ends_b = _path_targets(model, n, beta)
-            return any(model.same_class(c, x, y) == want
-                       for x in ends_a for y in ends_b)
-    raise TypeError(f"not a node expression: {phi!r}")
+    """M, n |= phi for a node expression in primitive form.
 
-
-def eval_box_compare(model, n, alpha, beta, kind, c):
-    """[alpha ^ beta] read directly as a universal over endpoint pairs."""
-    want = kind is CmpKind.EQ
-    ends_a = _path_targets(model, n, alpha)
-    ends_b = _path_targets(model, n, beta)
-    return all(model.same_class(c, x, y) == want
-               for x in ends_a for y in ends_b)
+    One call labels the model once: every distinct subexpression of phi
+    gets the mask of the nodes where it holds (paths: each start node's
+    endpoint mask), bottom-up, as in global model checking. A node-level
+    step costs O(nodes + edges) mask operations, so phi costs
+    O(|phi| * (nodes + edges)) apart from its comparisons: a path step
+    unions one endpoint mask per endpoint of each start node, and a
+    comparison loops, at each node, over the class masks its endpoints meet.
+    """
+    return _Labelling(model).holds(phi, n)
 
 
 def satisfies_set(model, n, exprs):
-    return all(eval_node(model, n, phi) for phi in exprs)
+    """Does every member of `exprs` hold at n? One labelling serves all."""
+    labelling = _Labelling(model)
+    return all(labelling.holds(phi, n) for phi in exprs)
 
 
 def check_sequent_validity(model, seq):
     """True iff the model does not refute the sequent.
 
     Sequent members are node-independent (@-prefixed or atomic comparisons),
-    so evaluation at an arbitrary fixed node suffices.
+    so evaluation at an arbitrary fixed node suffices. One labelling serves
+    every member.
     """
-    here = model.default_node
-    if not satisfies_set(model, here, seq.ante):
+    labelling, here = _Labelling(model), model.default_node
+    if not all(labelling.holds(phi, here) for phi in seq.ante):
         return True
-    return any(eval_node(model, here, phi) for phi in seq.cons)
+    return any(labelling.holds(phi, here) for phi in seq.cons)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +685,9 @@ def find_countermodel(seq, max_nodes):
     size into a closure returning its satisfaction mask (`_compiler`) and
     checked at the level that fixes the last symbol it reads. A compound
     subexpression that a shallower level fixes is computed once per
-    assignment of that level, not once per deeper candidate. The model
-    checker proper is `eval_node`; `prove` verifies every returned model
-    with it.
+    assignment of that level, not once per deeper candidate. `prove`
+    verifies every returned model with the model checker proper,
+    `check_sequent_validity`.
     """
     if not 1 <= max_nodes <= MAX_COUNTERMODEL_NODES:
         raise ValueError(f"max_nodes must be between 1 and "

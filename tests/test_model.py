@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import pairwise
 from genutil import rand_model, rand_node, rand_sequent, SIG
 from hxproof import syntax as sx
 from hxproof.kernel import sequent
 from hxproof.model import (
     DataGraph, HybridDataModel, ModelError, UnknownNode,
-    check_sequent_validity, eval_box_compare, eval_node, eval_path,
-    find_countermodel, ingest_datagraph, model_from_json, model_to_json,
-    satisfies_set,
+    check_sequent_validity, eval_node, find_countermodel, ingest_datagraph,
+    model_from_json, model_to_json, satisfies_set,
 )
 from hxproof.model import (
     MAX_COUNTERMODEL_NODES, _compiler, _g_assignments,
@@ -80,15 +80,15 @@ def test_example1_query1_shifted_to_i2_is_false(example1, queries):
 
 
 def test_eval_path_cases(example1):
-    assert eval_path(example1, "n1", "n2", Atom("friends"))
-    assert not eval_path(example1, "n1", "n3", Atom("friends"))
-    assert eval_path(example1, "n4", "n1", Jump("i1"))
-    assert eval_path(example1, "n2", "n2", eps())
-    assert not eval_path(example1, "n2", "n3", eps())
-    assert eval_path(example1, "n1", "n5",
-                     concat(Atom("friends"), Atom("born")))
+    assert pairwise.eval_path(example1, "n1", "n2", Atom("friends"))
+    assert not pairwise.eval_path(example1, "n1", "n3", Atom("friends"))
+    assert pairwise.eval_path(example1, "n4", "n1", Jump("i1"))
+    assert pairwise.eval_path(example1, "n2", "n2", eps())
+    assert not pairwise.eval_path(example1, "n2", "n3", eps())
+    assert pairwise.eval_path(example1, "n1", "n5",
+                              concat(Atom("friends"), Atom("born")))
     with pytest.raises(UnknownNode):
-        eval_path(example1, "n1", "zzz", Atom("friends"))
+        pairwise.eval_path(example1, "n1", "zzz", Atom("friends"))
 
 
 def test_eval_node_cases(example1):
@@ -112,13 +112,14 @@ def test_neq_compare_is_not_negated_eq():
 def test_box_compare_vacuous_and_agreement(example1):
     # unsatisfiable left path: universal comparison holds vacuously
     dead = Atom("nowhere")
-    assert eval_box_compare(example1, "n1", dead, Atom("born"),
-                            CmpKind.EQ, "val")
+    assert pairwise.eval_box_compare(example1, "n1", dead, Atom("born"),
+                                     CmpKind.EQ, "val")
     # query 2 read directly as a universal
     p1 = concat(Jump("i2"), Atom("born"), Test(Prop("Date")))
     p2 = concat(Jump("i2"), Atom("friends"), Atom("born"), Test(Prop("Date")))
     for n in example1.nodes:
-        assert eval_box_compare(example1, n, p1, p2, CmpKind.NEQ, "val")
+        assert pairwise.eval_box_compare(example1, n, p1, p2, CmpKind.NEQ,
+                                         "val")
 
 
 @settings(max_examples=500, deadline=None)
@@ -130,7 +131,7 @@ def test_box_compare_agrees_with_expansion(seed, depth):
                    else sx.Atom("a") for _ in range(2))
     kind = rng.choice([CmpKind.EQ, CmpKind.NEQ])
     node = rng.choice(sorted(m.nodes))
-    direct = eval_box_compare(m, node, alpha, beta, kind, "c")
+    direct = pairwise.eval_box_compare(m, node, alpha, beta, kind, "c")
     expanded = eval_node(m, node, neg(Compare(alpha, kind.flip(), "c", beta)))
     assert direct == expanded
 
@@ -147,7 +148,8 @@ def test_compare_agrees_with_pair_enumeration_oracle(seed):
     node = rng.choice(sorted(m.nodes))
     want = kind is CmpKind.EQ
     oracle = any(
-        eval_path(m, node, x, alpha) and eval_path(m, node, y, beta)
+        pairwise.eval_path(m, node, x, alpha)
+        and pairwise.eval_path(m, node, y, beta)
         and m.same_class("c", x, y) == want
         for x in m.nodes for y in m.nodes)
     assert eval_node(m, node, Compare(alpha, kind, "c", beta)) == oracle
@@ -159,6 +161,43 @@ def test_satisfies_set(example1, queries):
     assert satisfies_set(example1, "n1", set(queries.values()))
 
 
+# "d" is in no random model (it compares as the identity partition), "u" is
+# placed by none (it names the default node), and "b" and "r" are empty
+ABSENT_SIG = {"props": ("p", "q", "r"), "noms": ("i", "j", "k", "u"),
+              "mods": ("a", "b"), "cmps": ("c", "d")}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 3))
+def test_eval_node_agrees_with_pairwise_oracle(seed, depth):
+    rng = random.Random(seed)
+    m = rand_model(rng, max_nodes=6)
+    phi = rand_node(rng, ABSENT_SIG, depth)
+    for n in m.nodes:
+        assert eval_node(m, n, phi) == pairwise.eval_node(m, n, phi), (n, phi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_sequent_validity_agrees_with_pairwise_oracle(seed):
+    # one labelling serves every member of the sequent
+    rng = random.Random(seed)
+    m = rand_model(rng, max_nodes=6)
+    s = rand_sequent(rng, ABSENT_SIG)
+    assert check_sequent_validity(m, s) == \
+        pairwise.check_sequent_validity(m, s)
+    here = m.default_node
+    assert satisfies_set(m, here, s.ante) == \
+        all(pairwise.eval_node(m, here, phi) for phi in s.ante)
+
+
+def test_eval_node_refuses_a_path_and_an_unknown_node(example1):
+    with pytest.raises(TypeError):
+        eval_node(example1, "n1", Atom("friends"))
+    with pytest.raises(UnknownNode):
+        eval_node(example1, "zzz", Prop("Person"))
+
+
 # ---------------------------------------------------------------------------
 # partitions and the comparison invariant
 # ---------------------------------------------------------------------------
@@ -167,7 +206,7 @@ def test_partition_is_equivalence():
     rng = random.Random(3)
     for _ in range(20):
         m = rand_model(rng, max_nodes=5)
-        pairs = m.cmp_pairs("c")
+        pairs = pairwise.cmp_pairs(m, "c")
         nodes = sorted(m.nodes)
         for x in nodes:
             assert (x, x) in pairs
@@ -274,31 +313,27 @@ def test_size_tables_list_masks_in_subset_order():
             for blocks in _partitions(list(nodes)))
 
 
-# "d" is in no random model: it compares as the identity partition
-MASK_SIG = dict(SIG, cmps=("c", "d"))
-
-
 @settings(max_examples=500, deadline=None)
 @given(st.integers(0, 10**9), st.integers(0, 3))
 def test_compiled_mask_agrees_with_eval_node(seed, depth):
     rng = random.Random(seed)
     m = rand_model(rng, max_nodes=3)
-    phi = rand_node(rng, MASK_SIG, depth)
+    phi = rand_node(rng, ABSENT_SIG, depth)
     nodes = sorted(m.nodes)
 
     def mask(holds):
         return sum(1 << x for x, n in enumerate(nodes) if holds(n))
 
     value = {("g", i): mask(lambda n: m.node_of(i) == n)
-             for i in MASK_SIG["noms"]}
-    for a in MASK_SIG["mods"]:
-        value["rels", a] = tuple(mask(lambda y: m.related(a, x, y))
+             for i in ABSENT_SIG["noms"]}
+    for a in ABSENT_SIG["mods"]:
+        value["rels", a] = tuple(mask(lambda y: pairwise.related(m, a, x, y))
                                  for x in nodes)
-    for c in MASK_SIG["cmps"]:
+    for c in ABSENT_SIG["cmps"]:
         value["cmp_class", c] = tuple(sorted(
             {mask(lambda y: m.same_class(c, x, y)) for x in nodes}))
-    for p in MASK_SIG["props"]:
-        value["val", p] = mask(lambda n: m.holds(p, n))
+    for p in ABSENT_SIG["props"]:
+        value["val", p] = mask(lambda n: pairwise.holds(m, p, n))
     # random levels, so that subexpressions are read through cells
     symbols = [key for key in value if key[0] != "g"]
     rng.shuffle(symbols)
@@ -314,7 +349,7 @@ def test_compiled_mask_agrees_with_eval_node(seed, depth):
             env[c] = cell()
     got = f()
     for x, n in enumerate(nodes):
-        assert bool(got >> x & 1) == eval_node(m, n, phi)
+        assert bool(got >> x & 1) == pairwise.eval_node(m, n, phi)
 
 
 def test_countermodel_two_nodes():
@@ -395,13 +430,13 @@ def naive_countermodel(seq, max_nodes):
             for cmp_map in all_partitions:
                 m.cmp_class = cmp_map
                 m.rels, m.val = {}, {}
-                if not all(eval_node(m, here, phi) == want
+                if not all(pairwise.eval_node(m, here, phi) == want
                            for phi, want in base):
                     continue
                 for val in v_choices:
                     m.val = val
                     m.rels = {}
-                    if not all(eval_node(m, here, phi) == want
+                    if not all(pairwise.eval_node(m, here, phi) == want
                                for phi, want in with_v):
                         continue
                     if not with_r:
@@ -411,7 +446,7 @@ def naive_countermodel(seq, max_nodes):
                             g=m.g, val=val)
                     for rels in r_choices:
                         m.rels = rels
-                        if all(eval_node(m, here, phi) == want
+                        if all(pairwise.eval_node(m, here, phi) == want
                                for phi, want in with_r):
                             return HybridDataModel.make(
                                 nodes, rels=rels,
