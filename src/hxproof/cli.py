@@ -140,6 +140,13 @@ def cmd_cutfree(args):
     except CutEliminationError as e:
         print(f"cut elimination failed: {e}", file=sys.stderr)
         return EXIT_FAIL
+    # nominal substitution and eigen-nominal refreshing build nodes outside
+    # the kernel, so the output is checked before it is written
+    violations = check_derivation(out)
+    if violations:
+        print(f"eliminated derivation does not check: {violations[0]}",
+              file=sys.stderr)
+        return EXIT_FAIL
     payload = jsonio.derivation_to_json(out)
     text = jsonio.dumps_canonical(payload)
     if args.out:

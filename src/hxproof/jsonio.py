@@ -1,20 +1,21 @@
 """Stable JSON encodings for ASTs, sequents, derivations, and models.
 
 The AST schema is tag + children; canonical dumps sort keys and sequent
-members so identical inputs always produce byte-identical output.
+members so identical inputs always produce byte-identical output. A
+derivation node states its conclusion only where the reader cannot
+recompute it from its parent's conclusion, rule and instantiation.
 """
 
 from __future__ import annotations
 
 import json
-import marshal
 import reprlib
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import syntax as sx
 from .kernel import (
-    METAVAR_KINDS, Derivation, ShapeViolation, freeze_inst, principal_exprs,
-    sequent,
+    METAVAR_KINDS, WL, WR, Derivation, KernelError, Sequent, ShapeViolation,
+    freeze_inst, premises, sequent,
 )
 
 
@@ -143,70 +144,21 @@ def _path(d, room):
     raise DecodeError(f"unknown path tag: {_show(d['tag'])}")
 
 
-class _Formulas(dict):
-    """Each distinct formula's JSON object, made once.
-
-    Every node of a derivation carries its whole sequent, so without a table
-    the same formulas are encoded again at every node. With one table per
-    top-level call, equal formulas become one shared JSON object, which
-    `dumps_canonical` renders once. Members are listed in the sequent's
-    cached print-key order.
-    """
-
-    def __missing__(self, e):
-        j = self[e] = node_to_json(e)
-        return j
-
-    def sequent(self, s):
-        return {"ante": [self[e] for e in s.sorted_ante],
-                "cons": [self[e] for e in s.sorted_cons]}
-
-
 def sequent_to_json(s):
-    return _Formulas().sequent(s)
-
-
-class _Exprs(dict):
-    """Each distinct formula's expression, decoded once.
-
-    Every node of a derivation carries its whole sequent, so the same
-    formula's JSON value recurs at every node. One table per top-level call
-    maps `marshal.dumps` of a value to the expression it decodes to; the key
-    costs about a quarter of decoding the value again. marshal writes each
-    value with its type's own code, save that it writes any bytes-like
-    object as bytes (each is refused alike), so equal bytes mean values that
-    decode alike, and a hit returns what decoding would. Equal values that
-    marshal differently (keys in another order, other sharing of identical
-    objects) only miss. A value that marshal refuses (an object of another
-    type, or one nested past marshal's own limit) is decoded without the
-    table.
-    """
-
-    def node(self, v):
-        try:
-            key = marshal.dumps(v)
-        except ValueError:
-            return _node(v, MAX_NESTING)
-        e = self.get(key)
-        if e is None:
-            e = self[key] = _node(v, MAX_NESTING)
-        return e
+    """Members in print-key order."""
+    return {"ante": [node_to_json(e) for e in s.sorted_ante],
+            "cons": [node_to_json(e) for e in s.sorted_cons]}
 
 
 def sequent_from_json(d):
-    return _sequent(d, _Exprs())
-
-
-def _sequent(d, exprs):
-    """The sequent the object `d` encodes, its members decoded by `exprs`."""
     ante, cons = _field(d, "ante", list), _field(d, "cons", list)
     try:
-        return sequent(map(exprs.node, ante), map(exprs.node, cons))
+        return sequent(map(node_from_json, ante), map(node_from_json, cons))
     except ShapeViolation as e:                # a member that is not restricted
         raise DecodeError(str(e)) from None
 
 
-def _inst_value_to_json(key, v, formulas):
+def _inst_value_to_json(key, v):
     kind = METAVAR_KINDS[key]
     match kind:
         case "nominal" | "modality" | "comparison":
@@ -215,10 +167,10 @@ def _inst_value_to_json(key, v, formulas):
             return {"kind": kind, "value": v.value}
         case "path":
             return {"kind": kind, "expr": path_to_json(v)}
-    return {"kind": kind, "expr": formulas[v]}
+    return {"kind": kind, "expr": node_to_json(v)}
 
 
-def _inst_value(key, d, exprs):
+def _inst_value(key, d):
     """The value of metavariable `key` that the object `d` encodes."""
     kind = _name(d, "kind")
     if key in METAVAR_KINDS and kind != METAVAR_KINDS[key]:
@@ -232,66 +184,92 @@ def _inst_value(key, d, exprs):
         case "path":
             return _path(_field(d, "expr"), MAX_NESTING)
         case "node":
-            return exprs.node(_field(d, "expr"))
+            return node_from_json(_field(d, "expr"))
     raise DecodeError(f"unknown instantiation value kind: {_show(kind)}")
 
 
-def _inst(d, exprs):
-    """The instantiation the object `d` encodes, frozen."""
+def _inst(d):
+    """The instantiation the object `d` encodes, as a dict."""
     out = {}
     for key, v in d.items():
         if not isinstance(key, str):
             raise DecodeError(f"metavariable is not a str: {_show(key)}")
-        out[key] = _inst_value(key, v, exprs)
-    return freeze_inst(out)
+        out[key] = _inst_value(key, v)
+    return out
+
+
+_WEAKENINGS = {WL: Sequent.drop_ante, WR: Sequent.drop_cons}
+
+
+def _implied(conclusion, rule, inst, n):
+    """The conclusions that a node's conclusion, rule and instantiation
+    imply for its `n` children: a logical rule's premisses, the conclusion
+    without phi for a weakening, and None for a child of a Cut, an Open
+    leaf, an unknown rule or an instance that does not fit its rule."""
+    if not n:
+        return []
+    if rule in _WEAKENINGS:
+        out = [_WEAKENINGS[rule](conclusion, inst["phi"])] if "phi" in inst else []
+    else:
+        try:
+            out = premises(conclusion, rule, inst)
+        except KernelError:
+            out = []
+    return (out + [None] * n)[:n]
 
 
 def derivation_to_json(d):
-    """The JSON object of `d`; equal formulas in it are one shared object.
-    The levels are walked over an explicit stack, so at any height."""
-    formulas = _Formulas()
+    """The JSON object of `d`. A node states its `conclusion` only where its
+    parent does not imply it (`_implied`): at the root, under a Cut, under a
+    weakening whose formula was already present, and at any child that does
+    not match its parent's premisses. The levels are walked over an explicit
+    stack, so at any height."""
     out = []
-    stack = [(d, out)]
+    stack = [(d, None, out)]
     while stack:
-        node, siblings = stack.pop()
+        node, implied, siblings = stack.pop()
         kids = []
-        siblings.append({
-            "rule": node.rule,
-            "principal": sorted((formulas[e] for e in
-                                 principal_exprs(node.rule, node.inst_dict)),
-                                key=str),
-            "inst": {key: _inst_value_to_json(key, v, formulas)
-                     for key, v in node.inst},
-            "conclusion": formulas.sequent(node.conclusion),
-            "children": kids,
-        })
-        stack += [(c, kids) for c in reversed(node.children)]
+        obj = {"rule": node.rule,
+               "inst": {key: _inst_value_to_json(key, v) for key, v in node.inst},
+               "children": kids}
+        if node.conclusion != implied:
+            obj["conclusion"] = sequent_to_json(node.conclusion)
+        siblings.append(obj)
+        below = _implied(node.conclusion, node.rule, node.inst_dict,
+                         len(node.children))
+        stack += [(c, s, kids) for c, s in zip(reversed(node.children),
+                                               reversed(below))]
     return out[0]
 
 
 def derivation_from_json(d):
-    """The derivation the object `d` encodes. Each distinct formula is
-    decoded once per call (`_Exprs`), and the levels are walked over an
-    explicit stack, so at any height."""
-    exprs = _Exprs()
-    done = []                  # decoded subtrees, each after its left sibling
-    stack = [(d, None)]
+    """The derivation the object `d` encodes. A node without a `conclusion`
+    gets the one its parent implies (`_implied`); one that its parent does
+    not imply is a DecodeError. The levels are walked over an explicit
+    stack, so at any height."""
+    heads = []                 # (conclusion, rule, inst, children), preorder
+    stack = [(d, None, None)]  # (object, implied conclusion, rule above)
     while stack:
-        d, head = stack.pop()
-        if head is not None:   # `d` counts the children, the last of `done`
-            start = len(done) - d
-            kids = tuple(done[start:])
-            del done[start:]
-            done.append(Derivation(*head, kids))
-            continue
-        head = (_sequent(_field(d, "conclusion"), exprs), _name(d, "rule"),
-                _inst(_field(d, "inst", dict), exprs))
-        kids = _field(d, "children", list)
-        if kids:
-            stack.append((len(kids), head))
-            stack += [(c, None) for c in reversed(kids)]
+        d, implied, above = stack.pop()
+        rule = _name(d, "rule")
+        inst = _inst(_field(d, "inst", dict))
+        if "conclusion" in d or above is None:
+            conclusion = sequent_from_json(_field(d, "conclusion"))
+        elif implied is None:
+            raise DecodeError(f"missing field 'conclusion', which the "
+                              f"{_show(above)} above does not imply")
         else:
-            done.append(Derivation(*head))
+            conclusion = implied
+        kids = _field(d, "children", list)
+        heads.append((conclusion, rule, freeze_inst(inst), len(kids)))
+        below = _implied(conclusion, rule, inst, len(kids))
+        stack += [(c, s, rule) for c, s in zip(reversed(kids), reversed(below))]
+    done = []                  # built subtrees, the first child on top
+    for conclusion, rule, inst, n in reversed(heads):
+        start = len(done) - n
+        kids = tuple(reversed(done[start:]))
+        del done[start:]
+        done.append(Derivation(conclusion, rule, inst, kids))
     return done[0]
 
 
@@ -299,21 +277,17 @@ def dumps_canonical(obj):
     """Exactly `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, in one pass.
 
     The stdlib runs its pure-Python encoder whenever `indent` is set; this
-    writer appends string pieces to one list instead. A container met again
-    in the same call (a formula shared by `derivation_to_json`) is rendered
-    once and re-indented at each later occurrence. Keys must be `str`.
+    writer appends string pieces to one list instead. Keys must be `str`.
     """
     pieces = []
-    _write(obj, "\n", pieces, {})
+    _write(obj, "\n", pieces)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _write(o, nl, pieces, memo):
+def _write(o, nl, pieces):
     """Append the text of `o` to `pieces`. `nl` is a newline followed by the
-    indent of the line `o` starts on; `memo` maps the id of each container
-    written so far to its span of `pieces` and `nl`, or, once the container
-    has been met twice, to its text at indent zero."""
+    indent of the line `o` starts on."""
     if isinstance(o, str):
         pieces.append(_escape(o))
         return
@@ -323,15 +297,6 @@ def _write(o, nl, pieces, memo):
     if not o:
         pieces.append("{}" if isinstance(o, dict) else "[]")
         return
-    seen = memo.get(id(o))
-    if seen is not None:
-        if not isinstance(seen, str):
-            start, end, first_nl = seen
-            seen = "".join(pieces[start:end]).replace(first_nl, "\n")
-            memo[id(o)] = seen
-        pieces.append(seen.replace("\n", nl))
-        return
-    start = len(pieces)
     inner = nl + "  "
     if isinstance(o, dict):
         sep = "{" + inner
@@ -341,14 +306,13 @@ def _write(o, nl, pieces, memo):
                 pieces.append(sep + _escape(key) + ": " + _escape(value))
             else:
                 pieces.append(sep + _escape(key) + ": ")
-                _write(value, inner, pieces, memo)
+                _write(value, inner, pieces)
             sep = "," + inner
         pieces.append(nl + "}")
     else:
         sep = "[" + inner
         for value in o:
             pieces.append(sep)
-            _write(value, inner, pieces, memo)
+            _write(value, inner, pieces)
             sep = "," + inner
         pieces.append(nl + "]")
-    memo[id(o)] = (start, len(pieces), nl)

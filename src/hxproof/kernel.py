@@ -83,10 +83,10 @@ class Sequent:
         return _premiss(self.ante, self.cons, (), es)
 
     def drop_ante(self, *es):
-        return Sequent(self.ante - set(es), self.cons)
+        return _premiss(self.ante - set(es), self.cons, (), ())
 
     def drop_cons(self, *es):
-        return Sequent(self.ante, self.cons - set(es))
+        return _premiss(self.ante, self.cons - set(es), (), ())
 
     def issubset(self, other):
         return self.ante <= other.ante and self.cons <= other.cons
@@ -122,8 +122,8 @@ def sequent(ante=(), cons=()):
 
 def _premiss(ante, cons, add_ante, add_cons):
     """The sequent ante, add_ante |- cons, add_cons, where `ante` and `cons`
-    are parts of a `Sequent`, whose members were checked when it was built:
-    only the added formulas are checked here."""
+    are parts of a `Sequent`, or subsets of them, whose members were checked
+    when it was built: only the added formulas are checked here."""
     _check_members(add_ante)
     _check_members(add_cons)
     s = object.__new__(Sequent)
@@ -422,20 +422,6 @@ def premises(goal, rule, inst):
     return out
 
 
-def principal_exprs(rule, inst):
-    """The expressions a rule instance acts on inside its conclusion."""
-    if rule in (CUT, OPEN):
-        return set()
-    if rule in (WL, WR):
-        _check_inst(("phi",), inst)
-        return {inst["phi"]}
-    r, v = _instance(rule, inst)
-    out = {t(v) for t in r.required}
-    if r.principal is not None:
-        out.add(r.principal(v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Derivations
 # ---------------------------------------------------------------------------
@@ -483,12 +469,16 @@ class Derivation:
         return d
 
     def replace(self, path, new):
-        if not path:
-            return new
-        t, rest = path[0], path[1:]
-        kids = list(self.children)
-        kids[t] = kids[t].replace(rest, new)
-        return Derivation(self.conclusion, self.rule, self.inst, tuple(kids))
+        """This tree with the subtree at `path` replaced by `new`; the nodes
+        along the path are rebuilt in a loop, so at any height."""
+        spine = [self]
+        for t in path[:-1]:
+            spine.append(spine[-1].children[t])
+        for node, t in zip(reversed(spine), reversed(path)):
+            kids = list(node.children)
+            kids[t] = new
+            new = Derivation(node.conclusion, node.rule, node.inst, tuple(kids))
+        return new
 
     def rules_used(self):
         return {node.rule for _, node in self.walk()}

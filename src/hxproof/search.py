@@ -18,9 +18,12 @@ from .derived import crossed, identity, step
 from .kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R, EQ_5,
     EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1, S2, S3, Derivation,
-    KernelError, Sequent, added, axiom, check_derivation, cut, dual,
-    evidence, infer, premises, principal, sequent, weaken_to,
+    KernelError, Sequent, added, check_derivation, cut, dual, evidence,
+    freeze_inst, premises, principal, sequent, weaken_to,
 )
+# not called here, but perfbench's tracer rebinds `search.infer` and
+# `search.axiom`
+from .kernel import axiom, infer  # noqa: F401
 from .model import HybridDataModel, check_sequent_validity, find_countermodel
 from .syntax import (
     At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
@@ -379,10 +382,14 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
     trail = []
     fired = set(fired)
 
-    def fold(topd):
-        d = topd
+    def fold(rule, inst, concl, kids):
+        """The node of the branch's last step over `kids`, under one node
+        per step of `trail`. Each child proves the premiss that `premises`
+        gave its step, so no node is derived again here; `prove` checks the
+        whole tree."""
+        d = Derivation(concl, rule, freeze_inst(inst), kids)
         for rule, inst, concl in reversed(trail):
-            d = infer(rule, concl, inst, [d])
+            d = Derivation(concl, rule, freeze_inst(inst), (d,))
         return d
 
     while True:
@@ -390,7 +397,7 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
         cur = ix.seq
         if ix.closing is not None:
             rule, inst = ix.closing
-            return fold(axiom(rule, cur, inst))
+            return fold(rule, inst, cur, ())
 
         # witness rules are additive and invertible, so they can run before
         # the consuming decompositions: a comparison whose evidence is in the
@@ -423,7 +430,7 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
                              fired)
             if right is None:
                 return None
-            return fold(infer(rule, cur, inst, [left, right]))
+            return fold(rule, inst, cur, (left, right))
         elif fresh := _fresh_move(ix, fresh_left):
             rule, inst, spent = fresh
             fresh_left -= spent

@@ -5,6 +5,7 @@ import pytest
 
 from hxproof import jsonio
 from hxproof.cli import main
+from hxproof.kernel import Derivation
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
@@ -244,6 +245,20 @@ def test_cutfree_command(tmp_path, capsys):
         d = jsonio.derivation_from_json(blob)
         assert all(node.rule != "Cut" for _, node in d.walk())
         assert err.strip()  # trace lines on stderr
+
+
+def test_cutfree_checks_its_output_before_writing_it(tmp_path, capsys,
+                                                    monkeypatch):
+    def broken(d, trace=None):
+        # the end-sequent kept, the proof replaced by an unjustified leaf
+        return Derivation(d.conclusion, "EqT", (), ())
+    monkeypatch.setattr("hxproof.cli.eliminate_cuts", broken)
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, "cutfree", str(GOLDEN / "inv-atL.json"),
+                         "--out", str(out_path))
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err.startswith("eliminated derivation does not check")
+    assert err.count("\n") == 1
 
 
 def test_corpus_pass_and_fail(tmp_path, capsys):

@@ -117,6 +117,19 @@ def test_cut_free_input_returned_unchanged():
     assert eliminate_cuts(d) == d
 
 
+def test_cut_under_a_deep_weakening_chain_eliminates():
+    # the reduced cut sits 1,200 levels down, and `Derivation.replace`
+    # rebuilds the path to it in a loop
+    p, q = At("i", P), At("i", Q)
+    left = weaken(axiom(AX, sequent({q}, {q}), {"phi": q}), "right", p)
+    right = weaken(axiom(AX, sequent({p}, {p}), {"phi": p}), "left", p)
+    d = cut(left, right, p)
+    for t in range(1200):
+        d = weaken(d, "left", At(f"i{t}", P))
+    assert d.height == 1203
+    _run(d)
+
+
 def test_nom2_golden_eliminates_without_fallback():
     out, trace = _run(prove_axiom_suite()["nom2"])
 

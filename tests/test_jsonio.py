@@ -10,15 +10,20 @@ from hypothesis import strategies as st
 
 from genutil import rand_derivation
 from hxproof import jsonio
+from hxproof.cli import main
 from hxproof.goldens import prove_axiom_suite
 from hxproof.jsonio import MAX_NESTING, DecodeError, dumps_canonical
 from hxproof.kernel import (
-    AX, Derivation, axiom, check_derivation, sequent, weaken_to,
+    AX, IMP_R, Derivation, axiom, check_derivation, cut, freeze_inst,
+    sequent, weaken, weaken_to,
 )
-from hxproof.syntax import At, Prop
+from hxproof.syntax import At, Implies, Prop
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 GOLDEN_FILES = sorted(GOLDEN.glob("*.json"))
+# two goldens as written before nodes left out the conclusions their parents
+# imply: every node states its sequent and a `principal` list
+FULL_LAYOUT = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def oracle(obj):
@@ -49,19 +54,6 @@ def test_drawn_derivations_encode_as_the_oracle():
     for steps in range(2, 22):
         obj = jsonio.derivation_to_json(rand_derivation(rng, steps=steps))
         assert dumps_canonical(obj) == oracle(obj)
-
-
-def test_equal_formulas_share_one_object():
-    obj = jsonio.derivation_to_json(rand_derivation(random.Random(7), steps=12))
-    assert obj["children"]
-    ids = {}
-    stack = [obj]
-    while stack:
-        node = stack.pop()
-        for m in node["conclusion"]["ante"] + node["conclusion"]["cons"]:
-            ids.setdefault(json.dumps(m, sort_keys=True), set()).add(id(m))
-        stack += node["children"]
-    assert all(len(s) == 1 for s in ids.values())
 
 
 SHARED = {"tag": "at", "nom": "i", "body": {"tag": "prop", "name": "p"}}
@@ -124,7 +116,7 @@ def test_formula_past_the_nesting_bound_is_a_decode_error():
 
 
 # ---------------------------------------------------------------------------
-# the decoder: height, totality, and the per-call member table
+# the decoder: height and totality
 # ---------------------------------------------------------------------------
 
 def test_a_derivation_of_any_height_round_trips_through_json_objects():
@@ -141,8 +133,9 @@ def test_a_derivation_of_any_height_round_trips_through_json_objects():
             == [(n.conclusion, n.rule, n.inst) for _, n in d.walk()])
 
 
-DERIVATION_TEXTS = [p.read_text() for p in GOLDEN_FILES
+DERIVATION_FILES = [p for p in GOLDEN_FILES
                     if "model" not in p.stem and "graph" not in p.stem]
+DERIVATION_TEXTS = [p.read_text() for p in DERIVATION_FILES]
 WORDS = st.sampled_from([
     "tag", "name", "nom", "body", "lhs", "rhs", "mod", "left", "right",
     "kind", "cmp", "expr", "value", "rule", "inst", "conclusion", "children",
@@ -156,9 +149,8 @@ JSON_VALUES = st.recursive(
                    | st.dictionaries(WORDS | st.text(max_size=3), inner,
                                      max_size=4)),
     max_leaves=10)
-# Python values no JSON text yields: a set (marshal writes it), an object
-# (marshal refuses it), an int too long for repr, and a member nested past
-# marshal's depth limit
+# Python values no JSON text yields: sets, an object, an int too long for
+# repr, and a member nested far past the decoder's bound
 ODD_VALUES = [set(), {"at"}, object(), 10 ** 5000, _deep_member(2100)]
 
 
@@ -226,12 +218,24 @@ def _reordered(value, rng):
     return value
 
 
+def _stated_formulas(blob):
+    """Every formula object the derivation object `blob` states: the members
+    of its stated conclusions and its node instantiation values."""
+    out, stack = [], [blob]
+    while stack:
+        node = stack.pop()
+        for members in node.get("conclusion", {}).values():
+            out += members
+        out += [v["expr"] for v in node["inst"].values() if v["kind"] == "node"]
+        stack += node["children"]
+    return out
+
+
 def test_equal_members_decode_alike_in_any_key_order_or_sharing():
     d = rand_derivation(random.Random(7), steps=12)
     canonical = jsonio.derivation_to_json(d)
     messy = _reordered(canonical, random.Random(1))
-    members = [m for node in [messy, *messy["children"]]
-               for m in node["conclusion"]["ante"] + node["conclusion"]["cons"]]
+    members = _stated_formulas(messy)
     members[0]["note"] = "ignored"
     orders = {}
     for m in members:
@@ -248,3 +252,93 @@ def test_drawn_derivations_decode_to_themselves(rng, steps):
     obj = jsonio.derivation_to_json(d)
     assert jsonio.derivation_from_json(obj) == d
     assert jsonio.derivation_from_json(json.loads(dumps_canonical(obj))) == d
+
+
+# ---------------------------------------------------------------------------
+# the layout: which conclusions a file states
+# ---------------------------------------------------------------------------
+
+def _stated_paths(blob):
+    """The paths of the nodes of `blob` that state a `conclusion`."""
+    out, stack = set(), [((), blob)]
+    while stack:
+        path, node = stack.pop()
+        if "conclusion" in node:
+            out.add(path)
+        stack += [((*path, t), c) for t, c in enumerate(node["children"])]
+    return out
+
+
+@pytest.mark.parametrize("name", ["inv-atL", "reflexivity"])
+def test_full_layout_files_decode_to_the_goldens(name):
+    full = json.loads((FULL_LAYOUT / f"{name}.json").read_text())
+    assert "principal" in full and "conclusion" in full["children"][0]
+    compact = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert jsonio.derivation_from_json(full) \
+        == jsonio.derivation_from_json(compact)
+
+
+P_, Q_, R_ = At("i", Prop("p")), At("i", Prop("q")), At("i", Prop("r"))
+
+
+def _ax(phi):
+    return axiom(AX, sequent({phi}, {phi}), {"phi": phi})
+
+
+def test_conclusions_are_stated_where_the_parent_does_not_imply_them():
+    # a Cut's premisses; the premiss of a weakening whose formula was there
+    left = weaken(_ax(Q_), "right", P_)
+    right = weaken(_ax(P_), "left", P_)
+    d = weaken(cut(left, right, P_), "left", R_)
+    assert _stated_paths(jsonio.derivation_to_json(d)) \
+        == {(), (0, 0), (0, 1), (0, 1, 0)}
+    # a child that does not match its parent's premisses: under an ImpR
+    # over an unrelated leaf, and under one whose principal is missing
+    inst = freeze_inst({"i": "i", "phi": Prop("p"), "psi": Prop("q")})
+    misfits = [Derivation(sequent((), {concl}), IMP_R, inst, (_ax(R_),))
+               for concl in (At("i", Implies(Prop("p"), Prop("q"))),
+                             At("i", Prop("s")))]
+    for tree in misfits:
+        assert _stated_paths(jsonio.derivation_to_json(tree)) == {(), (0,)}
+    for tree in (d, *misfits):
+        obj = jsonio.derivation_to_json(tree)
+        assert jsonio.derivation_from_json(obj) == tree
+        assert jsonio.derivation_from_json(
+            json.loads(dumps_canonical(obj))) == tree
+
+
+def test_a_cut_premiss_without_its_conclusion_is_a_decode_error(
+        tmp_path, capsys):
+    blob = json.loads((GOLDEN / "inv-atL.json").read_text())
+    stack = [blob]
+    while stack:
+        node = stack.pop()
+        if node["rule"] == "Cut":
+            break
+        stack += node["children"]
+    del node["children"][1]["conclusion"]
+    with pytest.raises(DecodeError, match="'Cut' above does not imply"):
+        jsonio.derivation_from_json(blob)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    code = main(["check", str(bad)])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", DERIVATION_TEXTS,
+                         ids=[p.stem for p in DERIVATION_FILES])
+def test_dropping_a_root_member_fails_to_decode_or_to_check(text):
+    # every member of an end-sequent is used; one that is not could be
+    # dropped from a file whose other nodes leave out their conclusions
+    root = json.loads(text)["conclusion"]
+    for side in ("ante", "cons"):
+        for t in range(len(root[side])):
+            blob = json.loads(text)
+            del blob["conclusion"][side][t]
+            try:
+                d = jsonio.derivation_from_json(blob)
+            except DecodeError:
+                continue
+            assert check_derivation(d), (side, t)

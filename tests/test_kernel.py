@@ -454,22 +454,29 @@ def _swap_rule(blob, draw):
         [r for r in _RULE_NAMES if r != node["rule"]]))
 
 
+def _formula_slots(blob):
+    """(container, key) of every formula the file states: each member of a
+    stated conclusion and each node instantiation value."""
+    out = []
+    for node in _derivation_nodes(blob):
+        for members in node.get("conclusion", {}).values():
+            out += [(members, t) for t in range(len(members))]
+        out += [(v, "expr") for v in node["inst"].values()
+                if v["kind"] == "node"]
+    return out
+
+
 def _perturb_member(blob, draw):
-    """Replace one conclusion member with a member found elsewhere in the
-    tree, the member moved under a fresh nominal, or a formula that is not a
-    sequent member (the member's body, or falsum)."""
-    nodes = _derivation_nodes(blob)
-    node = draw(st.sampled_from(nodes))
-    sides = [s for s in ("ante", "cons") if node["conclusion"][s]]
-    if not sides:
-        return
-    members = node["conclusion"][draw(st.sampled_from(sides))]
-    t = draw(st.integers(0, len(members) - 1))
-    elsewhere = [m for n in nodes for s in ("ante", "cons")
-                 for m in n["conclusion"][s]]
-    members[t] = draw(st.sampled_from(elsewhere)
-                      | st.just({"tag": "at", "nom": "zz", "body": members[t]})
-                      | st.just(members[t].get("body", {"tag": "bot"})))
+    """Replace one stated formula with a formula found elsewhere in the
+    file, the formula moved under a fresh nominal, or a formula that is not
+    a sequent member (the formula's body, or falsum)."""
+    slots = _formula_slots(blob)
+    parent, key = draw(st.sampled_from(slots))
+    member = parent[key]
+    elsewhere = [p[k] for p, k in slots]
+    parent[key] = draw(st.sampled_from(elsewhere)
+                       | st.just({"tag": "at", "nom": "zz", "body": member})
+                       | st.just(member.get("body", {"tag": "bot"})))
 
 
 @settings(max_examples=120, deadline=None)
