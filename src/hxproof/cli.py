@@ -257,8 +257,8 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # the JSON reader, the canonical writer and cut elimination recurse
-        # once per derivation level
+        # `json.loads` and `dumps_canonical` recurse once per derivation
+        # level; checking and cut elimination do not
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 

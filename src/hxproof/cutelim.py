@@ -28,7 +28,7 @@ from .kernel import (
     cut, dual, freeze_inst, infer, premises, principal, required, weaken_to,
 )
 from .syntax import (
-    At, Bottom, Diamond, Nominal,
+    At, Diamond, Nominal,
     fresh_nominals, print_node, rename_nominal, size,
 )
 
@@ -145,17 +145,50 @@ def cut_complexity(node):
     return CutComplexity(size(node.inst_dict["phi"]), cut_height(node))
 
 
-def _rename_nominal_inst(inst, old, new):
+def _rename(e, names):
+    """`e` under the renaming `names`; each new name is fresh, so renaming
+    one old name after another renames them all at once."""
+    for old, new in names.items():
+        e = rename_nominal(e, old, new)
+    return e
+
+
+def _rename_inst(inst, names):
     out = {}
     for key, v in inst:
         match METAVAR_KINDS[key]:
             case "nominal":
-                out[key] = new if v == old else v
+                out[key] = names.get(v, v)
             case "path" | "node":
-                out[key] = rename_nominal(v, old, new)
+                out[key] = _rename(v, names)
             case _:
                 out[key] = v
     return freeze_inst(out)
+
+
+def _renamed(d, names, down=lambda node, names: names):
+    """`d` with the nominals of each node renamed by a map from old to
+    fresh names. The root's map is `down(d, names)`, and each other node's
+    is `down` of the node and its parent's map. The maps are worked out in
+    preorder and the nodes rebuilt bottom-up, over an explicit stack, so at
+    any height."""
+    done, stack = [], [(d, names, None)]
+    while stack:
+        node, names, arity = stack.pop()
+        if arity is None:
+            names = down(node, names)
+            stack.append((node, names, len(node.children)))
+            stack += [(c, names, None) for c in reversed(node.children)]
+            continue
+        kids = tuple(done[len(done) - arity:])
+        del done[len(done) - arity:]
+        seq, inst = node.conclusion, node.inst
+        if names:
+            seq = Sequent(frozenset(_rename(e, names) for e in seq.ante),
+                          frozenset(_rename(e, names) for e in seq.cons))
+            inst = _rename_inst(inst, names)
+        done.append(Derivation(seq, node.rule, inst, kids))
+    return done[0]
 
 
 def rename_nominal_derivation(d, old, new):
@@ -177,14 +210,7 @@ def substitute_nominal_derivation(d, old, new):
     Callers must ensure no eigen-nominal capture (the eliminator refreshes
     eigen-nominals first); use rename_nominal_derivation for the safe form.
     """
-    if old == new:
-        return d
-    seq = Sequent(
-        frozenset(rename_nominal(e, old, new) for e in d.conclusion.ante),
-        frozenset(rename_nominal(e, old, new) for e in d.conclusion.cons))
-    kids = tuple(substitute_nominal_derivation(c, old, new)
-                 for c in d.children)
-    return Derivation(seq, d.rule, _rename_nominal_inst(d.inst, old, new), kids)
+    return d if old == new else _renamed(d, {old: new})
 
 
 def _eigens_of(node):
@@ -193,18 +219,18 @@ def _eigens_of(node):
 
 
 def eigen_refresh(d, forbidden):
-    """Rename every eigen-nominal in the tree to a globally fresh one."""
+    """Rename every eigen-nominal in the tree to a globally fresh one, drawn
+    in preorder."""
     forbidden = set(forbidden) | d.nominals()
 
-    def go(node):
+    def down(node, names):
         for old in _eigens_of(node):
             (new,) = fresh_nominals(1, forbidden)
             forbidden.add(new)
-            node = substitute_nominal_derivation(node, old, new)
-        return Derivation(node.conclusion, node.rule, node.inst,
-                          tuple(go(c) for c in node.children))
+            names = {**names, old: new}
+        return names
 
-    return go(d)
+    return _renamed(d, {}, down)
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +256,10 @@ def _transform(node, scope_noms):
         if chi != phi:
             return axiom(AX, concl, {"phi": chi}), [], "axiom-right"
         return weaken_to(left, concl), [], "axiom-right-cutformula"
-    bot_right_on_phi = False
-    if right.rule == BOT_RULE:
-        bot = At(right.inst_dict["i"], Bottom())
-        if bot != phi:
-            return axiom(BOT_RULE, concl, {"i": right.inst_dict["i"]}), [], "bot-right"
-        # falsum as the cut formula is never right-principal: permute left
-        bot_right_on_phi = True
+    # (Bot) closes the conclusion unless the cut formula is its falsum; that
+    # cut permutes left below, as no rule has falsum principal on the right
+    if right.rule == BOT_RULE and _role_in_right(right, phi) != "principal":
+        return axiom(BOT_RULE, concl, right.inst_dict), [], "bot-right"
 
     # a cut formula already present on the other side makes the cut redundant
     if phi in left.conclusion.ante:
@@ -254,8 +277,6 @@ def _transform(node, scope_noms):
 
     if right.rule in (WL, WR):
         role_r = "context"  # a weakening of something else, or a duplicate
-    elif bot_right_on_phi:
-        role_r = "principal"
     else:
         role_r = _role_in_right(right, phi)
     if role_r == "context":
@@ -346,9 +367,7 @@ def _principal_pair(node, scope_noms):
     eigens = RULES[right.rule].eigens
     if eigens:
         right = eigen_refresh(right, scope_noms | left.nominals())
-        for m in eigens:
-            right = substitute_nominal_derivation(right, right.inst_dict[m],
-                                                  inst[m])
+        right = _renamed(right, {right.inst_dict[m]: inst[m] for m in eigens})
     (ours,) = added(left.rule, inst)
     for q, theirs in zip(right.children, added(right.rule, inst)):
         e = crossed(ours, theirs)

@@ -1,23 +1,23 @@
 """Derived rules as macro expansions into primitive derivations.
 
-Each macro takes a goal sequent and produces a derivation fragment whose open
-leaves are exactly the derived rule's premisses (closed macros, like the
-generalized axiom, return complete derivations). Fragments are built top-down
-through the kernel's `premises`, so every context is exact by construction
-and every expansion re-checks.
+Each macro builds, top-down through the kernel's `premises`, a fragment whose
+open leaves are exactly the derived rule's premisses, so every context is
+exact and every expansion re-checks; closed macros return whole derivations.
+`identity` closes a member on both sides by the dual pair that the kernel's
+`decompose` names, so it states no connective's rules itself.
 """
 
 from __future__ import annotations
 
 from .kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R,
-    EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, S1,
-    KernelError, axiom, cut, evidence, graft, infer,
-    open_leaf, premises, s1_shape, weaken_to,
+    EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1,
+    KernelError, added, ax_shape, axiom, cut, decompose, dual, evidence,
+    graft, infer, open_leaf, premises, s1_shape, weaken_to,
 )
 from .syntax import (
-    At, Bottom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    conj, fresh_nominals, neg, print_node,
+    At, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, conj,
+    fresh_nominals, neg, print_node,
 )
 
 
@@ -49,70 +49,40 @@ def fill_open(reached, declared):
 # Closed macros
 # ---------------------------------------------------------------------------
 
-def cmp_tauto(goal, x, kind, c, y):
-    """Close a goal with <x: ^c y:> on both sides (any comparison kind)."""
-    e = Compare(Jump(x), kind, c, Jump(y))
-    if kind is CmpKind.EQ:
+def identity(goal, e):
+    """Close a goal with the sequent member `e` on both sides: an atom by
+    its axiom, any other member by the rule of its dual pair
+    (`kernel.decompose`) whose one premiss adds an antecedent formula, with
+    fresh eigen-nominals, and then by `close_dual` with the other rule."""
+    if e not in goal.ante or e not in goal.cons:
+        raise MacroError(f"identity: {print_node(e)} must occur on both sides")
+    if ax_shape(e):
         return axiom(AX, goal, {"phi": e})
-    # inequality is not an axiom shape; route both occurrences through equality
-    def after_neqr(s1_):
-        def after_neql(s2_):
-            eq = Compare(Jump(x), CmpKind.EQ, c, Jump(y))
-            return axiom(AX, s2_, {"phi": eq})
-        return step(NEQ_L, s1_, {"i": x, "j": y, "c": c}, [after_neql])
-    return step(NEQ_R, goal, {"i": x, "j": y, "c": c}, [after_neqr])
+    if isinstance(e, At) and e.body == BOT:
+        return axiom(BOT_RULE, goal, {"i": e.nom})
+    pair, inst = decompose(e)
+    eigens = RULES[pair[0]].eigens
+    inst.update(zip(eigens, fresh_nominals(len(eigens), goal.nominals())))
+    for first in pair:
+        mine, *more = added(first, inst)
+        if not more and mine[0]:
+            break
+    return step(first, goal, inst,
+                [lambda s: close_dual(dual(first), s, inst, mine)])
 
 
 def axg(goal, i, phi):
     """Generalized axiom (AxG): close @_i phi, Γ ⊢ Δ, @_i phi for any phi."""
-    e = At(i, phi)
-    if e not in goal.ante or e not in goal.cons:
-        raise MacroError(f"AxG: {print_node(e)} must occur on both sides")
-    match phi:
-        case Prop(_) | Nominal(_):
-            return axiom(AX, goal, {"phi": e})
-        case Bottom():
-            return axiom(BOT_RULE, goal, {"i": i})
-        case Implies(lhs, rhs):
-            def right_done(s):
-                return step(IMP_L, s, {"i": i, "phi": lhs, "psi": rhs},
-                            [lambda s1_: axg(s1_, i, lhs),
-                             lambda s2_: axg(s2_, i, rhs)])
-            return step(IMP_R, goal, {"i": i, "phi": lhs, "psi": rhs}, [right_done])
-        case At(m, body):
-            def left_done(s):
-                def right_done(s2_):
-                    return axg(s2_, m, body)
-                return step(AT_R, s, {"j": i, "i": m, "phi": body}, [right_done])
-            return step(AT_L, goal, {"j": i, "i": m, "phi": body}, [left_done])
-        case Diamond(a, body):
-            (u,) = fresh_nominals(1, goal.nominals())
-            def left_done(s):
-                def right_done(s2_):
-                    return axg(s2_, u, body)
-                return step(DIA_R, s, {"i": i, "a": a, "phi": body, "j": u},
-                            [right_done])
-            return step(DIA_L, goal, {"i": i, "a": a, "phi": body, "j": u},
-                        [left_done])
-        case Compare(alpha, kind, c, beta):
-            u, v = fresh_nominals(2, goal.nominals())
-            inst = {"i": i, "alpha": alpha, "beta": beta, "kind": kind, "c": c}
-            def left_done(s):
-                def right_done(s2_):
-                    return cmp_tauto(s2_, u, kind, c, v)
-                return step(CMP_R, s, dict(inst, j=u, k=v), [right_done])
-            return step(CMP_L, goal, dict(inst, j=u, k=v), [left_done])
-    raise MacroError(f"AxG: unexpected expression {print_node(phi)}")
+    return identity(goal, At(i, phi))
 
 
-def identity(goal, e):
-    """Close a goal with the sequent member `e` on both sides."""
-    match e:
-        case At(i, phi):
-            return axg(goal, i, phi)
-        case Compare(Jump(x), kind, c, Jump(y)):
-            return cmp_tauto(goal, x, kind, c, y)
-    raise MacroError(f"identity: not a sequent member: {print_node(e)}")
+def close_dual(rule, goal, inst, mine):
+    """Apply `rule` to `goal`, and close each premiss by identity on the
+    formula it and `mine` put on opposite sides; `mine` is what one premiss
+    of the dual rule adds under the same instantiation."""
+    return step(rule, goal, inst,
+                [lambda s, e=crossed(mine, theirs): identity(s, e)
+                 for theirs in added(rule, inst)])
 
 
 def crossed(x, y):
@@ -139,25 +109,17 @@ def transfer(goal, i, j, phi):
     if target not in goal.cons:
         raise MacroError("transfer: target missing on the right")
     if s1_shape(phi):
-        def done(s):
-            match phi:
-                case Prop(_):
-                    return axiom(AX, s, {"phi": target})
-                case Bottom():
-                    return axiom(BOT_RULE, s, {"i": j})
-                case _:
-                    return axg(s, j, phi)
-        return step(S1, goal, {"i": i, "j": j, "phi": phi}, [done])
+        return step(S1, goal, {"i": i, "j": j, "phi": phi},
+                    [lambda s: identity(s, target)])
     match phi:
         case Nominal(k):
             return step(AT_5, goal, {"i": i, "j": j, "k": k},
-                        [lambda s: axiom(AX, s, {"phi": At(j, Nominal(k))})])
+                        [lambda s: identity(s, target)])
         case At(m, body):
-            def right_done(s):
-                def left_done(s2_):
-                    return axg(s2_, m, body)
-                return step(AT_L, s, {"j": i, "i": m, "phi": body}, [left_done])
-            return step(AT_R, goal, {"j": j, "i": m, "phi": body}, [right_done])
+            inst = {"j": j, "i": m, "phi": body}
+            (mine,) = added(AT_R, inst)
+            return step(AT_R, goal, inst,
+                        [lambda s: close_dual(AT_L, s, dict(inst, j=i), mine)])
         case Implies(lhs, rhs):
             def right_done(s):
                 def branch1(s1_):
@@ -193,10 +155,9 @@ def transfer(goal, i, j, phi):
             moved = [evidence(j, p, w) for p, w in ((alpha, u), (beta, v))
                      if evidence(i, p, w) != evidence(j, p, w)]
             def after_cmpl(s):
-                def after_cmpr(s2_):
-                    return cmp_tauto(s2_, u, kind, c, v)
+                added_cmp = Compare(Jump(u), kind, c, Jump(v))
                 d = step(CMP_R, s.add_ante(*moved), dict(inst, i=j),
-                         [after_cmpr])
+                         [lambda s2_: identity(s2_, added_cmp)])
                 for t in reversed(range(len(moved))):
                     e, base = moved[t], s.add_ante(*moved[:t])
                     d = cut(transfer(base.add_cons(e), i, j, e.body), d, e)

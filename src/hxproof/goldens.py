@@ -10,7 +10,7 @@ applications only and pass the kernel check.
 from __future__ import annotations
 
 from .derived import (
-    and_left, and_right, axg, cmp_flip, cmp_tauto, iff_right, step,
+    and_left, and_right, axg, cmp_flip, identity, iff_right, step,
 )
 from .hylo import simulate_reference_rule
 from .kernel import (
@@ -65,7 +65,7 @@ def symmetry():
             def after_cmpr(s2):
                 flip_frag = cmp_flip(s2, u, kind, c, v)
                 def close(leaf2):
-                    return cmp_tauto(leaf2, v, kind, c, u)
+                    return identity(leaf2, Compare(Jump(v), kind, c, Jump(u)))
                 return graft(flip_frag, close)
             return step(CMP_R, s, inst_r, [after_cmpr])
         return step(CMP_L, leaf, inst_l, [after_cmpl])
@@ -177,7 +177,8 @@ def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ
                 inst = {"i": i, "alpha": concat(Jump(k), alpha), "beta": beta,
                         "kind": kind, "c": c, "j": x, "k": y}
                 return step(CMP_R, leaf, inst,
-                            [lambda s5: cmp_tauto(s5, x, kind, c, y)])
+                            [lambda s5: identity(
+                                s5, Compare(Jump(x), kind, c, Jump(y)))])
             raise ValueError(f"unexpected conjunction leaf {leaf}")
 
         left = graft(left, fill)

@@ -177,9 +177,9 @@ def _check_inst(metavars, inst):
 def ax_shape(e):
     """(Ax) closes only on @_i p, @_i j, or <i: =c j:>."""
     match e:
-        case At(_, Prop(_)) | At(_, Nominal(_)):
+        case At(body=Prop() | Nominal()):
             return True
-        case Compare(Jump(_), CmpKind.EQ, _, Jump(_)):
+        case Compare(left=Jump(), kind=CmpKind.EQ, right=Jump()):
             return True
         case _:
             return False
@@ -188,7 +188,7 @@ def ax_shape(e):
 def s1_shape(phi):
     """(S1) substitutes only atoms: p, bottom, or <a>k."""
     match phi:
-        case Prop(_) | Bottom() | Diamond(_, Nominal(_)):
+        case Prop() | Bottom() | Diamond(body=Nominal()):
             return True
         case _:
             return False
@@ -347,6 +347,28 @@ COMPARISON_RULES = frozenset(n for n, r in RULES.items() if "c" in r.metavars)
 _DUALS = {n: m for n, r in RULES.items() for m, s in RULES.items()
           if r.principal is not None and s.principal is r.principal
           and s.side != r.side}
+
+
+def decompose(e):
+    """The (left, right) dual pair whose principal the compound member `e`
+    is, and their shared metavariables bound (eigens and witnesses not)."""
+    # keyword patterns skip `__match_args__`; search calls this per member
+    match e:
+        case At(nom=i, body=phi):
+            match phi:
+                case Implies(lhs=lhs, rhs=rhs):
+                    return (IMP_L, IMP_R), {"i": i, "phi": lhs, "psi": rhs}
+                case At(nom=k, body=body):
+                    return (AT_L, AT_R), {"i": k, "j": i, "phi": body}
+                case Diamond(mod=a, body=body):
+                    return (DIA_L, DIA_R), {"i": i, "a": a, "phi": body}
+                case Compare(left=alpha, kind=kind, cmp=c, right=beta):
+                    return (CMP_L, CMP_R), {"i": i, "alpha": alpha,
+                                            "beta": beta, "kind": kind, "c": c}
+        case Compare(left=Jump(nom=i), kind=CmpKind.NEQ, cmp=c,
+                     right=Jump(nom=j)):
+            return (NEQ_L, NEQ_R), {"i": i, "j": j, "c": c}
+    raise KernelError(f"not a compound member: {print_node(e)}")
 
 
 def _instance(rule, inst):
@@ -649,17 +671,12 @@ def open_leaves(d):
 
 
 def graft(fragment, fillers):
-    """Replace each open leaf with a derivation of the same sequent.
-
-    `fillers` maps sequents to derivations (or is a callable sequent->tree).
-    """
-    if fragment.rule == OPEN:
-        filler = fillers(fragment.conclusion) if callable(fillers) \
-            else fillers[fragment.conclusion]
-        if filler.conclusion != fragment.conclusion:
+    """Replace each open leaf, in preorder, with a derivation of the same
+    sequent: `fillers` maps sequents to derivations (or is a callable
+    sequent->tree). Each is put in by `replace`, so at any height."""
+    for path, seq in open_leaves(fragment):
+        filler = fillers(seq) if callable(fillers) else fillers[seq]
+        if filler.conclusion != seq:
             raise KernelError("graft filler proves the wrong sequent")
-        return filler
-    if not fragment.children:
-        return fragment
-    kids = tuple(graft(c, fillers) for c in fragment.children)
-    return Derivation(fragment.conclusion, fragment.rule, fragment.inst, kids)
+        fragment = fragment.replace(path, filler)
+    return fragment

@@ -14,19 +14,19 @@ from bisect import bisect, bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .derived import crossed, identity, step
+from .derived import close_dual
 from .kernel import (
-    AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R, EQ_5,
-    EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1, S2, S3, Derivation,
-    KernelError, Sequent, added, check_derivation, cut, dual, evidence,
-    freeze_inst, premises, principal, sequent, weaken_to,
+    AT_5, AT_T, AX, BOT_RULE, CMP_R, DIA_R, EQ_5, EQ_T, RULES, S1, S2, S3,
+    Derivation, KernelError, Sequent, added, ax_shape, check_derivation, cut,
+    decompose, dual, evidence, freeze_inst, premises, principal, s1_shape,
+    sequent, weaken_to,
 )
 # not called here, but perfbench's tracer rebinds `search.infer` and
 # `search.axiom`
 from .kernel import axiom, infer  # noqa: F401
 from .model import HybridDataModel, check_sequent_validity, find_countermodel
 from .syntax import (
-    At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
+    At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal,
     fresh_nominals,
 )
 
@@ -70,8 +70,9 @@ class Unknown:
 # ---------------------------------------------------------------------------
 
 CLOSURE_RULES = (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)
-# moves the depth bound does not count (see SearchConfig)
-FREE_RULES = frozenset(CLOSURE_RULES + (NEQ_L, NEQ_R))
+# moves the depth bound does not count (SearchConfig): closures, the NEq pair
+FREE_RULES = frozenset(CLOSURE_RULES).union(
+    decompose(Compare(Jump("i"), CmpKind.NEQ, "c", Jump("j")))[0])
 
 
 class _Table(list):
@@ -103,55 +104,58 @@ _TABLES = ("ax", "bot", "ante_dec", "cons_dec", "branches", "fresh", "goals",
 _KEYED = ("aliases_of", "eqs_from", "bodies_of", "steps_into")
 
 
+def _route(rule):
+    """How a member enters the index on `rule`'s side, by the rule's record."""
+    r = RULES[rule]
+    if r.eigens:
+        cost = len(r.eigens)
+        return lambda e, inst: ("fresh", None, (cost, rule, inst))
+    if len(r.premisses) > 1:
+        return lambda e, inst: ("branches", None, (rule, inst))
+    if r.consumes:
+        table = "ante_dec" if r.side == "ante" else "cons_dec"
+        return lambda e, inst: (table, None, (rule, inst))
+    return lambda e, inst: ("goals", None, (rule, e, inst))
+
+
+_ROUTES = {rule: _route(rule) for rule in RULES if dual(rule)}
+
+
 def _role(e):
     """What a member gives the index: the (table, name, value) entries it
     adds as an antecedent and as a consequent member (name None for a table
     that is not keyed), and its comparison symbol if it is an atomic
-    comparison."""
-    ante, cons, cmp = [], [], None
+    comparison. An atom is kept by name, and any other member is routed by
+    its dual pair; search never applies DiaL to a modal step @i <a>k."""
+    ante, cons, cmp = [], (), None
     match e:
-        case At(i, phi):
+        case At(nom=i, body=phi):
             match phi:
-                case Nominal(k):
+                case Nominal(name=k):
                     ante += [("aliases", None, (i, k)), ("aliases_of", i, k)]
-                    cons.append(("ax", None, e))
-                case Diamond(a, Nominal(k)):
-                    ante += [("bodies_of", i, phi), ("steps_into", k, (i, a))]
-                    cons.append(("goals", None, (DIA_R, e, (i, a, phi.body))))
-                case Prop():
-                    ante.append(("bodies_of", i, phi))
-                    cons.append(("ax", None, e))
-                case Implies(psi, chi):
-                    ante.append(("branches", None,
-                                 (IMP_L, {"i": i, "phi": psi, "psi": chi})))
-                    cons.append(("cons_dec", None,
-                                 (IMP_R, {"i": i, "phi": psi, "psi": chi})))
-                case Diamond(a, psi):
-                    ante.append(("fresh", None, (1, DIA_L, (i, a, psi))))
-                    cons.append(("goals", None, (DIA_R, e, (i, a, psi))))
-                case At(k, psi):
-                    ante.append(("ante_dec", None,
-                                 (AT_L, {"j": i, "i": k, "phi": psi})))
-                    cons.append(("cons_dec", None,
-                                 (AT_R, {"j": i, "i": k, "phi": psi})))
-                case Compare(alpha, kind, c, beta):
-                    parts = (i, alpha, beta, kind, c)
-                    ante.append(("fresh", None, (2, CMP_L, parts)))
-                    cons.append(("goals", None, (CMP_R, e, parts)))
                 case Bottom():
-                    ante += [("bodies_of", i, phi),
-                             ("bot", None, (BOT_RULE, {"i": i}))]
-        case Compare(Jump(i), kind, c, Jump(j)):
+                    ante.append(("bot", None, (BOT_RULE, {"i": i})))
+                case Diamond(mod=a, body=Nominal(name=k)):
+                    ante.append(("steps_into", k, (i, a)))
+                    cons = _routed(e)[1]
+                case Implies() | At() | Diamond() | Compare():
+                    return _routed(e)
+            if s1_shape(phi):
+                ante.append(("bodies_of", i, phi))
+        case Compare(left=Jump(nom=i), kind=kind, cmp=c, right=Jump(nom=j)):
+            if kind is not CmpKind.EQ:
+                return _routed(e, c)
+            ante += [("eqs", None, (i, c, j)), ("eqs_from", i, (c, j))]
             cmp = c
-            if kind is CmpKind.EQ:
-                ante += [("eqs", None, (i, c, j)), ("eqs_from", i, (c, j))]
-                cons.append(("ax", None, e))
-            else:
-                ante.append(("ante_dec", None,
-                             (NEQ_L, {"i": i, "j": j, "c": c})))
-                cons.append(("cons_dec", None,
-                             (NEQ_R, {"i": i, "j": j, "c": c})))
-    return tuple(ante), tuple(cons), cmp
+    if ax_shape(e):
+        cons = (("ax", None, e),)
+    return tuple(ante), cons, cmp
+
+
+def _routed(e, cmp=None):
+    """A compound member's role: one entry per side, sharing one instance."""
+    (left, right), inst = decompose(e)
+    return (_ROUTES[left](e, inst),), (_ROUTES[right](e, inst),), cmp
 
 
 class _Roles(dict):
@@ -177,9 +181,11 @@ class _Index:
     Bot), `decomposition` the first invertible non-branching decomposition
     (antecedent before consequent) and `branch` the first left implication,
     each a (rule, instantiation) pair or None. `fresh` holds (cost, rule,
-    parts) for each left diamond or comparison, cost being the fresh
-    nominals it needs, and `goals` (rule, member, parts) for each right
-    diamond or comparison. The antecedent atoms are kept by name, so that a
+    instantiation) for each left diamond or comparison, cost being the
+    eigen-nominals it needs, left unbound, and `goals` (rule, member,
+    instantiation) for each right diamond or comparison, its witnesses
+    unbound. An instantiation is shared by the entries of one member, so
+    no finder changes it. The antecedent atoms are kept by name, so that a
     finder asks whether a candidate is present without building it:
     `aliases` holds (i, k) for each @i k, `eqs` (i, c, j) for each
     <i: =c j:>, `aliases_of[i]` each k, `eqs_from[i]` each (c, j),
@@ -325,9 +331,10 @@ def _witness_move(ix, fired, evidence, dia_ok):
     """Right witness rules; `fired` keys stop re-introduction loops. DiaR
     candidates are skipped unless `dia_ok` (the depth bound allows them)."""
     cons, ante = ix.seq.cons, ix.seq.ante
-    for rule, e, parts in ix.goals:
+    for rule, e, inst in ix.goals:
         if rule == CMP_R:
-            i, alpha, beta, kind, c = parts
+            i, alpha, beta = inst["i"], inst["alpha"], inst["beta"]
+            kind, c = inst["kind"], inst["c"]
             for x in ix.noms:
                 if evidence[i, alpha, x] not in ante:
                     continue
@@ -337,33 +344,24 @@ def _witness_move(ix, fired, evidence, dia_ok):
                     key = (CMP_R, e, x, y)
                     if key not in fired and \
                             Compare(Jump(x), kind, c, Jump(y)) not in cons:
-                        return CMP_R, {"i": i, "alpha": alpha, "beta": beta,
-                                       "kind": kind, "c": c, "j": x,
-                                       "k": y}, key
+                        return CMP_R, dict(inst, j=x, k=y), key
         elif dia_ok:
-            i, a, phi = parts
+            i, a, phi = inst["i"], inst["a"], inst["phi"]
             for j in ix.noms:
                 key = (DIA_R, e, j)
                 if (i, a) in ix.steps_into[j] and key not in fired \
                         and At(j, phi) not in cons:
-                    return DIA_R, {"i": i, "a": a, "phi": phi, "j": j}, key
+                    return DIA_R, dict(inst, j=j), key
     return None
 
 
 def _fresh_move(ix, fresh_left):
     """The first left diamond or comparison the fresh-nominal budget can
     pay for, with its eigen-nominals drawn, and its cost; or None."""
-    for cost, rule, parts in ix.fresh:
-        if cost > fresh_left:
-            continue
-        if rule == DIA_L:
-            i, a, phi = parts
-            (j,) = fresh_nominals(1, ix.noms)
-            return DIA_L, {"i": i, "a": a, "phi": phi, "j": j}, cost
-        i, alpha, beta, kind, c = parts
-        j, k = fresh_nominals(2, ix.noms)
-        return CMP_L, {"i": i, "alpha": alpha, "beta": beta, "kind": kind,
-                       "c": c, "j": j, "k": k}, cost
+    for cost, rule, inst in ix.fresh:
+        if cost <= fresh_left:
+            names = fresh_nominals(cost, ix.noms)
+            return rule, inst | dict(zip(RULES[rule].eigens, names)), cost
     return None
 
 
@@ -490,16 +488,10 @@ def invert(rule, d, inst):
     other = dual(rule)
     side, p = principal(rule, inst)
     ours = added(rule, inst)
-
-    def closed(goal, mine):
-        return step(other, goal, inst,
-                    [lambda s, e=crossed(mine, theirs): identity(s, e)
-                     for theirs in added(other, inst)])
-
     if side == "ante":
-        return [weaken_to(cut(closed(t.add_cons(p), mine), d, p), t)
-                for t, mine in zip(targets, ours)]
+        return [weaken_to(cut(close_dual(other, t.add_cons(p), inst, mine),
+                              d, p), t) for t, mine in zip(targets, ours)]
     ((ante, cons),) = ours
     left = weaken_to(d, Sequent(concl.ante.union(ante), concl.cons.union(cons)))
-    right = closed(sequent([p, *ante], cons), ours[0])
+    right = close_dual(other, sequent([p, *ante], cons), inst, ours[0])
     return [weaken_to(cut(left, right, p), targets[0])]

@@ -15,8 +15,8 @@ from hxproof.derived import axg
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
     AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
-    IMP_L, LOGICAL_RULES, NEQ_L, axiom, check_derivation, cut, dual, infer,
-    premises, sequent, weaken,
+    IMP_L, IMP_R, LOGICAL_RULES, NEQ_L, axiom, check_derivation, cut, dual,
+    infer, premises, sequent, weaken,
 )
 from hxproof.model import find_countermodel
 from hxproof.search import Proved, SearchConfig, Unknown, invert, prove
@@ -128,6 +128,42 @@ def test_cut_under_a_deep_weakening_chain_eliminates():
         d = weaken(d, "left", At(f"i{t}", P))
     assert d.height == 1203
     _run(d)
+
+
+def test_cut_into_a_deep_eigen_premiss_eliminates():
+    # permuting the cut into the DiaL renames its eigen-nominal throughout
+    # the 1,200-level weakening chain above it, over a stack, not by
+    # recursion
+    imp, s = At("i", Implies(P, P)), At("m", Prop("s"))
+    step_j, body_j = At("k", Diamond("a", Nominal("j"))), At("j", Q)
+    left = infer(IMP_R, sequent((), {imp}), {"i": "i", "phi": P, "psi": P},
+                 [axiom(AX, sequent({At("i", P)}, {At("i", P)}),
+                        {"phi": At("i", P)})])
+    top = axiom(AX, sequent({s}, {s}), {"phi": s})
+    for e in (step_j, body_j, imp):
+        top = weaken(top, "left", e)
+    for t in range(1200):
+        top = weaken(top, "right", At("m", Prop(f"r{t}")))
+    concl = top.conclusion.drop_ante(step_j, body_j).add_ante(
+        At("k", Diamond("a", Q)))
+    right = infer(DIA_L, concl, {"i": "k", "a": "a", "phi": Q, "j": "j"},
+                  [top])
+    d = cut(left, right, imp)
+    assert d.height == 1206 and check_derivation(d) == []
+    _run(d)
+
+
+def test_bot_right_on_the_cut_formula_permutes_left():
+    # (Bot) on the cut formula is principal, and as no rule has falsum
+    # principal on the right, the cut permutes into the left premiss
+    bot, imp = At("m", BOT), At("i", Implies(P, P))
+    left = infer(IMP_R, sequent((), {imp, bot}),
+                 {"i": "i", "phi": P, "psi": P},
+                 [axiom(AX, sequent({At("i", P)}, {At("i", P), bot}),
+                        {"phi": At("i", P)})])
+    right = axiom(BOT_RULE, sequent({bot}, {At("k", Q)}), {"i": "m"})
+    out, trace = _run(cut(left, right, bot))
+    assert [e.kind for e in trace] == ["permute-left-ImpR", "axiom-left"]
 
 
 def test_nom2_golden_eliminates_without_fallback():

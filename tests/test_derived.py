@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,9 +7,10 @@ import hypothesis.strategies as st
 
 from genutil import rand_node, SIG
 from hxproof.derived import (
-    MacroError, and_left, and_right, axg, cmp_flip, cmp_tauto, iff_right,
+    MacroError, and_left, and_right, axg, cmp_flip, identity, iff_right,
     transfer,
 )
+from hxproof.jsonio import derivation_to_json, dumps_canonical
 from hxproof.kernel import (
     CUT, axiom, check_derivation, graft, open_leaves, sequent,
 )
@@ -117,11 +119,32 @@ def test_cmp_flip_twice_returns_to_start(kind):
     assert check_derivation(whole, allow_open=True) == []
 
 
-def test_cmp_tauto_both_kinds():
+# One digest of the canonical JSON of the closures below, recorded from the
+# macros that closed each connective with a hand-ordered pair of rules
+IDENTITY_PIN = "7f1a53ab5a4e2b5b"
+
+
+def test_identity_reproduces_the_hand_ordered_closures():
+    h = hashlib.sha256()
+
+    def add(goal, e):
+        h.update(dumps_canonical(derivation_to_json(identity(goal, e)))
+                 .encode())
+
+    for seed in range(320):
+        e = At("i", rand_node(random.Random(seed), SIG, seed % 4))
+        add(sequent({e}, {e}), e)
+    for kind in CmpKind:
+        e = Compare(Jump("x"), kind, "c", Jump("y"))
+        add(sequent({e, At("m", P)}, {e}), e)
+    assert h.hexdigest()[:16] == IDENTITY_PIN
+
+
+def test_identity_closes_comparisons_of_both_kinds():
     for kind in CmpKind:
         e = Compare(Jump("x"), kind, "c", Jump("y"))
         goal = sequent({e, At("m", P)}, {e})
-        assert check_derivation(cmp_tauto(goal, "x", kind, "c", "y")) == []
+        assert check_derivation(identity(goal, e)) == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from genutil import (SIG, conclusion_for_rule, rand_derivation, rand_model,
-                     rand_path)
+                     rand_path, rand_restricted)
 from hxproof import jsonio, kernel
 from hxproof.cutelim import (
     cut_complexity, cut_height, rename_nominal_derivation,
@@ -16,15 +16,15 @@ from hxproof.kernel import (
     AX, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
     IMP_L, LOGICAL_RULES, METAVAR_KINDS, NOM, OPEN, RULES, S1, S2, S3, WL,
     WR, Derivation, KernelError, PrincipalMissing, Sequent, ShapeViolation,
-    SideConditionViolated, Violation, axiom, check_derivation, cut, evidence,
-    freeze_inst, infer, is_restricted, open_leaf, premises, sequent, weaken,
-    weaken_to,
+    SideConditionViolated, Violation, ax_shape, axiom, check_derivation, cut,
+    decompose, dual, evidence, freeze_inst, graft, infer, is_restricted,
+    open_leaf, premises, principal, sequent, weaken, weaken_to,
 )
 from hxproof.goldens import reflexivity
 from hxproof.model import eval_node
 from hxproof.syntax import (
-    At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    concat, dia, eps,
+    At, Atom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
+    concat, dia, eps, fresh_nominals,
 )
 
 P, Q = Prop("p"), Prop("q")
@@ -193,6 +193,23 @@ def test_diar_requires_witness_step():
         premises(goal, DIA_R, {"i": "i", "a": "a", "phi": P, "j": "j"})
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 3))
+def test_decompose_names_the_dual_pair_of_each_compound_member(seed, depth):
+    e = rand_restricted(random.Random(seed), SIG, depth)
+    if ax_shape(e) or isinstance(e, At) and e.body == BOT:
+        with pytest.raises(KernelError):
+            decompose(e)
+        return
+    (left, right), inst = decompose(e)
+    # the eigen-nominals of the left rule are the right rule's witnesses
+    eigens = RULES[left].eigens
+    inst.update(zip(eigens, fresh_nominals(len(eigens), e.noms)))
+    assert principal(left, inst) == ("ante", e)
+    assert principal(right, inst) == ("cons", e)
+    assert dual(left) == right
+
+
 def test_structural_rules_not_backward():
     with pytest.raises(KernelError):
         premises(sequent((), ()), CUT, {"phi": At("i", P)})
@@ -285,6 +302,18 @@ def test_nominals_at_any_height():
     w = weaken(d, "right", At("j", Q))
     assert w.nominals() == d.nominals() | {"j"}
     assert d.__dict__["_noms"] is kept
+
+
+def test_graft_at_any_height():
+    # the open leaf sits 1,200 levels down; graft puts its filler in with
+    # `replace`, not by recursion
+    p = At("i", P)
+    extra = {At(f"i{t}", P) for t in range(1200)}
+    frag = weaken_to(open_leaf(sequent({p}, {p})),
+                     sequent({p} | extra, {p}))
+    d = graft(frag, {sequent({p}, {p}): axiom(AX, sequent({p}, {p}),
+                                              {"phi": p})})
+    assert d.height == 1201 and check_derivation(d) == []
 
 
 def test_weaken_to_checks_only_the_added_members(monkeypatch):

@@ -325,10 +325,11 @@ def oracle_first_moves(seq):
                                        "psi": e.body.rhs})]
                    if isinstance(e, At) and isinstance(e.body, Implies)
                    else [])
-    fresh = [(1, DIA_L, (e.nom, e.body.mod, e.body.body))
+    fresh = [(1, DIA_L, {"i": e.nom, "a": e.body.mod, "phi": e.body.body})
              if isinstance(e.body, Diamond)
-             else (2, CMP_L, (e.nom, e.body.left, e.body.right, e.body.kind,
-                              e.body.cmp))
+             else (2, CMP_L, {"i": e.nom, "alpha": e.body.left,
+                              "beta": e.body.right, "kind": e.body.kind,
+                              "c": e.body.cmp})
              for e in seq.sorted_ante if isinstance(e, At)
              and (isinstance(e.body, Compare)
                   or isinstance(e.body, Diamond)
