@@ -257,8 +257,10 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # `json.loads` and `dumps_canonical` recurse once per derivation
-        # level; checking and cut elimination do not
+        # the parser and the layers that walk an expression (printing, shape
+        # checks, search, encoding) recurse once per expression level;
+        # derivation levels are walked over explicit stacks, and a nested
+        # file too deep for `json.loads` is answered by `_read_json`
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,16 +1,24 @@
 """Stable JSON encodings for ASTs, sequents, derivations, and models.
 
-The AST schema is tag + children; canonical dumps sort keys and sequent
-members so identical inputs always produce byte-identical output. A
-derivation node states its conclusion only where the reader cannot
-recompute it from its parent's conclusion, rule and instantiation.
+Expressions and sequents are nested objects, tag + children. Derivations
+are written in format 2, `{"format": 2, "exprs": [...], "nodes": [...]}`:
+`exprs` lists each distinct expression once, children first, as a row that
+names earlier rows by index, and `nodes` lists the tree in post-order, each
+row naming its children by index. A node states its conclusion only where
+the reader cannot recompute it from its parent's conclusion, rule and
+instantiation. No JSON container nests per derivation level, so a file of
+any height loads and writes. The reader also reads the nested layouts
+written before format 2. Canonical text sorts keys and sequent members, so
+identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from json.encoder import encode_basestring_ascii as _escape
+from typing import get_args
 
 from . import syntax as sx
 from .kernel import (
@@ -50,11 +58,13 @@ def _name(d, key):
 
 
 def _cmpkind(d, key="kind"):
-    value = _name(d, key)
-    try:
-        return sx.CmpKind(value)
-    except ValueError:
-        raise DecodeError(f"unknown comparison kind: {_show(value)}") from None
+    return _kind_value(_name(d, key))
+
+
+def _kind_value(v):
+    if not isinstance(v, str) or v not in ("eq", "neq"):
+        raise DecodeError(f"unknown comparison kind: {_show(v)}")
+    return sx.CmpKind(v)
 
 
 def node_to_json(e):
@@ -77,9 +87,12 @@ def node_to_json(e):
     raise TypeError(f"not a node expression: {e!r}")
 
 
-# Deeper expressions are refused, so that the layers that still recurse over
-# an expression (shape checks, substitution, encoding, the canonical writer)
-# stay well inside the interpreter's default recursion limit.
+# Deeper expressions are refused, in format 2 row by row, so that the layers
+# that still recurse once per expression level (the printer, shape checks,
+# substitution, search, `node_to_json` and the writer's expression table)
+# stay well inside the interpreter's default recursion limit. Derivation
+# levels are walked over explicit stacks, and format 2 nests no JSON per
+# level.
 MAX_NESTING = 500
 
 
@@ -158,18 +171,6 @@ def sequent_from_json(d):
         raise DecodeError(str(e)) from None
 
 
-def _inst_value_to_json(key, v):
-    kind = METAVAR_KINDS[key]
-    match kind:
-        case "nominal" | "modality" | "comparison":
-            return {"kind": kind, "name": v}
-        case "cmpkind":
-            return {"kind": kind, "value": v.value}
-        case "path":
-            return {"kind": kind, "expr": path_to_json(v)}
-    return {"kind": kind, "expr": node_to_json(v)}
-
-
 def _inst_value(key, d):
     """The value of metavariable `key` that the object `d` encodes."""
     kind = _name(d, "kind")
@@ -218,35 +219,12 @@ def _implied(conclusion, rule, inst, n):
     return (out + [None] * n)[:n]
 
 
-def derivation_to_json(d):
-    """The JSON object of `d`. A node states its `conclusion` only where its
-    parent does not imply it (`_implied`): at the root, under a Cut, under a
-    weakening whose formula was already present, and at any child that does
-    not match its parent's premisses. The levels are walked over an explicit
-    stack, so at any height."""
-    out = []
-    stack = [(d, None, out)]
-    while stack:
-        node, implied, siblings = stack.pop()
-        kids = []
-        obj = {"rule": node.rule,
-               "inst": {key: _inst_value_to_json(key, v) for key, v in node.inst},
-               "children": kids}
-        if node.conclusion != implied:
-            obj["conclusion"] = sequent_to_json(node.conclusion)
-        siblings.append(obj)
-        below = _implied(node.conclusion, node.rule, node.inst_dict,
-                         len(node.children))
-        stack += [(c, s, kids) for c, s in zip(reversed(node.children),
-                                               reversed(below))]
-    return out[0]
-
-
-def derivation_from_json(d):
-    """The derivation the object `d` encodes. A node without a `conclusion`
-    gets the one its parent implies (`_implied`); one that its parent does
-    not imply is a DecodeError. The levels are walked over an explicit
-    stack, so at any height."""
+def _nested_derivation(d):
+    """The derivation a nested object `d` encodes, in either layout read
+    before format 2. A node without a `conclusion` gets the one its parent
+    implies (`_implied`); one that its parent does not imply is a
+    DecodeError. The levels are walked over an explicit stack, so at any
+    height."""
     heads = []                 # (conclusion, rule, inst, children), preorder
     stack = [(d, None, None)]  # (object, implied conclusion, rule above)
     while stack:
@@ -256,8 +234,7 @@ def derivation_from_json(d):
         if "conclusion" in d or above is None:
             conclusion = sequent_from_json(_field(d, "conclusion"))
         elif implied is None:
-            raise DecodeError(f"missing field 'conclusion', which the "
-                              f"{_show(above)} above does not imply")
+            raise DecodeError(_unimplied(above))
         else:
             conclusion = implied
         kids = _field(d, "children", list)
@@ -273,12 +250,284 @@ def derivation_from_json(d):
     return done[0]
 
 
-def dumps_canonical(obj):
-    """Exactly `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, in one pass.
+def _unimplied(rule):
+    return (f"missing field 'conclusion', which the {_show(rule)} above "
+            f"does not imply")
 
-    The stdlib runs its pure-Python encoder whenever `indent` is set; this
-    writer appends string pieces to one list instead. Keys must be `str`.
-    """
+
+# ---------------------------------------------------------------------------
+# Derivation format 2: a flat node list over a shared expression table
+# ---------------------------------------------------------------------------
+
+FORMAT = 2
+
+# The rows of the `exprs` table: tag -> (class, the sort of each field). A
+# `name` is a string, a `kind` is "eq" or "neq", and a `node` or `path` is
+# the index of an earlier row holding an expression of that sort.
+_ROWS = {
+    "prop": (sx.Prop, ("name",)),
+    "nom": (sx.Nominal, ("name",)),
+    "bot": (sx.Bottom, ()),
+    "imp": (sx.Implies, ("node", "node")),
+    "at": (sx.At, ("name", "node")),
+    "dia": (sx.Diamond, ("name", "node")),
+    "cmp": (sx.Compare, ("path", "kind", "name", "path")),
+    "mod": (sx.Atom, ("name",)),
+    "jump": (sx.Jump, ("name",)),
+    "test": (sx.Test, ("node",)),
+    "concat": (sx.Concat, ("path", "path")),
+}
+_SORT_CLASSES = {"node": get_args(sx.NodeExpr), "path": get_args(sx.PathExpr)}
+# class -> (tag, field names, field sorts), for the writer
+_LAYOUT = {cls: (tag, cls.__match_args__, sorts)
+           for tag, (cls, sorts) in _ROWS.items()}
+
+# A row whose expression, spelt out as a tree, has more nodes than this is
+# refused before it is built: a row names earlier rows, so a table of n rows
+# could otherwise stand for a tree of 2^n nodes, and building an expression
+# renders its print key in full.
+MAX_EXPR_SIZE = 10_000
+
+
+class _Table:
+    """The `exprs` rows of one file: each distinct expression once, after
+    the rows of its children."""
+
+    def __init__(self):
+        self.rows = []
+        self.index = {}
+
+    def ref(self, e):
+        """The row index of `e`, adding its rows where they are missing. It
+        recurses once per expression level, as the decoder bounds
+        (MAX_NESTING)."""
+        i = self.index.get(e)
+        if i is None:
+            tag, names, sorts = _LAYOUT[type(e)]
+            row = [tag]
+            for name, sort in zip(names, sorts):
+                v = getattr(e, name)
+                row.append(self.ref(v) if sort in _SORT_CLASSES
+                           else v.value if sort == "kind" else v)
+            i = self.index[e] = len(self.rows)
+            self.rows.append(row)
+        return i
+
+    def inst(self, inst):
+        """The `inst` object of a frozen instantiation: names as strings,
+        comparison kinds as their values, expressions as row indices."""
+        out = {}
+        for key, v in inst:
+            match METAVAR_KINDS[key]:
+                case "cmpkind":
+                    out[key] = v.value
+                case "path" | "node":
+                    out[key] = self.ref(v)
+                case _:
+                    out[key] = v
+        return out
+
+    def sequent(self, s):
+        """A conclusion as two lists of row indices, members in print-key
+        order."""
+        return [[self.ref(e) for e in s.sorted_ante],
+                [self.ref(e) for e in s.sorted_cons]]
+
+
+def derivation_to_json(d):
+    """The format-2 object of `d`: its nodes in post-order, each naming its
+    children by index. A node states its `conclusion` only where its parent
+    does not imply it (`_implied`): at the root, under a Cut, under a
+    weakening whose formula was already present, and at any child that does
+    not match its parent's premisses. The tree is walked over an explicit
+    stack, so at any height."""
+    table = _Table()
+    nodes = []
+    done = []                  # row indices of finished subtrees
+    stack = [(d, None, False)]
+    while stack:
+        node, implied, ready = stack.pop()
+        n = len(node.children)
+        if not ready:
+            stack.append((node, implied, True))
+            below = _implied(node.conclusion, node.rule, node.inst_dict, n)
+            stack += [(c, s, False) for c, s in zip(reversed(node.children),
+                                                    reversed(below))]
+            continue
+        start = len(done) - n
+        row = {"rule": node.rule, "inst": table.inst(node.inst),
+               "children": done[start:]}
+        del done[start:]
+        if node.conclusion != implied:
+            row["conclusion"] = table.sequent(node.conclusion)
+        done.append(len(nodes))
+        nodes.append(row)
+    return {"format": FORMAT, "exprs": table.rows, "nodes": nodes}
+
+
+def derivation_from_json(d):
+    """The derivation the object `d` encodes: format 2, or one of the nested
+    layouts written before it."""
+    if isinstance(d, dict) and "format" in d:
+        if type(d["format"]) is not int or d["format"] != FORMAT:
+            raise DecodeError(f"unknown derivation format: {_show(d['format'])}")
+        return _flat_derivation(d)
+    return _nested_derivation(d)
+
+
+def _exprs(rows):
+    """The expressions of the `exprs` rows, in row order. A row may name
+    only earlier rows, and is refused before it is built if it is nested
+    more than MAX_NESTING levels deep or spells out to more than
+    MAX_EXPR_SIZE nodes."""
+    built, sizes, depths = [], [], []
+    for t, row in enumerate(rows):
+        if not isinstance(row, list) or not row or not isinstance(row[0], str):
+            raise DecodeError(f"exprs row {t} is not a tagged list: {_show(row)}")
+        try:
+            cls, sorts = _ROWS[row[0]]
+        except KeyError:
+            raise DecodeError(f"unknown expression tag: {_show(row[0])}") from None
+        if len(row) != 1 + len(sorts):
+            raise DecodeError(f"exprs row {t} has {len(row) - 1} field(s); "
+                              f"{_show(row[0])} takes {len(sorts)}")
+        fields, size, depth = [], 1, 1
+        for sort, v in zip(sorts, row[1:]):
+            if sort == "name":
+                if not isinstance(v, str):
+                    raise DecodeError(f"exprs row {t} has a name that is not "
+                                      f"a str: {_show(v)}")
+                fields.append(v)
+            elif sort == "kind":
+                fields.append(_kind_value(v))
+            else:
+                fields.append(_ref(v, built, sort))
+                size += sizes[v]
+                depth = max(depth, 1 + depths[v])
+        if depth > MAX_NESTING:
+            raise DecodeError(f"expression nested more than {MAX_NESTING} "
+                              f"levels deep")
+        if size > MAX_EXPR_SIZE:
+            raise DecodeError(f"exprs row {t} spells out to more than "
+                              f"{MAX_EXPR_SIZE} nodes")
+        built.append(cls(*fields))
+        sizes.append(size)
+        depths.append(depth)
+    return built
+
+
+def _ref(v, exprs, sort):
+    """The expression of sort `sort` at row `v` of `exprs`."""
+    if type(v) is not int or not 0 <= v < len(exprs):
+        raise DecodeError(f"{_show(v)} does not name an earlier exprs row")
+    e = exprs[v]
+    if not isinstance(e, _SORT_CLASSES[sort]):
+        raise DecodeError(f"exprs row {v} is not a {sort} expression")
+    return e
+
+
+def _flat_inst(d, exprs):
+    """The instantiation the format-2 `inst` object `d` encodes, as a dict."""
+    out = {}
+    for key, v in d.items():
+        if not isinstance(key, str):
+            raise DecodeError(f"metavariable is not a str: {_show(key)}")
+        kind = METAVAR_KINDS.get(key)
+        if kind is None:
+            raise DecodeError(f"unknown metavariable: {_show(key)}")
+        if kind in _SORT_CLASSES:
+            out[key] = _ref(v, exprs, kind)
+        elif kind == "cmpkind":
+            out[key] = _kind_value(v)
+        elif isinstance(v, str):
+            out[key] = v
+        else:
+            raise DecodeError(f"metavariable {key} holds {_show(v)}, "
+                              f"not a {kind} name")
+    return out
+
+
+def _flat_sequent(v, exprs):
+    """The sequent a format-2 `conclusion`, two lists of rows, encodes."""
+    if not (isinstance(v, list) and len(v) == 2
+            and all(isinstance(side, list) for side in v)):
+        raise DecodeError(f"field 'conclusion' is not two lists: {_show(v)}")
+    try:
+        return sequent([_ref(t, exprs, "node") for t in v[0]],
+                       [_ref(t, exprs, "node") for t in v[1]])
+    except ShapeViolation as e:                # a member that is not restricted
+        raise DecodeError(str(e)) from None
+
+
+def _flat_derivation(d):
+    """The derivation a format-2 object encodes. The node rows must form a
+    tree: each row's children are earlier rows, and every row but the last,
+    the root, is the child of exactly one row. A row without a `conclusion`
+    gets the one its parent implies, replayed from the root down."""
+    exprs = _exprs(_field(d, "exprs", list))
+    rows = _field(d, "nodes", list)
+    if not rows:
+        raise DecodeError("a derivation needs at least one node")
+    heads = []                 # (rule, inst, children, stated conclusion)
+    parent = [None] * len(rows)
+    for t, row in enumerate(rows):
+        rule = _name(row, "rule")
+        inst = _flat_inst(_field(row, "inst", dict), exprs)
+        kids = _field(row, "children", list)
+        for c in kids:
+            if type(c) is not int or not 0 <= c < t:
+                raise DecodeError(f"node {t} names {_show(c)}, which is not "
+                                  f"an earlier node")
+            if parent[c] is not None:
+                raise DecodeError(f"node {c} is named as a child twice, by "
+                                  f"node {parent[c]} and node {t}")
+            parent[c] = t
+        stated = (_flat_sequent(row["conclusion"], exprs)
+                  if "conclusion" in row else None)
+        heads.append((rule, inst, kids, stated))
+    if None in parent[:-1]:
+        raise DecodeError(f"node {parent.index(None)} is not the child of a "
+                          f"later node")
+    if heads[-1][3] is None:
+        raise DecodeError("missing field 'conclusion'")
+    # parents come after their children, so a backward pass meets each
+    # node's parent before the node
+    conclusions = [None] * len(rows)
+    for t in reversed(range(len(rows))):
+        rule, inst, kids, stated = heads[t]
+        conclusion = stated if stated is not None else conclusions[t]
+        if conclusion is None:
+            raise DecodeError(_unimplied(heads[parent[t]][0]))
+        conclusions[t] = conclusion
+        for c, s in zip(kids, _implied(conclusion, rule, inst, len(kids))):
+            conclusions[c] = s
+    built = []
+    for (rule, inst, kids, _), conclusion in zip(heads, conclusions):
+        built.append(Derivation(conclusion, rule, freeze_inst(inst),
+                                tuple(built[c] for c in kids)))
+    return built[-1]
+
+
+# ---------------------------------------------------------------------------
+# Canonical text
+# ---------------------------------------------------------------------------
+
+_ITEM = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# a key as the C encoder writes one it turned from a number, a bool or None
+# into a string; a str key can look the same, so a match is only a reason
+# to look at the keys themselves
+_CONVERTED_KEY = re.compile(r'[{,]"(?:-?[0-9][^"]*|true|false|null|NaN'
+                            r'|-?Infinity)":')
+
+
+def dumps_canonical(obj):
+    """The canonical text of `obj`, ending in a newline. Every object's keys
+    are sorted; an object that is not inside a list is written with one
+    member per line, indented two spaces a level; a list is written with one
+    item per line, each item as compact JSON (`json.dumps(item,
+    sort_keys=True, separators=(",", ":"))`, the stdlib's C encoder). Keys
+    must be `str`, or TypeError."""
     pieces = []
     _write(obj, "\n", pieces)
     pieces.append("\n")
@@ -288,31 +537,32 @@ def dumps_canonical(obj):
 def _write(o, nl, pieces):
     """Append the text of `o` to `pieces`. `nl` is a newline followed by the
     indent of the line `o` starts on."""
-    if isinstance(o, str):
-        pieces.append(_escape(o))
-        return
-    if not isinstance(o, (dict, list, tuple)):
-        pieces.append(json.dumps(o))           # numbers, booleans, None
-        return
-    if not o:
-        pieces.append("{}" if isinstance(o, dict) else "[]")
-        return
     inner = nl + "  "
-    if isinstance(o, dict):
+    if isinstance(o, dict) and o:
         sep = "{" + inner
         for key in sorted(o):
-            value = o[key]
-            if type(value) is str:
-                pieces.append(sep + _escape(key) + ": " + _escape(value))
-            else:
-                pieces.append(sep + _escape(key) + ": ")
-                _write(value, inner, pieces)
+            pieces.append(sep + _escape(key) + ": ")
+            _write(o[key], inner, pieces)
             sep = "," + inner
         pieces.append(nl + "}")
+    elif isinstance(o, (list, tuple)) and o:
+        items = ("," + inner).join(map(_ITEM, o))
+        if _CONVERTED_KEY.search(items):
+            _check_keys(o)
+        pieces.append("[" + inner + items + nl + "]")
     else:
-        sep = "[" + inner
-        for value in o:
-            pieces.append(sep)
-            _write(value, inner, pieces)
-            sep = "," + inner
-        pieces.append(nl + "]")
+        pieces.append(_ITEM(o))
+
+
+def _check_keys(o):
+    """TypeError if an object inside `o` has a key that is not a str."""
+    stack = [o]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, dict):
+            for key in v:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {_show(key)}")
+            stack += v.values()
+        elif isinstance(v, (list, tuple)):
+            stack += v

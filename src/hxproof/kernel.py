@@ -470,6 +470,23 @@ class Derivation:
         object.__setattr__(self, "cuts", (self.rule == CUT)
                            + sum(c.cuts for c in self.children))
 
+    def __eq__(self, other):
+        """Equal conclusions, rules, instantiations and children, compared
+        over an explicit stack, so at any height."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.rule != b.rule or a.inst != b.inst
+                    or a.conclusion != b.conclusion
+                    or len(a.children) != len(b.children)):
+                return False
+            stack += zip(a.children, b.children)
+        return True
+
     @property
     def inst_dict(self):
         return dict(self.inst)

@@ -380,6 +380,18 @@ def rand_provable_sequent(rng, sig=SIG, steps=5):
     return rand_derivation(rng, sig, steps).conclusion
 
 
+def weakening_chain(height, distinct=50):
+    """An (Ax) leaf on @i p under `height - 1` weakenings on the left: the
+    first `distinct` add new members @i0 p, @i1 p, ..., and the rest weaken
+    them in again, as duplicates. Each node holds its own sequent, so a
+    chain of distinct members only would hold height^2 / 2 of them."""
+    p = At("i", Prop("p"))
+    d = axiom(AX, sequent({p}, {p}), {"phi": p})
+    for t in range(height - 1):
+        d = weaken(d, "left", At(f"i{t % distinct}", Prop("p")))
+    return d
+
+
 # ---------------------------------------------------------------------------
 # Per-rule conclusion builders (invertibility suite)
 # ---------------------------------------------------------------------------

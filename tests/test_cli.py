@@ -3,11 +3,14 @@ import pathlib
 
 import pytest
 
+from genutil import weakening_chain
 from hxproof import jsonio
 from hxproof.cli import main
 from hxproof.kernel import Derivation
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
+# the goldens in the nested layout read before format 2
+NESTED = pathlib.Path(__file__).resolve().parent / "data" / "implied"
 
 
 def run(capsys, *argv):
@@ -65,15 +68,15 @@ def test_help_exits_0(capsys):
 
 
 def _drop_inst(blob):
-    del blob["inst"]
+    del blob["nodes"][-1]["inst"]
 
 
 def _unknown_tag(blob):
-    blob["conclusion"]["ante"][0]["tag"] = "box"
+    blob["exprs"][0][0] = "box"
 
 
 def _kind_mismatch(blob):
-    blob["inst"]["phi"] = {"kind": "nominal", "name": "i"}
+    blob["nodes"][-1]["inst"]["phi"] = "i"
 
 
 @pytest.mark.parametrize("mutate", [_drop_inst, _unknown_tag, _kind_mismatch],
@@ -89,8 +92,9 @@ def test_check_undecodable_json_exits_3_with_one_line(tmp_path, capsys, mutate):
 
 
 def _deep_derivation(depth):
-    """`depth` nested weakenings of a member over the nom2 golden, as text."""
-    text = (GOLDEN / "nom2.json").read_text()
+    """`depth` nested weakenings of a member over the nom2 golden, as text
+    in the nested layout."""
+    text = (NESTED / "nom2.json").read_text()
     blob = json.loads(text)
     phi = blob["conclusion"]["ante"][0]
     head = json.dumps({"rule": "WL", "principal": [phi],
@@ -120,6 +124,23 @@ def test_deeply_nested_input_exits_3_with_one_line(tmp_path, capsys, text):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_5000_level_file_checks_and_eliminates(tmp_path, capsys):
+    # a weakening chain written in format 2; nested, a tree this high is
+    # past what json.loads reads (test above)
+    d = weakening_chain(5000)
+    assert d.height == 5000
+    deep = tmp_path / "deep.json"
+    deep.write_text(jsonio.dumps_canonical(jsonio.derivation_to_json(d)))
+    assert jsonio.derivation_from_json(json.loads(deep.read_text())) == d
+    code, out, _ = run(capsys, "check", str(deep))
+    assert code == 0 and out.strip() == "ok"
+    out_path = tmp_path / "out.json"
+    code, _, _ = run(capsys, "cutfree", str(deep), "--out", str(out_path))
+    assert code == 0
+    # a cut-free tree comes back unchanged, so its file does too
+    assert out_path.read_text() == deep.read_text()
 
 
 @pytest.mark.parametrize("command,flag,blob", [
@@ -223,12 +244,9 @@ def test_check_goldens(capsys):
 
 def test_check_mutated_golden_fails(tmp_path, capsys):
     blob = json.loads((GOLDEN / "symmetry.json").read_text())
-    node = blob
-    while node["children"]:
-        node = node["children"][0]
+    node = blob["nodes"][0]                   # the leftmost leaf
     node["rule"] = "EqT"
-    node["inst"] = {"i": {"kind": "nominal", "name": "i"},
-                    "c": {"kind": "comparison", "name": "c"}}
+    node["inst"] = {"i": "i", "c": "c"}
     bad = tmp_path / "mutated.json"
     bad.write_text(json.dumps(blob))
     code, out, _ = run(capsys, "check", str(bad))
@@ -270,7 +288,7 @@ def test_corpus_pass_and_fail(tmp_path, capsys):
     bad_dir.mkdir()
     (bad_dir / "good.json").write_text((GOLDEN / "nom2.json").read_text())
     blob = json.loads((GOLDEN / "nom2.json").read_text())
-    blob["conclusion"]["ante"] = []
+    blob["nodes"][-1]["conclusion"][0] = []
     (bad_dir / "bad.json").write_text(json.dumps(blob))
     code, out, _ = run(capsys, "corpus", str(bad_dir))
     assert code == 1 and "FAIL" in out

@@ -1,33 +1,61 @@
-"""The canonical writer against its oracle, the stdlib's indented encoder."""
+"""Derivation files (format 2 and the nested layouts read before it) and
+the canonical writer against its oracle."""
 
 import json
 import pathlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genutil import rand_derivation
+from genutil import rand_derivation, weakening_chain
 from hxproof import jsonio
 from hxproof.cli import main
 from hxproof.goldens import prove_axiom_suite
-from hxproof.jsonio import MAX_NESTING, DecodeError, dumps_canonical
+from hxproof.jsonio import (
+    MAX_EXPR_SIZE, MAX_NESTING, DecodeError, dumps_canonical,
+)
 from hxproof.kernel import (
-    AX, IMP_R, Derivation, axiom, check_derivation, cut, freeze_inst,
-    sequent, weaken, weaken_to,
+    AX, CUT, IMP_R, METAVAR_KINDS, Derivation, axiom, check_derivation, cut,
+    freeze_inst, sequent, weaken,
 )
 from hxproof.syntax import At, Implies, Prop
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 GOLDEN_FILES = sorted(GOLDEN.glob("*.json"))
-# two goldens as written before nodes left out the conclusions their parents
-# imply: every node states its sequent and a `principal` list
+# the nested layouts read before format 2: two goldens as written when every
+# node stated its sequent and a `principal` list, and the six goldens as
+# written when nodes left out the conclusions their parents imply
 FULL_LAYOUT = pathlib.Path(__file__).resolve().parent / "data"
+IMPLIED_LAYOUT = FULL_LAYOUT / "implied"
 
 
 def oracle(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The canonical text rule, spelt out with the stdlib: an object outside
+    any list gets one member per line, indented two spaces a level, keys
+    sorted; a list gets one item per line, each compact with sorted keys."""
+    return _layout(obj, "") + "\n"
+
+
+def _layout(obj, indent):
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        lines = [f"{inner}{json.dumps(k)}: {_layout(obj[k], inner)}"
+                 for k in sorted(obj)]
+        return "{\n" + ",\n".join(lines) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)) and obj:
+        lines = [inner + json.dumps(v, sort_keys=True, separators=(",", ":"))
+                 for v in obj]
+        return "[\n" + ",\n".join(lines) + f"\n{indent}]"
+    return json.dumps(obj)
+
+
+def _same_value(text, obj):
+    """`text` reads back as `obj`, tuples read as lists."""
+    return (json.dumps(json.loads(text), sort_keys=True)
+            == json.dumps(obj, sort_keys=True))
 
 
 @pytest.mark.parametrize("path", GOLDEN_FILES, ids=[p.stem for p in GOLDEN_FILES])
@@ -74,13 +102,28 @@ VALUES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(VALUES)
 def test_values_encode_as_the_oracle(obj):
-    assert dumps_canonical(obj) == oracle(obj)
+    text = dumps_canonical(obj)
+    assert text == oracle(obj)
+    assert _same_value(text, obj)
 
 
 @pytest.mark.parametrize("obj", [{1: "a"}, {"a": [{None: 0}]}, {("k",): 0}])
 def test_non_str_key_is_a_type_error(obj):
     with pytest.raises(TypeError):
         dumps_canonical(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [[{1.5: 0}], [[{"k": {True: 0}}]], [{"x": 0, "y": [{-7: 0}]}]])
+def test_a_non_str_key_inside_a_list_item_is_a_type_error(obj):
+    # the C encoder would write these keys as strings
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
+
+
+def test_str_keys_that_read_like_numbers_are_written():
+    obj = [{"1": 0, "null": [{"-2.5e3": 1, "true": 2}]}]
+    assert dumps_canonical(obj) == oracle(obj)
 
 
 def _deep_member(depth):
@@ -119,23 +162,45 @@ def test_formula_past_the_nesting_bound_is_a_decode_error():
 # the decoder: height and totality
 # ---------------------------------------------------------------------------
 
+def _copy(d):
+    """A node-for-node copy of `d` that shares no node with it."""
+    copies = {}
+    for _, node in reversed(list(d.walk())):   # every node after its subtree
+        copies[id(node)] = Derivation(
+            node.conclusion, node.rule, node.inst,
+            tuple(copies[id(c)] for c in node.children))
+    return copies[id(d)]
+
+
 def test_a_derivation_of_any_height_round_trips_through_json_objects():
-    # both directions walk the levels over a stack; json.loads and
-    # dumps_canonical still recurse, so the text of this tree does not load
-    p = At("i", Prop("p"))
-    extra = {At(f"i{t}", Prop("p")) for t in range(1200)}
-    d = weaken_to(axiom(AX, sequent({p}, {p}), {"phi": p}),
-                  sequent({p} | extra, {p}))
+    # both directions walk the levels over a stack, and format 2 nests no
+    # container per level, so the text of this tree loads as well
+    d = weakening_chain(1201, distinct=1200)
     assert d.height == 1201
     back = jsonio.derivation_from_json(jsonio.derivation_to_json(d))
     assert back.height == d.height
     assert ([(n.conclusion, n.rule, n.inst) for _, n in back.walk()]
             == [(n.conclusion, n.rule, n.inst) for _, n in d.walk()])
+    text = dumps_canonical(jsonio.derivation_to_json(d))
+    assert jsonio.derivation_from_json(json.loads(text)) == d
+
+
+def test_derivations_compare_at_any_height():
+    a = weakening_chain(5000)
+    b = _copy(a)
+    assert b is not a and b.children[0] is not a.children[0]
+    assert a == b
+    leaf = (0,) * 4999
+    other = b.replace(leaf, Derivation(b.at(leaf).conclusion, "Open", ()))
+    assert a != other and other != a
 
 
 DERIVATION_FILES = [p for p in GOLDEN_FILES
                     if "model" not in p.stem and "graph" not in p.stem]
 DERIVATION_TEXTS = [p.read_text() for p in DERIVATION_FILES]
+NESTED_FILES = sorted(FULL_LAYOUT.glob("*.json")) \
+    + sorted(IMPLIED_LAYOUT.glob("*.json"))
+NESTED_TEXTS = [p.read_text() for p in NESTED_FILES]
 WORDS = st.sampled_from([
     "tag", "name", "nom", "body", "lhs", "rhs", "mod", "left", "right",
     "kind", "cmp", "expr", "value", "rule", "inst", "conclusion", "children",
@@ -178,11 +243,32 @@ def _decodes_or_fails_cleanly(blob):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(DERIVATION_TEXTS), st.data())
+@given(st.sampled_from(NESTED_TEXTS), st.data())
 def test_any_value_at_any_field_decodes_or_is_a_decode_error(text, data):
     root, slots = _slots(json.loads(text))
     parent, key = data.draw(st.sampled_from(slots))
     parent[key] = data.draw(JSON_VALUES | st.sampled_from(ODD_VALUES))
+    _decodes_or_fails_cleanly(root[0])
+
+
+# values a format-2 file holds: row indices in and out of range, rows and
+# conclusions of other shapes
+ROW_VALUES = (st.integers(-2, 45) | st.lists(st.integers(-1, 45), max_size=3)
+              | st.lists(st.lists(st.integers(-1, 45), max_size=3),
+                         min_size=1, max_size=3)
+              | st.tuples(st.sampled_from(sorted(jsonio._ROWS)), WORDS,
+                          st.integers(-1, 45)).map(list))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DERIVATION_TEXTS), st.data())
+def test_any_value_at_any_format_2_field_decodes_or_is_a_decode_error(
+        text, data):
+    root, slots = _slots(json.loads(text))
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent, key = data.draw(st.sampled_from(slots))
+        parent[key] = data.draw(ROW_VALUES | JSON_VALUES
+                                | st.sampled_from(ODD_VALUES))
     _decodes_or_fails_cleanly(root[0])
 
 
@@ -197,6 +283,90 @@ def test_values_no_json_text_yields_are_decode_errors_at_every_field(odd):
         parent[key] = kept
 
 
+# ---------------------------------------------------------------------------
+# format 2: rows that name rows
+# ---------------------------------------------------------------------------
+
+def _flat_file(exprs, nodes):
+    return {"format": 2, "exprs": exprs, "nodes": nodes}
+
+
+def _doublings(n):
+    """exprs rows for p, n rows each implying the row before from itself,
+    and @i over the last: the last row spells out to 2^(n+1) nodes."""
+    return ([["prop", "p"]] + [["imp", k, k] for k in range(n)]
+            + [["at", "i", n]])
+
+
+def _timed_decode(blob):
+    t0 = time.monotonic()
+    try:
+        return jsonio.derivation_from_json(blob)
+    finally:
+        assert time.monotonic() - t0 < 1.0
+
+
+def test_a_node_row_named_twice_is_a_decode_error():
+    # 64 Cuts, each naming the row before it twice: as a tree, 2^64 leaves
+    rows = [{"rule": "Ax", "inst": {"phi": 1}, "children": [],
+             "conclusion": [[1], [1]]}]
+    rows += [{"rule": "Cut", "inst": {"phi": 1}, "children": [t, t],
+              "conclusion": [[1], [1]]} for t in range(64)]
+    blob = _flat_file([["prop", "p"], ["at", "i", 0]], rows)
+    with pytest.raises(DecodeError, match="node 0 is named as a child twice"):
+        _timed_decode(blob)
+
+
+@pytest.mark.parametrize("children", [[[], [], [0]], [[0]], [[1], []]],
+                         ids=["orphan", "own-child", "later-child"])
+def test_node_rows_that_are_not_a_post_order_tree_are_decode_errors(
+        children):
+    rows = [{"rule": "WL", "inst": {"phi": 1}, "children": kids,
+             "conclusion": [[1], [1]]} for kids in children]
+    with pytest.raises(DecodeError, match="node"):
+        jsonio.derivation_from_json(
+            _flat_file([["prop", "p"], ["at", "i", 0]], rows))
+
+
+def _doubling_leaf(n):
+    """An (Ax) leaf on the last of `_doublings(n)`."""
+    leaf = {"rule": "Ax", "inst": {"phi": n + 1}, "children": [],
+            "conclusion": [[n + 1], [n + 1]]}
+    return _flat_file(_doublings(n), [leaf])
+
+
+def test_an_expression_row_past_the_size_bound_is_a_decode_error():
+    # 2^13 nodes are within the bound
+    n = 12
+    assert 2 ** (n + 1) <= MAX_EXPR_SIZE < 2 ** (n + 2)
+    [violation] = check_derivation(_timed_decode(_doubling_leaf(n)))
+    assert "axiom expression has the wrong form" in violation.message
+    # 2^21 nodes are past it; without the bound this still decodes, in
+    # megabytes, so the 64 rows below are not reached
+    with pytest.raises(DecodeError, match=f"more than {MAX_EXPR_SIZE} nodes"):
+        _timed_decode(_doubling_leaf(20))
+    # 64 rows of (k -> k) spell out to 2^65 nodes; the print key of each
+    # would be rendered in full as the row is built
+    with pytest.raises(DecodeError, match=f"more than {MAX_EXPR_SIZE} nodes"):
+        _timed_decode(_doubling_leaf(64))
+
+
+def test_an_expression_row_past_the_nesting_bound_is_a_decode_error():
+    # each row is nested one level deeper than the row it names
+    exprs = [["bot"], ["prop", "p"]]
+    exprs += [["imp", 0, t] for t in range(1, MAX_NESTING - 1)]
+    exprs += [["at", "i", len(exprs) - 1]]        # MAX_NESTING levels
+    top = len(exprs) - 1
+    leaf = {"rule": "Ax", "inst": {"phi": top}, "children": [],
+            "conclusion": [[top], [top]]}
+    assert jsonio.derivation_from_json(_flat_file(exprs, [leaf]))
+    exprs[-1:] = [["imp", 0, top - 1], ["at", "i", top]]
+    leaf = {"rule": "Ax", "inst": {"phi": top + 1}, "children": [],
+            "conclusion": [[top + 1], [top + 1]]}
+    with pytest.raises(DecodeError, match="nested more than"):
+        jsonio.derivation_from_json(_flat_file(exprs, [leaf]))
+
+
 def test_a_metavariable_that_is_not_a_str_is_a_decode_error():
     # a JSON object's keys are strings; a Python caller's need not be, and
     # freezing an instantiation sorts its keys
@@ -204,6 +374,31 @@ def test_a_metavariable_that_is_not_a_str_is_a_decode_error():
     blob["inst"][1] = blob["inst"]["phi"]
     with pytest.raises(DecodeError, match="metavariable is not a str"):
         jsonio.derivation_from_json(blob)
+    flat = jsonio.derivation_to_json(jsonio.derivation_from_json(_deep_leaf(1)))
+    flat["nodes"][0]["inst"][1] = flat["nodes"][0]["inst"]["phi"]
+    with pytest.raises(DecodeError, match="metavariable is not a str"):
+        jsonio.derivation_from_json(flat)
+
+
+def _nested(d):
+    """The nested object of `d` in the full layout, every node stating its
+    conclusion; the writer writes only format 2."""
+    def expr(kind, v):
+        return (jsonio.path_to_json(v) if kind == "path"
+                else jsonio.node_to_json(v))
+
+    def value(key, v):
+        kind = METAVAR_KINDS[key]
+        if kind in ("path", "node"):
+            return {"kind": kind, "expr": expr(kind, v)}
+        if kind == "cmpkind":
+            return {"kind": kind, "value": v.value}
+        return {"kind": kind, "name": v}
+
+    return {"rule": d.rule,
+            "inst": {key: value(key, v) for key, v in d.inst},
+            "conclusion": jsonio.sequent_to_json(d.conclusion),
+            "children": [_nested(c) for c in d.children]}
 
 
 def _reordered(value, rng):
@@ -233,7 +428,7 @@ def _stated_formulas(blob):
 
 def test_equal_members_decode_alike_in_any_key_order_or_sharing():
     d = rand_derivation(random.Random(7), steps=12)
-    canonical = jsonio.derivation_to_json(d)
+    canonical = _nested(d)
     messy = _reordered(canonical, random.Random(1))
     members = _stated_formulas(messy)
     members[0]["note"] = "ignored"
@@ -252,6 +447,7 @@ def test_drawn_derivations_decode_to_themselves(rng, steps):
     obj = jsonio.derivation_to_json(d)
     assert jsonio.derivation_from_json(obj) == d
     assert jsonio.derivation_from_json(json.loads(dumps_canonical(obj))) == d
+    assert jsonio.derivation_from_json(_nested(d)) == d
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +455,30 @@ def test_drawn_derivations_decode_to_themselves(rng, steps):
 # ---------------------------------------------------------------------------
 
 def _stated_paths(blob):
-    """The paths of the nodes of `blob` that state a `conclusion`."""
-    out, stack = set(), [((), blob)]
+    """The paths of the nodes of the format-2 object `blob` that state a
+    `conclusion`."""
+    rows = blob["nodes"]
+    out, stack = set(), [((), len(rows) - 1)]
     while stack:
-        path, node = stack.pop()
-        if "conclusion" in node:
+        path, t = stack.pop()
+        if "conclusion" in rows[t]:
             out.add(path)
-        stack += [((*path, t), c) for t, c in enumerate(node["children"])]
+        stack += [((*path, k), c) for k, c in enumerate(rows[t]["children"])]
     return out
 
 
-@pytest.mark.parametrize("name", ["inv-atL", "reflexivity"])
+@pytest.mark.parametrize("name", ["inv-atL", "reflexivity", "nom2", "paste",
+                                  "symmetry", "transitivity"])
 def test_full_layout_files_decode_to_the_goldens(name):
-    full = json.loads((FULL_LAYOUT / f"{name}.json").read_text())
-    assert "principal" in full and "conclusion" in full["children"][0]
-    compact = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert jsonio.derivation_from_json(full) \
-        == jsonio.derivation_from_json(compact)
+    golden = jsonio.derivation_from_json(
+        json.loads((GOLDEN / f"{name}.json").read_text()))
+    implied = json.loads((IMPLIED_LAYOUT / f"{name}.json").read_text())
+    assert "format" not in implied and "children" in implied
+    assert jsonio.derivation_from_json(implied) == golden
+    if (FULL_LAYOUT / f"{name}.json").exists():
+        full = json.loads((FULL_LAYOUT / f"{name}.json").read_text())
+        assert "principal" in full and "conclusion" in full["children"][0]
+        assert jsonio.derivation_from_json(full) == golden
 
 
 P_, Q_, R_ = At("i", Prop("p")), At("i", Prop("q")), At("i", Prop("r"))
@@ -309,14 +512,19 @@ def test_conclusions_are_stated_where_the_parent_does_not_imply_them():
 
 def test_a_cut_premiss_without_its_conclusion_is_a_decode_error(
         tmp_path, capsys):
-    blob = json.loads((GOLDEN / "inv-atL.json").read_text())
-    stack = [blob]
+    nested = json.loads((IMPLIED_LAYOUT / "inv-atL.json").read_text())
+    stack = [nested]
     while stack:
         node = stack.pop()
         if node["rule"] == "Cut":
             break
         stack += node["children"]
     del node["children"][1]["conclusion"]
+    with pytest.raises(DecodeError, match="'Cut' above does not imply"):
+        jsonio.derivation_from_json(nested)
+    blob = json.loads((GOLDEN / "inv-atL.json").read_text())
+    [node] = [row for row in blob["nodes"] if row["rule"] == CUT]
+    del blob["nodes"][node["children"][1]]["conclusion"]
     with pytest.raises(DecodeError, match="'Cut' above does not imply"):
         jsonio.derivation_from_json(blob)
     bad = tmp_path / "bad.json"
@@ -332,11 +540,11 @@ def test_a_cut_premiss_without_its_conclusion_is_a_decode_error(
 def test_dropping_a_root_member_fails_to_decode_or_to_check(text):
     # every member of an end-sequent is used; one that is not could be
     # dropped from a file whose other nodes leave out their conclusions
-    root = json.loads(text)["conclusion"]
-    for side in ("ante", "cons"):
+    root = json.loads(text)["nodes"][-1]["conclusion"]
+    for side in (0, 1):
         for t in range(len(root[side])):
             blob = json.loads(text)
-            del blob["conclusion"][side][t]
+            del blob["nodes"][-1]["conclusion"][side][t]
             try:
                 d = jsonio.derivation_from_json(blob)
             except DecodeError:

@@ -444,15 +444,6 @@ _RULE_NAMES = sorted(RULES) + [CUT, WL, WR, OPEN, "NoSuchRule"]
 _RETYPED = (None, 0, 1.5, True, "x", [], {}, [{}], {"tag": "prop"})
 
 
-def _derivation_nodes(blob):
-    out, stack = [], [blob]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack += node["children"]
-    return out
-
-
 def _containers(value):
     """Every non-empty dict and list inside `value`, `value` first."""
     out, stack = [], [value]
@@ -478,20 +469,21 @@ def _retype(blob, draw):
 
 
 def _swap_rule(blob, draw):
-    node = draw(st.sampled_from(_derivation_nodes(blob)))
+    node = draw(st.sampled_from(blob["nodes"]))
     node["rule"] = draw(st.sampled_from(
         [r for r in _RULE_NAMES if r != node["rule"]]))
 
 
 def _formula_slots(blob):
-    """(container, key) of every formula the file states: each member of a
-    stated conclusion and each node instantiation value."""
+    """(container, key) of every formula the file states, an `exprs` row
+    index: each member of a stated conclusion and each node instantiation
+    value."""
     out = []
-    for node in _derivation_nodes(blob):
-        for members in node.get("conclusion", {}).values():
+    for node in blob["nodes"]:
+        for members in node.get("conclusion", []):
             out += [(members, t) for t in range(len(members))]
-        out += [(v, "expr") for v in node["inst"].values()
-                if v["kind"] == "node"]
+        out += [(node["inst"], key) for key in node["inst"]
+                if METAVAR_KINDS[key] == "node"]
     return out
 
 
@@ -501,11 +493,13 @@ def _perturb_member(blob, draw):
     a sequent member (the formula's body, or falsum)."""
     slots = _formula_slots(blob)
     parent, key = draw(st.sampled_from(slots))
-    member = parent[key]
+    member, exprs = parent[key], blob["exprs"]
     elsewhere = [p[k] for p, k in slots]
+    row = exprs[member]
+    exprs += [["at", "zz", member], ["bot"]]
+    body = row[2] if row[0] == "at" else len(exprs) - 1
     parent[key] = draw(st.sampled_from(elsewhere)
-                       | st.just({"tag": "at", "nom": "zz", "body": member})
-                       | st.just(member.get("body", {"tag": "bot"})))
+                       | st.just(len(exprs) - 2) | st.just(body))
 
 
 @settings(max_examples=120, deadline=None)
