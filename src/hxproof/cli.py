@@ -253,7 +253,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (CliError, KernelError, ModelError, jsonio.DecodeError,
-            sx.SyntaxError_, sx.SymbolSpaceError) as e:
+            jsonio.EncodeError, sx.SyntaxError_, sx.SymbolSpaceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

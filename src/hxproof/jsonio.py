@@ -7,9 +7,11 @@ names earlier rows by index, and `nodes` lists the tree in post-order, each
 row naming its children by index. A node states its conclusion only where
 the reader cannot recompute it from its parent's conclusion, rule and
 instantiation. No JSON container nests per derivation level, so a file of
-any height loads and writes. The reader also reads the nested layouts
-written before format 2. Canonical text sorts keys and sequent members, so
-identical inputs produce byte-identical output.
+any height loads and writes. Reader and writer refuse a table whose rows
+spell out to far more than the file holds (MAX_EXPR_SIZE). The reader also
+reads the nested layouts written before format 2. Canonical text sorts
+keys and sequent members, so identical inputs produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -282,20 +284,60 @@ _SORT_CLASSES = {"node": get_args(sx.NodeExpr), "path": get_args(sx.PathExpr)}
 _LAYOUT = {cls: (tag, cls.__match_args__, sorts)
            for tag, (cls, sorts) in _ROWS.items()}
 
-# A row whose expression, spelt out as a tree, has more nodes than this is
-# refused before it is built: a row names earlier rows, so a table of n rows
-# could otherwise stand for a tree of 2^n nodes, and building an expression
-# renders its print key in full.
-MAX_EXPR_SIZE = 10_000
+# Building an expression renders its print key in full, and a row names
+# earlier rows, so a table of n rows could stand for a tree of 2^n nodes, or
+# repeat a long name 2^n times. A row's size is what it spells out to: its
+# nodes plus the characters of its names. Refused before anything is built:
+# a row of more than MAX_EXPR_SIZE, and a file whose rows together spell out
+# to more than TABLE_ALLOWANCE plus TABLE_FACTOR times the file's own size.
+# A node row spells out to the sizes of the values its instantiation names,
+# of which its premisses are built. The writer refuses what the reader would.
+MAX_EXPR_SIZE = 20_000
+TABLE_ALLOWANCE = 1_000_000
+TABLE_FACTOR = 32
+
+
+class EncodeError(ValueError):
+    """A derivation past the limits that the reader enforces."""
+
+
+def _check_row(t, size, depth, error):
+    """Raise `error` for row `t` past MAX_NESTING or MAX_EXPR_SIZE."""
+    if depth > MAX_NESTING:
+        raise error(f"expression nested more than {MAX_NESTING} levels deep")
+    if size > MAX_EXPR_SIZE:
+        raise error(f"exprs row {t} spells out to more than {MAX_EXPR_SIZE} "
+                    f"nodes and name characters")
+
+
+class _Budget:
+    """What the rows of one file spell out, against the file's own size: the
+    fields of its rows, the characters of its `exprs` names and the members
+    of its stated conclusions."""
+
+    __slots__ = ("own", "spelt")
+
+    def __init__(self):
+        self.own = self.spelt = 0
+
+    def charge(self, own, spelt, error):
+        self.own += own
+        self.spelt += spelt
+        if self.spelt > TABLE_ALLOWANCE + TABLE_FACTOR * self.own:
+            raise error(f"the rows spell out to more than {TABLE_ALLOWANCE:,} "
+                        f"plus {TABLE_FACTOR} times the file's own size")
 
 
 class _Table:
     """The `exprs` rows of one file: each distinct expression once, after
-    the rows of its children."""
+    the rows of its children, with their sizes and depths."""
 
     def __init__(self):
         self.rows = []
         self.index = {}
+        self.sizes = []
+        self.depths = []
+        self.budget = _Budget()
 
     def ref(self, e):
         """The row index of `e`, adding its rows where they are missing. It
@@ -304,28 +346,50 @@ class _Table:
         i = self.index.get(e)
         if i is None:
             tag, names, sorts = _LAYOUT[type(e)]
-            row = [tag]
+            row, size, depth, chars = [tag], 1, 1, 0
             for name, sort in zip(names, sorts):
                 v = getattr(e, name)
-                row.append(self.ref(v) if sort in _SORT_CLASSES
-                           else v.value if sort == "kind" else v)
-            i = self.index[e] = len(self.rows)
+                if sort in _SORT_CLASSES:
+                    k = self.ref(v)
+                    size += self.sizes[k]
+                    depth = max(depth, 1 + self.depths[k])
+                    row.append(k)
+                elif sort == "kind":
+                    row.append(v.value)
+                else:
+                    chars += len(v)
+                    row.append(v)
+            size += chars
+            i = len(self.rows)
+            _check_row(i, size, depth, EncodeError)
+            self.budget.charge(len(row) + chars, size, EncodeError)
+            self.index[e] = i
             self.rows.append(row)
+            self.sizes.append(size)
+            self.depths.append(depth)
         return i
 
     def inst(self, inst):
-        """The `inst` object of a frozen instantiation: names as strings,
-        comparison kinds as their values, expressions as row indices."""
-        out = {}
+        """The `inst` object of a frozen instantiation (names as strings,
+        comparison kinds as their values, expressions as row indices), and
+        what its values spell out to."""
+        out, spelt = {}, 0
         for key, v in inst:
-            match METAVAR_KINDS[key]:
-                case "cmpkind":
+            kind = METAVAR_KINDS[key]
+            match kind:
+                case "cmpkind" if isinstance(v, sx.CmpKind):
                     out[key] = v.value
-                case "path" | "node":
-                    out[key] = self.ref(v)
-                case _:
+                    spelt += 1
+                case "path" | "node" if isinstance(v, _SORT_CLASSES[kind]):
+                    out[key] = k = self.ref(v)
+                    spelt += self.sizes[k]
+                case "nominal" | "modality" | "comparison" if isinstance(v, str):
                     out[key] = v
-        return out
+                    spelt += len(v)
+                case _:
+                    raise TypeError(f"metavariable {key} holds {v!r}, "
+                                    f"not a {kind}")
+        return out, spelt
 
     def sequent(self, s):
         """A conclusion as two lists of row indices, members in print-key
@@ -344,6 +408,7 @@ def derivation_to_json(d):
     table = _Table()
     nodes = []
     done = []                  # row indices of finished subtrees
+    own = spelt = 0            # of the node rows, charged as the reader does
     stack = [(d, None, False)]
     while stack:
         node, implied, ready = stack.pop()
@@ -355,13 +420,17 @@ def derivation_to_json(d):
                                                     reversed(below))]
             continue
         start = len(done) - n
-        row = {"rule": node.rule, "inst": table.inst(node.inst),
-               "children": done[start:]}
+        inst, cost = table.inst(node.inst)
+        row = {"rule": node.rule, "inst": inst, "children": done[start:]}
         del done[start:]
+        own += 1 + len(inst) + n
+        spelt += cost
         if node.conclusion != implied:
             row["conclusion"] = table.sequent(node.conclusion)
+            own += len(node.conclusion.ante) + len(node.conclusion.cons)
         done.append(len(nodes))
         nodes.append(row)
+    table.budget.charge(own, spelt, EncodeError)
     return {"format": FORMAT, "exprs": table.rows, "nodes": nodes}
 
 
@@ -375,11 +444,11 @@ def derivation_from_json(d):
     return _nested_derivation(d)
 
 
-def _exprs(rows):
-    """The expressions of the `exprs` rows, in row order. A row may name
-    only earlier rows, and is refused before it is built if it is nested
-    more than MAX_NESTING levels deep or spells out to more than
-    MAX_EXPR_SIZE nodes."""
+def _exprs(rows, budget):
+    """The expressions of the `exprs` rows, in row order, and their sizes. A
+    row may name only earlier rows, and is refused before it is built if it
+    is nested more than MAX_NESTING levels deep, spells out to more than
+    MAX_EXPR_SIZE, or takes the rows so far past their `budget`."""
     built, sizes, depths = [], [], []
     for t, row in enumerate(rows):
         if not isinstance(row, list) or not row or not isinstance(row[0], str):
@@ -391,12 +460,13 @@ def _exprs(rows):
         if len(row) != 1 + len(sorts):
             raise DecodeError(f"exprs row {t} has {len(row) - 1} field(s); "
                               f"{_show(row[0])} takes {len(sorts)}")
-        fields, size, depth = [], 1, 1
+        fields, size, depth, chars = [], 1, 1, 0
         for sort, v in zip(sorts, row[1:]):
             if sort == "name":
                 if not isinstance(v, str):
                     raise DecodeError(f"exprs row {t} has a name that is not "
                                       f"a str: {_show(v)}")
+                chars += len(v)
                 fields.append(v)
             elif sort == "kind":
                 fields.append(_kind_value(v))
@@ -404,16 +474,13 @@ def _exprs(rows):
                 fields.append(_ref(v, built, sort))
                 size += sizes[v]
                 depth = max(depth, 1 + depths[v])
-        if depth > MAX_NESTING:
-            raise DecodeError(f"expression nested more than {MAX_NESTING} "
-                              f"levels deep")
-        if size > MAX_EXPR_SIZE:
-            raise DecodeError(f"exprs row {t} spells out to more than "
-                              f"{MAX_EXPR_SIZE} nodes")
+        size += chars
+        _check_row(t, size, depth, DecodeError)
+        budget.charge(len(row) + chars, size, DecodeError)
         built.append(cls(*fields))
         sizes.append(size)
         depths.append(depth)
-    return built
+    return built, sizes
 
 
 def _ref(v, exprs, sort):
@@ -426,9 +493,10 @@ def _ref(v, exprs, sort):
     return e
 
 
-def _flat_inst(d, exprs):
-    """The instantiation the format-2 `inst` object `d` encodes, as a dict."""
-    out = {}
+def _flat_inst(d, exprs, sizes):
+    """The instantiation the format-2 `inst` object `d` encodes, as a dict,
+    and what its values spell out to."""
+    out, spelt = {}, 0
     for key, v in d.items():
         if not isinstance(key, str):
             raise DecodeError(f"metavariable is not a str: {_show(key)}")
@@ -437,14 +505,17 @@ def _flat_inst(d, exprs):
             raise DecodeError(f"unknown metavariable: {_show(key)}")
         if kind in _SORT_CLASSES:
             out[key] = _ref(v, exprs, kind)
+            spelt += sizes[v]
         elif kind == "cmpkind":
             out[key] = _kind_value(v)
+            spelt += 1
         elif isinstance(v, str):
             out[key] = v
+            spelt += len(v)
         else:
             raise DecodeError(f"metavariable {key} holds {_show(v)}, "
                               f"not a {kind} name")
-    return out
+    return out, spelt
 
 
 def _flat_sequent(v, exprs):
@@ -463,17 +534,22 @@ def _flat_derivation(d):
     """The derivation a format-2 object encodes. The node rows must form a
     tree: each row's children are earlier rows, and every row but the last,
     the root, is the child of exactly one row. A row without a `conclusion`
-    gets the one its parent implies, replayed from the root down."""
-    exprs = _exprs(_field(d, "exprs", list))
+    gets the one its parent implies, replayed from the root down, once the
+    rows are within their budget (MAX_EXPR_SIZE)."""
+    budget = _Budget()
+    exprs, sizes = _exprs(_field(d, "exprs", list), budget)
     rows = _field(d, "nodes", list)
     if not rows:
         raise DecodeError("a derivation needs at least one node")
     heads = []                 # (rule, inst, children, stated conclusion)
     parent = [None] * len(rows)
+    own = spelt = 0
     for t, row in enumerate(rows):
         rule = _name(row, "rule")
-        inst = _flat_inst(_field(row, "inst", dict), exprs)
+        inst, cost = _flat_inst(_field(row, "inst", dict), exprs, sizes)
         kids = _field(row, "children", list)
+        own += 1 + len(inst) + len(kids)
+        spelt += cost
         for c in kids:
             if type(c) is not int or not 0 <= c < t:
                 raise DecodeError(f"node {t} names {_show(c)}, which is not "
@@ -482,9 +558,12 @@ def _flat_derivation(d):
                 raise DecodeError(f"node {c} is named as a child twice, by "
                                   f"node {parent[c]} and node {t}")
             parent[c] = t
-        stated = (_flat_sequent(row["conclusion"], exprs)
-                  if "conclusion" in row else None)
+        stated = None
+        if "conclusion" in row:
+            stated = _flat_sequent(row["conclusion"], exprs)
+            own += len(row["conclusion"][0]) + len(row["conclusion"][1])
         heads.append((rule, inst, kids, stated))
+    budget.charge(own, spelt, DecodeError)
     if None in parent[:-1]:
         raise DecodeError(f"node {parent.index(None)} is not the child of a "
                           f"later node")

@@ -205,6 +205,16 @@ def test_prove_exit_codes(capsys):
     assert run(capsys, "prove", "--countermodel-nodes", "0", "|- @i p")[0] == 2
 
 
+def test_a_proof_too_large_to_write_exits_3_with_one_line(capsys):
+    # the proof is found, but its formula's row spells out to more than
+    # jsonio.MAX_EXPR_SIZE, which the reader would refuse
+    name = "x" * jsonio.MAX_EXPR_SIZE
+    code, out, err = run(capsys, "prove", f"|- @i ({name} -> {name})")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nodes and name characters" in err
+
+
 @pytest.mark.parametrize("nodes", ["5", "-1"])
 def test_prove_countermodel_bound_out_of_range_exits_3(capsys, monkeypatch,
                                                        nodes):

@@ -328,27 +328,116 @@ def test_node_rows_that_are_not_a_post_order_tree_are_decode_errors(
             _flat_file([["prop", "p"], ["at", "i", 0]], rows))
 
 
-def _doubling_leaf(n):
-    """An (Ax) leaf on the last of `_doublings(n)`."""
+def _doubling_leaf(n, name="p"):
+    """An (Ax) leaf on the last of `_doublings(n)`, with `name` for p."""
+    exprs = _doublings(n)
+    exprs[0][1] = name
     leaf = {"rule": "Ax", "inst": {"phi": n + 1}, "children": [],
             "conclusion": [[n + 1], [n + 1]]}
-    return _flat_file(_doublings(n), [leaf])
+    return _flat_file(exprs, [leaf])
+
+
+def _doubling_size(n):
+    """What the rows of `_doublings(n)` spell out to, nodes and name
+    characters: p is 2, each implication 1 + twice the row before, and @i
+    2 + the last implication."""
+    return 3 * 2 ** n + 1
 
 
 def test_an_expression_row_past_the_size_bound_is_a_decode_error():
-    # 2^13 nodes are within the bound
     n = 12
-    assert 2 ** (n + 1) <= MAX_EXPR_SIZE < 2 ** (n + 2)
+    assert _doubling_size(n) <= MAX_EXPR_SIZE < 3 * 2 ** (n + 1) - 1
     [violation] = check_derivation(_timed_decode(_doubling_leaf(n)))
     assert "axiom expression has the wrong form" in violation.message
-    # 2^21 nodes are past it; without the bound this still decodes, in
+    # row n + 1 is past the bound; without it this still decodes, in
     # megabytes, so the 64 rows below are not reached
-    with pytest.raises(DecodeError, match=f"more than {MAX_EXPR_SIZE} nodes"):
+    past = f"more than {MAX_EXPR_SIZE} nodes and name characters"
+    with pytest.raises(DecodeError, match=past):
         _timed_decode(_doubling_leaf(20))
     # 64 rows of (k -> k) spell out to 2^65 nodes; the print key of each
     # would be rendered in full as the row is built
-    with pytest.raises(DecodeError, match=f"more than {MAX_EXPR_SIZE} nodes"):
+    with pytest.raises(DecodeError, match=past):
         _timed_decode(_doubling_leaf(64))
+
+
+def test_a_long_name_under_doubling_rows_is_a_decode_error():
+    # each name counts by its characters: under 12 doublings a name prints
+    # 4,096 times in one key, so a name of a million characters would make
+    # it gigabytes; this one is kept short enough that a decoder without
+    # the bound fails the test rather than the machine
+    past = f"more than {MAX_EXPR_SIZE} nodes and name characters"
+    name = "x" * (MAX_EXPR_SIZE // 8)
+    with pytest.raises(DecodeError, match=past):
+        _timed_decode(_doubling_leaf(12, name))
+    assert _timed_decode(_doubling_leaf(2, name))
+    with pytest.raises(DecodeError, match=past):
+        _timed_decode(_doubling_leaf(0, "x" * MAX_EXPR_SIZE))
+
+
+_BUDGET = "the rows spell out to more than"
+
+
+def test_rows_past_the_file_budget_are_a_decode_error():
+    # each row is within MAX_EXPR_SIZE, but 2,000 rows each naming a long
+    # row under another nominal spell out to far more than the file holds
+    exprs = [["prop", "x" * (MAX_EXPR_SIZE - 10)]]
+    exprs += [["at", f"i{k}", 0] for k in range(2000)]
+    leaf = {"rule": "Ax", "inst": {"phi": 1}, "children": [],
+            "conclusion": [[1], [1]]}
+    with pytest.raises(DecodeError, match=_BUDGET):
+        _timed_decode(_flat_file(exprs, [leaf]))
+    # the first rows are within the allowance
+    count = jsonio.TABLE_ALLOWANCE // MAX_EXPR_SIZE
+    assert _timed_decode(_flat_file(exprs[:count], [leaf]))
+
+
+def test_node_rows_past_the_file_budget_are_a_decode_error():
+    # a chain of DiaR rows over one long formula, each under a nominal of
+    # its own: replaying their premisses would build @j phi for every j
+    exprs = [["prop", "x" * (MAX_EXPR_SIZE - 10)]]
+    rows = [{"rule": "DiaR", "children": [t - 1] if t else [],
+             "inst": {"i": "i", "a": "a", "phi": 0, "j": f"j{t}"}}
+            for t in range(2000)]
+    rows[-1]["conclusion"] = [[], []]
+    with pytest.raises(DecodeError, match=_BUDGET):
+        _timed_decode(_flat_file(exprs, rows))
+
+
+def _long_leaf(chars):
+    """An (Ax) leaf on @i p, where p's name makes @i p spell out to
+    `chars`."""
+    phi = At("i", Prop("x" * (chars - 3)))
+    return axiom(AX, sequent([phi], [phi]), {"phi": phi})
+
+
+def test_the_writer_refuses_what_the_reader_would():
+    # at the bound a tree round-trips; past it the writer raises
+    d = _long_leaf(MAX_EXPR_SIZE)
+    text = dumps_canonical(jsonio.derivation_to_json(d))
+    assert jsonio.derivation_from_json(json.loads(text)) == d
+    with pytest.raises(jsonio.EncodeError, match="nodes and name characters"):
+        jsonio.derivation_to_json(_long_leaf(MAX_EXPR_SIZE + 1))
+    # a balanced formula past the bound, within MAX_NESTING
+    phi = Prop("p")
+    for _ in range(13):
+        phi = Implies(phi, phi)
+    phi = At("i", phi)
+    big = Derivation(sequent([phi], [phi]), AX, freeze_inst({"phi": phi}))
+    with pytest.raises(jsonio.EncodeError, match="nodes and name characters"):
+        jsonio.derivation_to_json(big)
+    # many rows each within the bound, past the file's budget
+    phis = [At(f"i{k}", Prop("x" * (MAX_EXPR_SIZE - 10))) for k in range(200)]
+    wide = Derivation(sequent(phis, phis[:1]), AX, freeze_inst({"phi": phis[0]}))
+    with pytest.raises(jsonio.EncodeError, match=_BUDGET):
+        jsonio.derivation_to_json(wide)
+
+
+def test_a_value_of_the_wrong_sort_is_refused_when_written():
+    p = At("i", Prop("p"))
+    for key, value in [("alpha", p), ("phi", "p"), ("i", p), ("kind", "eq")]:
+        d = Derivation(sequent([p], [p]), "Open", freeze_inst({key: value}))
+        with pytest.raises(TypeError, match=f"metavariable {key} holds"):
+            jsonio.derivation_to_json(d)
 
 
 def test_an_expression_row_past_the_nesting_bound_is_a_decode_error():
