@@ -259,8 +259,9 @@ def main(argv=None):
     except RecursionError:
         # the parser and the layers that walk an expression (printing, shape
         # checks, search, encoding) recurse once per expression level;
-        # derivation levels are walked over explicit stacks, and a nested
-        # file too deep for `json.loads` is answered by `_read_json`
+        # derivation levels are walked over explicit stacks, format 2 nests
+        # no JSON container per level, and a JSON value too deep for
+        # `json.loads` is answered by `_read_json`
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,17 +1,17 @@
-"""Stable JSON encodings for ASTs, sequents, derivations, and models.
+"""Stable JSON encodings for expressions, sequents and derivations.
 
-Expressions and sequents are nested objects, tag + children. Derivations
-are written in format 2, `{"format": 2, "exprs": [...], "nodes": [...]}`:
-`exprs` lists each distinct expression once, children first, as a row that
-names earlier rows by index, and `nodes` lists the tree in post-order, each
-row naming its children by index. A node states its conclusion only where
-the reader cannot recompute it from its parent's conclusion, rule and
-instantiation. No JSON container nests per derivation level, so a file of
-any height loads and writes. Reader and writer refuse a table whose rows
-spell out to far more than the file holds (MAX_EXPR_SIZE). The reader also
-reads the nested layouts written before format 2. Canonical text sorts
-keys and sequent members, so identical inputs produce byte-identical
-output.
+Derivations are read and written in format 2, `{"format": 2, "exprs":
+[...], "nodes": [...]}`: `exprs` lists each distinct expression once,
+children first, as a row that names earlier rows by index, and `nodes`
+lists the tree in post-order, each row naming its children by index. A
+node states its conclusion only where the reader cannot recompute it from
+its parent's conclusion, rule and instantiation. No JSON container nests
+per derivation level, so a file of any height loads and writes. Reader and
+writer refuse a table whose rows spell out to far more than the file holds
+(MAX_EXPR_SIZE). Expressions and sequents are also written as nested
+objects, tag + fields, for the CLI's output; `_ROWS` states the one layout
+both forms follow. Canonical text sorts keys and sequent members, so
+identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -55,42 +55,42 @@ def _field(d, key, typ=object):
     return v
 
 
-def _name(d, key):
-    return _field(d, key, str)
-
-
-def _cmpkind(d, key="kind"):
-    return _kind_value(_name(d, key))
-
-
 def _kind_value(v):
     if not isinstance(v, str) or v not in ("eq", "neq"):
         raise DecodeError(f"unknown comparison kind: {_show(v)}")
     return sx.CmpKind(v)
 
 
-def node_to_json(e):
-    match e:
-        case sx.Prop(name):
-            return {"tag": "prop", "name": name}
-        case sx.Nominal(name):
-            return {"tag": "nom", "name": name}
-        case sx.Bottom():
-            return {"tag": "bot"}
-        case sx.Implies(lhs, rhs):
-            return {"tag": "imp", "lhs": node_to_json(lhs), "rhs": node_to_json(rhs)}
-        case sx.At(nom, body):
-            return {"tag": "at", "nom": nom, "body": node_to_json(body)}
-        case sx.Diamond(mod, body):
-            return {"tag": "dia", "mod": mod, "body": node_to_json(body)}
-        case sx.Compare(left, kind, cmp_sym, right):
-            return {"tag": "cmp", "left": path_to_json(left), "kind": kind.value,
-                    "cmp": cmp_sym, "right": path_to_json(right)}
-    raise TypeError(f"not a node expression: {e!r}")
+# ---------------------------------------------------------------------------
+# Expressions: one layout, written as rows of format 2 or as nested objects
+# ---------------------------------------------------------------------------
 
+# tag -> (class, the JSON key and sort of each field, in the class's field
+# order). A `name` is a string, a `kind` is "eq" or "neq", and a `node` or
+# `path` is an expression of that sort: in format 2 the index of an earlier
+# `exprs` row, in `node_to_json` a nested object.
+_ROWS = {
+    "prop": (sx.Prop, (("name", "name"),)),
+    "nom": (sx.Nominal, (("name", "name"),)),
+    "bot": (sx.Bottom, ()),
+    "imp": (sx.Implies, (("lhs", "node"), ("rhs", "node"))),
+    "at": (sx.At, (("nom", "name"), ("body", "node"))),
+    "dia": (sx.Diamond, (("mod", "name"), ("body", "node"))),
+    "cmp": (sx.Compare, (("left", "path"), ("kind", "kind"), ("cmp", "name"),
+                         ("right", "path"))),
+    "mod": (sx.Atom, (("name", "name"),)),
+    "jump": (sx.Jump, (("nom", "name"),)),
+    "test": (sx.Test, (("body", "node"),)),
+    "concat": (sx.Concat, (("left", "path"), ("right", "path"))),
+}
+_SORT_CLASSES = {"node": get_args(sx.NodeExpr), "path": get_args(sx.PathExpr)}
+# class -> (tag, attribute names, (JSON key, sort) of each field), for the
+# writers
+_LAYOUT = {cls: (tag, cls.__match_args__, fields)
+           for tag, (cls, fields) in _ROWS.items()}
 
-# Deeper expressions are refused, in format 2 row by row, so that the layers
-# that still recurse once per expression level (the printer, shape checks,
+# Deeper expressions are refused, row by row, so that the layers that
+# recurse once per expression level (the printer, shape checks,
 # substitution, search, `node_to_json` and the writer's expression table)
 # stay well inside the interpreter's default recursion limit. Derivation
 # levels are walked over explicit stacks, and format 2 nests no JSON per
@@ -98,65 +98,20 @@ def node_to_json(e):
 MAX_NESTING = 500
 
 
-def node_from_json(d):
-    return _node(d, MAX_NESTING)
-
-
-def _node(d, room):
-    """The node expression `d` encodes, at most `room` levels deep."""
-    if room <= 0:
-        raise DecodeError(f"expression nested more than {MAX_NESTING} levels deep")
-    room -= 1
-    match _field(d, "tag"):
-        case "prop":
-            return sx.Prop(_name(d, "name"))
-        case "nom":
-            return sx.Nominal(_name(d, "name"))
-        case "bot":
-            return sx.BOT
-        case "imp":
-            return sx.Implies(_node(_field(d, "lhs"), room),
-                              _node(_field(d, "rhs"), room))
-        case "at":
-            return sx.At(_name(d, "nom"), _node(_field(d, "body"), room))
-        case "dia":
-            return sx.Diamond(_name(d, "mod"), _node(_field(d, "body"), room))
-        case "cmp":
-            return sx.Compare(_path(_field(d, "left"), room), _cmpkind(d),
-                              _name(d, "cmp"), _path(_field(d, "right"), room))
-    raise DecodeError(f"unknown node tag: {_show(d['tag'])}")
-
-
-def path_to_json(p):
-    match p:
-        case sx.Atom(mod):
-            return {"tag": "mod", "name": mod}
-        case sx.Jump(nom):
-            return {"tag": "jump", "nom": nom}
-        case sx.Test(body):
-            return {"tag": "test", "body": node_to_json(body)}
-        case sx.Concat(left, right):
-            return {"tag": "concat", "left": path_to_json(left),
-                    "right": path_to_json(right)}
-    raise TypeError(f"not a path: {p!r}")
-
-
-def _path(d, room):
-    """The path expression `d` encodes, at most `room` levels deep."""
-    if room <= 0:
-        raise DecodeError(f"expression nested more than {MAX_NESTING} levels deep")
-    room -= 1
-    match _field(d, "tag"):
-        case "mod":
-            return sx.Atom(_name(d, "name"))
-        case "jump":
-            return sx.Jump(_name(d, "nom"))
-        case "test":
-            return sx.Test(_node(_field(d, "body"), room))
-        case "concat":
-            return sx.Concat(_path(_field(d, "left"), room),
-                             _path(_field(d, "right"), room))
-    raise DecodeError(f"unknown path tag: {_show(d['tag'])}")
+def node_to_json(e):
+    """The nested object of the node or path expression `e`: its tag and
+    each field under its JSON key. The CLI writes these objects (`parse
+    --emit json`, `check`'s end-sequent); no reader reads them."""
+    try:
+        tag, attrs, fields = _LAYOUT[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression: {e!r}") from None
+    out = {"tag": tag}
+    for attr, (key, sort) in zip(attrs, fields):
+        v = getattr(e, attr)
+        out[key] = (node_to_json(v) if sort in _SORT_CLASSES
+                    else v.value if sort == "kind" else v)
+    return out
 
 
 def sequent_to_json(s):
@@ -165,41 +120,11 @@ def sequent_to_json(s):
             "cons": [node_to_json(e) for e in s.sorted_cons]}
 
 
-def sequent_from_json(d):
-    ante, cons = _field(d, "ante", list), _field(d, "cons", list)
-    try:
-        return sequent(map(node_from_json, ante), map(node_from_json, cons))
-    except ShapeViolation as e:                # a member that is not restricted
-        raise DecodeError(str(e)) from None
+# ---------------------------------------------------------------------------
+# Derivation format 2: a flat node list over a shared expression table
+# ---------------------------------------------------------------------------
 
-
-def _inst_value(key, d):
-    """The value of metavariable `key` that the object `d` encodes."""
-    kind = _name(d, "kind")
-    if key in METAVAR_KINDS and kind != METAVAR_KINDS[key]:
-        raise DecodeError(
-            f"metavariable {key} holds a {kind}, not a {METAVAR_KINDS[key]}")
-    match kind:
-        case "nominal" | "modality" | "comparison":
-            return _name(d, "name")
-        case "cmpkind":
-            return _cmpkind(d, "value")
-        case "path":
-            return _path(_field(d, "expr"), MAX_NESTING)
-        case "node":
-            return node_from_json(_field(d, "expr"))
-    raise DecodeError(f"unknown instantiation value kind: {_show(kind)}")
-
-
-def _inst(d):
-    """The instantiation the object `d` encodes, as a dict."""
-    out = {}
-    for key, v in d.items():
-        if not isinstance(key, str):
-            raise DecodeError(f"metavariable is not a str: {_show(key)}")
-        out[key] = _inst_value(key, v)
-    return out
-
+FORMAT = 2
 
 _WEAKENINGS = {WL: Sequent.drop_ante, WR: Sequent.drop_cons}
 
@@ -220,69 +145,6 @@ def _implied(conclusion, rule, inst, n):
             out = []
     return (out + [None] * n)[:n]
 
-
-def _nested_derivation(d):
-    """The derivation a nested object `d` encodes, in either layout read
-    before format 2. A node without a `conclusion` gets the one its parent
-    implies (`_implied`); one that its parent does not imply is a
-    DecodeError. The levels are walked over an explicit stack, so at any
-    height."""
-    heads = []                 # (conclusion, rule, inst, children), preorder
-    stack = [(d, None, None)]  # (object, implied conclusion, rule above)
-    while stack:
-        d, implied, above = stack.pop()
-        rule = _name(d, "rule")
-        inst = _inst(_field(d, "inst", dict))
-        if "conclusion" in d or above is None:
-            conclusion = sequent_from_json(_field(d, "conclusion"))
-        elif implied is None:
-            raise DecodeError(_unimplied(above))
-        else:
-            conclusion = implied
-        kids = _field(d, "children", list)
-        heads.append((conclusion, rule, freeze_inst(inst), len(kids)))
-        below = _implied(conclusion, rule, inst, len(kids))
-        stack += [(c, s, rule) for c, s in zip(reversed(kids), reversed(below))]
-    done = []                  # built subtrees, the first child on top
-    for conclusion, rule, inst, n in reversed(heads):
-        start = len(done) - n
-        kids = tuple(reversed(done[start:]))
-        del done[start:]
-        done.append(Derivation(conclusion, rule, inst, kids))
-    return done[0]
-
-
-def _unimplied(rule):
-    return (f"missing field 'conclusion', which the {_show(rule)} above "
-            f"does not imply")
-
-
-# ---------------------------------------------------------------------------
-# Derivation format 2: a flat node list over a shared expression table
-# ---------------------------------------------------------------------------
-
-FORMAT = 2
-
-# The rows of the `exprs` table: tag -> (class, the sort of each field). A
-# `name` is a string, a `kind` is "eq" or "neq", and a `node` or `path` is
-# the index of an earlier row holding an expression of that sort.
-_ROWS = {
-    "prop": (sx.Prop, ("name",)),
-    "nom": (sx.Nominal, ("name",)),
-    "bot": (sx.Bottom, ()),
-    "imp": (sx.Implies, ("node", "node")),
-    "at": (sx.At, ("name", "node")),
-    "dia": (sx.Diamond, ("name", "node")),
-    "cmp": (sx.Compare, ("path", "kind", "name", "path")),
-    "mod": (sx.Atom, ("name",)),
-    "jump": (sx.Jump, ("name",)),
-    "test": (sx.Test, ("node",)),
-    "concat": (sx.Concat, ("path", "path")),
-}
-_SORT_CLASSES = {"node": get_args(sx.NodeExpr), "path": get_args(sx.PathExpr)}
-# class -> (tag, field names, field sorts), for the writer
-_LAYOUT = {cls: (tag, cls.__match_args__, sorts)
-           for tag, (cls, sorts) in _ROWS.items()}
 
 # Building an expression renders its print key in full, and a row names
 # earlier rows, so a table of n rows could stand for a tree of 2^n nodes, or
@@ -345,10 +207,10 @@ class _Table:
         (MAX_NESTING)."""
         i = self.index.get(e)
         if i is None:
-            tag, names, sorts = _LAYOUT[type(e)]
+            tag, attrs, fields = _LAYOUT[type(e)]
             row, size, depth, chars = [tag], 1, 1, 0
-            for name, sort in zip(names, sorts):
-                v = getattr(e, name)
+            for attr, (_, sort) in zip(attrs, fields):
+                v = getattr(e, attr)
                 if sort in _SORT_CLASSES:
                     k = self.ref(v)
                     size += self.sizes[k]
@@ -434,16 +296,6 @@ def derivation_to_json(d):
     return {"format": FORMAT, "exprs": table.rows, "nodes": nodes}
 
 
-def derivation_from_json(d):
-    """The derivation the object `d` encodes: format 2, or one of the nested
-    layouts written before it."""
-    if isinstance(d, dict) and "format" in d:
-        if type(d["format"]) is not int or d["format"] != FORMAT:
-            raise DecodeError(f"unknown derivation format: {_show(d['format'])}")
-        return _flat_derivation(d)
-    return _nested_derivation(d)
-
-
 def _exprs(rows, budget):
     """The expressions of the `exprs` rows, in row order, and their sizes. A
     row may name only earlier rows, and is refused before it is built if it
@@ -454,30 +306,30 @@ def _exprs(rows, budget):
         if not isinstance(row, list) or not row or not isinstance(row[0], str):
             raise DecodeError(f"exprs row {t} is not a tagged list: {_show(row)}")
         try:
-            cls, sorts = _ROWS[row[0]]
+            cls, fields = _ROWS[row[0]]
         except KeyError:
             raise DecodeError(f"unknown expression tag: {_show(row[0])}") from None
-        if len(row) != 1 + len(sorts):
+        if len(row) != 1 + len(fields):
             raise DecodeError(f"exprs row {t} has {len(row) - 1} field(s); "
-                              f"{_show(row[0])} takes {len(sorts)}")
-        fields, size, depth, chars = [], 1, 1, 0
-        for sort, v in zip(sorts, row[1:]):
+                              f"{_show(row[0])} takes {len(fields)}")
+        values, size, depth, chars = [], 1, 1, 0
+        for (_, sort), v in zip(fields, row[1:]):
             if sort == "name":
                 if not isinstance(v, str):
                     raise DecodeError(f"exprs row {t} has a name that is not "
                                       f"a str: {_show(v)}")
                 chars += len(v)
-                fields.append(v)
+                values.append(v)
             elif sort == "kind":
-                fields.append(_kind_value(v))
+                values.append(_kind_value(v))
             else:
-                fields.append(_ref(v, built, sort))
+                values.append(_ref(v, built, sort))
                 size += sizes[v]
                 depth = max(depth, 1 + depths[v])
         size += chars
         _check_row(t, size, depth, DecodeError)
         budget.charge(len(row) + chars, size, DecodeError)
-        built.append(cls(*fields))
+        built.append(cls(*values))
         sizes.append(size)
         depths.append(depth)
     return built, sizes
@@ -493,7 +345,7 @@ def _ref(v, exprs, sort):
     return e
 
 
-def _flat_inst(d, exprs, sizes):
+def _inst(d, exprs, sizes):
     """The instantiation the format-2 `inst` object `d` encodes, as a dict,
     and what its values spell out to."""
     out, spelt = {}, 0
@@ -518,7 +370,7 @@ def _flat_inst(d, exprs, sizes):
     return out, spelt
 
 
-def _flat_sequent(v, exprs):
+def _sequent(v, exprs):
     """The sequent a format-2 `conclusion`, two lists of rows, encodes."""
     if not (isinstance(v, list) and len(v) == 2
             and all(isinstance(side, list) for side in v)):
@@ -530,12 +382,15 @@ def _flat_sequent(v, exprs):
         raise DecodeError(str(e)) from None
 
 
-def _flat_derivation(d):
-    """The derivation a format-2 object encodes. The node rows must form a
-    tree: each row's children are earlier rows, and every row but the last,
-    the root, is the child of exactly one row. A row without a `conclusion`
-    gets the one its parent implies, replayed from the root down, once the
-    rows are within their budget (MAX_EXPR_SIZE)."""
+def derivation_from_json(d):
+    """The derivation the format-2 object `d` encodes. The node rows must
+    form a tree: each row's children are earlier rows, and every row but the
+    last, the root, is the child of exactly one row. A row without a
+    `conclusion` gets the one its parent implies, replayed from the root
+    down, once the rows are within their budget (MAX_EXPR_SIZE)."""
+    fmt = _field(d, "format")
+    if type(fmt) is not int or fmt != FORMAT:
+        raise DecodeError(f"unknown derivation format: {_show(fmt)}")
     budget = _Budget()
     exprs, sizes = _exprs(_field(d, "exprs", list), budget)
     rows = _field(d, "nodes", list)
@@ -545,8 +400,8 @@ def _flat_derivation(d):
     parent = [None] * len(rows)
     own = spelt = 0
     for t, row in enumerate(rows):
-        rule = _name(row, "rule")
-        inst, cost = _flat_inst(_field(row, "inst", dict), exprs, sizes)
+        rule = _field(row, "rule", str)
+        inst, cost = _inst(_field(row, "inst", dict), exprs, sizes)
         kids = _field(row, "children", list)
         own += 1 + len(inst) + len(kids)
         spelt += cost
@@ -560,7 +415,7 @@ def _flat_derivation(d):
             parent[c] = t
         stated = None
         if "conclusion" in row:
-            stated = _flat_sequent(row["conclusion"], exprs)
+            stated = _sequent(row["conclusion"], exprs)
             own += len(row["conclusion"][0]) + len(row["conclusion"][1])
         heads.append((rule, inst, kids, stated))
     budget.charge(own, spelt, DecodeError)
@@ -576,7 +431,9 @@ def _flat_derivation(d):
         rule, inst, kids, stated = heads[t]
         conclusion = stated if stated is not None else conclusions[t]
         if conclusion is None:
-            raise DecodeError(_unimplied(heads[parent[t]][0]))
+            raise DecodeError(f"missing field 'conclusion', which the "
+                              f"{_show(heads[parent[t]][0])} above does not "
+                              f"imply")
         conclusions[t] = conclusion
         for c, s in zip(kids, _implied(conclusion, rule, inst, len(kids))):
             conclusions[c] = s

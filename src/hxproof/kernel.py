@@ -123,12 +123,13 @@ def sequent(ante=(), cons=()):
 def _premiss(ante, cons, add_ante, add_cons):
     """The sequent ante, add_ante |- cons, add_cons, where `ante` and `cons`
     are parts of a `Sequent`, or subsets of them, whose members were checked
-    when it was built: only the added formulas are checked here."""
+    when it was built: only the added formulas are checked here. A side
+    that gains nothing is the given frozenset itself, not a copy."""
     _check_members(add_ante)
     _check_members(add_cons)
     s = object.__new__(Sequent)
-    object.__setattr__(s, "ante", ante.union(add_ante))
-    object.__setattr__(s, "cons", cons.union(add_cons))
+    object.__setattr__(s, "ante", ante.union(add_ante) if add_ante else ante)
+    object.__setattr__(s, "cons", cons.union(add_cons) if add_cons else cons)
     return s
 
 
@@ -486,6 +487,11 @@ class Derivation:
                 return False
             stack += zip(a.children, b.children)
         return True
+
+    def __hash__(self):
+        """The root's hash alone, so at any height; equal trees have equal
+        roots."""
+        return hash((self.conclusion, self.rule, self.inst))
 
     @property
     def inst_dict(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -9,8 +10,6 @@ from hxproof.cli import main
 from hxproof.kernel import Derivation
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
-# the goldens in the nested layout read before format 2
-NESTED = pathlib.Path(__file__).resolve().parent / "data" / "implied"
 
 
 def run(capsys, *argv):
@@ -30,6 +29,20 @@ def test_parse_json_deterministic(capsys):
     assert code1 == code2 == 0 and out1 == out2
     blob = json.loads(out1)
     assert blob["tag"] == "imp"
+
+
+# sha256 of the nested objects the CLI writes: a formula using every
+# expression tag, and the end-sequent of a checked golden
+@pytest.mark.parametrize("argv,digest", [
+    (("parse", "--emit", "json", "@i (<a j: (p?) =c b> -> <a>(k -> false))"),
+     "7169efa911b098235251fe36b6a410bfdb3a43ca53e1a9942ec322591cdbc42b"),
+    (("check", str(GOLDEN / "nom2.json"), "--emit", "json"),
+     "b4af11abfa65b120fb9f18e778ad898ced36d501bc7c2577e041c0c7f4724508"),
+], ids=["parse", "check"])
+def test_nested_json_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_parse_error_exit_code(capsys):
@@ -91,44 +104,45 @@ def test_check_undecodable_json_exits_3_with_one_line(tmp_path, capsys, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _deep_derivation(depth):
-    """`depth` nested weakenings of a member over the nom2 golden, as text
-    in the nested layout."""
-    text = (NESTED / "nom2.json").read_text()
-    blob = json.loads(text)
-    phi = blob["conclusion"]["ante"][0]
-    head = json.dumps({"rule": "WL", "principal": [phi],
-                       "inst": {"phi": {"kind": "node", "expr": phi}},
-                       "conclusion": blob["conclusion"]})
-    return (head[:-1] + ', "children": [') * depth + text + "]}" * depth
+def _deep_value(depth):
+    """The nom2 golden with its `nodes` replaced by a list nested `depth`
+    levels deep, as text."""
+    blob = json.loads((GOLDEN / "nom2.json").read_text())
+    blob["nodes"] = "DEEP"
+    return json.dumps(blob).replace('"DEEP"', "[" * depth + "]" * depth)
 
 
 def _deep_formula(depth):
-    """An (Ax) leaf on @i (false -> ... -> p), `depth` implications deep."""
-    body = '{"tag": "imp", "lhs": {"tag": "bot"}, "rhs": ' * depth \
-        + '{"tag": "prop", "name": "p"}' + "}" * depth
-    at = '{"tag": "at", "nom": "i", "body": ' + body + "}"
-    return ('{"rule": "Ax", "principal": [], "children": [], '
-            f'"inst": {{"phi": {{"kind": "node", "expr": {at}}}}}, '
-            f'"conclusion": {{"ante": [{at}], "cons": [{at}]}}}}')
+    """A format-2 (Ax) leaf on @i (false -> ... -> p), `depth` implications
+    deep, one exprs row per level."""
+    exprs = [["bot"], ["prop", "p"]]
+    exprs += [["imp", 0, t] for t in range(1, depth + 1)]
+    exprs += [["at", "i", depth + 1]]
+    top = depth + 2
+    leaf = {"rule": "Ax", "inst": {"phi": top}, "children": [],
+            "conclusion": [[top], [top]]}
+    return json.dumps({"format": 2, "exprs": exprs, "nodes": [leaf]})
 
 
 # the first is too deep for the JSON reader; the second is refused by the
 # decoder's nesting bound (jsonio.MAX_NESTING)
-@pytest.mark.parametrize("text", [_deep_derivation(1000), _deep_formula(600)],
-                         ids=["derivation-1000", "formula-600"])
-def test_deeply_nested_input_exits_3_with_one_line(tmp_path, capsys, text):
+@pytest.mark.parametrize("text,message", [
+    (_deep_value(1000), "error: cannot read"),
+    (_deep_formula(600), "nested more than"),
+], ids=["derivation-1000", "formula-600"])
+def test_deeply_nested_input_exits_3_with_one_line(tmp_path, capsys, text,
+                                                    message):
     deep = tmp_path / "deep.json"
     deep.write_text(text)
     for argv in (("check", str(deep)), ("cutfree", str(deep))):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_a_5000_level_file_checks_and_eliminates(tmp_path, capsys):
-    # a weakening chain written in format 2; nested, a tree this high is
-    # past what json.loads reads (test above)
+    # a weakening chain: format 2 nests no JSON container per level
     d = weakening_chain(5000)
     assert d.height == 5000
     deep = tmp_path / "deep.json"

@@ -1,5 +1,5 @@
-"""Derivation files (format 2 and the nested layouts read before it) and
-the canonical writer against its oracle."""
+"""Derivation files (format 2) and the canonical writer against its
+oracle."""
 
 import json
 import pathlib
@@ -18,18 +18,13 @@ from hxproof.jsonio import (
     MAX_EXPR_SIZE, MAX_NESTING, DecodeError, dumps_canonical,
 )
 from hxproof.kernel import (
-    AX, CUT, IMP_R, METAVAR_KINDS, Derivation, axiom, check_derivation, cut,
+    AX, CUT, IMP_R, Derivation, axiom, check_derivation, cut,
     freeze_inst, sequent, weaken,
 )
 from hxproof.syntax import At, Implies, Prop
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 GOLDEN_FILES = sorted(GOLDEN.glob("*.json"))
-# the nested layouts read before format 2: two goldens as written when every
-# node stated its sequent and a `principal` list, and the six goldens as
-# written when nodes left out the conclusions their parents imply
-FULL_LAYOUT = pathlib.Path(__file__).resolve().parent / "data"
-IMPLIED_LAYOUT = FULL_LAYOUT / "implied"
 
 
 def oracle(obj):
@@ -134,30 +129,6 @@ def _deep_member(depth):
     return {"tag": "at", "nom": "i", "body": body}
 
 
-def _deep_leaf(depth):
-    """An (Ax) leaf on @i (false -> ... -> p), `depth` implications deep."""
-    at = _deep_member(depth)
-    return {"rule": "Ax", "principal": [], "children": [],
-            "inst": {"phi": {"kind": "node", "expr": at}},
-            "conclusion": {"ante": [at], "cons": [at]}}
-
-
-def test_formula_at_the_nesting_bound_decodes_checks_and_encodes():
-    # @i, the implications and p: MAX_NESTING levels in all
-    d = jsonio.derivation_from_json(_deep_leaf(MAX_NESTING - 2))
-    [violation] = check_derivation(d)
-    assert "axiom expression has the wrong form" in violation.message
-    text = dumps_canonical(jsonio.derivation_to_json(d))
-    assert jsonio.derivation_from_json(json.loads(text)) == d
-
-
-def test_formula_past_the_nesting_bound_is_a_decode_error():
-    with pytest.raises(DecodeError, match="nested more than"):
-        jsonio.derivation_from_json(_deep_leaf(MAX_NESTING - 1))
-    with pytest.raises(DecodeError, match="nested more than"):
-        jsonio.derivation_from_json(_deep_leaf(600))
-
-
 # ---------------------------------------------------------------------------
 # the decoder: height and totality
 # ---------------------------------------------------------------------------
@@ -185,6 +156,13 @@ def test_a_derivation_of_any_height_round_trips_through_json_objects():
     assert jsonio.derivation_from_json(json.loads(text)) == d
 
 
+def test_derivations_hash_at_any_height():
+    a = weakening_chain(5000)
+    b = _copy(a)
+    assert b is not a and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_derivations_compare_at_any_height():
     a = weakening_chain(5000)
     b = _copy(a)
@@ -198,9 +176,6 @@ def test_derivations_compare_at_any_height():
 DERIVATION_FILES = [p for p in GOLDEN_FILES
                     if "model" not in p.stem and "graph" not in p.stem]
 DERIVATION_TEXTS = [p.read_text() for p in DERIVATION_FILES]
-NESTED_FILES = sorted(FULL_LAYOUT.glob("*.json")) \
-    + sorted(IMPLIED_LAYOUT.glob("*.json"))
-NESTED_TEXTS = [p.read_text() for p in NESTED_FILES]
 WORDS = st.sampled_from([
     "tag", "name", "nom", "body", "lhs", "rhs", "mod", "left", "right",
     "kind", "cmp", "expr", "value", "rule", "inst", "conclusion", "children",
@@ -240,15 +215,6 @@ def _decodes_or_fails_cleanly(blob):
     except DecodeError:
         return
     assert isinstance(d, Derivation)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(NESTED_TEXTS), st.data())
-def test_any_value_at_any_field_decodes_or_is_a_decode_error(text, data):
-    root, slots = _slots(json.loads(text))
-    parent, key = data.draw(st.sampled_from(slots))
-    parent[key] = data.draw(JSON_VALUES | st.sampled_from(ODD_VALUES))
-    _decodes_or_fails_cleanly(root[0])
 
 
 # values a format-2 file holds: row indices in and out of range, rows and
@@ -296,6 +262,18 @@ def _doublings(n):
     and @i over the last: the last row spells out to 2^(n+1) nodes."""
     return ([["prop", "p"]] + [["imp", k, k] for k in range(n)]
             + [["at", "i", n]])
+
+
+@pytest.mark.parametrize("blob,message", [
+    ({"rule": "Ax", "inst": {}, "children": []}, "missing field 'format'"),
+    ([], "missing field 'format'"),
+    ({"format": 1, "exprs": [], "nodes": []}, "unknown derivation format: 1"),
+    ({"format": "2"}, "unknown derivation format: '2'"),
+    ({"format": True}, "unknown derivation format: True"),
+], ids=["nested", "list", "format-1", "str", "bool"])
+def test_an_object_that_is_not_format_2_is_a_decode_error(blob, message):
+    with pytest.raises(DecodeError, match=message):
+        jsonio.derivation_from_json(blob)
 
 
 def _timed_decode(blob):
@@ -448,7 +426,12 @@ def test_an_expression_row_past_the_nesting_bound_is_a_decode_error():
     top = len(exprs) - 1
     leaf = {"rule": "Ax", "inst": {"phi": top}, "children": [],
             "conclusion": [[top], [top]]}
-    assert jsonio.derivation_from_json(_flat_file(exprs, [leaf]))
+    # at the bound a leaf decodes, checks with a violation and re-encodes
+    d = jsonio.derivation_from_json(_flat_file(exprs, [leaf]))
+    [violation] = check_derivation(d)
+    assert "axiom expression has the wrong form" in violation.message
+    text = dumps_canonical(jsonio.derivation_to_json(d))
+    assert jsonio.derivation_from_json(json.loads(text)) == d
     exprs[-1:] = [["imp", 0, top - 1], ["at", "i", top]]
     leaf = {"rule": "Ax", "inst": {"phi": top + 1}, "children": [],
             "conclusion": [[top + 1], [top + 1]]}
@@ -456,77 +439,36 @@ def test_an_expression_row_past_the_nesting_bound_is_a_decode_error():
         jsonio.derivation_from_json(_flat_file(exprs, [leaf]))
 
 
+def _tests_in_comparisons(pairs):
+    """A format-2 (Ax) leaf on @i <(<(p?) =c a>?) =c a>, the comparison
+    nested `pairs` times: each pair of rows, a test path and a comparison,
+    is two levels."""
+    exprs, body = [["prop", "p"], ["mod", "a"]], 0
+    for _ in range(pairs):
+        exprs += [["test", body], ["cmp", len(exprs), "eq", "c", 1]]
+        body = len(exprs) - 1
+    exprs.append(["at", "i", body])
+    top = len(exprs) - 1
+    return _flat_file(exprs, [{"rule": "Ax", "inst": {"phi": top},
+                               "children": [], "conclusion": [[top], [top]]}])
+
+
+def test_formula_past_the_nesting_bound_is_a_decode_error():
+    # the levels of path rows count as well: p, then two per pair, then @i
+    assert 2 + 2 * 249 == MAX_NESTING
+    assert jsonio.derivation_from_json(_tests_in_comparisons(249))
+    for pairs in (250, 600):
+        with pytest.raises(DecodeError, match="nested more than"):
+            jsonio.derivation_from_json(_tests_in_comparisons(pairs))
+
+
 def test_a_metavariable_that_is_not_a_str_is_a_decode_error():
     # a JSON object's keys are strings; a Python caller's need not be, and
     # freezing an instantiation sorts its keys
-    blob = _deep_leaf(1)
-    blob["inst"][1] = blob["inst"]["phi"]
-    with pytest.raises(DecodeError, match="metavariable is not a str"):
-        jsonio.derivation_from_json(blob)
-    flat = jsonio.derivation_to_json(jsonio.derivation_from_json(_deep_leaf(1)))
+    flat = jsonio.derivation_to_json(_ax(P_))
     flat["nodes"][0]["inst"][1] = flat["nodes"][0]["inst"]["phi"]
     with pytest.raises(DecodeError, match="metavariable is not a str"):
         jsonio.derivation_from_json(flat)
-
-
-def _nested(d):
-    """The nested object of `d` in the full layout, every node stating its
-    conclusion; the writer writes only format 2."""
-    def expr(kind, v):
-        return (jsonio.path_to_json(v) if kind == "path"
-                else jsonio.node_to_json(v))
-
-    def value(key, v):
-        kind = METAVAR_KINDS[key]
-        if kind in ("path", "node"):
-            return {"kind": kind, "expr": expr(kind, v)}
-        if kind == "cmpkind":
-            return {"kind": kind, "value": v.value}
-        return {"kind": kind, "name": v}
-
-    return {"rule": d.rule,
-            "inst": {key: value(key, v) for key, v in d.inst},
-            "conclusion": jsonio.sequent_to_json(d.conclusion),
-            "children": [_nested(c) for c in d.children]}
-
-
-def _reordered(value, rng):
-    """A copy of the JSON value `value` in which every object is a new
-    dict with its keys in a drawn order."""
-    if isinstance(value, list):
-        return [_reordered(v, rng) for v in value]
-    if isinstance(value, dict):
-        items = list(value.items())
-        rng.shuffle(items)
-        return {k: _reordered(v, rng) for k, v in items}
-    return value
-
-
-def _stated_formulas(blob):
-    """Every formula object the derivation object `blob` states: the members
-    of its stated conclusions and its node instantiation values."""
-    out, stack = [], [blob]
-    while stack:
-        node = stack.pop()
-        for members in node.get("conclusion", {}).values():
-            out += members
-        out += [v["expr"] for v in node["inst"].values() if v["kind"] == "node"]
-        stack += node["children"]
-    return out
-
-
-def test_equal_members_decode_alike_in_any_key_order_or_sharing():
-    d = rand_derivation(random.Random(7), steps=12)
-    canonical = _nested(d)
-    messy = _reordered(canonical, random.Random(1))
-    members = _stated_formulas(messy)
-    members[0]["note"] = "ignored"
-    orders = {}
-    for m in members:
-        orders.setdefault(json.dumps(m, sort_keys=True), set()).add(tuple(m))
-    assert any(len(keys) > 1 for keys in orders.values())
-    assert jsonio.derivation_from_json(messy) == d
-    assert jsonio.derivation_from_json(canonical) == d
 
 
 @settings(max_examples=60, deadline=None)
@@ -536,7 +478,6 @@ def test_drawn_derivations_decode_to_themselves(rng, steps):
     obj = jsonio.derivation_to_json(d)
     assert jsonio.derivation_from_json(obj) == d
     assert jsonio.derivation_from_json(json.loads(dumps_canonical(obj))) == d
-    assert jsonio.derivation_from_json(_nested(d)) == d
 
 
 # ---------------------------------------------------------------------------
@@ -554,20 +495,6 @@ def _stated_paths(blob):
             out.add(path)
         stack += [((*path, k), c) for k, c in enumerate(rows[t]["children"])]
     return out
-
-
-@pytest.mark.parametrize("name", ["inv-atL", "reflexivity", "nom2", "paste",
-                                  "symmetry", "transitivity"])
-def test_full_layout_files_decode_to_the_goldens(name):
-    golden = jsonio.derivation_from_json(
-        json.loads((GOLDEN / f"{name}.json").read_text()))
-    implied = json.loads((IMPLIED_LAYOUT / f"{name}.json").read_text())
-    assert "format" not in implied and "children" in implied
-    assert jsonio.derivation_from_json(implied) == golden
-    if (FULL_LAYOUT / f"{name}.json").exists():
-        full = json.loads((FULL_LAYOUT / f"{name}.json").read_text())
-        assert "principal" in full and "conclusion" in full["children"][0]
-        assert jsonio.derivation_from_json(full) == golden
 
 
 P_, Q_, R_ = At("i", Prop("p")), At("i", Prop("q")), At("i", Prop("r"))
@@ -601,16 +528,6 @@ def test_conclusions_are_stated_where_the_parent_does_not_imply_them():
 
 def test_a_cut_premiss_without_its_conclusion_is_a_decode_error(
         tmp_path, capsys):
-    nested = json.loads((IMPLIED_LAYOUT / "inv-atL.json").read_text())
-    stack = [nested]
-    while stack:
-        node = stack.pop()
-        if node["rule"] == "Cut":
-            break
-        stack += node["children"]
-    del node["children"][1]["conclusion"]
-    with pytest.raises(DecodeError, match="'Cut' above does not imply"):
-        jsonio.derivation_from_json(nested)
     blob = json.loads((GOLDEN / "inv-atL.json").read_text())
     [node] = [row for row in blob["nodes"] if row["rule"] == CUT]
     del blob["nodes"][node["children"][1]]["conclusion"]

@@ -56,8 +56,12 @@ def test_every_sequent_constructor_but_premises_checks_every_member():
     for build in builds:
         with pytest.raises(ShapeViolation):
             build()
+    # a derivation file's conclusion naming an unrestricted row
+    blob = {"format": 2, "exprs": [["prop", "p"]],
+            "nodes": [{"rule": OPEN, "inst": {}, "children": [],
+                       "conclusion": [[0], []]}]}
     with pytest.raises(jsonio.DecodeError, match="not a restricted"):
-        jsonio.sequent_from_json({"ante": [jsonio.node_to_json(P)], "cons": []})
+        jsonio.derivation_from_json(blob)
 
 
 def test_premisses_hold_only_restricted_members():
@@ -69,6 +73,15 @@ def test_premisses_hold_only_restricted_members():
             concl, inst = conclusion_for_rule(rng, rule)
             for prem in premises(concl, rule, inst):
                 assert Sequent(prem.ante, prem.cons) == prem
+
+
+def test_a_premiss_shares_the_side_it_adds_nothing_to():
+    x, y = At("i", P), At("j", Q)
+    s = sequent({x, y}, {y})
+    assert s.drop_ante(x).cons is s.cons
+    assert s.add_cons(x).ante is s.ante
+    assert s.drop_ante(x) == sequent({y}, {y})
+    assert s.add_cons(x) == sequent({x, y}, {x, y})
 
 
 def test_sequents_are_sets():

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from genutil import rand_node, rand_path, rand_sequent
 from hxproof import jsonio
 from hxproof import syntax as sx
+from hxproof.kernel import AX, Derivation, freeze_inst, sequent
 from hxproof.syntax import (
     At, Atom, BOT, Bottom, CmpKind, Compare, Concat, Diamond, Implies, Jump,
     Nominal, Prop, Test, SymbolTable, SymbolSpaceError, SyntaxError_,
@@ -214,7 +215,10 @@ def test_roundtrip_random_asts(e):
 
 @given(node_exprs)
 def test_json_roundtrip(e):
-    assert jsonio.node_from_json(jsonio.node_to_json(e)) == e
+    # an (Ax) leaf on @i e, through the rows of derivation format 2
+    phi = At("i", e)
+    d = Derivation(sequent([phi], [phi]), AX, freeze_inst({"phi": phi}))
+    assert jsonio.derivation_from_json(jsonio.derivation_to_json(d)) == d
 
 
 def test_left_nested_concat_roundtrips():
