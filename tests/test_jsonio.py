@@ -418,25 +418,35 @@ def test_a_value_of_the_wrong_sort_is_refused_when_written():
             jsonio.derivation_to_json(d)
 
 
-def test_an_expression_row_past_the_nesting_bound_is_a_decode_error():
-    # each row is nested one level deeper than the row it names
+def _implications_at_the_bound():
+    """The rows of @i (p -> (p -> ... (bot -> p))): each row is nested one
+    level deeper than the row it names, MAX_NESTING levels in all."""
     exprs = [["bot"], ["prop", "p"]]
     exprs += [["imp", 0, t] for t in range(1, MAX_NESTING - 1)]
-    exprs += [["at", "i", len(exprs) - 1]]        # MAX_NESTING levels
-    top = len(exprs) - 1
-    leaf = {"rule": "Ax", "inst": {"phi": top}, "children": [],
+    exprs += [["at", "i", len(exprs) - 1]]
+    return exprs
+
+
+def _ax_row(top):
+    return {"rule": "Ax", "inst": {"phi": top}, "children": [],
             "conclusion": [[top], [top]]}
-    # at the bound a leaf decodes, checks with a violation and re-encodes
-    d = jsonio.derivation_from_json(_flat_file(exprs, [leaf]))
+
+
+def test_formula_at_the_nesting_bound_decodes_checks_and_encodes():
+    exprs = _implications_at_the_bound()
+    d = jsonio.derivation_from_json(_flat_file(exprs, [_ax_row(len(exprs) - 1)]))
     [violation] = check_derivation(d)
     assert "axiom expression has the wrong form" in violation.message
     text = dumps_canonical(jsonio.derivation_to_json(d))
     assert jsonio.derivation_from_json(json.loads(text)) == d
+
+
+def test_an_expression_row_past_the_nesting_bound_is_a_decode_error():
+    exprs = _implications_at_the_bound()
+    top = len(exprs) - 1
     exprs[-1:] = [["imp", 0, top - 1], ["at", "i", top]]
-    leaf = {"rule": "Ax", "inst": {"phi": top + 1}, "children": [],
-            "conclusion": [[top + 1], [top + 1]]}
     with pytest.raises(DecodeError, match="nested more than"):
-        jsonio.derivation_from_json(_flat_file(exprs, [leaf]))
+        jsonio.derivation_from_json(_flat_file(exprs, [_ax_row(top + 1)]))
 
 
 def _tests_in_comparisons(pairs):
