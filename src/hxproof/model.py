@@ -6,12 +6,16 @@ reflexivity/symmetry/transitivity hold by construction), a total nominal
 assignment, and a valuation. Includes data-graph ingestion (attribute values
 abstracted into comparison classes) and bounded countermodel search.
 
+One evaluator states the semantics: `_Compiler` turns demands ("phi holds"
+or "phi fails" at one node) into one straight-line program of bit-mask steps
+per level of the countermodel search, one step per distinct subexpression.
 The model checker (`eval_node`, `satisfies_set`, `check_sequent_validity`)
-labels bottom-up with node masks, as in global model checking: each call
-reads the model into bit masks once and labels each distinct subexpression
-once, `<a>` as a pre-image and a path step as a union of successor masks.
-That takes O(|phi| * (nodes + edges)) mask operations apart from
-comparisons, which loop over class masks at each node.
+runs the single-level case, as in global model checking: each distinct
+subexpression is computed once over the whole model, `<a>` as a pre-image
+and a path step as a union of successor masks, and a model component is
+read into masks the first time a step asks for its symbol, so a query reads
+only what it mentions. That takes O(|phi| * (nodes + edges)) mask operations
+apart from comparisons, which loop over class masks at each node.
 """
 
 from __future__ import annotations
@@ -117,110 +121,153 @@ class HybridDataModel:
 
 
 # ---------------------------------------------------------------------------
-# Satisfaction
+# Satisfaction: one compiler serves model checking and countermodel search
 # ---------------------------------------------------------------------------
+#
+# Bit x of a mask stands for the node at position x. A node expression's
+# value is the mask of the nodes where it holds, and a path's is a tuple of
+# endpoint masks, one per start node. A model component is read into the
+# same shapes: a nominal ("g") is one bit, a proposition ("val") a mask, a
+# modality ("rels") a tuple of successor masks, and a comparison symbol
+# ("cmp_class") a tuple of class masks, the class of each node.
 
-class _Labelling:
-    """Bottom-up labelling of one model with node masks.
+class _Compiler:
+    """Compiles demands into one straight-line program per level.
 
-    Bit x of a mask stands for the node at position x of `sorted(nodes)`.
-    A node expression's label is the mask of the nodes where it holds, and a
-    path's label is a tuple of endpoint masks, one per start node. The
-    components are read from the model once, when the labelling is made: a
-    tuple of successor masks per modality, each node's class mask per
-    comparison symbol, and a mask per proposition. Each distinct
-    subexpression is then labelled once.
+    A demand is "phi holds" or "phi fails" at one node. A level is one depth
+    of the countermodel search, which fixes one model component there;
+    `level_of` maps a component key (kind, symbol) to its level, and model
+    checking, which leaves it empty, runs a single level. An expression's
+    level is the highest level of the components it reads.
+
+    A component's slot of `env` is shared by its leaf expression (`Prop`,
+    `Nominal`, `Atom`). Each distinct compound subexpression gets one slot
+    and one step at its level, placed after its children's steps, so it is
+    computed once per assignment of that level. A step writes its slot and
+    returns None; a demand's check step returns whether the demand holds,
+    and a level stops at its first failed check. The steps capture slot
+    numbers and masks only, never the compiler, so a program holds no
+    reference cycle.
     """
 
-    def __init__(self, model):
-        self.model = model
-        nodes = sorted(model.nodes)
-        self.pos = pos = {n: x for x, n in enumerate(nodes)}
-        self.bits = bits = tuple(1 << x for x in range(len(nodes)))
-        self.full = (1 << len(nodes)) - 1
-        self.succ = {}
-        for a, pairs in model.rels.items():
-            succ = [0] * len(nodes)
-            for n, m in pairs:
-                succ[pos[n]] |= bits[pos[m]]
-            self.succ[a] = tuple(succ)
-        self.classes = {}
-        for c, class_of in model.cmp_class.items():
-            block = {}
-            for n, bit in zip(nodes, bits):
-                block[class_of[n]] = block.get(class_of[n], 0) | bit
-            self.classes[c] = tuple(block[class_of[n]] for n in nodes)
-        self.val = {p: sum(bits[pos[n]] for n in ns)
-                    for p, ns in model.val.items()}
-        self.memo = {}
+    def __init__(self, n_count, level_of=None):
+        self.bits = tuple(1 << x for x in range(n_count))
+        self.full = (1 << n_count) - 1
+        self.level_of = level_of or {}
+        self.slot = {}           # component key or expression -> (k, level)
+        self.components = {}     # component slot k -> component key
+        self.size = 0            # slots in use
+        self.programs = [[] for _ in range(
+            max(self.level_of.values(), default=0) + 1)]
 
-    def holds(self, phi, n):
-        """M, n |= phi; UnknownNode for a node outside the model, TypeError
-        if phi is not a node expression."""
-        if n not in self.pos:
-            raise UnknownNode(f"unknown node {n!r}")
+    def demand(self, phi, x, want):
+        """Check at phi's level that phi's bit x is `want` (1 or 0)."""
         if not isinstance(phi, NodeExpr):
             raise TypeError(f"not a node expression: {phi!r}")
-        return bool(self.label(phi) >> self.pos[n] & 1)
+        k, t = self.compile(phi)
+        self.programs[t].append(lambda env: (env[k] >> x & 1) == want)
 
-    def label(self, e):
-        out = self.memo.get(e)
+    def component(self, kind, sym):
+        key = (kind, sym)
+        out = self.slot.get(key)
         if out is None:
-            out = self.memo[e] = self._build(e)
+            out = self.slot[key] = (self.size, self.level_of.get(key, 0))
+            self.components[self.size] = key
+            self.size += 1
         return out
 
-    def _nominal(self, i):
-        return self.bits[self.pos[self.model.node_of(i)]]
+    def compile(self, e):
+        """e's slot and level; its steps are placed the first time."""
+        out = self.slot.get(e)
+        if out is None:
+            out = self.slot[e] = self._build(e)
+        return out
 
     def _build(self, e):
+        # every step below writes env[out]; `out` is bound after the match,
+        # before any step runs
+        bits, full = self.bits, self.full
         match e:
             case Prop(p):
-                return self.val.get(p, 0)
+                return self.component("val", p)
             case Nominal(i):
-                return self._nominal(i)
-            case Bottom():
-                return 0
-            case Implies(lhs, rhs):
-                return self.full & ~self.label(lhs) | self.label(rhs)
-            case At(i, body):
-                return self.full if self.label(body) & self._nominal(i) else 0
-            case Diamond(a, body):
-                # the pre-image of the body's mask
-                target, out = self.label(body), 0
-                for bit, succ in zip(self.bits, self.succ.get(a, ())):
-                    if succ & target:
-                        out |= bit
-                return out
-            case Compare(alpha, kind, c, beta):
-                # an unmentioned symbol compares as the identity partition
-                classes = self.classes.get(c, self.bits)
-                eq, out = kind is CmpKind.EQ, 0
-                for bit, x, y in zip(self.bits, self.label(alpha),
-                                     self.label(beta)):
-                    if x and y and (_meet(x, y, classes) if eq
-                                    else _split(x | y, classes)):
-                        out |= bit
-                return out
+                return self.component("g", i)
             case Atom(a):
-                return self.succ.get(a, (0,) * len(self.bits))
+                return self.component("rels", a)
+            case Bottom():
+                level = 0
+
+                def step(env):
+                    env[out] = 0
+            case Implies(lhs, rhs):
+                (f, s), (g, t) = self.compile(lhs), self.compile(rhs)
+                level = max(s, t)
+
+                def step(env):
+                    env[out] = full & ~env[f] | env[g]
+            case At(i, body):
+                (k, s), (f, t) = self.component("g", i), self.compile(body)
+                level = max(s, t)
+
+                def step(env):
+                    env[out] = full if env[f] & env[k] else 0
+            case Diamond(a, body):
+                (k, s), (f, t) = self.component("rels", a), self.compile(body)
+                level = max(s, t)
+
+                def step(env):
+                    # the pre-image of the body's mask
+                    target, mask = env[f], 0
+                    for bit, succ in zip(bits, env[k]):
+                        if succ & target:
+                            mask |= bit
+                    env[out] = mask
+            case Compare(alpha, kind, c, beta):
+                (k, s), (f, t), (g, u) = (self.component("cmp_class", c),
+                                          self.compile(alpha),
+                                          self.compile(beta))
+                level, eq = max(s, t, u), kind is CmpKind.EQ
+
+                def step(env):
+                    classes, mask = env[k], 0
+                    for bit, x, y in zip(bits, env[f], env[g]):
+                        if x and y and (_meet(x, y, classes) if eq
+                                        else _split(x | y, classes)):
+                            mask |= bit
+                    env[out] = mask
             case Jump(i):
-                return (self._nominal(i),) * len(self.bits)
+                k, level = self.component("g", i)
+
+                def step(env):
+                    env[out] = (env[k],) * len(bits)
             case Test(body):
-                here = self.label(body)
-                return tuple(bit & here for bit in self.bits)
+                f, level = self.compile(body)
+
+                def step(env):
+                    here = env[f]
+                    env[out] = tuple(bit & here for bit in bits)
             case Concat(left, right):
-                # each start node's endpoints: the union of the right
-                # path's endpoint masks over the left path's endpoints
-                ends, out = self.label(right), []
-                for y in self.label(left):
-                    z = 0
-                    while y:
-                        low = y & -y
-                        z |= ends[low.bit_length() - 1]
-                        y ^= low
-                    out.append(z)
-                return tuple(out)
-        raise TypeError(f"not an expression: {e!r}")
+                (f, s), (g, t) = self.compile(left), self.compile(right)
+                level = max(s, t)
+
+                def step(env):
+                    # each start node's endpoints: the union of the right
+                    # path's endpoint masks over the left path's endpoints
+                    ends, masks = env[g], []
+                    for y in env[f]:
+                        z = 0
+                        while y:
+                            low = y & -y
+                            z |= ends[low.bit_length() - 1]
+                            y ^= low
+                        masks.append(z)
+                    env[out] = tuple(masks)
+            case _:
+                raise TypeError(f"not an expression: {e!r}")
+        out = self.size
+        self.size += 1
+        self.programs[level].append(step)
+        return out, level
 
 
 def _meet(x, y, classes):
@@ -239,37 +286,89 @@ def _split(u, classes):
     return bool(u & ~classes[(u & -u).bit_length() - 1])
 
 
-def eval_node(model, n, phi):
-    """M, n |= phi for a node expression in primitive form.
+def _passes(env, program):
+    """Run one level's program; False at its first failed check."""
+    for step in program:
+        if step(env) is False:
+            return False
+    return True
 
-    One call labels the model once: every distinct subexpression of phi
-    gets the mask of the nodes where it holds (paths: each start node's
-    endpoint mask), bottom-up, as in global model checking. A node-level
-    step costs O(nodes + edges) mask operations, so phi costs
-    O(|phi| * (nodes + edges)) apart from its comparisons: a path step
-    unions one endpoint mask per endpoint of each start node, and a
-    comparison loops, at each node, over the class masks its endpoints meet.
+
+class _ModelSlots(dict):
+    """The slots of a program run on one model: a component's slot is read
+    from the model the first time a step asks for it, so a query reads only
+    the symbols it mentions. An absent comparison symbol reads as the
+    identity partition, an absent modality or proposition as empty, and an
+    unplaced nominal names the default node. Nothing is cached on the model.
     """
-    return _Labelling(model).holds(phi, n)
+
+    def __init__(self, model, components):
+        super().__init__()
+        self.model, self.components = model, components
+        self.nodes = sorted(model.nodes)
+        self.pos = {n: x for x, n in enumerate(self.nodes)}
+
+    def __missing__(self, k):
+        kind, sym = self.components[k]
+        model, pos = self.model, self.pos
+        if kind == "g":
+            value = 1 << pos[model.node_of(sym)]
+        elif kind == "val":
+            value = sum(1 << pos[n] for n in model.val.get(sym, ()))
+        elif kind == "rels":
+            succ = [0] * len(pos)
+            for n, m in model.rels.get(sym, ()):
+                succ[pos[n]] |= 1 << pos[m]
+            value = tuple(succ)
+        else:
+            class_of = model.cmp_class.get(sym)
+            if class_of is None:
+                value = tuple(1 << x for x in range(len(pos)))
+            else:
+                ids, block = [class_of[n] for n in self.nodes], {}
+                for x, c in enumerate(ids):
+                    block[c] = block.get(c, 0) | 1 << x
+                value = tuple(map(block.__getitem__, ids))
+        self[k] = value
+        return value
+
+
+def _demands_hold(model, n, demands):
+    """Do all `demands` ((phi, want) pairs) hold at node n of the model?
+    The single-level case of the compiler: every component is at level 0."""
+    compiler = _Compiler(len(model.nodes))
+    env = _ModelSlots(model, compiler.components)
+    if n not in env.pos:
+        raise UnknownNode(f"unknown node {n!r}")
+    for phi, want in demands:
+        compiler.demand(phi, env.pos[n], want)
+    return _passes(env, compiler.programs[0])
+
+
+def eval_node(model, n, phi):
+    """M, n |= phi for a node expression in primitive form; UnknownNode for
+    a node outside the model, TypeError if phi is not a node expression.
+    The cost is O(|phi| * (nodes + edges)) mask operations apart from
+    comparisons (see the module docstring).
+    """
+    return _demands_hold(model, n, [(phi, 1)])
 
 
 def satisfies_set(model, n, exprs):
-    """Does every member of `exprs` hold at n? One labelling serves all."""
-    labelling = _Labelling(model)
-    return all(labelling.holds(phi, n) for phi in exprs)
+    """Does every member of `exprs` hold at n? One program serves all."""
+    return _demands_hold(model, n, [(phi, 1) for phi in exprs])
 
 
 def check_sequent_validity(model, seq):
     """True iff the model does not refute the sequent.
 
     Sequent members are node-independent (@-prefixed or atomic comparisons),
-    so evaluation at an arbitrary fixed node suffices. One labelling serves
-    every member.
+    so evaluation at an arbitrary fixed node suffices: the model refutes the
+    sequent iff the demands "antecedent true" and "consequent false" all
+    hold at the default node. One program serves every member.
     """
-    labelling, here = _Labelling(model), model.default_node
-    if not all(labelling.holds(phi, here) for phi in seq.ante):
-        return True
-    return any(labelling.holds(phi, here) for phi in seq.cons)
+    demands = [(phi, 1) for phi in seq.ante] + [(phi, 0) for phi in seq.cons]
+    return not _demands_hold(model, model.default_node, demands)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +570,8 @@ def _g_assignments(noms, nodes):
 
 
 # Candidate models are bit masks over node positions 0..n-1 (position t is
-# node "n{t+1}", and position 0 is the default node): a valuation is one
-# mask, a nominal one bit, a relation a tuple of successor masks (one per
-# node) and a comparison a tuple of class masks.
+# node "n{t+1}", and position 0 is the default node), in the component shapes
+# the compiler reads.
 
 MAX_COUNTERMODEL_NODES = 4   # 5 nodes would mean 2^25 relations per modality
 
@@ -484,7 +582,7 @@ def _size_tables(n_count):
 
     Valuations and relations are listed as the node and pair subsets they
     stand for, by size and then lexicographically; comparisons in the order
-    of `_partitions`, each block one class mask.
+    of `_partitions`, each as the class mask of each node.
     """
     nodes = tuple(f"n{t}" for t in range(1, n_count + 1))
     positions = range(n_count)
@@ -498,171 +596,32 @@ def _size_tables(n_count):
             for x, y in s:
                 succ[x] |= 1 << y
             relations.append(tuple(succ))
-    partitions = tuple(tuple(sum(1 << x for x in block) for block in blocks)
-                       for blocks in _partitions(list(positions)))
-    return nodes, valuations, tuple(relations), partitions
-
-
-@functools.cache
-def _label_tables(n_count):
-    """Per-size constants of labelling: each node's bit, the full mask, and
-    for each mask its member positions and its diagonal (the endpoint masks
-    of a test path that holds exactly there)."""
-    bits = tuple(1 << x for x in range(n_count))
-    masks = range(1 << n_count)
-    members = tuple(tuple(x for x, bit in enumerate(bits) if y & bit)
-                    for y in masks)
-    diagonal = tuple(tuple(bit & y for bit in bits) for y in masks)
-    return bits, masks[-1], members, diagonal
-
-
-@functools.cache
-def _pair_table(classes, eq, n_count):
-    """Entry x << n_count | y: does the comparison hold between endpoint masks
-    x and y, given the class masks (`eq` for =c, otherwise !=c)."""
-    def holds(x, y):
-        if eq:
-            # some class meets both endpoint masks
-            return any(x & cls and y & cls for cls in classes)
-        # both non-empty, and their union fits inside no single class
-        return bool(x and y) and all((x | y) & ~cls for cls in classes)
-    size = 1 << n_count
-    return bytes(holds(x, y) for x in range(size) for y in range(size))
-
-
-# read straight from their slot: a cell would cost as much
-_LEAVES = (Prop, Nominal, Bottom, Atom)
-
-
-def _compiler(n_count, slot, env, cells):
-    """Compile expressions into closures over bit-mask model components.
-
-    `closure_of(e)` gives `(closure, level)`. The closure returns the mask of
-    the nodes where a node expression holds, or a path's tuple of endpoint
-    masks, one per node; it reads each symbol from `env[k]`, where
-    `slot[key] == (k, level)` for the keys ("g", nominal), ("cmp_class", c),
-    ("rels", a) and ("val", p). An expression's level is the highest level
-    of the symbols it reads. A compound subexpression of a lower level than
-    its parent is read from a cell: a new slot of `env`, appended with its
-    closure to `cells[level]`, to be filled once that level is fixed.
-    Each distinct expression is compiled once.
-    """
-    bits, full, members, diagonal = _label_tables(n_count)
-    memo, cell_of = {}, {}
-
-    def closure_of(e):
-        if e not in memo:
-            memo[e] = build(e)
-        return memo[e]
-
-    def level(*es):
-        return max(closure_of(e)[1] for e in es)
-
-    def read(e, t):
-        """The closure through which a reader at level t reads e."""
-        f, s = closure_of(e)
-        if s == t or isinstance(e, _LEAVES):
-            return f
-        if e not in cell_of:
-            cell_of[e] = len(env)
-            env.append(None)
-            cells[s].append((cell_of[e], f))
-        c = cell_of[e]
-        return lambda: env[c]
-
-    def build(e):
-        match e:
-            case Prop(p):
-                k, t = slot["val", p]
-                return (lambda: env[k]), t
-            case Nominal(i):
-                k, t = slot["g", i]
-                return (lambda: env[k]), t
-            case Bottom():
-                return (lambda: 0), 0
-            case Implies(lhs, rhs):
-                t = level(lhs, rhs)
-                f, g = read(lhs, t), read(rhs, t)
-                return (lambda: full & ~f() | g()), t
-            case At(i, body):
-                k, t = slot["g", i][0], level(body)
-                f = read(body, t)
-                return (lambda: full if f() & env[k] else 0), t
-            case Diamond(a, body):
-                k, t = slot["rels", a]
-                t = max(t, level(body))
-                f = read(body, t)
-
-                def preimage():
-                    b, out = f(), 0
-                    for bit, succ in zip(bits, env[k]):
-                        if succ & b:
-                            out |= bit
-                    return out
-                return preimage, t
-            case Compare(alpha, kind, c, beta):
-                k, t = slot["cmp_class", c]
-                t = max(t, level(alpha, beta))
-                f, g = read(alpha, t), read(beta, t)
-                eq = kind is CmpKind.EQ
-
-                def compare():
-                    table, out = _pair_table(env[k], eq, n_count), 0
-                    for bit, x, y in zip(bits, f(), g()):
-                        if table[x << n_count | y]:
-                            out |= bit
-                    return out
-                return compare, t
-            case Atom(a):
-                k, t = slot["rels", a]
-                return (lambda: env[k]), t
-            case Jump(i):
-                k, t = slot["g", i]
-                return (lambda: (env[k],) * n_count), t
-            case Test(body):
-                t = level(body)
-                f = read(body, t)
-                return (lambda: diagonal[f()]), t
-            case Concat(left, right):
-                t = level(left, right)
-                f, g = read(left, t), read(right, t)
-
-                def compose():
-                    succ, out = g(), []
-                    for y in f():
-                        z = 0
-                        for x in members[y]:
-                            z |= succ[x]
-                        out.append(z)
-                    return tuple(out)
-                return compose, t
-        raise TypeError(f"not an expression: {e!r}")
-
-    return closure_of
+    partitions = []
+    for blocks in _partitions(list(positions)):
+        classes = [0] * n_count
+        for block in blocks:
+            for x in block:
+                classes[x] = sum(1 << y for y in block)
+        partitions.append(tuple(classes))
+    return nodes, valuations, tuple(relations), tuple(partitions)
 
 
 def _extend(env, levels, t):
     """Depth-first backtrack over levels[t:]; True once all demands hold.
 
-    Each level assigns one symbol's slot in `env` and checks the demands
-    whose symbols are then all fixed, each at the default node (bit 0).
-    Once they hold it fills the level's cells, which deeper levels read. A
-    deeper level's stale slot is never read: a demand or cell only reads
-    symbols of its own level or shallower ones.
+    Each level assigns one component's slot in `env` and runs its program,
+    which checks the demands whose components are then all fixed, each at
+    the default node (bit 0), and computes the subexpressions deeper levels
+    read. A deeper level's stale slot is never read: a step only reads
+    slots of its own level or shallower ones.
     """
     if t == len(levels):
         return True
-    k, options, demands, cells = levels[t]
+    k, options, program = levels[t]
     for value in options:
         env[k] = value
-        for f, want in demands:
-            if f() & 1 != want:
-                break
-        else:
-            for c, f in cells:
-                env[c] = f()
-            if _extend(env, levels, t + 1):
-                return True
+        if _passes(env, program) and _extend(env, levels, t + 1):
+            return True
     return False
 
 
@@ -680,14 +639,14 @@ def find_countermodel(seq, max_nodes):
     modality and one valuation per proposition. Candidates are bit masks
     (`_size_tables`), listed in the order of the node subsets, pair subsets
     and partitions they stand for, the order of the set-based search they
-    replaced, so the same model comes first. Each refutation demand (an
-    antecedent member true, a consequent member false) is compiled once per
-    size into a closure returning its satisfaction mask (`_compiler`) and
-    checked at the level that fixes the last symbol it reads. A compound
-    subexpression that a shallower level fixes is computed once per
-    assignment of that level, not once per deeper candidate. `prove`
-    verifies every returned model with the model checker proper,
-    `check_sequent_validity`.
+    replaced, so the same model comes first. The refutation demands (each
+    antecedent member true, each consequent member false, at the default
+    node) are compiled once per size into one program per level
+    (`_Compiler`), so each demand is checked at the level that fixes the
+    last component it reads, and a compound subexpression is computed once
+    per assignment of its level, not once per deeper candidate. `prove`
+    verifies every returned model with `check_sequent_validity`, which runs
+    the same steps on the model read back, at a single level.
     """
     if not 1 <= max_nodes <= MAX_COUNTERMODEL_NODES:
         raise ValueError(f"max_nodes must be between 1 and "
@@ -696,49 +655,43 @@ def find_countermodel(seq, max_nodes):
     # level 0 fixes g; level t >= 1 fixes the component symbols[t - 1]
     symbols = ([("cmp_class", c) for c in cmps] + [("rels", a) for a in mods]
                + [("val", p) for p in props])
-    slot = {("g", i): (k, 0) for k, i in enumerate(noms)}
-    slot.update({key: (len(noms) + t - 1, t)
-                 for t, key in enumerate(symbols, start=1)})
+    level_of = {("g", i): 0 for i in noms}
+    level_of.update({key: t for t, key in enumerate(symbols, start=1)})
     # refutation demands: all of ante true, all of cons false
     demands = [(phi, 1) for phi in seq.sorted_ante] + \
               [(phi, 0) for phi in seq.sorted_cons]
 
     for n_count in range(1, max_nodes + 1):
         nodes, valuations, relations, partitions = _size_tables(n_count)
-        env = [None] * len(slot)
-        checks = [[] for _ in range(len(symbols) + 1)]
-        cells = [[] for _ in range(len(symbols) + 1)]
-        closure_of = _compiler(n_count, slot, env, cells)
+        compiler = _Compiler(n_count, level_of)
         for phi, want in demands:
-            f, t = closure_of(phi)
-            checks[t].append((f, want))
+            compiler.demand(phi, 0, want)
+        slot, programs = compiler.slot, compiler.programs
+        env = [None] * compiler.size
         options = {"cmp_class": partitions, "rels": relations,
                    "val": valuations}
-        levels = [(slot[key][0], options[key[0]], checks[t], cells[t])
+        levels = [(slot[key][0], options[key[0]], programs[t])
                   for t, key in enumerate(symbols, start=1)]
         for g in _g_assignments(noms, range(n_count)):
             for i, x in g.items():
                 env[slot["g", i][0]] = 1 << x
-            if all(f() & 1 == want for f, want in checks[0]):
-                for c, f in cells[0]:
-                    env[c] = f()
-                if _extend(env, levels, 0):
-                    return _model_of(nodes, env, slot, g)
+            if _passes(env, programs[0]) and _extend(env, levels, 0):
+                return _model_of(nodes, env, compiler.components, g)
     return None
 
 
-def _model_of(nodes, env, slot, g):
+def _model_of(nodes, env, components, g):
     """The HybridDataModel named by the bit-mask components in `env`."""
     def names(mask):
         return [n for x, n in enumerate(nodes) if mask >> x & 1]
 
     rels, cmps, val = {}, {}, {}
-    for (kind, sym), (k, _) in slot.items():
+    for k, (kind, sym) in components.items():
         if kind == "rels":
             rels[sym] = [(n, m) for n, succ in zip(nodes, env[k])
                          for m in names(succ)]
         elif kind == "cmp_class":
-            cmps[sym] = [names(cls) for cls in env[k]]
+            cmps[sym] = [names(cls) for cls in dict.fromkeys(env[k])]
         elif kind == "val":
             val[sym] = names(env[k])
     return HybridDataModel.make(nodes, rels=rels, cmps=cmps,

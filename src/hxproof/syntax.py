@@ -289,19 +289,28 @@ def size(e):
 
 
 def subexpressions(e) -> Iterator:
-    """Yield e and every subexpression (paths and nodes alike)."""
-    yield e
-    match e:
-        case Implies(lhs, rhs) | Concat(lhs, rhs):
-            yield from subexpressions(lhs)
-            yield from subexpressions(rhs)
-        case At(_, body) | Diamond(_, body) | Test(body):
-            yield from subexpressions(body)
-        case Compare(left, _, _, right):
-            yield from subexpressions(left)
-            yield from subexpressions(right)
-        case _:
-            pass
+    """Yield e and every distinct subexpression (paths and nodes alike)
+    once, in preorder.
+
+    The walk is over the shared DAG, not the tree: `<->` states each side
+    twice, so a chain of nested `<->` is a tree exponential in its length.
+    """
+    seen, stack = {e}, [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        match e:
+            case Implies(lhs, rhs) | Concat(lhs, rhs) | \
+                    Compare(lhs, _, _, rhs):
+                children = (rhs, lhs)
+            case At(_, body) | Diamond(_, body) | Test(body):
+                children = (body,)
+            case _:
+                children = ()
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
 
 
 def _nominals(e):

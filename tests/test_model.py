@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ import hypothesis.strategies as st
 import pairwise
 from genutil import rand_model, rand_node, rand_sequent, SIG
 from hxproof import syntax as sx
+from hxproof.hylo import is_hylo
 from hxproof.kernel import sequent
 from hxproof.model import (
     DataGraph, HybridDataModel, ModelError, UnknownNode,
@@ -17,8 +19,8 @@ from hxproof.model import (
     model_from_json, model_to_json, satisfies_set,
 )
 from hxproof.model import (
-    MAX_COUNTERMODEL_NODES, _compiler, _g_assignments,
-    _partition_from_classes, _partitions, _signature, _size_tables,
+    MAX_COUNTERMODEL_NODES, _Compiler, _g_assignments, _partition_from_classes,
+    _partitions, _passes, _signature, _size_tables,
 )
 from hxproof.syntax import (
     At, Atom, BOT, CmpKind, Compare, Jump, Nominal, Prop, Test, concat,
@@ -180,7 +182,7 @@ def test_eval_node_agrees_with_pairwise_oracle(seed, depth):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**9))
 def test_sequent_validity_agrees_with_pairwise_oracle(seed):
-    # one labelling serves every member of the sequent
+    # one program serves every member of the sequent
     rng = random.Random(seed)
     m = rand_model(rng, max_nodes=6)
     s = rand_sequent(rng, ABSENT_SIG)
@@ -296,7 +298,8 @@ def test_countermodel_refuses_more_than_four_nodes(monkeypatch):
 
 
 def test_size_tables_list_masks_in_subset_order():
-    # the same model comes first as with node/pair subsets and partitions
+    # the same model comes first as with node/pair subsets and partitions;
+    # a partition is listed as the class mask of each node
     for n_count in (1, 2, 3):
         nodes, valuations, relations, partitions = _size_tables(n_count)
         pairs = [(x, y) for x in nodes for y in nodes]
@@ -309,13 +312,17 @@ def test_size_tables_list_masks_in_subset_order():
             sum(1 << nodes.index(x) for x in s) for r in range(n_count + 1)
             for s in itertools.combinations(nodes, r))
         assert partitions == tuple(
-            tuple(sum(1 << nodes.index(x) for x in block) for block in blocks)
+            tuple(sum(1 << nodes.index(y) for y in block)
+                  for x in nodes for block in blocks if x in block)
             for blocks in _partitions(list(nodes)))
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.integers(0, 10**9), st.integers(0, 3))
-def test_compiled_mask_agrees_with_eval_node(seed, depth):
+def test_program_at_random_levels_agrees_with_pairwise_oracle(seed, depth):
+    # the countermodel search's programs, with the components at random
+    # levels so that steps read slots that shallower levels filled, decide
+    # a demand at a random node as the oracle does
     rng = random.Random(seed)
     m = rand_model(rng, max_nodes=3)
     phi = rand_node(rng, ABSENT_SIG, depth)
@@ -330,26 +337,21 @@ def test_compiled_mask_agrees_with_eval_node(seed, depth):
         value["rels", a] = tuple(mask(lambda y: pairwise.related(m, a, x, y))
                                  for x in nodes)
     for c in ABSENT_SIG["cmps"]:
-        value["cmp_class", c] = tuple(sorted(
-            {mask(lambda y: m.same_class(c, x, y)) for x in nodes}))
+        value["cmp_class", c] = tuple(mask(lambda y: m.same_class(c, x, y))
+                                      for x in nodes)
     for p in ABSENT_SIG["props"]:
         value["val", p] = mask(lambda n: pairwise.holds(m, p, n))
-    # random levels, so that subexpressions are read through cells
-    symbols = [key for key in value if key[0] != "g"]
-    rng.shuffle(symbols)
-    slot = {key: (k, 0) for k, key in enumerate(value) if key[0] == "g"}
-    slot.update({key: (len(slot) + t, t + 1) for t, key in enumerate(symbols)})
-    env = [None] * len(slot)
-    for key, (k, _) in slot.items():
+    keys = list(value)
+    rng.shuffle(keys)
+    compiler = _Compiler(len(nodes), {key: rng.randrange(len(keys) + 1)
+                                      for key in keys})
+    x, want = rng.randrange(len(nodes)), rng.randrange(2)
+    compiler.demand(phi, x, want)
+    env = [None] * compiler.size
+    for k, key in compiler.components.items():
         env[k] = value[key]
-    cells = [[] for _ in range(len(symbols) + 1)]
-    f, _ = _compiler(len(nodes), slot, env, cells)(phi)
-    for level in cells:
-        for c, cell in level:
-            env[c] = cell()
-    got = f()
-    for x, n in enumerate(nodes):
-        assert bool(got >> x & 1) == pairwise.eval_node(m, n, phi)
+    holds = all(_passes(env, program) for program in compiler.programs)
+    assert holds == (pairwise.eval_node(m, nodes[x], phi) == want)
 
 
 def test_countermodel_two_nodes():
@@ -466,6 +468,43 @@ def test_countermodel_agrees_with_naive_oracle(seed, max_nodes):
         assert check_sequent_validity(m, s) is False
         # sizes ascend and each is searched exhaustively
         assert len(m.nodes) == len(oracle.nodes)
+
+
+def test_nested_iff_chain_is_walked_as_a_dag():
+    # `<->` states each side twice, so @i (p <-> (p <-> ... )) with 20 p's
+    # is a tree of about 2^20 nodes over a DAG of about 100; each call walks
+    # or compiles the DAG once (the tree walk took 22.9 s in is_hylo alone)
+    chain = "@i " + "(p <-> " * 19 + "p" + ")" * 19
+    phi = parse_node(chain, sx.SymbolTable())
+    s = sequent((), {phi})
+    m = HybridDataModel.make(["x", "y"], val={"p": ["x"]}, g={"i": "y"})
+    for call in (lambda: is_hylo(s), lambda: eval_node(m, "x", phi),
+                 lambda: check_sequent_validity(m, s),
+                 lambda: find_countermodel(s, 1),
+                 lambda: find_countermodel(s, 3)):
+        start = time.perf_counter()
+        call()
+        assert time.perf_counter() - start < 1.0
+
+
+class _Unreadable:
+    """A model component whose read raises."""
+
+    def __iter__(self):
+        raise AssertionError("an unmentioned component was read")
+
+    def __getitem__(self, key):
+        raise AssertionError("an unmentioned component was read")
+
+
+def test_a_query_reads_only_the_components_it_mentions(example1, queries):
+    m = model_from_json(model_to_json(example1))
+    m.rels["unread"] = m.val["unread"] = m.cmp_class["unread"] = _Unreadable()
+    for q in queries.values():
+        assert all(eval_node(m, n, q) for n in sorted(m.nodes))
+    s = sequent({At("i1", queries["q1"])}, {At("i2", queries["q3"])})
+    assert check_sequent_validity(m, s)
+    assert satisfies_set(m, "n1", set(queries.values()))
 
 
 def test_countermodel_none_when_antecedent_cannot_hold():

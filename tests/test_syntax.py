@@ -138,6 +138,21 @@ def test_expansion_contains_primitives_only(e):
                                 Compare, Atom, Jump, Test, Concat))
 
 
+def _tree(e):
+    """Every subexpression occurrence, one per node of the tree."""
+    yield e
+    for child in (getattr(e, f) for f in e.__match_args__):
+        if isinstance(child, sx.Expr):
+            yield from _tree(child)
+
+
+@given(node_exprs)
+def test_subexpressions_yields_each_distinct_one_once(e):
+    subs = list(sx.subexpressions(e))
+    assert subs[0] is e
+    assert len(subs) == len(set(subs)) and set(subs) == set(_tree(e))
+
+
 # ---------------------------------------------------------------------------
 # size
 # ---------------------------------------------------------------------------
