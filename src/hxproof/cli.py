@@ -18,7 +18,7 @@ from .hylo import is_hylo, prove_hylo
 from .kernel import KernelError, check_derivation, sequent
 from .model import (MAX_COUNTERMODEL_NODES, DataGraph, ModelError,
                     check_sequent_validity, eval_node, ingest_datagraph,
-                    model_from_json, model_to_json)
+                    model_from_json, model_to_json, satisfying_nodes)
 from .search import Proved, Refuted, SearchConfig, Unknown, prove
 
 EXIT_OK, EXIT_FAIL, EXIT_UNKNOWN, EXIT_USAGE = 0, 1, 2, 3
@@ -64,9 +64,14 @@ def cmd_parse(args):
 def cmd_eval(args):
     model = _load_model(args)
     expr = sx.parse_node(args.expr)
-    at = args.at if args.at is not None else model.default_node
-    value = eval_node(model, at, expr)
-    _emit(args, {"value": value, "at": at}, str(value).lower())
+    if args.all:
+        nodes = sorted(satisfying_nodes(model, expr))
+        _emit(args, {"nodes": nodes}, " ".join(nodes))
+        value = bool(nodes)
+    else:
+        at = args.at if args.at is not None else model.default_node
+        value = eval_node(model, at, expr)
+        _emit(args, {"value": value, "at": at}, str(value).lower())
     defaulted = sx.nominals_of(expr) - model.g.keys()
     if defaulted:
         print(f"note: defaulted nominals {sorted(defaulted)}", file=sys.stderr)
@@ -105,7 +110,8 @@ def cmd_prove(args):
                   f"refuted by a {len(m.nodes)}-node model")
             return EXIT_FAIL
         case Unknown(report=rep):
-            _emit(args, {"status": "unknown", "report": rep}, "unknown")
+            _emit(args, {"status": "unknown", "report": rep},
+                  f"unknown ({rep['bound']})")
             return EXIT_UNKNOWN
     raise CliError("unreachable")
 
@@ -204,7 +210,11 @@ def build_parser():
     p.add_argument("expr")
     p.add_argument("--model", help="model JSON file")
     p.add_argument("--graph", help="data-graph JSON file (ingested)")
-    p.add_argument("--at", help="node of evaluation (default: first node)")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--at", help="node of evaluation (default: first node)")
+    where.add_argument("--all", action="store_true",
+                       help="list every node where the expression holds "
+                            "(exit 1 if none)")
     add_emit(p)
     p.set_defaults(fn=cmd_eval)
 

@@ -7,15 +7,26 @@ assignment, and a valuation. Includes data-graph ingestion (attribute values
 abstracted into comparison classes) and bounded countermodel search.
 
 One evaluator states the semantics: `_Compiler` turns demands ("phi holds"
-or "phi fails" at one node) into one straight-line program of bit-mask steps
-per level of the countermodel search, one step per distinct subexpression.
-The model checker (`eval_node`, `satisfies_set`, `check_sequent_validity`)
-runs the single-level case, as in global model checking: each distinct
-subexpression is computed once over the whole model, `<a>` as a pre-image
-and a path step as a union of successor masks, and a model component is
-read into masks the first time a step asks for its symbol, so a query reads
-only what it mentions. That takes O(|phi| * (nodes + edges)) mask operations
-apart from comparisons, which loop over class masks at each node.
+or "phi fails" at the node held in a point slot) into one straight-line
+program of bit-mask steps per level of the countermodel search, one step
+per distinct subexpression. The model checker (`eval_node`, `satisfies_set`,
+`check_sequent_validity`, `satisfying_nodes`) runs the single-level case.
+Its program is compiled once per query and node count and kept in a small
+LRU cache (`_compiled`), so a call only sets the point and runs the steps.
+
+A formula asked about at one node is evaluated at the point: `@i` moves the
+point to i's node, `->` passes it down, and a comparison reads its two
+paths' endpoint masks at that one start, which a path fills per start on
+demand, so it costs only the endpoints reachable from the node. Any other
+subexpression is computed once over the whole model, `<a>` as a pre-image,
+in O(nodes + edges) mask operations. `satisfying_nodes` is global model
+checking: the formula over the whole model, with no point.
+
+A model component is read into masks the first time a step asks for its
+symbol, so a query reads only what it mentions. The node order, a
+relation's successor masks, a proposition's mask and a comparison's class
+masks are memoized in small LRU caches keyed on the component's immutable
+value and the node set, never on the model (see `HybridDataModel`).
 """
 
 from __future__ import annotations
@@ -65,7 +76,12 @@ class HybridDataModel:
     caller from doing so (the tests' brute-force countermodel search assigns
     `g`, `cmp_class`, `rels` and `val` of one model in turn), so no derived
     data is cached on the model: each model-checking call reads the fields
-    afresh.
+    afresh. What the checker derives from a field is memoized off the model,
+    keyed on the field's immutable value (the node set, a relation's pair
+    set, a proposition's node set), so a reassigned field only misses the
+    memo; `__post_init__` makes those values frozensets. A comparison
+    symbol's dict is mutable, so each call keys its memo on a frozenset of
+    the dict's items, taken afresh.
     """
 
     nodes: frozenset
@@ -76,6 +92,10 @@ class HybridDataModel:
     default_node: str = field(default=None)
 
     def __post_init__(self):
+        self.nodes = frozenset(self.nodes)
+        self.rels = {a: frozenset(map(tuple, pairs))
+                     for a, pairs in self.rels.items()}
+        self.val = {p: frozenset(ns) for p, ns in self.val.items()}
         if not self.nodes:
             raise ModelError("node set must be non-empty")
         if self.default_node is None:
@@ -98,13 +118,9 @@ class HybridDataModel:
         nodes = frozenset(nodes)
         cmp_class = {c: _partition_from_classes(nodes, blocks)
                      for c, blocks in (cmps or {}).items()}
-        return HybridDataModel(
-            nodes=nodes,
-            rels={a: frozenset(tuple(p) for p in pairs)
-                  for a, pairs in (rels or {}).items()},
-            cmp_class=cmp_class,
-            g=dict(g or {}),
-            val={p: frozenset(ns) for p, ns in (val or {}).items()})
+        return HybridDataModel(nodes=nodes, rels=dict(rels or {}),
+                               cmp_class=cmp_class, g=dict(g or {}),
+                               val=dict(val or {}))
 
     # -- component access -------------------------------------------------
 
@@ -125,20 +141,25 @@ class HybridDataModel:
 # ---------------------------------------------------------------------------
 #
 # Bit x of a mask stands for the node at position x. A node expression's
-# value is the mask of the nodes where it holds, and a path's is a tuple of
-# endpoint masks, one per start node. A model component is read into the
-# same shapes: a nominal ("g") is one bit, a proposition ("val") a mask, a
-# modality ("rels") a tuple of successor masks, and a comparison symbol
-# ("cmp_class") a tuple of class masks, the class of each node.
+# value is the mask of the nodes where it holds, and a path's value gives
+# the endpoint mask of each start position x as `value[x]` (`_Test`,
+# `_Jump`, `_Concat`, or a modality's successor tuple). A model component is
+# read into the same shapes: a nominal ("g") is one bit, a proposition
+# ("val") a mask, a modality ("rels") a tuple of successor masks, and a
+# comparison symbol ("cmp_class") a tuple of class masks, the class of each
+# node. Slot POINT holds the one-bit mask of the node a demand is checked at.
+
+POINT = 0
+
 
 class _Compiler:
     """Compiles demands into one straight-line program per level.
 
-    A demand is "phi holds" or "phi fails" at one node. A level is one depth
-    of the countermodel search, which fixes one model component there;
-    `level_of` maps a component key (kind, symbol) to its level, and model
-    checking, which leaves it empty, runs a single level. An expression's
-    level is the highest level of the components it reads.
+    A demand is "phi holds" or "phi fails" at the node in slot POINT. A
+    level is one depth of the countermodel search, which fixes one model
+    component there; `level_of` maps a component key (kind, symbol) to its
+    level, and model checking, which leaves it empty, runs a single level.
+    An expression's level is the highest level of the components it reads.
 
     A component's slot of `env` is shared by its leaf expression (`Prop`,
     `Nominal`, `Atom`). Each distinct compound subexpression gets one slot
@@ -148,24 +169,41 @@ class _Compiler:
     and a level stops at its first failed check. The steps capture slot
     numbers and masks only, never the compiler, so a program holds no
     reference cycle.
+
+    A formula asked about at one node is compiled at a point, a slot holding
+    that node's one-bit mask (`at_point`): `@i` moves the point to i's node,
+    `->` passes it down, and a comparison reads its paths' endpoints at that
+    one start only. Whatever else is compiled over the whole model.
     """
 
     def __init__(self, n_count, level_of=None):
-        self.bits = tuple(1 << x for x in range(n_count))
+        self.n_count = n_count
         self.full = (1 << n_count) - 1
         self.level_of = level_of or {}
-        self.slot = {}           # component key or expression -> (k, level)
+        # component key, expression or (point, expression) -> (k, level)
+        self.slot = {}
         self.components = {}     # component slot k -> component key
-        self.size = 0            # slots in use
+        self.size = POINT + 1    # slots in use
         self.programs = [[] for _ in range(
             max(self.level_of.values(), default=0) + 1)]
 
-    def demand(self, phi, x, want):
-        """Check at phi's level that phi's bit x is `want` (1 or 0)."""
+    def demand(self, phi, want):
+        """Check at phi's level that phi holds at the point (want True) or
+        fails there (want False)."""
         if not isinstance(phi, NodeExpr):
             raise TypeError(f"not a node expression: {phi!r}")
-        k, t = self.compile(phi)
-        self.programs[t].append(lambda env: (env[k] >> x & 1) == want)
+        point = POINT, 0
+        while isinstance(phi, At):
+            point, phi = self.component("g", phi.nom), phi.body
+        (k, t), (p, s) = self.at_point(phi, point), point
+        self.programs[max(s, t)].append(
+            lambda env: bool(env[k] & env[p]) == want)
+
+    def whole(self, phi):
+        """phi's slot, computed over the whole model."""
+        if not isinstance(phi, NodeExpr):
+            raise TypeError(f"not a node expression: {phi!r}")
+        return self.compile(phi)[0]
 
     def component(self, kind, sym):
         key = (kind, sym)
@@ -183,10 +221,23 @@ class _Compiler:
             out = self.slot[e] = self._build(e)
         return out
 
-    def _build(self, e):
+    def at_point(self, e, point):
+        """The slot and level of a mask whose bit at the node of `point` (a
+        slot and its level) is e's value there; its other bits are e's value
+        elsewhere or zero."""
+        match e:
+            case Implies() | Compare():
+                key = (point, e)
+                out = self.slot.get(key)
+                if out is None:
+                    out = self.slot[key] = self._build(e, point)
+                return out
+        return self.compile(e)
+
+    def _build(self, e, point=None):
         # every step below writes env[out]; `out` is bound after the match,
         # before any step runs
-        bits, full = self.bits, self.full
+        n_count, full = self.n_count, self.full
         match e:
             case Prop(p):
                 return self.component("val", p)
@@ -200,13 +251,19 @@ class _Compiler:
                 def step(env):
                     env[out] = 0
             case Implies(lhs, rhs):
-                (f, s), (g, t) = self.compile(lhs), self.compile(rhs)
+                if point is None:
+                    (f, s), (g, t) = self.compile(lhs), self.compile(rhs)
+                else:
+                    (f, s), (g, t) = (self.at_point(lhs, point),
+                                      self.at_point(rhs, point))
                 level = max(s, t)
 
                 def step(env):
                     env[out] = full & ~env[f] | env[g]
             case At(i, body):
-                (k, s), (f, t) = self.component("g", i), self.compile(body)
+                # only the body's bit at i's node is read
+                (k, s) = point = self.component("g", i)
+                f, t = self.at_point(body, point)
                 level = max(s, t)
 
                 def step(env):
@@ -218,50 +275,49 @@ class _Compiler:
                 def step(env):
                     # the pre-image of the body's mask
                     target, mask = env[f], 0
-                    for bit, succ in zip(bits, env[k]):
+                    for x, succ in enumerate(env[k]):
                         if succ & target:
-                            mask |= bit
+                            mask |= 1 << x
                     env[out] = mask
             case Compare(alpha, kind, c, beta):
                 (k, s), (f, t), (g, u) = (self.component("cmp_class", c),
                                           self.compile(alpha),
                                           self.compile(beta))
-                level, eq = max(s, t, u), kind is CmpKind.EQ
+                level = max(s, t, u)
+                holds = _meet if kind is CmpKind.EQ else _split
+                if point is None:
+                    def step(env):
+                        classes, mask = env[k], 0
+                        ends_a, ends_b = env[f], env[g]
+                        for x in range(n_count):
+                            if holds(ends_a[x], ends_b[x], classes):
+                                mask |= 1 << x
+                        env[out] = mask
+                else:
+                    p, r = point
+                    level = max(level, r)
 
-                def step(env):
-                    classes, mask = env[k], 0
-                    for bit, x, y in zip(bits, env[f], env[g]):
-                        if x and y and (_meet(x, y, classes) if eq
-                                        else _split(x | y, classes)):
-                            mask |= bit
-                    env[out] = mask
+                    def step(env):
+                        here = env[p]
+                        x = here.bit_length() - 1
+                        env[out] = here if holds(env[f][x], env[g][x],
+                                                 env[k]) else 0
             case Jump(i):
                 k, level = self.component("g", i)
 
                 def step(env):
-                    env[out] = (env[k],) * len(bits)
+                    env[out] = _Jump(env[k])
             case Test(body):
                 f, level = self.compile(body)
 
                 def step(env):
-                    here = env[f]
-                    env[out] = tuple(bit & here for bit in bits)
+                    env[out] = _Test(env[f])
             case Concat(left, right):
                 (f, s), (g, t) = self.compile(left), self.compile(right)
                 level = max(s, t)
 
                 def step(env):
-                    # each start node's endpoints: the union of the right
-                    # path's endpoint masks over the left path's endpoints
-                    ends, masks = env[g], []
-                    for y in env[f]:
-                        z = 0
-                        while y:
-                            low = y & -y
-                            z |= ends[low.bit_length() - 1]
-                            y ^= low
-                        masks.append(z)
-                    env[out] = tuple(masks)
+                    env[out] = _Concat(env[f], env[g])
             case _:
                 raise TypeError(f"not an expression: {e!r}")
         out = self.size
@@ -271,8 +327,11 @@ class _Compiler:
 
 
 def _meet(x, y, classes):
-    """Does some class meet both masks? `classes[t]` is the class mask of
-    the node at position t; each class meeting x is visited once."""
+    """Do the endpoint masks x and y meet a common class? `classes[t]` is
+    the class mask of the node at position t; each class meeting x is
+    visited once."""
+    if not y:
+        return False
     while x:
         cls = classes[(x & -x).bit_length() - 1]
         if cls & y:
@@ -281,9 +340,57 @@ def _meet(x, y, classes):
     return False
 
 
-def _split(u, classes):
-    """Does the non-empty mask u meet two classes?"""
+def _split(x, y, classes):
+    """Are the endpoint masks x and y both non-empty, with their union
+    meeting two classes?"""
+    if not (x and y):
+        return False
+    u = x | y
     return bool(u & ~classes[(u & -u).bit_length() - 1])
+
+
+class _Jump:
+    """A jump's endpoints: the nominal's node, from every start."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask):
+        self.mask = mask
+
+    def __getitem__(self, x):
+        return self.mask
+
+
+class _Test:
+    """A test's endpoints: the start itself where the body's mask holds."""
+
+    __slots__ = ("here",)
+
+    def __init__(self, here):
+        self.here = here
+
+    def __getitem__(self, x):
+        return self.here & 1 << x
+
+
+class _Concat(dict):
+    """A concatenation's endpoints, a start's filled the first time a step
+    reads it: the union of the right path's endpoint masks over the left
+    path's endpoints."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right
+
+    def __missing__(self, x):
+        y, right, z = self.left[x], self.right, 0
+        while y:
+            low = y & -y
+            z |= right[low.bit_length() - 1]
+            y ^= low
+        self[x] = z
+        return z
 
 
 def _passes(env, program):
@@ -292,6 +399,41 @@ def _passes(env, program):
         if step(env) is False:
             return False
     return True
+
+
+# A model component read into masks depends only on the component's value
+# and the node set, so the reads are memoized on those values, taken as
+# frozensets; a model whose field is reassigned or changed only misses.
+
+@functools.lru_cache(maxsize=16)
+def _node_order(nodes):
+    """The nodes in sorted order, and each node's position."""
+    order = tuple(sorted(nodes))
+    return order, {n: x for x, n in enumerate(order)}
+
+
+@functools.lru_cache(maxsize=16)
+def _successor_masks(pairs, nodes):
+    pos = _node_order(nodes)[1]
+    succ = [0] * len(pos)
+    for n, m in pairs:
+        succ[pos[n]] |= 1 << pos[m]
+    return tuple(succ)
+
+
+@functools.lru_cache(maxsize=16)
+def _node_mask(members, nodes):
+    pos = _node_order(nodes)[1]
+    return sum(1 << pos[n] for n in members)
+
+
+@functools.lru_cache(maxsize=16)
+def _class_masks(classes, nodes):
+    order, pos = _node_order(nodes)
+    class_of, block = dict(classes), {}
+    for n, c in classes:
+        block[c] = block.get(c, 0) | 1 << pos[n]
+    return tuple(block[class_of[n]] for n in order)
 
 
 class _ModelSlots(dict):
@@ -305,8 +447,8 @@ class _ModelSlots(dict):
     def __init__(self, model, components):
         super().__init__()
         self.model, self.components = model, components
-        self.nodes = sorted(model.nodes)
-        self.pos = {n: x for x, n in enumerate(self.nodes)}
+        self.node_set = frozenset(model.nodes)
+        self.nodes, self.pos = _node_order(self.node_set)
 
     def __missing__(self, k):
         kind, sym = self.components[k]
@@ -314,49 +456,73 @@ class _ModelSlots(dict):
         if kind == "g":
             value = 1 << pos[model.node_of(sym)]
         elif kind == "val":
-            value = sum(1 << pos[n] for n in model.val.get(sym, ()))
+            value = _node_mask(frozenset(model.val.get(sym, ())),
+                               self.node_set)
         elif kind == "rels":
-            succ = [0] * len(pos)
-            for n, m in model.rels.get(sym, ()):
-                succ[pos[n]] |= 1 << pos[m]
-            value = tuple(succ)
+            value = _successor_masks(frozenset(model.rels.get(sym, ())),
+                                     self.node_set)
         else:
             class_of = model.cmp_class.get(sym)
             if class_of is None:
-                value = tuple(1 << x for x in range(len(pos)))
+                # each node alone in its class: the endpoints of `true?`
+                value = _Test(~0)
             else:
-                ids, block = [class_of[n] for n in self.nodes], {}
-                for x, c in enumerate(ids):
-                    block[c] = block.get(c, 0) | 1 << x
-                value = tuple(map(block.__getitem__, ids))
+                value = _class_masks(frozenset(class_of.items()),
+                                     self.node_set)
         self[k] = value
         return value
 
 
-def _demands_hold(model, n, demands):
-    """Do all `demands` ((phi, want) pairs) hold at node n of the model?
-    The single-level case of the compiler: every component is at level 0."""
-    compiler = _Compiler(len(model.nodes))
-    env = _ModelSlots(model, compiler.components)
-    if n not in env.pos:
-        raise UnknownNode(f"unknown node {n!r}")
-    for phi, want in demands:
-        compiler.demand(phi, env.pos[n], want)
-    return _passes(env, compiler.programs[0])
+@functools.lru_cache(maxsize=16)
+def _compiled(query, n_count):
+    """The single-level program of a query on models of n_count nodes, its
+    component slots, and the slot of the query's value: the query is a tuple
+    of (phi, want) demands checked at the point, or one node expression
+    computed over the whole model. Only these are kept, not the compiler."""
+    compiler, out = _Compiler(n_count), None
+    if isinstance(query, tuple):
+        for phi, want in query:
+            compiler.demand(phi, want)
+    else:
+        out = compiler.whole(query)
+    return compiler.programs[0], compiler.components, out
+
+
+def _run(model, query, n=None):
+    """Run a query's program on the model with the point at node n; returns
+    the filled slots, whether every check passed, and the value's slot."""
+    program, components, out = _compiled(query, len(model.nodes))
+    env = _ModelSlots(model, components)
+    if n is not None:
+        x = env.pos.get(n)
+        if x is None:
+            raise UnknownNode(f"unknown node {n!r}")
+        env[POINT] = 1 << x
+    return env, _passes(env, program), out
 
 
 def eval_node(model, n, phi):
     """M, n |= phi for a node expression in primitive form; UnknownNode for
     a node outside the model, TypeError if phi is not a node expression.
-    The cost is O(|phi| * (nodes + edges)) mask operations apart from
-    comparisons (see the module docstring).
+    Compiled once per query and node count; a call runs the program with
+    the point at n (see the module docstring).
     """
-    return _demands_hold(model, n, [(phi, 1)])
+    return _run(model, ((phi, True),), n)[1]
+
+
+def satisfying_nodes(model, phi):
+    """The frozenset of nodes where phi holds (global model checking); the
+    same program cache as `eval_node`, without a point."""
+    env, _, out = _run(model, phi)
+    mask = env[out]
+    # bin() lists the bits highest first; reversed, index x is bit x
+    return frozenset(n for n, bit in zip(env.nodes, bin(mask)[:1:-1])
+                     if bit == "1")
 
 
 def satisfies_set(model, n, exprs):
     """Does every member of `exprs` hold at n? One program serves all."""
-    return _demands_hold(model, n, [(phi, 1) for phi in exprs])
+    return _run(model, tuple((phi, True) for phi in exprs), n)[1]
 
 
 def check_sequent_validity(model, seq):
@@ -367,8 +533,9 @@ def check_sequent_validity(model, seq):
     sequent iff the demands "antecedent true" and "consequent false" all
     hold at the default node. One program serves every member.
     """
-    demands = [(phi, 1) for phi in seq.ante] + [(phi, 0) for phi in seq.cons]
-    return not _demands_hold(model, model.default_node, demands)
+    demands = tuple((phi, True) for phi in seq.sorted_ante) + \
+        tuple((phi, False) for phi in seq.sorted_cons)
+    return not _run(model, demands, model.default_node)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +725,19 @@ def _g_assignments(noms, nodes):
     enumerated over all nodes symmetrically and sequent members are
     node-independent, so refutability is isomorphism-invariant.
     """
-    def rec(t, used):
-        if t == len(noms):
-            yield ()
-            return
-        for idx in range(min(used + 1, len(nodes))):
-            for rest in rec(t + 1, max(used, idx + 1)):
-                yield (nodes[idx],) + rest
-    for assign in rec(0, 0):
+    for assign in _placements(len(noms), nodes, 0):
         yield dict(zip(noms, assign))
+
+
+def _placements(count, nodes, used):
+    """Tuples of `count` nodes, each one of the first `used` nodes or the
+    next one after them."""
+    if count == 0:
+        yield ()
+        return
+    for idx in range(min(used + 1, len(nodes))):
+        for rest in _placements(count - 1, nodes, max(used, idx + 1)):
+            yield (nodes[idx],) + rest
 
 
 # Candidate models are bit masks over node positions 0..n-1 (position t is
@@ -658,16 +829,17 @@ def find_countermodel(seq, max_nodes):
     level_of = {("g", i): 0 for i in noms}
     level_of.update({key: t for t, key in enumerate(symbols, start=1)})
     # refutation demands: all of ante true, all of cons false
-    demands = [(phi, 1) for phi in seq.sorted_ante] + \
-              [(phi, 0) for phi in seq.sorted_cons]
+    demands = [(phi, True) for phi in seq.sorted_ante] + \
+              [(phi, False) for phi in seq.sorted_cons]
 
     for n_count in range(1, max_nodes + 1):
         nodes, valuations, relations, partitions = _size_tables(n_count)
         compiler = _Compiler(n_count, level_of)
         for phi, want in demands:
-            compiler.demand(phi, 0, want)
+            compiler.demand(phi, want)
         slot, programs = compiler.slot, compiler.programs
         env = [None] * compiler.size
+        env[POINT] = 1      # the default node
         options = {"cmp_class": partitions, "rels": relations,
                    "val": valuations}
         levels = [(slot[key][0], options[key[0]], programs[t])

@@ -203,6 +203,21 @@ def test_eval_from_graph(capsys):
     assert code == 0 and out.strip() == "true"
 
 
+def test_eval_all_lists_every_node_where_it_holds(capsys):
+    graph = str(GOLDEN / "example1-graph.json")
+    code, out, _ = run(capsys, "eval", "--graph", graph, "--all",
+                       "<i1: born (Date?) =val i1: friends born (Date?)>")
+    assert code == 0 and out == "n1 n2 n3 n4 n5 n6\n"
+    code, out, _ = run(capsys, "eval", "--graph", graph, "--all",
+                       "--emit", "json", "Date")
+    assert code == 0 and json.loads(out) == {"nodes": ["n4", "n5", "n6"]}
+    code, out, _ = run(capsys, "eval", "--graph", graph, "--all", "false")
+    assert code == 1 and out == "\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--graph", graph, "--all", "--at", "n1", "Date"])
+    assert exc.value.code == 3
+
+
 def test_entail(capsys):
     code, _, _ = run(capsys, "entail", "--model",
                      str(GOLDEN / "example1-model.json"),
@@ -217,6 +232,15 @@ def test_prove_exit_codes(capsys):
     assert run(capsys, "prove", "|- @i (p -> p)")[0] == 0
     assert run(capsys, "prove", "|- @i p")[0] == 1
     assert run(capsys, "prove", "--countermodel-nodes", "0", "|- @i p")[0] == 2
+
+
+def test_prove_unknown_names_the_bound_that_stopped_it(capsys):
+    code, out, _ = run(capsys, "prove", "--countermodel-nodes", "0",
+                       "|- @i p")
+    assert code == 2 and out == "unknown (saturated)\n"
+    code, out, _ = run(capsys, "prove", "--max-depth", "1",
+                       "|- @i (p -> (q -> p))")
+    assert code == 2 and out == "unknown (depth)\n"
 
 
 def test_a_proof_too_large_to_write_exits_3_with_one_line(capsys):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import pathlib
@@ -16,11 +17,12 @@ from hxproof.kernel import sequent
 from hxproof.model import (
     DataGraph, HybridDataModel, ModelError, UnknownNode,
     check_sequent_validity, eval_node, find_countermodel, ingest_datagraph,
-    model_from_json, model_to_json, satisfies_set,
+    model_from_json, model_to_json, satisfies_set, satisfying_nodes,
 )
 from hxproof.model import (
-    MAX_COUNTERMODEL_NODES, _Compiler, _g_assignments, _partition_from_classes,
-    _partitions, _passes, _signature, _size_tables,
+    MAX_COUNTERMODEL_NODES, POINT, _Compiler, _Concat, _g_assignments,
+    _partition_from_classes, _partitions, _passes, _run, _signature,
+    _size_tables,
 )
 from hxproof.syntax import (
     At, Atom, BOT, CmpKind, Compare, Jump, Nominal, Prop, Test, concat,
@@ -172,11 +174,14 @@ ABSENT_SIG = {"props": ("p", "q", "r"), "noms": ("i", "j", "k", "u"),
 @settings(max_examples=500, deadline=None)
 @given(st.integers(0, 10**9), st.integers(0, 3))
 def test_eval_node_agrees_with_pairwise_oracle(seed, depth):
+    # at every node, and as the set of all nodes where phi holds
     rng = random.Random(seed)
     m = rand_model(rng, max_nodes=6)
     phi = rand_node(rng, ABSENT_SIG, depth)
+    holds = {n for n in m.nodes if pairwise.eval_node(m, n, phi)}
     for n in m.nodes:
-        assert eval_node(m, n, phi) == pairwise.eval_node(m, n, phi), (n, phi)
+        assert eval_node(m, n, phi) == (n in holds), (n, phi)
+    assert satisfying_nodes(m, phi) == holds, phi
 
 
 @settings(max_examples=300, deadline=None)
@@ -196,8 +201,79 @@ def test_sequent_validity_agrees_with_pairwise_oracle(seed):
 def test_eval_node_refuses_a_path_and_an_unknown_node(example1):
     with pytest.raises(TypeError):
         eval_node(example1, "n1", Atom("friends"))
+    with pytest.raises(TypeError):
+        satisfying_nodes(example1, Atom("friends"))
     with pytest.raises(UnknownNode):
         eval_node(example1, "zzz", Prop("Person"))
+
+
+def test_one_query_on_models_of_one_size():
+    # programs are cached per query and node count, so models of one size
+    # share them; each call still reads its own model's components
+    rng = random.Random(5)
+    models = []
+    while len(models) < 4:
+        m = rand_model(rng, max_nodes=4)
+        if len(m.nodes) == 4:
+            models.append(m)
+    phis = [rand_node(rng, ABSENT_SIG, 3) for _ in range(30)]
+    for phi in phis:
+        for m in models:
+            holds = {n for n in m.nodes if pairwise.eval_node(m, n, phi)}
+            assert {n for n in m.nodes if eval_node(m, n, phi)} == holds
+            assert satisfying_nodes(m, phi) == holds
+
+
+def test_a_reassigned_model_field_is_read_afresh():
+    # what the checker derives from a field is keyed on the field's value,
+    # never on the model
+    m = HybridDataModel.make(["x", "y"], rels={"a": [("x", "y")]},
+                             cmps={"c": [["x", "y"]]}, g={"i": "y"},
+                             val={"p": ["y"]})
+    table = sx.SymbolTable()
+    phis = [parse_node(text, table)
+            for text in ("<a>p", "<a =c eps>", "i", "@i p")]
+
+    def answers():
+        got = [[eval_node(m, n, phi) for n in ("x", "y")] for phi in phis]
+        assert got == [[pairwise.eval_node(m, n, phi) for n in ("x", "y")]
+                       for phi in phis]
+        return got
+
+    assert answers() == [[True, False], [True, False], [False, True],
+                         [True, True]]
+    m.val = {"p": frozenset()}
+    assert answers() == [[False, False], [True, False], [False, True],
+                         [False, False]]
+    m.val = {"p": {"y"}}                 # a plain set reads as well
+    m.rels = {"a": {("y", "y")}}
+    assert answers() == [[False, True], [False, True], [False, True],
+                         [True, True]]
+    m.cmp_class = {"c": {"x": 0, "y": 1}}
+    m.rels = {"a": frozenset({("x", "y")})}
+    m.g = {"i": "x"}
+    assert answers() == [[True, False], [False, False], [True, False],
+                         [False, False]]
+
+
+def test_point_evaluation_fills_only_the_starts_reachable_from_the_node():
+    # a path's endpoint masks are filled per start, on demand: at n00 of a
+    # 40-node chain, `a a a` is read at the starts the node reaches in at
+    # most two steps, over the whole model at every start
+    nodes = [f"n{t:02d}" for t in range(40)]
+    m = HybridDataModel.make(nodes, rels={"a": list(zip(nodes, nodes[1:]))})
+    phi = parse_node("<a a a =c eps>", sx.SymbolTable())
+
+    def filled(env):
+        return set().union(*(v.keys() for v in env.values()
+                             if isinstance(v, _Concat)))
+
+    env, holds, _ = _run(m, ((phi, True),), "n00")
+    assert not holds and not pairwise.eval_node(m, "n00", phi)
+    starts = filled(env)
+    assert 0 in starts and starts <= {0, 1, 2}
+    env, _, _ = _run(m, phi)
+    assert filled(env) == set(range(40))
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +421,27 @@ def test_program_at_random_levels_agrees_with_pairwise_oracle(seed, depth):
     rng.shuffle(keys)
     compiler = _Compiler(len(nodes), {key: rng.randrange(len(keys) + 1)
                                       for key in keys})
-    x, want = rng.randrange(len(nodes)), rng.randrange(2)
-    compiler.demand(phi, x, want)
+    x, want = rng.randrange(len(nodes)), rng.random() < 0.5
+    compiler.demand(phi, want)
     env = [None] * compiler.size
+    env[POINT] = 1 << x
     for k, key in compiler.components.items():
         env[k] = value[key]
     holds = all(_passes(env, program) for program in compiler.programs)
     assert holds == (pairwise.eval_node(m, nodes[x], phi) == want)
+
+
+def test_countermodel_search_leaves_no_reference_cycle():
+    # the search's generators and programs are freed by reference count
+    s = sequent({At("i", sx.Diamond("a", Nominal("j"))), At("j", Prop("p"))},
+                {At("k", sx.Diamond("a", Prop("q")))})
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_countermodel(s, 2) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_countermodel_two_nodes():
