@@ -25,7 +25,7 @@ from .derived import crossed
 from .kernel import (
     AX, BOT_RULE, CUT, DIA_R, METAVAR_KINDS, RULES, S2, WL, WR,
     Derivation, KernelError, Sequent, SideConditionViolated, added, axiom,
-    cut, dual, freeze_inst, infer, premises, principal, required, weaken_to,
+    cut, dual, freeze_inst, infer, premises_of, principal, required, weaken_to,
 )
 from .syntax import (
     At, Diamond, Nominal,
@@ -325,7 +325,8 @@ def _permute(node, into, scope_noms):
         inner = weaken_to(newcut, concl)
         return inner, [cut_complexity(newcut)], f"permute-{into}-weakening"
 
-    expected = premises(concl, target.rule, target.inst_dict)
+    # through the kernel's memo, which `infer` below then reads
+    expected = premises_of(concl, target.rule, target.inst)
     kids = []
     introduced = []
     for q, want in zip(target.children, expected):

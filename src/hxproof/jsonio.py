@@ -24,8 +24,8 @@ from typing import get_args
 
 from . import syntax as sx
 from .kernel import (
-    METAVAR_KINDS, WL, WR, Derivation, KernelError, Sequent, ShapeViolation,
-    freeze_inst, premises, sequent,
+    METAVAR_KINDS, RULES, WL, WR, Derivation, KernelError, Sequent,
+    ShapeViolation, freeze_inst, premises_of, sequent,
 )
 
 
@@ -130,20 +130,25 @@ _WEAKENINGS = {WL: Sequent.drop_ante, WR: Sequent.drop_cons}
 
 
 def _implied(conclusion, rule, inst, n):
-    """The conclusions that a node's conclusion, rule and instantiation
-    imply for its `n` children: a logical rule's premisses, the conclusion
-    without phi for a weakening, and None for a child of a Cut, an Open
-    leaf, an unknown rule or an instance that does not fit its rule."""
+    """The conclusions that a node's conclusion, rule and frozen
+    instantiation imply for its `n` children: a logical rule's premisses
+    (through the kernel's memo, which the checker then reads), the
+    conclusion without phi for a weakening, and None for a child of a Cut,
+    an Open leaf, an unknown rule or an instance that does not fit its
+    rule."""
     if not n:
-        return []
+        return ()
     if rule in _WEAKENINGS:
-        out = [_WEAKENINGS[rule](conclusion, inst["phi"])] if "phi" in inst else []
-    else:
+        phi = dict(inst).get("phi")
+        out = () if phi is None else (_WEAKENINGS[rule](conclusion, phi),)
+    elif rule in RULES:
         try:
-            out = premises(conclusion, rule, inst)
+            out = premises_of(conclusion, rule, inst)
         except KernelError:
-            out = []
-    return (out + [None] * n)[:n]
+            out = ()
+    else:
+        return (None,) * n
+    return (out + (None,) * n)[:n]
 
 
 # Building an expression renders its print key in full, and a row names
@@ -277,7 +282,7 @@ def derivation_to_json(d):
         n = len(node.children)
         if not ready:
             stack.append((node, implied, True))
-            below = _implied(node.conclusion, node.rule, node.inst_dict, n)
+            below = _implied(node.conclusion, node.rule, node.inst, n)
             stack += [(c, s, False) for c, s in zip(reversed(node.children),
                                                     reversed(below))]
             continue
@@ -396,7 +401,7 @@ def derivation_from_json(d):
     rows = _field(d, "nodes", list)
     if not rows:
         raise DecodeError("a derivation needs at least one node")
-    heads = []                 # (rule, inst, children, stated conclusion)
+    heads = []                 # (rule, frozen inst, kids, stated conclusion)
     parent = [None] * len(rows)
     own = spelt = 0
     for t, row in enumerate(rows):
@@ -417,7 +422,7 @@ def derivation_from_json(d):
         if "conclusion" in row:
             stated = _sequent(row["conclusion"], exprs)
             own += len(row["conclusion"][0]) + len(row["conclusion"][1])
-        heads.append((rule, inst, kids, stated))
+        heads.append((rule, freeze_inst(inst), kids, stated))
     budget.charge(own, spelt, DecodeError)
     if None in parent[:-1]:
         raise DecodeError(f"node {parent.index(None)} is not the child of a "
@@ -439,7 +444,7 @@ def derivation_from_json(d):
             conclusions[c] = s
     built = []
     for (rule, inst, kids, _), conclusion in zip(heads, conclusions):
-        built.append(Derivation(conclusion, rule, freeze_inst(inst),
+        built.append(Derivation(conclusion, rule, inst,
                                 tuple(built[c] for c in kids)))
     return built[-1]
 

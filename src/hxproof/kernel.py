@@ -9,12 +9,28 @@ shape and freshness side conditions, and returns the premiss sequents.
 `check_derivation` re-verifies every node of a tree and reports every failure
 as a `Violation`, so trees built through the forward helpers (`infer`, `cut`,
 `weaken`) can never be unsound.
+
+The checker, `infer`, the JSON reader and writer and cut elimination's
+permutations ask for a node's premisses through `premises_of`, which keeps
+the last PREMISES_MEMO_SIZE (256) answers keyed on (conclusion, rule, frozen
+instantiation). A file read and then checked, or a tree built and then
+checked and written, so computes each node's premisses once. The memo is
+sound because `premises` is a pure function of its key: sequents are
+immutable, and expressions, comparison kinds and names compare as values of
+their own class only (interned expressions and enum members by identity).
+Only successes are stored, so a failing instance raises on every call, and
+every check still compares the node's own children with the stored
+premisses. A key that cannot be hashed (a malformed instantiation) is
+computed without the memo, so checking stays total. Search's backward steps
+call `premises` directly and bypass the memo: few of them repeat, and a memo
+there only costs time and keeps sequents alive. Whatever changes `RULES`
+must call `premises_memo.cache_clear()`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -48,10 +64,12 @@ class SideConditionViolated(KernelError):
 
 def is_restricted(e):
     """Members must look like @_i phi or <i: ^c j:>."""
+    # keyword and empty patterns skip `__match_args__`; every built sequent
+    # member passes through here
     match e:
-        case At(_, _):
+        case At():
             return True
-        case Compare(Jump(_), _, _, Jump(_)):
+        case Compare(left=Jump(), right=Jump()):
             return True
         case _:
             return False
@@ -267,10 +285,11 @@ def evidence(i, alpha, x):
     body = dia(alpha, Nominal(x))
     while True:
         match body:
-            case At(m, psi):
+            case At(nom=m, body=psi):
                 i, body = m, psi
-            case Implies(Implies(t, Implies(psi, Bottom())), Bottom()) \
-                    if t == TOP:
+            case Implies(
+                    lhs=Implies(lhs=t, rhs=Implies(lhs=psi, rhs=Bottom())),
+                    rhs=Bottom()) if t == TOP:
                 body = psi
             case _:
                 return At(i, body)
@@ -445,6 +464,25 @@ def premises(goal, rule, inst):
     return out
 
 
+PREMISES_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=PREMISES_MEMO_SIZE)
+def premises_memo(goal, rule, inst):
+    """`premises` of a frozen instantiation, as a tuple, kept for the last
+    PREMISES_MEMO_SIZE keys that succeeded (see the module docstring)."""
+    return tuple(premises(goal, rule, dict(inst)))
+
+
+def premises_of(goal, rule, inst):
+    """`premises_memo`, or for a key that cannot be hashed, the premisses
+    computed without the memo; `premises` then raises for the bad value."""
+    try:
+        return premises_memo(goal, rule, inst)
+    except TypeError:
+        return tuple(premises(goal, rule, dict(inst)))
+
+
 # ---------------------------------------------------------------------------
 # Derivations
 # ---------------------------------------------------------------------------
@@ -571,13 +609,14 @@ def axiom(rule, conclusion, inst):
 
 def infer(rule, conclusion, inst, children):
     """One backward rule application, verified against the schema."""
-    want = premises(conclusion, rule, inst)
-    got = [c.conclusion for c in children]
+    frozen = freeze_inst(inst)
+    want = premises_of(conclusion, rule, frozen)
+    got = tuple(c.conclusion for c in children)
     if want != got:
         raise KernelError(
             f"{rule} premiss mismatch:\n  want {[str(s) for s in want]}\n"
             f"  got  {[str(s) for s in got]}")
-    return Derivation(conclusion, rule, freeze_inst(inst), tuple(children))
+    return Derivation(conclusion, rule, frozen, tuple(children))
 
 
 def _cut_conclusion(left, right, phi):
@@ -681,8 +720,8 @@ def _check_node(node, allow_open):
         if not weakening_ok(node):
             raise KernelError("weakening conclusion does not match its premiss")
         return
-    want = premises(node.conclusion, node.rule, node.inst_dict)
-    got = [c.conclusion for c in node.children]
+    want = premises_of(node.conclusion, node.rule, node.inst)
+    got = tuple(c.conclusion for c in node.children)
     if want != got:
         raise KernelError(
             f"{node.rule} premisses do not match: want "

@@ -18,7 +18,8 @@ from hxproof.kernel import (
     WR, Derivation, KernelError, PrincipalMissing, Sequent, ShapeViolation,
     SideConditionViolated, Violation, ax_shape, axiom, check_derivation, cut,
     decompose, dual, evidence, freeze_inst, graft, infer, is_restricted,
-    open_leaf, premises, principal, sequent, weaken, weaken_to,
+    open_leaf, premises, premises_memo, premises_of, principal, sequent,
+    weaken, weaken_to,
 )
 from hxproof.goldens import reflexivity
 from hxproof.model import eval_node
@@ -398,6 +399,82 @@ def test_infer_rejects_wrong_children():
     ax_raw = axiom(AX, sequent({At("m", P)}, {At("m", P)}), {"phi": At("m", P)})
     with pytest.raises(KernelError):
         infer(IMP_L, goal, {"i": "i", "phi": P, "psi": Q}, [ax_raw, ax_raw])
+
+
+# ---------------------------------------------------------------------------
+# the premiss memo
+# ---------------------------------------------------------------------------
+
+def _golden(name):
+    return jsonio.derivation_from_json(
+        json.loads((GOLDEN / f"{name}.json").read_text()))
+
+
+def test_memoized_nodes_still_check_their_own_children():
+    d = _golden("paste")
+    premises_memo.cache_clear()
+    assert check_derivation(d) == []
+    path, node = next((p, n) for p, n in d.walk()
+                      if n.rule in RULES and n.children)
+    child = node.children[0]
+    altered = Derivation(child.conclusion.add_ante(At("zz", P)), child.rule,
+                         child.inst, child.children)
+    hits = premises_memo.cache_info().hits
+    violations = check_derivation(d.replace((*path, 0), altered))
+    # the parent's premisses come from the memo, and still disagree with
+    # the altered child
+    assert premises_memo.cache_info().hits > hits
+    assert path in [v.path for v in violations]
+
+
+def test_infer_raises_after_a_hit():
+    goal = sequent({At("i", Implies(P, Q))}, {At("m", P)})
+    inst = {"i": "i", "phi": P, "psi": Q}
+    left, right = premises(goal, IMP_L, inst)
+    infer(IMP_L, goal, inst, [open_leaf(left), open_leaf(right)])
+    hits = premises_memo.cache_info().hits
+    with pytest.raises(KernelError):
+        infer(IMP_L, goal, inst, [open_leaf(right), open_leaf(left)])
+    assert premises_memo.cache_info().hits == hits + 1
+
+
+def test_failing_instance_raises_each_call_and_leaves_no_entry():
+    goal = sequent({At("i", Diamond("a", P))}, ())
+    clash = freeze_inst({"i": "i", "a": "a", "phi": P, "j": "i"})
+    unhashable = (("c", "c"), ("i", ["i"]))
+    premises_memo.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SideConditionViolated):
+            premises_of(goal, DIA_L, clash)
+        with pytest.raises(ShapeViolation):
+            premises_of(goal, EQ_T, unhashable)
+    assert premises_memo.cache_info().currsize == 0
+
+
+def test_memo_never_exceeds_its_bound():
+    premises_memo.cache_clear()
+    bound = kernel.PREMISES_MEMO_SIZE
+    for t in range(bound + 50):
+        premises_of(sequent(), EQ_T, freeze_inst({"i": f"n{t}", "c": "c"}))
+        assert premises_memo.cache_info().currsize <= bound
+    assert premises_memo.cache_info().currsize == bound
+
+
+def test_mutating_returned_premisses_does_not_change_the_next_answer():
+    goal = sequent({At("i", Diamond("a", P))}, ())
+    inst = {"i": "i", "a": "a", "phi": P, "j": "u"}
+    premises_memo.cache_clear()
+    first = premises_of(goal, DIA_L, freeze_inst(inst))
+    # answers are tuples, and a list the caller makes of one or gets from
+    # `premises` is its own
+    assert isinstance(first, tuple)
+    mutable = list(first)
+    mutable.append(goal)
+    plain = premises(goal, DIA_L, inst)
+    plain.clear()
+    again = premises_of(goal, DIA_L, freeze_inst(inst))
+    assert again == first and len(again) == 1
+    assert premises_memo.cache_info().hits == 1
 
 
 def test_rename_nominal_derivation():
