@@ -3,7 +3,7 @@
 Each pass selects a (Cut) with no other cut above it, so both premiss
 derivations are cut-free, and applies the matching transformation family:
 axiom and weakening interactions discharge the cut outright, a non-principal
-cut permutes upward, and a rule cut against its dual (`kernel.dual`), both
+cut permutes upward, and a rule cut against its dual (`derived.dual`), both
 principal, splits into cuts of strictly smaller complexity under the
 lexicographic (expression size, cut height) measure.
 Eigen-nominals are renamed eagerly before any permutation can capture them.
@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import total_ordering
 
-from .derived import crossed
+from .derived import (
+    added, crossed, dual, principal, replace, required, weaken_to,
+)
 from .kernel import (
     AX, BOT_RULE, CUT, DIA_R, METAVAR_KINDS, RULES, S2, WL, WR,
-    Derivation, KernelError, Sequent, SideConditionViolated, added, axiom,
-    cut, dual, freeze_inst, infer, premises_of, principal, required, weaken_to,
+    Derivation, KernelError, Sequent, SideConditionViolated, axiom,
+    cut, freeze_inst, infer, premises_of,
 )
 from .syntax import (
     At, Diamond, Nominal,
@@ -145,6 +147,34 @@ def cut_complexity(node):
     return CutComplexity(size(node.inst_dict["phi"]), cut_height(node))
 
 
+def nominals(d):
+    """The nominals of every conclusion and instantiation in the tree, as a
+    new set. Each node keeps its subtree's set, so a tree rebuilt along one
+    path recomputes only that path; the sets are filled bottom-up over an
+    explicit stack, so at any height."""
+    stack = [d]
+    while stack:
+        node = stack[-1]
+        if "_noms" in node.__dict__:
+            stack.pop()
+            continue
+        todo = [c for c in node.children if "_noms" not in c.__dict__]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        out = set(node.conclusion._noms)
+        for key, v in node.inst:
+            match METAVAR_KINDS[key]:
+                case "nominal":
+                    out.add(v)
+                case "path" | "node":
+                    out |= v.noms
+        node.__dict__["_noms"] = frozenset(
+            out.union(*(c.__dict__["_noms"] for c in node.children)))
+    return set(d.__dict__["_noms"])
+
+
 def _rename(e, names):
     """`e` under the renaming `names`; each new name is fresh, so renaming
     one old name after another renames them all at once."""
@@ -198,7 +228,7 @@ def rename_nominal_derivation(d, old, new):
     """
     if old == new:
         return d
-    if new in d.nominals():
+    if new in nominals(d):
         raise SideConditionViolated(
             f"nominal {new} already occurs in the derivation")
     return substitute_nominal_derivation(d, old, new)
@@ -221,7 +251,7 @@ def _eigens_of(node):
 def eigen_refresh(d, forbidden):
     """Rename every eigen-nominal in the tree to a globally fresh one, drawn
     in preorder."""
-    forbidden = set(forbidden) | d.nominals()
+    forbidden = set(forbidden) | nominals(d)
 
     def down(node, names):
         for old in _eigens_of(node):
@@ -310,7 +340,7 @@ def _permute(node, into, scope_noms):
 
     if _eigens_of(target):
         target = eigen_refresh(
-            target, scope_noms | other.nominals() | concl.nominals())
+            target, scope_noms | nominals(other) | concl.nominals())
 
     if target.rule in (WL, WR):
         child = target.children[0]
@@ -367,7 +397,7 @@ def _principal_pair(node, scope_noms):
         introduced.append(cut_complexity(cur))
     eigens = RULES[right.rule].eigens
     if eigens:
-        right = eigen_refresh(right, scope_noms | left.nominals())
+        right = eigen_refresh(right, scope_noms | nominals(left))
         right = _renamed(right, {right.inst_dict[m]: inst[m] for m in eigens})
     (ours,) = added(left.rule, inst)
     for q, theirs in zip(right.children, added(right.rule, inst)):
@@ -415,7 +445,7 @@ def reduce_once(d):
     if sel is None:
         raise ValueError("derivation is cut-free")
     path, node = sel
-    scope = d.nominals()
+    scope = nominals(d)
     try:
         replacement, introduced, kind = _transform(node, scope)
     except CutStuck as e:
@@ -425,7 +455,7 @@ def reduce_once(d):
     if not event.decreasing():
         raise CutEliminationError(
             f"non-decreasing reduction {kind}: {event.selected} -> {introduced}")
-    return d.replace(path, replacement), event
+    return replace(d, path, replacement), event
 
 
 def eliminate_cuts(d, trace=None):

@@ -1,19 +1,28 @@
-"""Derived rules as macro expansions into primitive derivations.
+"""Derived rules as macro expansions into primitive derivations, and the
+untrusted construction helpers that search, cut elimination and the macros
+share.
+
+The helpers read the kernel's rule table (`decompose`, `dual`, `principal`,
+`required`, `added`) and build fragments (`open_leaf`, `graft`, `replace`,
+`weaken_to`) from the kernel's verified constructors only, so nothing here
+is trusted: every tree they build is re-checked by `check_derivation`.
 
 Each macro builds, top-down through the kernel's `premises`, a fragment whose
 open leaves are exactly the derived rule's premisses, so every context is
 exact and every expansion re-checks; closed macros return whole derivations.
-`identity` closes a member on both sides by the dual pair that the kernel's
-`decompose` names, so it states no connective's rules itself.
+`identity` closes a member on both sides by the dual pair that `decompose`
+names, so it states no connective's rules itself.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R,
-    EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, RULES, S1,
-    KernelError, added, ax_shape, axiom, cut, decompose, dual, evidence,
-    graft, infer, open_leaf, premises, s1_shape, weaken_to,
+    EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, OPEN, RULES, S1,
+    Derivation, KernelError, ax_shape, axiom, cut, evidence, infer, instance,
+    premises, s1_shape, weaken,
 )
 from .syntax import (
     At, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, conj,
@@ -23,6 +32,112 @@ from .syntax import (
 
 class MacroError(KernelError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Reading the rule table
+# ---------------------------------------------------------------------------
+
+# A left and a right rule sharing one principal template are duals: under one
+# instantiation, the premisses of each close against those of the other.
+_DUALS = {n: m for n, r in RULES.items() for m, s in RULES.items()
+          if r.principal is not None and s.principal is r.principal
+          and s.side != r.side}
+
+
+def decompose(e):
+    """The (left, right) dual pair whose principal the compound member `e`
+    is, and their shared metavariables bound (eigens and witnesses not)."""
+    # keyword patterns skip `__match_args__`; search calls this per member
+    match e:
+        case At(nom=i, body=phi):
+            match phi:
+                case Implies(lhs=lhs, rhs=rhs):
+                    return (IMP_L, IMP_R), {"i": i, "phi": lhs, "psi": rhs}
+                case At(nom=k, body=body):
+                    return (AT_L, AT_R), {"i": k, "j": i, "phi": body}
+                case Diamond(mod=a, body=body):
+                    return (DIA_L, DIA_R), {"i": i, "a": a, "phi": body}
+                case Compare(left=alpha, kind=kind, cmp=c, right=beta):
+                    return (CMP_L, CMP_R), {"i": i, "alpha": alpha,
+                                            "beta": beta, "kind": kind, "c": c}
+        case Compare(left=Jump(nom=i), kind=CmpKind.NEQ, cmp=c,
+                     right=Jump(nom=j)):
+            return (NEQ_L, NEQ_R), {"i": i, "j": j, "c": c}
+    raise KernelError(f"not a compound member: {print_node(e)}")
+
+
+def principal(rule, inst):
+    """(side, expression) of a logical rule's principal, or None."""
+    r, v = instance(rule, inst)
+    return None if r.principal is None else (r.side, r.principal(v))
+
+
+def required(rule, inst):
+    """The antecedent formulas a logical rule needs and keeps."""
+    r, v = instance(rule, inst)
+    return {t(v) for t in r.required}
+
+
+def added(rule, inst):
+    """Per premiss, the (antecedent, consequent) formulas a logical rule adds."""
+    r, v = instance(rule, inst)
+    return [t(v) for t in r.premisses]
+
+
+def dual(rule):
+    """The logical rule with the same principal on the other side, or None."""
+    return _DUALS.get(rule)
+
+
+# ---------------------------------------------------------------------------
+# Fragments: open leaves, grafting and weakening chains
+# ---------------------------------------------------------------------------
+
+def open_leaf(seq):
+    """A fragment premiss: a leaf justified by assumption, not by a rule."""
+    return Derivation(seq, OPEN, ())
+
+
+def open_leaves(d):
+    return [(path, node.conclusion) for path, node in d.walk() if node.rule == OPEN]
+
+
+def replace(d, path, new):
+    """`d` with the subtree at `path` replaced by `new`; the nodes along the
+    path are rebuilt in a loop, so at any height."""
+    spine = [d]
+    for t in path[:-1]:
+        spine.append(spine[-1].children[t])
+    for node, t in zip(reversed(spine), reversed(path)):
+        kids = list(node.children)
+        kids[t] = new
+        new = Derivation(node.conclusion, node.rule, node.inst, tuple(kids))
+    return new
+
+
+def graft(fragment, fillers):
+    """Replace each open leaf, in preorder, with a derivation of the same
+    sequent: `fillers` maps sequents to derivations (or is a callable
+    sequent->tree). Each is put in by `replace`, so at any height."""
+    for path, seq in open_leaves(fragment):
+        filler = fillers(seq) if callable(fillers) else fillers[seq]
+        if filler.conclusion != seq:
+            raise KernelError("graft filler proves the wrong sequent")
+        fragment = replace(fragment, path, filler)
+    return fragment
+
+
+def weaken_to(d, target):
+    """Chain of weakenings from d's end-sequent up to `target` (a superset)."""
+    if not d.conclusion.issubset(target):
+        raise KernelError(
+            f"cannot weaken {d.conclusion} to non-superset {target}")
+    for e in sorted(target.ante - d.conclusion.ante, key=attrgetter("key")):
+        d = weaken(d, "left", e)
+    for e in sorted(target.cons - d.conclusion.cons, key=attrgetter("key")):
+        d = weaken(d, "right", e)
+    return d
 
 
 def step(rule, goal, inst, builders):
@@ -52,7 +167,7 @@ def fill_open(reached, declared):
 def identity(goal, e):
     """Close a goal with the sequent member `e` on both sides: an atom by
     its axiom, any other member by the rule of its dual pair
-    (`kernel.decompose`) whose one premiss adds an antecedent formula, with
+    (`decompose`) whose one premiss adds an antecedent formula, with
     fresh eigen-nominals, and then by `close_dual` with the other rule."""
     if e not in goal.ante or e not in goal.cons:
         raise MacroError(f"identity: {print_node(e)} must occur on both sides")
@@ -88,7 +203,7 @@ def close_dual(rule, goal, inst, mine):
 def crossed(x, y):
     """The one formula that two premisses' additions put on opposite sides.
 
-    `x` and `y` are (antecedent, consequent) pairs from `kernel.added`, one
+    `x` and `y` are (antecedent, consequent) pairs from `added`, one
     premiss of each of two dual rules under one instantiation.
     """
     (e,) = (set(x[0]) & set(y[1])) | (set(x[1]) & set(y[0]))

@@ -10,12 +10,13 @@ applications only and pass the kernel check.
 from __future__ import annotations
 
 from .derived import (
-    and_left, and_right, axg, cmp_flip, identity, iff_right, step,
+    and_left, and_right, axg, cmp_flip, graft, identity, iff_right, step,
+    weaken_to,
 )
 from .hylo import simulate_reference_rule
 from .kernel import (
     AT_5, AT_R, AT_T, AX, CMP_L, CMP_R, DIA_L, EQ_5, EQ_T, IMP_L,
-    IMP_R, S3, axiom, cut, graft, sequent, weaken_to,
+    IMP_R, S3, axiom, cut, sequent,
 )
 from .syntax import (
     At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop, concat,

@@ -9,10 +9,12 @@ Nom1, Nom2, BoxL1, BoxR, AndL, AndR) as derived-rule fragments.
 
 from __future__ import annotations
 
-from .derived import and_left, and_right, step, transfer
+from .derived import (
+    and_left, and_right, open_leaf, step, transfer, weaken_to,
+)
 from .kernel import (
     AT_T, BOT_RULE, DIA_L, DIA_R, IMP_L, IMP_R, S1, KernelError, Sequent,
-    axiom, cut, infer, open_leaf, sequent, weaken, weaken_to,
+    axiom, cut, infer, sequent, weaken,
 )
 from .search import prove
 from .syntax import (

@@ -1,5 +1,14 @@
 """Trusted proof kernel: sequents, the rule table, derivation checking.
 
+Trusted is what `check_derivation` runs: `Sequent`, `RULES` with its
+templates and `evidence`, `premises` and its memo, and `Derivation`. The
+forward constructors `axiom`, `infer`, `cut`, `weaken` and `sequent` (with
+`freeze_inst`) stay beside them: each checks the one node it builds, the
+criterion tests and the benchmark's generator import them from here, and
+the benchmark's tracer rebinds them. Rule-table readers and tree builders
+(`decompose`, `dual`, `graft`, `weaken_to`, ...) live in `derived`, and
+this module re-checks what they build. The module is 636 lines.
+
 Sequents are pairs of finite sets of restricted node expressions (everything
 is @-prefixed or an atomic comparison between two jumps). Each logical rule
 is one record of `RULES`, read backward: `premises(goal, rule, inst)` checks
@@ -7,8 +16,8 @@ that `inst` binds exactly the rule's metavariables with values of their
 kinds (by class, as expressions are well formed when built), enforces the
 shape and freshness side conditions, and returns the premiss sequents.
 `check_derivation` re-verifies every node of a tree and reports every failure
-as a `Violation`, so trees built through the forward helpers (`infer`, `cut`,
-`weaken`) can never be unsound.
+as a `Violation`, so trees built through the forward constructors can never
+be unsound.
 
 The checker, `infer`, the JSON reader and writer and cut elimination's
 permutations ask for a node's premisses through `premises_of`, which keeps
@@ -84,8 +93,8 @@ def _check_members(es):
 
 @dataclass(frozen=True)
 class Sequent:
-    """Antecedent and consequent sets; the sorted members and the nominals
-    are computed on first use and kept."""
+    """Antecedent and consequent sets; the hash, the sorted members and the
+    nominals are computed on first use and kept."""
 
     ante: frozenset
     cons: frozenset
@@ -108,6 +117,18 @@ class Sequent:
 
     def issubset(self, other):
         return self.ante <= other.ante and self.cons <= other.cons
+
+    _hash = None  # not a field: the instance's own value shadows it
+
+    def __hash__(self):
+        """The generated hash's value, computed on first use and kept, also
+        on sequents that `_premiss` builds without `__init__`. Not a
+        `cached_property`: before Python 3.12 its first read takes a lock."""
+        h = self._hash
+        if h is None:
+            h = hash((self.ante, self.cons))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @cached_property
     def sorted_ante(self):
@@ -362,36 +383,8 @@ RULES = {
 LOGICAL_RULES = tuple(RULES)
 COMPARISON_RULES = frozenset(n for n, r in RULES.items() if "c" in r.metavars)
 
-# A left and a right rule sharing one principal template are duals: under one
-# instantiation, the premisses of each close against those of the other.
-_DUALS = {n: m for n, r in RULES.items() for m, s in RULES.items()
-          if r.principal is not None and s.principal is r.principal
-          and s.side != r.side}
 
-
-def decompose(e):
-    """The (left, right) dual pair whose principal the compound member `e`
-    is, and their shared metavariables bound (eigens and witnesses not)."""
-    # keyword patterns skip `__match_args__`; search calls this per member
-    match e:
-        case At(nom=i, body=phi):
-            match phi:
-                case Implies(lhs=lhs, rhs=rhs):
-                    return (IMP_L, IMP_R), {"i": i, "phi": lhs, "psi": rhs}
-                case At(nom=k, body=body):
-                    return (AT_L, AT_R), {"i": k, "j": i, "phi": body}
-                case Diamond(mod=a, body=body):
-                    return (DIA_L, DIA_R), {"i": i, "a": a, "phi": body}
-                case Compare(left=alpha, kind=kind, cmp=c, right=beta):
-                    return (CMP_L, CMP_R), {"i": i, "alpha": alpha,
-                                            "beta": beta, "kind": kind, "c": c}
-        case Compare(left=Jump(nom=i), kind=CmpKind.NEQ, cmp=c,
-                     right=Jump(nom=j)):
-            return (NEQ_L, NEQ_R), {"i": i, "j": j, "c": c}
-    raise KernelError(f"not a compound member: {print_node(e)}")
-
-
-def _instance(rule, inst):
+def instance(rule, inst):
     """The table record of a logical rule and its checked instantiation."""
     r = RULES.get(rule)
     if r is None:
@@ -402,36 +395,13 @@ def _instance(rule, inst):
     return r, SimpleNamespace(**inst)
 
 
-def principal(rule, inst):
-    """(side, expression) of a logical rule's principal, or None."""
-    r, v = _instance(rule, inst)
-    return None if r.principal is None else (r.side, r.principal(v))
-
-
-def required(rule, inst):
-    """The antecedent formulas a logical rule needs and keeps."""
-    r, v = _instance(rule, inst)
-    return {t(v) for t in r.required}
-
-
-def added(rule, inst):
-    """Per premiss, the (antecedent, consequent) formulas a logical rule adds."""
-    r, v = _instance(rule, inst)
-    return [t(v) for t in r.premisses]
-
-
-def dual(rule):
-    """The logical rule with the same principal on the other side, or None."""
-    return _DUALS.get(rule)
-
-
 def premises(goal, rule, inst):
     """Backward reading of a rule: the premiss sequents of `goal`.
 
     `inst` maps the schema metavariables to concrete symbols/expressions.
     Structural rules are forward-only; ask `cut`/`weaken` instead.
     """
-    r, v = _instance(rule, inst)
+    r, v = instance(rule, inst)
     for m, ok, what in r.shape:
         if not ok(inst[m]):
             raise SideConditionViolated(f"{what}: {print_node(inst[m])}")
@@ -545,58 +515,8 @@ class Derivation:
             for t in reversed(range(len(node.children))):
                 stack.append(((*path, t), node.children[t]))
 
-    def at(self, path):
-        d = self
-        for t in path:
-            d = d.children[t]
-        return d
-
-    def replace(self, path, new):
-        """This tree with the subtree at `path` replaced by `new`; the nodes
-        along the path are rebuilt in a loop, so at any height."""
-        spine = [self]
-        for t in path[:-1]:
-            spine.append(spine[-1].children[t])
-        for node, t in zip(reversed(spine), reversed(path)):
-            kids = list(node.children)
-            kids[t] = new
-            new = Derivation(node.conclusion, node.rule, node.inst, tuple(kids))
-        return new
-
     def rules_used(self):
         return {node.rule for _, node in self.walk()}
-
-    def nominals(self):
-        """The nominals of every conclusion and instantiation in the tree,
-        as a new set. Each node keeps its subtree's set, so a tree rebuilt
-        along one path recomputes only that path; the sets are filled
-        bottom-up over an explicit stack, so at any height."""
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            if "_noms" in node.__dict__:
-                stack.pop()
-                continue
-            todo = [c for c in node.children if "_noms" not in c.__dict__]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            out = set(node.conclusion._noms)
-            for key, v in node.inst:
-                match METAVAR_KINDS[key]:
-                    case "nominal":
-                        out.add(v)
-                    case "path" | "node":
-                        out |= v.noms
-            node.__dict__["_noms"] = frozenset(
-                out.union(*(c.__dict__["_noms"] for c in node.children)))
-        return set(self.__dict__["_noms"])
-
-
-def open_leaf(seq):
-    """A fragment premiss: a leaf justified by assumption, not by a rule."""
-    return Derivation(seq, OPEN, ())
 
 
 def axiom(rule, conclusion, inst):
@@ -648,18 +568,6 @@ def weaken(d, side, phi):
         return Derivation(d.conclusion.add_cons(phi), WR,
                           freeze_inst({"phi": phi}), (d,))
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-
-
-def weaken_to(d, target):
-    """Chain of weakenings from d's end-sequent up to `target` (a superset)."""
-    if not d.conclusion.issubset(target):
-        raise KernelError(
-            f"cannot weaken {d.conclusion} to non-superset {target}")
-    for e in sorted(target.ante - d.conclusion.ante, key=attrgetter("key")):
-        d = weaken(d, "left", e)
-    for e in sorted(target.cons - d.conclusion.cons, key=attrgetter("key")):
-        d = weaken(d, "right", e)
-    return d
 
 
 def weakening_ok(node):
@@ -726,19 +634,3 @@ def _check_node(node, allow_open):
         raise KernelError(
             f"{node.rule} premisses do not match: want "
             f"{[str(s) for s in want]}, got {[str(s) for s in got]}")
-
-
-def open_leaves(d):
-    return [(path, node.conclusion) for path, node in d.walk() if node.rule == OPEN]
-
-
-def graft(fragment, fillers):
-    """Replace each open leaf, in preorder, with a derivation of the same
-    sequent: `fillers` maps sequents to derivations (or is a callable
-    sequent->tree). Each is put in by `replace`, so at any height."""
-    for path, seq in open_leaves(fragment):
-        filler = fillers(seq) if callable(fillers) else fillers[seq]
-        if filler.conclusion != seq:
-            raise KernelError("graft filler proves the wrong sequent")
-        fragment = fragment.replace(path, filler)
-    return fragment

@@ -14,12 +14,13 @@ from bisect import bisect, bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .derived import close_dual
+from .derived import (
+    added, close_dual, decompose, dual, principal, weaken_to,
+)
 from .kernel import (
     AT_5, AT_T, AX, BOT_RULE, CMP_R, DIA_R, EQ_5, EQ_T, RULES, S1, S2, S3,
-    Derivation, KernelError, Sequent, added, ax_shape, check_derivation, cut,
-    decompose, dual, evidence, freeze_inst, premises, principal, s1_shape,
-    sequent, weaken_to,
+    Derivation, KernelError, Sequent, ax_shape, check_derivation, cut,
+    evidence, freeze_inst, premises, s1_shape, sequent,
 )
 # not called here, but perfbench's tracer rebinds `search.infer` and
 # `search.axiom`

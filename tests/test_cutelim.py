@@ -9,13 +9,13 @@ from genutil import (conclusion_for_rule, derivation_of, rand_derivation,
 from hxproof import cutelim
 from hxproof.cutelim import (
     CutComplexity, CutEliminationError, cut_complexity, cut_positions,
-    eliminate_cuts, reduce_once, select_cut, topmost_cuts,
+    eliminate_cuts, nominals, reduce_once, select_cut, topmost_cuts,
 )
-from hxproof.derived import axg
+from hxproof.derived import axg, dual, weaken_to
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
     AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
-    IMP_L, IMP_R, LOGICAL_RULES, NEQ_L, axiom, check_derivation, cut, dual,
+    IMP_L, IMP_R, LOGICAL_RULES, NEQ_L, axiom, check_derivation, cut,
     infer, premises, sequent, weaken,
 )
 from hxproof.model import find_countermodel
@@ -82,6 +82,19 @@ def test_base_case_configuration_height_two():
     assert cut_complexity(d).h == 2
     out, trace = _run(d)
     assert len(trace) == 1
+
+
+def test_nominals_at_any_height():
+    # the per-node sets are filled bottom-up over a stack, not by recursion
+    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
+    extra = {At(f"i{t}", P) for t in range(1200)}
+    d = weaken_to(leaf, sequent({At("i", P)} | extra, {At("i", P)}))
+    assert nominals(d) == {"i"} | {f"i{t}" for t in range(1200)}
+    # a tree rebuilt along one path keeps the sets of the subtrees it reuses
+    kept = d.__dict__["_noms"]
+    w = weaken(d, "right", At("j", Q))
+    assert nominals(w) == nominals(d) | {"j"}
+    assert d.__dict__["_noms"] is kept
 
 
 # ---------------------------------------------------------------------------

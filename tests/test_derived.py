@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from genutil import rand_node, SIG
+from genutil import rand_node, rand_restricted, SIG
+from hxproof import kernel
 from hxproof.derived import (
-    MacroError, and_left, and_right, axg, cmp_flip, identity, iff_right,
-    transfer,
+    MacroError, and_left, and_right, axg, cmp_flip, decompose, dual, graft,
+    identity, iff_right, open_leaf, open_leaves, principal, transfer,
+    weaken_to,
 )
 from hxproof.jsonio import derivation_to_json, dumps_canonical
 from hxproof.kernel import (
-    CUT, axiom, check_derivation, graft, open_leaves, sequent,
+    AX, CUT, RULES, KernelError, ax_shape, axiom, check_derivation, sequent,
 )
 from hxproof.syntax import (
-    At, Atom, CmpKind, Compare, Jump, Nominal, Prop, Test, concat, conj, iff,
+    At, Atom, BOT, CmpKind, Compare, Jump, Nominal, Prop, Test, concat, conj,
+    fresh_nominals, iff,
 )
 
 P, Q = Prop("p"), Prop("q")
@@ -24,7 +27,6 @@ P, Q = Prop("p"), Prop("q")
 def closable_stub(leaf):
     """Close an open leaf by planting its own members as an axiom pair."""
     for e in sorted(leaf.ante & leaf.cons, key=str):
-        from hxproof.kernel import ax_shape
         if ax_shape(e):
             return axiom("Ax", leaf, {"phi": e})
     raise AssertionError(f"stub cannot close {leaf}")
@@ -193,3 +195,63 @@ def test_expand_macro_schema_mismatch():
     goal = sequent({At("m", P)}, {At("m", P)})
     with pytest.raises(MacroError):
         and_left(goal, "i", P, Q)
+
+
+# ---------------------------------------------------------------------------
+# rule-table readers and fragment builders
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 3))
+def test_decompose_names_the_dual_pair_of_each_compound_member(seed, depth):
+    e = rand_restricted(random.Random(seed), SIG, depth)
+    if ax_shape(e) or isinstance(e, At) and e.body == BOT:
+        with pytest.raises(KernelError):
+            decompose(e)
+        return
+    (left, right), inst = decompose(e)
+    # the eigen-nominals of the left rule are the right rule's witnesses
+    eigens = RULES[left].eigens
+    inst.update(zip(eigens, fresh_nominals(len(eigens), e.noms)))
+    assert principal(left, inst) == ("ante", e)
+    assert principal(right, inst) == ("cons", e)
+    assert dual(left) == right
+
+
+def test_graft_at_any_height():
+    # the open leaf sits 1,200 levels down; graft puts its filler in with
+    # `replace`, not by recursion
+    p = At("i", P)
+    extra = {At(f"i{t}", P) for t in range(1200)}
+    frag = weaken_to(open_leaf(sequent({p}, {p})),
+                     sequent({p} | extra, {p}))
+    d = graft(frag, {sequent({p}, {p}): axiom(AX, sequent({p}, {p}),
+                                              {"phi": p})})
+    assert d.height == 1201 and check_derivation(d) == []
+
+
+def test_weaken_to_checks_only_the_added_members(monkeypatch):
+    # each weakening checks its one added member, in weaken and in the
+    # sequent it builds, so a chain of n costs O(n) checks, not O(n^2)
+    n = 2400
+    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
+    target = sequent({At("i", P)} | {At(f"i{t}", P) for t in range(n // 2)},
+                     {At("i", P)} | {At(f"j{t}", Q) for t in range(n // 2)})
+    calls = []
+    restricted = kernel.is_restricted
+    monkeypatch.setattr(kernel, "is_restricted",
+                        lambda e: calls.append(e) or restricted(e))
+    d = weaken_to(leaf, target)
+    monkeypatch.undo()
+    assert d.conclusion == target and d.height == n + 1
+    assert 0 < len(calls) <= 2 * n
+
+
+def test_weaken_to():
+    ax1 = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
+    atcmp = Compare(Jump("i"), CmpKind.EQ, "c", Jump("j"))
+    target = sequent({At("i", P), At("j", Q)}, {At("i", P), atcmp})
+    d = weaken_to(ax1, target)
+    assert d.conclusion == target and check_derivation(d) == []
+    with pytest.raises(KernelError):
+        weaken_to(ax1, sequent((), {At("i", P)}))

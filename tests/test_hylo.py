@@ -9,9 +9,8 @@ from hxproof.hylo import (
     REFERENCE_RULES, FragmentError, is_hylo, prove_hylo,
     simulate_reference_rule,
 )
-from hxproof.kernel import (
-    AT_T, COMPARISON_RULES, check_derivation, open_leaves, sequent,
-)
+from hxproof.derived import open_leaves
+from hxproof.kernel import AT_T, COMPARISON_RULES, check_derivation, sequent
 from hxproof.model import model_to_json
 from hxproof.search import Proved, Refuted, SearchConfig, prove
 from hxproof.syntax import (

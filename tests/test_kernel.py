@@ -7,25 +7,25 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from genutil import (SIG, conclusion_for_rule, rand_derivation, rand_model,
-                     rand_path, rand_restricted)
+                     rand_path)
 from hxproof import jsonio, kernel
 from hxproof.cutelim import (
-    cut_complexity, cut_height, rename_nominal_derivation,
+    cut_complexity, cut_height, nominals, rename_nominal_derivation,
 )
+from hxproof.derived import open_leaf, replace, weaken_to
 from hxproof.kernel import (
-    AX, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
+    AT_T, AX, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
     IMP_L, LOGICAL_RULES, METAVAR_KINDS, NOM, OPEN, RULES, S1, S2, S3, WL,
     WR, Derivation, KernelError, PrincipalMissing, Sequent, ShapeViolation,
-    SideConditionViolated, Violation, ax_shape, axiom, check_derivation, cut,
-    decompose, dual, evidence, freeze_inst, graft, infer, is_restricted,
-    open_leaf, premises, premises_memo, premises_of, principal, sequent,
-    weaken, weaken_to,
+    SideConditionViolated, Violation, axiom, check_derivation, cut,
+    evidence, freeze_inst, infer, is_restricted, premises, premises_memo,
+    premises_of, sequent, weaken,
 )
 from hxproof.goldens import reflexivity
 from hxproof.model import eval_node
 from hxproof.syntax import (
-    At, Atom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    concat, dia, eps, fresh_nominals,
+    At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
+    concat, dia, eps,
 )
 
 P, Q = Prop("p"), Prop("q")
@@ -207,23 +207,6 @@ def test_diar_requires_witness_step():
         premises(goal, DIA_R, {"i": "i", "a": "a", "phi": P, "j": "j"})
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10**9), st.integers(0, 3))
-def test_decompose_names_the_dual_pair_of_each_compound_member(seed, depth):
-    e = rand_restricted(random.Random(seed), SIG, depth)
-    if ax_shape(e) or isinstance(e, At) and e.body == BOT:
-        with pytest.raises(KernelError):
-            decompose(e)
-        return
-    (left, right), inst = decompose(e)
-    # the eigen-nominals of the left rule are the right rule's witnesses
-    eigens = RULES[left].eigens
-    inst.update(zip(eigens, fresh_nominals(len(eigens), e.noms)))
-    assert principal(left, inst) == ("ante", e)
-    assert principal(right, inst) == ("cons", e)
-    assert dual(left) == right
-
-
 def test_structural_rules_not_backward():
     with pytest.raises(KernelError):
         premises(sequent((), ()), CUT, {"phi": At("i", P)})
@@ -255,7 +238,8 @@ def test_reflexivity_transcription_checks_and_mutates():
 
 
 def _golden_sites():
-    """(rule, metavariable) -> (derivation, path) of its first golden node."""
+    """(rule, metavariable) -> (derivation, path, node) of its first golden
+    node."""
     sites = {}
     for p in sorted(GOLDEN.glob("*.json")):
         if "model" in p.stem or "graph" in p.stem:
@@ -263,7 +247,7 @@ def _golden_sites():
         d = jsonio.derivation_from_json(json.loads(p.read_text()))
         for path, node in d.walk():
             for key in node.inst_dict:
-                sites.setdefault((node.rule, key), (d, path))
+                sites.setdefault((node.rule, key), (d, path, node))
     return sites
 
 
@@ -276,14 +260,13 @@ _WRONG_KIND = {"nominal": Nominal("i"), "modality": Prop("a"),
 @pytest.mark.parametrize("rule,key", sorted(_SITES),
                          ids=[f"{r}-{k}" for r, k in sorted(_SITES)])
 def test_malformed_instantiation_is_a_violation(rule, key):
-    d, path = _SITES[rule, key]
-    node = d.at(path)
+    d, path, node = _SITES[rule, key]
     inst, kind = node.inst_dict, METAVAR_KINDS[key]
     dropped = {k: v for k, v in inst.items() if k != key}
     for bad in (dropped, dict(inst, **{key + "2": inst[key]}),
                 dict(inst, **{key: _WRONG_KIND[kind]}),
                 dict(inst, **{key: ["x"]})):
-        mutated = d.replace(path, Derivation(
+        mutated = replace(d, path, Derivation(
             node.conclusion, node.rule, freeze_inst(bad), node.children))
         assert [v.path for v in check_derivation(mutated)] == [path]
 
@@ -303,48 +286,6 @@ def test_check_is_total_at_any_height():
     d = weaken_to(leaf, sequent({At("i", P)} | extra, {At("i", P)}))
     assert d.height == 1201
     assert check_derivation(d) == []
-
-
-def test_nominals_at_any_height():
-    # the per-node sets are filled bottom-up over a stack, not by recursion
-    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
-    extra = {At(f"i{t}", P) for t in range(1200)}
-    d = weaken_to(leaf, sequent({At("i", P)} | extra, {At("i", P)}))
-    assert d.nominals() == {"i"} | {f"i{t}" for t in range(1200)}
-    # a tree rebuilt along one path keeps the sets of the subtrees it reuses
-    kept = d.__dict__["_noms"]
-    w = weaken(d, "right", At("j", Q))
-    assert w.nominals() == d.nominals() | {"j"}
-    assert d.__dict__["_noms"] is kept
-
-
-def test_graft_at_any_height():
-    # the open leaf sits 1,200 levels down; graft puts its filler in with
-    # `replace`, not by recursion
-    p = At("i", P)
-    extra = {At(f"i{t}", P) for t in range(1200)}
-    frag = weaken_to(open_leaf(sequent({p}, {p})),
-                     sequent({p} | extra, {p}))
-    d = graft(frag, {sequent({p}, {p}): axiom(AX, sequent({p}, {p}),
-                                              {"phi": p})})
-    assert d.height == 1201 and check_derivation(d) == []
-
-
-def test_weaken_to_checks_only_the_added_members(monkeypatch):
-    # each weakening checks its one added member, in weaken and in the
-    # sequent it builds, so a chain of n costs O(n) checks, not O(n^2)
-    n = 2400
-    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
-    target = sequent({At("i", P)} | {At(f"i{t}", P) for t in range(n // 2)},
-                     {At("i", P)} | {At(f"j{t}", Q) for t in range(n // 2)})
-    calls = []
-    restricted = kernel.is_restricted
-    monkeypatch.setattr(kernel, "is_restricted",
-                        lambda e: calls.append(e) or restricted(e))
-    d = weaken_to(leaf, target)
-    monkeypatch.undo()
-    assert d.conclusion == target and d.height == n + 1
-    assert 0 < len(calls) <= 2 * n
 
 
 def test_open_leaves_only_with_flag():
@@ -375,15 +316,6 @@ def test_cut_and_weaken_forward():
         cut(ax1, ax2, At("k", Q))
     with pytest.raises(ShapeViolation):
         weaken(ax1, "left", P)
-
-
-def test_weaken_to():
-    ax1 = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
-    target = sequent({At("i", P), At("j", Q)}, {At("i", P), atcmp("i", "j")})
-    d = weaken_to(ax1, target)
-    assert d.conclusion == target and check_derivation(d) == []
-    with pytest.raises(KernelError):
-        weaken_to(ax1, sequent((), {At("i", P)}))
 
 
 def test_heights():
@@ -420,7 +352,7 @@ def test_memoized_nodes_still_check_their_own_children():
     altered = Derivation(child.conclusion.add_ante(At("zz", P)), child.rule,
                          child.inst, child.children)
     hits = premises_memo.cache_info().hits
-    violations = check_derivation(d.replace((*path, 0), altered))
+    violations = check_derivation(replace(d, (*path, 0), altered))
     # the parent's premisses come from the memo, and still disagree with
     # the altered child
     assert premises_memo.cache_info().hits > hits
@@ -460,6 +392,24 @@ def test_memo_never_exceeds_its_bound():
     assert premises_memo.cache_info().currsize == bound
 
 
+def test_a_sequent_hashes_alike_however_built_and_hits_one_memo_entry():
+    # `sequent()` runs `__init__`, while `add_ante` and `premises` build
+    # without it; each caches the generated hash's value on first use
+    y, alias = At("j", Q), At("i", Nominal("i"))
+    built = sequent({y, alias}, {y})
+    grown = sequent({y}, {y}).add_ante(alias)
+    [prem] = premises(sequent({y}, {y}), AT_T, {"i": "i"})
+    assert built == grown == prem
+    assert hash(built) == hash(grown) == hash(prem) == hash((prem.ante, prem.cons))
+    premises_memo.cache_clear()
+    key = freeze_inst({"i": "k", "c": "c"})
+    first = premises_of(built, EQ_T, key)
+    assert premises_of(grown, EQ_T, key) is first
+    assert premises_of(prem, EQ_T, key) is first
+    info = premises_memo.cache_info()
+    assert (info.hits, info.currsize) == (2, 1)
+
+
 def test_mutating_returned_premisses_does_not_change_the_next_answer():
     goal = sequent({At("i", Diamond("a", P))}, ())
     inst = {"i": "i", "a": "a", "phi": P, "j": "u"}
@@ -484,7 +434,7 @@ def test_rename_nominal_derivation():
               [open_leaf(prem)])
     renamed = rename_nominal_derivation(d, "u", "w")
     assert check_derivation(renamed, allow_open=True) == []
-    assert "w" in renamed.nominals()
+    assert "w" in nominals(renamed)
     with pytest.raises(SideConditionViolated):
         rename_nominal_derivation(d, "u", "i")  # i occurs already
 
@@ -493,7 +443,7 @@ def test_rename_fresh_nominal_in_checked_derivation_rechecks():
     rng = random.Random(21)
     for _ in range(20):
         d = rand_derivation(rng, steps=5)
-        noms = d.nominals()
+        noms = nominals(d)
         if not noms:
             continue
         old = sorted(noms)[0]
