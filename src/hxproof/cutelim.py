@@ -1,6 +1,6 @@
 """Cut elimination: locate a topmost cut and push it away.
 
-Each pass selects a (Cut) with no other cut above it, so both premiss
+Each step selects a (Cut) with no other cut above it, so both premiss
 derivations are cut-free, and applies the matching transformation family:
 axiom and weakening interactions discharge the cut outright, a non-principal
 cut permutes upward, and a rule cut against its dual (`derived.dual`), both
@@ -14,12 +14,29 @@ substitution rule for modal steps. A cut that none of these families reduces
 (for instance a right diamond over a compound body, required as path
 evidence by a right comparison) is stuck: `eliminate_cuts` raises
 `CutStuck`, whose message starts "stuck cut", and never re-proves by search.
+
+`eliminate_cuts` selects at each step the topmost cut of least cut height,
+leftmost in preorder on ties, and a step costs what its transformation
+touches, not the size of the tree:
+- the topmost cuts wait in a heap keyed on (cut height, path); a replacement
+  adds the topmost cuts it brings, and a cut joins them when the last cut
+  above it is gone;
+- the tree under elimination keeps a mutable node for each node with a cut
+  at or above it, over the cut-free derivations it holds, so a replacement
+  is put in place in one slot; each such node is built as a `Derivation`
+  once, when the nearest cut below it becomes topmost, or at the end;
+- the nominals of the whole tree, which a refreshed eigen-nominal must
+  avoid, are computed only when a refresh asks for them;
+- renaming maps each distinct sequent member once, and rebuilds a weakening
+  forward from its renamed premiss.
+`reduce_once` is the same step on a whole derivation, the tests' reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import partial, total_ordering
+from heapq import heappop, heappush
 
 from .derived import (
     added, crossed, dual, principal, replace, required, weaken_to,
@@ -27,7 +44,7 @@ from .derived import (
 from .kernel import (
     AX, BOT_RULE, CUT, DIA_R, METAVAR_KINDS, RULES, S2, WL, WR,
     Derivation, KernelError, Sequent, SideConditionViolated, axiom,
-    cut, freeze_inst, infer, premises_of,
+    cut, freeze_inst, infer, premises_of, weaken,
 )
 from .syntax import (
     At, Diamond, Nominal,
@@ -92,8 +109,7 @@ def select_cut(d):
     cands = topmost_cuts(d)
     if not cands:
         return None
-    best = min(range(len(cands)),
-               key=lambda t: (cut_complexity(cands[t][1]).h, t))
+    best = min(range(len(cands)), key=lambda t: (cut_height(cands[t][1]), t))
     return cands[best]
 
 
@@ -147,11 +163,24 @@ def cut_complexity(node):
     return CutComplexity(size(node.inst_dict["phi"]), cut_height(node))
 
 
-def nominals(d):
-    """The nominals of every conclusion and instantiation in the tree, as a
-    new set. Each node keeps its subtree's set, so a tree rebuilt along one
-    path recomputes only that path; the sets are filled bottom-up over an
-    explicit stack, so at any height."""
+def _inst_nominals(inst):
+    out = set()
+    for key, v in inst:
+        match METAVAR_KINDS[key]:
+            case "nominal":
+                out.add(v)
+            case "path" | "node":
+                out |= v.noms
+    return out
+
+
+def _subtree_nominals(d):
+    """The frozenset that `nominals` copies. A node's set is its children's
+    sets, its instantiation's nominals and, at a leaf only, its conclusion's:
+    in a tree that checks, every conclusion member occurs in a premiss or is
+    built from the instantiation. A node that adds no nominal shares its
+    one child's set, so a chain of weakenings over the same nominals costs
+    linear time."""
     stack = [d]
     while stack:
         node = stack[-1]
@@ -163,16 +192,23 @@ def nominals(d):
             stack += todo
             continue
         stack.pop()
-        out = set(node.conclusion._noms)
-        for key, v in node.inst:
-            match METAVAR_KINDS[key]:
-                case "nominal":
-                    out.add(v)
-                case "path" | "node":
-                    out |= v.noms
-        node.__dict__["_noms"] = frozenset(
-            out.union(*(c.__dict__["_noms"] for c in node.children)))
-    return set(d.__dict__["_noms"])
+        own = _inst_nominals(node.inst)
+        kids = [c.__dict__["_noms"] for c in node.children]
+        if not kids:
+            own |= node.conclusion._noms
+        if len(kids) == 1 and own <= kids[0]:
+            node.__dict__["_noms"] = kids[0]
+        else:
+            node.__dict__["_noms"] = frozenset(own.union(*kids))
+    return d.__dict__["_noms"]
+
+
+def nominals(d):
+    """The nominals of every conclusion and instantiation in the tree, as a
+    new set. Each node keeps its subtree's set, so a tree rebuilt along one
+    path recomputes only that path; the sets are filled bottom-up over an
+    explicit stack, so at any height."""
+    return set(_subtree_nominals(d))
 
 
 def _rename(e, names):
@@ -196,28 +232,48 @@ def _rename_inst(inst, names):
     return freeze_inst(out)
 
 
+def _renamed_member(e, names, memo):
+    out = memo.get(e)
+    if out is None:
+        out = memo[e] = _rename(e, names)
+    return out
+
+
 def _renamed(d, names, down=lambda node, names: names):
     """`d` with the nominals of each node renamed by a map from old to
     fresh names. The root's map is `down(d, names)`, and each other node's
     is `down` of the node and its parent's map. The maps are worked out in
     preorder and the nodes rebuilt bottom-up, over an explicit stack, so at
-    any height."""
-    done, stack = [], [(d, names, None)]
+    any height. Each map renames a distinct member once, and a weakening is
+    rebuilt forward from its renamed premiss, so it renames only its own
+    formula."""
+    done, stack = [], [(d, names, {}, None)]
     while stack:
-        node, names, arity = stack.pop()
+        node, names, memo, arity = stack.pop()
         if arity is None:
-            names = down(node, names)
-            stack.append((node, names, len(node.children)))
-            stack += [(c, names, None) for c in reversed(node.children)]
+            mine = down(node, names)
+            if mine is not names:
+                names, memo = mine, {}
+            stack.append((node, names, memo, len(node.children)))
+            stack += [(c, names, memo, None) for c in reversed(node.children)]
             continue
         kids = tuple(done[len(done) - arity:])
         del done[len(done) - arity:]
-        seq, inst = node.conclusion, node.inst
-        if names:
-            seq = Sequent(frozenset(_rename(e, names) for e in seq.ante),
-                          frozenset(_rename(e, names) for e in seq.cons))
-            inst = _rename_inst(inst, names)
-        done.append(Derivation(seq, node.rule, inst, kids))
+        if not names:
+            done.append(Derivation(node.conclusion, node.rule, node.inst,
+                                   kids))
+        elif node.rule in (WL, WR):
+            phi = _renamed_member(node.inst_dict["phi"], names, memo)
+            done.append(weaken(kids[0], "left" if node.rule == WL else "right",
+                               phi))
+        else:
+            seq = Sequent(
+                frozenset(_renamed_member(e, names, memo)
+                          for e in node.conclusion.ante),
+                frozenset(_renamed_member(e, names, memo)
+                          for e in node.conclusion.cons))
+            done.append(Derivation(seq, node.rule,
+                                   _rename_inst(node.inst, names), kids))
     return done[0]
 
 
@@ -267,8 +323,10 @@ def eigen_refresh(d, forbidden):
 # Transformation families
 # ---------------------------------------------------------------------------
 
-def _transform(node, scope_noms):
-    """Replace one topmost cut; returns (replacement, introduced, kind)."""
+def _transform(node, scope):
+    """Replace one topmost cut; returns (replacement, introduced, kind).
+    `scope()` gives the nominals of the whole tree, which a refreshed
+    eigen-nominal must avoid."""
     left, right = node.children
     phi = node.inst_dict["phi"]
     concl = node.conclusion
@@ -310,16 +368,16 @@ def _transform(node, scope_noms):
     else:
         role_r = _role_in_right(right, phi)
     if role_r == "context":
-        return _permute(node, into="right", scope_noms=scope_noms)
+        return _permute(node, into="right", scope=scope)
 
     role_l = _role_in_left(left, phi) if left.rule not in (WL, WR) else "context"
     if role_l == "context":
-        return _permute(node, into="left", scope_noms=scope_noms)
+        return _permute(node, into="left", scope=scope)
 
     # principal on both sides
     try:
         if dual(left.rule) == right.rule:
-            return _principal_pair(node, scope_noms)
+            return _principal_pair(node, scope)
         if left.rule == DIA_R and role_r == "required":
             return _family_dia_required(node)
     except CutStuck:
@@ -330,7 +388,7 @@ def _transform(node, scope_noms):
                    f"over {print_node(phi)}")
 
 
-def _permute(node, into, scope_noms):
+def _permute(node, into, scope):
     """Push the cut above a rule for which the cut formula is context."""
     left, right = node.children
     phi = node.inst_dict["phi"]
@@ -340,7 +398,7 @@ def _permute(node, into, scope_noms):
 
     if _eigens_of(target):
         target = eigen_refresh(
-            target, scope_noms | nominals(other) | concl.nominals())
+            target, scope() | nominals(other) | concl.nominals())
 
     if target.rule in (WL, WR):
         child = target.children[0]
@@ -379,7 +437,7 @@ def _permute(node, into, scope_noms):
             introduced, f"permute-{into}-{target.rule}")
 
 
-def _principal_pair(node, scope_noms):
+def _principal_pair(node, scope):
     """A right rule cut against its left dual, both principal on the cut.
 
     The left premiss is cut against each right premiss in turn, on the
@@ -397,7 +455,7 @@ def _principal_pair(node, scope_noms):
         introduced.append(cut_complexity(cur))
     eigens = RULES[right.rule].eigens
     if eigens:
-        right = eigen_refresh(right, scope_noms | nominals(left))
+        right = eigen_refresh(right, scope() | nominals(left))
         right = _renamed(right, {right.inst_dict[m]: inst[m] for m in eigens})
     (ours,) = added(left.rule, inst)
     for q, theirs in zip(right.children, added(right.rule, inst)):
@@ -435,6 +493,20 @@ def _family_dia_required(node):
 # Driver
 # ---------------------------------------------------------------------------
 
+def _step(node, path, scope):
+    """Transform the cut `node` at `path`; returns (replacement, event)."""
+    try:
+        replacement, introduced, kind = _transform(node, scope)
+    except CutStuck as e:
+        where = "/".join(map(str, path)) or "root"
+        raise CutStuck(f"stuck cut at {where}: {e}") from None
+    event = ReduceEvent(kind, path, cut_complexity(node), introduced)
+    if not event.decreasing():
+        raise CutEliminationError(
+            f"non-decreasing reduction {kind}: {event.selected} -> {introduced}")
+    return replacement, event
+
+
 def reduce_once(d):
     """Apply one transformation to the selected topmost cut.
 
@@ -445,32 +517,117 @@ def reduce_once(d):
     if sel is None:
         raise ValueError("derivation is cut-free")
     path, node = sel
-    scope = nominals(d)
-    try:
-        replacement, introduced, kind = _transform(node, scope)
-    except CutStuck as e:
-        where = "/".join(map(str, path)) or "root"
-        raise CutStuck(f"stuck cut at {where}: {e}") from None
-    event = ReduceEvent(kind, path, cut_complexity(node), introduced)
-    if not event.decreasing():
-        raise CutEliminationError(
-            f"non-decreasing reduction {kind}: {event.selected} -> {introduced}")
+    replacement, event = _step(node, path, lambda: nominals(d))
     return replace(d, path, replacement), event
 
 
+class _Open:
+    """A node of the tree under elimination with a cut at or above it: its
+    conclusion, rule and instantiation, its children `kids`, each a cut-free
+    `Derivation` or an `_Open`, and the slot `up.kids[slot]` that holds it.
+    It keeps no reference to the node it stands for, whose old children
+    would stay alive through it. A cut also keeps its `path`, the nearest
+    cut below it (`outer`), the number of cuts whose nearest cut below is
+    this one (`inner`; it is topmost when that is 0) and, once topmost, its
+    `Derivation` (`node`)."""
+
+    __slots__ = ("conclusion", "rule", "inst", "kids", "up", "slot",
+                 "path", "outer", "inner", "node")
+
+    def __init__(self, node, up, slot):
+        self.up, self.slot = up, slot
+        if node is None:  # the holder of the root
+            self.kids = [None]
+        else:
+            self.conclusion, self.rule, self.inst = \
+                node.conclusion, node.rule, node.inst
+            self.kids = list(node.children)
+
+
+def _hang(d, up, slot, path, outer, heap):
+    """Put `d`, the subtree at `path`, in `up.kids[slot]`, with an `_Open`
+    for each node that has a cut at or above it, and push its topmost cuts
+    onto `heap`; over an explicit stack, so at any height."""
+    if not d.cuts:
+        up.kids[slot] = d
+        return
+    stack = [(d, up, slot, path, outer)]
+    while stack:
+        node, up, slot, path, outer = stack.pop()
+        o = up.kids[slot] = _Open(node, up, slot)
+        if node.rule == CUT:
+            o.path, o.outer, o.inner = path, outer, 0
+            if outer is not None:
+                outer.inner += 1
+            if node.cuts == 1:
+                o.node = node
+                heappush(heap, (cut_height(node), path, o))
+            outer = o
+        for t, c in enumerate(node.children):
+            if c.cuts:
+                stack.append((c, o, t, path + (t,), outer))
+
+
+def _build(o):
+    """The derivation that `o` stands for, put in its slot. Each `_Open` in
+    it is built once, bottom-up over an explicit stack."""
+    stack = [o]
+    while stack:
+        x = stack[-1]
+        todo = [k for k in x.kids if isinstance(k, _Open)]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        x.up.kids[x.slot] = Derivation(x.conclusion, x.rule, x.inst,
+                                       tuple(x.kids))
+    return o.up.kids[o.slot]
+
+
+def _tree_nominals(root):
+    """`nominals` of the tree under elimination that `root` holds."""
+    out, stack = set(), [root.kids[0]]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, _Open):
+            out |= _inst_nominals(x.inst)
+            stack += x.kids
+        else:
+            out |= _subtree_nominals(x)
+    return out
+
+
 def eliminate_cuts(d, trace=None):
-    """Iterate reduce_once to a cut-free derivation of the same end-sequent.
+    """Reduce topmost cuts, in the order and by the steps of `reduce_once`,
+    to a cut-free derivation of the same end-sequent.
 
     Each step is local and lowers the cut measure; a cut with no local
     reduction raises CutStuck (a CutEliminationError) instead.
     """
-    end = d.conclusion
+    root, heap = _Open(None, None, 0), []
+    _hang(d, root, 0, (), None, heap)
+    scope = partial(_tree_nominals, root)
     for _ in range(MAX_REDUCE_STEPS):
-        if not d.cuts:
-            if d.conclusion != end:
-                raise CutEliminationError("end-sequent changed")
-            return d
-        d, event = reduce_once(d)
+        if not heap:
+            break
+        _, path, o = heappop(heap)
+        replacement, event = _step(o.node, path, scope)
         if trace is not None:
             trace.append(event)
-    raise CutEliminationError("step limit exceeded")
+        outer = o.outer
+        if outer is not None:
+            outer.inner -= 1
+        _hang(replacement, o.up, o.slot, path, outer, heap)
+        if outer is not None and outer.inner == 0:
+            # the cut below is now topmost: build it over its premisses,
+            # whose heights give its key
+            outer.node = _build(outer)
+            heappush(heap, (cut_height(outer.node), outer.path, outer))
+    else:
+        raise CutEliminationError("step limit exceeded")
+    out = root.kids[0]
+    if isinstance(out, _Open):
+        out = _build(out)
+    if out.conclusion != d.conclusion:
+        raise CutEliminationError("end-sequent changed")
+    return out

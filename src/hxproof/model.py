@@ -239,18 +239,18 @@ class _Compiler:
         # before any step runs
         n_count, full = self.n_count, self.full
         match e:
-            case Prop(p):
+            case Prop(name=p):
                 return self.component("val", p)
-            case Nominal(i):
+            case Nominal(name=i):
                 return self.component("g", i)
-            case Atom(a):
+            case Atom(mod=a):
                 return self.component("rels", a)
             case Bottom():
                 level = 0
 
                 def step(env):
                     env[out] = 0
-            case Implies(lhs, rhs):
+            case Implies(lhs=lhs, rhs=rhs):
                 if point is None:
                     (f, s), (g, t) = self.compile(lhs), self.compile(rhs)
                 else:
@@ -260,7 +260,7 @@ class _Compiler:
 
                 def step(env):
                     env[out] = full & ~env[f] | env[g]
-            case At(i, body):
+            case At(nom=i, body=body):
                 # only the body's bit at i's node is read
                 (k, s) = point = self.component("g", i)
                 f, t = self.at_point(body, point)
@@ -268,7 +268,7 @@ class _Compiler:
 
                 def step(env):
                     env[out] = full if env[f] & env[k] else 0
-            case Diamond(a, body):
+            case Diamond(mod=a, body=body):
                 (k, s), (f, t) = self.component("rels", a), self.compile(body)
                 level = max(s, t)
 
@@ -279,7 +279,7 @@ class _Compiler:
                         if succ & target:
                             mask |= 1 << x
                     env[out] = mask
-            case Compare(alpha, kind, c, beta):
+            case Compare(left=alpha, kind=kind, cmp=c, right=beta):
                 (k, s), (f, t), (g, u) = (self.component("cmp_class", c),
                                           self.compile(alpha),
                                           self.compile(beta))
@@ -302,17 +302,17 @@ class _Compiler:
                         x = here.bit_length() - 1
                         env[out] = here if holds(env[f][x], env[g][x],
                                                  env[k]) else 0
-            case Jump(i):
+            case Jump(nom=i):
                 k, level = self.component("g", i)
 
                 def step(env):
                     env[out] = _Jump(env[k])
-            case Test(body):
+            case Test(body=body):
                 f, level = self.compile(body)
 
                 def step(env):
                     env[out] = _Test(env[f])
-            case Concat(left, right):
+            case Concat(left=left, right=right):
                 (f, s), (g, t) = self.compile(left), self.compile(right)
                 level = max(s, t)
 
@@ -692,13 +692,13 @@ def _signature(seq):
     for e in seq.ante | seq.cons:
         for sub in sx.subexpressions(e):
             match sub:
-                case Prop(p):
+                case Prop(name=p):
                     props.add(p)
-                case Nominal(i) | Jump(i) | At(i, _):
+                case Nominal(name=i) | Jump(nom=i) | At(nom=i):
                     noms.add(i)
-                case Atom(a) | Diamond(a, _):
+                case Atom(mod=a) | Diamond(mod=a):
                     mods.add(a)
-                case Compare(_, _, c, _):
+                case Compare(cmp=c):
                     cmps.add(c)
                 case _:
                     pass

@@ -277,13 +277,13 @@ def size(e):
     match e:
         case Prop() | Nominal() | Bottom() | Atom() | Jump():
             return 1
-        case Implies(lhs, rhs):
+        case Implies(lhs=lhs, rhs=rhs):
             return 1 + size(lhs) + size(rhs)
-        case At(_, body) | Diamond(_, body) | Test(body):
+        case At(body=body) | Diamond(body=body) | Test(body=body):
             return 1 + size(body)
-        case Compare(left, _, _, right):
+        case Compare(left=left, right=right):
             return 1 + size(left) + size(right)
-        case Concat(left, right):
+        case Concat(left=left, right=right):
             return size(left) + size(right)
     raise TypeError(f"not an expression: {e!r}")
 
@@ -316,13 +316,14 @@ def subexpressions(e) -> Iterator:
 def _nominals(e):
     """The nominal set of a newly made expression, from its children's."""
     match e:
-        case Nominal(name) | Jump(name):
+        case Nominal(name=name) | Jump(nom=name):
             return frozenset((name,))
-        case At(nom, body):
+        case At(nom=nom, body=body):
             return body.noms | {nom}
-        case Implies(lhs, rhs) | Concat(lhs, rhs) | Compare(lhs, _, _, rhs):
+        case Implies(lhs=lhs, rhs=rhs) | Concat(left=lhs, right=rhs) | \
+                Compare(left=lhs, right=rhs):
             return lhs.noms | rhs.noms
-        case Diamond(_, body) | Test(body):
+        case Diamond(body=body) | Test(body=body):
             return body.noms
     return frozenset()
 

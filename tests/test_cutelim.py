@@ -1,4 +1,6 @@
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ import hypothesis.strategies as st
 
 from genutil import (conclusion_for_rule, derivation_of, rand_derivation,
                      rand_restricted)
-from hxproof import cutelim
+from hxproof import kernel
 from hxproof.cutelim import (
     CutComplexity, CutEliminationError, cut_complexity, cut_positions,
     eliminate_cuts, nominals, reduce_once, select_cut, topmost_cuts,
@@ -15,19 +17,20 @@ from hxproof.derived import axg, dual, weaken_to
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
     AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
-    IMP_L, IMP_R, LOGICAL_RULES, NEQ_L, axiom, check_derivation, cut,
-    infer, premises, sequent, weaken,
+    IMP_L, IMP_R, LOGICAL_RULES, METAVAR_KINDS, NEQ_L, axiom,
+    check_derivation, cut, infer, premises, sequent, weaken,
 )
 from hxproof.model import find_countermodel
 from hxproof.search import Proved, SearchConfig, Unknown, invert, prove
 from hxproof.syntax import (
     At, Atom, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
-    concat, eps,
+    concat, eps, fresh_nominals,
 )
 from test_acceptance import (SEED, _composition_corpus,
                              _inverse_construction_corpus, _paste_corpus)
 
 P, Q = Prop("p"), Prop("q")
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _closed(out, original):
@@ -143,10 +146,9 @@ def test_cut_under_a_deep_weakening_chain_eliminates():
     _run(d)
 
 
-def test_cut_into_a_deep_eigen_premiss_eliminates():
-    # permuting the cut into the DiaL renames its eigen-nominal throughout
-    # the 1,200-level weakening chain above it, over a stack, not by
-    # recursion
+def _deep_eigen_cut(levels):
+    """A cut of ImpR against a DiaL whose premiss is a chain of `levels`
+    right weakenings, with the cut formula as the DiaL's context."""
     imp, s = At("i", Implies(P, P)), At("m", Prop("s"))
     step_j, body_j = At("k", Diamond("a", Nominal("j"))), At("j", Q)
     left = infer(IMP_R, sequent((), {imp}), {"i": "i", "phi": P, "psi": P},
@@ -155,15 +157,54 @@ def test_cut_into_a_deep_eigen_premiss_eliminates():
     top = axiom(AX, sequent({s}, {s}), {"phi": s})
     for e in (step_j, body_j, imp):
         top = weaken(top, "left", e)
-    for t in range(1200):
+    for t in range(levels):
         top = weaken(top, "right", At("m", Prop(f"r{t}")))
     concl = top.conclusion.drop_ante(step_j, body_j).add_ante(
         At("k", Diamond("a", Q)))
     right = infer(DIA_L, concl, {"i": "k", "a": "a", "phi": Q, "j": "j"},
                   [top])
-    d = cut(left, right, imp)
+    return cut(left, right, imp)
+
+
+def test_cut_into_a_deep_eigen_premiss_eliminates():
+    # permuting the cut into the DiaL renames its eigen-nominal throughout
+    # the 1,200-level weakening chain above it, over a stack, not by
+    # recursion
+    d = _deep_eigen_cut(1200)
     assert d.height == 1206 and check_derivation(d) == []
     _run(d)
+
+
+def test_cut_into_a_2400_level_eigen_premiss_eliminates():
+    # twice the climb: one permutation into the DiaL, one per right
+    # weakening, and one that discharges the cut where its formula was
+    # weakened in
+    d = _deep_eigen_cut(2400)
+    assert d.height == 2406
+    out, trace = _run(d)
+    assert len(trace) == 2402
+
+
+def test_a_climb_builds_nodes_in_proportion_to_its_length(monkeypatch):
+    # a deterministic stand-in for linear time: the nodes built while the
+    # cut climbs 2,400 levels are about twice those for 1,200, where a
+    # rebuild of the path at every step would make them four times
+    built = [0]
+    init = kernel.Derivation.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        init(self)
+
+    counts = []
+    for levels in (1200, 2400):
+        d = _deep_eigen_cut(levels)
+        monkeypatch.setattr(kernel.Derivation, "__post_init__", counted)
+        built[0] = 0
+        eliminate_cuts(d)
+        monkeypatch.undo()
+        counts.append(built[0])
+    assert counts[1] <= 2.2 * counts[0]
 
 
 def test_bot_right_on_the_cut_formula_permutes_left():
@@ -456,19 +497,98 @@ def test_cut_positions_agree_with_a_plain_walk(seed):
     _same_cut_positions(_rand_cut_tree(rng, 4))
 
 
-def test_cut_positions_agree_with_a_plain_walk_on_criterion_5(monkeypatch):
-    # every derivation the elimination loop passes through
-    seen = []
-    reduce = cutelim.reduce_once
+def walk_nominals(d):
+    """`cutelim.nominals` as first defined: the nominals of every node's
+    conclusion and instantiation, by a plain walk."""
+    out = set()
+    for _, node in d.walk():
+        out |= node.conclusion.nominals()
+        for key, v in node.inst:
+            match METAVAR_KINDS[key]:
+                case "nominal":
+                    out.add(v)
+                case "path" | "node":
+                    out |= v.noms
+    return out
 
-    def checked(d):
-        _same_cut_positions(d)
-        seen.append(d)
-        return reduce(d)
 
-    monkeypatch.setattr(cutelim, "reduce_once", checked)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_nominals_agree_with_a_plain_walk(seed):
+    # a node's set is taken from its children, its instantiation and, at a
+    # leaf only, its conclusion; on a tree that checks that is every
+    # conclusion's nominals too
+    rng = random.Random(seed)
+    for d in (rand_derivation(rng, steps=4), _rand_cut_tree(rng, 4)):
+        assert check_derivation(d) == []
+        assert nominals(d) == walk_nominals(d)
+
+
+def _criterion_5_corpus():
     rng = random.Random(SEED + 2)
-    for d in (_inverse_construction_corpus(rng) + _paste_corpus(rng)
-              + _composition_corpus(rng)):
-        _same_cut_positions(eliminate_cuts(d))
-    assert len(seen) > 100
+    return (_inverse_construction_corpus(rng) + _paste_corpus(rng)
+            + _composition_corpus(rng))
+
+
+def _cut_families():
+    """The benchmark's cut-bearing families, drawn by perfbench's copy of
+    this suite's generators, and random trees of nested cuts."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    rng = gen.derived_rng(7, "cut-families")
+    out = []
+    for _ in range(6):
+        out += [gen.inverse_atl(rng, 3), gen.inverse_dial(rng, 3),
+                gen.inverse_cmpl(rng), gen.paste(rng), gen.composition(rng)]
+    trees = random.Random(8)
+    while len(out) < 60:
+        d = _rand_cut_tree(trees, 4)
+        if d.cuts > 1:
+            out.append(d)
+    return out
+
+
+def _goldens():
+    return list(prove_axiom_suite().values())
+
+
+def _same_as_the_reduce_once_loop(d):
+    """`eliminate_cuts(d)` against the loop of `reduce_once`, the one-step
+    reference: equal output trees and equal events. Every tree the loop
+    passes through has the cut positions and the nominals of a plain walk.
+    Returns the number of steps."""
+    trace = []
+    out = eliminate_cuts(d, trace=trace)
+    want, events = d, []
+    while want.cuts:
+        _same_cut_positions(want)
+        assert nominals(want) == walk_nominals(want)
+        want, ev = reduce_once(want)
+        events.append(ev)
+    assert out == want
+    assert [(e.kind, e.path, e.selected, e.introduced) for e in trace] \
+        == [(e.kind, e.path, e.selected, e.introduced) for e in events]
+    return len(events)
+
+
+@pytest.mark.parametrize("corpus", [_criterion_5_corpus, _cut_families,
+                                    _goldens],
+                         ids=["criterion-5", "cut-families", "goldens"])
+def test_eliminate_cuts_equals_the_reduce_once_loop(corpus):
+    # `eliminate_cuts` picks the cut and the step that `reduce_once` picks
+    # on the whole tree
+    steps = sum(_same_as_the_reduce_once_loop(d) for d in corpus())
+    assert steps > 100 or corpus is _goldens
+
+
+def test_a_refresh_avoids_the_nominals_outside_the_cut():
+    # the context below the cut names the first fresh nominal, so the
+    # eigen-nominal refreshed when the cut permutes into the DiaL must avoid
+    # the nominals of the whole tree, not only those of the cut's subtree
+    first = fresh_nominals(1, ())[0]
+    d = weaken(_deep_eigen_cut(3), "left", At(first, P))
+    assert _same_as_the_reduce_once_loop(d) == 5
+    _run(d)
