@@ -19,13 +19,14 @@ from __future__ import annotations
 import json
 import re
 import reprlib
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _escape
 from typing import get_args
 
 from . import syntax as sx
 from .kernel import (
     METAVAR_KINDS, RULES, WL, WR, Derivation, KernelError, Sequent,
-    ShapeViolation, freeze_inst, premises_of, sequent,
+    ShapeViolation, premises_of, sequent,
 )
 
 
@@ -55,10 +56,14 @@ def _field(d, key, typ=object):
     return v
 
 
+_KINDS = {kind.value: kind for kind in sx.CmpKind}
+
+
 def _kind_value(v):
-    if not isinstance(v, str) or v not in ("eq", "neq"):
+    kind = _KINDS.get(v) if isinstance(v, str) else None
+    if kind is None:
         raise DecodeError(f"unknown comparison kind: {_show(v)}")
-    return sx.CmpKind(v)
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +89,13 @@ _ROWS = {
     "concat": (sx.Concat, (("left", "path"), ("right", "path"))),
 }
 _SORT_CLASSES = {"node": get_args(sx.NodeExpr), "path": get_args(sx.PathExpr)}
-# class -> (tag, attribute names, (JSON key, sort) of each field), for the
+# class -> the sort of its expressions
+_SORT_OF = {cls: sort for sort, classes in _SORT_CLASSES.items()
+            for cls in classes}
+# class -> (tag, (attribute name, JSON key, sort) of each field), for the
 # writers
-_LAYOUT = {cls: (tag, cls.__match_args__, fields)
+_LAYOUT = {cls: (tag, tuple((attr, key, sort) for attr, (key, sort)
+                            in zip(cls.__match_args__, fields)))
            for tag, (cls, fields) in _ROWS.items()}
 
 # Deeper expressions are refused, row by row, so that the layers that
@@ -103,11 +112,11 @@ def node_to_json(e):
     each field under its JSON key. The CLI writes these objects (`parse
     --emit json`, `check`'s end-sequent); no reader reads them."""
     try:
-        tag, attrs, fields = _LAYOUT[type(e)]
+        tag, fields = _LAYOUT[type(e)]
     except KeyError:
         raise TypeError(f"not an expression: {e!r}") from None
     out = {"tag": tag}
-    for attr, (key, sort) in zip(attrs, fields):
+    for attr, key, sort in fields:
         v = getattr(e, attr)
         out[key] = (node_to_json(v) if sort in _SORT_CLASSES
                     else v.value if sort == "kind" else v)
@@ -168,73 +177,71 @@ class EncodeError(ValueError):
     """A derivation past the limits that the reader enforces."""
 
 
-def _check_row(t, size, depth, error):
-    """Raise `error` for row `t` past MAX_NESTING or MAX_EXPR_SIZE."""
+def _row_error(t, size, depth, error):
+    """The `error` for row `t`, nested more than MAX_NESTING levels deep or
+    spelling out to more than MAX_EXPR_SIZE. Reader and writer test both
+    bounds inline, once per row, and call this only past one."""
     if depth > MAX_NESTING:
-        raise error(f"expression nested more than {MAX_NESTING} levels deep")
-    if size > MAX_EXPR_SIZE:
-        raise error(f"exprs row {t} spells out to more than {MAX_EXPR_SIZE} "
-                    f"nodes and name characters")
+        return error(f"expression nested more than {MAX_NESTING} levels deep")
+    return error(f"exprs row {t} spells out to more than {MAX_EXPR_SIZE} "
+                 f"nodes and name characters")
 
 
-class _Budget:
-    """What the rows of one file spell out, against the file's own size: the
-    fields of its rows, the characters of its `exprs` names and the members
-    of its stated conclusions."""
-
-    __slots__ = ("own", "spelt")
-
-    def __init__(self):
-        self.own = self.spelt = 0
-
-    def charge(self, own, spelt, error):
-        self.own += own
-        self.spelt += spelt
-        if self.spelt > TABLE_ALLOWANCE + TABLE_FACTOR * self.own:
-            raise error(f"the rows spell out to more than {TABLE_ALLOWANCE:,} "
-                        f"plus {TABLE_FACTOR} times the file's own size")
+def _budget_error(error):
+    """The `error` for rows that spell out to more than TABLE_ALLOWANCE plus
+    TABLE_FACTOR times the file's own size: the fields of its rows, the
+    characters of its `exprs` names and the members of its stated
+    conclusions. Reader and writer test the budget inline after each
+    `exprs` row and once more after the node rows."""
+    return error(f"the rows spell out to more than {TABLE_ALLOWANCE:,} "
+                 f"plus {TABLE_FACTOR} times the file's own size")
 
 
 class _Table:
     """The `exprs` rows of one file: each distinct expression once, after
-    the rows of its children, with their sizes and depths."""
+    the rows of its children, and what the rows spell out (`spelt`) against
+    their own size (`own`)."""
 
     def __init__(self):
         self.rows = []
-        self.index = {}
-        self.sizes = []
-        self.depths = []
-        self.budget = _Budget()
+        self.index = {}        # expression -> (row index, size, depth)
+        self.own = self.spelt = 0
 
-    def ref(self, e):
-        """The row index of `e`, adding its rows where they are missing. It
-        recurses once per expression level, as the decoder bounds
-        (MAX_NESTING)."""
-        i = self.index.get(e)
-        if i is None:
-            tag, attrs, fields = _LAYOUT[type(e)]
-            row, size, depth, chars = [tag], 1, 1, 0
-            for attr, (_, sort) in zip(attrs, fields):
-                v = getattr(e, attr)
-                if sort in _SORT_CLASSES:
-                    k = self.ref(v)
-                    size += self.sizes[k]
-                    depth = max(depth, 1 + self.depths[k])
-                    row.append(k)
-                elif sort == "kind":
-                    row.append(v.value)
-                else:
-                    chars += len(v)
-                    row.append(v)
-            size += chars
-            i = len(self.rows)
-            _check_row(i, size, depth, EncodeError)
-            self.budget.charge(len(row) + chars, size, EncodeError)
-            self.index[e] = i
-            self.rows.append(row)
-            self.sizes.append(size)
-            self.depths.append(depth)
-        return i
+    def add(self, e):
+        """The (row index, size, depth) of `e`, which has no row yet, after
+        adding the rows of its children that have none. It recurses once per
+        expression level of new rows, as the decoder bounds (MAX_NESTING)."""
+        tag, fields = _LAYOUT[type(e)]
+        index = self.index
+        row, size, depth, chars = [tag], 1, 1, 0
+        for attr, _, sort in fields:
+            v = getattr(e, attr)
+            if sort == "name":
+                chars += len(v)
+            elif sort == "kind":
+                v = v.value
+            else:
+                v, below, deep = index.get(v) or self.add(v)
+                size += below
+                if deep >= depth:
+                    depth = deep + 1
+            row.append(v)
+        size += chars
+        i = len(self.rows)
+        if depth > MAX_NESTING or size > MAX_EXPR_SIZE:
+            raise _row_error(i, size, depth, EncodeError)
+        self.own += len(row) + chars
+        self.spelt += size
+        if self.spelt > TABLE_ALLOWANCE + TABLE_FACTOR * self.own:
+            raise _budget_error(EncodeError)
+        self.rows.append(row)
+        index[e] = got = (i, size, depth)
+        return got
+
+    def refs(self, es):
+        """The row indices of the expressions `es`, adding missing rows."""
+        index = self.index
+        return [(index.get(e) or self.add(e))[0] for e in es]
 
     def inst(self, inst):
         """The `inst` object of a frozen instantiation (names as strings,
@@ -248,8 +255,8 @@ class _Table:
                     out[key] = v.value
                     spelt += 1
                 case "path" | "node" if isinstance(v, _SORT_CLASSES[kind]):
-                    out[key] = k = self.ref(v)
-                    spelt += self.sizes[k]
+                    out[key], below, _ = self.index.get(v) or self.add(v)
+                    spelt += below
                 case "nominal" | "modality" | "comparison" if isinstance(v, str):
                     out[key] = v
                     spelt += len(v)
@@ -257,12 +264,6 @@ class _Table:
                     raise TypeError(f"metavariable {key} holds {v!r}, "
                                     f"not a {kind}")
         return out, spelt
-
-    def sequent(self, s):
-        """A conclusion as two lists of row indices, members in print-key
-        order."""
-        return [[self.ref(e) for e in s.sorted_ante],
-                [self.ref(e) for e in s.sorted_cons]]
 
 
 def derivation_to_json(d):
@@ -272,117 +273,140 @@ def derivation_to_json(d):
     weakening whose formula was already present, and at any child that does
     not match its parent's premisses. The tree is walked over an explicit
     stack, so at any height."""
+    # each node before its children, and a node's last child first: read
+    # backwards, this is the order of the node rows, children in order
+    order = []                 # (node, the conclusion its parent implies)
+    stack = [(d, None)]
+    while stack:
+        node, implied = stack.pop()
+        order.append((node, implied))
+        kids = node.children
+        if kids:
+            stack += zip(kids, _implied(node.conclusion, node.rule, node.inst,
+                                        len(kids)))
     table = _Table()
     nodes = []
     done = []                  # row indices of finished subtrees
     own = spelt = 0            # of the node rows, charged as the reader does
-    stack = [(d, None, False)]
-    while stack:
-        node, implied, ready = stack.pop()
+    for node, implied in reversed(order):
         n = len(node.children)
-        if not ready:
-            stack.append((node, implied, True))
-            below = _implied(node.conclusion, node.rule, node.inst, n)
-            stack += [(c, s, False) for c, s in zip(reversed(node.children),
-                                                    reversed(below))]
-            continue
         start = len(done) - n
         inst, cost = table.inst(node.inst)
         row = {"rule": node.rule, "inst": inst, "children": done[start:]}
         del done[start:]
         own += 1 + len(inst) + n
         spelt += cost
-        if node.conclusion != implied:
-            row["conclusion"] = table.sequent(node.conclusion)
-            own += len(node.conclusion.ante) + len(node.conclusion.cons)
+        conclusion = node.conclusion
+        if conclusion is not implied and conclusion != implied:
+            row["conclusion"] = [table.refs(conclusion.sorted_ante),
+                                 table.refs(conclusion.sorted_cons)]
+            own += len(conclusion.ante) + len(conclusion.cons)
         done.append(len(nodes))
         nodes.append(row)
-    table.budget.charge(own, spelt, EncodeError)
+    own += table.own
+    spelt += table.spelt
+    if spelt > TABLE_ALLOWANCE + TABLE_FACTOR * own:
+        raise _budget_error(EncodeError)
     return {"format": FORMAT, "exprs": table.rows, "nodes": nodes}
 
 
-def _exprs(rows, budget):
-    """The expressions of the `exprs` rows, in row order, and their sizes. A
-    row may name only earlier rows, and is refused before it is built if it
-    is nested more than MAX_NESTING levels deep, spells out to more than
-    MAX_EXPR_SIZE, or takes the rows so far past their `budget`."""
-    built, sizes, depths = [], [], []
+# tag -> (class, the sort of its expressions, the sort of each field)
+_READ = {tag: (cls, _SORT_OF[cls], tuple(sort for _, sort in fields))
+         for tag, (cls, fields) in _ROWS.items()}
+
+
+def _exprs(rows):
+    """The expressions of the `exprs` rows by sort, as {"node": {row index:
+    (expression, size, depth)}, "path": {...}}, and what the rows spell out
+    (`spelt`) against their own size (`own`). A row may name only earlier
+    rows, each of the sort its field takes, and is refused before it is
+    built if it is nested more than MAX_NESTING levels deep, spells out to
+    more than MAX_EXPR_SIZE, or takes the rows so far past the file's
+    budget."""
+    table = {"node": {}, "path": {}}
+    own = spelt = 0
     for t, row in enumerate(rows):
         if not isinstance(row, list) or not row or not isinstance(row[0], str):
             raise DecodeError(f"exprs row {t} is not a tagged list: {_show(row)}")
         try:
-            cls, fields = _ROWS[row[0]]
+            cls, sort, fields = _READ[row[0]]
         except KeyError:
             raise DecodeError(f"unknown expression tag: {_show(row[0])}") from None
         if len(row) != 1 + len(fields):
             raise DecodeError(f"exprs row {t} has {len(row) - 1} field(s); "
                               f"{_show(row[0])} takes {len(fields)}")
         values, size, depth, chars = [], 1, 1, 0
-        for (_, sort), v in zip(fields, row[1:]):
-            if sort == "name":
+        for field, v in zip(fields, row[1:]):
+            if field == "name":
                 if not isinstance(v, str):
                     raise DecodeError(f"exprs row {t} has a name that is not "
                                       f"a str: {_show(v)}")
                 chars += len(v)
-                values.append(v)
-            elif sort == "kind":
-                values.append(_kind_value(v))
+            elif field == "kind":
+                v = _kind_value(v)
             else:
-                values.append(_ref(v, built, sort))
-                size += sizes[v]
-                depth = max(depth, 1 + depths[v])
+                v, below, deep = _lookup(table, t, v, field)
+                size += below
+                if deep >= depth:
+                    depth = deep + 1
+            values.append(v)
         size += chars
-        _check_row(t, size, depth, DecodeError)
-        budget.charge(len(row) + chars, size, DecodeError)
-        built.append(cls(*values))
-        sizes.append(size)
-        depths.append(depth)
-    return built, sizes
+        if depth > MAX_NESTING or size > MAX_EXPR_SIZE:
+            raise _row_error(t, size, depth, DecodeError)
+        own += len(row) + chars
+        spelt += size
+        if spelt > TABLE_ALLOWANCE + TABLE_FACTOR * own:
+            raise _budget_error(DecodeError)
+        table[sort][t] = (cls(*values), size, depth)
+    return table, own, spelt
 
 
-def _ref(v, exprs, sort):
-    """The expression of sort `sort` at row `v` of `exprs`."""
-    if type(v) is not int or not 0 <= v < len(exprs):
-        raise DecodeError(f"{_show(v)} does not name an earlier exprs row")
-    e = exprs[v]
-    if not isinstance(e, _SORT_CLASSES[sort]):
+def _lookup(table, count, v, sort):
+    """The (expression, size, depth) of row `v` of `table`, whose first
+    `count` rows are built; the row must hold an expression of `sort`."""
+    got = table[sort].get(v) if type(v) is int else None
+    if got is None:
+        if type(v) is not int or not 0 <= v < count:
+            raise DecodeError(f"{_show(v)} does not name an earlier exprs row")
         raise DecodeError(f"exprs row {v} is not a {sort} expression")
-    return e
+    return got
 
 
-def _inst(d, exprs, sizes):
-    """The instantiation the format-2 `inst` object `d` encodes, as a dict,
+def _inst(d, table, count):
+    """The frozen instantiation that the format-2 `inst` object `d` encodes,
     and what its values spell out to."""
-    out, spelt = {}, 0
+    pairs, spelt = [], 0
     for key, v in d.items():
         if not isinstance(key, str):
             raise DecodeError(f"metavariable is not a str: {_show(key)}")
         kind = METAVAR_KINDS.get(key)
         if kind is None:
             raise DecodeError(f"unknown metavariable: {_show(key)}")
-        if kind in _SORT_CLASSES:
-            out[key] = _ref(v, exprs, kind)
-            spelt += sizes[v]
+        if kind in table:
+            e, size, _ = _lookup(table, count, v, kind)
+            pairs.append((key, e))
+            spelt += size
         elif kind == "cmpkind":
-            out[key] = _kind_value(v)
+            pairs.append((key, _kind_value(v)))
             spelt += 1
         elif isinstance(v, str):
-            out[key] = v
+            pairs.append((key, v))
             spelt += len(v)
         else:
             raise DecodeError(f"metavariable {key} holds {_show(v)}, "
                               f"not a {kind} name")
-    return out, spelt
+    pairs.sort()
+    return tuple(pairs), spelt
 
 
-def _sequent(v, exprs):
+def _sequent(v, table, count):
     """The sequent a format-2 `conclusion`, two lists of rows, encodes."""
     if not (isinstance(v, list) and len(v) == 2
             and all(isinstance(side, list) for side in v)):
         raise DecodeError(f"field 'conclusion' is not two lists: {_show(v)}")
     try:
-        return sequent([_ref(t, exprs, "node") for t in v[0]],
-                       [_ref(t, exprs, "node") for t in v[1]])
+        return sequent([_lookup(table, count, t, "node")[0] for t in v[0]],
+                       [_lookup(table, count, t, "node")[0] for t in v[1]])
     except ShapeViolation as e:                # a member that is not restricted
         raise DecodeError(str(e)) from None
 
@@ -396,17 +420,17 @@ def derivation_from_json(d):
     fmt = _field(d, "format")
     if type(fmt) is not int or fmt != FORMAT:
         raise DecodeError(f"unknown derivation format: {_show(fmt)}")
-    budget = _Budget()
-    exprs, sizes = _exprs(_field(d, "exprs", list), budget)
+    exprs = _field(d, "exprs", list)
+    table, own, spelt = _exprs(exprs)
+    count = len(exprs)
     rows = _field(d, "nodes", list)
     if not rows:
         raise DecodeError("a derivation needs at least one node")
     heads = []                 # (rule, frozen inst, kids, stated conclusion)
     parent = [None] * len(rows)
-    own = spelt = 0
     for t, row in enumerate(rows):
         rule = _field(row, "rule", str)
-        inst, cost = _inst(_field(row, "inst", dict), exprs, sizes)
+        inst, cost = _inst(_field(row, "inst", dict), table, count)
         kids = _field(row, "children", list)
         own += 1 + len(inst) + len(kids)
         spelt += cost
@@ -420,10 +444,11 @@ def derivation_from_json(d):
             parent[c] = t
         stated = None
         if "conclusion" in row:
-            stated = _sequent(row["conclusion"], exprs)
+            stated = _sequent(row["conclusion"], table, count)
             own += len(row["conclusion"][0]) + len(row["conclusion"][1])
-        heads.append((rule, freeze_inst(inst), kids, stated))
-    budget.charge(own, spelt, DecodeError)
+        heads.append((rule, inst, kids, stated))
+    if spelt > TABLE_ALLOWANCE + TABLE_FACTOR * own:
+        raise _budget_error(DecodeError)
     if None in parent[:-1]:
         raise DecodeError(f"node {parent.index(None)} is not the child of a "
                           f"later node")
@@ -440,12 +465,13 @@ def derivation_from_json(d):
                               f"{_show(heads[parent[t]][0])} above does not "
                               f"imply")
         conclusions[t] = conclusion
-        for c, s in zip(kids, _implied(conclusion, rule, inst, len(kids))):
-            conclusions[c] = s
+        if kids:
+            for c, s in zip(kids, _implied(conclusion, rule, inst, len(kids))):
+                conclusions[c] = s
     built = []
     for (rule, inst, kids, _), conclusion in zip(heads, conclusions):
         built.append(Derivation(conclusion, rule, inst,
-                                tuple(built[c] for c in kids)))
+                                tuple([built[c] for c in kids])))
     return built[-1]
 
 
@@ -453,13 +479,12 @@ def derivation_from_json(d):
 # Canonical text
 # ---------------------------------------------------------------------------
 
-_ITEM = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
 # a key as the C encoder writes one it turned from a number, a bool or None
 # into a string; a str key can look the same, so a match is only a reason
 # to look at the keys themselves
 _CONVERTED_KEY = re.compile(r'[{,]"(?:-?[0-9][^"]*|true|false|null|NaN'
                             r'|-?Infinity)":')
+_DEFAULT = json.JSONEncoder().default
 
 
 def dumps_canonical(obj):
@@ -467,32 +492,39 @@ def dumps_canonical(obj):
     are sorted; an object that is not inside a list is written with one
     member per line, indented two spaces a level; a list is written with one
     item per line, each item as compact JSON (`json.dumps(item,
-    sort_keys=True, separators=(",", ":"))`, the stdlib's C encoder). Keys
-    must be `str`, or TypeError."""
+    sort_keys=True, separators=(",", ":"))`). One call builds the stdlib's C
+    encoder once, with the arguments that `json.dumps` gives it for those
+    options, and writes every item through it. Keys must be `str`, or
+    TypeError."""
+    # markers, default, string escape, indent, key separator, item
+    # separator, sort_keys, skipkeys, allow_nan; the markers dict is this
+    # call's record of the containers open (check_circular)
+    encode = c_make_encoder({}, _DEFAULT, _escape, None, ":", ",", True,
+                            False, True)
     pieces = []
-    _write(obj, "\n", pieces)
+    _write(obj, "\n", pieces, encode)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _write(o, nl, pieces):
-    """Append the text of `o` to `pieces`. `nl` is a newline followed by the
-    indent of the line `o` starts on."""
+def _write(o, nl, pieces, encode):
+    """Append the text of `o` to `pieces`, items of lists through `encode`.
+    `nl` is a newline followed by the indent of the line `o` starts on."""
     inner = nl + "  "
     if isinstance(o, dict) and o:
         sep = "{" + inner
         for key in sorted(o):
             pieces.append(sep + _escape(key) + ": ")
-            _write(o[key], inner, pieces)
+            _write(o[key], inner, pieces, encode)
             sep = "," + inner
         pieces.append(nl + "}")
     elif isinstance(o, (list, tuple)) and o:
-        items = ("," + inner).join(map(_ITEM, o))
+        items = ("," + inner).join(["".join(encode(item, 0)) for item in o])
         if _CONVERTED_KEY.search(items):
             _check_keys(o)
         pieces.append("[" + inner + items + nl + "]")
     else:
-        pieces.append(_ITEM(o))
+        pieces.append("".join(encode(o, 0)))
 
 
 def _check_keys(o):

@@ -1,13 +1,14 @@
 """Trusted proof kernel: sequents, the rule table, derivation checking.
 
 Trusted is what `check_derivation` runs: `Sequent`, `RULES` with its
-templates and `evidence`, `premises` and its memo, and `Derivation`. The
-forward constructors `axiom`, `infer`, `cut`, `weaken` and `sequent` (with
-`freeze_inst`) stay beside them: each checks the one node it builds, the
-criterion tests and the benchmark's generator import them from here, and
-the benchmark's tracer rebinds them. Rule-table readers and tree builders
-(`decompose`, `dual`, `graft`, `weaken_to`, ...) live in `derived`, and
-this module re-checks what they build. The module is 636 lines.
+templates and `evidence`, `premises` and its memo, `thaw_inst` and
+`Derivation`. The forward constructors `axiom`, `infer`, `cut`, `weaken`
+and `sequent` (with `freeze_inst`) stay beside them: each checks the one
+node it builds, the criterion tests and the benchmark's generator import
+them from here, and the benchmark's tracer rebinds them. Rule-table readers
+and tree builders (`decompose`, `dual`, `graft`, `weaken_to`, ...) live in
+`derived`, and this module re-checks what they build. The module is 709
+lines.
 
 Sequents are pairs of finite sets of restricted node expressions (everything
 is @-prefixed or an atomic comparison between two jumps). Each logical rule
@@ -17,7 +18,12 @@ kinds (by class, as expressions are well formed when built), enforces the
 shape and freshness side conditions, and returns the premiss sequents.
 `check_derivation` re-verifies every node of a tree and reports every failure
 as a `Violation`, so trees built through the forward constructors can never
-be unsound.
+be unsound. A node whose conclusion is not a `Sequent`, whose rule is not a
+str or whose instantiation is not a tuple of distinct (metavariable, value)
+pairs is a violation as well, never an exception. A `Sequent`'s sides are
+frozensets whose members were checked when it was built, so a premiss's
+sets are trusted as they are: `_premiss` checks only what a rule adds, and
+a Cut's conclusion checks only its cut formula.
 
 The checker, `infer`, the JSON reader and writer and cut elimination's
 permutations ask for a node's premisses through `premises_of`, which keeps
@@ -38,8 +44,9 @@ must call `premises_memo.cache_clear()`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+import reprlib
+from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -91,6 +98,25 @@ def _check_members(es):
                 f"not a restricted sequent member: {print_node(e)}")
 
 
+class _kept:
+    """A read-only attribute computed on first use and kept in the instance's
+    `__dict__`, where later reads find it first. `functools.cached_property`
+    does the same, but before Python 3.12 its first read takes a lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        v = obj.__dict__[self.name] = self.compute(obj)
+        return v
+
+
 @dataclass(frozen=True)
 class Sequent:
     """Antecedent and consequent sets; the hash, the sorted members and the
@@ -100,6 +126,8 @@ class Sequent:
     cons: frozenset
 
     def __post_init__(self):
+        if type(self.ante) is not frozenset or type(self.cons) is not frozenset:
+            raise ShapeViolation("sequent sides must be frozensets")
         _check_members(self.ante)
         _check_members(self.cons)
 
@@ -130,17 +158,17 @@ class Sequent:
             object.__setattr__(self, "_hash", h)
         return h
 
-    @cached_property
+    @_kept
     def sorted_ante(self):
         """The antecedent as a tuple in print-key order."""
         return tuple(sorted(self.ante, key=attrgetter("key")))
 
-    @cached_property
+    @_kept
     def sorted_cons(self):
         """The consequent as a tuple in print-key order."""
         return tuple(sorted(self.cons, key=attrgetter("key")))
 
-    @cached_property
+    @_kept
     def _noms(self):
         return frozenset().union(*(e.noms for e in self.ante),
                                  *(e.noms for e in self.cons))
@@ -441,7 +469,7 @@ PREMISES_MEMO_SIZE = 256
 def premises_memo(goal, rule, inst):
     """`premises` of a frozen instantiation, as a tuple, kept for the last
     PREMISES_MEMO_SIZE keys that succeeded (see the module docstring)."""
-    return tuple(premises(goal, rule, dict(inst)))
+    return tuple(premises(goal, rule, thaw_inst(inst)))
 
 
 def premises_of(goal, rule, inst):
@@ -450,7 +478,7 @@ def premises_of(goal, rule, inst):
     try:
         return premises_memo(goal, rule, inst)
     except TypeError:
-        return tuple(premises(goal, rule, dict(inst)))
+        return tuple(premises(goal, rule, thaw_inst(inst)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,23 +489,54 @@ def freeze_inst(inst):
     return tuple(sorted(inst.items()))
 
 
-@dataclass(frozen=True)
+def thaw_inst(inst):
+    """The dict of a frozen instantiation; ShapeViolation unless `inst` is a
+    tuple of (metavariable, value) pairs with distinct metavariables."""
+    if type(inst) is tuple:
+        for pair in inst:
+            if type(pair) is not tuple:
+                break
+        else:
+            try:
+                out = dict(inst)
+            except (TypeError, ValueError):    # not a pair, or unhashable
+                pass
+            else:
+                if len(out) == len(inst):      # no metavariable twice
+                    return out
+    raise ShapeViolation(f"instantiation is not a tuple of distinct "
+                         f"(metavariable, value) pairs: {reprlib.repr(inst)}")
+
+
 class Derivation:
     """A sequent-labeled tree; every node records its full rule instance,
-    its height and the number of cuts in its subtree."""
+    its height and the number of cuts in its subtree. A node is a value:
+    nothing changes its fields once it is built. They are slots, set by a
+    plain `__init__`, which builds a node in less than half the time that a
+    frozen dataclass takes; the `__dict__` holds what other layers keep per
+    node (cut elimination's nominal sets)."""
 
-    conclusion: Sequent
-    rule: str
-    inst: tuple
-    children: tuple = ()
-    height: int = field(init=False, compare=False, default=0)
-    cuts: int = field(init=False, compare=False, default=0)
+    __slots__ = ("conclusion", "rule", "inst", "children", "height", "cuts",
+                 "__dict__")
 
-    def __post_init__(self):
-        h = 1 + max((c.height for c in self.children), default=0)
-        object.__setattr__(self, "height", h)
-        object.__setattr__(self, "cuts", (self.rule == CUT)
-                           + sum(c.cuts for c in self.children))
+    def __init__(self, conclusion, rule, inst, children=()):
+        self.conclusion = conclusion
+        self.rule = rule
+        self.inst = inst
+        self.children = children
+        if not children:
+            self.height = 1
+            self.cuts = int(rule == CUT)
+        elif len(children) == 1:
+            self.height = children[0].height + 1
+            self.cuts = children[0].cuts + (rule == CUT)
+        else:
+            self.height = 1 + max([c.height for c in children])
+            self.cuts = sum([c.cuts for c in children]) + (rule == CUT)
+
+    def __repr__(self):
+        return (f"Derivation({self.conclusion!r}, {self.rule!r}, "
+                f"{self.inst!r}, <{len(self.children)} children>)")
 
     def __eq__(self, other):
         """Equal conclusions, rules, instantiations and children, compared
@@ -503,7 +562,7 @@ class Derivation:
 
     @property
     def inst_dict(self):
-        return dict(self.inst)
+        return thaw_inst(self.inst)
 
     def walk(self):
         """(path of child indices, node) for every node, in preorder; with
@@ -540,15 +599,25 @@ def infer(rule, conclusion, inst, children):
 
 
 def _cut_conclusion(left, right, phi):
+    """The conclusion of a Cut on `phi`, built as `_premiss` builds one: the
+    premisses' members were checked when their sequents were built."""
     if not is_restricted(phi):
         raise ShapeViolation(f"cut expression not restricted: {print_node(phi)}")
-    if phi not in left.conclusion.cons:
+    lhs, rhs = _premiss_sequent(left), _premiss_sequent(right)
+    if phi not in lhs.cons:
         raise KernelError(f"cut expression missing on the left: {print_node(phi)}")
-    if phi not in right.conclusion.ante:
+    if phi not in rhs.ante:
         raise KernelError(f"cut expression missing on the right: {print_node(phi)}")
-    return Sequent(
-        left.conclusion.ante | (right.conclusion.ante - {phi}),
-        (left.conclusion.cons - {phi}) | right.conclusion.cons)
+    return _premiss(lhs.ante | (rhs.ante - {phi}), (lhs.cons - {phi}) | rhs.cons,
+                    (), ())
+
+
+def _premiss_sequent(d):
+    """The conclusion of the premiss `d`, which a structural rule reads."""
+    if not isinstance(d.conclusion, Sequent):
+        raise ShapeViolation(f"a premiss's conclusion is not a Sequent: "
+                             f"{reprlib.repr(d.conclusion)}")
+    return d.conclusion
 
 
 def cut(left, right, phi):
@@ -570,14 +639,13 @@ def weaken(d, side, phi):
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
-def weakening_ok(node):
-    child = node.children[0]
-    phi = node.inst_dict["phi"]
+def weakening_ok(node, phi):
+    child = _premiss_sequent(node.children[0])
     if node.rule == WL:
-        return (node.conclusion.ante == child.conclusion.ante | {phi}
-                and node.conclusion.cons == child.conclusion.cons)
-    return (node.conclusion.cons == child.conclusion.cons | {phi}
-            and node.conclusion.ante == child.conclusion.ante)
+        return (node.conclusion.ante == child.ante | {phi}
+                and node.conclusion.cons == child.cons)
+    return (node.conclusion.cons == child.cons | {phi}
+            and node.conclusion.ante == child.ante)
 
 
 # ---------------------------------------------------------------------------
@@ -606,31 +674,36 @@ def check_derivation(d, allow_open=False):
 
 
 def _check_node(node, allow_open):
-    if node.rule == OPEN:
+    conclusion, rule = node.conclusion, node.rule
+    if not isinstance(conclusion, Sequent):
+        raise ShapeViolation(f"conclusion is not a Sequent: "
+                             f"{reprlib.repr(conclusion)}")
+    if not isinstance(rule, str):
+        raise KernelError(f"rule is not a str: {reprlib.repr(rule)}")
+    if rule == OPEN:
         if not allow_open:
             raise KernelError("open leaf in a closed derivation")
         if node.children:
             raise KernelError("open leaf with children")
         _check_inst((), node.inst_dict)
         return
-    if node.rule in STRUCTURAL_RULES:
-        _check_inst(("phi",), node.inst_dict)
-    if node.rule == CUT:
-        if len(node.children) != 2:
-            raise KernelError("Cut needs exactly two premisses")
-        if _cut_conclusion(*node.children, node.inst_dict["phi"]) \
-                != node.conclusion:
-            raise KernelError("Cut conclusion does not match its premisses")
-        return
-    if node.rule in (WL, WR):
+    if rule in STRUCTURAL_RULES:
+        inst = node.inst_dict
+        _check_inst(("phi",), inst)
+        if rule == CUT:
+            if len(node.children) != 2:
+                raise KernelError("Cut needs exactly two premisses")
+            if _cut_conclusion(*node.children, inst["phi"]) != conclusion:
+                raise KernelError("Cut conclusion does not match its premisses")
+            return
         if len(node.children) != 1:
             raise KernelError("weakening needs exactly one premiss")
-        if not weakening_ok(node):
+        if not weakening_ok(node, inst["phi"]):
             raise KernelError("weakening conclusion does not match its premiss")
         return
-    want = premises_of(node.conclusion, node.rule, node.inst)
-    got = tuple(c.conclusion for c in node.children)
+    want = premises_of(conclusion, rule, node.inst)
+    got = tuple([c.conclusion for c in node.children])
     if want != got:
         raise KernelError(
-            f"{node.rule} premisses do not match: want "
+            f"{rule} premisses do not match: want "
             f"{[str(s) for s in want]}, got {[str(s) for s in got]}")

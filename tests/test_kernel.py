@@ -3,7 +3,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from genutil import (SIG, conclusion_for_rule, rand_derivation, rand_model,
@@ -22,7 +22,7 @@ from hxproof.kernel import (
     premises_of, sequent, weaken,
 )
 from hxproof.goldens import reflexivity
-from hxproof.model import eval_node
+from hxproof.model import eval_node, find_countermodel
 from hxproof.syntax import (
     At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
     concat, dia, eps,
@@ -63,6 +63,14 @@ def test_every_sequent_constructor_but_premises_checks_every_member():
                        "conclusion": [[0], []]}]}
     with pytest.raises(jsonio.DecodeError, match="not a restricted"):
         jsonio.derivation_from_json(blob)
+
+
+def test_a_sequent_holds_two_frozensets():
+    # the checker and cut conclusions trust a Sequent's members, and set
+    # operations on its sides, only for sides that are frozensets
+    for ante, cons in (([At("i", P)], frozenset()), (frozenset(), {At("i", P)})):
+        with pytest.raises(ShapeViolation, match="frozensets"):
+            Sequent(ante, cons)
 
 
 def test_premisses_hold_only_restricted_members():
@@ -269,6 +277,41 @@ def test_malformed_instantiation_is_a_violation(rule, key):
         mutated = replace(d, path, Derivation(
             node.conclusion, node.rule, freeze_inst(bad), node.children))
         assert [v.path for v in check_derivation(mutated)] == [path]
+
+
+def _malformed_nodes():
+    """(name, tree, allow_open, paths of the nodes it must report) for trees
+    whose nodes are not of the kernel's types."""
+    phi = At("i", P)
+    good = axiom(AX, sequent({phi}, {phi}), {"phi": phi})
+    inst, s = good.inst, good.conclusion
+    not_a_sequent = Derivation("x", AX, inst)
+    return [
+        ("conclusion-not-a-sequent", not_a_sequent, False, [()]),
+        ("cut-premiss-not-a-sequent",
+         Derivation(s, CUT, inst, (not_a_sequent, good)), False, [(), (0,)]),
+        ("cut-right-premiss-not-a-sequent",
+         Derivation(s, CUT, inst, (good, not_a_sequent)), False, [(), (1,)]),
+        ("weakening-premiss-not-a-sequent",
+         Derivation(s, WL, inst, (not_a_sequent,)), False, [(), (0,)]),
+        ("inst-not-pairs", Derivation(s, AX, (1, 2)), False, [()]),
+        ("inst-a-list", Derivation(s, AX, list(inst)), False, [()]),
+        ("inst-pair-a-list", Derivation(s, AX, (["phi", phi],)), False, [()]),
+        ("inst-names-phi-twice", Derivation(s, AX, inst + inst), False, [()]),
+        ("cut-inst-not-pairs", Derivation(s, CUT, (1, 2), (good, good)),
+         False, [()]),
+        ("open-inst-not-pairs", Derivation(s, OPEN, (1,)), True, [()]),
+        ("rule-not-a-str", Derivation(s, [AX], inst), False, [()]),
+    ]
+
+
+@pytest.mark.parametrize("name,d,allow_open,paths", _malformed_nodes(),
+                         ids=[case[0] for case in _malformed_nodes()])
+def test_a_node_not_of_the_kernel_types_is_a_violation(
+        name, d, allow_open, paths):
+    violations = check_derivation(d, allow_open)
+    assert all(isinstance(v, Violation) for v in violations)
+    assert sorted(v.path for v in violations) == paths
 
 
 def test_check_reports_paths():
@@ -542,18 +585,30 @@ def _perturb_member(blob, draw):
                        | st.just(len(exprs) - 2) | st.just(body))
 
 
+def _rename_modality_a(blob, draw):
+    """Rename the modality a to x in its one `exprs` row, as `_retype` may:
+    the symmetry golden then proves |- @i (<x =c b> <-> <b =c x>)."""
+    row = blob["exprs"].index(["mod", "a"])
+    blob["exprs"][row] = ["mod", "x"]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(_GOLDEN_TEXTS)),
        st.sampled_from([_drop, _retype, _swap_rule, _perturb_member]),
        st.data())
+@example("symmetry", _rename_modality_a, None)
 def test_mutated_golden_decodes_or_fails_cleanly_and_never_passes_as_original(
         name, mutate, data):
     blob = json.loads(_GOLDEN_TEXTS[name])
-    mutate(blob, data.draw)
+    mutate(blob, data and data.draw)
     try:
         d = jsonio.derivation_from_json(blob)
     except jsonio.DecodeError:
         return
     violations = check_derivation(d)
-    if d.conclusion != _END_SEQUENTS[name]:
-        assert violations, "a tree with a changed end-sequent was accepted"
+    # a mutation can rename a symbol consistently through the table and so
+    # yield a proof of another sequent; the checker may accept that tree
+    # only where its end-sequent is sound
+    if d.conclusion != _END_SEQUENTS[name] and not violations:
+        assert find_countermodel(d.conclusion, 2) is None, \
+            "an unsound tree with a changed end-sequent was accepted"
