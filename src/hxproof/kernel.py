@@ -7,8 +7,7 @@ and `sequent` (with `freeze_inst`) stay beside them: each checks the one
 node it builds, the criterion tests and the benchmark's generator import
 them from here, and the benchmark's tracer rebinds them. Rule-table readers
 and tree builders (`decompose`, `dual`, `graft`, `weaken_to`, ...) live in
-`derived`, and this module re-checks what they build. The module is 709
-lines.
+`derived`, and this module re-checks what they build.
 
 Sequents are pairs of finite sets of restricted node expressions (everything
 is @-prefixed or an atomic comparison between two jumps). Each logical rule

@@ -22,11 +22,10 @@ subexpression is computed once over the whole model, `<a>` as a pre-image,
 in O(nodes + edges) mask operations. `satisfying_nodes` is global model
 checking: the formula over the whole model, with no point.
 
-A model component is read into masks the first time a step asks for its
-symbol, so a query reads only what it mentions. The node order, a
-relation's successor masks, a proposition's mask and a comparison's class
-masks are memoized in small LRU caches keyed on the component's immutable
-value and the node set, never on the model (see `HybridDataModel`).
+A model is a frozen value. What the checker reads of it, the node order
+and a symbol's masks (a relation's successor masks, a proposition's mask, a
+comparison's class masks), is derived once per model, the first time a
+step asks for that symbol, and kept on the model (see `HybridDataModel`).
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import syntax as sx
 from .syntax import (
@@ -68,49 +68,62 @@ def _partition_from_classes(nodes, classes):
     return class_of
 
 
-@dataclass
+@dataclass(frozen=True)
 class HybridDataModel:
-    """M = (N, {R_a}, {~_c}, g, V).
+    """M = (N, {R_a}, {~_c}, g, V), a value.
 
-    The product never changes a model once it is built, but nothing stops a
-    caller from doing so (the tests' brute-force countermodel search assigns
-    `g`, `cmp_class`, `rels` and `val` of one model in turn), so no derived
-    data is cached on the model: each model-checking call reads the fields
-    afresh. What the checker derives from a field is memoized off the model,
-    keyed on the field's immutable value (the node set, a relation's pair
-    set, a proposition's node set), so a reassigned field only misses the
-    memo; `__post_init__` makes those values frozensets. A comparison
-    symbol's dict is mutable, so each call keys its memo on a frozenset of
-    the dict's items, taken afresh.
+    `__post_init__` checks the fields and replaces them with private copies:
+    a frozenset of nodes and read-only mappings (`MappingProxyType`) whose
+    values are frozensets, or for a comparison symbol a read-only map giving
+    every node its class id. So changing what a model was built from changes
+    nothing, and `dataclasses.replace` builds a variant. What the checker
+    derives from a model (`_order`, `_derive`) is kept in `_derived`, so it
+    is built once per model and goes away with it.
     """
 
     nodes: frozenset
-    rels: dict            # modality symbol -> frozenset of (n, m) pairs
-    cmp_class: dict       # comparison symbol -> {node: class id}
-    g: dict               # nominal -> node (partial; see default_node)
-    val: dict             # prop symbol -> frozenset of nodes
-    default_node: str = field(default=None)
+    rels: MappingProxyType       # modality symbol -> frozenset of (n, m) pairs
+    cmp_class: MappingProxyType  # comparison symbol -> {node: class id}
+    g: MappingProxyType          # nominal -> node (partial; see default_node)
+    val: MappingProxyType        # prop symbol -> frozenset of nodes
+    default_node: str = None
+    _derived: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
-        self.nodes = frozenset(self.nodes)
-        self.rels = {a: frozenset(map(tuple, pairs))
-                     for a, pairs in self.rels.items()}
-        self.val = {p: frozenset(ns) for p, ns in self.val.items()}
-        if not self.nodes:
+        nodes = frozenset(self.nodes)
+        if not nodes:
             raise ModelError("node set must be non-empty")
+        rels = {a: frozenset(map(tuple, pairs))
+                for a, pairs in self.rels.items()}
+        cmp_class = {c: MappingProxyType(dict(class_of))
+                     for c, class_of in self.cmp_class.items()}
+        val = {p: frozenset(ns) for p, ns in self.val.items()}
         if self.default_node is None:
-            self.default_node = min(self.nodes)
-        for a, pairs in self.rels.items():
+            object.__setattr__(self, "default_node", min(nodes))
+        if self.default_node not in nodes:
+            raise UnknownNode(f"unknown node {self.default_node!r} as default")
+        for a, pairs in rels.items():
             for n, m in pairs:
-                if n not in self.nodes or m not in self.nodes:
+                if n not in nodes or m not in nodes:
                     raise UnknownNode(f"relation {a} uses unknown node")
+        for c, class_of in cmp_class.items():
+            if not nodes.issuperset(class_of):
+                n = min(class_of.keys() - nodes)
+                raise UnknownNode(f"comparison {c} uses unknown node {n!r}")
+            if len(class_of) < len(nodes):
+                n = min(nodes - class_of.keys())
+                raise ModelError(f"comparison {c} gives node {n!r} no class")
         for i, n in self.g.items():
-            if n not in self.nodes:
+            if n not in nodes:
                 raise UnknownNode(f"nominal {i} assigned to unknown node {n!r}")
-        for p, ns in self.val.items():
-            for n in ns:
-                if n not in self.nodes:
-                    raise UnknownNode(f"valuation of {p} uses unknown node")
+        for p, ns in val.items():
+            if not nodes.issuperset(ns):
+                raise UnknownNode(f"valuation of {p} uses unknown node")
+        object.__setattr__(self, "nodes", nodes)
+        for name, table in (("rels", rels), ("cmp_class", cmp_class),
+                            ("g", dict(self.g)), ("val", val)):
+            object.__setattr__(self, name, MappingProxyType(table))
 
     @staticmethod
     def make(nodes, rels=None, cmps=None, g=None, val=None):
@@ -118,9 +131,8 @@ class HybridDataModel:
         nodes = frozenset(nodes)
         cmp_class = {c: _partition_from_classes(nodes, blocks)
                      for c, blocks in (cmps or {}).items()}
-        return HybridDataModel(nodes=nodes, rels=dict(rels or {}),
-                               cmp_class=cmp_class, g=dict(g or {}),
-                               val=dict(val or {}))
+        return HybridDataModel(nodes=nodes, rels=rels or {},
+                               cmp_class=cmp_class, g=g or {}, val=val or {})
 
     # -- component access -------------------------------------------------
 
@@ -129,11 +141,51 @@ class HybridDataModel:
         return self.g.get(nominal, self.default_node)
 
     def same_class(self, c, n, m):
+        for x in (n, m):
+            if x not in self.nodes:
+                raise UnknownNode(f"unknown node {x!r}")
         classes = self.cmp_class.get(c)
         if classes is None:
             # Unmentioned comparison symbols behave as the identity partition.
             return n == m
         return classes[n] == classes[m]
+
+    # -- what the checker derives, once per model ---------------------------
+
+    def _order(self):
+        """The nodes in sorted order, and each node's position (kept under
+        the key "order"; a component's key is a (kind, symbol) pair)."""
+        out = self._derived.get("order")
+        if out is None:
+            order = tuple(sorted(self.nodes))
+            out = self._derived["order"] = (
+                order, {n: x for x, n in enumerate(order)})
+        return out
+
+    def _derive(self, key):
+        """A component read into the shape the steps read (see below), for
+        a key (kind, symbol) of `_Compiler`. An absent comparison symbol reads
+        as the identity partition, an absent modality or proposition as
+        empty, and an unplaced nominal names the default node."""
+        kind, sym = key
+        order, pos = self._order()
+        if kind == "g":
+            return 1 << pos[self.node_of(sym)]
+        if kind == "val":
+            return sum(1 << pos[n] for n in self.val.get(sym, ()))
+        if kind == "rels":
+            succ = [0] * len(order)
+            for n, m in self.rels.get(sym, ()):
+                succ[pos[n]] |= 1 << pos[m]
+            return tuple(succ)
+        class_of = self.cmp_class.get(sym)
+        if class_of is None:
+            # each node alone in its class: the endpoints of `true?`
+            return _Test(~0)
+        block = {}
+        for n, c in class_of.items():
+            block[c] = block.get(c, 0) | 1 << pos[n]
+        return tuple(block[class_of[n]] for n in order)
 
 
 # ---------------------------------------------------------------------------
@@ -401,74 +453,18 @@ def _passes(env, program):
     return True
 
 
-# A model component read into masks depends only on the component's value
-# and the node set, so the reads are memoized on those values, taken as
-# frozensets; a model whose field is reassigned or changed only misses.
-
-@functools.lru_cache(maxsize=16)
-def _node_order(nodes):
-    """The nodes in sorted order, and each node's position."""
-    order = tuple(sorted(nodes))
-    return order, {n: x for x, n in enumerate(order)}
-
-
-@functools.lru_cache(maxsize=16)
-def _successor_masks(pairs, nodes):
-    pos = _node_order(nodes)[1]
-    succ = [0] * len(pos)
-    for n, m in pairs:
-        succ[pos[n]] |= 1 << pos[m]
-    return tuple(succ)
-
-
-@functools.lru_cache(maxsize=16)
-def _node_mask(members, nodes):
-    pos = _node_order(nodes)[1]
-    return sum(1 << pos[n] for n in members)
-
-
-@functools.lru_cache(maxsize=16)
-def _class_masks(classes, nodes):
-    order, pos = _node_order(nodes)
-    class_of, block = dict(classes), {}
-    for n, c in classes:
-        block[c] = block.get(c, 0) | 1 << pos[n]
-    return tuple(block[class_of[n]] for n in order)
-
-
 class _ModelSlots(dict):
-    """The slots of a program run on one model: a component's slot is read
-    from the model the first time a step asks for it, so a query reads only
-    the symbols it mentions. An absent comparison symbol reads as the
-    identity partition, an absent modality or proposition as empty, and an
-    unplaced nominal names the default node. Nothing is cached on the model.
-    """
+    """The slots of a program run on one model; a component's slot is
+    looked up in the model's `_derived` the first time a step reads it."""
 
     def __init__(self, model, components):
-        super().__init__()
         self.model, self.components = model, components
-        self.node_set = frozenset(model.nodes)
-        self.nodes, self.pos = _node_order(self.node_set)
 
     def __missing__(self, k):
-        kind, sym = self.components[k]
-        model, pos = self.model, self.pos
-        if kind == "g":
-            value = 1 << pos[model.node_of(sym)]
-        elif kind == "val":
-            value = _node_mask(frozenset(model.val.get(sym, ())),
-                               self.node_set)
-        elif kind == "rels":
-            value = _successor_masks(frozenset(model.rels.get(sym, ())),
-                                     self.node_set)
-        else:
-            class_of = model.cmp_class.get(sym)
-            if class_of is None:
-                # each node alone in its class: the endpoints of `true?`
-                value = _Test(~0)
-            else:
-                value = _class_masks(frozenset(class_of.items()),
-                                     self.node_set)
+        key, derived = self.components[k], self.model._derived
+        value = derived.get(key)
+        if value is None:
+            value = derived[key] = self.model._derive(key)
         self[k] = value
         return value
 
@@ -494,7 +490,7 @@ def _run(model, query, n=None):
     program, components, out = _compiled(query, len(model.nodes))
     env = _ModelSlots(model, components)
     if n is not None:
-        x = env.pos.get(n)
+        x = model._order()[1].get(n)
         if x is None:
             raise UnknownNode(f"unknown node {n!r}")
         env[POINT] = 1 << x
@@ -516,7 +512,7 @@ def satisfying_nodes(model, phi):
     env, _, out = _run(model, phi)
     mask = env[out]
     # bin() lists the bits highest first; reversed, index x is bit x
-    return frozenset(n for n, bit in zip(env.nodes, bin(mask)[:1:-1])
+    return frozenset(n for n, bit in zip(model._order()[0], bin(mask)[:1:-1])
                      if bit == "1")
 
 

@@ -3,9 +3,10 @@
 It reads the paper's semantics off literally: a path holds between two
 nodes, a concatenation through some midpoint, and a comparison between some
 pair of endpoints. It calls nothing of the product's model checker, only the
-model's fields and its `node_of` and `same_class`. Its cost is polynomial
-with a high degree (a concatenation recurses over every midpoint), so it
-serves small models only.
+model's fields and its `node_of` and `same_class`, so it also runs on a
+`ScratchModel`, whose fields a search can assign in turn. Its cost is
+polynomial with a high degree (a concatenation recurses over every
+midpoint), so it serves small models only.
 """
 
 from hxproof.model import UnknownNode
@@ -13,6 +14,22 @@ from hxproof.syntax import (
     At, Atom, Bottom, CmpKind, Compare, Concat, Diamond, Implies, Jump,
     Nominal, Prop, Test,
 )
+
+
+class ScratchModel:
+    """A mutable, unvalidated model on the given nodes, the first one its
+    default node, for searches that assign its fields in turn."""
+
+    def __init__(self, nodes):
+        self.nodes, self.default_node = frozenset(nodes), nodes[0]
+        self.rels, self.cmp_class, self.g, self.val = {}, {}, {}, {}
+
+    def node_of(self, nominal):
+        return self.g.get(nominal, self.default_node)
+
+    def same_class(self, c, n, m):
+        classes = self.cmp_class.get(c)
+        return n == m if classes is None else classes[n] == classes[m]
 
 
 def related(model, a, n, m):

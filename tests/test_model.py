@@ -1,9 +1,12 @@
+import dataclasses
 import gc
 import itertools
 import json
 import pathlib
 import random
+import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -225,8 +228,8 @@ def test_one_query_on_models_of_one_size():
 
 
 def test_a_reassigned_model_field_is_read_afresh():
-    # what the checker derives from a field is keyed on the field's value,
-    # never on the model
+    # a model is frozen, so a variant with a field replaced is a new model,
+    # and nothing derived from the first one carries over to it
     m = HybridDataModel.make(["x", "y"], rels={"a": [("x", "y")]},
                              cmps={"c": [["x", "y"]]}, g={"i": "y"},
                              val={"p": ["y"]})
@@ -234,26 +237,138 @@ def test_a_reassigned_model_field_is_read_afresh():
     phis = [parse_node(text, table)
             for text in ("<a>p", "<a =c eps>", "i", "@i p")]
 
-    def answers():
+    def answers(m):
         got = [[eval_node(m, n, phi) for n in ("x", "y")] for phi in phis]
         assert got == [[pairwise.eval_node(m, n, phi) for n in ("x", "y")]
                        for phi in phis]
         return got
 
-    assert answers() == [[True, False], [True, False], [False, True],
-                         [True, True]]
-    m.val = {"p": frozenset()}
-    assert answers() == [[False, False], [True, False], [False, True],
-                         [False, False]]
-    m.val = {"p": {"y"}}                 # a plain set reads as well
-    m.rels = {"a": {("y", "y")}}
-    assert answers() == [[False, True], [False, True], [False, True],
-                         [True, True]]
-    m.cmp_class = {"c": {"x": 0, "y": 1}}
-    m.rels = {"a": frozenset({("x", "y")})}
-    m.g = {"i": "x"}
-    assert answers() == [[True, False], [False, False], [True, False],
-                         [False, False]]
+    assert answers(m) == [[True, False], [True, False], [False, True],
+                          [True, True]]
+    m = dataclasses.replace(m, val={"p": frozenset()})
+    assert answers(m) == [[False, False], [True, False], [False, True],
+                          [False, False]]
+    m = dataclasses.replace(m, val={"p": {"y"}},       # a plain set reads
+                            rels={"a": {("y", "y")}})  # as well
+    assert answers(m) == [[False, True], [False, True], [False, True],
+                          [True, True]]
+    m = dataclasses.replace(m, cmp_class={"c": {"x": 0, "y": 1}},
+                            rels={"a": frozenset({("x", "y")})}, g={"i": "x"})
+    assert answers(m) == [[True, False], [False, False], [True, False],
+                          [False, False]]
+
+
+def test_a_model_field_cannot_be_assigned():
+    m = HybridDataModel.make(["x", "y"], rels={"a": [("x", "y")]},
+                             cmps={"c": [["x", "y"]]}, g={"i": "y"},
+                             val={"p": ["y"]})
+    for f in dataclasses.fields(m):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, f.name, getattr(m, f.name))
+    with pytest.raises(TypeError):
+        m.rels["b"] = frozenset()
+    with pytest.raises(TypeError):
+        m.cmp_class["c"]["x"] = 5
+
+
+def test_changing_what_a_model_was_built_from_changes_no_answer():
+    table = sx.SymbolTable()
+    phis = [parse_node(text, table) for text in (
+        "<a>p", "<a><a>p", "<a =c a a>", "<eps !=c a>", "i", "@i <a>p")]
+
+    def answers(m):
+        return [[eval_node(m, n, phi) for n in sorted(m.nodes)]
+                for phi in phis]
+
+    nodes = ["x", "y", "z"]
+    rels = {"a": {("x", "y"), ("y", "z")}}
+    cmps = {"c": [["x", "z"]]}
+    g = {"i": "y"}
+    val = {"p": {"z"}}
+    m = HybridDataModel.make(nodes, rels=rels, cmps=cmps, g=g, val=val)
+    class_of = {"x": 0, "y": 1, "z": 0}
+    direct = HybridDataModel(nodes=set(nodes), rels=rels,
+                             cmp_class={"c": class_of}, g=g, val=val)
+    before = answers(m)
+    assert answers(direct) == before
+    nodes.append("w")
+    rels["a"].add(("x", "x"))
+    rels["b"] = {("x", "y")}
+    cmps["c"][0].append("y")
+    class_of["y"] = 0
+    g["i"] = "x"
+    val["p"].add("x")
+    for m in (m, direct):
+        assert answers(m) == before
+        assert m.nodes == {"x", "y", "z"} and m.g == {"i": "y"}
+        assert m.val["p"] == {"z"} and m.rels["a"] == {("x", "y"), ("y", "z")}
+        assert "b" not in m.rels and not m.same_class("c", "x", "y")
+
+
+def test_a_queried_model_is_freed_with_its_derived_masks():
+    # no memo outside the model keeps the masks read from it
+    m = HybridDataModel.make([f"n{t}" for t in range(8)],
+                             rels={"a": [("n0", "n1"), ("n1", "n2")]},
+                             cmps={"c": [["n0", "n2"]]}, val={"p": ["n2"]})
+    phi = parse_node("<a a =c eps> & <a><a>p", sx.SymbolTable())
+    assert eval_node(m, "n0", phi)
+    assert satisfying_nodes(m, phi) == {"n0"}
+    succ = m._derived["rels", "a"]
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+    # held by this frame and getrefcount's argument only
+    assert sys.getrefcount(succ) <= 2
+
+
+def test_a_comparison_builds_its_class_masks_once_per_model(monkeypatch):
+    built = []
+
+    def counted(model, key):
+        built.append(key)
+        return derive(model, key)
+
+    derive = HybridDataModel._derive
+    monkeypatch.setattr(HybridDataModel, "_derive", counted)
+    m = HybridDataModel.make(["x", "y", "z"], rels={"a": [("x", "y")]},
+                             cmps={"c": [["y", "z"]]})
+    phi = parse_node("<a =c a>", sx.SymbolTable())
+    for t in range(100):
+        assert eval_node(m, "xyz"[t % 3], phi) == (t % 3 == 0)
+    assert built.count(("cmp_class", "c")) == 1
+    assert built.count(("rels", "a")) == 1
+    other = HybridDataModel.make(["x", "y", "z"], cmps={"c": [["y", "z"]]})
+    eval_node(other, "x", phi)
+    assert built.count(("cmp_class", "c")) == 2
+
+
+def test_a_class_map_must_class_every_node_of_the_model_and_no_other():
+    with pytest.raises(ModelError, match="gives node 'b' no class"):
+        HybridDataModel(nodes={"a", "b"}, rels={}, cmp_class={"c": {"a": 0}},
+                        g={}, val={})
+    with pytest.raises(UnknownNode, match="unknown node 'zz'"):
+        HybridDataModel(nodes={"a", "b"}, rels={},
+                        cmp_class={"c": {"a": 0, "b": 1, "zz": 0}},
+                        g={}, val={})
+
+
+def test_a_default_node_outside_the_model_is_refused():
+    m = HybridDataModel.make(["a", "b"])
+    with pytest.raises(UnknownNode, match="unknown node 'zz'"):
+        dataclasses.replace(m, default_node="zz")
+    with pytest.raises(UnknownNode, match="unknown node 'a'"):
+        dataclasses.replace(m, nodes={"b"})
+
+
+def test_same_class_refuses_an_unknown_node():
+    m = HybridDataModel.make(["a", "b"], cmps={"c": [["a", "b"]]})
+    assert m.same_class("c", "a", "b") and m.same_class("d", "a", "a")
+    for c in ("c", "d"):
+        with pytest.raises(UnknownNode, match="unknown node 'zzz'"):
+            m.same_class(c, "a", "zzz")
+        with pytest.raises(UnknownNode, match="unknown node 'zzz'"):
+            m.same_class(c, "zzz", "a")
 
 
 def test_point_evaluation_fills_only_the_starts_reachable_from_the_node():
@@ -462,18 +577,6 @@ def _deps(expr):
     return uses_v, uses_r
 
 
-def _scratch_model(nodes):
-    """Unvalidated mutable model for the enumeration loops."""
-    m = HybridDataModel.__new__(HybridDataModel)
-    m.nodes = frozenset(nodes)
-    m.rels = {}
-    m.cmp_class = {}
-    m.g = {}
-    m.val = {}
-    m.default_node = nodes[0]
-    return m
-
-
 def _blocks_of(class_of):
     blocks = {}
     for n, cid in class_of.items():
@@ -516,7 +619,7 @@ def naive_countermodel(seq, max_nodes):
         r_choices = [dict(zip(mods, combo)) for combo in
                      itertools.product(r_subsets, repeat=len(mods))]
 
-        m = _scratch_model(nodes)
+        m = pairwise.ScratchModel(nodes)
         for g in _g_assignments(noms, nodes):
             m.g = g
             for cmp_map in all_partitions:
@@ -577,24 +680,20 @@ def test_nested_iff_chain_is_walked_as_a_dag():
         assert time.perf_counter() - start < 1.0
 
 
-class _Unreadable:
-    """A model component whose read raises."""
-
-    def __iter__(self):
-        raise AssertionError("an unmentioned component was read")
-
-    def __getitem__(self, key):
-        raise AssertionError("an unmentioned component was read")
-
-
 def test_a_query_reads_only_the_components_it_mentions(example1, queries):
     m = model_from_json(model_to_json(example1))
-    m.rels["unread"] = m.val["unread"] = m.cmp_class["unread"] = _Unreadable()
+    m = dataclasses.replace(m, rels={**m.rels, "unread": {("n1", "n1")}},
+                            val={**m.val, "unread": {"n1"}},
+                            cmp_class={**m.cmp_class,
+                                       "unread": {n: 0 for n in m.nodes}})
     for q in queries.values():
         assert all(eval_node(m, n, q) for n in sorted(m.nodes))
     s = sequent({At("i1", queries["q1"])}, {At("i2", queries["q3"])})
     assert check_sequent_validity(m, s)
     assert satisfies_set(m, "n1", set(queries.values()))
+    read = {key[1] for key in m._derived if isinstance(key, tuple)}
+    assert read == {"born", "friends", "val", "name", "Date", "Person",
+                    "i1", "i2"}
 
 
 def test_countermodel_none_when_antecedent_cannot_hold():
