@@ -14,18 +14,21 @@ per distinct subexpression. The model checker (`eval_node`, `satisfies_set`,
 Its program is compiled once per query and node count and kept in a small
 LRU cache (`_compiled`), so a call only sets the point and runs the steps.
 
-A formula asked about at one node is evaluated at the point: `@i` moves the
-point to i's node, `->` passes it down, and a comparison reads its two
-paths' endpoint masks at that one start, which a path fills per start on
-demand, so it costs only the endpoints reachable from the node. Any other
-subexpression is computed once over the whole model, `<a>` as a pre-image,
-in O(nodes + edges) mask operations. `satisfying_nodes` is global model
-checking: the formula over the whole model, with no point.
+Each node expression is computed at the nodes where its value is needed,
+starting from the point: `@i` needs its body at i's node, `->` passes the
+need down, `<a>phi` is tested at its needed nodes only and needs phi at
+their successors, and a comparison reads its two paths' endpoints from its
+needed nodes only, which a path fills per start on demand. So a
+formula asked about at one node costs what it reaches from there: a step
+does O(needed nodes) mask operations, each on masks of up to N bits.
+`satisfying_nodes` is global model checking, where every node is needed,
+and so is a test inside a path.
 
 A model is a frozen value. What the checker reads of it, the node order
-and a symbol's masks (a relation's successor masks, a proposition's mask, a
-comparison's class masks), is derived once per model, the first time a
-step asks for that symbol, and kept on the model (see `HybridDataModel`).
+and a symbol's masks (a proposition's mask, a comparison's class masks, a
+relation's successor positions, and each node's successor mask the first
+time a step reads it), is derived once per model and kept on the model
+(see `HybridDataModel`).
 """
 
 from __future__ import annotations
@@ -76,9 +79,10 @@ class HybridDataModel:
     a frozenset of nodes and read-only mappings (`MappingProxyType`) whose
     values are frozensets, or for a comparison symbol a read-only map giving
     every node its class id. So changing what a model was built from changes
-    nothing, and `dataclasses.replace` builds a variant. What the checker
-    derives from a model (`_order`, `_derive`) is kept in `_derived`, so it
-    is built once per model and goes away with it.
+    nothing, `dataclasses.replace` builds a variant, and equal models hash
+    equal (a set member or a dict key). What the checker derives from a
+    model (`_order`, `_derive`) is kept in `_derived`, so it is built once
+    per model and goes away with it.
     """
 
     nodes: frozenset
@@ -125,6 +129,19 @@ class HybridDataModel:
                             ("g", dict(self.g)), ("val", val)):
             object.__setattr__(self, name, MappingProxyType(table))
 
+    def __hash__(self):
+        """A hash of what `==` compares, the fields' contents (`_derived`
+        left out); computed once and kept in `_derived`."""
+        out = self._derived.get("hash")
+        if out is None:
+            out = self._derived["hash"] = hash((
+                self.nodes, frozenset(self.rels.items()),
+                frozenset((c, frozenset(class_of.items()))
+                          for c, class_of in self.cmp_class.items()),
+                frozenset(self.g.items()), frozenset(self.val.items()),
+                self.default_node))
+        return out
+
     @staticmethod
     def make(nodes, rels=None, cmps=None, g=None, val=None):
         """Build from plain collections; `cmps` maps symbol -> list of blocks."""
@@ -164,7 +181,9 @@ class HybridDataModel:
 
     def _derive(self, key):
         """A component read into the shape the steps read (see below), for
-        a key (kind, symbol) of `_Compiler`. An absent comparison symbol reads
+        a key (kind, symbol) of `_Compiler`: a modality's successor positions
+        in one pass over its pairs, from which a node's successor mask is
+        built when a step first reads it. An absent comparison symbol reads
         as the identity partition, an absent modality or proposition as
         empty, and an unplaced nominal names the default node."""
         kind, sym = key
@@ -174,10 +193,10 @@ class HybridDataModel:
         if kind == "val":
             return sum(1 << pos[n] for n in self.val.get(sym, ()))
         if kind == "rels":
-            succ = [0] * len(order)
+            succ = {}
             for n, m in self.rels.get(sym, ()):
-                succ[pos[n]] |= 1 << pos[m]
-            return tuple(succ)
+                succ.setdefault(pos[n], []).append(pos[m])
+            return _Successors(succ)
         class_of = self.cmp_class.get(sym)
         if class_of is None:
             # each node alone in its class: the endpoints of `true?`
@@ -193,13 +212,14 @@ class HybridDataModel:
 # ---------------------------------------------------------------------------
 #
 # Bit x of a mask stands for the node at position x. A node expression's
-# value is the mask of the nodes where it holds, and a path's value gives
+# value is a mask of the nodes where it holds, and a path's value gives
 # the endpoint mask of each start position x as `value[x]` (`_Test`,
-# `_Jump`, `_Concat`, or a modality's successor tuple). A model component is
+# `_Jump`, `_Concat`, or a modality's successor masks). A model component is
 # read into the same shapes: a nominal ("g") is one bit, a proposition
-# ("val") a mask, a modality ("rels") a tuple of successor masks, and a
-# comparison symbol ("cmp_class") a tuple of class masks, the class of each
-# node. Slot POINT holds the one-bit mask of the node a demand is checked at.
+# ("val") a mask, a modality ("rels") the successor masks by start position
+# (`_Successors`, or a tuple in the countermodel search), and a comparison
+# symbol ("cmp_class") a tuple of class masks, the class of each node. Slot
+# POINT holds the one-bit mask of the node a demand is checked at.
 
 POINT = 0
 
@@ -211,28 +231,33 @@ class _Compiler:
     level is one depth of the countermodel search, which fixes one model
     component there; `level_of` maps a component key (kind, symbol) to its
     level, and model checking, which leaves it empty, runs a single level.
-    An expression's level is the highest level of the components it reads.
+    An expression's level is the highest level of the slots it reads.
 
     A component's slot of `env` is shared by its leaf expression (`Prop`,
     `Nominal`, `Atom`). Each distinct compound subexpression gets one slot
-    and one step at its level, placed after its children's steps, so it is
-    computed once per assignment of that level. A step writes its slot and
-    returns None; a demand's check step returns whether the demand holds,
-    and a level stops at its first failed check. The steps capture slot
-    numbers and masks only, never the compiler, so a program holds no
-    reference cycle.
+    and one step per need (below) at its level, placed after its children's
+    steps, so it is computed once per assignment of that level. A step
+    writes its slot and returns None; a demand's check step returns whether
+    the demand holds, and a level stops at its first failed check. The steps
+    capture slot numbers and masks only, never the compiler, so a program
+    holds no reference cycle.
 
-    A formula asked about at one node is compiled at a point, a slot holding
-    that node's one-bit mask (`at_point`): `@i` moves the point to i's node,
-    `->` passes it down, and a comparison reads its paths' endpoints at that
-    one start only. Whatever else is compiled over the whole model.
+    A node expression is compiled at a need, the nodes where its value is
+    read (`compile`); its mask is right at those nodes. A demand's need is
+    its point, a slot and its level: `@i` moves it to i's node, `->` passes
+    it down, `<a>phi` needs phi at the successors of its own need's nodes
+    (`_Image`) and tests its need's nodes only, and a comparison reads its
+    paths' endpoints from its need's nodes only. Need None is every node
+    (`whole`, a test inside a path), and there `<a>phi` needs phi everywhere
+    too. A need's mask gets a slot and a step the first time a step reads
+    it (`_mask`). A step loops over its need's bits, so it costs O(needed
+    nodes) mask operations.
     """
 
     def __init__(self, n_count, level_of=None):
-        self.n_count = n_count
         self.full = (1 << n_count) - 1
         self.level_of = level_of or {}
-        # component key, expression or (point, expression) -> (k, level)
+        # component key, (need, expression) or a need -> (k, level)
         self.slot = {}
         self.components = {}     # component slot k -> component key
         self.size = POINT + 1    # slots in use
@@ -247,7 +272,7 @@ class _Compiler:
         point = POINT, 0
         while isinstance(phi, At):
             point, phi = self.component("g", phi.nom), phi.body
-        (k, t), (p, s) = self.at_point(phi, point), point
+        (k, t), (p, s) = self.compile(phi, point), point
         self.programs[max(s, t)].append(
             lambda env: bool(env[k] & env[p]) == want)
 
@@ -266,30 +291,31 @@ class _Compiler:
             self.size += 1
         return out
 
-    def compile(self, e):
-        """e's slot and level; its steps are placed the first time."""
-        out = self.slot.get(e)
+    def compile(self, e, need=None):
+        """e's slot and level; its steps are placed the first time. A node
+        expression is compiled at a need, a slot and its level, or None for
+        every node: its mask is right at the need's bits and arbitrary at
+        the others. Only the values of `->`, `<a>` and comparisons depend on
+        the need; anything else (a path, `@i`, false) is compiled once, for
+        any need."""
+        if not isinstance(e, (Implies, Diamond, Compare)):
+            need = None
+        key = need, e
+        out = self.slot.get(key)
         if out is None:
-            out = self.slot[e] = self._build(e)
+            out = self.slot[key] = self._build(e, need)
         return out
 
-    def at_point(self, e, point):
-        """The slot and level of a mask whose bit at the node of `point` (a
-        slot and its level) is e's value there; its other bits are e's value
-        elsewhere or zero."""
-        match e:
-            case Implies() | Compare():
-                key = (point, e)
-                out = self.slot.get(key)
-                if out is None:
-                    out = self.slot[key] = self._build(e, point)
-                return out
-        return self.compile(e)
+    def _place(self, step, level):
+        """A new slot for `step` to write, run at `level`."""
+        self.programs[level].append(step)
+        self.size += 1
+        return self.size - 1
 
-    def _build(self, e, point=None):
+    def _build(self, e, need):
         # every step below writes env[out]; `out` is bound after the match,
         # before any step runs
-        n_count, full = self.n_count, self.full
+        full = self.full
         match e:
             case Prop(name=p):
                 return self.component("val", p)
@@ -303,11 +329,8 @@ class _Compiler:
                 def step(env):
                     env[out] = 0
             case Implies(lhs=lhs, rhs=rhs):
-                if point is None:
-                    (f, s), (g, t) = self.compile(lhs), self.compile(rhs)
-                else:
-                    (f, s), (g, t) = (self.at_point(lhs, point),
-                                      self.at_point(rhs, point))
+                (f, s), (g, t) = (self.compile(lhs, need),
+                                  self.compile(rhs, need))
                 level = max(s, t)
 
                 def step(env):
@@ -315,45 +338,46 @@ class _Compiler:
             case At(nom=i, body=body):
                 # only the body's bit at i's node is read
                 (k, s) = point = self.component("g", i)
-                f, t = self.at_point(body, point)
+                f, t = self.compile(body, point)
                 level = max(s, t)
 
                 def step(env):
                     env[out] = full if env[f] & env[k] else 0
             case Diamond(mod=a, body=body):
-                (k, s), (f, t) = self.component("rels", a), self.compile(body)
-                level = max(s, t)
+                # tested at the need's nodes only, the diamond needs its body
+                # at their successors (everywhere, if needed everywhere)
+                (k, s), (f, t), (p, r) = (
+                    self.component("rels", a),
+                    self.compile(body, need and _Image(a, need)),
+                    self._mask(need))
+                level = max(s, t, r)
 
                 def step(env):
-                    # the pre-image of the body's mask
-                    target, mask = env[f], 0
-                    for x, succ in enumerate(env[k]):
-                        if succ & target:
-                            mask |= 1 << x
+                    succ, target, need, mask = env[k], env[f], env[p], 0
+                    while need:
+                        x = need.bit_length() - 1
+                        bit = 1 << x
+                        if succ[x] & target:
+                            mask |= bit
+                        need ^= bit
                     env[out] = mask
             case Compare(left=alpha, kind=kind, cmp=c, right=beta):
-                (k, s), (f, t), (g, u) = (self.component("cmp_class", c),
-                                          self.compile(alpha),
-                                          self.compile(beta))
-                level = max(s, t, u)
+                (k, s), (f, t), (g, u), (p, r) = (
+                    self.component("cmp_class", c), self.compile(alpha),
+                    self.compile(beta), self._mask(need))
+                level = max(s, t, u, r)
                 holds = _meet if kind is CmpKind.EQ else _split
-                if point is None:
-                    def step(env):
-                        classes, mask = env[k], 0
-                        ends_a, ends_b = env[f], env[g]
-                        for x in range(n_count):
-                            if holds(ends_a[x], ends_b[x], classes):
-                                mask |= 1 << x
-                        env[out] = mask
-                else:
-                    p, r = point
-                    level = max(level, r)
 
-                    def step(env):
-                        here = env[p]
-                        x = here.bit_length() - 1
-                        env[out] = here if holds(env[f][x], env[g][x],
-                                                 env[k]) else 0
+                def step(env):
+                    classes, need, mask = env[k], env[p], 0
+                    ends_a, ends_b = env[f], env[g]
+                    while need:
+                        x = need.bit_length() - 1
+                        bit = 1 << x
+                        if holds(ends_a[x], ends_b[x], classes):
+                            mask |= bit
+                        need ^= bit
+                    env[out] = mask
             case Jump(nom=i):
                 k, level = self.component("g", i)
 
@@ -372,10 +396,52 @@ class _Compiler:
                     env[out] = _Concat(env[f], env[g])
             case _:
                 raise TypeError(f"not an expression: {e!r}")
-        out = self.size
-        self.size += 1
-        self.programs[level].append(step)
+        out = self._place(step, level)
         return out, level
+
+    def _mask(self, need):
+        """The slot and level of the mask of a need's nodes, its step placed
+        the first time a step reads it: the full mask for need None, or for
+        `_Image(a, inner)` the union of a's successor masks over the nodes
+        of the inner need."""
+        if need is not None and not isinstance(need, _Image):
+            return need
+        out = self.slot.get(need)
+        if out is None:
+            if need is None:
+                full, level = self.full, 0
+
+                def step(env):
+                    env[q] = full
+            else:
+                (k, s), (p, r) = (self.component("rels", need.mod),
+                                  self._mask(need.need))
+                level = max(s, r)
+
+                def step(env):
+                    env[q] = _image(env[k], env[p])
+            q = self._place(step, level)
+            out = self.slot[need] = q, level
+        return out
+
+
+@dataclass(frozen=True)
+class _Image:
+    """The need of a `<a>` body: the successors under `mod` of the nodes of
+    the diamond's own need."""
+
+    mod: str
+    need: object
+
+
+def _image(succ, mask):
+    """The union of succ[x] over the bits x of the mask."""
+    z = 0
+    while mask:
+        x = mask.bit_length() - 1
+        z |= succ[x]
+        mask ^= 1 << x
+    return z
 
 
 def _meet(x, y, classes):
@@ -425,6 +491,23 @@ class _Test:
         return self.here & 1 << x
 
 
+class _Successors(dict):
+    """A modality's successor masks by start position, a start's built the
+    first time a step reads it, from its successor positions."""
+
+    __slots__ = ("positions",)
+
+    def __init__(self, positions):
+        self.positions = positions
+
+    def __missing__(self, x):
+        z = 0
+        for y in self.positions.get(x, ()):
+            z |= 1 << y
+        self[x] = z
+        return z
+
+
 class _Concat(dict):
     """A concatenation's endpoints, a start's filled the first time a step
     reads it: the union of the right path's endpoint masks over the left
@@ -436,12 +519,7 @@ class _Concat(dict):
         self.left, self.right = left, right
 
     def __missing__(self, x):
-        y, right, z = self.left[x], self.right, 0
-        while y:
-            low = y & -y
-            z |= right[low.bit_length() - 1]
-            y ^= low
-        self[x] = z
+        z = self[x] = _image(self.right, self.left[x])
         return z
 
 

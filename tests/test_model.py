@@ -271,6 +271,20 @@ def test_a_model_field_cannot_be_assigned():
         m.cmp_class["c"]["x"] = 5
 
 
+def test_equal_models_hash_equal_as_set_members_and_dict_keys():
+    m = HybridDataModel.make(["x", "y"], rels={"a": [("x", "y")]},
+                             cmps={"c": [["x", "y"]]}, g={"i": "y"},
+                             val={"p": ["y"]})
+    assert eval_node(m, "x", parse_node("<a>p", sx.SymbolTable()))
+    same = HybridDataModel(nodes={"y", "x"}, rels={"a": {("x", "y")}},
+                           cmp_class={"c": {"x": 0, "y": 0}}, g={"i": "y"},
+                           val={"p": {"y"}})
+    other = dataclasses.replace(same, val={"p": {"x"}})
+    assert m == same and hash(m) == hash(same) and m != other
+    assert len({m, same, other}) == 2
+    assert {m: "found"}[same] == "found" and other not in {m: "found"}
+
+
 def test_changing_what_a_model_was_built_from_changes_no_answer():
     table = sx.SymbolTable()
     phis = [parse_node(text, table) for text in (
@@ -389,6 +403,27 @@ def test_point_evaluation_fills_only_the_starts_reachable_from_the_node():
     assert 0 in starts and starts <= {0, 1, 2}
     env, _, _ = _run(m, phi)
     assert filled(env) == set(range(40))
+
+
+@pytest.mark.parametrize("n", [1000, 16000])
+def test_a_point_query_builds_only_the_successor_masks_it_reaches(n):
+    # `<a>` asked at one node is computed at the nodes it reaches: three
+    # diamonds read the successor masks of the node and of the nodes one and
+    # two steps away, at most 1 + 3 + 9 of an out-degree-3 graph at any size
+    rng = random.Random(n)
+    nodes = [f"v{t}" for t in range(n)]
+    succ = {v: rng.sample(nodes, 3) for v in nodes}
+    p = set(rng.sample(nodes, n // 10))
+    m = HybridDataModel.make(nodes, val={"p": p}, rels={
+        "a": [(v, w) for v in nodes for w in succ[v]]})
+    table = sx.SymbolTable()
+    assert eval_node(m, "v7", parse_node("<a><a><a>true", table))
+    assert len(m._derived["rels", "a"]) <= 13
+    # the inner diamond is needed at every successor, not only at one
+    phi = parse_node("<a><a>p", table)
+    for v in nodes[:30]:
+        assert eval_node(m, v, phi) == any(x in p for w in succ[v]
+                                           for x in succ[w])
 
 
 # ---------------------------------------------------------------------------
