@@ -1,13 +1,14 @@
 """Trusted proof kernel: sequents, the rule table, derivation checking.
 
 Trusted is what `check_derivation` runs: `Sequent`, `RULES` with its
-templates and `evidence`, `premises` and its memo, `thaw_inst` and
-`Derivation`. The forward constructors `axiom`, `infer`, `cut`, `weaken`
-and `sequent` (with `freeze_inst`) stay beside them: each checks the one
-node it builds, the criterion tests and the benchmark's generator import
-them from here, and the benchmark's tracer rebinds them. Rule-table readers
-and tree builders (`decompose`, `dual`, `graft`, `weaken_to`, ...) live in
-`derived`, and this module re-checks what they build.
+templates and `evidence`, `premises` and its memo (which `Step` fills too),
+`thaw_inst` and `Derivation`. The forward constructors `axiom`, `infer`,
+`cut`, `weaken` and `sequent` (with `freeze_inst`) stay beside them: each
+checks the one node it builds, the criterion tests and the benchmark's
+generator import them from here, and the benchmark's tracer rebinds them.
+Search builds its steps with `Step`. Rule-table readers and tree builders
+(`decompose`, `dual`, `graft`, `weaken_to`, ...) live in `derived`, and
+this module re-checks what they build.
 
 Sequents are pairs of finite sets of restricted node expressions (everything
 is @-prefixed or an atomic comparison between two jumps). Each logical rule
@@ -24,28 +25,42 @@ frozensets whose members were checked when it was built, so a premiss's
 sets are trusted as they are: `_premiss` checks only what a rule adds, and
 a Cut's conclusion checks only its cut formula.
 
-The checker, `infer`, the JSON reader and writer and cut elimination's
-permutations ask for a node's premisses through `premises_of`, which keeps
-the last PREMISES_MEMO_SIZE (256) answers keyed on (conclusion, rule, frozen
-instantiation). A file read and then checked, or a tree built and then
-checked and written, so computes each node's premisses once. The memo is
-sound because `premises` is a pure function of its key: sequents are
-immutable, and expressions, comparison kinds and names compare as values of
-their own class only (interned expressions and enum members by identity).
-Only successes are stored, so a failing instance raises on every call, and
-every check still compares the node's own children with the stored
-premisses. A key that cannot be hashed (a malformed instantiation) is
-computed without the memo, so checking stays total. Search's backward steps
-call `premises` directly and bypass the memo: few of them repeat, and a memo
-there only costs time and keeps sequents alive. Whatever changes `RULES`
-must call `premises_memo.cache_clear()`.
+Each node's premisses are computed once and kept in one memo of the last
+PREMISES_MEMO_SIZE (256) answers, keyed on (conclusion, rule, frozen
+instantiation). Search makes each backward step as a `Step`, which computes
+the step's premisses, and builds the node of each step its proof uses with
+`Step.node`, which keeps them under the frozen instantiation that the node
+records; `axiom` keeps each leaf's the same way. A step of a search branch
+that fails is neither frozen nor kept. The checker, `infer`, the JSON reader
+and writer and cut elimination's permutations read the memo through
+`premises_of`, which computes and keeps an answer it misses. So `prove`'s
+check of the tree its search built, and the writer, reader and checker
+after it, compute no premisses, and a file read and then checked computes
+each node's premisses once. Entries leave oldest first, whether or not they
+were read: on the benchmark's workloads that gives the same hits as least
+recently used order, without hashing the key again on each read. On a tree
+of more than 256 logical nodes, entries leave before they are read.
+
+Sharing the memo is sound, whoever computed an entry, because each entry is
+what `premises` returned for its key and `premises` is a pure function of
+the key. Only `_keep` writes the memo, called by `premises_of` and
+`Step.node`; a `Step` holds its own copy of the instantiation `premises`
+read and freezes that copy into the key, and no code assigns its fields.
+Sequents are immutable, and expressions, comparison kinds and names compare
+as values of their own class only (interned expressions and enum members by
+identity). Only successes are stored, so a failing instance raises on every
+call, and every check still compares the node's own children with the
+stored premisses, so a warm memo vouches for no child. A key that cannot be
+hashed (a malformed instantiation) is computed without the memo, so checking
+stays total. Whatever changes `RULES` must call
+`premises_memo.cache_clear()`.
 """
 
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import OrderedDict, namedtuple
+from dataclasses import dataclass, field
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -153,8 +168,7 @@ class Sequent:
         `cached_property`: before Python 3.12 its first read takes a lock."""
         h = self._hash
         if h is None:
-            h = hash((self.ante, self.cons))
-            object.__setattr__(self, "_hash", h)
+            h = self.__dict__["_hash"] = hash((self.ante, self.cons))
         return h
 
     @_kept
@@ -191,11 +205,16 @@ def _premiss(ante, cons, add_ante, add_cons):
     are parts of a `Sequent`, or subsets of them, whose members were checked
     when it was built: only the added formulas are checked here. A side
     that gains nothing is the given frozenset itself, not a copy."""
-    _check_members(add_ante)
-    _check_members(add_cons)
     s = object.__new__(Sequent)
-    object.__setattr__(s, "ante", ante.union(add_ante) if add_ante else ante)
-    object.__setattr__(s, "cons", cons.union(add_cons) if add_cons else cons)
+    # the frozen class's `__setattr__` refuses; the fields live in `__dict__`
+    fields = s.__dict__
+    if add_ante:
+        _check_members(add_ante)
+        ante = ante.union(add_ante)
+    if add_cons:
+        _check_members(add_cons)
+        cons = cons.union(add_cons)
+    fields["ante"], fields["cons"] = ante, cons
     return s
 
 
@@ -229,16 +248,18 @@ _KIND_CLASS = {
 }
 
 
-def _check_inst(metavars, inst):
-    """The instantiation binds exactly `metavars`, each to a value of its kind."""
-    if inst.keys() != set(metavars):
+def _check_inst(r, inst):
+    """The instantiation binds exactly the metavariables of the record `r`,
+    each to a value of its kind."""
+    if inst.keys() != r.names:
         raise ShapeViolation(
-            f"instantiation must bind exactly {' '.join(metavars)}, "
+            f"instantiation must bind exactly {' '.join(r.metavars)}, "
             f"not {' '.join(sorted(map(str, inst)))}")
-    for m in metavars:
-        kind = METAVAR_KINDS[m]
-        if not isinstance(inst[m], _KIND_CLASS[kind]):
-            raise ShapeViolation(f"metavariable {m} is not a {kind}: {inst[m]!r}")
+    for m, cls in r.classes:
+        v = inst[m]
+        if not isinstance(v, cls):
+            raise ShapeViolation(
+                f"metavariable {m} is not a {METAVAR_KINDS[m]}: {v!r}")
 
 
 def ax_shape(e):
@@ -276,7 +297,9 @@ class Rule:
     antecedent and is kept. Each entry of `premisses` gives the (antecedent,
     consequent) formulas that premiss adds. The `eigens` must be pairwise
     distinct and absent from the conclusion, and each (metavariable, test,
-    description) in `shape` is a form condition on one value.
+    description) in `shape` is a form condition on one value. `names` (the
+    metavariables as a frozenset) and `classes` (each metavariable with the
+    class of its kind's values) are built once, for `_check_inst`.
     """
 
     metavars: tuple
@@ -287,10 +310,16 @@ class Rule:
     premisses: tuple = ()
     eigens: tuple = ""
     shape: tuple = ()
+    names: frozenset = field(init=False, repr=False, compare=False)
+    classes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "metavars", tuple(self.metavars.split()))
+        metavars = tuple(self.metavars.split())
+        object.__setattr__(self, "metavars", metavars)
         object.__setattr__(self, "eigens", tuple(self.eigens.split()))
+        object.__setattr__(self, "names", frozenset(metavars))
+        object.__setattr__(self, "classes", tuple(
+            (m, _KIND_CLASS[METAVAR_KINDS[m]]) for m in metavars))
 
 
 def _alias(i, j):
@@ -408,6 +437,8 @@ RULES = {
 }
 
 LOGICAL_RULES = tuple(RULES)
+# the metavariables of an Open leaf and of a structural rule, for `_check_inst`
+_OPEN_RECORD, _PHI_RECORD = Rule(""), Rule("phi")
 COMPARISON_RULES = frozenset(n for n, r in RULES.items() if "c" in r.metavars)
 
 
@@ -418,7 +449,7 @@ def instance(rule, inst):
         if rule in STRUCTURAL_RULES:
             raise KernelError(f"{rule} is applied forward; use cut()/weaken()")
         raise KernelError(f"unknown rule: {rule}")
-    _check_inst(r.metavars, inst)
+    _check_inst(r, inst)
     return r, SimpleNamespace(**inst)
 
 
@@ -451,7 +482,7 @@ def premises(goal, rule, inst):
         fresh = [inst[m] for m in r.eigens]
         if len(set(fresh)) != len(fresh):
             raise SideConditionViolated("eigen-nominals must differ")
-        clash = set(fresh) & goal.nominals()
+        clash = goal._noms.intersection(fresh)
         if clash:
             raise SideConditionViolated(
                 f"nominal(s) {sorted(clash)} occur in the conclusion")
@@ -463,21 +494,77 @@ def premises(goal, rule, inst):
 
 PREMISES_MEMO_SIZE = 256
 
+# (conclusion, rule, frozen instantiation) -> premiss tuple, for the last
+# PREMISES_MEMO_SIZE answers computed, oldest first; and the number of
+# answers read from it
+_memo = OrderedDict()
+_memo_hits = 0
 
-@lru_cache(maxsize=PREMISES_MEMO_SIZE)
-def premises_memo(goal, rule, inst):
-    """`premises` of a frozen instantiation, as a tuple, kept for the last
-    PREMISES_MEMO_SIZE keys that succeeded (see the module docstring)."""
-    return tuple(premises(goal, rule, thaw_inst(inst)))
+MemoInfo = namedtuple("MemoInfo", "hits maxsize currsize")
+
+
+class _PremissMemo:
+    """What tests and benchmarks read of the memo (see the module
+    docstring), as of an `lru_cache`."""
+
+    def cache_info(self):
+        return MemoInfo(_memo_hits, PREMISES_MEMO_SIZE, len(_memo))
+
+    def cache_clear(self):
+        global _memo_hits
+        _memo.clear()
+        _memo_hits = 0
+
+
+premises_memo = _PremissMemo()
 
 
 def premises_of(goal, rule, inst):
-    """`premises_memo`, or for a key that cannot be hashed, the premisses
-    computed without the memo; `premises` then raises for the bad value."""
+    """The premisses of a frozen instantiation: from the memo, or computed
+    and kept. A key that cannot be hashed is computed without the memo,
+    and `premises` then raises for the bad value."""
+    global _memo_hits
+    key = goal, rule, inst
     try:
-        return premises_memo(goal, rule, inst)
+        got = _memo.get(key)
     except TypeError:
         return tuple(premises(goal, rule, thaw_inst(inst)))
+    if got is None:
+        return _keep(key, tuple(premises(goal, rule, thaw_inst(inst))))
+    _memo_hits += 1
+    return got
+
+
+def _keep(key, got):
+    """Store the premisses `got` of `key`, dropping the memo's oldest entry
+    past the bound; returns them."""
+    _memo[key] = got
+    if len(_memo) > PREMISES_MEMO_SIZE:
+        _memo.popitem(last=False)
+    return got
+
+
+class Step:
+    """One backward step of `rule` from `goal` under the instantiation
+    `inst`, a mapping: building it computes the premiss tuple `premisses`,
+    and raises unless the rule applies. The step holds its own copy of the
+    instantiation, the one `premises` read, and nothing assigns its fields
+    afterwards. The copy is frozen only when the step is kept, so a step of
+    a search branch that fails is never frozen or kept."""
+
+    __slots__ = ("goal", "rule", "premisses", "_inst")
+
+    def __init__(self, goal, rule, inst):
+        self.goal, self.rule, self._inst = goal, rule, dict(inst)
+        self.premisses = tuple(premises(goal, rule, self._inst))
+
+    def node(self, children):
+        """The step's derivation node over `children`. Its premisses are
+        kept in the memo first, under the frozen instantiation the node
+        records, so checking the node reads them."""
+        inst = freeze_inst(self._inst)
+        _keep((self.goal, self.rule, inst), self.premisses)
+        return Derivation(self.goal, self.rule, inst, children)
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +665,12 @@ class Derivation:
 
 
 def axiom(rule, conclusion, inst):
-    """A closed leaf; raises unless the axiom schema applies."""
-    got = premises(conclusion, rule, inst)
-    if got:
+    """A closed leaf; raises unless the axiom schema applies. Its (empty)
+    premisses are kept in the memo, so checking the leaf reads them."""
+    step = Step(conclusion, rule, inst)
+    if step.premisses:
         raise KernelError(f"{rule} is not an axiom")
-    return Derivation(conclusion, rule, freeze_inst(inst))
+    return step.node(())
 
 
 def infer(rule, conclusion, inst, children):
@@ -684,11 +772,11 @@ def _check_node(node, allow_open):
             raise KernelError("open leaf in a closed derivation")
         if node.children:
             raise KernelError("open leaf with children")
-        _check_inst((), node.inst_dict)
+        _check_inst(_OPEN_RECORD, node.inst_dict)
         return
     if rule in STRUCTURAL_RULES:
         inst = node.inst_dict
-        _check_inst(("phi",), inst)
+        _check_inst(_PHI_RECORD, inst)
         if rule == CUT:
             if len(node.children) != 2:
                 raise KernelError("Cut needs exactly two premisses")

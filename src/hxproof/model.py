@@ -71,12 +71,12 @@ def _partition_from_classes(nodes, classes):
     return class_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HybridDataModel:
     """M = (N, {R_a}, {~_c}, g, V), a value.
 
-    `__post_init__` checks the fields and replaces them with private copies:
-    a frozenset of nodes and read-only mappings (`MappingProxyType`) whose
+    `__init__` checks the fields and sets each once, to a private copy: a
+    frozenset of nodes and read-only mappings (`MappingProxyType`) whose
     values are frozensets, or for a comparison symbol a read-only map giving
     every node its class id. So changing what a model was built from changes
     nothing, `dataclasses.replace` builds a variant, and equal models hash
@@ -94,19 +94,19 @@ class HybridDataModel:
     _derived: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 
-    def __post_init__(self):
-        nodes = frozenset(self.nodes)
+    def __init__(self, nodes, rels, cmp_class, g, val, default_node=None):
+        nodes = frozenset(nodes)
         if not nodes:
             raise ModelError("node set must be non-empty")
-        rels = {a: frozenset(map(tuple, pairs))
-                for a, pairs in self.rels.items()}
+        rels = {a: frozenset(map(tuple, pairs)) for a, pairs in rels.items()}
         cmp_class = {c: MappingProxyType(dict(class_of))
-                     for c, class_of in self.cmp_class.items()}
-        val = {p: frozenset(ns) for p, ns in self.val.items()}
-        if self.default_node is None:
-            object.__setattr__(self, "default_node", min(nodes))
-        if self.default_node not in nodes:
-            raise UnknownNode(f"unknown node {self.default_node!r} as default")
+                     for c, class_of in cmp_class.items()}
+        val = {p: frozenset(ns) for p, ns in val.items()}
+        g = dict(g)
+        if default_node is None:
+            default_node = min(nodes)
+        if default_node not in nodes:
+            raise UnknownNode(f"unknown node {default_node!r} as default")
         for a, pairs in rels.items():
             for n, m in pairs:
                 if n not in nodes or m not in nodes:
@@ -118,16 +118,19 @@ class HybridDataModel:
             if len(class_of) < len(nodes):
                 n = min(nodes - class_of.keys())
                 raise ModelError(f"comparison {c} gives node {n!r} no class")
-        for i, n in self.g.items():
+        for i, n in g.items():
             if n not in nodes:
                 raise UnknownNode(f"nominal {i} assigned to unknown node {n!r}")
         for p, ns in val.items():
             if not nodes.issuperset(ns):
                 raise UnknownNode(f"valuation of {p} uses unknown node")
-        object.__setattr__(self, "nodes", nodes)
-        for name, table in (("rels", rels), ("cmp_class", cmp_class),
-                            ("g", dict(self.g)), ("val", val)):
-            object.__setattr__(self, name, MappingProxyType(table))
+        # the frozen class's `__setattr__` refuses; the instance dict takes
+        # all seven fields in one update
+        self.__dict__.update(
+            nodes=nodes, rels=MappingProxyType(rels),
+            cmp_class=MappingProxyType(cmp_class), g=MappingProxyType(g),
+            val=MappingProxyType(val), default_node=default_node,
+            _derived={})
 
     def __hash__(self):
         """A hash of what `==` compares, the fields' contents (`_derived`

@@ -19,17 +19,24 @@ from .derived import (
 )
 from .kernel import (
     AT_5, AT_T, AX, BOT_RULE, CMP_R, DIA_R, EQ_5, EQ_T, RULES, S1, S2, S3,
-    Derivation, KernelError, Sequent, ax_shape, check_derivation, cut,
-    evidence, freeze_inst, premises, s1_shape, sequent,
+    Derivation, KernelError, Sequent, Step, ax_shape, axiom,
+    check_derivation, cut, evidence, s1_shape, sequent,
 )
-# not called here, but perfbench's tracer rebinds `search.infer` and
-# `search.axiom`
-from .kernel import axiom, infer  # noqa: F401
+# not called here, but perfbench's tracer rebinds `search.infer`
+from .kernel import infer  # noqa: F401
 from .model import HybridDataModel, check_sequent_validity, find_countermodel
 from .syntax import (
     At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal,
     fresh_nominals,
 )
+
+# Search makes each backward step that is not a leaf through this module
+# attribute, which perfbench's tracer rebinds to count rule applications. A
+# step of a branch that closes becomes its node through `Step.node`, which
+# keeps the step's premisses in the kernel's memo for `prove`'s check; a
+# step of a branch that fails keeps nothing.
+premises = Step
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -381,22 +388,21 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
     trail = []
     fired = set(fired)
 
-    def fold(rule, inst, concl, kids):
-        """The node of the branch's last step over `kids`, under one node
-        per step of `trail`. Each child proves the premiss that `premises`
-        gave its step, so no node is derived again here; `prove` checks the
-        whole tree."""
-        d = Derivation(concl, rule, freeze_inst(inst), kids)
-        for rule, inst, concl in reversed(trail):
-            d = Derivation(concl, rule, freeze_inst(inst), (d,))
+    def fold(d):
+        """`d`, the node of the branch's last step, under one node per step
+        of `trail`. Each child proves the premiss that `premises` gave its
+        step, so no node is derived again here. `prove` checks the whole
+        tree, reading each node's premisses from the kernel's memo."""
+        for step in reversed(trail):
+            d = step.node((d,))
         return d
 
     while True:
         steps["visited"] += 1
         cur = ix.seq
-        if ix.closing is not None:
-            rule, inst = ix.closing
-            return fold(rule, inst, cur, ())
+        if (closing := ix.closing) is not None:
+            rule, inst = closing
+            return fold(axiom(rule, cur, inst))
 
         # witness rules are additive and invertible, so they can run before
         # the consuming decompositions: a comparison whose evidence is in the
@@ -416,8 +422,8 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
             steps["bound"] = "depth"
             return None
         elif ix.branch is not None:
-            rule, inst = ix.branch
-            p1, p2 = premises(cur, rule, inst)
+            step = premises(cur, *ix.branch)
+            p1, p2 = step.premisses
             left_ix = ix.copy()
             left_ix.update(p1)
             left = _attempt(left_ix, depth_left - 1, fresh_left, steps,
@@ -429,7 +435,7 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
                              fired)
             if right is None:
                 return None
-            return fold(rule, inst, cur, (left, right))
+            return fold(step.node((left, right)))
         elif fresh := _fresh_move(ix, fresh_left):
             rule, inst, spent = fresh
             fresh_left -= spent
@@ -437,15 +443,20 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
         else:
             steps["bound"] = "fresh" if ix.fresh else "saturated"
             return None
-        trail.append((rule, inst, cur))
-        ix.update(premises(cur, rule, inst)[0])
+        step = premises(cur, rule, inst)
+        trail.append(step)
+        ix.update(step.premisses[0])
 
 
 def prove(goal, cfg=None):
     """Three-valued bounded proof search for a sequent.
 
-    Proved results carry a derivation that re-checks; Refuted results carry
-    a model verified to refute the goal; resource exhaustion is Unknown.
+    Proved results carry a derivation that `check_derivation` re-checked,
+    every node of it. The check reads each node's premisses from the
+    kernel's memo, where the search's steps kept them, and compares the
+    node's own children with them, so it computes no premisses again and
+    trusts nothing the search claimed. Refuted results carry a model
+    verified to refute the goal; resource exhaustion is Unknown.
     """
     cfg = cfg or SearchConfig()
     steps = {"visited": 0}
@@ -483,7 +494,7 @@ def invert(rule, d, inst):
     against what this rule adds.
     """
     concl = d.conclusion
-    targets = premises(concl, rule, inst)
+    targets = premises(concl, rule, inst).premisses
     if not RULES[rule].consumes:
         return [weaken_to(d, t) for t in targets]
     other = dual(rule)

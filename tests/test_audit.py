@@ -136,7 +136,7 @@ def test_check_derivation_reaches_every_kernel_function():
     kernel.premises_memo.cache_clear()
     codes = _reached(check)
     forward = {"axiom", "infer", "cut", "weaken", "sequent", "freeze_inst"}
-    # `premises_memo` is unwrapped to the function its cache wraps
+    # a wrapped function is unwrapped to the function it wraps
     functions = {name: inspect.unwrap(f) for name, f in vars(kernel).items()
                  if inspect.isfunction(inspect.unwrap(f))
                  and f.__module__ == kernel.__name__}

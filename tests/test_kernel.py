@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,7 @@ import hypothesis.strategies as st
 
 from genutil import (SIG, conclusion_for_rule, rand_derivation, rand_model,
                      rand_path)
-from hxproof import jsonio, kernel
+from hxproof import jsonio, kernel, search
 from hxproof.cutelim import (
     cut_complexity, cut_height, nominals, rename_nominal_derivation,
 )
@@ -17,12 +18,13 @@ from hxproof.kernel import (
     AT_T, AX, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
     IMP_L, LOGICAL_RULES, METAVAR_KINDS, NOM, OPEN, RULES, S1, S2, S3, WL,
     WR, Derivation, KernelError, PrincipalMissing, Sequent, ShapeViolation,
-    SideConditionViolated, Violation, axiom, check_derivation, cut,
+    SideConditionViolated, Step, Violation, axiom, check_derivation, cut,
     evidence, freeze_inst, infer, is_restricted, premises, premises_memo,
     premises_of, sequent, weaken,
 )
 from hxproof.goldens import reflexivity
 from hxproof.model import eval_node, find_countermodel
+from hxproof.search import SearchConfig
 from hxproof.syntax import (
     At, Atom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
     concat, dia, eps,
@@ -468,6 +470,85 @@ def test_mutating_returned_premisses_does_not_change_the_next_answer():
     again = premises_of(goal, DIA_L, freeze_inst(inst))
     assert again == first and len(again) == 1
     assert premises_memo.cache_info().hits == 1
+
+
+# a sequent whose proof has steps above a left implication, a step in one
+# of its two branches, and axiom leaves
+_BRANCHING = sequent({At("i", Implies(P, At("j", Q))), At("i", P)},
+                     {At("i", Implies(Prop("r"), At("j", Q)))})
+
+
+def _proved(goal):
+    r = search.prove(goal, SearchConfig(enable_countermodel=False))
+    assert isinstance(r, search.Proved)
+    return r.derivation
+
+
+def test_prove_rechecks_from_the_premisses_its_search_kept(monkeypatch):
+    real_premises, real_check = kernel.premises, search.check_derivation
+    computed, checked = [], []
+
+    def counted(goal, rule, inst):
+        computed.append(rule)
+        return real_premises(goal, rule, inst)
+
+    def check(d, *args):
+        checked.append(d)
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "premises", counted)
+            return real_check(d, *args)
+
+    monkeypatch.setattr(search, "check_derivation", check)
+    d = _proved(_BRANCHING)
+    nodes = [n for _, n in d.walk()]
+    assert checked == [d] and len(nodes) > 4
+    assert any(len(n.children) == 2 for n in nodes)
+    assert computed == []
+    # the same check on an empty memo computes every node's premisses
+    premises_memo.cache_clear()
+    check(d)
+    assert len(computed) == len(nodes)
+
+
+def test_search_makes_every_inner_step_through_its_premises_attribute(
+        monkeypatch):
+    # perfbench's tracer counts rule applications on this attribute
+    real = search.premises
+    seen = Counter()
+
+    def counted(goal, rule, inst):
+        seen[goal, rule] += 1
+        return real(goal, rule, inst)
+
+    monkeypatch.setattr(search, "premises", counted)
+    d = _proved(_BRANCHING)
+    inner = Counter((n.conclusion, n.rule) for _, n in d.walk() if n.children)
+    assert seen == inner and sum(inner.values()) > 2
+
+
+def test_a_swapped_child_is_a_violation_with_the_memo_warm_from_search():
+    d = _proved(_BRANCHING)
+    path, node = next((p, n) for p, n in d.walk() if len(n.children) == 2)
+    swapped = Derivation(node.conclusion, node.rule, node.inst,
+                         node.children[::-1])
+    hits = premises_memo.cache_info().hits
+    violations = check_derivation(replace(d, path, swapped))
+    # each node's premisses come from what the search kept
+    assert premises_memo.cache_info().hits - hits == len(list(d.walk()))
+    assert [v.path for v in violations] == [path]
+
+
+def test_a_step_keeps_the_instantiation_its_premisses_were_read_from():
+    goal = sequent({At("i", Diamond("a", P))}, ())
+    inst = {"i": "i", "a": "a", "phi": P, "j": "u"}
+    step = Step(goal, DIA_L, inst)
+    # the caller's dict changes after the step and before its node is built
+    inst["j"] = "w"
+    node = step.node(())
+    assert node.inst == freeze_inst(dict(inst, j="u"))
+    assert premises_of(goal, DIA_L, node.inst) is step.premisses
+    assert premises_of(goal, DIA_L, freeze_inst(inst)) == \
+        tuple(premises(goal, DIA_L, inst))
 
 
 def test_rename_nominal_derivation():
