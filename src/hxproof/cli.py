@@ -90,6 +90,10 @@ def cmd_prove(args):
     if not 0 <= args.countermodel_nodes <= MAX_COUNTERMODEL_NODES:
         raise CliError(f"--countermodel-nodes must be between 0 and "
                        f"{MAX_COUNTERMODEL_NODES}")
+    for flag, value in (("--max-depth", args.max_depth),
+                        ("--fresh-budget", args.fresh_budget)):
+        if value < 0:
+            raise CliError(f"{flag} must not be negative")
     seq = _parse_sequent(args.sequent)
     cfg = SearchConfig(max_depth=args.max_depth,
                        max_fresh_nominals=args.fresh_budget,
@@ -230,8 +234,12 @@ def build_parser():
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--fresh-budget", type=int, default=4)
     p.add_argument("--countermodel-nodes", type=int, default=3,
-                   help=f"0 disables countermodel search; at most "
-                        f"{MAX_COUNTERMODEL_NODES}")
+                   help=f"0 disables countermodels; otherwise the model "
+                        f"that the failed branch describes is tried first, "
+                        f"and it need not be minimal or within this bound; "
+                        f"enumeration up to this many nodes (at most "
+                        f"{MAX_COUNTERMODEL_NODES}) runs only if that model "
+                        f"does not refute the goal")
     p.add_argument("--fragment", choices=("full", "hylo"), default="full")
     add_emit(p)
     p.set_defaults(fn=cmd_prove)

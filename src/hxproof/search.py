@@ -26,7 +26,7 @@ from .kernel import (
 from .kernel import infer  # noqa: F401
 from .model import HybridDataModel, check_sequent_validity, find_countermodel
 from .syntax import (
-    At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal,
+    At, Bottom, CmpKind, Compare, Diamond, Implies, Jump, Nominal, Prop,
     fresh_nominals,
 )
 
@@ -47,6 +47,12 @@ class SearchConfig:
     NEqL/NEqR are free: closure and CmpR instances fire at most once each
     over the branch's finite nominals, and the NEq rules consume inequality
     atoms, which only the comparison rules add.
+
+    With `enable_countermodel`, a failed search is answered first by the
+    model that its failed branch describes (`_leaf_model`), which can have
+    more nodes than `countermodel_nodes`; that bound limits only the
+    enumeration (`find_countermodel`) that runs when this model does not
+    refute the goal.
     """
 
     max_depth: int = 12
@@ -382,8 +388,10 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
     Every branch that gives up records why in steps["bound"]: "depth" (the
     depth bound stopped a move), "fresh" (a left diamond or comparison is
     left but the fresh-nominal budget cannot pay for it) or "saturated" (no
-    move applies). Search stops at the first failed branch, so the last
-    record is the reason for the overall failure.
+    move applies), and its index, which indexes the branch's last sequent,
+    in steps["leaf"]. Search stops at the first failed branch, so the last
+    record is the reason for the overall failure, and no step changes that
+    index after it is recorded.
     """
     trail = []
     fired = set(fired)
@@ -415,11 +423,11 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
             rule, inst = move
             cost = rule not in FREE_RULES
             if cost and depth_left <= 0:
-                steps["bound"] = "depth"
+                steps.update(bound="depth", leaf=ix)
                 return None
             depth_left -= cost
         elif depth_left <= 0:
-            steps["bound"] = "depth"
+            steps.update(bound="depth", leaf=ix)
             return None
         elif ix.branch is not None:
             step = premises(cur, *ix.branch)
@@ -441,11 +449,62 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
             fresh_left -= spent
             depth_left -= 1
         else:
-            steps["bound"] = "fresh" if ix.fresh else "saturated"
+            steps.update(bound="fresh" if ix.fresh else "saturated", leaf=ix)
             return None
         step = premises(cur, rule, inst)
         trail.append(step)
         ix.update(step.premisses[0])
+
+
+def _least(names, pairs):
+    """name -> the least name of its class, for the sorted `names`, under
+    the equivalence that the `pairs` of names generate."""
+    up = {n: n for n in names}
+
+    def root(n):
+        while up[n] != n:
+            n = up[n]
+        return n
+
+    for x, y in pairs:
+        x, y = root(x), root(y)
+        if x != y:
+            up[max(x, y)] = min(x, y)
+    return {n: root(n) for n in names}
+
+
+def _leaf_model(ix, names):
+    """The model that the antecedent atoms of the sequent `ix` indexes
+    describe, the saturated-branch model of hybrid tableaux: one node per
+    class of nominals under @i j, the a-successors that @i <a>j give, p
+    true where @i p holds, and per comparison symbol c the classes that
+    <i: =c j:> make. Nodes are n1, n2, ... in the order of their classes'
+    least nominals, and a sequent without nominals gets one node. The
+    nominal assignment places only the sequent's nominals that are in
+    `names` (`prove` passes the goal's), so the model does not mention the
+    eigen-nominals that search drew.
+
+    On a saturated branch every rule has fired, so the atoms are closed and
+    the model refutes the sequent; a branch stopped by a bound may not be
+    closed, so the classes are taken as the closures of the atoms, and
+    `prove` checks the model against the goal either way."""
+    least = _least(ix.noms, ix.aliases)
+    node = {k: f"n{t}" for t, k in enumerate(sorted(set(least.values())), 1)}
+    at = {i: node[k] for i, k in least.items()}
+    rels, val, eqs = defaultdict(set), defaultdict(set), defaultdict(list)
+    for k, into in ix.steps_into.items():
+        for i, a in into:
+            rels[a].add((at[i], at[k]))
+    for i, bodies in ix.bodies_of.items():
+        for phi in bodies:
+            if isinstance(phi, Prop):
+                val[phi.name].add(at[i])
+    for i, c, j in ix.eqs:
+        eqs[c].append((at[i], at[j]))
+    nodes = sorted(node.values()) or ["n1"]
+    cmp_class = {c: _least(nodes, pairs) for c, pairs in eqs.items()}
+    g = {i: at[i] for i in names if i in at}
+    return HybridDataModel(nodes, rels, cmp_class, g, val)
 
 
 def prove(goal, cfg=None):
@@ -457,6 +516,13 @@ def prove(goal, cfg=None):
     node's own children with them, so it computes no premisses again and
     trusts nothing the search claimed. Refuted results carry a model
     verified to refute the goal; resource exhaustion is Unknown.
+
+    With countermodels enabled, a failed search first tries the model that
+    its failed branch describes (`_leaf_model`), whatever bound stopped the
+    branch. That model need not be the smallest countermodel, and it may
+    have more nodes than `cfg.countermodel_nodes`. Only when it does not
+    refute the goal does `find_countermodel` enumerate models up to that
+    bound.
     """
     cfg = cfg or SearchConfig()
     steps = {"visited": 0}
@@ -468,10 +534,12 @@ def prove(goal, cfg=None):
             raise KernelError(f"search produced an invalid tree: {violations[0]}")
         return Proved(d)
     if cfg.enable_countermodel:
-        m = find_countermodel(goal, cfg.countermodel_nodes)
-        if m is not None:
-            if check_sequent_validity(m, goal):
+        m = _leaf_model(steps["leaf"], goal.nominals())
+        if check_sequent_validity(m, goal):
+            m = find_countermodel(goal, cfg.countermodel_nodes)
+            if m is not None and check_sequent_validity(m, goal):
                 raise KernelError("countermodel search returned a non-refuting model")
+        if m is not None:
             return Refuted(m)
     return Unknown({"visited": steps["visited"],
                     "bound": steps["bound"],

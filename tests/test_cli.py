@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from hxproof.cli import main
 from hxproof.kernel import Derivation
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
+SRC = GOLDEN.parent / "src"
 
 
 def run(capsys, *argv):
@@ -264,6 +268,44 @@ def test_prove_countermodel_bound_out_of_range_exits_3(capsys, monkeypatch,
                          "@i p |- @i q")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--max-depth", "--fresh-budget"])
+def test_prove_negative_search_bound_exits_3(capsys, monkeypatch, flag):
+    def no_search(*args):
+        raise AssertionError("search started")
+    monkeypatch.setattr("hxproof.cli.prove", no_search)
+    code, out, err = run(capsys, "prove", flag, "-1", "--countermodel-nodes",
+                         "0", "|- @i (p -> p)")
+    assert code == 3 and out == ""
+    assert err == f"error: {flag} must not be negative\n"
+
+
+def test_prove_prints_the_same_countermodel_under_any_hash_seed():
+    # models of 6, 3 and 4 nodes read off failed branches: nominal classes,
+    # relations, valuations, comparison classes, and nodes that only
+    # eigen-nominals name
+    goals = ["@j <a =c eps> |- @i <a>(q -> i), @k (<a !=c a> -> <eps =c j:>)",
+             "@i j, @j <a>k, @k p, <k: =c m:>, @m <b>i |- @m q, @i <a>m",
+             "@i <a>(p & <b>q), <i: =c j:> |- @j <a =c b>, @i <a><b>p"]
+
+    def emitted(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        out = []
+        for g in goals:
+            p = subprocess.run(
+                [sys.executable, "-m", "hxproof.cli", "prove", "--emit",
+                 "json", g], env=env, capture_output=True, text=True,
+                timeout=60)
+            assert p.returncode == 1, p.stderr
+            out.append(p.stdout)
+        return out
+
+    first = emitted("0")
+    assert [json.loads(o)["status"] for o in first] == ["refuted"] * 3
+    assert [len(json.loads(o)["countermodel"]["nodes"]) for o in first] \
+        == [6, 3, 4]
+    assert emitted("1") == first
 
 
 def test_prove_emits_checked_derivation(capsys):

@@ -89,6 +89,38 @@ def test_unknown_names_the_bound_hit():
     assert isinstance(r, Unknown) and r.report["bound"] == "fresh"
 
 
+def _count_enumerations(monkeypatch):
+    """The goals `prove` calls `find_countermodel` on from now on."""
+    calls = []
+
+    def counted(s, n):
+        calls.append(s)
+        return find_countermodel(s, n)
+
+    monkeypatch.setattr(search, "find_countermodel", counted)
+    return calls
+
+
+def test_failed_branch_model_turns_only_unknown_into_refuted(monkeypatch):
+    # a stub leaf builder whose model is taken as not refuting leaves the
+    # enumeration alone to refute, as before the branch's model was read:
+    # every failed search reaches it, and reading the branch's model changes
+    # no status but unknown -> refuted (its model may exceed the node bound)
+    rng = random.Random(29)
+    goals = [rand_sequent(rng, max_side=2, depth=2) for _ in range(150)]
+    cfg = SearchConfig(max_depth=8, countermodel_nodes=1)
+    read = [prove(g, cfg).status for g in goals]
+    stub, validity = object(), search.check_sequent_validity
+    monkeypatch.setattr(search, "_leaf_model", lambda ix, names: stub)
+    monkeypatch.setattr(search, "check_sequent_validity",
+                        lambda m, s: m is stub or validity(m, s))
+    calls = _count_enumerations(monkeypatch)
+    enumerated = [prove(g, cfg).status for g in goals]
+    assert calls == [g for g, st in zip(goals, enumerated) if st != "proved"]
+    changed = {(a, b) for a, b in zip(enumerated, read) if a != b}
+    assert changed == {("unknown", "refuted")}
+
+
 def test_prove_never_both():
     rng = random.Random(77)
     for _ in range(60):
@@ -464,6 +496,21 @@ def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
     assert set(calls) == {True, False}
     for s in visited:
         assert _moves(s, frozenset()) == _oracle_moves(s, frozenset())
+
+
+def test_failed_branch_model_refutes_criterion_6_without_enumeration(
+        monkeypatch):
+    # criterion 6's draw with countermodels on: the failed branch's model
+    # refutes all but a few of the goals search does not prove, so the
+    # enumeration runs for those few only; every model is checked again
+    calls = _count_enumerations(monkeypatch)
+    goals = _criterion_6_goals()
+    results = [prove(g) for g in goals]
+    assert len(calls) <= 6
+    assert not [r for r in results if isinstance(r, Unknown)]
+    for g, r in zip(goals, results):
+        if isinstance(r, Refuted):
+            assert not check_sequent_validity(r.model, g), g
 
 
 def _tables(ix):
