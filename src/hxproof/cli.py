@@ -160,7 +160,10 @@ def cmd_cutfree(args):
     payload = jsonio.derivation_to_json(out)
     text = jsonio.dumps_canonical(payload)
     if args.out:
-        pathlib.Path(args.out).write_text(text)
+        try:
+            pathlib.Path(args.out).write_text(text)
+        except OSError as e:
+            raise CliError(f"cannot write {args.out}: {e}") from None
     else:
         sys.stdout.write(text)
     if args.trace:

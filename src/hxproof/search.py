@@ -116,6 +116,9 @@ class _Table(list):
 _TABLES = ("ax", "bot", "ante_dec", "cons_dec", "branches", "fresh", "goals",
            "aliases", "eqs")
 _KEYED = ("aliases_of", "eqs_from", "bodies_of", "steps_into")
+# the tables whose values begin with the member itself: `_Index._enter` puts
+# it there, so that the role kept on a member does not refer to the member
+_HOLD_MEMBER = ("ax", "goals")
 
 
 def _route(rule):
@@ -123,13 +126,13 @@ def _route(rule):
     r = RULES[rule]
     if r.eigens:
         cost = len(r.eigens)
-        return lambda e, inst: ("fresh", None, (cost, rule, inst))
+        return lambda inst: ("fresh", None, (cost, rule, inst))
     if len(r.premisses) > 1:
-        return lambda e, inst: ("branches", None, (rule, inst))
+        return lambda inst: ("branches", None, (rule, inst))
     if r.consumes:
         table = "ante_dec" if r.side == "ante" else "cons_dec"
-        return lambda e, inst: (table, None, (rule, inst))
-    return lambda e, inst: ("goals", None, (rule, e, inst))
+        return lambda inst: (table, None, (rule, inst))
+    return lambda inst: ("goals", None, (rule, inst))
 
 
 _ROUTES = {rule: _route(rule) for rule in RULES if dual(rule)}
@@ -140,7 +143,9 @@ def _role(e):
     adds as an antecedent and as a consequent member (name None for a table
     that is not keyed), and its comparison symbol if it is an atomic
     comparison. An atom is kept by name, and any other member is routed by
-    its dual pair; search never applies DiaL to a modal step @i <a>k."""
+    its dual pair; search never applies DiaL to a modal step @i <a>k. No
+    entry holds `e` itself (see `_HOLD_MEMBER`), and no instantiation is
+    changed after it is made, since the role is kept on `e`."""
     ante, cons, cmp = [], (), None
     match e:
         case At(nom=i, body=phi):
@@ -162,23 +167,14 @@ def _role(e):
             ante += [("eqs", None, (i, c, j)), ("eqs_from", i, (c, j))]
             cmp = c
     if ax_shape(e):
-        cons = (("ax", None, e),)
+        cons = (("ax", None, ()),)
     return tuple(ante), cons, cmp
 
 
 def _routed(e, cmp=None):
     """A compound member's role: one entry per side, sharing one instance."""
     (left, right), inst = decompose(e)
-    return (_ROUTES[left](e, inst),), (_ROUTES[right](e, inst),), cmp
-
-
-class _Roles(dict):
-    """member -> _role(member), worked out once per `prove` call: the root
-    index of a `prove` call makes the table, and its copies share it."""
-
-    def __missing__(self, e):
-        r = self[e] = _role(e)
-        return r
+    return (_ROUTES[left](inst),), (_ROUTES[right](inst),), cmp
 
 
 class _Index:
@@ -186,35 +182,35 @@ class _Index:
     branch. `update` moves the index to the next sequent by the members it
     drops and adds; a left implication's left premiss gets a `copy`, and
     `_Index(seq)` is an empty index updated by the whole of seq. Each
-    distinct member is matched once per `prove` call (see `_role`), and each
-    table keeps its values in the print-key order of the members they came
-    from.
+    distinct member is matched once, by the first `prove` call that indexes
+    it, and its role is kept on it (`Expr.role`, see `_role`); each table
+    keeps its values in the print-key order of the members they came from.
 
     `closing` is the first axiom instance (Ax, the first of the consequent
-    members of axiom shape in `ax` that is also in the antecedent, before
-    Bot), `decomposition` the first invertible non-branching decomposition
-    (antecedent before consequent) and `branch` the first left implication,
-    each a (rule, instantiation) pair or None. `fresh` holds (cost, rule,
-    instantiation) for each left diamond or comparison, cost being the
-    eigen-nominals it needs, left unbound, and `goals` (rule, member,
-    instantiation) for each right diamond or comparison, its witnesses
-    unbound. An instantiation is shared by the entries of one member, so
-    no finder changes it. The antecedent atoms are kept by name, so that a
-    finder asks whether a candidate is present without building it:
-    `aliases` holds (i, k) for each @i k, `eqs` (i, c, j) for each
-    <i: =c j:>, `aliases_of[i]` each k, `eqs_from[i]` each (c, j),
-    `bodies_of[j]` each phi of an @j phi that S1 may substitute and
-    `steps_into[k]` each (i, a) of an @i <a>k. `noms` and `cmps` are the
-    sorted nominals and atomic comparison symbols, kept exact by counting
-    the member occurrences that hold each, since a step can consume the
-    last member that holds one.
+    members of axiom shape, held in `ax` as (member,), that is also in the
+    antecedent, before Bot), `decomposition` the first invertible
+    non-branching decomposition (antecedent before consequent) and `branch`
+    the first left implication, each a (rule, instantiation) pair or None.
+    `fresh` holds (cost, rule, instantiation) for each left diamond or
+    comparison, cost being the eigen-nominals it needs, left unbound, and
+    `goals` (member, rule, instantiation) for each right diamond or
+    comparison, its witnesses unbound. An instantiation is shared by the
+    entries of one member in every `prove` call, so no finder changes it.
+    The antecedent atoms are kept by name, so that a finder asks whether a
+    candidate is present without building it: `aliases` holds (i, k) for
+    each @i k, `eqs` (i, c, j) for each <i: =c j:>, `aliases_of[i]` each k,
+    `eqs_from[i]` each (c, j), `bodies_of[j]` each phi of an @j phi that S1
+    may substitute and `steps_into[k]` each (i, a) of an @i <a>k. `noms`
+    and `cmps` are the sorted nominals and atomic comparison symbols, kept
+    exact by counting the member occurrences that hold each, since a step
+    can consume the last member that holds one.
     """
 
-    __slots__ = ("seq", "roles", "noms", "cmps", "nom_count", "cmp_count",
+    __slots__ = ("seq", "noms", "cmps", "nom_count", "cmp_count",
                  *_TABLES, *_KEYED)
 
     def __init__(self, seq):
-        self.seq, self.roles = sequent(), _Roles()
+        self.seq = sequent()
         self.noms, self.cmps, self.nom_count, self.cmp_count = [], [], {}, {}
         for name in _TABLES:
             setattr(self, name, _Table())
@@ -224,7 +220,7 @@ class _Index:
 
     def copy(self):
         c = object.__new__(type(self))
-        c.seq, c.roles = self.seq, self.roles
+        c.seq = self.seq
         c.noms, c.cmps = self.noms.copy(), self.cmps.copy()
         c.nom_count, c.cmp_count = self.nom_count.copy(), self.cmp_count.copy()
         for name in _TABLES:
@@ -237,7 +233,7 @@ class _Index:
     @property
     def closing(self):
         ante = self.seq.ante
-        for e in self.ax:
+        for (e,) in self.ax:
             if e in ante:
                 return AX, {"phi": e}
         return self.bot[0] if self.bot else None
@@ -253,26 +249,32 @@ class _Index:
 
     def update(self, seq):
         """Index `seq` in place of the sequent indexed so far."""
-        old, roles = self.seq, self.roles
+        old = self.seq
         for side, was, now in ((0, old.ante, seq.ante),
                                (1, old.cons, seq.cons)):
             for e in was - now:
-                self._enter(e, roles[e], side, -1)
+                self._enter(e, side, -1)
             for e in now - was:
-                self._enter(e, roles[e], side, 1)
+                self._enter(e, side, 1)
         self.seq = seq
 
-    def _enter(self, e, role, side, sign):
+    def _enter(self, e, side, sign):
         """Add (sign 1) or remove (sign -1) one occurrence of member `e`."""
-        key = e.key
+        key, role = e.key, e.role
+        if role is None:
+            # kept on the member for every later `prove` call
+            role = _role(e)
+            object.__setattr__(e, "role", role)
         for name, sub, val in role[side]:
             t = getattr(self, name)
             if sub is not None:
                 t = t[sub]
-            if sign > 0:
-                t.add(key, val)
-            else:
+            if sign < 0:
                 t.drop(key)
+            elif name in _HOLD_MEMBER:
+                t.add(key, (e, *val))
+            else:
+                t.add(key, val)
         _count(self.nom_count, self.noms, e.noms, sign)
         if role[2] is not None:
             _count(self.cmp_count, self.cmps, (role[2],), sign)
@@ -345,7 +347,7 @@ def _witness_move(ix, fired, evidence, dia_ok):
     """Right witness rules; `fired` keys stop re-introduction loops. DiaR
     candidates are skipped unless `dia_ok` (the depth bound allows them)."""
     cons, ante = ix.seq.cons, ix.seq.ante
-    for rule, e, inst in ix.goals:
+    for e, rule, inst in ix.goals:
         if rule == CMP_R:
             i, alpha, beta = inst["i"], inst["alpha"], inst["beta"]
             kind, c = inst["kind"], inst["c"]

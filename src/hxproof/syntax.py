@@ -8,16 +8,18 @@ modalities, comparisons.
 
 Expressions are hash-consed (Filliâtre & Conchon 2006, "Type-safe modular
 hash-consing"): building one returns the one existing object equal to it, so
-equality is identity. A distinct expression is made once, and then keeps a
-content hash computed from its children's cached hashes, its canonical print
-key and its set of nominals, so a formula shared by many sequents is hashed,
-printed and scanned once. The intern table holds its objects weakly, so
-memory stays bounded by the expressions in use. Every expression is in the
-table: a constructor checks each field against the sort its annotation
-names (a string symbol, a comparison kind, a node or a path expression) the
-one time a distinct expression is made, and raises TypeError for a field of
-the wrong sort or one that cannot be hashed. So an expression is well formed
-by construction, and the kernel checks a value's kind by its class alone.
+equality is identity, and an expression hashes by that identity, in the
+interpreter's own `object.__hash__`. A distinct expression is made once, and
+then keeps its canonical print key and its set of nominals, so a formula
+shared by many sequents is printed and scanned once; proof search keeps a
+member's index role on it the same way. The intern table holds its objects
+weakly, so memory stays bounded by the expressions in use. Every expression
+is in the table: a constructor checks each field against the sort its
+annotation names (a string symbol, a comparison kind, a node or a path
+expression) the one time a distinct expression is made, and raises TypeError
+for a field of the wrong sort or one that cannot be hashed. So an expression
+is well formed by construction, and the kernel checks a value's kind by its
+class alone.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class CmpKind(enum.Enum):
     EQ = "eq"
     NEQ = "neq"
 
+    # each kind is one object, so it hashes by identity, without the
+    # Python-level `Enum.__hash__`
+    __hash__ = object.__hash__
+
     def flip(self):
         return CmpKind.NEQ if self is CmpKind.EQ else CmpKind.EQ
 
@@ -62,16 +68,19 @@ class Expr:
 
     The subclasses are frozen dataclasses without generated `__init__` or
     `__eq__`: `__new__` sets the fields, the dataclass gives `repr` and
-    `__match_args__`, and equality is the default identity. Their fields are
+    `__match_args__`, and equality is the default identity, and so is the
+    hash: interning makes equal expressions one object. Their fields are
     slots, like the caches here: an instance with a `__dict__` beside slots
     reads its fields more slowly in every `match`. `key` is the canonical
     print key (`print_node` at precedence 0, or `print_path`), `noms` the
     frozenset of nominals occurring in the expression, and `_level` the
     highest precedence at which a node prints without parentheses (None for
-    paths).
+    paths). `role` is None until proof search first indexes the expression
+    as a sequent member, and then holds what the member gives the index
+    (`search._role`), which refers to no expression containing this one.
     """
 
-    __slots__ = ("_hash", "key", "noms", "_level", "__weakref__")
+    __slots__ = ("key", "noms", "_level", "role", "__weakref__")
 
     def __new__(cls, *fields):
         ident = (cls, *fields)
@@ -88,8 +97,7 @@ class Expr:
                 return e
         return _intern(cls, fields, ident)
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self.__match_args__)
@@ -111,10 +119,10 @@ def _intern(cls, fields, ident):
                             f"not {value!r}")
         setattr_(e, name, value)
     key, level = _render(e)
-    setattr_(e, "_hash", hash(fields))
     setattr_(e, "key", key)
     setattr_(e, "noms", _nominals(e))
     setattr_(e, "_level", level)
+    setattr_(e, "role", None)
     _INTERNED[ident] = e
     return e
 

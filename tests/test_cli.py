@@ -369,6 +369,18 @@ def test_cutfree_checks_its_output_before_writing_it(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_cutfree_unwritable_out_exits_3_with_one_line(tmp_path, capsys,
+                                                      where):
+    out_path = tmp_path / "missing" / "out.json" if where == "missing-dir" \
+        else tmp_path
+    code, out, err = run(capsys, "cutfree", str(GOLDEN / "inv-atL.json"),
+                         "--out", str(out_path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert err.count("\n") == 1
+
+
 def test_corpus_pass_and_fail(tmp_path, capsys):
     code, out, _ = run(capsys, "corpus", str(GOLDEN))
     assert code == 0

@@ -1,3 +1,5 @@
+import copy
+import gc
 import random
 
 import pytest
@@ -7,16 +9,18 @@ import hypothesis.strategies as st
 from genutil import (SIG, conclusion_for_rule, derivation_of, rand_derivation,
                      rand_kind, rand_model, rand_node, rand_path,
                      rand_sequent)
-from hxproof import search
+from hxproof import jsonio, model, search
 from hxproof import syntax as sx
 from hxproof.goldens import (nom2_golden, paste_template, prove_axiom_suite,
                              transitivity)
 from hxproof.kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R,
     EQ_5, EQ_T, IMP_L, IMP_R, LOGICAL_RULES, NEQ_L, NEQ_R, S1, S2, S3,
-    ax_shape, check_derivation, evidence, premises, s1_shape, sequent,
+    ax_shape, check_derivation, evidence, premises, premises_memo, s1_shape,
+    sequent,
 )
-from hxproof.model import check_sequent_validity, find_countermodel
+from hxproof.model import (check_sequent_validity, find_countermodel,
+                           model_to_json)
 from hxproof.search import (Proved, Refuted, SearchConfig, Unknown, invert,
                             prove)
 from hxproof.syntax import (
@@ -567,3 +571,113 @@ def test_updating_a_branch_copy_leaves_the_original_unchanged():
     assert _tables(left) == _tables(search._Index(left.seq))
     ix.update(p2)
     assert _tables(ix) == _tables(search._Index(p2))
+
+
+# ---------------------------------------------------------------------------
+# expressions hash by identity, and each keeps its search role
+# ---------------------------------------------------------------------------
+
+def _emitted(goals):
+    """What search answers for each goal, as text: the canonical JSON of a
+    proof or of a refuting model, or the report of an unknown."""
+    out = []
+    for goal in goals:
+        match prove(goal):
+            case Proved(derivation=d):
+                blob = jsonio.derivation_to_json(d)
+            case Refuted(model=m):
+                blob = model_to_json(m)
+            case Unknown(report=report):
+                blob = report
+        out.append(jsonio.dumps_canonical(blob))
+    return out
+
+
+def _drop_kept_expressions():
+    """Let go of what the kernel's and the model checker's memos hold."""
+    premises_memo.cache_clear()
+    model._compiled.cache_clear()
+    gc.collect()
+
+
+def _addresses(goals):
+    """(class, print key) -> address, of every distinct subexpression of
+    the goals' members."""
+    return {(type(e), e.key): id(e) for g in goals for m in g.ante | g.cons
+            for e in sx.subexpressions(m)}
+
+
+def test_output_does_not_depend_on_expression_addresses():
+    # an expression's hash comes from its address, so the iteration order of
+    # a set of expressions changes with where the expressions were allocated
+    rng = random.Random(CRITERION_6_SEED)
+    texts = [str(rand_sequent(rng, SIG, max_side=3, depth=2))
+             for _ in range(40)]
+    texts += [str(rand_derivation(rng, SIG, steps=5).conclusion)
+              for _ in range(40)]
+    _drop_kept_expressions()
+    goals = [seq(t) for t in texts]
+    before = _addresses(goals)
+    first = _emitted(goals)
+    del goals
+    _drop_kept_expressions()
+    # objects of every small size kept alive between the goals, so that the
+    # expressions built again do not take back the addresses just freed
+    junk, goals = [], []
+    for text in texts:
+        junk.append([bytes(n) for n in range(8, 200, 4)])
+        goals.append(seq(text))
+    after = _addresses(goals)
+    assert after.keys() == before.keys()
+    moved = sum(after[k] != before[k] for k in after)
+    assert moved >= 0.9 * len(after)
+    assert _emitted(goals) == first
+
+
+def test_a_member_is_matched_once_over_prove_calls(monkeypatch):
+    # symbols of their own, so that no earlier test has indexed these members
+    calls, snapshots = {}, {}
+    role = search._role
+
+    def counted(e):
+        assert e not in calls
+        r = calls[e] = role(e)
+        # a deep copy builds each expression again, so it is the same object
+        snapshots[e] = copy.deepcopy(r)
+        return r
+
+    monkeypatch.setattr(search, "_role", counted)
+    # the first proof takes DiaR and ImpL, the second CmpR
+    shared = "@k_r1 (p_r1 -> p_r2), @k_r1 <a_r1> k_r2, @k_r2 p_r3"
+    first = seq(f"{shared}, @k_r2 (p_r3 -> p_r1) |- @k_r1 <a_r1> p_r1")
+    second = seq(f"{shared} |- @k_r1 <a_r1 =c_r1 a_r1>, @k_r2 p_r1")
+    assert isinstance(prove(first), Proved)
+    matched_first = set(calls)
+    assert first.ante | first.cons <= matched_first
+    assert isinstance(prove(second), Proved)
+    assert second.ante | second.cons <= set(calls)
+    assert len(calls) > len(matched_first)
+    # every role is kept on its member, and no search step changed it
+    for e, r in calls.items():
+        assert e.role is r and r == snapshots[e]
+
+
+def test_dropped_goals_leave_the_intern_table_without_a_collection():
+    # a right diamond and an axiom-shaped member: the index tables whose
+    # values hold the member itself; a role that held it would be a cycle
+    # that only the cyclic collector frees
+    _drop_kept_expressions()
+    gc.disable()
+    try:
+        before = len(sx._INTERNED)
+        goal = seq("@k_g1 <a_g1> k_g2, @k_g2 p_g1 "
+                   "|- @k_g1 <a_g1> p_g1, @k_g3 p_g2")
+        result = prove(goal)
+        assert isinstance(result, Proved)
+        assert len(sx._INTERNED) > before
+        assert all(e.role is not None for e in goal.ante | goal.cons)
+        del goal, result
+        premises_memo.cache_clear()
+        assert len(sx._INTERNED) == before
+    finally:
+        gc.enable()
