@@ -29,9 +29,11 @@ class CliError(Exception):
 
 
 def _read_json(path):
+    # ValueError covers text that is not UTF-8, text that is not JSON, and
+    # an integer too long for `int`
     try:
         return json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError, RecursionError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise CliError(f"cannot read {path}: {e}") from None
 
 

@@ -43,7 +43,7 @@ from .derived import (
 )
 from .kernel import (
     AX, BOT_RULE, CUT, DIA_R, METAVAR_KINDS, RULES, S2, WL, WR,
-    Derivation, KernelError, Sequent, SideConditionViolated, axiom,
+    Derivation, KernelError, Sequent, axiom,
     cut, freeze_inst, infer, premises_of, weaken,
 )
 from .syntax import (
@@ -275,28 +275,6 @@ def _renamed(d, names, down=lambda node, names: names):
             done.append(Derivation(seq, node.rule,
                                    _rename_inst(node.inst, names), kids))
     return done[0]
-
-
-def rename_nominal_derivation(d, old, new):
-    """Rewrite a derivation under a nominal renaming (capture-avoiding).
-
-    `new` must not occur anywhere in the tree; the result re-checks.
-    """
-    if old == new:
-        return d
-    if new in nominals(d):
-        raise SideConditionViolated(
-            f"nominal {new} already occurs in the derivation")
-    return substitute_nominal_derivation(d, old, new)
-
-
-def substitute_nominal_derivation(d, old, new):
-    """Unchecked nominal substitution throughout a derivation.
-
-    Callers must ensure no eigen-nominal capture (the eliminator refreshes
-    eigen-nominals first); use rename_nominal_derivation for the safe form.
-    """
-    return d if old == new else _renamed(d, {old: new})
 
 
 def _eigens_of(node):

@@ -7,9 +7,11 @@ The helpers read the kernel's rule table (`decompose`, `dual`, `principal`,
 `weaken_to`) from the kernel's verified constructors only, so nothing here
 is trusted: every tree they build is re-checked by `check_derivation`.
 
-Each macro builds, top-down through the kernel's `premises`, a fragment whose
-open leaves are exactly the derived rule's premisses, so every context is
-exact and every expansion re-checks; closed macros return whole derivations.
+Each macro builds, top-down through the kernel's premiss memo
+(`premises_of`), a fragment whose open leaves are exactly the derived rule's
+premisses, so every context is exact and every expansion re-checks; closed
+macros return whole derivations. `step` computes a node's premisses once:
+`infer` then reads them from the memo.
 `identity` closes a member on both sides by the dual pair that `decompose`
 names, so it states no connective's rules itself.
 """
@@ -21,8 +23,8 @@ from operator import attrgetter
 from .kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R,
     EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, OPEN, RULES, S1,
-    Derivation, KernelError, ax_shape, axiom, cut, evidence, infer, instance,
-    premises, s1_shape, weaken,
+    Derivation, KernelError, ax_shape, axiom, cut, evidence, freeze_inst,
+    infer, instance, premises_of, s1_shape, weaken,
 )
 from .syntax import (
     At, BOT, CmpKind, Compare, Diamond, Implies, Jump, Nominal, conj,
@@ -141,8 +143,10 @@ def weaken_to(d, target):
 
 
 def step(rule, goal, inst, builders):
-    """Apply one backward rule; builders produce the premiss subtrees."""
-    prem = premises(goal, rule, inst)
+    """Apply one backward rule; builders produce the premiss subtrees. The
+    premisses are read through the kernel's memo, where `infer` reads them
+    again."""
+    prem = premises_of(goal, rule, freeze_inst(inst))
     if len(prem) != len(builders):
         raise MacroError(f"{rule}: expected {len(prem)} premisses")
     return infer(rule, goal, inst, [b(s) for b, s in zip(builders, prem)])

@@ -27,11 +27,12 @@ a Cut's conclusion checks only its cut formula.
 
 Each node's premisses are computed once and kept in one memo of the last
 PREMISES_MEMO_SIZE (256) answers, keyed on (conclusion, rule, frozen
-instantiation). Search makes each backward step as a `Step`, which computes
-the step's premisses, and builds the node of each step its proof uses with
-`Step.node`, which keeps them under the frozen instantiation that the node
-records; `axiom` keeps each leaf's the same way. A step of a search branch
-that fails is neither frozen nor kept. The checker, `infer`, the JSON reader
+instantiation): `premises_memo`, a plain `OrderedDict`. Search makes each
+backward step as a `Step`, which computes the step's premisses, and builds
+the node of each step its proof uses with `Step.node`, which keeps them
+under the frozen instantiation that the node records; `axiom` keeps each
+leaf's the same way. A step of a search branch that fails is neither frozen
+nor kept. The checker, `infer`, the derived-rule macros, the JSON reader
 and writer and cut elimination's permutations read the memo through
 `premises_of`, which computes and keeps an answer it misses. So `prove`'s
 check of the tree its search built, and the writer, reader and checker
@@ -52,14 +53,13 @@ identity). Only successes are stored, so a failing instance raises on every
 call, and every check still compares the node's own children with the
 stored premisses, so a warm memo vouches for no child. A key that cannot be
 hashed (a malformed instantiation) is computed without the memo, so checking
-stays total. Whatever changes `RULES` must call
-`premises_memo.cache_clear()`.
+stays total. Whatever changes `RULES` must call `premises_memo.clear()`.
 """
 
 from __future__ import annotations
 
 import reprlib
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import SimpleNamespace
@@ -495,52 +495,30 @@ def premises(goal, rule, inst):
 PREMISES_MEMO_SIZE = 256
 
 # (conclusion, rule, frozen instantiation) -> premiss tuple, for the last
-# PREMISES_MEMO_SIZE answers computed, oldest first; and the number of
-# answers read from it
-_memo = OrderedDict()
-_memo_hits = 0
-
-MemoInfo = namedtuple("MemoInfo", "hits maxsize currsize")
-
-
-class _PremissMemo:
-    """What tests and benchmarks read of the memo (see the module
-    docstring), as of an `lru_cache`."""
-
-    def cache_info(self):
-        return MemoInfo(_memo_hits, PREMISES_MEMO_SIZE, len(_memo))
-
-    def cache_clear(self):
-        global _memo_hits
-        _memo.clear()
-        _memo_hits = 0
-
-
-premises_memo = _PremissMemo()
+# PREMISES_MEMO_SIZE answers computed, oldest first
+premises_memo = OrderedDict()
 
 
 def premises_of(goal, rule, inst):
     """The premisses of a frozen instantiation: from the memo, or computed
     and kept. A key that cannot be hashed is computed without the memo,
     and `premises` then raises for the bad value."""
-    global _memo_hits
     key = goal, rule, inst
     try:
-        got = _memo.get(key)
+        got = premises_memo.get(key)
     except TypeError:
         return tuple(premises(goal, rule, thaw_inst(inst)))
     if got is None:
         return _keep(key, tuple(premises(goal, rule, thaw_inst(inst))))
-    _memo_hits += 1
     return got
 
 
 def _keep(key, got):
     """Store the premisses `got` of `key`, dropping the memo's oldest entry
     past the bound; returns them."""
-    _memo[key] = got
-    if len(_memo) > PREMISES_MEMO_SIZE:
-        _memo.popitem(last=False)
+    premises_memo[key] = got
+    if len(premises_memo) > PREMISES_MEMO_SIZE:
+        premises_memo.popitem(last=False)
     return got
 
 

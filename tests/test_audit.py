@@ -133,7 +133,7 @@ def test_check_derivation_reaches_every_kernel_function():
         assert check_derivation(fragment, allow_open=True) == []
 
     # a memo hit would skip `premises` and everything it calls
-    kernel.premises_memo.cache_clear()
+    kernel.premises_memo.clear()
     codes = _reached(check)
     forward = {"axiom", "infer", "cut", "weaken", "sequent", "freeze_inst"}
     # a wrapped function is unwrapped to the function it wraps

@@ -108,6 +108,30 @@ def test_check_undecodable_json_exits_3_with_one_line(tmp_path, capsys, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00bin",
+    b"[" + b"1" * 5000 + b"]",
+], ids=["not-utf8", "integer-too-long"])
+@pytest.mark.parametrize("argv", [
+    ("check", "{bad}"),
+    ("cutfree", "{bad}"),
+    ("eval", "--graph", "{bad}", "<a>p"),
+    ("eval", "--model", "{bad}", "<a>p"),
+    ("entail", "--model", "{bad}", "@i p |- @i p"),
+    ("corpus", "{dir}"),
+], ids=["check", "cutfree", "eval-graph", "eval-model", "entail-model",
+        "corpus"])
+def test_a_file_json_cannot_read_exits_3_with_one_line(tmp_path, capsys,
+                                                        argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [a.format(bad=bad, dir=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _deep_value(depth):
     """The nom2 golden with its `nodes` replaced by a list nested `depth`
     levels deep, as text."""

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -9,10 +10,8 @@ import hypothesis.strategies as st
 
 from genutil import (SIG, conclusion_for_rule, rand_derivation, rand_model,
                      rand_path)
-from hxproof import jsonio, kernel, search
-from hxproof.cutelim import (
-    cut_complexity, cut_height, nominals, rename_nominal_derivation,
-)
+from hxproof import goldens, jsonio, kernel, search
+from hxproof.cutelim import _renamed, cut_complexity, cut_height, nominals
 from hxproof.derived import open_leaf, replace, weaken_to
 from hxproof.kernel import (
     AT_T, AX, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
@@ -387,57 +386,74 @@ def _golden(name):
         json.loads((GOLDEN / f"{name}.json").read_text()))
 
 
-def test_memoized_nodes_still_check_their_own_children():
+def _count_premises(monkeypatch):
+    """The list of (goal, rule) of every later call of `kernel.premises`,
+    also of calls through a module that imported it by name."""
+    real, computed = kernel.premises, []
+
+    def counted(goal, rule, inst):
+        computed.append((goal, rule))
+        return real(goal, rule, inst)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hxproof") and \
+                getattr(module, "premises", None) is real:
+            monkeypatch.setattr(module, "premises", counted)
+    return computed
+
+
+def test_memoized_nodes_still_check_their_own_children(monkeypatch):
     d = _golden("paste")
-    premises_memo.cache_clear()
+    premises_memo.clear()
     assert check_derivation(d) == []
     path, node = next((p, n) for p, n in d.walk()
                       if n.rule in RULES and n.children)
     child = node.children[0]
     altered = Derivation(child.conclusion.add_ante(At("zz", P)), child.rule,
                          child.inst, child.children)
-    hits = premises_memo.cache_info().hits
+    computed = _count_premises(monkeypatch)
     violations = check_derivation(replace(d, (*path, 0), altered))
     # the parent's premisses come from the memo, and still disagree with
     # the altered child
-    assert premises_memo.cache_info().hits > hits
+    assert (node.conclusion, node.rule) not in computed
     assert path in [v.path for v in violations]
 
 
-def test_infer_raises_after_a_hit():
+def test_infer_raises_after_a_hit(monkeypatch):
     goal = sequent({At("i", Implies(P, Q))}, {At("m", P)})
     inst = {"i": "i", "phi": P, "psi": Q}
     left, right = premises(goal, IMP_L, inst)
     infer(IMP_L, goal, inst, [open_leaf(left), open_leaf(right)])
-    hits = premises_memo.cache_info().hits
+    computed = _count_premises(monkeypatch)
     with pytest.raises(KernelError):
         infer(IMP_L, goal, inst, [open_leaf(right), open_leaf(left)])
-    assert premises_memo.cache_info().hits == hits + 1
+    assert computed == []
 
 
 def test_failing_instance_raises_each_call_and_leaves_no_entry():
     goal = sequent({At("i", Diamond("a", P))}, ())
     clash = freeze_inst({"i": "i", "a": "a", "phi": P, "j": "i"})
     unhashable = (("c", "c"), ("i", ["i"]))
-    premises_memo.cache_clear()
+    premises_memo.clear()
     for _ in range(2):
         with pytest.raises(SideConditionViolated):
             premises_of(goal, DIA_L, clash)
         with pytest.raises(ShapeViolation):
             premises_of(goal, EQ_T, unhashable)
-    assert premises_memo.cache_info().currsize == 0
+    assert len(premises_memo) == 0
 
 
 def test_memo_never_exceeds_its_bound():
-    premises_memo.cache_clear()
+    premises_memo.clear()
     bound = kernel.PREMISES_MEMO_SIZE
     for t in range(bound + 50):
         premises_of(sequent(), EQ_T, freeze_inst({"i": f"n{t}", "c": "c"}))
-        assert premises_memo.cache_info().currsize <= bound
-    assert premises_memo.cache_info().currsize == bound
+        assert len(premises_memo) <= bound
+    assert len(premises_memo) == bound
 
 
-def test_a_sequent_hashes_alike_however_built_and_hits_one_memo_entry():
+def test_a_sequent_hashes_alike_however_built_and_hits_one_memo_entry(
+        monkeypatch):
     # `sequent()` runs `__init__`, while `add_ante` and `premises` build
     # without it; each caches the generated hash's value on first use
     y, alias = At("j", Q), At("i", Nominal("i"))
@@ -446,19 +462,20 @@ def test_a_sequent_hashes_alike_however_built_and_hits_one_memo_entry():
     [prem] = premises(sequent({y}, {y}), AT_T, {"i": "i"})
     assert built == grown == prem
     assert hash(built) == hash(grown) == hash(prem) == hash((prem.ante, prem.cons))
-    premises_memo.cache_clear()
+    premises_memo.clear()
+    computed = _count_premises(monkeypatch)
     key = freeze_inst({"i": "k", "c": "c"})
     first = premises_of(built, EQ_T, key)
     assert premises_of(grown, EQ_T, key) is first
     assert premises_of(prem, EQ_T, key) is first
-    info = premises_memo.cache_info()
-    assert (info.hits, info.currsize) == (2, 1)
+    assert (len(computed), len(premises_memo)) == (1, 1)
 
 
-def test_mutating_returned_premisses_does_not_change_the_next_answer():
+def test_mutating_returned_premisses_does_not_change_the_next_answer(
+        monkeypatch):
     goal = sequent({At("i", Diamond("a", P))}, ())
     inst = {"i": "i", "a": "a", "phi": P, "j": "u"}
-    premises_memo.cache_clear()
+    premises_memo.clear()
     first = premises_of(goal, DIA_L, freeze_inst(inst))
     # answers are tuples, and a list the caller makes of one or gets from
     # `premises` is its own
@@ -467,9 +484,10 @@ def test_mutating_returned_premisses_does_not_change_the_next_answer():
     mutable.append(goal)
     plain = premises(goal, DIA_L, inst)
     plain.clear()
+    computed = _count_premises(monkeypatch)
     again = premises_of(goal, DIA_L, freeze_inst(inst))
     assert again == first and len(again) == 1
-    assert premises_memo.cache_info().hits == 1
+    assert computed == []
 
 
 # a sequent whose proof has steps above a left implication, a step in one
@@ -505,7 +523,7 @@ def test_prove_rechecks_from_the_premisses_its_search_kept(monkeypatch):
     assert any(len(n.children) == 2 for n in nodes)
     assert computed == []
     # the same check on an empty memo computes every node's premisses
-    premises_memo.cache_clear()
+    premises_memo.clear()
     check(d)
     assert len(computed) == len(nodes)
 
@@ -526,16 +544,32 @@ def test_search_makes_every_inner_step_through_its_premises_attribute(
     assert seen == inner and sum(inner.values()) > 2
 
 
-def test_a_swapped_child_is_a_violation_with_the_memo_warm_from_search():
+def test_a_swapped_child_is_a_violation_with_the_memo_warm_from_search(
+        monkeypatch):
     d = _proved(_BRANCHING)
     path, node = next((p, n) for p, n in d.walk() if len(n.children) == 2)
     swapped = Derivation(node.conclusion, node.rule, node.inst,
                          node.children[::-1])
-    hits = premises_memo.cache_info().hits
+    computed = _count_premises(monkeypatch)
     violations = check_derivation(replace(d, path, swapped))
     # each node's premisses come from what the search kept
-    assert premises_memo.cache_info().hits - hits == len(list(d.walk()))
+    assert computed == []
     assert [v.path for v in violations] == [path]
+
+
+@pytest.mark.parametrize("build,logical", [
+    (goldens.reflexivity, 4), (goldens.symmetry, 16),
+    (goldens.transitivity, 14), (goldens.nom2_golden, 8),
+])
+def test_a_macro_computes_each_nodes_premisses_once(monkeypatch, build,
+                                                    logical):
+    # `derived.step` reads a node's premisses through the memo, and `infer`
+    # then reads the same entry
+    premises_memo.clear()
+    computed = _count_premises(monkeypatch)
+    d = build()
+    assert sum(n.rule in RULES for _, n in d.walk()) == logical
+    assert len(computed) == logical
 
 
 def test_a_step_keeps_the_instantiation_its_premisses_were_read_from():
@@ -551,18 +585,6 @@ def test_a_step_keeps_the_instantiation_its_premisses_were_read_from():
         tuple(premises(goal, DIA_L, inst))
 
 
-def test_rename_nominal_derivation():
-    goal = sequent({At("i", Diamond("a", P))}, ())
-    [prem] = premises(goal, DIA_L, {"i": "i", "a": "a", "phi": P, "j": "u"})
-    d = infer(DIA_L, goal, {"i": "i", "a": "a", "phi": P, "j": "u"},
-              [open_leaf(prem)])
-    renamed = rename_nominal_derivation(d, "u", "w")
-    assert check_derivation(renamed, allow_open=True) == []
-    assert "w" in nominals(renamed)
-    with pytest.raises(SideConditionViolated):
-        rename_nominal_derivation(d, "u", "i")  # i occurs already
-
-
 def test_rename_fresh_nominal_in_checked_derivation_rechecks():
     rng = random.Random(21)
     for _ in range(20):
@@ -571,7 +593,7 @@ def test_rename_fresh_nominal_in_checked_derivation_rechecks():
         if not noms:
             continue
         old = sorted(noms)[0]
-        renamed = rename_nominal_derivation(d, old, "_fresh9")
+        renamed = _renamed(d, {old: "_fresh9"})
         assert check_derivation(renamed) == []
 
 

@@ -595,7 +595,7 @@ def _emitted(goals):
 
 def _drop_kept_expressions():
     """Let go of what the kernel's and the model checker's memos hold."""
-    premises_memo.cache_clear()
+    premises_memo.clear()
     model._compiled.cache_clear()
     gc.collect()
 
@@ -677,7 +677,7 @@ def test_dropped_goals_leave_the_intern_table_without_a_collection():
         assert len(sx._INTERNED) > before
         assert all(e.role is not None for e in goal.ante | goal.cons)
         del goal, result
-        premises_memo.cache_clear()
+        premises_memo.clear()
         assert len(sx._INTERNED) == before
     finally:
         gc.enable()
