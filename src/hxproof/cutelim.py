@@ -25,21 +25,22 @@ touches, not the size of the tree:
   at or above it, over the cut-free derivations it holds, so a replacement
   is put in place in one slot; each such node is built as a `Derivation`
   once, when the nearest cut below it becomes topmost, or at the end;
-- the nominals of the whole tree, which a refreshed eigen-nominal must
-  avoid, are computed only when a refresh asks for them;
+- a refreshed eigen-nominal avoids one set per run: the input's nominals,
+  computed when a refresh first asks for them, and every name drawn since.
+  A step only reuses formulas and witnesses already in the tree or draws
+  fresh names, so every nominal of the tree under elimination is in it;
 - renaming maps each distinct sequent member once, and rebuilds a weakening
   forward from its renamed premiss.
-`reduce_once` is the same step on a whole derivation, the tests' reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, total_ordering
+from functools import cache, partial
 from heapq import heappop, heappush
 
 from .derived import (
-    added, crossed, dual, principal, replace, required, weaken_to,
+    added, crossed, dual, principal, required, weaken_to,
 )
 from .kernel import (
     AX, BOT_RULE, CUT, DIA_R, METAVAR_KINDS, RULES, S2, WL, WR,
@@ -68,7 +69,7 @@ class CutStuck(CutEliminationError):
 class ReduceEvent:
     kind: str
     path: tuple
-    selected: CutComplexity
+    selected: tuple
     introduced: list = field(default_factory=list)
 
     def decreasing(self):
@@ -76,8 +77,7 @@ class ReduceEvent:
 
     def as_json(self):
         return {"kind": self.kind, "path": list(self.path),
-                "selected": self.selected.as_tuple(),
-                "introduced": [c.as_tuple() for c in self.introduced]}
+                "selected": self.selected, "introduced": self.introduced}
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +97,6 @@ def cut_positions(d):
             if node.children[t].cuts:
                 stack.append((path + (t,), node.children[t]))
     return out
-
-
-def topmost_cuts(d):
-    """Cuts with no other cut above them (their premisses are cut-free)."""
-    return [(path, node) for path, node in cut_positions(d) if node.cuts == 1]
-
-
-def select_cut(d):
-    """Topmost cut of minimal cut height; ties broken leftmost (preorder)."""
-    cands = topmost_cuts(d)
-    if not cands:
-        return None
-    best = min(range(len(cands)), key=lambda t: (cut_height(cands[t][1]), t))
-    return cands[best]
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +122,6 @@ def _role_in_left(node, phi):
 # Cut measure, renaming and eigen-nominal hygiene
 # ---------------------------------------------------------------------------
 
-@total_ordering
-@dataclass(frozen=True)
-class CutComplexity:
-    """Lexicographic (size of active cut expression, cut height)."""
-
-    k: int
-    h: int
-
-    def __lt__(self, other):
-        return (self.k, self.h) < (other.k, other.h)
-
-    def as_tuple(self):
-        return (self.k, self.h)
-
-
 def cut_height(node):
     if node.rule != CUT:
         raise KernelError("cut_height on a non-Cut node")
@@ -158,57 +129,32 @@ def cut_height(node):
 
 
 def cut_complexity(node):
+    """Lexicographic (size of active cut expression, cut height)."""
     if node.rule != CUT:
         raise KernelError("cut_complexity on a non-Cut node")
-    return CutComplexity(size(node.inst_dict["phi"]), cut_height(node))
-
-
-def _inst_nominals(inst):
-    out = set()
-    for key, v in inst:
-        match METAVAR_KINDS[key]:
-            case "nominal":
-                out.add(v)
-            case "path" | "node":
-                out |= v.noms
-    return out
-
-
-def _subtree_nominals(d):
-    """The frozenset that `nominals` copies. A node's set is its children's
-    sets, its instantiation's nominals and, at a leaf only, its conclusion's:
-    in a tree that checks, every conclusion member occurs in a premiss or is
-    built from the instantiation. A node that adds no nominal shares its
-    one child's set, so a chain of weakenings over the same nominals costs
-    linear time."""
-    stack = [d]
-    while stack:
-        node = stack[-1]
-        if "_noms" in node.__dict__:
-            stack.pop()
-            continue
-        todo = [c for c in node.children if "_noms" not in c.__dict__]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        own = _inst_nominals(node.inst)
-        kids = [c.__dict__["_noms"] for c in node.children]
-        if not kids:
-            own |= node.conclusion._noms
-        if len(kids) == 1 and own <= kids[0]:
-            node.__dict__["_noms"] = kids[0]
-        else:
-            node.__dict__["_noms"] = frozenset(own.union(*kids))
-    return d.__dict__["_noms"]
+    return (size(node.inst_dict["phi"]), cut_height(node))
 
 
 def nominals(d):
     """The nominals of every conclusion and instantiation in the tree, as a
-    new set. Each node keeps its subtree's set, so a tree rebuilt along one
-    path recomputes only that path; the sets are filled bottom-up over an
-    explicit stack, so at any height."""
-    return set(_subtree_nominals(d))
+    new set, by one walk over an explicit stack, so at any height. A node
+    adds its instantiation's nominals and, at a leaf only, its conclusion's:
+    in a tree that checks, every conclusion member occurs in a premiss or is
+    built from the instantiation."""
+    out, stack = set(), [d]
+    while stack:
+        node = stack.pop()
+        for key, v in node.inst:
+            match METAVAR_KINDS[key]:
+                case "nominal":
+                    out.add(v)
+                case "path" | "node":
+                    out |= v.noms
+        if node.children:
+            stack += node.children
+        else:
+            out |= node.conclusion._noms
+    return out
 
 
 def _rename(e, names):
@@ -282,15 +228,15 @@ def _eigens_of(node):
     return [node.inst_dict[m] for m in r.eigens] if r else []
 
 
-def eigen_refresh(d, forbidden):
-    """Rename every eigen-nominal in the tree to a globally fresh one, drawn
-    in preorder."""
-    forbidden = set(forbidden) | nominals(d)
+def eigen_refresh(d, avoid):
+    """Rename every eigen-nominal in the tree to a fresh one, drawn in
+    preorder from outside the set `avoid`, which must hold the nominals of
+    `d`; each name drawn is added to it."""
 
     def down(node, names):
         for old in _eigens_of(node):
-            (new,) = fresh_nominals(1, forbidden)
-            forbidden.add(new)
+            (new,) = fresh_nominals(1, avoid)
+            avoid.add(new)
             names = {**names, old: new}
         return names
 
@@ -301,10 +247,10 @@ def eigen_refresh(d, forbidden):
 # Transformation families
 # ---------------------------------------------------------------------------
 
-def _transform(node, scope):
+def _transform(node, avoid):
     """Replace one topmost cut; returns (replacement, introduced, kind).
-    `scope()` gives the nominals of the whole tree, which a refreshed
-    eigen-nominal must avoid."""
+    `avoid()` gives the run's set of nominals that a refreshed eigen-nominal
+    must avoid (`eigen_refresh`)."""
     left, right = node.children
     phi = node.inst_dict["phi"]
     concl = node.conclusion
@@ -346,16 +292,16 @@ def _transform(node, scope):
     else:
         role_r = _role_in_right(right, phi)
     if role_r == "context":
-        return _permute(node, into="right", scope=scope)
+        return _permute(node, into="right", avoid=avoid)
 
     role_l = _role_in_left(left, phi) if left.rule not in (WL, WR) else "context"
     if role_l == "context":
-        return _permute(node, into="left", scope=scope)
+        return _permute(node, into="left", avoid=avoid)
 
     # principal on both sides
     try:
         if dual(left.rule) == right.rule:
-            return _principal_pair(node, scope)
+            return _principal_pair(node, avoid)
         if left.rule == DIA_R and role_r == "required":
             return _family_dia_required(node)
     except CutStuck:
@@ -366,7 +312,7 @@ def _transform(node, scope):
                    f"over {print_node(phi)}")
 
 
-def _permute(node, into, scope):
+def _permute(node, into, avoid):
     """Push the cut above a rule for which the cut formula is context."""
     left, right = node.children
     phi = node.inst_dict["phi"]
@@ -375,8 +321,7 @@ def _permute(node, into, scope):
     other = left if into == "right" else right
 
     if _eigens_of(target):
-        target = eigen_refresh(
-            target, scope() | nominals(other) | concl.nominals())
+        target = eigen_refresh(target, avoid())
 
     if target.rule in (WL, WR):
         child = target.children[0]
@@ -415,7 +360,7 @@ def _permute(node, into, scope):
             introduced, f"permute-{into}-{target.rule}")
 
 
-def _principal_pair(node, scope):
+def _principal_pair(node, avoid):
     """A right rule cut against its left dual, both principal on the cut.
 
     The left premiss is cut against each right premiss in turn, on the
@@ -433,7 +378,7 @@ def _principal_pair(node, scope):
         introduced.append(cut_complexity(cur))
     eigens = RULES[right.rule].eigens
     if eigens:
-        right = eigen_refresh(right, scope() | nominals(left))
+        right = eigen_refresh(right, avoid())
         right = _renamed(right, {right.inst_dict[m]: inst[m] for m in eigens})
     (ours,) = added(left.rule, inst)
     for q, theirs in zip(right.children, added(right.rule, inst)):
@@ -471,10 +416,10 @@ def _family_dia_required(node):
 # Driver
 # ---------------------------------------------------------------------------
 
-def _step(node, path, scope):
+def _step(node, path, avoid):
     """Transform the cut `node` at `path`; returns (replacement, event)."""
     try:
-        replacement, introduced, kind = _transform(node, scope)
+        replacement, introduced, kind = _transform(node, avoid)
     except CutStuck as e:
         where = "/".join(map(str, path)) or "root"
         raise CutStuck(f"stuck cut at {where}: {e}") from None
@@ -483,20 +428,6 @@ def _step(node, path, scope):
         raise CutEliminationError(
             f"non-decreasing reduction {kind}: {event.selected} -> {introduced}")
     return replacement, event
-
-
-def reduce_once(d):
-    """Apply one transformation to the selected topmost cut.
-
-    Returns (derivation, event); raises CutStuck when no local family
-    reduces the cut and ValueError when the tree is already cut-free.
-    """
-    sel = select_cut(d)
-    if sel is None:
-        raise ValueError("derivation is cut-free")
-    path, node = sel
-    replacement, event = _step(node, path, lambda: nominals(d))
-    return replace(d, path, replacement), event
 
 
 class _Open:
@@ -562,34 +493,22 @@ def _build(o):
     return o.up.kids[o.slot]
 
 
-def _tree_nominals(root):
-    """`nominals` of the tree under elimination that `root` holds."""
-    out, stack = set(), [root.kids[0]]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, _Open):
-            out |= _inst_nominals(x.inst)
-            stack += x.kids
-        else:
-            out |= _subtree_nominals(x)
-    return out
-
-
 def eliminate_cuts(d, trace=None):
-    """Reduce topmost cuts, in the order and by the steps of `reduce_once`,
-    to a cut-free derivation of the same end-sequent.
+    """Reduce topmost cuts, the one of least cut height first and the
+    leftmost in preorder on ties, to a cut-free derivation of the same
+    end-sequent.
 
     Each step is local and lowers the cut measure; a cut with no local
     reduction raises CutStuck (a CutEliminationError) instead.
     """
     root, heap = _Open(None, None, 0), []
     _hang(d, root, 0, (), None, heap)
-    scope = partial(_tree_nominals, root)
+    avoid = cache(partial(nominals, d))
     for _ in range(MAX_REDUCE_STEPS):
         if not heap:
             break
         _, path, o = heappop(heap)
-        replacement, event = _step(o.node, path, scope)
+        replacement, event = _step(o.node, path, avoid)
         if trace is not None:
             trace.append(event)
         outer = o.outer

@@ -577,11 +577,9 @@ class Derivation:
     its height and the number of cuts in its subtree. A node is a value:
     nothing changes its fields once it is built. They are slots, set by a
     plain `__init__`, which builds a node in less than half the time that a
-    frozen dataclass takes; the `__dict__` holds what other layers keep per
-    node (cut elimination's nominal sets)."""
+    frozen dataclass takes. No other layer keeps anything on a node."""
 
-    __slots__ = ("conclusion", "rule", "inst", "children", "height", "cuts",
-                 "__dict__")
+    __slots__ = ("conclusion", "rule", "inst", "children", "height", "cuts")
 
     def __init__(self, conclusion, rule, inst, children=()):
         self.conclusion = conclusion

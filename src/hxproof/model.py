@@ -60,6 +60,8 @@ def _partition_from_classes(nodes, classes):
         for n in block:
             if n not in nodes:
                 raise UnknownNode(f"comparison class mentions unknown node {n!r}")
+            if class_of.get(n) == cid:
+                raise ModelError(f"node {n!r} appears twice in one comparison class")
             if n in class_of:
                 raise ModelError(f"node {n!r} appears in two comparison classes")
             class_of[n] = cid

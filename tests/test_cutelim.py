@@ -1,6 +1,7 @@
 import pathlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,10 @@ from genutil import (conclusion_for_rule, derivation_of, rand_derivation,
                      rand_restricted)
 from hxproof import kernel
 from hxproof.cutelim import (
-    CutComplexity, CutEliminationError, cut_complexity, cut_positions,
-    eliminate_cuts, nominals, reduce_once, select_cut, topmost_cuts,
+    CutEliminationError, ReduceEvent, _step, cut_complexity, cut_height,
+    cut_positions, eigen_refresh, eliminate_cuts, nominals,
 )
-from hxproof.derived import axg, dual, weaken_to
+from hxproof.derived import axg, dual, replace, weaken_to
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
     AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
@@ -57,13 +58,21 @@ def test_cut_complexity_over_two_axioms():
     ax2 = axiom(AX, sequent({At("i", P), At("j", Q)}, {At("j", Q)}),
                 {"phi": At("j", Q)})
     d = cut(ax1, ax2, At("i", P))
-    assert cut_complexity(d) == CutComplexity(2, 2)  # size(@_i p) = 2
+    assert cut_complexity(d) == (2, 2)  # size(@_i p) = 2
 
 
 def test_complexity_lexicographic_order():
-    assert CutComplexity(2, 9) < CutComplexity(3, 1)
-    assert CutComplexity(3, 1) < CutComplexity(3, 2)
-    assert not CutComplexity(3, 2) < CutComplexity(3, 2)
+    # a step decreases when every cut it introduces is below the selected
+    # one in the (size, height) order
+    def decreasing(selected, introduced):
+        return ReduceEvent("k", (), selected, introduced).decreasing()
+
+    assert decreasing((3, 1), [(2, 9)])
+    assert decreasing((3, 2), [(3, 1), (2, 9)])
+    assert not decreasing((3, 2), [(3, 1), (3, 2)])
+    assert ReduceEvent("k", (0,), (3, 2), [(2, 9)]).as_json() == {
+        "kind": "k", "path": [0], "selected": (3, 2),
+        "introduced": [(2, 9)]}
 
 
 def test_inv_atl_cut_complexity():
@@ -73,7 +82,7 @@ def test_inv_atl_cut_complexity():
     [prem] = invert("AtL", d, {"j": "j", "i": "i", "phi": P})
     cuts = [n for _, n in prem.walk() if n.rule == CUT]
     assert len(cuts) == 1
-    assert cut_complexity(cuts[0]).k == 3
+    assert cut_complexity(cuts[0])[0] == 3
 
 
 def test_base_case_configuration_height_two():
@@ -82,22 +91,51 @@ def test_base_case_configuration_height_two():
     right = axiom(BOT_RULE, sequent({At("m", BOT), At("i", P)}, {At("i", P)}),
                   {"i": "m"})
     d = cut(left, right, At("m", BOT))
-    assert cut_complexity(d).h == 2
+    assert cut_complexity(d)[1] == 2
     out, trace = _run(d)
     assert len(trace) == 1
 
 
 def test_nominals_at_any_height():
-    # the per-node sets are filled bottom-up over a stack, not by recursion
+    # one walk over a stack, not by recursion, that keeps no set per node:
+    # on a 5,000-level weakening chain where each level adds a new nominal,
+    # it allocates about its result, where a set per node would hold the
+    # chain's 12.5 million nominal occurrences
     leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
-    extra = {At(f"i{t}", P) for t in range(1200)}
+    extra = {At(f"i{t}", P) for t in range(5000)}
     d = weaken_to(leaf, sequent({At("i", P)} | extra, {At("i", P)}))
-    assert nominals(d) == {"i"} | {f"i{t}" for t in range(1200)}
-    # a tree rebuilt along one path keeps the sets of the subtrees it reuses
-    kept = d.__dict__["_noms"]
-    w = weaken(d, "right", At("j", Q))
-    assert nominals(w) == nominals(d) | {"j"}
-    assert d.__dict__["_noms"] is kept
+    assert d.height == 5001
+    tracemalloc.start()
+    try:
+        got = nominals(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == {"i"} | {f"i{t}" for t in range(5000)}
+    assert peak < 2_000_000
+    # the plain walk, whose cost grows with the square of the height, on the
+    # chain's top 1,200 levels
+    top = d
+    while top.height > 1201:
+        (top,) = top.children
+    assert nominals(top) == walk_nominals(top) and len(nominals(top)) == 1201
+
+
+def test_a_refresh_draws_outside_the_set_and_adds_each_name_it_draws():
+    # eigen_refresh draws from the caller's set and adds to it, so two
+    # refreshes with one set never draw the same name
+    d = _deep_eigen_cut(2).children[1]
+    avoid = nominals(d)
+    before = set(avoid)
+    drawn = []
+    for _ in range(2):
+        out = eigen_refresh(d, avoid)
+        (new,) = {n for _, node in out.walk()
+                  for n in node.conclusion.nominals()} - before
+        drawn.append(new)
+        assert check_derivation(out) == []
+    assert drawn[0] != drawn[1]
+    assert avoid == before | set(drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +158,7 @@ def test_select_topmost_minimal():
 
 def test_reduce_once_requires_a_cut():
     with pytest.raises(ValueError):
-        reduce_once(symmetry())
+        reduce_once(symmetry(), set())
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +413,7 @@ def test_dual_pair_principal_reduction(rule, kind):
         for prem in invert(rule, d, inst):
             (_, node), = topmost_cuts(prem)
             assert [c.rule for c in node.children] == [dual(rule), rule]
-            assert reduce_once(prem)[1].kind == kind
+            assert reduce_once(prem, nominals(prem))[1].kind == kind
             _run(prem)
 
 
@@ -578,18 +616,48 @@ def _goldens():
     return list(prove_axiom_suite().values())
 
 
+def topmost_cuts(d):
+    """Cuts with no other cut above them (their premisses are cut-free)."""
+    return [(path, node) for path, node in cut_positions(d) if node.cuts == 1]
+
+
+def select_cut(d):
+    """Topmost cut of minimal cut height; ties broken leftmost (preorder)."""
+    cands = topmost_cuts(d)
+    if not cands:
+        return None
+    best = min(range(len(cands)), key=lambda t: (cut_height(cands[t][1]), t))
+    return cands[best]
+
+
+def reduce_once(d, avoid):
+    """One step of the reference driver: the selected cut of the whole tree
+    transformed and put in place. A refreshed eigen-nominal avoids the set
+    `avoid`, which the caller shares across the steps of one run. Returns
+    (derivation, event); raises CutStuck when no local family reduces the
+    cut and ValueError when the tree is already cut-free."""
+    sel = select_cut(d)
+    if sel is None:
+        raise ValueError("derivation is cut-free")
+    path, node = sel
+    replacement, event = _step(node, path, lambda: avoid)
+    return replace(d, path, replacement), event
+
+
 def _same_as_the_reduce_once_loop(d):
     """`eliminate_cuts(d)` against the loop of `reduce_once`, the one-step
-    reference: equal output trees and equal events. Every tree the loop
-    passes through has the cut positions and the nominals of a plain walk.
-    Returns the number of steps."""
+    reference, whose steps share one avoid set as the driver's do: equal
+    output trees and equal events. Every tree the loop passes through has
+    the cut positions and the nominals of a plain walk, and its nominals
+    are in the avoid set. Returns the number of steps."""
     trace = []
     out = eliminate_cuts(d, trace=trace)
-    want, events = d, []
+    want, events, avoid = d, [], nominals(d)
     while want.cuts:
         _same_cut_positions(want)
-        assert nominals(want) == walk_nominals(want)
-        want, ev = reduce_once(want)
+        noms = nominals(want)
+        assert noms == walk_nominals(want) and noms <= avoid
+        want, ev = reduce_once(want, avoid)
         events.append(ev)
     assert out == want
     assert [(e.kind, e.path, e.selected, e.introduced) for e in trace] \

@@ -385,6 +385,16 @@ def test_same_class_refuses_an_unknown_node():
             m.same_class(c, "zzz", "a")
 
 
+def test_a_node_listed_twice_in_the_classes_is_refused_by_its_own_message():
+    # twice in one block, and once in each of two blocks
+    with pytest.raises(ModelError,
+                       match="^node 'a' appears twice in one comparison class$"):
+        model_from_json({"nodes": ["a", "b"], "cmp": {"c": [["a", "b", "a"]]}})
+    with pytest.raises(ModelError,
+                       match="^node 'a' appears in two comparison classes$"):
+        model_from_json({"nodes": ["a", "b"], "cmp": {"c": [["a"], ["b", "a"]]}})
+
+
 def test_point_evaluation_fills_only_the_starts_reachable_from_the_node():
     # a path's endpoint masks are filled per start, on demand: at n00 of a
     # 40-node chain, `a a a` is read at the starts the node reaches in at
