@@ -726,13 +726,26 @@ class Violation:
 
 
 def check_derivation(d, allow_open=False):
-    """Re-verify every node; returns a list of violations (empty = ok)."""
+    """Re-verify every node, in the preorder of `Derivation.walk`; returns a
+    list of violations (empty = ok). The stack holds (node, child index,
+    parent entry) entries, and a node's path is built from its entry only
+    when it reports a violation, so the check is linear in the nodes at any
+    height."""
     out = []
-    for path, node in d.walk():
+    stack = [(d, None, None)]
+    while stack:
+        entry = stack.pop()
+        node = entry[0]
         try:
             _check_node(node, allow_open)
         except KernelError as e:
-            out.append(Violation(path, str(e)))
+            path, up = [], entry
+            while up[2] is not None:
+                _, t, up = up
+                path.append(t)
+            out.append(Violation(tuple(reversed(path)), str(e)))
+        for t in reversed(range(len(node.children))):
+            stack.append((node.children[t], t, entry))
     return out
 
 

@@ -6,6 +6,11 @@ spends a fresh-nominal budget on left diamonds/comparisons, and enumerates
 witnesses for the right rules. Closure rules fire at most once per
 instantiation (the added atom acts as the seen-marker). Termination of the
 calculus itself is open, so exhaustion reports Unknown honestly.
+
+The reflexive atoms @i i and <i: =c i:> are virtual: search treats them as
+given and never saturates with AtT or EqT. Their step adds one only right
+before a step that reads it: a closure instance or a CmpR witness that
+needs it in the antecedent, or Ax on a reflexive consequent.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ class SearchConfig:
     witness steps along a branch. Closure saturation, CmpR witness steps and
     NEqL/NEqR are free: closure and CmpR instances fire at most once each
     over the branch's finite nominals, and the NEq rules consume inequality
-    atoms, which only the comparison rules add.
+    atoms, which only the comparison rules add. AtT and EqT are free too,
+    and fire only right before a step that reads the reflexive atom they add.
 
     With `enable_countermodel`, a failed search is answered first by the
     model that its failed branch describes (`_leaf_model`), which can have
@@ -113,12 +119,12 @@ class _Table(list):
 
 
 # the index's tables of values in member order, not keyed and keyed by name
-_TABLES = ("ax", "bot", "ante_dec", "cons_dec", "branches", "fresh", "goals",
-           "aliases", "eqs")
+_TABLES = ("ax", "refl", "bot", "ante_dec", "cons_dec", "branches", "fresh",
+           "goals", "aliases", "eqs")
 _KEYED = ("aliases_of", "eqs_from", "bodies_of", "steps_into")
 # the tables whose values begin with the member itself: `_Index._enter` puts
 # it there, so that the role kept on a member does not refer to the member
-_HOLD_MEMBER = ("ax", "goals")
+_HOLD_MEMBER = ("ax", "refl", "goals")
 
 
 def _route(rule):
@@ -168,7 +174,21 @@ def _role(e):
             cmp = c
     if ax_shape(e):
         cons = (("ax", None, ()),)
+        if given := _reflexive(e):
+            cons += (("refl", None, given),)
     return tuple(ante), cons, cmp
+
+
+def _reflexive(e):
+    """The AtT or EqT instance that adds `e` if `e` is a reflexive atom, @i i
+    or <i: =c i:>, which search treats as given; else None."""
+    match e:
+        case At(nom=i, body=Nominal(name=k)) if k == i:
+            return AT_T, {"i": i}
+        case Compare(left=Jump(nom=i), kind=CmpKind.EQ, cmp=c,
+                     right=Jump(nom=k)) if k == i:
+            return EQ_T, {"i": i, "c": c}
+    return None
 
 
 def _routed(e, cmp=None):
@@ -188,7 +208,9 @@ class _Index:
 
     `closing` is the first axiom instance (Ax, the first of the consequent
     members of axiom shape, held in `ax` as (member,), that is also in the
-    antecedent, before Bot), `decomposition` the first invertible
+    antecedent, before Bot), `refl` holds (member, rule, instantiation) for
+    each reflexive consequent atom and the AtT or EqT step that adds it,
+    `decomposition` the first invertible
     non-branching decomposition (antecedent before consequent) and `branch`
     the first left implication, each a (rule, instantiation) pair or None.
     `fresh` holds (cost, rule, instantiation) for each left diamond or
@@ -295,32 +317,39 @@ def _count(counts, present, names, sign):
 
 
 class _Evidence(dict):
-    """(i, alpha, x) -> evidence(i, alpha, x), the formula a right comparison
-    at i needs for path alpha and endpoint x. A path cannot be keyed by
-    names, so each is built once per `prove` call, in the table that call
-    owns."""
+    """(i, alpha, x) -> (evidence(i, alpha, x), `_reflexive` of it): the
+    formula a right comparison at i needs for path alpha and endpoint x, and
+    the AtT step that adds it if it is a reflexive alias. A path cannot be
+    keyed by names, so each is built once per `prove` call, in the table
+    that call owns."""
 
     def __missing__(self, key):
-        e = self[key] = evidence(*key)
-        return e
+        e = evidence(*key)
+        v = self[key] = e, _reflexive(e)
+        return v
 
 
 def _closure_moves(ix):
-    """Every closure-rule instance whose added atom is genuinely new, in the
-    sequent indexed by `ix`, in CLOSURE_RULES order.
+    """Every closure-rule instance whose added atom is genuinely new and not
+    reflexive, in the sequent indexed by `ix`, At5 first, then S1, S2, S3
+    and Eq5.
 
-    Search takes the first; since each instance fires at most once (the
-    added atom marks it as done) the saturation reaches the same fixpoint
+    The reflexive atoms are given, so no instance adds one, and where an
+    instance reads one that the sequent lacks (At5, S3 and Eq5 with k = i),
+    the AtT or EqT step that adds it comes in the instance's place; the
+    instance is then the first one of the next sequent. Search takes the
+    first; since each instance fires at most once (the added atom marks it
+    as done) the saturation reaches the same fixpoint, modulo reflexivity,
     under any order.
     """
     aliases_of, eqs_from = ix.aliases_of, ix.eqs_from
-    for i in ix.noms:
-        if i not in aliases_of[i]:
-            yield AT_T, {"i": i}
     for i, j in ix.aliases:
-        for k in aliases_of[i]:
-            if k not in aliases_of[j]:
+        ks, js = aliases_of[i], aliases_of[j]
+        for k in ks:
+            if k != j and k not in js:
                 yield AT_5, {"i": i, "j": j, "k": k}
+        if i not in ks and i not in js:     # At5 with k = i reads @i i
+            yield AT_T, {"i": i}
     for i, j in ix.aliases:
         for phi in ix.bodies_of[i]:
             if phi not in ix.bodies_of[j]:
@@ -330,36 +359,50 @@ def _closure_moves(ix):
             if (i, a) not in ix.steps_into[k]:
                 yield S2, {"i": i, "j": j, "k": k, "a": a}
     for i, j in ix.aliases:
+        js = eqs_from[j]
         for c, k in eqs_from[i]:
-            if (c, k) not in eqs_from[j]:
+            if k != j and (c, k) not in js:
                 yield S3, {"i": i, "j": j, "k": k, "c": c}
-    for i in ix.noms:
-        for c in ix.cmps:
-            if (c, i) not in eqs_from[i]:
-                yield EQ_T, {"i": i, "c": c}
+        if i != j:                          # S3 with k = i reads <i: =c i:>
+            for c in ix.cmps:
+                if (c, i) not in eqs_from[i] and (c, i) not in js:
+                    yield EQ_T, {"i": i, "c": c}
     for i, c, j in ix.eqs:
+        js = eqs_from[j]
         for c2, k in eqs_from[i]:
-            if c2 == c and (c, k) not in eqs_from[j]:
+            if c2 == c and k != j and (c, k) not in js:
                 yield EQ_5, {"i": i, "j": j, "k": k, "c": c}
+        # Eq5 with k = i reads <i: =c i:>
+        if i != j and (c, i) not in eqs_from[i] and (c, i) not in js:
+            yield EQ_T, {"i": i, "c": c}
 
 
 def _witness_move(ix, fired, evidence, dia_ok):
     """Right witness rules; `fired` keys stop re-introduction loops. DiaR
-    candidates are skipped unless `dia_ok` (the depth bound allows them)."""
+    candidates are skipped unless `dia_ok` (the depth bound allows them).
+
+    A CmpR evidence that is a reflexive alias counts as present; when the
+    sequent lacks it, its AtT step comes in the witness's place, with no
+    key, and the witness is then the move of the next sequent."""
     cons, ante = ix.seq.cons, ix.seq.ante
     for e, rule, inst in ix.goals:
         if rule == CMP_R:
             i, alpha, beta = inst["i"], inst["alpha"], inst["beta"]
             kind, c = inst["kind"], inst["c"]
             for x in ix.noms:
-                if evidence[i, alpha, x] not in ante:
+                ea, ga = evidence[i, alpha, x]
+                if ga is None and ea not in ante:
                     continue
                 for y in ix.noms:
-                    if evidence[i, beta, y] not in ante:
+                    eb, gb = evidence[i, beta, y]
+                    if gb is None and eb not in ante:
                         continue
                     key = (CMP_R, e, x, y)
                     if key not in fired and \
                             Compare(Jump(x), kind, c, Jump(y)) not in cons:
+                        for ev, given in ((ea, ga), (eb, gb)):
+                            if ev not in ante:
+                                return (*given, None)
                         return CMP_R, dict(inst, j=x, k=y), key
         elif dia_ok:
             i, a, phi = inst["i"], inst["a"], inst["phi"]
@@ -413,13 +456,21 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
         if (closing := ix.closing) is not None:
             rule, inst = closing
             return fold(axiom(rule, cur, inst))
+        if ix.refl:
+            # a reflexive consequent: its AtT or EqT step adds it to the
+            # antecedent, and Ax closes the premiss
+            e, rule, inst = ix.refl[0]
+            step = premises(cur, rule, inst)
+            trail.append(step)
+            return fold(axiom(AX, step.premisses[0], {"phi": e}))
 
         # witness rules are additive and invertible, so they can run before
         # the consuming decompositions: a comparison whose evidence is in the
         # antecedent is answered before the decompositions grow the sequent
         if wit := _witness_move(ix, fired, evidence, depth_left > 0):
             rule, inst, key = wit
-            fired.add(key)
+            if key is not None:
+                fired.add(key)
             depth_left -= rule == DIA_R
         elif move := ix.decomposition or next(_closure_moves(ix), None):
             rule, inst = move
@@ -486,8 +537,10 @@ def _leaf_model(ix, names):
     `names` (`prove` passes the goal's), so the model does not mention the
     eigen-nominals that search drew.
 
-    On a saturated branch every rule has fired, so the atoms are closed and
-    the model refutes the sequent; a branch stopped by a bound may not be
+    On a saturated branch every rule has fired modulo reflexivity: only
+    reflexive atoms, which search leaves virtual, may be absent, and the
+    classes hold those by construction. So the atoms are closed and the
+    model refutes the sequent; a branch stopped by a bound may not be
     closed, so the classes are taken as the closures of the atoms, and
     `prove` checks the model against the goal either way."""
     least = _least(ix.noms, ix.aliases)

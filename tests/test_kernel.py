@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -330,6 +331,38 @@ def test_check_is_total_at_any_height():
     d = weaken_to(leaf, sequent({At("i", P)} | extra, {At("i", P)}))
     assert d.height == 1201
     assert check_derivation(d) == []
+
+
+def _weakening_chain(leaf, levels):
+    """`leaf` under `levels` weakenings by a member it already has, so every
+    level's sequent is the leaf's."""
+    d = leaf
+    for _ in range(levels):
+        d = weaken(d, "left", At("i", P))
+    return d
+
+
+def test_check_is_linear_in_the_height():
+    # a node's path is built only when it reports a violation, so checking
+    # a chain takes time linear in its height; a path copied for every node
+    # makes it quadratic
+    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
+
+    def best_of_3(d):
+        times = []
+        for _ in range(3):
+            t0 = time.process_time()
+            assert check_derivation(d) == []
+            times.append(time.process_time() - t0)
+        return min(times)
+
+    short = best_of_3(_weakening_chain(leaf, 8000))
+    assert best_of_3(_weakening_chain(leaf, 16000)) < 3 * short
+    # the one bad node, under a chain of 3,000 levels, has the walk's path
+    bad = Derivation(leaf.conclusion, AX, freeze_inst({"phi": At("i", Q)}))
+    d = _weakening_chain(bad, 3000)
+    (path,) = [p for p, n in d.walk() if n is bad]
+    assert [v.path for v in check_derivation(d)] == [path] == [(0,) * 3000]
 
 
 def test_open_leaves_only_with_flag():

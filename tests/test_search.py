@@ -1,6 +1,7 @@
 import copy
 import gc
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -41,11 +42,26 @@ def seq(text, table=None):
 # ---------------------------------------------------------------------------
 
 def test_prove_reflexivity_shape():
+    # the outline docs/formats.md gives: the CmpR witness reads the
+    # reflexive alias @i i and adds the reflexive consequent <i: =c i:>
     r = prove(seq("|- @i <eps =c eps>"), CFG)
     assert isinstance(r, Proved)
     assert check_derivation(r.derivation) == []
-    used = r.derivation.rules_used()
-    assert EQ_T in used and CMP_R in used  # matches the six-step outline
+    assert [n.rule for _, n in r.derivation.walk()] == [AT_T, CMP_R, EQ_T, AX]
+
+
+def test_no_reflexive_atom_where_no_step_reads_one():
+    # reflexive atoms are given, so no AtT fires before the branch
+    r = prove(seq("@i (p -> q), @i p |- @i q"), CFG)
+    assert r.derivation.height == 2
+    assert AT_T not in r.derivation.rules_used()
+
+
+def test_comparison_symmetry_reads_one_reflexive_atom():
+    # EqT adds <i: =c i:> for Eq5 to read, and Ax closes; the other
+    # reflexive atoms are never added
+    r = prove(seq("<i: =c j:> |- <j: =c i:>"), CFG)
+    assert r.derivation.height <= 3
 
 
 def test_prove_symmetry_both_kinds():
@@ -247,23 +263,45 @@ def test_search_results_survive_model_fuzz(seed):
 # independent oracles: the move finders that built each candidate formula
 # ---------------------------------------------------------------------------
 
+def _given(seq, e):
+    """`e` is in the antecedent of `seq`, or a reflexive atom (@i i or
+    <i: =c i:>), which search treats as given."""
+    match e:
+        case At(i, Nominal(k)):
+            return e in seq.ante or k == i
+        case Compare(Jump(i), CmpKind.EQ, _, Jump(k)):
+            return e in seq.ante or k == i
+    return e in seq.ante
+
+
+def _reading(seq, rule, inst, read):
+    """The instance, if its antecedent atom `read` is present; else the AtT
+    or EqT step that adds the reflexive atom `read`, which comes first."""
+    if read in seq.ante:
+        return rule, inst
+    if isinstance(read, At):
+        return AT_T, {"i": read.nom}
+    return EQ_T, {"i": read.left.nom, "c": read.cmp}
+
+
 def oracle_closure_moves(seq):
-    """Every closure-rule instance whose added atom is genuinely new, found
-    by building each candidate atom and testing its membership."""
-    noms = sorted(seq.nominals())
+    """Every closure-rule instance whose added atom is genuinely new and not
+    reflexive, found by building each candidate atom and testing its
+    membership. The reflexive atoms are given: the candidates of At5, S3 and
+    Eq5 include k = i, whose read atom @i i or <i: =c i:> the antecedent
+    may lack, and then the step that adds it comes in the instance's place."""
     cmps = sorted({e.cmp for e in seq.ante | seq.cons if isinstance(e, Compare)})
     ante = seq.ante
     aliases = [(e.nom, e.body.name) for e in seq.sorted_ante
                if isinstance(e, At) and isinstance(e.body, Nominal)]
     eqs = [e for e in seq.sorted_ante
            if isinstance(e, Compare) and e.kind is CmpKind.EQ]
-    for i in noms:
-        if At(i, Nominal(i)) not in ante:
-            yield AT_T, {"i": i}
     for i, j in aliases:
-        for i2, k in aliases:
-            if i2 == i and At(j, Nominal(k)) not in ante:
-                yield AT_5, {"i": i, "j": j, "k": k}
+        ks = [k for i2, k in aliases if i2 == i]
+        for k in ks + ([] if i in ks else [i]):
+            if not _given(seq, At(j, Nominal(k))):
+                yield _reading(seq, AT_5, {"i": i, "j": j, "k": k},
+                               At(i, Nominal(k)))
     for i, j in aliases:
         for e in seq.sorted_ante:
             if isinstance(e, At) and e.nom == i and s1_shape(e.body) \
@@ -277,25 +315,24 @@ def oracle_closure_moves(seq):
             if j2 == j and At(i, Diamond(a, Nominal(k))) not in ante:
                 yield S2, {"i": i, "j": j, "k": k, "a": a}
     for i, j in aliases:
-        for e in eqs:
-            if e.left.nom == i:
-                k = e.right.nom
-                if Compare(Jump(j), CmpKind.EQ, e.cmp, Jump(k)) not in ante:
-                    yield S3, {"i": i, "j": j, "k": k, "c": e.cmp}
-    for i in noms:
-        for c in cmps:
-            if Compare(Jump(i), CmpKind.EQ, c, Jump(i)) not in ante:
-                yield EQ_T, {"i": i, "c": c}
+        cks = [(e.cmp, e.right.nom) for e in eqs if e.left.nom == i]
+        for c, k in cks + [(c, i) for c in cmps if (c, i) not in cks]:
+            if not _given(seq, Compare(Jump(j), CmpKind.EQ, c, Jump(k))):
+                yield _reading(seq, S3, {"i": i, "j": j, "k": k, "c": c},
+                               Compare(Jump(i), CmpKind.EQ, c, Jump(k)))
     for e1 in eqs:
-        for e2 in eqs:
-            if e1.left == e2.left and e1.cmp == e2.cmp:
-                j, k = e1.right.nom, e2.right.nom
-                if Compare(Jump(j), CmpKind.EQ, e1.cmp, Jump(k)) not in ante:
-                    yield EQ_5, {"i": e1.left.nom, "j": j, "k": k, "c": e1.cmp}
+        i, c, j = e1.left.nom, e1.cmp, e1.right.nom
+        ks = [e2.right.nom for e2 in eqs if e2.left == e1.left and e2.cmp == c]
+        for k in ks + ([] if i in ks else [i]):
+            if not _given(seq, Compare(Jump(j), CmpKind.EQ, c, Jump(k))):
+                yield _reading(seq, EQ_5, {"i": i, "j": j, "k": k, "c": c},
+                               Compare(Jump(i), CmpKind.EQ, c, Jump(k)))
 
 
 def oracle_witness_move(seq, fired, dia_ok=True):
-    """Right witness rules, found by building each candidate premise."""
+    """Right witness rules, found by building each candidate premise. A
+    reflexive alias counts as evidence; when the antecedent lacks it, the
+    AtT step that adds it comes in the CmpR witness's place, with no key."""
     noms = sorted(seq.nominals())
     for e in seq.sorted_cons:
         match e:
@@ -308,14 +345,19 @@ def oracle_witness_move(seq, fired, dia_ok=True):
                         return DIA_R, {"i": i, "a": a, "phi": phi, "j": j}, key
             case At(i, Compare(alpha, kind, c, beta)):
                 for x in noms:
-                    if evidence(i, alpha, x) not in seq.ante:
+                    ev_x = evidence(i, alpha, x)
+                    if not _given(seq, ev_x):
                         continue
                     for y in noms:
-                        if evidence(i, beta, y) not in seq.ante:
+                        ev_y = evidence(i, beta, y)
+                        if not _given(seq, ev_y):
                             continue
                         key = (CMP_R, e, x, y)
                         added = Compare(Jump(x), kind, c, Jump(y))
                         if key not in fired and added not in seq.cons:
+                            for ev in (ev_x, ev_y):
+                                if ev not in seq.ante:
+                                    return AT_T, {"i": ev.nom}, None
                             return CMP_R, {"i": i, "alpha": alpha,
                                            "beta": beta, "kind": kind,
                                            "c": c, "j": x, "k": y}, key
@@ -477,6 +519,23 @@ def _search_visits(monkeypatch, goals, cfg, seen):
 def _criterion_6_goals():
     rng = random.Random(CRITERION_6_SEED)
     return [rand_sequent(rng, SIG, max_side=3, depth=2) for _ in range(500)]
+
+
+def test_criterion_6_takes_few_reflexive_steps(monkeypatch):
+    # AtT and EqT fire only where a step reads the atom they add (saturating
+    # with them takes 1,818 steps on this draw), and the statuses are
+    # criterion 6's
+    counts = Counter()
+    step = search.premises
+
+    def counted(goal, rule, inst):
+        counts[rule] += 1
+        return step(goal, rule, inst)
+
+    monkeypatch.setattr(search, "premises", counted)
+    results = Counter(prove(g).status for g in _criterion_6_goals())
+    assert results == {"proved": 227, "refuted": 273}
+    assert counts[AT_T] + counts[EQ_T] <= 600
 
 
 def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
