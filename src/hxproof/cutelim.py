@@ -137,22 +137,19 @@ def cut_complexity(node):
 
 def nominals(d):
     """The nominals of every conclusion and instantiation in the tree, as a
-    new set, by one walk over an explicit stack, so at any height. A node
-    adds its instantiation's nominals and, at a leaf only, its conclusion's:
-    in a tree that checks, every conclusion member occurs in a premiss or is
+    new set, by one `Derivation.walk`, so at any height. A node adds its
+    instantiation's nominals and, at a leaf only, its conclusion's: in a
+    tree that checks, every conclusion member occurs in a premiss or is
     built from the instantiation."""
-    out, stack = set(), [d]
-    while stack:
-        node = stack.pop()
+    out = set()
+    for _, node in d.walk():
         for key, v in node.inst:
             match METAVAR_KINDS[key]:
                 case "nominal":
                     out.add(v)
                 case "path" | "node":
                     out |= v.noms
-        if node.children:
-            stack += node.children
-        else:
+        if not node.children:
             out |= node.conclusion._noms
     return out
 
@@ -205,10 +202,7 @@ def _renamed(d, names, down=lambda node, names: names):
             continue
         kids = tuple(done[len(done) - arity:])
         del done[len(done) - arity:]
-        if not names:
-            done.append(Derivation(node.conclusion, node.rule, node.inst,
-                                   kids))
-        elif node.rule in (WL, WR):
+        if node.rule in (WL, WR):
             phi = _renamed_member(node.inst_dict["phi"], names, memo)
             done.append(weaken(kids[0], "left" if node.rule == WL else "right",
                                phi))

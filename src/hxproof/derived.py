@@ -11,7 +11,13 @@ Each macro builds, top-down through the kernel's premiss memo
 (`premises_of`), a fragment whose open leaves are exactly the derived rule's
 premisses, so every context is exact and every expansion re-checks; closed
 macros return whole derivations. `step` computes a node's premisses once:
-`infer` then reads them from the memo.
+`infer` then reads them from the memo. A derived rule names its steps as a
+list of `(rule, inst)` moves: `chain` applies each move to the one premiss
+of the move before, and its builders build the premisses of the last move.
+A premiss that carries more than the derived rule's declared leaf (say, a
+falsum put on the right by an implication step) reaches that leaf through
+`weaken_to(open_leaf(declared), reached)`, which is the open leaf itself
+when the two are equal; there is no separate `fill_open`.
 `identity` closes a member on both sides by the dual pair that `decompose`
 names, so it states no connective's rules itself.
 """
@@ -102,7 +108,8 @@ def open_leaf(seq):
 
 
 def open_leaves(d):
-    return [(path, node.conclusion) for path, node in d.walk() if node.rule == OPEN]
+    return [(Derivation.path_of(where), node.conclusion)
+            for where, node in d.walk() if node.rule == OPEN]
 
 
 def replace(d, path, new):
@@ -152,16 +159,14 @@ def step(rule, goal, inst, builders):
     return infer(rule, goal, inst, [b(s) for b, s in zip(builders, prem)])
 
 
-def fill_open(reached, declared):
-    """Connect a reached premiss to the macro's declared open leaf.
-
-    The reached sequent may carry junk the schema discards (for instance a
-    falsum put on the right by an implication step); weakenings bridge the
-    difference exactly.
-    """
-    if reached == declared:
-        return open_leaf(declared)
-    return weaken_to(open_leaf(declared), reached)
+def chain(goal, moves, builders):
+    """Apply the `(rule, inst)` moves upward from `goal`, each `step` to the
+    one premiss of the move before; `builders` build the premisses of the
+    last move."""
+    (rule, inst), *rest = moves
+    if rest:
+        return step(rule, goal, inst, [lambda s: chain(s, rest, builders)])
+    return step(rule, goal, inst, builders)
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +245,20 @@ def transfer(goal, i, j, phi):
             return step(AT_R, goal, inst,
                         [lambda s: close_dual(AT_L, s, dict(inst, j=i), mine)])
         case Implies(lhs, rhs):
-            def right_done(s):
-                def branch1(s1_):
-                    # need @_i lhs from @_j lhs: flip the alias first
-                    def t_done(s2_):
-                        def t5_done(s3_):
-                            return transfer(s3_, j, i, lhs)
-                        return step(AT_5, s2_, {"i": i, "j": j, "k": i}, [t5_done])
-                    return step(AT_T, s1_, {"i": i}, [t_done])
-                def branch2(s1_):
-                    return transfer(s1_, i, j, rhs)
-                return step(IMP_L, s, {"i": i, "phi": lhs, "psi": rhs},
-                            [branch1, branch2])
-            return step(IMP_R, goal, {"i": j, "phi": lhs, "psi": rhs}, [right_done])
+            # the first ImpL premiss needs @_i lhs from @_j lhs: flip the
+            # alias first
+            flip = [(AT_T, {"i": i}), (AT_5, {"i": i, "j": j, "k": i})]
+            back = [lambda s: transfer(s, j, i, lhs)]
+            moves = [(IMP_R, {"i": j, "phi": lhs, "psi": rhs}),
+                     (IMP_L, {"i": i, "phi": lhs, "psi": rhs})]
+            return chain(goal, moves, [lambda s: chain(s, flip, back),
+                                       lambda s: transfer(s, i, j, rhs)])
         case Diamond(a, body):
             (u,) = fresh_nominals(1, goal.nominals())
-            def after_dial(s):
-                def after_s1(s2_):
-                    def after_diar(s3_):
-                        return axg(s3_, u, body)
-                    return step(DIA_R, s2_, {"i": j, "a": a, "phi": body, "j": u},
-                                [after_diar])
-                return step(S1, s, {"i": i, "j": j, "phi": Diamond(a, Nominal(u))},
-                            [after_s1])
-            return step(DIA_L, goal, {"i": i, "a": a, "phi": body, "j": u},
-                        [after_dial])
+            moves = [(DIA_L, {"i": i, "a": a, "phi": body, "j": u}),
+                     (S1, {"i": i, "j": j, "phi": Diamond(a, Nominal(u))}),
+                     (DIA_R, {"i": j, "a": a, "phi": body, "j": u})]
+            return chain(goal, moves, [lambda s: axg(s, u, body)])
         case Compare(alpha, kind, c, beta):
             u, v = fresh_nominals(2, goal.nominals())
             inst = {"i": i, "alpha": alpha, "beta": beta, "kind": kind, "c": c,
@@ -296,15 +290,12 @@ def and_left(goal, i, phi, psi):
     if p not in goal.ante:
         raise MacroError(f"∧L: principal missing: {print_node(p)}")
     declared = goal.drop_ante(p).add_ante(At(i, phi), At(i, psi))
-    def branch1(s):
-        def step2(s2_):
-            def step3(s3_):
-                return fill_open(s3_, declared)
-            return step(IMP_R, s2_, {"i": i, "phi": psi, "psi": BOT}, [step3])
-        return step(IMP_R, s, {"i": i, "phi": phi, "psi": neg(psi)}, [step2])
-    def branch2(s):
-        return axiom(BOT_RULE, s, {"i": i})
-    return step(IMP_L, goal, {"i": i, "phi": inner, "psi": BOT}, [branch1, branch2])
+    moves = [(IMP_R, {"i": i, "phi": phi, "psi": neg(psi)}),
+             (IMP_R, {"i": i, "phi": psi, "psi": BOT})]
+    to_leaf = [lambda s: weaken_to(open_leaf(declared), s)]
+    return step(IMP_L, goal, {"i": i, "phi": inner, "psi": BOT},
+                [lambda s: chain(s, moves, to_leaf),
+                 lambda s: axiom(BOT_RULE, s, {"i": i})])
 
 
 def and_right(goal, i, phi, psi):
@@ -316,19 +307,14 @@ def and_right(goal, i, phi, psi):
     rest = goal.drop_cons(p)
     declared1 = rest.add_cons(At(i, phi))
     declared2 = rest.add_cons(At(i, psi))
-    def after_impr(s):
-        def branch1(s1_):
-            return fill_open(s1_, declared1)
-        def branch2(s1_):
-            def inner2(s2_):
-                return fill_open(s2_, declared2)
-            def botax(s2_):
-                return axiom(BOT_RULE, s2_, {"i": i})
-            return step(IMP_L, s1_, {"i": i, "phi": psi, "psi": BOT},
-                        [inner2, botax])
-        return step(IMP_L, s, {"i": i, "phi": phi, "psi": neg(psi)},
-                    [branch1, branch2])
-    return step(IMP_R, goal, {"i": i, "phi": inner, "psi": BOT}, [after_impr])
+    moves = [(IMP_R, {"i": i, "phi": inner, "psi": BOT}),
+             (IMP_L, {"i": i, "phi": phi, "psi": neg(psi)})]
+    second = [lambda s: weaken_to(open_leaf(declared2), s),
+              lambda s: axiom(BOT_RULE, s, {"i": i})]
+    return chain(goal, moves,
+                 [lambda s: weaken_to(open_leaf(declared1), s),
+                  lambda s: step(IMP_L, s, {"i": i, "phi": psi, "psi": BOT},
+                                 second)])
 
 
 def iff_right(goal, i, phi, psi):
@@ -346,7 +332,7 @@ def iff_right(goal, i, phi, psi):
             raise MacroError("↔R: unexpected open leaf")
         declared = rest.add_ante(At(i, lhs)).add_cons(At(i, rhs))
         return step(IMP_R, leaf, {"i": i, "phi": lhs, "psi": rhs},
-                    [lambda s: fill_open(s, declared)])
+                    [lambda s: weaken_to(open_leaf(declared), s)])
 
     return graft(frag, extend)
 
@@ -361,22 +347,15 @@ def cmp_flip(goal, x, kind, c, y):
     if x == y:
         return open_leaf(goal)
     if kind is CmpKind.EQ:
-        def after_eqt(s):
-            def after_eq5(s2_):
-                return fill_open(s2_, declared)
-            return step(EQ_5, s, {"i": x, "j": y, "k": x, "c": c}, [after_eq5])
-        return step(EQ_T, goal, {"i": x, "c": c}, [after_eqt])
+        return chain(goal, [(EQ_T, {"i": x, "c": c}),
+                            (EQ_5, {"i": x, "j": y, "k": x, "c": c})],
+                     [lambda s: weaken_to(open_leaf(declared), s)])
     # inequality: derive the flipped form by cutting on it
-    lemma_goal = goal.add_cons(flipped)
-    def after_neqr(s):
-        def after_neql(s2_):
-            def after_eqt(s3_):
-                def after_eq5(s4_):
-                    eq = Compare(Jump(x), CmpKind.EQ, c, Jump(y))
-                    return axiom(AX, s4_, {"phi": eq})
-                return step(EQ_5, s3_, {"i": y, "j": x, "k": y, "c": c},
-                            [after_eq5])
-            return step(EQ_T, s2_, {"i": y, "c": c}, [after_eqt])
-        return step(NEQ_L, s, {"i": x, "j": y, "c": c}, [after_neql])
-    lemma = step(NEQ_R, lemma_goal, {"i": y, "j": x, "c": c}, [after_neqr])
+    eq = Compare(Jump(x), CmpKind.EQ, c, Jump(y))
+    lemma = chain(goal.add_cons(flipped),
+                  [(NEQ_R, {"i": y, "j": x, "c": c}),
+                   (NEQ_L, {"i": x, "j": y, "c": c}),
+                   (EQ_T, {"i": y, "c": c}),
+                   (EQ_5, {"i": y, "j": x, "k": y, "c": c})],
+                  [lambda s: axiom(AX, s, {"phi": eq})])
     return weaken_to(cut(lemma, open_leaf(declared), flipped), goal)

@@ -10,8 +10,8 @@ applications only and pass the kernel check.
 from __future__ import annotations
 
 from .derived import (
-    and_left, and_right, axg, cmp_flip, graft, identity, iff_right, step,
-    weaken_to,
+    and_left, and_right, axg, chain, cmp_flip, graft, identity, iff_right,
+    step, weaken_to,
 )
 from .hylo import simulate_reference_rule
 from .kernel import (
@@ -35,14 +35,10 @@ def reflexivity():
     root = sequent((), {goal_expr})
     inst = {"i": i, "alpha": eps(), "beta": eps(), "kind": CmpKind.EQ,
             "c": c, "j": i, "k": i}
-
-    def close(s):
-        e = Compare(Jump(i), CmpKind.EQ, c, Jump(i))
-        return step(EQ_T, s, {"i": i, "c": c},
-                    [lambda s2: axiom(AX, s2, {"phi": e})])
-
-    return step(AT_T, root, {"i": i},
-                [lambda s: step(CMP_R, s, inst, [close])])
+    e = Compare(Jump(i), CmpKind.EQ, c, Jump(i))
+    return chain(root, [(AT_T, {"i": i}), (CMP_R, inst),
+                        (EQ_T, {"i": i, "c": c})],
+                 [lambda s: axiom(AX, s, {"phi": e})])
 
 
 def symmetry():
@@ -60,16 +56,12 @@ def symmetry():
         u, v = "_j", "_k"
         inst_l = {"i": i, "alpha": src_cmp.left, "beta": src_cmp.right,
                   "kind": kind, "c": c, "j": u, "k": v}
-        def after_cmpl(s):
-            inst_r = {"i": i, "alpha": dst.left, "beta": dst.right,
-                      "kind": kind, "c": c, "j": v, "k": u}
-            def after_cmpr(s2):
-                flip_frag = cmp_flip(s2, u, kind, c, v)
-                def close(leaf2):
-                    return identity(leaf2, Compare(Jump(v), kind, c, Jump(u)))
-                return graft(flip_frag, close)
-            return step(CMP_R, s, inst_r, [after_cmpr])
-        return step(CMP_L, leaf, inst_l, [after_cmpl])
+        inst_r = {"i": i, "alpha": dst.left, "beta": dst.right,
+                  "kind": kind, "c": c, "j": v, "k": u}
+        flipped = Compare(Jump(v), kind, c, Jump(u))
+        return chain(leaf, [(CMP_L, inst_l), (CMP_R, inst_r)],
+                     [lambda s: graft(cmp_flip(s, u, kind, c, v),
+                                      lambda s2: identity(s2, flipped))])
 
     return graft(frag, one_direction)
 
@@ -84,45 +76,27 @@ def transitivity():
     root = sequent((), {At(i, Implies(conj(lhs1, lhs2), rhs))})
     eq = lambda m, n: Compare(Jump(m), CmpKind.EQ, c, Jump(n))
 
-    def t12(s):    # Eq5 then Ax
-        def t13(s2):
-            return axiom(AX, s2, {"phi": eq(x, y)})
-        return step(EQ_5, s, {"i": u, "j": x, "k": y, "c": c}, [t13])
+    cmp = lambda p, q, m, n: {"i": i, "alpha": p, "beta": q,
+                              "kind": CmpKind.EQ, "c": c, "j": m, "k": n}
 
-    def t11(s):    # flip <x =c u> to <u =c x>
-        return graft(cmp_flip(s, x, CmpKind.EQ, c, u), t12)
-
-    def t9(s):     # S3 replaces v by u in <v =c y>, then discard the used pair
-        def after_s3(s2):
-            small = sequent({eq(x, u), eq(u, y)}, {eq(x, y)})
-            return weaken_to(t11(small), s2)
-        return step(S3, s, {"i": v, "j": u, "k": y, "c": c}, [after_s3])
-
-    def t7(s):     # @5 merges the two names of the intermediate node
-        def after_at5(s2):
-            small = sequent({At(v, Nominal(u)), eq(x, u), eq(v, y)}, {eq(x, y)})
-            return weaken_to(t9(small), s2)
-        return step(AT_5, s, {"i": i, "j": v, "k": u}, [after_at5])
-
-    def t4(s):     # ⟨▲⟩R with the atomic endpoints
-        inst = {"i": i, "alpha": alpha, "beta": beta, "kind": CmpKind.EQ,
-                "c": c, "j": x, "k": y}
-        return step(CMP_R, s, inst, [t7])
-
-    def t3(s):     # decompose @_i<eps =c beta> with fresh v, y: adds @_i v
-        inst = {"i": i, "alpha": eps(), "beta": beta, "kind": CmpKind.EQ,
-                "c": c, "j": v, "k": y}
-        return step(CMP_L, s, inst, [t4])
-
-    def t2(s):     # decompose @_i<alpha =c eps> with fresh x, u: adds @_i u
-        inst = {"i": i, "alpha": alpha, "beta": eps(), "kind": CmpKind.EQ,
-                "c": c, "j": x, "k": u}
-        return step(CMP_L, s, inst, [t3])
-
-    def t1(s):     # ∧L
-        return graft(and_left(s, i, lhs1, lhs2), t2)
-
-    return step(IMP_R, root, {"i": i, "phi": conj(lhs1, lhs2), "psi": rhs}, [t1])
+    # flip <x =c u> to <u =c x>, then Eq5 and Ax
+    small = sequent({eq(x, u), eq(u, y)}, {eq(x, y)})
+    ax = [lambda s: axiom(AX, s, {"phi": eq(x, y)})]
+    flipped = graft(cmp_flip(small, x, CmpKind.EQ, c, u),
+                    lambda s: step(EQ_5, s, {"i": u, "j": x, "k": y, "c": c},
+                                   ax))
+    # S3 replaces v by u in <v =c y>, then discard the used pair
+    merged = sequent({At(v, Nominal(u)), eq(x, u), eq(v, y)}, {eq(x, y)})
+    replaced = step(S3, merged, {"i": v, "j": u, "k": y, "c": c},
+                    [lambda s: weaken_to(flipped, s)])
+    moves = [(CMP_L, cmp(alpha, eps(), x, u)),   # fresh x, u: adds @_i u
+             (CMP_L, cmp(eps(), beta, v, y)),    # fresh v, y: adds @_i v
+             (CMP_R, cmp(alpha, beta, x, y)),    # the atomic endpoints
+             (AT_5, {"i": i, "j": v, "k": u})]   # merge the middle's names
+    to_small = [lambda s: weaken_to(replaced, s)]
+    return step(IMP_R, root, {"i": i, "phi": conj(lhs1, lhs2), "psi": rhs},
+                [lambda s: graft(and_left(s, i, lhs1, lhs2),
+                                 lambda s2: chain(s2, moves, to_small))])
 
 
 def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ):
@@ -147,58 +121,46 @@ def paste_template(chi, alpha=Atom("b"), beta=Atom("b2"), a="a", kind=CmpKind.EQ
     if not (isinstance(chi, Implies) and chi.lhs is chi.rhs):
         raise ValueError("chi must be a trivial implication phi -> phi")
     phi = chi.lhs
-    premiss = step(IMP_R, sequent((), {At(i, Implies(both, chi))}),
-                   {"i": i, "phi": both, "psi": chi},
-                   [lambda s: step(IMP_R, s, {"i": i, "phi": phi, "psi": phi},
-                                   [lambda s2: axg(s2, i, phi)])])
+    premiss = chain(sequent((), {At(i, Implies(both, chi))}),
+                    [(IMP_R, {"i": i, "phi": both, "psi": chi}),
+                     (IMP_R, {"i": i, "phi": phi, "psi": phi})],
+                    [lambda s: axg(s, i, phi)])
+    # inverse ->R: from ⊢ @_i(X -> chi) obtain @_i X ⊢ @_i chi
+    inner_cut = At(i, Implies(both, chi))
+    lhs_d = weaken_to(premiss, sequent({cut_expr}, {At(i, chi), inner_cut}))
+    rhs_d = step(IMP_L, sequent({inner_cut, cut_expr}, {At(i, chi)}),
+                 {"i": i, "phi": both, "psi": chi},
+                 [lambda s: axg(s, i, both), lambda s: axg(s, i, chi)])
+    consume = weaken_to(cut(lhs_d, rhs_d, inner_cut),
+                        sequent({cut_expr}, {At(i, chi)}))
 
-    root = sequent((), {At(i, Implies(lhs, chi))})
+    def fill(leaf):
+        if At(i, At(j, step_atom)) in leaf.cons:
+            return step(AT_R, leaf, {"j": i, "i": j, "phi": step_atom},
+                        [lambda s: axg(s, j, step_atom)])
+        if At(i, kpath_cmp) in leaf.cons:
+            # the evidence of k: alpha at x is @_k<alpha>x, from DiaL
+            inst = {"i": i, "alpha": concat(Jump(k), alpha), "beta": beta,
+                    "kind": kind, "c": c, "j": x, "k": y}
+            return step(CMP_R, leaf, inst,
+                        [lambda s: identity(
+                            s, Compare(Jump(x), kind, c, Jump(y)))])
+        raise ValueError(f"unexpected conjunction leaf {leaf}")
 
-    def p1(s):  # @_i<j: a alpha ^ beta> ⊢ @_i chi
-        inst = {"i": i, "alpha": full_path, "beta": beta, "kind": kind,
-                "c": c, "j": x, "k": y}
-        def p2(s2):  # evidence @_j<a><alpha>x: split off the <a>-step, fresh k
-            return step(DIA_L, s2, {"i": j, "a": a,
-                                    "phi": dia(alpha, Nominal(x)), "j": k},
-                        [_paste_cut])
-        return step(CMP_L, s, inst, [p2])
-
-    def _paste_cut(s4):
+    def paste_cut(s):
         # left: prove the conjunction from the antecedent alone; right:
         # consume it via the premiss
-        left_goal = sequent(s4.ante, {cut_expr})
-        left = and_right(left_goal, i, At(j, step_atom), kpath_cmp)
+        left = and_right(sequent(s.ante, {cut_expr}), i, At(j, step_atom),
+                         kpath_cmp)
+        return weaken_to(cut(graft(left, fill), consume, cut_expr), s)
 
-        def fill(leaf):
-            if At(i, At(j, step_atom)) in leaf.cons:
-                return step(AT_R, leaf, {"j": i, "i": j, "phi": step_atom},
-                            [lambda s5: axg(s5, j, step_atom)])
-            if At(i, kpath_cmp) in leaf.cons:
-                # the evidence of k: alpha at x is @_k<alpha>x, from DiaL
-                inst = {"i": i, "alpha": concat(Jump(k), alpha), "beta": beta,
-                        "kind": kind, "c": c, "j": x, "k": y}
-                return step(CMP_R, leaf, inst,
-                            [lambda s5: identity(
-                                s5, Compare(Jump(x), kind, c, Jump(y)))])
-            raise ValueError(f"unexpected conjunction leaf {leaf}")
-
-        left = graft(left, fill)
-
-        def right_branch():
-            # inverse ->R: from ⊢ @_i(X -> chi) obtain @_i X ⊢ @_i chi
-            inner_cut = At(i, Implies(both, chi))
-            lgoal = sequent({cut_expr}, {At(i, chi), inner_cut})
-            lhs_d = weaken_to(premiss, lgoal)
-            rgoal = sequent({inner_cut, cut_expr}, {At(i, chi)})
-            rhs_d = step(IMP_L, rgoal, {"i": i, "phi": both, "psi": chi},
-                         [lambda s: axg(s, i, both),
-                          lambda s: axg(s, i, chi)])
-            return weaken_to(cut(lhs_d, rhs_d, inner_cut),
-                             sequent({cut_expr}, {At(i, chi)}))
-
-        return weaken_to(cut(left, right_branch(), cut_expr), s4)
-
-    return step(IMP_R, root, {"i": i, "phi": lhs, "psi": chi}, [p1])
+    # @_i<j: a alpha ^ beta> ⊢ @_i chi; its evidence @_j<a><alpha>x: split
+    # off the <a>-step, fresh k
+    moves = [(IMP_R, {"i": i, "phi": lhs, "psi": chi}),
+             (CMP_L, {"i": i, "alpha": full_path, "beta": beta, "kind": kind,
+                      "c": c, "j": x, "k": y}),
+             (DIA_L, {"i": j, "a": a, "phi": dia(alpha, Nominal(x)), "j": k})]
+    return chain(sequent((), {At(i, Implies(lhs, chi))}), moves, [paste_cut])
 
 
 def nom2_golden():

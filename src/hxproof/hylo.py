@@ -10,7 +10,7 @@ Nom1, Nom2, BoxL1, BoxR, AndL, AndR) as derived-rule fragments.
 from __future__ import annotations
 
 from .derived import (
-    and_left, and_right, open_leaf, step, transfer, weaken_to,
+    and_left, and_right, chain, open_leaf, step, transfer, weaken_to,
 )
 from .kernel import (
     AT_T, BOT_RULE, DIA_L, DIA_R, IMP_L, IMP_R, S1, KernelError, Sequent,
@@ -100,22 +100,13 @@ def _sim_box_l1(goal, inst):
     stepped = At(i, Diamond(a, Nominal(j)))
     open1 = rest.add_cons(stepped)
     open2 = rest.add_ante(At(j, phi))
-
-    def after_cut(s):
-        def branch1(s1_):
-            def after_diar(s2_):
-                def after_impr(s3_):
-                    return weaken_to(open_leaf(open2), s3_)
-                return step(IMP_R, s2_, {"i": j, "phi": phi, "psi": BOT},
-                            [after_impr])
-            return step(DIA_R, s1_, {"i": i, "a": a, "phi": neg(phi), "j": j},
-                        [after_diar])
-        def branch2(s1_):
-            return axiom(BOT_RULE, s1_, {"i": i})
-        return step(IMP_L, s, {"i": i, "phi": Diamond(a, neg(phi)), "psi": BOT},
-                    [branch1, branch2])
-
-    body = after_cut(goal.add_ante(stepped))
+    moves = [(DIA_R, {"i": i, "a": a, "phi": neg(phi), "j": j}),
+             (IMP_R, {"i": j, "phi": phi, "psi": BOT})]
+    to_leaf = [lambda s: weaken_to(open_leaf(open2), s)]
+    body = step(IMP_L, goal.add_ante(stepped),
+                {"i": i, "phi": Diamond(a, neg(phi)), "psi": BOT},
+                [lambda s: chain(s, moves, to_leaf),
+                 lambda s: axiom(BOT_RULE, s, {"i": i})])
     left = weaken(open_leaf(open1), "left", principal)
     return weaken_to(cut(left, body, stepped), goal)
 
@@ -130,19 +121,11 @@ def _sim_box_r(goal, inst):
         raise FragmentError(f"BoxR: nominal {j} must be new")
     rest = goal.drop_cons(principal)
     declared = rest.add_ante(At(i, Diamond(a, Nominal(j)))).add_cons(At(j, phi))
-
-    def after_impr(s):
-        def after_dial(s2_):
-            def br1(s3_):
-                return weaken_to(open_leaf(declared), s3_)
-            def br2(s3_):
-                return axiom(BOT_RULE, s3_, {"i": j})
-            return step(IMP_L, s2_, {"i": j, "phi": phi, "psi": BOT}, [br1, br2])
-        return step(DIA_L, s, {"i": i, "a": a, "phi": neg(phi), "j": j},
-                    [after_dial])
-
-    return step(IMP_R, goal, {"i": i, "phi": Diamond(a, neg(phi)), "psi": BOT},
-                [after_impr])
+    moves = [(IMP_R, {"i": i, "phi": Diamond(a, neg(phi)), "psi": BOT}),
+             (DIA_L, {"i": i, "a": a, "phi": neg(phi), "j": j}),
+             (IMP_L, {"i": j, "phi": phi, "psi": BOT})]
+    return chain(goal, moves, [lambda s: weaken_to(open_leaf(declared), s),
+                               lambda s: axiom(BOT_RULE, s, {"i": j})])
 
 
 REFERENCE_RULES = {

@@ -627,14 +627,26 @@ class Derivation:
         return thaw_inst(self.inst)
 
     def walk(self):
-        """(path of child indices, node) for every node, in preorder; with
-        an explicit stack instead of recursion, so at any height."""
+        """(where, node) for every node, in preorder, over an explicit
+        stack, so at any height and in time linear in the nodes. `where`
+        is () at the root and (child index, the parent's `where`) below
+        it; `path_of` spells it out as a path."""
         stack = [((), self)]
         while stack:
-            path, node = stack.pop()
-            yield path, node
+            where, node = stack.pop()
+            yield where, node
             for t in reversed(range(len(node.children))):
-                stack.append(((*path, t), node.children[t]))
+                stack.append(((t, where), node.children[t]))
+
+    @staticmethod
+    def path_of(where):
+        """The path of child indices from the root that a `where` of
+        `walk` stands for."""
+        path = []
+        while where:
+            t, where = where
+            path.append(t)
+        return tuple(reversed(path))
 
     def rules_used(self):
         return {node.rule for _, node in self.walk()}

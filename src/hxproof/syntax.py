@@ -703,32 +703,6 @@ def parse_sequent_parts(text, table=None):
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
 
 
-def _sugar_view(e):
-    """Classify an Implies node into its sweetest printable form."""
-    # order matters: top < iff < and < or < box/boxcmp < neg < plain
-    if e.lhs is BOT and e.rhs is BOT:
-        return ("top",)
-    if e.rhs is BOT:
-        inner = e.lhs
-        if isinstance(inner, Implies) and isinstance(inner.rhs, Implies) \
-                and inner.rhs.rhs is BOT:
-            a, b = inner.lhs, inner.rhs.lhs
-            # iff is a conjunction of two converse implications
-            if isinstance(a, Implies) and isinstance(b, Implies) \
-                    and a.lhs is b.rhs and a.rhs is b.lhs:
-                return ("iff", a.lhs, a.rhs)
-            return ("and", a, b)
-        if isinstance(inner, Compare):
-            return ("boxcmp", inner.left, inner.kind.flip(), inner.cmp, inner.right)
-        if isinstance(inner, Diamond) and isinstance(inner.body, Implies) \
-                and inner.body.rhs is BOT:
-            return ("box", inner.mod, inner.body.lhs)
-        return ("neg", inner)
-    if isinstance(e.lhs, Implies) and e.lhs.rhs is BOT:
-        return ("or", e.lhs.lhs, e.rhs)
-    return None
-
-
 def _render(e):
     """(print key, level) of a newly made expression, from its children's
     keys; the level of a node is the highest precedence at which it prints
@@ -747,26 +721,34 @@ def _render(e):
             return (f"<{print_path(left)} {op}{cmp_sym} {print_path(right)}>",
                     _PREC_UNARY)
         case Implies(lhs, rhs):
-            match _sugar_view(e):
-                case ("top",):
-                    return "true", _PREC_UNARY
-                case ("iff", a, b):
-                    return (f"{print_node(a, _PREC_IMP)} <-> "
-                            f"{print_node(b, _PREC_IMP)}", _PREC_IFF)
-                case ("and", a, b):
+            # the sweetest printable form, tried in this order: true, <->,
+            # &, [..] of a comparison, [a], ~, |, and last the plain ->
+            if lhs is BOT and rhs is BOT:
+                return "true", _PREC_UNARY
+            if rhs is BOT:
+                if isinstance(lhs, Implies) and isinstance(lhs.rhs, Implies) \
+                        and lhs.rhs.rhs is BOT:
+                    a, b = lhs.lhs, lhs.rhs.lhs
+                    # iff is a conjunction of two converse implications
+                    if isinstance(a, Implies) and isinstance(b, Implies) \
+                            and a.lhs is b.rhs and a.rhs is b.lhs:
+                        return (f"{print_node(a.lhs, _PREC_IMP)} <-> "
+                                f"{print_node(a.rhs, _PREC_IMP)}", _PREC_IFF)
                     return (f"{print_node(a, _PREC_UNARY)} & "
                             f"{print_node(b, _PREC_AND)}", _PREC_AND)
-                case ("or", a, b):
-                    return (f"{print_node(a, _PREC_AND)} | "
-                            f"{print_node(b, _PREC_OR)}", _PREC_OR)
-                case ("boxcmp", alpha, kind, cmp_sym, beta):
-                    op = "=" if kind is CmpKind.EQ else "!="
-                    return (f"[{print_path(alpha)} {op}{cmp_sym} "
-                            f"{print_path(beta)}]", _PREC_UNARY)
-                case ("box", mod, body):
-                    return f"[{mod}]{print_node(body, _PREC_UNARY)}", _PREC_UNARY
-                case ("neg", inner):
-                    return f"~{print_node(inner, _PREC_UNARY)}", _PREC_UNARY
+                if isinstance(lhs, Compare):
+                    # [alpha = beta] is ~<alpha != beta>
+                    op = "!=" if lhs.kind is CmpKind.EQ else "="
+                    return (f"[{print_path(lhs.left)} {op}{lhs.cmp} "
+                            f"{print_path(lhs.right)}]", _PREC_UNARY)
+                if isinstance(lhs, Diamond) and isinstance(lhs.body, Implies) \
+                        and lhs.body.rhs is BOT:
+                    body = print_node(lhs.body.lhs, _PREC_UNARY)
+                    return f"[{lhs.mod}]{body}", _PREC_UNARY
+                return f"~{print_node(lhs, _PREC_UNARY)}", _PREC_UNARY
+            if isinstance(lhs, Implies) and lhs.rhs is BOT:
+                return (f"{print_node(lhs.lhs, _PREC_AND)} | "
+                        f"{print_node(rhs, _PREC_OR)}", _PREC_OR)
             return (f"{print_node(lhs, _PREC_IMP + 1)} -> "
                     f"{print_node(rhs, _PREC_IMP)}", _PREC_IMP)
         case Atom(mod):

@@ -356,6 +356,20 @@ def test_check_goldens(capsys):
         assert code == 0 and out.strip() == "ok"
 
 
+def test_check_fragment_hylo_tests_every_conclusion(capsys):
+    # a derivation that checks is then tested node by node against the
+    # basic hybrid fragment: one line per conclusion that leaves it
+    code, out, _ = run(capsys, "check", str(GOLDEN / "nom2.json"),
+                       "--fragment", "hylo")
+    assert code == 0 and out.strip() == "ok"
+    code, out, _ = run(capsys, "check", str(GOLDEN / "reflexivity.json"),
+                       "--fragment", "hylo")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 4
+    assert all(line.startswith("outside the basic hybrid fragment: ")
+               for line in lines)
+
+
 def test_check_mutated_golden_fails(tmp_path, capsys):
     blob = json.loads((GOLDEN / "symmetry.json").read_text())
     node = blob["nodes"][0]                   # the leftmost leaf

@@ -18,7 +18,7 @@ from hxproof.derived import axg, dual, replace, weaken_to
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
     AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
-    IMP_L, IMP_R, LOGICAL_RULES, METAVAR_KINDS, NEQ_L, axiom,
+    IMP_L, IMP_R, LOGICAL_RULES, METAVAR_KINDS, NEQ_L, Derivation, axiom,
     check_derivation, cut, infer, premises, sequent, weaken,
 )
 from hxproof.model import find_countermodel
@@ -113,8 +113,8 @@ def test_nominals_at_any_height():
         tracemalloc.stop()
     assert got == {"i"} | {f"i{t}" for t in range(5000)}
     assert peak < 2_000_000
-    # the plain walk, whose cost grows with the square of the height, on the
-    # chain's top 1,200 levels
+    # the plain walk, which reads every conclusion's nominals and so costs
+    # the square of the height here, on the chain's top 1,200 levels
     top = d
     while top.height > 1201:
         (top,) = top.children
@@ -522,7 +522,8 @@ def test_nested_cuts_eliminate():
 # ---------------------------------------------------------------------------
 
 def walk_cut_positions(d):
-    return [(path, node) for path, node in d.walk() if node.rule == CUT]
+    return [(Derivation.path_of(where), node) for where, node in d.walk()
+            if node.rule == CUT]
 
 
 def walk_topmost_cuts(d):

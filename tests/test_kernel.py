@@ -255,9 +255,10 @@ def _golden_sites():
         if "model" in p.stem or "graph" in p.stem:
             continue
         d = jsonio.derivation_from_json(json.loads(p.read_text()))
-        for path, node in d.walk():
+        for where, node in d.walk():
             for key in node.inst_dict:
-                sites.setdefault((node.rule, key), (d, path, node))
+                sites.setdefault((node.rule, key),
+                                 (d, Derivation.path_of(where), node))
     return sites
 
 
@@ -361,8 +362,28 @@ def test_check_is_linear_in_the_height():
     # the one bad node, under a chain of 3,000 levels, has the walk's path
     bad = Derivation(leaf.conclusion, AX, freeze_inst({"phi": At("i", Q)}))
     d = _weakening_chain(bad, 3000)
-    (path,) = [p for p, n in d.walk() if n is bad]
+    (path,) = [Derivation.path_of(w) for w, n in d.walk() if n is bad]
     assert [v.path for v in check_derivation(d)] == [path] == [(0,) * 3000]
+
+
+def test_walk_is_linear_in_the_height():
+    # each node's `where` links to its parent's, so the walk does constant
+    # work per node; a path copied for every node makes it quadratic
+    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
+
+    def best_of_3(d):
+        times = []
+        for _ in range(3):
+            t0 = time.process_time()
+            assert sum(1 for _ in d.walk()) == d.height
+            times.append(time.process_time() - t0)
+        return min(times)
+
+    short = best_of_3(_weakening_chain(leaf, 8000))
+    assert best_of_3(_weakening_chain(leaf, 16000)) < 3 * short
+    d = _weakening_chain(leaf, 5)
+    assert ([Derivation.path_of(w) for w, _ in d.walk()]
+            == [(0,) * t for t in range(6)])
 
 
 def test_open_leaves_only_with_flag():
@@ -439,8 +460,9 @@ def test_memoized_nodes_still_check_their_own_children(monkeypatch):
     d = _golden("paste")
     premises_memo.clear()
     assert check_derivation(d) == []
-    path, node = next((p, n) for p, n in d.walk()
-                      if n.rule in RULES and n.children)
+    where, node = next((w, n) for w, n in d.walk()
+                       if n.rule in RULES and n.children)
+    path = Derivation.path_of(where)
     child = node.children[0]
     altered = Derivation(child.conclusion.add_ante(At("zz", P)), child.rule,
                          child.inst, child.children)
@@ -580,7 +602,8 @@ def test_search_makes_every_inner_step_through_its_premises_attribute(
 def test_a_swapped_child_is_a_violation_with_the_memo_warm_from_search(
         monkeypatch):
     d = _proved(_BRANCHING)
-    path, node = next((p, n) for p, n in d.walk() if len(n.children) == 2)
+    where, node = next((w, n) for w, n in d.walk() if len(n.children) == 2)
+    path = Derivation.path_of(where)
     swapped = Derivation(node.conclusion, node.rule, node.inst,
                          node.children[::-1])
     computed = _count_premises(monkeypatch)

@@ -107,6 +107,11 @@ def test_unknown_names_the_bound_hit():
     r = prove(seq("@i <a>p |- @i q"),
               SearchConfig(max_fresh_nominals=0, enable_countermodel=False))
     assert isinstance(r, Unknown) and r.report["bound"] == "fresh"
+    # no depth left for a branch (ImpL) or a fresh move (DiaL)
+    for text in ("@i (p -> q) |- @i r", "@i <a>p |- @i q"):
+        r = prove(seq(text),
+                  SearchConfig(max_depth=0, enable_countermodel=False))
+        assert isinstance(r, Unknown) and r.report["bound"] == "depth"
 
 
 def _count_enumerations(monkeypatch):
