@@ -1,16 +1,14 @@
 """Bounded backward proof search and the explicit rule inverses.
 
 Every rule of the calculus is invertible, so the search never backtracks:
-it saturates with non-branching rules, branches only on left implications,
+it decomposes with non-branching rules, branches only on left implications,
 spends a fresh-nominal budget on left diamonds/comparisons, and enumerates
-witnesses for the right rules. Closure rules fire at most once per
-instantiation (the added atom acts as the seen-marker). Termination of the
-calculus itself is open, so exhaustion reports Unknown honestly.
-
-The reflexive atoms @i i and <i: =c i:> are virtual: search treats them as
-given and never saturates with AtT or EqT. Their step adds one only right
-before a step that reads it: a closure instance or a CmpR witness that
-needs it in the antecedent, or Ax on a reflexive consequent.
+witnesses for the right rules. Termination of the calculus itself is open,
+so exhaustion reports Unknown honestly. The closure rules (AtT, At5, S1,
+S2, S3, EqT, Eq5) never saturate a branch: an atom holds modulo the classes
+that the antecedent's aliases and equalities make, and where a step (Ax,
+DiaR or CmpR) reads one that is not in the antecedent, the closure steps
+that derive exactly that atom go on the branch right before it.
 """
 
 from __future__ import annotations
@@ -18,13 +16,14 @@ from __future__ import annotations
 from bisect import bisect, bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .derived import (
-    added, close_dual, decompose, dual, principal, weaken_to,
+    added, close_dual, decompose, dual, principal, required, weaken_to,
 )
 from .kernel import (
-    AT_5, AT_T, AX, BOT_RULE, CMP_R, DIA_R, EQ_5, EQ_T, RULES, S1, S2, S3,
-    Derivation, KernelError, Sequent, Step, ax_shape, axiom,
+    AT_5, AT_T, AX, BOT_RULE, CMP_R, DIA_R, EQ_5, EQ_T, NEQ_L, NEQ_R, RULES,
+    S1, S2, S3, Derivation, KernelError, Sequent, Step, ax_shape, axiom,
     check_derivation, cut, evidence, s1_shape, sequent,
 )
 # not called here, but perfbench's tracer rebinds `search.infer`
@@ -48,11 +47,11 @@ class SearchConfig:
     """Bounds for backward search.
 
     `max_depth` counts decomposition, branching, fresh-nominal and DiaR
-    witness steps along a branch. Closure saturation, CmpR witness steps and
-    NEqL/NEqR are free: closure and CmpR instances fire at most once each
-    over the branch's finite nominals, and the NEq rules consume inequality
-    atoms, which only the comparison rules add. AtT and EqT are free too,
-    and fire only right before a step that reads the reflexive atom they add.
+    witness steps along a branch. Closure steps, CmpR witness steps and
+    NEqL/NEqR are free: a closure step is made only right before a step
+    that reads the atom it adds, a CmpR instance fires at most once per
+    pair of alias classes of the branch's finite nominals, and the NEq
+    rules consume inequality atoms, which only the comparison rules add.
 
     With `enable_countermodel`, a failed search is answered first by the
     model that its failed branch describes (`_leaf_model`), which can have
@@ -89,12 +88,6 @@ class Unknown:
 # Search engine
 # ---------------------------------------------------------------------------
 
-CLOSURE_RULES = (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)
-# moves the depth bound does not count (SearchConfig): closures, the NEq pair
-FREE_RULES = frozenset(CLOSURE_RULES).union(
-    decompose(Compare(Jump("i"), CmpKind.NEQ, "c", Jump("j")))[0])
-
-
 class _Table(list):
     """Values in the print-key order of the members they came from; `keys`
     holds those members' print keys, in step, for the bisects."""
@@ -118,13 +111,80 @@ class _Table(list):
         return _Table(self, self.keys)
 
 
+class _Classes(dict):
+    """The classes of nominals that the antecedent's atoms make: a forest
+    per relation r, None for the aliases @i j and a comparison symbol c for
+    the equalities <i: =c j:> with the aliases. (r, n) -> (m, atom) links n
+    to m by the atom that made the link, so a path explains why two
+    nominals share a class; a root has no link and is the least nominal of
+    its class. The c-forest is made from the alias links when the first
+    c-equality enters (`syms` holds those c); until then c-equality is
+    aliasing. No rule consumes an atom, so classes only grow on a branch."""
+
+    __slots__ = ("syms",)
+
+    def __init__(self, links=(), syms=frozenset()):
+        super().__init__(links)
+        self.syms = syms
+
+    def copy(self):
+        return _Classes(self, self.syms)
+
+    def add(self, key, val):
+        atom, r, i, j = val
+        if r is not None and r not in self.syms:
+            self.syms |= {r}
+            for (s, n), (m, by) in list(self.items()):
+                if s is None:
+                    self._link(r, n, m, by)
+        for s in (r,) if r is not None else (None, *self.syms):
+            self._link(s, i, j, atom)
+
+    def drop(self, key):
+        """Nothing: only a sequent that lost an atom would drop one."""
+
+    def root(self, r, n):
+        r = r if r in self.syms else None
+        while (up := self.get((r, n))) is not None:
+            n = up[0]
+        return n
+
+    def same(self, r, i, j):
+        return i == j or self.root(r, i) == self.root(r, j)
+
+    def toward(self, r, i, j):
+        """The first link (m, atom) on the forest path from i to j != i."""
+        r, n = r if r in self.syms else None, j
+        while (up := self.get((r, n))) is not None and up[0] != i:
+            n = up[0]
+        return (n, up[1]) if up is not None else self[r, i]
+
+    def members(self, i, names):
+        """i, then the other aliases of i among the sorted `names`."""
+        yield i
+        if self:
+            r = self.root(None, i)
+            yield from (n for n in names if n != i and self.root(None, n) == r)
+
+    def _link(self, r, i, j, atom):
+        # turn the path from i to its root round and hang i under j, i's
+        # root being the greater one
+        ri, rj = self.root(r, i), self.root(r, j)
+        if ri != rj:
+            if ri < rj:
+                i, j = j, i
+            while i is not None:
+                old, self[r, i] = self.get((r, i)), (j, atom)
+                j, (i, atom) = i, old or (None, None)
+
+
 # the index's tables of values in member order, not keyed and keyed by name
-_TABLES = ("ax", "refl", "bot", "ante_dec", "cons_dec", "branches", "fresh",
-           "goals", "aliases", "eqs")
-_KEYED = ("aliases_of", "eqs_from", "bodies_of", "steps_into")
-# the tables whose values begin with the member itself: `_Index._enter` puts
-# it there, so that the role kept on a member does not refer to the member
-_HOLD_MEMBER = ("ax", "refl", "goals")
+_TABLES = ("ax", "bot", "ante_dec", "cons_dec", "branches", "fresh", "goals")
+_KEYED = ("bodies_of",)
+# where `_Index._enter` puts the member itself before the value, so that the
+# role kept on a member does not refer to the member
+_HOLD_MEMBER = ("ax", "goals", "classes")
+_by_key = attrgetter("key")
 
 
 def _route(rule):
@@ -147,21 +207,19 @@ _ROUTES = {rule: _route(rule) for rule in RULES if dual(rule)}
 def _role(e):
     """What a member gives the index: the (table, name, value) entries it
     adds as an antecedent and as a consequent member (name None for a table
-    that is not keyed), and its comparison symbol if it is an atomic
-    comparison. An atom is kept by name, and any other member is routed by
-    its dual pair; search never applies DiaL to a modal step @i <a>k. No
-    entry holds `e` itself (see `_HOLD_MEMBER`), and no instantiation is
-    changed after it is made, since the role is kept on `e`."""
-    ante, cons, cmp = [], (), None
+    that is not keyed). An atom is kept by name, and any other member is
+    routed by its dual pair; search never applies DiaL to a step @i <a>k.
+    No entry holds `e` itself (see `_HOLD_MEMBER`), and no instantiation
+    is changed after it is made, since the role is kept on `e`."""
+    ante, cons = [], ()
     match e:
         case At(nom=i, body=phi):
             match phi:
                 case Nominal(name=k):
-                    ante += [("aliases", None, (i, k)), ("aliases_of", i, k)]
+                    ante.append(("classes", None, (None, i, k)))
                 case Bottom():
                     ante.append(("bot", None, (BOT_RULE, {"i": i})))
-                case Diamond(mod=a, body=Nominal(name=k)):
-                    ante.append(("steps_into", k, (i, a)))
+                case Diamond(body=Nominal()):
                     cons = _routed(e)[1]
                 case Implies() | At() | Diamond() | Compare():
                     return _routed(e)
@@ -169,32 +227,32 @@ def _role(e):
                 ante.append(("bodies_of", i, phi))
         case Compare(left=Jump(nom=i), kind=kind, cmp=c, right=Jump(nom=j)):
             if kind is not CmpKind.EQ:
-                return _routed(e, c)
-            ante += [("eqs", None, (i, c, j)), ("eqs_from", i, (c, j))]
-            cmp = c
+                return _routed(e)
+            ante.append(("classes", None, (c, i, j)))
     if ax_shape(e):
-        cons = (("ax", None, ()),)
-        if given := _reflexive(e):
-            cons += (("refl", None, given),)
-    return tuple(ante), cons, cmp
+        cons = (("ax", None, _query(e)),)
+    return tuple(ante), cons
 
 
-def _reflexive(e):
-    """The AtT or EqT instance that adds `e` if `e` is a reflexive atom, @i i
-    or <i: =c i:>, which search treats as given; else None."""
+def _query(e):
+    """How `_Index.holds` tests the atom `e`: (r, i, k) for an alias @i k
+    (r None) or an equality <i: =c k:> (r c), (False, i, phi) for @i phi
+    with phi p or a step <a>k; None for any other member."""
     match e:
-        case At(nom=i, body=Nominal(name=k)) if k == i:
-            return AT_T, {"i": i}
+        case At(nom=i, body=Nominal(name=k)):
+            return None, i, k
         case Compare(left=Jump(nom=i), kind=CmpKind.EQ, cmp=c,
-                     right=Jump(nom=k)) if k == i:
-            return EQ_T, {"i": i, "c": c}
+                     right=Jump(nom=k)):
+            return c, i, k
+        case At(nom=i, body=Prop() | Diamond(body=Nominal()) as phi):
+            return False, i, phi
     return None
 
 
-def _routed(e, cmp=None):
+def _routed(e):
     """A compound member's role: one entry per side, sharing one instance."""
     (left, right), inst = decompose(e)
-    return (_ROUTES[left](inst),), (_ROUTES[right](inst),), cmp
+    return (_ROUTES[left](inst),), (_ROUTES[right](inst),)
 
 
 class _Index:
@@ -206,11 +264,9 @@ class _Index:
     it, and its role is kept on it (`Expr.role`, see `_role`); each table
     keeps its values in the print-key order of the members they came from.
 
-    `closing` is the first axiom instance (Ax, the first of the consequent
-    members of axiom shape, held in `ax` as (member,), that is also in the
-    antecedent, before Bot), `refl` holds (member, rule, instantiation) for
-    each reflexive consequent atom and the AtT or EqT step that adds it,
-    `decomposition` the first invertible
+    `closing` is Ax on the first consequent member of axiom shape (held in
+    `ax` with its `_query`) in the antecedent, else Bot, else Ax on the
+    first one that `holds`; `decomposition` is the first invertible
     non-branching decomposition (antecedent before consequent) and `branch`
     the first left implication, each a (rule, instantiation) pair or None.
     `fresh` holds (cost, rule, instantiation) for each left diamond or
@@ -219,21 +275,18 @@ class _Index:
     comparison, its witnesses unbound. An instantiation is shared by the
     entries of one member in every `prove` call, so no finder changes it.
     The antecedent atoms are kept by name, so that a finder asks whether a
-    candidate is present without building it: `aliases` holds (i, k) for
-    each @i k, `eqs` (i, c, j) for each <i: =c j:>, `aliases_of[i]` each k,
-    `eqs_from[i]` each (c, j), `bodies_of[j]` each phi of an @j phi that S1
-    may substitute and `steps_into[k]` each (i, a) of an @i <a>k. `noms`
-    and `cmps` are the sorted nominals and atomic comparison symbols, kept
-    exact by counting the member occurrences that hold each, since a step
-    can consume the last member that holds one.
+    candidate holds without building it: `classes` (see `_Classes`) holds
+    the aliases and equalities, and `bodies_of[j]` each phi of an @j phi
+    that S1 may substitute (p, false or a step <a>k). `noms` are the sorted
+    nominals, kept exact by counting the member occurrences that hold each.
     """
 
-    __slots__ = ("seq", "noms", "cmps", "nom_count", "cmp_count",
-                 *_TABLES, *_KEYED)
+    __slots__ = ("seq", "noms", "nom_count", "classes", *_TABLES, *_KEYED)
 
     def __init__(self, seq):
         self.seq = sequent()
-        self.noms, self.cmps, self.nom_count, self.cmp_count = [], [], {}, {}
+        self.noms, self.nom_count = [], {}
+        self.classes = _Classes()
         for name in _TABLES:
             setattr(self, name, _Table())
         for name in _KEYED:
@@ -243,8 +296,8 @@ class _Index:
     def copy(self):
         c = object.__new__(type(self))
         c.seq = self.seq
-        c.noms, c.cmps = self.noms.copy(), self.cmps.copy()
-        c.nom_count, c.cmp_count = self.nom_count.copy(), self.cmp_count.copy()
+        c.noms, c.nom_count = self.noms.copy(), self.nom_count.copy()
+        c.classes = self.classes.copy()
         for name in _TABLES:
             setattr(c, name, getattr(self, name).copy())
         for name in _KEYED:
@@ -254,11 +307,17 @@ class _Index:
 
     @property
     def closing(self):
-        ante = self.seq.ante
-        for (e,) in self.ax:
+        ante, cls = self.seq.ante, self.classes
+        for e, *_ in self.ax:
             if e in ante:
                 return AX, {"phi": e}
-        return self.bot[0] if self.bot else None
+        if self.bot:
+            return self.bot[0]
+        for e, r, i, k in self.ax:
+            # without links, only a reflexive atom holds beyond the literal
+            if i == k or cls and self.holds(r, i, k):
+                return AX, {"phi": e}
+        return None
 
     @property
     def decomposition(self):
@@ -269,14 +328,35 @@ class _Index:
     def branch(self):
         return self.branches[0] if self.branches else None
 
+    def holds(self, r, i, k):
+        """Whether the atom whose `_query` is (r, i, k) holds modulo the
+        classes: i and k share an r-class, or `holder` finds body k."""
+        if r is False:
+            return self.holder(i, k) is not None
+        return self.classes.same(r, i, k)
+
+    def holder(self, i, phi):
+        """The first antecedent @n psi, as (n, psi), with n in the class of
+        i (in `members` order, so holder(n, phi) is (n, psi) again) and psi
+        the p phi is, or a step <a>m with m in the class of phi's target."""
+        cls = self.classes
+        for n in cls.members(i, self.noms):
+            for psi in self.bodies_of.get(n, ()):
+                if psi is phi or type(psi) is Diamond is type(phi) and \
+                        psi.mod == phi.mod and \
+                        cls.same(None, psi.body.name, phi.body.name):
+                    return n, psi
+
     def update(self, seq):
-        """Index `seq` in place of the sequent indexed so far."""
+        """Index `seq` in place of the sequent indexed so far; members enter
+        in print-key order, so no forest depends on where they were made."""
         old = self.seq
         for side, was, now in ((0, old.ante, seq.ante),
                                (1, old.cons, seq.cons)):
             for e in was - now:
                 self._enter(e, side, -1)
-            for e in now - was:
+            new = now - was
+            for e in sorted(new, key=_by_key) if len(new) > 1 else new:
                 self._enter(e, side, 1)
         self.seq = seq
 
@@ -298,8 +378,6 @@ class _Index:
             else:
                 t.add(key, val)
         _count(self.nom_count, self.noms, e.noms, sign)
-        if role[2] is not None:
-            _count(self.cmp_count, self.cmps, (role[2],), sign)
 
 
 def _count(counts, present, names, sign):
@@ -317,100 +395,80 @@ def _count(counts, present, names, sign):
 
 
 class _Evidence(dict):
-    """(i, alpha, x) -> (evidence(i, alpha, x), `_reflexive` of it): the
-    formula a right comparison at i needs for path alpha and endpoint x, and
-    the AtT step that adds it if it is a reflexive alias. A path cannot be
-    keyed by names, so each is built once per `prove` call, in the table
-    that call owns."""
+    """(i, alpha, x) -> (evidence(i, alpha, x), its `_query`), which a right
+    comparison at i needs for path alpha and endpoint x. A path cannot be
+    keyed by names, so each is built once per `prove` call, in its table."""
 
     def __missing__(self, key):
-        e = evidence(*key)
-        v = self[key] = e, _reflexive(e)
+        v = self[key] = (e := evidence(*key)), _query(e)
         return v
 
 
-def _closure_moves(ix):
-    """Every closure-rule instance whose added atom is genuinely new and not
-    reflexive, in the sequent indexed by `ix`, At5 first, then S1, S2, S3
-    and Eq5.
-
-    The reflexive atoms are given, so no instance adds one, and where an
-    instance reads one that the sequent lacks (At5, S3 and Eq5 with k = i),
-    the AtT or EqT step that adds it comes in the instance's place; the
-    instance is then the first one of the next sequent. Search takes the
-    first; since each instance fires at most once (the added atom marks it
-    as done) the saturation reaches the same fixpoint, modulo reflexivity,
-    under any order.
-    """
-    aliases_of, eqs_from = ix.aliases_of, ix.eqs_from
-    for i, j in ix.aliases:
-        ks, js = aliases_of[i], aliases_of[j]
-        for k in ks:
-            if k != j and k not in js:
-                yield AT_5, {"i": i, "j": j, "k": k}
-        if i not in ks and i not in js:     # At5 with k = i reads @i i
-            yield AT_T, {"i": i}
-    for i, j in ix.aliases:
-        for phi in ix.bodies_of[i]:
-            if phi not in ix.bodies_of[j]:
-                yield S1, {"i": i, "j": j, "phi": phi}
-    for j, k in ix.aliases:
-        for i, a in ix.steps_into[j]:
-            if (i, a) not in ix.steps_into[k]:
-                yield S2, {"i": i, "j": j, "k": k, "a": a}
-    for i, j in ix.aliases:
-        js = eqs_from[j]
-        for c, k in eqs_from[i]:
-            if k != j and (c, k) not in js:
-                yield S3, {"i": i, "j": j, "k": k, "c": c}
-        if i != j:                          # S3 with k = i reads <i: =c i:>
-            for c in ix.cmps:
-                if (c, i) not in eqs_from[i] and (c, i) not in js:
-                    yield EQ_T, {"i": i, "c": c}
-    for i, c, j in ix.eqs:
-        js = eqs_from[j]
-        for c2, k in eqs_from[i]:
-            if c2 == c and k != j and (c, k) not in js:
-                yield EQ_5, {"i": i, "j": j, "k": k, "c": c}
-        # Eq5 with k = i reads <i: =c i:>
-        if i != j and (c, i) not in eqs_from[i] and (c, i) not in js:
-            yield EQ_T, {"i": i, "c": c}
+def _derive(ix, e, made):
+    """Enter in `made` (atom -> the move that adds it, in the order moves
+    apply) the closure moves that add the atom `e`, which holds modulo the
+    classes of `ix`, unless it is in the antecedent or `made`; each adds
+    `e` or an atom a later move reads. The first link on the forest path
+    from i to k explains @i k (At5) and <i: =c k:> (S3 across an alias, Eq5
+    across an equality); S1 and S2 carry a body across aliases of its
+    nominal and its step's target; AtT and EqT add @i i and <i: =c i:>."""
+    if e in ix.seq.ante or e in made:
+        return
+    match e:
+        case At(nom=i, body=Nominal(name=k)) if i == k:
+            move = AT_T, {"i": i}
+        case At(nom=i, body=Nominal(name=k)):
+            n, _ = ix.classes.toward(None, i, k)
+            move = AT_5, {"i": n, "j": i, "k": k}
+        case Compare(left=Jump(nom=i), cmp=c, right=Jump(nom=k)) if i == k:
+            move = EQ_T, {"i": i, "c": c}
+        case Compare(left=Jump(nom=i), cmp=c, right=Jump(nom=k)):
+            n, link = ix.classes.toward(c, i, k)
+            move = (S3 if isinstance(link, At) else EQ_5,
+                    {"i": n, "j": i, "k": k, "c": c})
+        case At(nom=i, body=phi):
+            n, psi = ix.holder(i, phi)
+            move = (S1, {"i": n, "j": i, "phi": phi}) if n != i else (
+                S2, {"i": i, "j": psi.body.name, "k": phi.body.name,
+                     "a": phi.mod})
+    for r in sorted(required(*move), key=_by_key):
+        _derive(ix, r, made)
+    made[e] = move
 
 
 def _witness_move(ix, fired, evidence, dia_ok):
-    """Right witness rules; `fired` keys stop re-introduction loops. DiaR
-    candidates are skipped unless `dia_ok` (the depth bound allows them).
-
-    A CmpR evidence that is a reflexive alias counts as present; when the
-    sequent lacks it, its AtT step comes in the witness's place, with no
-    key, and the witness is then the move of the next sequent."""
-    cons, ante = ix.seq.cons, ix.seq.ante
+    """The first right witness step, as (rule, instantiation, key, reads):
+    `fired` keys stop re-introduction loops, and `reads` are the antecedent
+    atoms the step needs, which may hold only modulo the classes. DiaR
+    candidates are skipped unless `dia_ok` (the depth bound allows them)."""
+    cons, ante, cls = ix.seq.cons, ix.seq.ante, ix.classes
     for e, rule, inst in ix.goals:
         if rule == CMP_R:
             i, alpha, beta = inst["i"], inst["alpha"], inst["beta"]
             kind, c = inst["kind"], inst["c"]
             for x in ix.noms:
-                ea, ga = evidence[i, alpha, x]
-                if ga is None and ea not in ante:
+                ea, qa = evidence[i, alpha, x]
+                if ea not in ante and not (qa and ix.holds(*qa)):
                     continue
                 for y in ix.noms:
-                    eb, gb = evidence[i, beta, y]
-                    if gb is None and eb not in ante:
+                    eb, qb = evidence[i, beta, y]
+                    if eb not in ante and not (qb and ix.holds(*qb)):
                         continue
-                    key = (CMP_R, e, x, y)
+                    key = (CMP_R, e, cls.root(None, x), cls.root(None, y))
                     if key not in fired and \
                             Compare(Jump(x), kind, c, Jump(y)) not in cons:
-                        for ev, given in ((ea, ga), (eb, gb)):
-                            if ev not in ante:
-                                return (*given, None)
-                        return CMP_R, dict(inst, j=x, k=y), key
+                        return CMP_R, dict(inst, j=x, k=y), key, (ea, eb)
         elif dia_ok:
             i, a, phi = inst["i"], inst["a"], inst["phi"]
-            for j in ix.noms:
-                key = (DIA_R, e, j)
-                if (i, a) in ix.steps_into[j] and key not in fired \
-                        and At(j, phi) not in cons:
-                    return DIA_R, dict(inst, j=j), key
+            for n in cls.members(i, ix.noms):
+                for psi in ix.bodies_of.get(n, ()):
+                    if type(psi) is not Diamond or psi.mod != a:
+                        continue
+                    j = psi.body.name
+                    key = (DIA_R, e, cls.root(None, j))
+                    if key not in fired and At(j, phi) not in cons:
+                        return (DIA_R, dict(inst, j=j), key,
+                                (At(i, psi),) if n != i else ())
     return None
 
 
@@ -426,8 +484,7 @@ def _fresh_move(ix, fresh_left):
 
 def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
     """Search the branch of the sequent `ix` indexes; returns a closed
-    derivation or None. The branch owns `ix` and updates it at every step.
-
+    derivation or None. The branch owns `ix` and updates it at every step;
     `evidence` is the calling `prove`'s table of comparison evidence.
 
     Every branch that gives up records why in steps["bound"]: "depth" (the
@@ -450,31 +507,36 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
             d = step.node((d,))
         return d
 
+    def climb(reads, *moves):
+        """Put on the trail the closure steps that add the atoms `reads`, then
+        a step per move, each on the premiss of the one before; the last."""
+        s, made = ix.seq, {}
+        for e in reads:
+            _derive(ix, e, made)
+        for rule, inst in (*made.values(), *moves):
+            step = premises(s, rule, inst)
+            trail.append(step)
+            s = step.premisses[0]
+        return s
+
     while True:
         steps["visited"] += 1
-        cur = ix.seq
         if (closing := ix.closing) is not None:
             rule, inst = closing
-            return fold(axiom(rule, cur, inst))
-        if ix.refl:
-            # a reflexive consequent: its AtT or EqT step adds it to the
-            # antecedent, and Ax closes the premiss
-            e, rule, inst = ix.refl[0]
-            step = premises(cur, rule, inst)
-            trail.append(step)
-            return fold(axiom(AX, step.premisses[0], {"phi": e}))
+            reads = (inst["phi"],) if rule == AX else ()
+            return fold(axiom(rule, climb(reads), inst))
 
         # witness rules are additive and invertible, so they can run before
-        # the consuming decompositions: a comparison whose evidence is in the
-        # antecedent is answered before the decompositions grow the sequent
+        # the consuming decompositions: a comparison whose evidence holds is
+        # answered before the decompositions grow the sequent
+        reads = ()
         if wit := _witness_move(ix, fired, evidence, depth_left > 0):
-            rule, inst, key = wit
-            if key is not None:
-                fired.add(key)
+            rule, inst, key, reads = wit
+            fired.add(key)
             depth_left -= rule == DIA_R
-        elif move := ix.decomposition or next(_closure_moves(ix), None):
+        elif move := ix.decomposition:
             rule, inst = move
-            cost = rule not in FREE_RULES
+            cost = rule not in (NEQ_L, NEQ_R)     # free (SearchConfig)
             if cost and depth_left <= 0:
                 steps.update(bound="depth", leaf=ix)
                 return None
@@ -483,7 +545,7 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
             steps.update(bound="depth", leaf=ix)
             return None
         elif ix.branch is not None:
-            step = premises(cur, *ix.branch)
+            step = premises(ix.seq, *ix.branch)
             p1, p2 = step.premisses
             left_ix = ix.copy()
             left_ix.update(p1)
@@ -504,60 +566,37 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
         else:
             steps.update(bound="fresh" if ix.fresh else "saturated", leaf=ix)
             return None
-        step = premises(cur, rule, inst)
-        trail.append(step)
-        ix.update(step.premisses[0])
-
-
-def _least(names, pairs):
-    """name -> the least name of its class, for the sorted `names`, under
-    the equivalence that the `pairs` of names generate."""
-    up = {n: n for n in names}
-
-    def root(n):
-        while up[n] != n:
-            n = up[n]
-        return n
-
-    for x, y in pairs:
-        x, y = root(x), root(y)
-        if x != y:
-            up[max(x, y)] = min(x, y)
-    return {n: root(n) for n in names}
+        ix.update(climb(reads, (rule, inst)))
 
 
 def _leaf_model(ix, names):
     """The model that the antecedent atoms of the sequent `ix` indexes
     describe, the saturated-branch model of hybrid tableaux: one node per
-    class of nominals under @i j, the a-successors that @i <a>j give, p
-    true where @i p holds, and per comparison symbol c the classes that
-    <i: =c j:> make. Nodes are n1, n2, ... in the order of their classes'
-    least nominals, and a sequent without nominals gets one node. The
-    nominal assignment places only the sequent's nominals that are in
-    `names` (`prove` passes the goal's), so the model does not mention the
-    eigen-nominals that search drew.
+    alias class, the a-successors that @i <a>j give, p true where @i p
+    holds, and per comparison symbol c of an antecedent equality the
+    c-classes (see `_Classes`). Nodes are n1, n2, ... in the order of their
+    classes' least nominals; a sequent without nominals gets one node. Only
+    the sequent's nominals in `names` (`prove` passes the goal's) are
+    placed, so the model does not mention the eigen-nominals search drew.
 
-    On a saturated branch every rule has fired modulo reflexivity: only
-    reflexive atoms, which search leaves virtual, may be absent, and the
-    classes hold those by construction. So the atoms are closed and the
-    model refutes the sequent; a branch stopped by a bound may not be
-    closed, so the classes are taken as the closures of the atoms, and
-    `prove` checks the model against the goal either way."""
-    least = _least(ix.noms, ix.aliases)
+    On a saturated branch every rule has fired modulo the classes, which
+    the model makes true by construction, so it refutes the sequent; a
+    branch stopped by a bound may not be saturated, and `prove` checks the
+    model against the goal either way."""
+    cls = ix.classes
+    least = {i: cls.root(None, i) for i in ix.noms}
     node = {k: f"n{t}" for t, k in enumerate(sorted(set(least.values())), 1)}
     at = {i: node[k] for i, k in least.items()}
-    rels, val, eqs = defaultdict(set), defaultdict(set), defaultdict(list)
-    for k, into in ix.steps_into.items():
-        for i, a in into:
-            rels[a].add((at[i], at[k]))
+    rels, val = defaultdict(set), defaultdict(set)
     for i, bodies in ix.bodies_of.items():
         for phi in bodies:
             if isinstance(phi, Prop):
                 val[phi.name].add(at[i])
-    for i, c, j in ix.eqs:
-        eqs[c].append((at[i], at[j]))
+            elif isinstance(phi, Diamond):
+                rels[phi.mod].add((at[i], at[phi.body.name]))
     nodes = sorted(node.values()) or ["n1"]
-    cmp_class = {c: _least(nodes, pairs) for c, pairs in eqs.items()}
+    cmp_class = {c: {at[i]: at[cls.root(c, i)] for i in ix.noms}
+                 for c in sorted(cls.syms)}
     g = {i: at[i] for i in names if i in at}
     return HybridDataModel(nodes, rels, cmp_class, g, val)
 

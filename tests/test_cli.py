@@ -437,3 +437,69 @@ def test_corpus_pass_and_fail(tmp_path, capsys):
     empty.mkdir()
     code, _, err = run(capsys, "corpus", str(empty))
     assert code == 0 and "warning" in err
+
+
+# every bad file kind, as what to put at the path given (None: nothing)
+_BAD_FILES = {
+    "missing": None,
+    "directory": "dir",
+    "empty": b"",
+    "not-utf8": b"\xff\xfe{}",
+    "truncated": b'{"format": 2, "exprs": [["prop", ',
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "top-level-list": b"[]",
+    "top-level-field": json.dumps(
+        {"format": 2, "exprs": 5, "nodes": 5, "rels": 5, "cmp": 5, "g": 5,
+         "val": 5, "edges": 5}).encode(),
+}
+_FILE_COMMANDS = [
+    ("check", "{f}"), ("check", "{f}", "--fragment", "hylo"),
+    ("cutfree", "{f}"), ("corpus", "{d}"),
+    ("eval", "--model", "{f}", "<a>p"), ("eval", "--graph", "{f}", "<a>p"),
+    ("entail", "--model", "{f}", "@i p |- @i p"),
+    ("entail", "--graph", "{f}", "@i p |- @i p"),
+]
+# goals that end at once at any bound: an axiom, and one that saturates
+_QUICK_GOALS = ("@i p |- @i p", "@i <a>p |- @i q")
+
+
+def _main_outcome(capsys, argv):
+    """(exit code, stderr) of one in-process run."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    return code, capsys.readouterr().err
+
+
+def test_the_cli_is_total_over_bad_files_and_numbers(tmp_path, capsys):
+    # every command that reads a file, on each bad file kind, and `prove`
+    # (also `parse`, which reads neither) with each numeric option negative,
+    # huge and not an integer: an exit code of 0-3, never a traceback, and
+    # one stderr line on exit 3
+    runs = []
+    for kind, content in _BAD_FILES.items():
+        home = tmp_path / kind
+        home.mkdir()
+        f = home / "x.json"
+        if content == "dir":
+            f.mkdir()
+        elif content is not None:
+            f.write_bytes(content)
+        d = home if content is not None else tmp_path / "absent"
+        runs += [[a.format(f=f, d=d) for a in argv] for argv in _FILE_COMMANDS]
+    for flag in ("--max-depth", "--fresh-budget", "--countermodel-nodes"):
+        for value in ("-1", "1000000000000", "9" * 5000, "1.5"):
+            for goal in _QUICK_GOALS:
+                for fragment in ("full", "hylo"):
+                    runs.append(["prove", goal, flag, value,
+                                 "--fragment", fragment])
+    runs += [["parse", "p ->"], ["parse", "@i " * 5000 + "p"], []]
+    bad = []
+    for argv in runs:
+        code, err = _main_outcome(capsys, argv)
+        if code not in (0, 1, 2, 3) or "Traceback" in err or (
+                code == 3 and err.count("\n") != 1):
+            bad.append((argv[:4], code, err[:200]))
+    assert not bad
+    assert len(runs) > 100

@@ -12,6 +12,7 @@ from genutil import (SIG, conclusion_for_rule, derivation_of, rand_derivation,
                      rand_sequent)
 from hxproof import jsonio, model, search
 from hxproof import syntax as sx
+from hxproof.derived import required
 from hxproof.goldens import (nom2_golden, paste_template, prove_axiom_suite,
                              transitivity)
 from hxproof.kernel import (
@@ -334,47 +335,83 @@ def oracle_closure_moves(seq):
                                Compare(Jump(i), CmpKind.EQ, c, Jump(k)))
 
 
-def oracle_witness_move(seq, fired, dia_ok=True):
-    """Right witness rules, found by building each candidate premise. A
-    reflexive alias counts as evidence; when the antecedent lacks it, the
-    AtT step that adds it comes in the CmpR witness's place, with no key."""
+def oracle_saturation(seq):
+    """The antecedent that saturating `seq` with `oracle_closure_moves`
+    reaches, as search did before it kept classes. Each round applies every
+    move one scan finds: no move consumes an atom, so each still applies."""
+    while moves := list(oracle_closure_moves(seq)):
+        for move in moves:
+            seq = premises(seq, *move)[0]
+    return seq.ante
+
+
+def _holds(sat, e):
+    """`e` is in the saturated antecedent `sat`, or it is a reflexive alias
+    or equality."""
+    match e:
+        case At(i, Nominal(k)) | Compare(Jump(i), CmpKind.EQ, _, Jump(k)):
+            return k == i or e in sat
+    return e in sat
+
+
+def _least(sat, noms, j):
+    """The least of the nominals `noms` that the saturation aliases to j."""
+    return min(n for n in noms if _holds(sat, At(j, Nominal(n))))
+
+
+def oracle_witness_move(seq, fired, dia_ok=True, sat=None):
+    """Right witness rules, found by building each candidate premise and
+    testing it against the saturation. A DiaR step @i <a>j is tried from
+    each antecedent @n <a>j with n aliased to i, i first; it and each CmpR
+    evidence that only the saturation holds are the step's reads. A key
+    names the least nominal aliased to each witness."""
+    sat = oracle_saturation(seq) if sat is None else sat
     noms = sorted(seq.nominals())
     for e in seq.sorted_cons:
         match e:
             case At(i, Diamond(a, phi)) if dia_ok:
-                for j in noms:
-                    key = (DIA_R, e, j)
-                    if At(i, Diamond(a, Nominal(j))) in seq.ante \
-                            and key not in fired \
-                            and At(j, phi) not in seq.cons:
-                        return DIA_R, {"i": i, "a": a, "phi": phi, "j": j}, key
+                for n in [i] + [n for n in noms if n != i
+                                and _holds(sat, At(i, Nominal(n)))]:
+                    for b in seq.sorted_ante:
+                        match b:
+                            case At(n2, Diamond(a2, Nominal(j))) \
+                                    if n2 == n and a2 == a:
+                                key = (DIA_R, e, _least(sat, noms, j))
+                                if key not in fired \
+                                        and At(j, phi) not in seq.cons:
+                                    return (DIA_R,
+                                            {"i": i, "a": a, "phi": phi,
+                                             "j": j}, key,
+                                            () if n == i else (At(i, b.body),))
             case At(i, Compare(alpha, kind, c, beta)):
                 for x in noms:
                     ev_x = evidence(i, alpha, x)
-                    if not _given(seq, ev_x):
+                    if not _holds(sat, ev_x):
                         continue
                     for y in noms:
                         ev_y = evidence(i, beta, y)
-                        if not _given(seq, ev_y):
+                        if not _holds(sat, ev_y):
                             continue
-                        key = (CMP_R, e, x, y)
+                        key = (CMP_R, e, _least(sat, noms, x),
+                               _least(sat, noms, y))
                         added = Compare(Jump(x), kind, c, Jump(y))
                         if key not in fired and added not in seq.cons:
-                            for ev in (ev_x, ev_y):
-                                if ev not in seq.ante:
-                                    return AT_T, {"i": ev.nom}, None
                             return CMP_R, {"i": i, "alpha": alpha,
                                            "beta": beta, "kind": kind,
-                                           "c": c, "j": x, "k": y}, key
+                                           "c": c, "j": x, "k": y}, key, \
+                                (ev_x, ev_y)
             case _:
                 pass
     return None
 
 
-def oracle_first_moves(seq):
+def oracle_first_moves(seq, sat=None):
     """The index's first closing, decomposition and branch instances and
     its fresh-nominal candidates, each found by its own scan that tests
-    the rule's principal with the kernel's shape tests."""
+    the rule's principal with the kernel's shape tests. Ax closes on a
+    member of axiom shape in the antecedent, then Bot, then Ax on one that
+    the saturation holds."""
+    sat = oracle_saturation(seq) if sat is None else sat
     def first(members, shapes):
         for e in members:
             for rule, inst in shapes(e):
@@ -386,7 +423,10 @@ def oracle_first_moves(seq):
                      if e in seq.cons and ax_shape(e) else [])
                or first(seq.sorted_ante,
                         lambda e: [(BOT_RULE, {"i": e.nom})]
-                        if isinstance(e, At) and e.body == BOT else []))
+                        if isinstance(e, At) and e.body == BOT else [])
+               or first(seq.sorted_cons,
+                        lambda e: [(AX, {"phi": e})]
+                        if ax_shape(e) and _holds(sat, e) else []))
 
     def decomposition(side):
         def shapes(e):
@@ -427,13 +467,22 @@ def _moves(seq, fired, dia_ok=True):
     """The moves the search's index finds."""
     ix = search._Index(seq)
     return ((ix.closing, ix.decomposition, ix.branch, ix.fresh),
-            list(search._closure_moves(ix)),
             search._witness_move(ix, fired, search._Evidence(), dia_ok))
 
 
-def _oracle_moves(seq, fired, dia_ok=True):
-    return (oracle_first_moves(seq), list(oracle_closure_moves(seq)),
-            oracle_witness_move(seq, fired, dia_ok))
+def _oracle_moves(seq, fired, dia_ok=True, sat=None):
+    sat = oracle_saturation(seq) if sat is None else sat
+    return (oracle_first_moves(seq, sat),
+            oracle_witness_move(seq, fired, dia_ok, sat))
+
+
+def _closure_steps(seq, atoms):
+    """The closure moves that the index of `seq` makes for `atoms`, as
+    (atom added, move) pairs in the order they apply."""
+    ix, made = search._Index(seq), {}
+    for e in atoms:
+        search._derive(ix, e, made)
+    return list(made.items())
 
 
 # two modalities and two comparisons, so that the order in which the
@@ -478,29 +527,71 @@ def _rand_goals(rng, count):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9))
 def test_move_finders_agree_with_formula_building_oracles(seed):
-    # walk a saturation from a random sequent with extra atoms, comparing
-    # the index and the finders with the oracles at every step, now and then
-    # with DiaR out of depth
+    # walk from a random sequent with extra atoms, comparing the index and
+    # the finders with the oracles at every step, now and then with DiaR
+    # out of depth; the walk takes the witness with the closure steps it
+    # reads, or else a random closure move, so that the classes grow along
+    # it; a closure move leaves the saturation as it was
     rng = random.Random(seed)
     s = rand_sequent(rng, SIG2, max_side=2, depth=1)
     s = s.add_ante(*_rand_atoms(rng, rng.randint(0, 8)))
     goals, ev = _rand_goals(rng, rng.randint(0, 2))
     s = s.add_ante(*ev).add_cons(*goals)
-    fired = set()
+    fired, sat = set(), None
     for _ in range(40):
         dia_ok = rng.random() < 0.8
+        sat = oracle_saturation(s) if sat is None else sat
         got = _moves(s, fired, dia_ok)
-        assert got == _oracle_moves(s, fired, dia_ok)
-        _, closures, witness = got
-        if witness is not None:
-            rule, inst, key = witness
+        assert got == _oracle_moves(s, fired, dia_ok, sat)
+        if got[1] is not None:
+            rule, inst, key, reads = got[1]
             fired.add(key)
-        elif closures:
+            moves = [m for _, m in _closure_steps(s, reads)] + [(rule, inst)]
+            sat = None
+        elif closures := list(oracle_closure_moves(s)):
             # any instance, so that every later one gets to be taken
-            rule, inst = rng.choice(closures)
+            moves = [rng.choice(closures)]
         else:
             break
-        s = premises(s, rule, inst)[0]
+        for rule, inst in moves:
+            s = premises(s, rule, inst)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_classes_hold_what_saturation_adds_and_explain_it(seed):
+    # every alias, equality, prop and step atom over the sequent's names
+    # holds modulo the index's classes exactly when saturating adds it (or
+    # it is reflexive); the closure steps made for it apply one by one, end
+    # with it in the antecedent, and each adds the atom or one a later step
+    # reads
+    rng = random.Random(seed)
+    s = rand_sequent(rng, SIG2, max_side=2, depth=1)
+    s = s.add_ante(*_rand_atoms(rng, rng.randint(0, 10)))
+    goals, ev = _rand_goals(rng, rng.randint(0, 2))
+    s = s.add_ante(*ev).add_cons(*goals)
+    ix, sat = search._Index(s), oracle_saturation(s)
+    noms = sorted(s.nominals())
+    cmps = sorted({e.cmp for e in s.ante | s.cons if isinstance(e, Compare)})
+    atoms = [body(i, k) for i in noms for k in noms for body in (
+        lambda i, k: At(i, Nominal(k)),
+        *(lambda i, k, a=a: At(i, Diamond(a, Nominal(k)))
+          for a in SIG2["mods"]),
+        *(lambda i, k, c=c: Compare(Jump(i), CmpKind.EQ, c, Jump(k))
+          for c in cmps))]
+    atoms += [At(i, Prop(p)) for i in noms for p in SIG2["props"]]
+    for e in atoms:
+        assert ix.holds(*search._query(e)) == _holds(sat, e), e
+        if not _holds(sat, e):
+            continue
+        steps = _closure_steps(s, [e])
+        cur = s
+        for t, (atom, (rule, inst)) in enumerate(steps):
+            cur = premises(cur, rule, inst)[0]
+            assert atom in cur.ante
+            assert atom is e if t == len(steps) - 1 else any(
+                atom in required(*m) for _, m in steps[t + 1:])
+        assert e in cur.ante
 
 
 def _search_visits(monkeypatch, goals, cfg, seen):
@@ -521,9 +612,10 @@ def _search_visits(monkeypatch, goals, cfg, seen):
     monkeypatch.undo()
 
 
-def _criterion_6_goals():
-    rng = random.Random(CRITERION_6_SEED)
-    return [rand_sequent(rng, SIG, max_side=3, depth=2) for _ in range(500)]
+def _criterion_6_goals(seed=CRITERION_6_SEED, count=500):
+    """Criterion 6's draw, or with another seed one of its shape."""
+    rng = random.Random(seed)
+    return [rand_sequent(rng, SIG, max_side=3, depth=2) for _ in range(count)]
 
 
 def test_criterion_6_takes_few_reflexive_steps(monkeypatch):
@@ -543,10 +635,44 @@ def test_criterion_6_takes_few_reflexive_steps(monkeypatch):
     assert counts[AT_T] + counts[EQ_T] <= 600
 
 
+CLOSURE_RULES = (AT_T, AT_5, S1, S2, S3, EQ_T, EQ_5)
+
+
+def test_criterion_6_takes_closure_steps_only_for_atoms_read(monkeypatch):
+    # the closure steps of criterion 6's draw, which saturating took 1,461
+    # of, and in the proofs each adds an atom that a step above it reads
+    counts = Counter()
+    step = search.premises
+
+    def counted(goal, rule, inst):
+        counts[rule] += 1
+        return step(goal, rule, inst)
+
+    monkeypatch.setattr(search, "premises", counted)
+    results = [prove(g) for g in _criterion_6_goals()]
+    assert Counter(r.status for r in results) == {"proved": 227,
+                                                  "refuted": 273}
+    assert sum(counts[rule] for rule in CLOSURE_RULES) <= 700
+    closure_nodes = 0
+    for r in results:
+        if not isinstance(r, Proved):
+            continue
+        for _, node in r.derivation.walk():
+            if node.rule not in CLOSURE_RULES:
+                continue
+            closure_nodes += 1
+            (child,) = node.children
+            new = child.conclusion.ante - node.conclusion.ante
+            assert any(new & required(m.rule, dict(m.inst))
+                       for _, m in child.walk()), node.conclusion
+    assert closure_nodes > 100
+
+
 def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
-    # criterion 6's draw; the witness finder is checked with the arguments
-    # search passes it, and the index and every finder on every sequent it
-    # visits
+    # criterion 6's draw, and 300 more of its shape under a depth bound
+    # that stops many branches; the witness finder is checked with the
+    # arguments search passes it, and the index and every finder on every
+    # sequent it visits
     visited, calls = [], []
     witness_move = search._witness_move
 
@@ -556,10 +682,12 @@ def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
         calls.append(dia_ok)
         return got
 
-    monkeypatch.setattr(search, "_witness_move", checked)
-    _search_visits(monkeypatch, _criterion_6_goals(),
-                   SearchConfig(max_depth=12, enable_countermodel=False),
-                   lambda ix, before: visited.append(ix.seq))
+    for goals, depth in ((_criterion_6_goals(), 12),
+                         (_criterion_6_goals(CRITERION_6_SEED + 1, 300), 3)):
+        monkeypatch.setattr(search, "_witness_move", checked)
+        _search_visits(monkeypatch, goals, SearchConfig(
+            max_depth=depth, enable_countermodel=False),
+            lambda ix, before: visited.append(ix.seq))
     assert len(visited) > 2000
     assert set(calls) == {True, False}
     for s in visited:
@@ -584,23 +712,30 @@ def test_failed_branch_model_refutes_criterion_6_without_enumeration(
 def _tables(ix):
     """Everything an index holds, as plain values; a keyed table emptied by
     the members a step dropped, or made by a finder's lookup, counts as
-    absent."""
+    absent. The classes count as the partition of the nominals per relation,
+    not as the forest that links them, whose shape depends on the order in
+    which the atoms came."""
     def plain(t):
         return list(t), list(t.keys)
 
+    cls = ix.classes
     out = {name: plain(getattr(ix, name)) for name in search._TABLES}
+    out["classes"] = {r: sorted({tuple(n for n in ix.noms
+                                       if cls.same(r, m, n))
+                                 for m in ix.noms})
+                      for r in (None, *sorted(cls.syms))}
     for name in search._KEYED:
         out[name] = {k: plain(t) for k, t in getattr(ix, name).items() if t}
-    out.update(seq=ix.seq, noms=list(ix.noms), cmps=list(ix.cmps),
-               nom_count=dict(ix.nom_count), cmp_count=dict(ix.cmp_count))
+    out.update(seq=ix.seq, noms=list(ix.noms), nom_count=dict(ix.nom_count))
     return out
 
 
 def test_updated_index_equals_a_fresh_one_wherever_search_goes(monkeypatch):
-    # criterion 6's draw and provable-by-construction conclusions, whose
-    # proofs also take the rules that consume their principal
+    # criterion 6's draw, 500 more of its shape, and provable-by-
+    # construction conclusions, whose proofs also take the rules that
+    # consume their principal
     rng = random.Random(5)
-    goals = _criterion_6_goals() + [
+    goals = _criterion_6_goals() + _criterion_6_goals(CRITERION_6_SEED + 1) + [
         rand_derivation(rng, SIG, steps=5).conclusion for _ in range(150)]
     seen, drops = [], []
 
@@ -627,7 +762,7 @@ def test_updating_a_branch_copy_leaves_the_original_unchanged():
     before = _tables(ix)
     left = ix.copy()
     left.update(p1)
-    while (move := left.decomposition or next(search._closure_moves(left),
+    while (move := left.decomposition or next(oracle_closure_moves(left.seq),
                                                None)) is not None:
         left.update(premises(left.seq, *move)[0])
     assert left.seq != p1
@@ -657,6 +792,13 @@ def _emitted(goals):
     return out
 
 
+def _forests(goals):
+    """The links of each goal's index, atoms by print key: what the
+    closure steps that search makes are read from."""
+    return [{k: (m, atom.key) for k, (m, atom) in
+             search._Index(g).classes.items()} for g in goals]
+
+
 def _drop_kept_expressions():
     """Let go of what the kernel's and the model checker's memos hold."""
     premises_memo.clear()
@@ -682,7 +824,7 @@ def test_output_does_not_depend_on_expression_addresses():
     _drop_kept_expressions()
     goals = [seq(t) for t in texts]
     before = _addresses(goals)
-    first = _emitted(goals)
+    first, forests = _emitted(goals), _forests(goals)
     del goals
     _drop_kept_expressions()
     # objects of every small size kept alive between the goals, so that the
@@ -696,6 +838,17 @@ def test_output_does_not_depend_on_expression_addresses():
     moved = sum(after[k] != before[k] for k in after)
     assert moved >= 0.9 * len(after)
     assert _emitted(goals) == first
+    assert _forests(goals) == forests and any(forests)
+    # members made in the opposite order, so that each goal's set of
+    # members iterates in another order: the atoms one update adds enter
+    # the classes in print-key order all the same
+    backwards = [", ".join(map(sx.print_node, reversed(g.sorted_ante)))
+                 + " |- " + ", ".join(map(sx.print_node,
+                                          reversed(g.sorted_cons)))
+                 for g in goals]
+    del goals
+    _drop_kept_expressions()
+    assert _forests([seq(t) for t in backwards]) == forests
 
 
 def test_a_member_is_matched_once_over_prove_calls(monkeypatch):
