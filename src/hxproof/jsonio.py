@@ -10,8 +10,10 @@ per derivation level, so a file of any height loads and writes. Reader and
 writer refuse a table whose rows spell out to far more than the file holds
 (MAX_EXPR_SIZE). Expressions and sequents are also written as nested
 objects, tag + fields, for the CLI's output; `_ROWS` states the one layout
-both forms follow. Canonical text sorts keys and sequent members, so
-identical inputs produce byte-identical output.
+both forms follow. The format-2 reader and writer group its tags into six
+shapes by the sorts of a row's fields (`_SHAPES`) and take one
+straight-line step per shape. Canonical text sorts keys and sequent
+members, so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import re
 import reprlib
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _escape
+from operator import attrgetter
 from typing import get_args
 
 from . import syntax as sx
@@ -92,11 +95,19 @@ _SORT_CLASSES = {"node": get_args(sx.NodeExpr), "path": get_args(sx.PathExpr)}
 # class -> the sort of its expressions
 _SORT_OF = {cls: sort for sort, classes in _SORT_CLASSES.items()
             for cls in classes}
-# class -> (tag, (attribute name, JSON key, sort) of each field), for the
-# writers
-_LAYOUT = {cls: (tag, tuple((attr, key, sort) for attr, (key, sort)
-                            in zip(cls.__match_args__, fields)))
-           for tag, (cls, fields) in _ROWS.items()}
+# the six row shapes: field sorts, a child row's as "row" (others fail)
+_SHAPES = _NAME, _NAME_CHILD, _TWO, _ONE, _CMP, _BARE = (
+    ("name",), ("name", "row"), ("row", "row"), ("row",),
+    ("row", "kind", "name", "row"), ())
+# tag -> (class, sort, shape, the sort of its child rows), for the reader
+_READ = {tag: (cls, _SORT_OF[cls], _SHAPES[_SHAPES.index(tuple(
+    "row" if s in _SORT_CLASSES else s for _, s in fields))],
+    *({s for _, s in fields if s in _SORT_CLASSES} or {None}))
+    for tag, (cls, fields) in _ROWS.items()}
+# class -> (tag, shape, the getter of its fields), for the writer
+_WRITE = {cls: (tag, shape, cls.__match_args__
+                and attrgetter(*cls.__match_args__))
+          for tag, (cls, _, shape, _) in _READ.items()}
 
 # Deeper expressions are refused, row by row, so that the layers that
 # recurse once per expression level (the printer, shape checks,
@@ -112,11 +123,11 @@ def node_to_json(e):
     each field under its JSON key. The CLI writes these objects (`parse
     --emit json`, `check`'s end-sequent); no reader reads them."""
     try:
-        tag, fields = _LAYOUT[type(e)]
+        tag, _, _ = _WRITE[type(e)]
     except KeyError:
         raise TypeError(f"not an expression: {e!r}") from None
     out = {"tag": tag}
-    for attr, key, sort in fields:
+    for attr, (key, sort) in zip(type(e).__match_args__, _ROWS[tag][1]):
         v = getattr(e, attr)
         out[key] = (node_to_json(v) if sort in _SORT_CLASSES
                     else v.value if sort == "kind" else v)
@@ -197,6 +208,13 @@ def _budget_error(error):
                  f"plus {TABLE_FACTOR} times the file's own size")
 
 
+# (metavariable, class) -> how the writer writes a value of the class or of
+# a subclass: "row" (its row index), "cmpkind" (its value) or a name (itself)
+_INST_AS = {(key, cls): "row" if kind in _SORT_CLASSES else kind
+            for key, kind in METAVAR_KINDS.items() for cls in _SORT_CLASSES.get(
+                kind, (sx.CmpKind if kind == "cmpkind" else str,))}
+
+
 class _Table:
     """The `exprs` rows of one file: each distinct expression once, after
     the rows of its children, and what the rows spell out (`spelt`) against
@@ -211,22 +229,32 @@ class _Table:
         """The (row index, size, depth) of `e`, which has no row yet, after
         adding the rows of its children that have none. It recurses once per
         expression level of new rows, as the decoder bounds (MAX_NESTING)."""
-        tag, fields = _LAYOUT[type(e)]
+        tag, shape, get = _WRITE[type(e)]
         index = self.index
-        row, size, depth, chars = [tag], 1, 1, 0
-        for attr, _, sort in fields:
-            v = getattr(e, attr)
-            if sort == "name":
-                chars += len(v)
-            elif sort == "kind":
-                v = v.value
-            else:
-                v, below, deep = index.get(v) or self.add(v)
-                size += below
-                if deep >= depth:
-                    depth = deep + 1
-            row.append(v)
-        size += chars
+        size = depth = below = deep = chars = 0
+        if shape is _NAME_CHILD:
+            name, v = get(e)
+            k, size, depth = index.get(v) or self.add(v)
+            row, chars = [tag, name, k], len(name)
+        elif shape is _NAME:
+            row, chars = [tag, name := get(e)], len(name)
+        elif shape is _CMP:
+            v, kind, name, w = get(e)
+            k, size, depth = index.get(v) or self.add(v)
+            m, below, deep = index.get(w) or self.add(w)
+            row, chars = [tag, k, kind.value, name, m], len(name)
+        elif shape is _TWO:
+            v, w = get(e)
+            k, size, depth = index.get(v) or self.add(v)
+            m, below, deep = index.get(w) or self.add(w)
+            row = [tag, k, m]
+        elif shape is _ONE:
+            k, size, depth = index.get(v := get(e)) or self.add(v)
+            row = [tag, k]
+        else:
+            row = [tag]
+        size += below + 1 + chars
+        depth = (depth if depth > deep else deep) + 1
         i = len(self.rows)
         if depth > MAX_NESTING or size > MAX_EXPR_SIZE:
             raise _row_error(i, size, depth, EncodeError)
@@ -238,31 +266,26 @@ class _Table:
         index[e] = got = (i, size, depth)
         return got
 
-    def refs(self, es):
-        """The row indices of the expressions `es`, adding missing rows."""
-        index = self.index
-        return [(index.get(e) or self.add(e))[0] for e in es]
-
     def inst(self, inst):
         """The `inst` object of a frozen instantiation (names as strings,
         comparison kinds as their values, expressions as row indices), and
         what its values spell out to."""
         out, spelt = {}, 0
         for key, v in inst:
-            kind = METAVAR_KINDS[key]
-            match kind:
-                case "cmpkind" if isinstance(v, sx.CmpKind):
-                    out[key] = v.value
-                    spelt += 1
-                case "path" | "node" if isinstance(v, _SORT_CLASSES[kind]):
-                    out[key], below, _ = self.index.get(v) or self.add(v)
-                    spelt += below
-                case "nominal" | "modality" | "comparison" if isinstance(v, str):
-                    out[key] = v
-                    spelt += len(v)
-                case _:
-                    raise TypeError(f"metavariable {key} holds {v!r}, "
-                                    f"not a {kind}")
+            how = _INST_AS.get((key, type(v))) or next(filter(None, (
+                _INST_AS.get((key, cls)) for cls in type(v).__mro__)), None)
+            if how is None:
+                raise TypeError(f"metavariable {key} holds {v!r}, "
+                                f"not a {METAVAR_KINDS[key]}")
+            if how == "row":
+                out[key], below, _ = self.index.get(v) or self.add(v)
+                spelt += below
+            elif how == "cmpkind":
+                out[key] = v.value
+                spelt += 1
+            else:
+                out[key] = v
+                spelt += len(v)
         return out, spelt
 
 
@@ -285,6 +308,7 @@ def derivation_to_json(d):
             stack += zip(kids, _implied(node.conclusion, node.rule, node.inst,
                                         len(kids)))
     table = _Table()
+    index, add = table.index, table.add
     nodes = []
     done = []                  # row indices of finished subtrees
     own = spelt = 0            # of the node rows, charged as the reader does
@@ -298,8 +322,9 @@ def derivation_to_json(d):
         spelt += cost
         conclusion = node.conclusion
         if conclusion is not implied and conclusion != implied:
-            row["conclusion"] = [table.refs(conclusion.sorted_ante),
-                                 table.refs(conclusion.sorted_cons)]
+            row["conclusion"] = [[(index.get(e) or add(e))[0] for e in side]
+                                 for side in (conclusion.sorted_ante,
+                                              conclusion.sorted_cons)]
             own += len(conclusion.ante) + len(conclusion.cons)
         done.append(len(nodes))
         nodes.append(row)
@@ -308,11 +333,6 @@ def derivation_to_json(d):
     if spelt > TABLE_ALLOWANCE + TABLE_FACTOR * own:
         raise _budget_error(EncodeError)
     return {"format": FORMAT, "exprs": table.rows, "nodes": nodes}
-
-
-# tag -> (class, the sort of its expressions, the sort of each field)
-_READ = {tag: (cls, _SORT_OF[cls], tuple(sort for _, sort in fields))
-         for tag, (cls, fields) in _ROWS.items()}
 
 
 def _exprs(rows):
@@ -329,47 +349,64 @@ def _exprs(rows):
         if not isinstance(row, list) or not row or not isinstance(row[0], str):
             raise DecodeError(f"exprs row {t} is not a tagged list: {_show(row)}")
         try:
-            cls, sort, fields = _READ[row[0]]
+            cls, sort, shape, sub = _READ[row[0]]
         except KeyError:
             raise DecodeError(f"unknown expression tag: {_show(row[0])}") from None
-        if len(row) != 1 + len(fields):
+        if len(row) != 1 + len(shape):
             raise DecodeError(f"exprs row {t} has {len(row) - 1} field(s); "
-                              f"{_show(row[0])} takes {len(fields)}")
-        values, size, depth, chars = [], 1, 1, 0
-        for field, v in zip(fields, row[1:]):
-            if field == "name":
-                if not isinstance(v, str):
-                    raise DecodeError(f"exprs row {t} has a name that is not "
-                                      f"a str: {_show(v)}")
-                chars += len(v)
-            elif field == "kind":
-                v = _kind_value(v)
-            else:
-                v, below, deep = _lookup(table, t, v, field)
-                size += below
-                if deep >= depth:
-                    depth = deep + 1
-            values.append(v)
-        size += chars
+                              f"{_show(row[0])} takes {len(shape)}")
+        # child row v is `type(v) is int and kin.get(v)`, or `_no_row` raises
+        fields, size, depth, below, deep, chars = (), 0, 0, 0, 0, 0
+        kin = table.get(sub)
+        if shape is _NAME_CHILD:
+            _, name, v = row
+            if not isinstance(name, str):
+                raise _name_error(t, name)
+            body, size, depth = type(v) is int and kin.get(v) or _no_row(v, t, sub)
+            fields, chars = (name, body), len(name)
+        elif shape is _NAME:
+            name = row[1]
+            if not isinstance(name, str):
+                raise _name_error(t, name)
+            fields, chars = (name,), len(name)
+        elif shape is _CMP:
+            _, v, kind, name, w = row
+            left, size, depth = type(v) is int and kin.get(v) or _no_row(v, t, sub)
+            kind = _kind_value(kind)
+            if not isinstance(name, str):
+                raise _name_error(t, name)
+            right, below, deep = type(w) is int and kin.get(w) or _no_row(w, t, sub)
+            fields, chars = (left, kind, name, right), len(name)
+        elif shape is _TWO:
+            _, v, w = row
+            left, size, depth = type(v) is int and kin.get(v) or _no_row(v, t, sub)
+            right, below, deep = type(w) is int and kin.get(w) or _no_row(w, t, sub)
+            fields = left, right
+        elif shape is _ONE:
+            v = row[1]
+            body, size, depth = type(v) is int and kin.get(v) or _no_row(v, t, sub)
+            fields = (body,)
+        size += below + 1 + chars
+        depth = (depth if depth > deep else deep) + 1
         if depth > MAX_NESTING or size > MAX_EXPR_SIZE:
             raise _row_error(t, size, depth, DecodeError)
         own += len(row) + chars
         spelt += size
         if spelt > TABLE_ALLOWANCE + TABLE_FACTOR * own:
             raise _budget_error(DecodeError)
-        table[sort][t] = (cls(*values), size, depth)
+        table[sort][t] = (cls(*fields), size, depth)
     return table, own, spelt
 
 
-def _lookup(table, count, v, sort):
-    """The (expression, size, depth) of row `v` of `table`, whose first
-    `count` rows are built; the row must hold an expression of `sort`."""
-    got = table[sort].get(v) if type(v) is int else None
-    if got is None:
-        if type(v) is not int or not 0 <= v < count:
-            raise DecodeError(f"{_show(v)} does not name an earlier exprs row")
-        raise DecodeError(f"exprs row {v} is not a {sort} expression")
-    return got
+def _name_error(t, v):
+    return DecodeError(f"exprs row {t} has a name that is not a str: {_show(v)}")
+
+
+def _no_row(v, count, sort):
+    """Raise for `v`, not one of the first `count` rows holding a `sort`."""
+    if type(v) is not int or not 0 <= v < count:
+        raise DecodeError(f"{_show(v)} does not name an earlier exprs row")
+    raise DecodeError(f"exprs row {v} is not a {sort} expression")
 
 
 def _inst(d, table, count):
@@ -377,13 +414,15 @@ def _inst(d, table, count):
     and what its values spell out to."""
     pairs, spelt = [], 0
     for key, v in d.items():
-        if not isinstance(key, str):
-            raise DecodeError(f"metavariable is not a str: {_show(key)}")
         kind = METAVAR_KINDS.get(key)
         if kind is None:
+            if not isinstance(key, str):
+                raise DecodeError(f"metavariable is not a str: {_show(key)}")
             raise DecodeError(f"unknown metavariable: {_show(key)}")
-        if kind in table:
-            e, size, _ = _lookup(table, count, v, kind)
+        rows = table.get(kind)
+        if rows is not None:
+            e, size, _ = type(v) is int and rows.get(v) \
+                or _no_row(v, count, kind)
             pairs.append((key, e))
             spelt += size
         elif kind == "cmpkind":
@@ -405,8 +444,8 @@ def _sequent(v, table, count):
             and all(isinstance(side, list) for side in v)):
         raise DecodeError(f"field 'conclusion' is not two lists: {_show(v)}")
     try:
-        return sequent([_lookup(table, count, t, "node")[0] for t in v[0]],
-                       [_lookup(table, count, t, "node")[0] for t in v[1]])
+        return sequent(*([(type(t) is int and table["node"].get(t) or _no_row(
+            t, count, "node"))[0] for t in side] for side in v))
     except ShapeViolation as e:                # a member that is not restricted
         raise DecodeError(str(e)) from None
 
@@ -417,6 +456,10 @@ def derivation_from_json(d):
     last, the root, is the child of exactly one row. A row without a
     `conclusion` gets the one its parent implies, replayed from the root
     down, once the rows are within their budget (MAX_EXPR_SIZE)."""
+    if not isinstance(d, dict):
+        raise DecodeError("a derivation is a JSON object, not " + {
+            int: "an int", type(None): "null"}.get(
+                type(d), f"a {type(d).__name__}"))
     fmt = _field(d, "format")
     if type(fmt) is not int or fmt != FORMAT:
         raise DecodeError(f"unknown derivation format: {_show(fmt)}")
@@ -429,9 +472,16 @@ def derivation_from_json(d):
     heads = []                 # (rule, frozen inst, kids, stated conclusion)
     parent = [None] * len(rows)
     for t, row in enumerate(rows):
-        rule = _field(row, "rule", str)
-        inst, cost = _inst(_field(row, "inst", dict), table, count)
-        kids = _field(row, "children", list)
+        try:
+            rule, inst, kids = row["rule"], row["inst"], row["children"]
+        except (KeyError, TypeError):
+            rule = None
+        if not (isinstance(rule, str) and isinstance(inst, dict)
+                and isinstance(kids, list)):
+            _field(row, "rule", str)       # raises, as read in this order
+            _inst(_field(row, "inst", dict), table, count)
+            _field(row, "children", list)
+        inst, cost = _inst(inst, table, count)
         own += 1 + len(inst) + len(kids)
         spelt += cost
         for c in kids:
@@ -465,9 +515,8 @@ def derivation_from_json(d):
                               f"{_show(heads[parent[t]][0])} above does not "
                               f"imply")
         conclusions[t] = conclusion
-        if kids:
-            for c, s in zip(kids, _implied(conclusion, rule, inst, len(kids))):
-                conclusions[c] = s
+        for c, s in zip(kids, _implied(conclusion, rule, inst, len(kids))):
+            conclusions[c] = s
     built = []
     for (rule, inst, kids, _), conclusion in zip(heads, conclusions):
         built.append(Derivation(conclusion, rule, inst,
@@ -520,7 +569,8 @@ def _write(o, nl, pieces, encode):
         pieces.append(nl + "}")
     elif isinstance(o, (list, tuple)) and o:
         items = ("," + inner).join(["".join(encode(item, 0)) for item in o])
-        if _CONVERTED_KEY.search(items):
+        # text without a "{" holds no object, so no key to look at
+        if "{" in items and _CONVERTED_KEY.search(items):
             _check_keys(o)
         pieces.append("[" + inner + items + nl + "]")
     else:

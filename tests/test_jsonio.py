@@ -2,17 +2,20 @@
 oracle."""
 
 import functools
+import itertools
 import json
 import pathlib
 import random
-import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import format2_oracle
 from genutil import rand_derivation, weakening_chain
 from hxproof import jsonio
+from hxproof import syntax as sx
 from hxproof.cli import main
 from hxproof.derived import replace
 from hxproof.goldens import prove_axiom_suite
@@ -23,7 +26,7 @@ from hxproof.kernel import (
     AX, CUT, IMP_R, Derivation, axiom, check_derivation, cut,
     freeze_inst, sequent, weaken,
 )
-from hxproof.syntax import At, Implies, Prop
+from hxproof.syntax import At, CmpKind, Implies, Prop
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 GOLDEN_FILES = sorted(GOLDEN.glob("*.json"))
@@ -212,12 +215,20 @@ def _slots(blob):
     return root, out
 
 
-def _decodes_or_fails_cleanly(blob):
+def _outcome(decode, blob):
+    """What `decode` makes of `blob`: ("ok", derivation) or ("error", the
+    DecodeError's message)."""
     try:
-        d = jsonio.derivation_from_json(blob)
-    except DecodeError:
-        return
-    assert isinstance(d, Derivation)
+        return "ok", decode(blob)
+    except DecodeError as e:
+        return "error", str(e)
+
+
+def _decodes_or_fails_cleanly(blob):
+    # the same derivation as the reference reader, or the same refusal
+    got = _outcome(jsonio.derivation_from_json, blob)
+    assert got == _outcome(format2_oracle.derivation_from_json, blob)
+    assert got[0] == "error" or isinstance(got[1], Derivation)
 
 
 # values a format-2 file holds: row indices in and out of range, rows and
@@ -269,22 +280,111 @@ def _doublings(n):
 
 @pytest.mark.parametrize("blob,message", [
     ({"rule": "Ax", "inst": {}, "children": []}, "missing field 'format'"),
-    ([], "missing field 'format'"),
+    ([], "^a derivation is a JSON object, not a list$"),
+    (None, "^a derivation is a JSON object, not null$"),
+    (5, "^a derivation is a JSON object, not an int$"),
     ({"format": 1, "exprs": [], "nodes": []}, "unknown derivation format: 1"),
     ({"format": "2"}, "unknown derivation format: '2'"),
     ({"format": True}, "unknown derivation format: True"),
-], ids=["nested", "list", "format-1", "str", "bool"])
+], ids=["nested", "list", "null", "int", "format-1", "str", "bool"])
 def test_an_object_that_is_not_format_2_is_a_decode_error(blob, message):
     with pytest.raises(DecodeError, match=message):
         jsonio.derivation_from_json(blob)
 
 
-def _timed_decode(blob):
-    t0 = time.monotonic()
-    try:
+def _row_faults():
+    """(tag, fault, row, message) for each fault a row of each `_ROWS` tag
+    can have, the row being row 2, after a node row (0) and a path row (1):
+    a field too many or too few, a name that is not a str, a child that is
+    no earlier row or one of the other sort, and an unknown comparison
+    kind; and, with faults in two fields in a row, the refusal of the
+    first."""
+    sample = {"name": "n", "kind": "eq", "node": 0, "path": 1}
+    for tag, (_, fields) in jsonio._ROWS.items():
+        good = [tag, *(sample[sort] for _, sort in fields)]
+        arity = f"; {tag!r} takes {len(fields)}"
+        yield tag, "good", good, None
+        yield tag, "field-too-many", good + [0], \
+            f"exprs row 2 has {len(fields) + 1} field(s){arity}"
+        if fields:
+            yield tag, "field-too-few", good[:-1], \
+                f"exprs row 2 has {len(fields) - 1} field(s){arity}"
+        faults = []
+        for k, (key, sort) in enumerate(fields, 1):
+            if sort == "name":
+                cases = [(5, "exprs row 2 has a name that is not a str: 5")]
+            elif sort == "kind":
+                cases = [("ge", "unknown comparison kind: 'ge'")]
+            else:
+                other = sample["path" if sort == "node" else "node"]
+                cases = [(v, f"{v!r} does not name an earlier exprs row")
+                         for v in (2, 3, -1, True, 0.0, "0")]
+                cases.append(
+                    (other, f"exprs row {other} is not a {sort} expression"))
+            for n, (v, message) in enumerate(cases):
+                bad = list(good)
+                bad[k] = v
+                yield tag, f"{key}-{n}", bad, message
+            faults.append((k, cases[0][0], cases[-1][0], cases[0][1]))
+        for (first, v, _, message), (then, _, w, _) in zip(faults, faults[1:]):
+            bad = list(good)
+            bad[first], bad[then] = v, w
+            yield tag, f"fields-{first}-and-{then}", bad, message
+
+
+ROW_FAULTS = list(_row_faults())
+
+
+@pytest.mark.parametrize("tag,fault,row,message", ROW_FAULTS,
+                         ids=[f"{tag}-{fault}" for tag, fault, *_ in ROW_FAULTS])
+def test_each_row_fault_of_each_tag_is_refused_by_name(tag, fault, row,
+                                                       message):
+    leaf = {"rule": "Open", "inst": {}, "children": [], "conclusion": [[], []]}
+    blob = _flat_file([["prop", "p"], ["mod", "a"], row], [leaf])
+    got = _outcome(jsonio.derivation_from_json, blob)
+    assert got == _outcome(format2_oracle.derivation_from_json, blob)
+    assert got[0] == ("ok" if message is None else "error")
+    assert message is None or got[1] == message
+
+
+@pytest.mark.parametrize("row,message", [
+    ({"rule": 1, "inst": {"phi": -1}}, "field 'rule' is not a str: 1"),
+    ({"rule": "Ax", "inst": [], "children": 0}, "field 'inst' is not a dict: []"),
+    ({"rule": "Ax", "inst": {"phi": -1}},
+     "-1 does not name an earlier exprs row"),
+    ({"rule": "Ax", "inst": {"phi": 0}, "children": {}},
+     "field 'children' is not a list: {}"),
+    ({"rule": "Ax", "inst": {"phi": 0}}, "missing field 'children'"),
+    ([], "missing field 'rule'"),
+], ids=["rule", "inst", "inst-value", "children", "no-children", "list"])
+def test_node_row_fields_are_refused_in_their_order(row, message):
+    blob = _flat_file([["prop", "p"]], [row])
+    got = _outcome(jsonio.derivation_from_json, blob)
+    assert got == _outcome(format2_oracle.derivation_from_json, blob)
+    assert got == ("error", message)
+
+
+def _counted_decode(blob, most):
+    """The derivation `blob` encodes, read while counting the expressions
+    built: each call of `syntax._intern` builds one that no earlier call
+    built. The call past `most` fails before it builds, so a reader that
+    builds a row before it refuses the row fails here, at once, rather than
+    building a tree of 2^n nodes."""
+    built, intern = 0, sx._intern
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        assert built <= most, f"more than {most} expressions built"
+        return intern(*args)
+
+    with mock.patch.object(sx, "_intern", counted):
         return jsonio.derivation_from_json(blob)
-    finally:
-        assert time.monotonic() - t0 < 1.0
+
+
+# single characters no other test names anything by, so that every row of
+# a file made with one is built when read, and counted
+_FRESH = (chr(c) for c in itertools.count(0x4E00))
 
 
 def test_a_node_row_named_twice_is_a_decode_error():
@@ -295,7 +395,7 @@ def test_a_node_row_named_twice_is_a_decode_error():
               "conclusion": [[1], [1]]} for t in range(64)]
     blob = _flat_file([["prop", "p"], ["at", "i", 0]], rows)
     with pytest.raises(DecodeError, match="node 0 is named as a child twice"):
-        _timed_decode(blob)
+        _counted_decode(blob, 2)
 
 
 @pytest.mark.parametrize("children", [[[], [], [0]], [[0]], [[1], []]],
@@ -309,10 +409,11 @@ def test_node_rows_that_are_not_a_post_order_tree_are_decode_errors(
             _flat_file([["prop", "p"], ["at", "i", 0]], rows))
 
 
-def _doubling_leaf(n, name="p"):
-    """An (Ax) leaf on the last of `_doublings(n)`, with `name` for p."""
+def _doubling_leaf(n, name=None):
+    """An (Ax) leaf on the last of `_doublings(n)`, with `name` for p, by
+    default a fresh one."""
     exprs = _doublings(n)
-    exprs[0][1] = name
+    exprs[0][1] = name or next(_FRESH)
     leaf = {"rule": "Ax", "inst": {"phi": n + 1}, "children": [],
             "conclusion": [[n + 1], [n + 1]]}
     return _flat_file(exprs, [leaf])
@@ -328,17 +429,17 @@ def _doubling_size(n):
 def test_an_expression_row_past_the_size_bound_is_a_decode_error():
     n = 12
     assert _doubling_size(n) <= MAX_EXPR_SIZE < 3 * 2 ** (n + 1) - 1
-    [violation] = check_derivation(_timed_decode(_doubling_leaf(n)))
+    [violation] = check_derivation(_counted_decode(_doubling_leaf(n), n + 2))
     assert "axiom expression has the wrong form" in violation.message
-    # row n + 1 is past the bound; without it this still decodes, in
-    # megabytes, so the 64 rows below are not reached
+    # row n + 1 is past the bound and is refused before it is built, after
+    # rows 0 to n; built, the rows below it would be megabytes
     past = f"more than {MAX_EXPR_SIZE} nodes and name characters"
     with pytest.raises(DecodeError, match=past):
-        _timed_decode(_doubling_leaf(20))
+        _counted_decode(_doubling_leaf(20), n + 1)
     # 64 rows of (k -> k) spell out to 2^65 nodes; the print key of each
     # would be rendered in full as the row is built
     with pytest.raises(DecodeError, match=past):
-        _timed_decode(_doubling_leaf(64))
+        _counted_decode(_doubling_leaf(64), n + 1)
 
 
 def test_a_long_name_under_doubling_rows_is_a_decode_error():
@@ -347,12 +448,13 @@ def test_a_long_name_under_doubling_rows_is_a_decode_error():
     # it gigabytes; this one is kept short enough that a decoder without
     # the bound fails the test rather than the machine
     past = f"more than {MAX_EXPR_SIZE} nodes and name characters"
-    name = "x" * (MAX_EXPR_SIZE // 8)
+    name = next(_FRESH) * (MAX_EXPR_SIZE // 8)
+    # rows 0 to 2 spell out to under 8 times the name, and row 3 to more
     with pytest.raises(DecodeError, match=past):
-        _timed_decode(_doubling_leaf(12, name))
-    assert _timed_decode(_doubling_leaf(2, name))
+        _counted_decode(_doubling_leaf(12, name), 3)
+    assert _counted_decode(_doubling_leaf(2, name), 4)
     with pytest.raises(DecodeError, match=past):
-        _timed_decode(_doubling_leaf(0, "x" * MAX_EXPR_SIZE))
+        _counted_decode(_doubling_leaf(0, next(_FRESH) * MAX_EXPR_SIZE), 0)
 
 
 _BUDGET = "the rows spell out to more than"
@@ -361,27 +463,38 @@ _BUDGET = "the rows spell out to more than"
 def test_rows_past_the_file_budget_are_a_decode_error():
     # each row is within MAX_EXPR_SIZE, but 2,000 rows each naming a long
     # row under another nominal spell out to far more than the file holds
-    exprs = [["prop", "x" * (MAX_EXPR_SIZE - 10)]]
+    exprs = [["prop", next(_FRESH) * (MAX_EXPR_SIZE - 10)]]
     exprs += [["at", f"i{k}", 0] for k in range(2000)]
     leaf = {"rule": "Ax", "inst": {"phi": 1}, "children": [],
             "conclusion": [[1], [1]]}
+    # the first row past the budget: the prop spells out to 1 + its name
+    # and charges 2 + it, an @ row to 1 + its nominal + the prop and
+    # charges 3 + its nominal; rows up to it are built, it is not
+    first = 1 + len(exprs[0][1])
+    spelt, own, past = first, 1 + first, 0
+    while spelt <= jsonio.TABLE_ALLOWANCE + jsonio.TABLE_FACTOR * own:
+        past += 1
+        spelt += first + 1 + len(exprs[past][1])
+        own += 3 + len(exprs[past][1])
+    assert 50 < past < 100
     with pytest.raises(DecodeError, match=_BUDGET):
-        _timed_decode(_flat_file(exprs, [leaf]))
+        _counted_decode(_flat_file(exprs, [leaf]), past)
     # the first rows are within the allowance
     count = jsonio.TABLE_ALLOWANCE // MAX_EXPR_SIZE
-    assert _timed_decode(_flat_file(exprs[:count], [leaf]))
+    assert _counted_decode(_flat_file(exprs[:count], [leaf]), count)
 
 
 def test_node_rows_past_the_file_budget_are_a_decode_error():
     # a chain of DiaR rows over one long formula, each under a nominal of
     # its own: replaying their premisses would build @j phi for every j
-    exprs = [["prop", "x" * (MAX_EXPR_SIZE - 10)]]
+    exprs = [["prop", next(_FRESH) * (MAX_EXPR_SIZE - 10)]]
     rows = [{"rule": "DiaR", "children": [t - 1] if t else [],
              "inst": {"i": "i", "a": "a", "phi": 0, "j": f"j{t}"}}
             for t in range(2000)]
     rows[-1]["conclusion"] = [[], []]
+    # refused before any premiss is built: only the prop row is
     with pytest.raises(DecodeError, match=_BUDGET):
-        _timed_decode(_flat_file(exprs, rows))
+        _counted_decode(_flat_file(exprs, rows), 1)
 
 
 def _long_leaf(chars):
@@ -413,12 +526,26 @@ def test_the_writer_refuses_what_the_reader_would():
         jsonio.derivation_to_json(wide)
 
 
+class _Name(str):
+    """A name of a class of its own."""
+
+
 def test_a_value_of_the_wrong_sort_is_refused_when_written():
     p = At("i", Prop("p"))
-    for key, value in [("alpha", p), ("phi", "p"), ("i", p), ("kind", "eq")]:
+    for key, value in [("alpha", p), ("phi", "p"), ("i", p), ("kind", "eq"),
+                       ("kind", _Name("eq")), ("i", CmpKind.EQ)]:
         d = Derivation(sequent([p], [p]), "Open", freeze_inst({key: value}))
-        with pytest.raises(TypeError, match=f"metavariable {key} holds"):
-            jsonio.derivation_to_json(d)
+        for write in (jsonio.derivation_to_json,
+                      format2_oracle.derivation_to_json):
+            with pytest.raises(TypeError, match=f"^metavariable {key} holds"):
+                write(d)
+    # a value of a subclass of the class a metavariable holds is written as
+    # one of that class
+    d = Derivation(sequent([p], [p]), "Open",
+                   freeze_inst({"i": _Name("i"), "phi": p}))
+    assert jsonio.derivation_to_json(d) \
+        == format2_oracle.derivation_to_json(d)
+    assert jsonio.derivation_to_json(d)["nodes"][0]["inst"]["i"] == "i"
 
 
 def _implications_at_the_bound():
@@ -489,6 +616,7 @@ def test_a_metavariable_that_is_not_a_str_is_a_decode_error():
 def test_drawn_derivations_decode_to_themselves(rng, steps):
     d = rand_derivation(rng, steps=steps)
     obj = jsonio.derivation_to_json(d)
+    assert obj == format2_oracle.derivation_to_json(d)
     assert jsonio.derivation_from_json(obj) == d
     assert jsonio.derivation_from_json(json.loads(dumps_canonical(obj))) == d
 

@@ -367,23 +367,28 @@ def test_check_is_linear_in_the_height():
 
 
 def test_walk_is_linear_in_the_height():
-    # each node's `where` links to its parent's, so the walk does constant
-    # work per node; a path copied for every node makes it quadratic
-    leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
+    # each node's `where` is its child index linked to its parent's `where`
+    # object, so the walk does constant work per node; a path copied for
+    # every node would make it quadratic in the height
+    def leaf():
+        return axiom(AX, sequent({At("i", P)}, {At("i", P)}),
+                     {"phi": At("i", P)})
 
-    def best_of_3(d):
-        times = []
-        for _ in range(3):
-            t0 = time.process_time()
-            assert sum(1 for _ in d.walk()) == d.height
-            times.append(time.process_time() - t0)
-        return min(times)
-
-    short = best_of_3(_weakening_chain(leaf, 8000))
-    assert best_of_3(_weakening_chain(leaf, 16000)) < 3 * short
-    d = _weakening_chain(leaf, 5)
+    d = cut(leaf(), _weakening_chain(leaf(), 3), At("i", P))
+    for tree in (_weakening_chain(leaf(), 16000), d):
+        parents = {id(tree): None}     # node -> (its index, parent's where)
+        for where, node in tree.walk():
+            link = parents.pop(id(node))
+            if link is None:
+                assert where == ()
+            else:
+                assert len(where) == 2 and where[0] == link[0]
+                assert where[1] is link[1]
+            parents.update((id(child), (t, where))
+                           for t, child in enumerate(node.children))
+        assert not parents
     assert ([Derivation.path_of(w) for w, _ in d.walk()]
-            == [(0,) * t for t in range(6)])
+            == [(), (0,), (1,), (1, 0), (1, 0, 0), (1, 0, 0, 0)])
 
 
 def test_open_leaves_only_with_flag():
