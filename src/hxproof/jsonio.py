@@ -34,7 +34,7 @@ from .kernel import (
 
 
 class DecodeError(ValueError):
-    """JSON that does not encode an expression, sequent or derivation."""
+    """JSON that does not encode a derivation, model or data graph."""
 
 
 _REPR = reprlib.Repr()
@@ -49,13 +49,39 @@ def _show(v):
         return f"a {type(v).__name__}"
 
 
-def _field(d, key, typ=object):
+def _field(d, key, typ=object, where="", default=...):
+    """Field `key` of an object, or entry `key` of a list, checked to be a
+    `typ` (a class or a tuple of them); `where` places `d` in its file
+    (" of node 0"), and a left-out field with a `default` reads as that."""
     try:
         v = d[key]
     except (KeyError, TypeError):
-        raise DecodeError(f"missing field {key!r}") from None
+        if default is ...:
+            raise DecodeError(f"missing field {key!r}{where}") from None
+        return default
     if not isinstance(v, typ):
-        raise DecodeError(f"field {key!r} is not a {typ.__name__}: {_show(v)}")
+        name = f"field {key!r}" if isinstance(key, str) else f"entry {key}"
+        kind = " or ".join("null" if t is type(None) else t.__name__
+                           for t in (typ if isinstance(typ, tuple) else (typ,)))
+        raise DecodeError(f"{name}{where} is not a {kind}: {_show(v)}")
+    return v
+
+
+def _object(d, what):
+    """`d`, refused unless it is a JSON object: the top level of a file,
+    `what` naming its kind ("a model")."""
+    if not isinstance(d, dict):
+        raise DecodeError(f"{what} is a JSON object, not " + {
+            int: "an int", type(None): "null"}.get(
+                type(d), f"a {type(d).__name__}"))
+    return d
+
+
+def _entries(v, typ, where):
+    """The list `v`, each entry checked by `_field` to be a `typ`."""
+    for t, x in enumerate(v):
+        if not isinstance(x, typ):
+            _field(v, t, typ, where)
     return v
 
 
@@ -456,11 +482,7 @@ def derivation_from_json(d):
     last, the root, is the child of exactly one row. A row without a
     `conclusion` gets the one its parent implies, replayed from the root
     down, once the rows are within their budget (MAX_EXPR_SIZE)."""
-    if not isinstance(d, dict):
-        raise DecodeError("a derivation is a JSON object, not " + {
-            int: "an int", type(None): "null"}.get(
-                type(d), f"a {type(d).__name__}"))
-    fmt = _field(d, "format")
+    fmt = _field(_object(d, "a derivation"), "format")
     if type(fmt) is not int or fmt != FORMAT:
         raise DecodeError(f"unknown derivation format: {_show(fmt)}")
     exprs = _field(d, "exprs", list)

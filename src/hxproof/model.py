@@ -35,10 +35,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import syntax as sx
+from .jsonio import DecodeError, _entries, _field, _object, _show
 from .syntax import (
     At, Atom, Bottom, CmpKind, Compare, Concat, Diamond, Implies, Jump,
     NodeExpr, Nominal, Prop, Test,
@@ -46,7 +48,7 @@ from .syntax import (
 
 
 class ModelError(Exception):
-    pass
+    """A model that is not one (a malformed file is a DecodeError)."""
 
 
 class UnknownNode(ModelError):
@@ -109,23 +111,21 @@ class HybridDataModel:
             default_node = min(nodes)
         if default_node not in nodes:
             raise UnknownNode(f"unknown node {default_node!r} as default")
-        for a, pairs in rels.items():
-            for n, m in pairs:
-                if n not in nodes or m not in nodes:
-                    raise UnknownNode(f"relation {a} uses unknown node")
+        ends = {a: {n for pair in pairs for n in pair}
+                for a, pairs in rels.items()}
+        for what, used in (("relation", ends), ("comparison", cmp_class),
+                           ("valuation of", val)):
+            for sym, ns in used.items():
+                if not nodes.issuperset(ns):
+                    raise UnknownNode(f"{what} {sym} uses unknown node "
+                                      f"{min(set(ns) - nodes)!r}")
         for c, class_of in cmp_class.items():
-            if not nodes.issuperset(class_of):
-                n = min(class_of.keys() - nodes)
-                raise UnknownNode(f"comparison {c} uses unknown node {n!r}")
             if len(class_of) < len(nodes):
                 n = min(nodes - class_of.keys())
                 raise ModelError(f"comparison {c} gives node {n!r} no class")
         for i, n in g.items():
             if n not in nodes:
                 raise UnknownNode(f"nominal {i} assigned to unknown node {n!r}")
-        for p, ns in val.items():
-            if not nodes.issuperset(ns):
-                raise UnknownNode(f"valuation of {p} uses unknown node")
         # the frozen class's `__setattr__` refuses; the instance dict takes
         # all seven fields in one update
         self.__dict__.update(
@@ -630,20 +630,25 @@ class DataGraph:
 
     @staticmethod
     def from_json(d):
-        nodes = _field(d, "nodes", list, "the graph")
-        edges = _field(d, "edges", list, "the graph", [])
+        """The data graph of the JSON object `d`; a malformed field is a
+        `jsonio.DecodeError` that names its place (docs/formats.md)."""
+        nodes = _field(_object(d, "a data graph"), "nodes", list,
+                       " of the graph")
+        edges = _field(d, "edges", list, " of the graph", [])
         for t, nd in enumerate(nodes):
-            where = f"node {t}"
+            where = f" of node {t}"
             _field(nd, "id", str, where)
-            _names(_field(nd, "labels", list, where, []), f"labels of {where}")
+            _entries(_field(nd, "labels", list, where, []), str,
+                     f" of 'labels'{where}")
             _field(nd, "index", (str, type(None)), where, None)
-            for attr, value in _field(nd, "attrs", dict, where, {}).items():
+            attrs = _field(nd, "attrs", dict, where, {})
+            for attr, value in attrs.items():
                 if isinstance(value, (list, dict)):
-                    raise ModelError(f"attribute {attr!r} of {where} is not "
-                                     f"a string, number, boolean or null")
+                    _field(attrs, attr, (str, int, float, type(None)),
+                           f" of 'attrs'{where}")
         for t, edge in enumerate(edges):
             for key in ("from", "label", "to"):
-                _field(edge, key, str, f"edge {t}")
+                _field(edge, key, str, f" of edge {t}")
         return DataGraph(nodes=list(nodes), edges=list(edges))
 
 
@@ -652,31 +657,24 @@ def ingest_datagraph(dg):
 
     Propositions come from node labels, nominals from index labels, and each
     attribute c becomes the comparison relating nodes with equal c-values
-    (closed under reflexivity; nodes lacking c sit in singleton classes).
+    (closed under reflexivity; nodes lacking c, or whose c is null, sit in
+    singleton classes).
     """
-    ids = []
-    seen = set()
-    for nd in dg.nodes:
-        nid = nd["id"]
-        if nid in seen:
-            raise ModelError(f"duplicate node id {nid!r}")
-        seen.add(nid)
-        ids.append(nid)
+    ids = _distinct([nd["id"] for nd in dg.nodes], "node id")
+    indexed = [nd for nd in dg.nodes if nd.get("index") is not None]
+    _distinct([nd["index"] for nd in indexed], "index label")
+    g = {nd["index"]: nd["id"] for nd in indexed}
 
-    g = {}
     val = {}
     by_attr_value = {}
     for nd in dg.nodes:
         nid = nd["id"]
         for label in nd.get("labels", []):
             val.setdefault(label, set()).add(nid)
-        idx = nd.get("index")
-        if idx is not None:
-            if idx in g:
-                raise ModelError(f"duplicate index label {idx!r}")
-            g[idx] = nid
         for attr, value in nd.get("attrs", {}).items():
-            by_attr_value.setdefault(attr, {}).setdefault(value, set()).add(nid)
+            if value is not None:
+                by_attr_value.setdefault(attr, {}).setdefault(
+                    value, set()).add(nid)
 
     rels = {}
     for edge in dg.edges:
@@ -710,54 +708,38 @@ def model_to_json(model):
 
 
 def model_from_json(d):
-    def table(key, decode):
-        return {k: decode(v, f"{key} {k!r}")
-                for k, v in _field(d, key, dict, "the model", {}).items()}
+    """The model of the JSON object `d`. A malformed field is a
+    `jsonio.DecodeError` that names its place (docs/formats.md); a node
+    listed twice, or one that `nodes` does not list, is a ModelError."""
+    def table(key, typ):
+        out = _field(d, key, dict, " of the model", {})
+        for k in out:
+            _field(out, k, typ, f" of {key!r}")
+        return out
 
-    return HybridDataModel.make(
-        _names(_field(d, "nodes", list, "the model"), "nodes"),
-        rels=table("rels", lambda v, what: [tuple(p) for p in _lists(v, what, 2)]),
-        cmps=table("cmp", _lists),
-        g=table("g", _name),
-        val=table("val", _names))
-
-
-# Malformed model and graph files raise ModelError, one message each.
-
-_REQUIRED = object()
-
-
-def _field(d, key, typ, where, default=_REQUIRED):
-    """`d[key]` checked to be a `typ`; an absent optional field is `default`."""
-    if not isinstance(d, dict):
-        raise ModelError(f"{where} is not an object")
-    if key not in d:
-        if default is _REQUIRED:
-            raise ModelError(f"{where} has no field {key!r}")
-        return default
-    if not isinstance(d[key], typ):
-        raise ModelError(f"field {key!r} of {where} has the wrong type: {d[key]!r}")
-    return d[key]
+    nodes = _field(_object(d, "a model"), "nodes", list, " of the model")
+    _distinct(_entries(nodes, str, " of 'nodes'"), "node")
+    rels, cmps, g, val = (table("rels", list), table("cmp", list),
+                          table("g", str), table("val", list))
+    for key, lists in (("rels", rels), ("cmp", cmps)):
+        for k, entries in lists.items():
+            where = f" of {k!r} of {key!r}"
+            for t, v in enumerate(_entries(entries, list, where)):
+                if key == "rels" and len(v) != 2:
+                    raise DecodeError(f"entry {t}{where} is not a pair: "
+                                      f"{_show(v)}")
+                _entries(v, str, f" of entry {t}{where}")
+    for p, names in val.items():
+        _entries(names, str, f" of {p!r} of 'val'")
+    return HybridDataModel.make(nodes, rels=rels, cmps=cmps, g=g, val=val)
 
 
-def _name(v, what):
-    if not isinstance(v, str):
-        raise ModelError(f"{what} is not a name: {v!r}")
-    return v
-
-
-def _names(v, what, arity=None):
-    if not isinstance(v, list) or not all(isinstance(x, str) for x in v) \
-            or arity not in (None, len(v)):
-        shape = "a list of names" if arity is None else f"a list of {arity} names"
-        raise ModelError(f"{what} is not {shape}: {v!r}")
-    return v
-
-
-def _lists(v, what, arity=None):
-    if not isinstance(v, list):
-        raise ModelError(f"{what} is not a list: {v!r}")
-    return [_names(x, f"an entry of {what}", arity) for x in v]
+def _distinct(names, what):
+    """`names`, refused with a ModelError if one is listed twice."""
+    for n, count in Counter(names).items():
+        if count > 1:
+            raise ModelError(f"duplicate {what} {n!r}")
+    return names
 
 
 # ---------------------------------------------------------------------------

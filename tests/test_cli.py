@@ -448,6 +448,7 @@ _BAD_FILES = {
     "truncated": b'{"format": 2, "exprs": [["prop", ',
     "too-deep": b"[" * 100_000 + b"]" * 100_000,
     "top-level-list": b"[]",
+    "top-level-int": b"5",
     "top-level-field": json.dumps(
         {"format": 2, "exprs": 5, "nodes": 5, "rels": 5, "cmp": 5, "g": 5,
          "val": 5, "edges": 5}).encode(),
@@ -459,6 +460,10 @@ _FILE_COMMANDS = [
     ("entail", "--model", "{f}", "@i p |- @i p"),
     ("entail", "--graph", "{f}", "@i p |- @i p"),
 ]
+# the file kind each command reads, as the top-level message names it
+_KIND_READ = {"check": "a derivation", "cutfree": "a derivation",
+              "corpus": "a derivation", "--model": "a model",
+              "--graph": "a data graph"}
 # goals that end at once at any bound: an axiom, and one that saturates
 _QUICK_GOALS = ("@i p |- @i p", "@i <a>p |- @i q")
 
@@ -476,8 +481,9 @@ def test_the_cli_is_total_over_bad_files_and_numbers(tmp_path, capsys):
     # every command that reads a file, on each bad file kind, and `prove`
     # (also `parse`, which reads neither) with each numeric option negative,
     # huge and not an integer: an exit code of 0-3, never a traceback, and
-    # one stderr line on exit 3
-    runs = []
+    # one stderr line on exit 3; a top-level value that is not an object is
+    # refused by its type, in the words of the file kind the command reads
+    runs, lines = [], {}
     for kind, content in _BAD_FILES.items():
         home = tmp_path / kind
         home.mkdir()
@@ -487,7 +493,13 @@ def test_the_cli_is_total_over_bad_files_and_numbers(tmp_path, capsys):
         elif content is not None:
             f.write_bytes(content)
         d = home if content is not None else tmp_path / "absent"
-        runs += [[a.format(f=f, d=d) for a in argv] for argv in _FILE_COMMANDS]
+        for argv in _FILE_COMMANDS:
+            runs.append([a.format(f=f, d=d) for a in argv])
+            if kind.startswith("top-level-") and kind != "top-level-field":
+                what = _KIND_READ.get(argv[0]) or _KIND_READ[argv[1]]
+                lines[tuple(runs[-1])] = (
+                    f"error: {what} is a JSON object, not "
+                    f"{'a list' if content == b'[]' else 'an int'}\n")
     for flag in ("--max-depth", "--fresh-budget", "--countermodel-nodes"):
         for value in ("-1", "1000000000000", "9" * 5000, "1.5"):
             for goal in _QUICK_GOALS:
@@ -499,7 +511,9 @@ def test_the_cli_is_total_over_bad_files_and_numbers(tmp_path, capsys):
     for argv in runs:
         code, err = _main_outcome(capsys, argv)
         if code not in (0, 1, 2, 3) or "Traceback" in err or (
-                code == 3 and err.count("\n") != 1):
+                code == 3 and err.count("\n") != 1) or (
+                tuple(argv) in lines and (code, err) != (3, lines[tuple(argv)])):
             bad.append((argv[:4], code, err[:200]))
     assert not bad
+    assert len(lines) == 2 * len(_FILE_COMMANDS)
     assert len(runs) > 100

@@ -2,7 +2,6 @@ import json
 import pathlib
 import random
 import sys
-import time
 from collections import Counter
 
 import pytest
@@ -343,27 +342,27 @@ def _weakening_chain(leaf, levels):
     return d
 
 
-def test_check_is_linear_in_the_height():
-    # a node's path is built only when it reports a violation, so checking
-    # a chain takes time linear in its height; a path copied for every node
-    # makes it quadratic
+def test_check_is_linear_in_the_height(monkeypatch):
+    # the check keeps `Derivation.walk`'s (where, node) entries, constant
+    # work per node, and spells out a node's path (`path_of`) only when the
+    # node reports a violation; a path spelt out for every node makes it
+    # quadratic in the height
     leaf = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
-
-    def best_of_3(d):
-        times = []
-        for _ in range(3):
-            t0 = time.process_time()
-            assert check_derivation(d) == []
-            times.append(time.process_time() - t0)
-        return min(times)
-
-    short = best_of_3(_weakening_chain(leaf, 8000))
-    assert best_of_3(_weakening_chain(leaf, 16000)) < 3 * short
-    # the one bad node, under a chain of 3,000 levels, has the walk's path
     bad = Derivation(leaf.conclusion, AX, freeze_inst({"phi": At("i", Q)}))
-    d = _weakening_chain(bad, 3000)
+    d = _weakening_chain(bad, 16000)
     (path,) = [Derivation.path_of(w) for w, n in d.walk() if n is bad]
-    assert [v.path for v in check_derivation(d)] == [path] == [(0,) * 3000]
+    calls, path_of = [], Derivation.path_of
+
+    def counted(where):
+        calls.append(where)
+        return path_of(where)
+
+    monkeypatch.setattr(Derivation, "path_of", staticmethod(counted))
+    assert check_derivation(_weakening_chain(leaf, 16000)) == []
+    assert len(calls) == 0
+    # the one bad node, under a chain of 16,000 levels, has the walk's path
+    assert [v.path for v in check_derivation(d)] == [path] == [(0,) * 16000]
+    assert len(calls) == 1
 
 
 def test_walk_is_linear_in_the_height():

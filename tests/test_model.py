@@ -5,8 +5,8 @@ import json
 import pathlib
 import random
 import sys
-import time
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,8 @@ import hypothesis.strategies as st
 
 import pairwise
 from genutil import rand_model, rand_node, rand_sequent, SIG
-from hxproof import syntax as sx
+from hxproof import hylo, syntax as sx
+from hxproof.jsonio import DecodeError
 from hxproof.hylo import is_hylo
 from hxproof.kernel import sequent
 from hxproof.model import (
@@ -23,7 +24,8 @@ from hxproof.model import (
     model_from_json, model_to_json, satisfies_set, satisfying_nodes,
 )
 from hxproof.model import (
-    MAX_COUNTERMODEL_NODES, POINT, _Compiler, _Concat, _g_assignments,
+    MAX_COUNTERMODEL_NODES, POINT, _Compiler, _Concat, _compiled,
+    _g_assignments,
     _partition_from_classes, _partitions, _passes, _run, _signature,
     _size_tables,
 )
@@ -492,6 +494,143 @@ def test_model_json_roundtrip(example1):
                 assert again.same_class(c, x, y) == example1.same_class(c, x, y)
 
 
+def test_a_null_attribute_is_absent(monkeypatch):
+    # i and j both have `"c": null`: each sits in a class of its own, as a
+    # node without c does, so `<i: =c j:>` fails in hxproof and in the
+    # benchmark's oracle alike
+    monkeypatch.syspath_prepend(str(GOLDEN.parent / "perfbench"))
+    from oracle import GraphOracle
+    graph = {"nodes": [{"id": "a", "index": "i", "attrs": {"c": None}},
+                       {"id": "b", "index": "j", "attrs": {"c": None}},
+                       {"id": "d", "index": "k", "attrs": {"c": 1}},
+                       {"id": "e", "index": "l"}]}
+    m = ingest_datagraph(DataGraph.from_json(graph))
+    oracle, table = GraphOracle(graph), sx.SymbolTable()
+    for text, holds in [("<i: =c j:>", False), ("<i: !=c j:>", True),
+                        ("<i: =c i:>", True), ("<i: =c l:>", False),
+                        ("<k: =c k:>", True), ("<i: !=c k:>", True)]:
+        q = parse_node(text, table)
+        for n in sorted(m.nodes):
+            assert eval_node(m, n, q) == oracle.holds(q, n) == holds, text
+    assert not m.same_class("c", "a", "b")
+
+
+def test_every_unknown_node_fault_names_the_least_unknown_node():
+    for kwargs, message in [
+            ({"rels": {"r": [("a", "zz"), ("b", "a")]}},
+             "relation r uses unknown node 'b'"),
+            ({"cmps": {"c": [["zz", "b"]]}},
+             "comparison class mentions unknown node 'zz'"),
+            ({"g": {"i": "zz"}}, "nominal i assigned to unknown node 'zz'"),
+            ({"val": {"p": {"zz", "a", "b"}}},
+             "valuation of p uses unknown node 'b'")]:
+        with pytest.raises(UnknownNode, match=f"^{message}$"):
+            HybridDataModel.make(["a"], **kwargs)
+
+
+def test_a_node_listed_twice_is_a_model_error():
+    with pytest.raises(ModelError, match="^duplicate node 'a'$"):
+        model_from_json({"nodes": ["a", "b", "a"]})
+    with pytest.raises(ModelError, match="^duplicate node id 'a'$"):
+        ingest_datagraph(DataGraph.from_json(
+            {"nodes": [{"id": "a"}, {"id": "b"}, {"id": "a"}]}))
+
+
+_GOOD_FILES = {
+    "model": {"nodes": ["a", "b"], "rels": {"r": [["a", "b"]]},
+              "cmp": {"c": [["a", "b"]]}, "g": {"i": "a"}, "val": {"p": ["a"]}},
+    "graph": {"nodes": [{"id": "a", "labels": ["P"], "index": "i",
+                         "attrs": {"c": 1}}],
+              "edges": [{"from": "a", "label": "r", "to": "a"}]},
+}
+_DELETE = object()
+# (file kind, the place of the fault, the value put there or _DELETE, the
+# DecodeError's message or None): the top-level type, and each field left
+# out and of the wrong type, down to the entries of lists
+_FILE_FAULTS = [
+    ("model", (), [], "a model is a JSON object, not a list"),
+    ("model", (), None, "a model is a JSON object, not null"),
+    ("model", (), 5, "a model is a JSON object, not an int"),
+    ("model", ("nodes",), _DELETE, "missing field 'nodes' of the model"),
+    ("model", ("nodes",), {}, "field 'nodes' of the model is not a list: {}"),
+    ("model", ("nodes", 1), 5, "entry 1 of 'nodes' is not a str: 5"),
+    ("model", ("rels",), _DELETE, None),
+    ("model", ("rels",), [], "field 'rels' of the model is not a dict: []"),
+    ("model", ("rels", "r"), 5, "field 'r' of 'rels' is not a list: 5"),
+    ("model", ("rels", "r", 0), "a",
+     "entry 0 of 'r' of 'rels' is not a list: 'a'"),
+    ("model", ("rels", "r", 0), ["a"],
+     "entry 0 of 'r' of 'rels' is not a pair: ['a']"),
+    ("model", ("rels", "r", 0, 1), 5,
+     "entry 1 of entry 0 of 'r' of 'rels' is not a str: 5"),
+    ("model", ("cmp",), _DELETE, None),
+    ("model", ("cmp",), 5, "field 'cmp' of the model is not a dict: 5"),
+    ("model", ("cmp", "c"), "a", "field 'c' of 'cmp' is not a list: 'a'"),
+    ("model", ("cmp", "c", 0), {}, "entry 0 of 'c' of 'cmp' is not a list: {}"),
+    ("model", ("cmp", "c", 0, 1), None,
+     "entry 1 of entry 0 of 'c' of 'cmp' is not a str: None"),
+    ("model", ("g",), _DELETE, None),
+    ("model", ("g",), ["a"], "field 'g' of the model is not a dict: ['a']"),
+    ("model", ("g", "i"), ["a"], "field 'i' of 'g' is not a str: ['a']"),
+    ("model", ("val",), _DELETE, None),
+    ("model", ("val",), "p", "field 'val' of the model is not a dict: 'p'"),
+    ("model", ("val", "p"), "a", "field 'p' of 'val' is not a list: 'a'"),
+    ("model", ("val", "p", 0), 1.5, "entry 0 of 'p' of 'val' is not a str: 1.5"),
+    ("graph", (), [], "a data graph is a JSON object, not a list"),
+    ("graph", (), "g", "a data graph is a JSON object, not a str"),
+    ("graph", ("nodes",), _DELETE, "missing field 'nodes' of the graph"),
+    ("graph", ("nodes",), 5, "field 'nodes' of the graph is not a list: 5"),
+    ("graph", ("nodes", 0), "a", "missing field 'id' of node 0"),
+    ("graph", ("nodes", 0, "id"), _DELETE, "missing field 'id' of node 0"),
+    ("graph", ("nodes", 0, "id"), 5, "field 'id' of node 0 is not a str: 5"),
+    ("graph", ("nodes", 0, "labels"), _DELETE, None),
+    ("graph", ("nodes", 0, "labels"), "P",
+     "field 'labels' of node 0 is not a list: 'P'"),
+    ("graph", ("nodes", 0, "labels", 0), 5,
+     "entry 0 of 'labels' of node 0 is not a str: 5"),
+    ("graph", ("nodes", 0, "index"), _DELETE, None),
+    ("graph", ("nodes", 0, "index"), None, None),
+    ("graph", ("nodes", 0, "index"), 5,
+     "field 'index' of node 0 is not a str or null: 5"),
+    ("graph", ("nodes", 0, "attrs"), _DELETE, None),
+    ("graph", ("nodes", 0, "attrs"), [],
+     "field 'attrs' of node 0 is not a dict: []"),
+    ("graph", ("nodes", 0, "attrs", "c"), None, None),
+    ("graph", ("nodes", 0, "attrs", "c"), [1],
+     "field 'c' of 'attrs' of node 0 is not a str or int or float or null: "
+     "[1]"),
+    ("graph", ("edges",), _DELETE, None),
+    ("graph", ("edges",), {}, "field 'edges' of the graph is not a list: {}"),
+    ("graph", ("edges", 0), [], "missing field 'from' of edge 0"),
+    ("graph", ("edges", 0, "label"), _DELETE, "missing field 'label' of edge 0"),
+    ("graph", ("edges", 0, "to"), 5, "field 'to' of edge 0 is not a str: 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,place,value,message", _FILE_FAULTS,
+    ids=[f"{kind}-{'-'.join(map(str, place)) or 'top'}-"
+         f"{'deleted' if value is _DELETE else type(value).__name__}"
+         for kind, place, value, _ in _FILE_FAULTS])
+def test_each_model_and_graph_file_fault_is_refused_by_place(kind, place,
+                                                             value, message):
+    blob = root = [json.loads(json.dumps(_GOOD_FILES[kind]))]
+    *way, last = (0,) + place
+    for key in way:
+        blob = blob[key]
+    if value is _DELETE:
+        del blob[last]
+    else:
+        blob[last] = value
+    decode = model_from_json if kind == "model" else DataGraph.from_json
+    if message is None:
+        decode(root[0])
+    else:
+        with pytest.raises(DecodeError) as caught:
+            decode(root[0])
+        assert str(caught.value) == message
+
+
 # ---------------------------------------------------------------------------
 # sequent validity and countermodels
 # ---------------------------------------------------------------------------
@@ -708,21 +847,41 @@ def test_countermodel_agrees_with_naive_oracle(seed, max_nodes):
         assert len(m.nodes) == len(oracle.nodes)
 
 
-def test_nested_iff_chain_is_walked_as_a_dag():
+def test_nested_iff_chain_is_walked_as_a_dag(monkeypatch):
     # `<->` states each side twice, so @i (p <-> (p <-> ... )) with 20 p's
-    # is a tree of about 2^20 nodes over a DAG of about 100; each call walks
-    # or compiles the DAG once (the tree walk took 22.9 s in is_hylo alone)
+    # is a tree of about 2^20 nodes over a DAG of 97 distinct
+    # subexpressions: is_hylo visits each once, and each compiled program
+    # (one per query, and one per size in the countermodel search) has at
+    # most one `_build` step per subexpression. A counter stops a tree walk
+    # at its 201st (the tree walk took 22.9 s in is_hylo alone)
     chain = "@i " + "(p <-> " * 19 + "p" + ")" * 19
     phi = parse_node(chain, sx.SymbolTable())
     s = sequent((), {phi})
     m = HybridDataModel.make(["x", "y"], val={"p": ["x"]}, g={"i": "y"})
-    for call in (lambda: is_hylo(s), lambda: eval_node(m, "x", phi),
-                 lambda: check_sequent_validity(m, s),
-                 lambda: find_countermodel(s, 1),
-                 lambda: find_countermodel(s, 3)):
-        start = time.perf_counter()
-        call()
-        assert time.perf_counter() - start < 1.0
+    visits, builds = [], Counter()
+    walk, build = hylo.subexpressions, _Compiler._build
+
+    def visited(e):
+        visits.append(0)
+        for sub in walk(e):
+            visits[-1] += 1
+            assert visits[-1] <= 200
+            yield sub
+
+    def built(compiler, e, need):
+        builds[compiler] += 1
+        assert builds[compiler] <= 200
+        return build(compiler, e, need)
+
+    monkeypatch.setattr(hylo, "subexpressions", visited)
+    monkeypatch.setattr(_Compiler, "_build", built)
+    _compiled.cache_clear()
+    assert is_hylo(s)
+    assert eval_node(m, "x", phi) is check_sequent_validity(m, s)
+    find_countermodel(s, 1)
+    find_countermodel(s, 3)
+    assert visits == [97]
+    assert len(builds) == 6 and max(builds.values()) <= 97
 
 
 def test_a_query_reads_only_the_components_it_mentions(example1, queries):
