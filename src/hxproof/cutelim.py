@@ -11,9 +11,15 @@ Eigen-nominals are renamed eagerly before any permutation can capture them.
 Two right rules can meet across a cut (the witness of a right comparison or
 substitution produced by a right diamond); those reduce through the
 substitution rule for modal steps. A cut that none of these families reduces
-(for instance a right diamond over a compound body, required as path
-evidence by a right comparison) is stuck: `eliminate_cuts` raises
-`CutStuck`, whose message starts "stuck cut", and never re-proves by search.
+is stuck: `eliminate_cuts` raises `CutStuck`, whose message starts "stuck
+cut", and never re-proves by search. Two cases are known:
+- "permuted premiss does not fit R", which most cuts between two independent
+  proofs hit (R most often ImpR, AtL, NEqL or AtR): the cut permutes above a
+  rule R that consumes its principal, the other premiss holds that principal
+  too, and so each new cut keeps a formula that R's premiss lacks.
+  Height-preserving inversion of the other premiss would remove it;
+- "required modal evidence with a non-nominal body": a right diamond over a
+  compound body, required as path evidence by a right comparison.
 
 `eliminate_cuts` selects at each step the topmost cut of least cut height,
 leftmost in preorder on ties, and a step costs what its transformation
@@ -103,18 +109,17 @@ def cut_positions(d):
 # Roles of the cut expression in a premiss derivation
 # ---------------------------------------------------------------------------
 
-def _role_in_right(node, phi):
+def _role(node, side, phi):
+    """The role of the cut formula `phi` on `side` ("ante" or "cons") of
+    the premiss `node`: "principal", "required" (an antecedent formula the
+    rule needs and keeps) or "context"; a weakening's formula is context."""
+    if node.rule in (WL, WR):
+        return "context"
     inst = node.inst_dict
-    if principal(node.rule, inst) == ("ante", phi):
+    if principal(node.rule, inst) == (side, phi):
         return "principal"
-    if phi in required(node.rule, inst):
+    if side == "ante" and phi in required(node.rule, inst):
         return "required"
-    return "context"
-
-
-def _role_in_left(node, phi):
-    if principal(node.rule, node.inst_dict) == ("cons", phi):
-        return "principal"
     return "context"
 
 
@@ -244,52 +249,42 @@ def eigen_refresh(d, avoid):
 def _transform(node, avoid):
     """Replace one topmost cut; returns (replacement, introduced, kind).
     `avoid()` gives the run's set of nominals that a refreshed eigen-nominal
-    must avoid (`eigen_refresh`)."""
+    must avoid (`eigen_refresh`). Each interaction of the cut with a premiss
+    is tried on the left premiss, then on the right one."""
     left, right = node.children
     phi = node.inst_dict["phi"]
     concl = node.conclusion
+    # each premiss, the other one, the side of the premiss's sequent that
+    # holds the cut formula, the opposite side, and the weakening onto it
+    sides = (("left", left, right, "cons", "ante", WR),
+             ("right", right, left, "ante", "cons", WL))
 
-    # axiom premisses
-    if left.rule == AX:
-        chi = left.inst_dict["phi"]
-        if chi != phi:
-            return axiom(AX, concl, {"phi": chi}), [], "axiom-left"
-        return weaken_to(right, concl), [], "axiom-left-cutformula"
-    if left.rule == BOT_RULE:
-        return axiom(BOT_RULE, concl, {"i": left.inst_dict["i"]}), [], "bot-left"
-    if right.rule == AX:
-        chi = right.inst_dict["phi"]
-        if chi != phi:
-            return axiom(AX, concl, {"phi": chi}), [], "axiom-right"
-        return weaken_to(left, concl), [], "axiom-right-cutformula"
-    # (Bot) closes the conclusion unless the cut formula is its falsum; that
-    # cut permutes left below, as no rule has falsum principal on the right
-    if right.rule == BOT_RULE and _role_in_right(right, phi) != "principal":
-        return axiom(BOT_RULE, concl, right.inst_dict), [], "bot-right"
+    # an axiom premiss closes the conclusion unless its rule reads the cut
+    # formula; then Ax leaves the other premiss, and (Bot) on its own falsum
+    # permutes left below, as no rule has falsum principal on the right
+    for side, x, other, here, _, _ in sides:
+        if x.rule in (AX, BOT_RULE):
+            if _role(x, here, phi) == "context":
+                kind = "axiom" if x.rule == AX else "bot"
+                return axiom(x.rule, concl, x.inst_dict), [], f"{kind}-{side}"
+            if x.rule == AX:
+                return weaken_to(other, concl), [], f"axiom-{side}-cutformula"
 
     # a cut formula already present on the other side makes the cut redundant
-    if phi in left.conclusion.ante:
-        return weaken_to(right, concl), [], "redundant-left"
-    if phi in right.conclusion.cons:
-        return weaken_to(left, concl), [], "redundant-right"
+    for side, x, other, _, there, _ in sides:
+        if phi in getattr(x.conclusion, there):
+            return weaken_to(other, concl), [], f"redundant-{side}"
 
     # the cut formula arrived by weakening
-    if left.rule == WR and left.inst_dict["phi"] == phi \
-            and phi not in left.children[0].conclusion.cons:
-        return weaken_to(left.children[0], concl), [], "weakened-left"
-    if right.rule == WL and right.inst_dict["phi"] == phi \
-            and phi not in right.children[0].conclusion.ante:
-        return weaken_to(right.children[0], concl), [], "weakened-right"
+    for side, x, _, here, _, weakening in sides:
+        if x.rule == weakening and x.inst_dict["phi"] == phi \
+                and phi not in getattr(x.children[0].conclusion, here):
+            return weaken_to(x.children[0], concl), [], f"weakened-{side}"
 
-    if right.rule in (WL, WR):
-        role_r = "context"  # a weakening of something else, or a duplicate
-    else:
-        role_r = _role_in_right(right, phi)
+    role_r = _role(right, "ante", phi)
     if role_r == "context":
         return _permute(node, into="right", avoid=avoid)
-
-    role_l = _role_in_left(left, phi) if left.rule not in (WL, WR) else "context"
-    if role_l == "context":
+    if _role(left, "cons", phi) == "context":
         return _permute(node, into="left", avoid=avoid)
 
     # principal on both sides
@@ -306,50 +301,45 @@ def _transform(node, avoid):
                    f"over {print_node(phi)}")
 
 
+def _recut(q, other, into, phi):
+    """The cut on `phi` of `q`, on the side `into`, against `other`, or None
+    when `q` lacks the cut formula."""
+    if into == "right":
+        return cut(other, q, phi) if phi in q.conclusion.ante else None
+    return cut(q, other, phi) if phi in q.conclusion.cons else None
+
+
 def _permute(node, into, avoid):
-    """Push the cut above a rule for which the cut formula is context."""
+    """Push the cut above a rule for which the cut formula is context: each
+    premiss of the rule is cut against the other premiss of the cut and
+    weakened to fit where the rule wants a larger sequent. A weakening wants
+    the conclusion and is then dropped."""
     left, right = node.children
     phi = node.inst_dict["phi"]
     concl = node.conclusion
-    target = right if into == "right" else left
-    other = left if into == "right" else right
+    target, other = (right, left) if into == "right" else (left, right)
 
     if _eigens_of(target):
         target = eigen_refresh(target, avoid())
 
     if target.rule in (WL, WR):
-        child = target.children[0]
-        if into == "right":
-            if phi not in child.conclusion.ante:
-                raise CutStuck("cut formula lost under weakening")
-            newcut = cut(other, child, phi)
-        else:
-            if phi not in child.conclusion.cons:
-                raise CutStuck("cut formula lost under weakening")
-            newcut = cut(child, other, phi)
-        inner = weaken_to(newcut, concl)
-        return inner, [cut_complexity(newcut)], f"permute-{into}-weakening"
-
-    # through the kernel's memo, which `infer` below then reads
-    expected = premises_of(concl, target.rule, target.inst)
+        wants, lost = [concl], "cut formula lost under weakening"
+    else:
+        # through the kernel's memo, which `infer` below then reads
+        wants = premises_of(concl, target.rule, target.inst)
+        lost = "cut formula not in premiss context"
     kids = []
     introduced = []
-    for q, want in zip(target.children, expected):
-        if into == "right":
-            if phi not in q.conclusion.ante:
-                raise CutStuck("cut formula not in premiss context")
-            newcut = cut(other, q, phi)
-        else:
-            if phi not in q.conclusion.cons:
-                raise CutStuck("cut formula not in premiss context")
-            newcut = cut(q, other, phi)
+    for q, want in zip(target.children, wants):
+        newcut = _recut(q, other, into, phi)
+        if newcut is None:
+            raise CutStuck(lost)
         introduced.append(cut_complexity(newcut))
-        if newcut.conclusion == want:
-            kids.append(newcut)
-        elif newcut.conclusion.issubset(want):
-            kids.append(weaken_to(newcut, want))
-        else:
+        if not newcut.conclusion.issubset(want):
             raise CutStuck(f"permuted premiss does not fit {target.rule}")
+        kids.append(weaken_to(newcut, want))
+    if target.rule in (WL, WR):
+        return kids[0], introduced, f"permute-{into}-weakening"
     return (infer(target.rule, concl, target.inst_dict, kids),
             introduced, f"permute-{into}-{target.rule}")
 

@@ -658,7 +658,8 @@ def ingest_datagraph(dg):
     Propositions come from node labels, nominals from index labels, and each
     attribute c becomes the comparison relating nodes with equal c-values
     (closed under reflexivity; nodes lacking c, or whose c is null, sit in
-    singleton classes).
+    singleton classes). Values are equal as JSON values: 1 and 1.0 are one
+    number, and a boolean equals no number, though Python's `True == 1`.
     """
     ids = _distinct([nd["id"] for nd in dg.nodes], "node id")
     indexed = [nd for nd in dg.nodes if nd.get("index") is not None]
@@ -674,7 +675,7 @@ def ingest_datagraph(dg):
         for attr, value in nd.get("attrs", {}).items():
             if value is not None:
                 by_attr_value.setdefault(attr, {}).setdefault(
-                    value, set()).add(nid)
+                    (type(value) is bool, value), set()).add(nid)
 
     rels = {}
     for edge in dg.edges:

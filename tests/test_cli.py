@@ -10,7 +10,9 @@ import pytest
 from genutil import weakening_chain
 from hxproof import jsonio
 from hxproof.cli import main
-from hxproof.kernel import Derivation
+from hxproof.kernel import AX, Derivation, freeze_inst, sequent
+from hxproof.syntax import At, Prop
+from test_cutelim import stuck_permutation_cut
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "golden"
 SRC = GOLDEN.parent / "src"
@@ -517,3 +519,33 @@ def test_the_cli_is_total_over_bad_files_and_numbers(tmp_path, capsys):
     assert not bad
     assert len(lines) == 2 * len(_FILE_COMMANDS)
     assert len(runs) > 100
+
+
+def test_each_refusal_of_a_well_formed_input_is_one_line(tmp_path, capsys):
+    # a derivation that does not check, and a cut that no step reduces, make
+    # `cutfree` exit 1; input too deep to parse, a derivation of no nodes
+    # and a model of no nodes exit 3
+    p, q = At("i", Prop("p")), At("i", Prop("q"))
+    files = {
+        "unchecked.json": jsonio.derivation_to_json(Derivation(
+            sequent({p}, {q}), AX, freeze_inst({"phi": p}))),
+        "stuck.json": jsonio.derivation_to_json(stuck_permutation_cut()),
+        "no-nodes.json": {"format": 2, "exprs": [], "nodes": []},
+        "no-model-nodes.json": {"nodes": []},
+    }
+    for name, blob in files.items():
+        (tmp_path / name).write_text(jsonio.dumps_canonical(blob))
+    for argv, code, err in [
+        (("cutfree", "unchecked.json"), 1,
+         "input derivation does not check\n"),
+        (("cutfree", "stuck.json"), 1, "cut elimination failed: stuck cut "
+         "at root: permuted premiss does not fit ImpL\n"),
+        (("parse", "(" * 3000 + "p" + ")" * 3000), 3,
+         "error: input nested too deeply\n"),
+        (("check", "no-nodes.json"), 3,
+         "error: a derivation needs at least one node\n"),
+        (("eval", "--model", "no-model-nodes.json", "p"), 3,
+         "error: node set must be non-empty\n"),
+    ]:
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        assert _main_outcome(capsys, argv) == (code, err), argv[:2]

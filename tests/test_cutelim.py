@@ -18,7 +18,7 @@ from hxproof.derived import axg, dual, replace, weaken_to
 from hxproof.goldens import paste_template, prove_axiom_suite, symmetry
 from hxproof.kernel import (
     AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R, EQ_T,
-    IMP_L, IMP_R, LOGICAL_RULES, METAVAR_KINDS, NEQ_L, Derivation, axiom,
+    IMP_L, IMP_R, LOGICAL_RULES, METAVAR_KINDS, NEQ_L, WL, Derivation, axiom,
     check_derivation, cut, infer, premises, sequent, weaken,
 )
 from hxproof.model import find_countermodel
@@ -370,6 +370,56 @@ def test_unreducible_cut_is_stuck():
         eliminate_cuts(d)
     r = prove(d.conclusion, SearchConfig(max_depth=24))
     assert isinstance(r, Unknown) and r.report["bound"] == "saturated"
+
+
+def _imp_r_q_to_q():
+    """(ImpR) over an axiom: a proof of |- @i (q -> q)."""
+    return infer(IMP_R, sequent((), {At("i", Implies(Q, Q))}),
+                 {"i": "i", "phi": Q, "psi": Q},
+                 [axiom(AX, sequent({At("i", Q)}, {At("i", Q)}),
+                        {"phi": At("i", Q)})])
+
+
+def _imp_l(concl, phi, psi, closes):
+    """(ImpL) on @i (phi -> psi) in `concl`, each premiss closed by (Ax) on
+    its formula of `closes`."""
+    inst = {"i": "i", "phi": phi, "psi": psi}
+    return infer(IMP_L, concl, inst,
+                 [axiom(AX, s, {"phi": e})
+                  for s, e in zip(premises(concl, IMP_L, inst), closes)])
+
+
+def stuck_permutation_cut():
+    """A cut that permutes into an (ImpL) on @i (a -> b) whose other premiss
+    holds @i (a -> b) too, weakened in: the new cuts keep it, the rule's
+    premisses lack it."""
+    a, b, qq = At("i", Prop("a")), At("i", Prop("b")), At("i", Implies(Q, Q))
+    ab = At("i", Implies(Prop("a"), Prop("b")))
+    left = weaken(_imp_r_q_to_q(), "left", ab)
+    right = _imp_l(sequent({ab, qq, a}, {b}), Prop("a"), Prop("b"), (a, b))
+    return cut(left, right, qq)
+
+
+def test_a_permuted_premiss_that_keeps_a_consumed_principal_is_stuck():
+    d = stuck_permutation_cut()
+    assert check_derivation(d) == []
+    with pytest.raises(CutEliminationError) as e:
+        eliminate_cuts(d)
+    assert str(e.value) == \
+        "stuck cut at root: permuted premiss does not fit ImpL"
+
+
+def test_a_permuted_cut_is_weakened_to_fit_the_premiss_it_replaces():
+    # the second premiss of ImpL adds @i (q -> q), which it already has, so
+    # the new cut on it lacks @i (q -> q) and is weakened up to the premiss
+    a, c, qq = At("i", Prop("a")), At("i", Prop("c")), At("i", Implies(Q, Q))
+    aqq = At("i", Implies(Prop("a"), Implies(Q, Q)))
+    right = _imp_l(sequent({aqq, qq, a, c}, {c}), Prop("a"), Implies(Q, Q),
+                   (a, c))
+    out, trace = _run(cut(_imp_r_q_to_q(), right, qq))
+    assert [e.kind for e in trace] == \
+        ["permute-right-ImpL", "axiom-right", "axiom-right"]
+    assert out.rule == IMP_L and out.children[1].rule == WL
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,34 @@ def test_a_node_not_of_the_kernel_types_is_a_violation(
     assert sorted(v.path for v in violations) == paths
 
 
+def _misbuilt_nodes():
+    """(name, tree, allow_open, message) for trees of the kernel's types
+    whose root breaks a structural condition; the root's premisses check."""
+    phi, psi = At("i", P), At("i", Q)
+    good = axiom(AX, sequent({phi}, {phi}), {"phi": phi})
+    other = axiom(AX, sequent({psi}, {psi}), {"phi": psi})
+    s, on_phi = good.conclusion, good.inst
+    return [
+        ("open-leaf-with-children", Derivation(s, OPEN, (), (good,)), True,
+         "open leaf with children"),
+        ("cut-with-one-premiss", Derivation(s, CUT, on_phi, (good,)), False,
+         "Cut needs exactly two premisses"),
+        ("cut-on-an-unrestricted-formula",
+         Derivation(s, CUT, freeze_inst({"phi": P}), (good, good)), False,
+         "cut expression not restricted: p"),
+        ("cut-formula-missing-on-the-right",
+         Derivation(sequent({psi}, {psi}), CUT, on_phi, (good, other)), False,
+         "cut expression missing on the right: @i p"),
+    ]
+
+
+@pytest.mark.parametrize("name,d,allow_open,message", _misbuilt_nodes(),
+                         ids=[case[0] for case in _misbuilt_nodes()])
+def test_a_misbuilt_structural_node_is_a_violation(
+        name, d, allow_open, message):
+    assert check_derivation(d, allow_open) == [Violation((), message)]
+
+
 def test_check_reports_paths():
     good = axiom(AX, sequent({At("i", P)}, {At("i", P)}), {"phi": At("i", P)})
     wrapped = Derivation(sequent({At("i", Q)}, {At("i", Q)}), WL,

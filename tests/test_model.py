@@ -515,6 +515,16 @@ def test_a_null_attribute_is_absent(monkeypatch):
     assert not m.same_class("c", "a", "b")
 
 
+def test_a_boolean_attribute_equals_no_number():
+    # `1` and `1.0` are one JSON number, which neither `true` nor `"1"`
+    # equals, though Python's True == 1
+    values = {"int": 1, "bool": True, "float": 1.0, "str": "1"}
+    m = ingest_datagraph(DataGraph.from_json(
+        {"nodes": [{"id": n, "attrs": {"c": v}} for n, v in values.items()]}))
+    assert {(x, y) for x in values for y in values
+            if x < y and m.same_class("c", x, y)} == {("float", "int")}
+
+
 def test_every_unknown_node_fault_names_the_least_unknown_node():
     for kwargs, message in [
             ({"rels": {"r": [("a", "zz"), ("b", "a")]}},
