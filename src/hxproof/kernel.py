@@ -1,14 +1,14 @@
 """Trusted proof kernel: sequents, the rule table, derivation checking.
 
 Trusted is what `check_derivation` runs: `Sequent`, `RULES` with its
-templates and `evidence`, `premises` and its memo (which `Step` fills too),
-`thaw_inst` and `Derivation`. The forward constructors `axiom`, `infer`,
-`cut`, `weaken` and `sequent` (with `freeze_inst`) stay beside them: each
-checks the one node it builds, the criterion tests and the benchmark's
-generator import them from here, and the benchmark's tracer rebinds them.
-Search builds its steps with `Step`. Rule-table readers and tree builders
-(`decompose`, `dual`, `graft`, `weaken_to`, ...) live in `derived`, and
-this module re-checks what they build.
+templates, `evidence` and `premises`, each with its memo (`Step` fills the
+premiss memo too), `thaw_inst` and `Derivation`. The forward constructors
+`axiom`, `infer`, `cut`, `weaken` and `sequent` (with `freeze_inst`) stay
+beside them: each checks the one node it builds, the criterion tests and the
+benchmark's generator import them from here, and the benchmark's tracer
+rebinds them. Search builds its steps with `Step`. Rule-table readers and
+tree builders (`decompose`, `dual`, `graft`, `weaken_to`, ...) live in
+`derived`, and this module re-checks what they build.
 
 Sequents are pairs of finite sets of restricted node expressions (everything
 is @-prefixed or an atomic comparison between two jumps). Each logical rule
@@ -54,6 +54,15 @@ call, and every check still compares the node's own children with the
 stored premisses, so a warm memo vouches for no child. A key that cannot be
 hashed (a malformed instantiation) is computed without the memo, so checking
 stays total. Whatever changes `RULES` must call `premises_memo.clear()`.
+
+Comparison evidence has a memo of its own: `evidence_memo` keeps the last
+EVIDENCE_MEMO_SIZE (1,024) terms `evidence` built, keyed on (i, alpha, x),
+oldest first. The CmpL and CmpR templates (so the checker and cut
+elimination), search's witness finder and `derived.transfer` read it
+through `evidence`, so a process builds each key once, not once per
+`prove` call. Sharing it is sound, whoever filled an entry: evidence is a
+pure function of its arguments, names and interned paths, and an entry is
+the interned term a fresh build returns.
 """
 
 from __future__ import annotations
@@ -350,6 +359,13 @@ def _cmp(v):
     return At(v.i, Compare(v.alpha, v.kind, v.c, v.beta))
 
 
+EVIDENCE_MEMO_SIZE = 1024
+
+# (i, alpha, x) -> evidence(i, alpha, x), for the last EVIDENCE_MEMO_SIZE
+# keys built, oldest first
+evidence_memo = OrderedDict()
+
+
 def evidence(i, alpha, x):
     """The path evidence @i <alpha> x of a comparison, normalized while its
     head allows: a leading jump is absorbed into the index (@i @m psi is
@@ -357,8 +373,15 @@ def evidence(i, alpha, x):
 
     CmpL adds this formula and CmpR requires it. For jumps and eps followed
     by at most one step it is an atom (an alias or a modal step) that other
-    rules put in an antecedent, so such comparisons need no cut.
+    rules put in an antecedent, so such comparisons need no cut. Each key
+    is built once while `evidence_memo` keeps it; a key that cannot be
+    hashed is built without the memo.
     """
+    try:
+        if (got := evidence_memo.get(key := (i, alpha, x))) is not None:
+            return got
+    except TypeError:
+        key = None
     body = dia(alpha, Nominal(x))
     while True:
         match body:
@@ -369,7 +392,12 @@ def evidence(i, alpha, x):
                     rhs=Bottom()) if t == TOP:
                 body = psi
             case _:
-                return At(i, body)
+                got = At(i, body)
+                if key is not None:
+                    evidence_memo[key] = got
+                    if len(evidence_memo) > EVIDENCE_MEMO_SIZE:
+                        evidence_memo.popitem(last=False)
+                return got
 
 
 def _ev_alpha(v):

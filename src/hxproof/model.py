@@ -631,11 +631,21 @@ class DataGraph:
     @staticmethod
     def from_json(d):
         """The data graph of the JSON object `d`; a malformed field is a
-        `jsonio.DecodeError` that names its place (docs/formats.md)."""
+        `jsonio.DecodeError` that names its place (docs/formats.md). A
+        well-formed node or edge is checked inline; only one that is not
+        goes through the field checkers, which raise for its first fault."""
         nodes = _field(_object(d, "a data graph"), "nodes", list,
                        " of the graph")
         edges = _field(d, "edges", list, " of the graph", [])
         for t, nd in enumerate(nodes):
+            if isinstance(nd, dict) and isinstance(nd.get("id"), str) \
+                    and isinstance(labels := nd.get("labels", []), list) \
+                    and all(isinstance(x, str) for x in labels) \
+                    and isinstance(nd.get("index"), (str, type(None))) \
+                    and isinstance(attrs := nd.get("attrs", {}), dict) \
+                    and not any(isinstance(v, (list, dict))
+                                for v in attrs.values()):
+                continue
             where = f" of node {t}"
             _field(nd, "id", str, where)
             _entries(_field(nd, "labels", list, where, []), str,
@@ -647,6 +657,10 @@ class DataGraph:
                     _field(attrs, attr, (str, int, float, type(None)),
                            f" of 'attrs'{where}")
         for t, edge in enumerate(edges):
+            if isinstance(edge, dict) and isinstance(edge.get("from"), str) \
+                    and isinstance(edge.get("label"), str) \
+                    and isinstance(edge.get("to"), str):
+                continue
             for key in ("from", "label", "to"):
                 _field(edge, key, str, f" of edge {t}")
         return DataGraph(nodes=list(nodes), edges=list(edges))

@@ -394,16 +394,6 @@ def _count(counts, present, names, sign):
             counts[n] = c
 
 
-class _Evidence(dict):
-    """(i, alpha, x) -> (evidence(i, alpha, x), its `_query`), which a right
-    comparison at i needs for path alpha and endpoint x. A path cannot be
-    keyed by names, so each is built once per `prove` call, in its table."""
-
-    def __missing__(self, key):
-        v = self[key] = (e := evidence(*key)), _query(e)
-        return v
-
-
 def _derive(ix, e, made):
     """Enter in `made` (atom -> the move that adds it, in the order moves
     apply) the closure moves that add the atom `e`, which holds modulo the
@@ -436,7 +426,7 @@ def _derive(ix, e, made):
     made[e] = move
 
 
-def _witness_move(ix, fired, evidence, dia_ok):
+def _witness_move(ix, fired, dia_ok):
     """The first right witness step, as (rule, instantiation, key, reads):
     `fired` keys stop re-introduction loops, and `reads` are the antecedent
     atoms the step needs, which may hold only modulo the classes. DiaR
@@ -447,12 +437,14 @@ def _witness_move(ix, fired, evidence, dia_ok):
             i, alpha, beta = inst["i"], inst["alpha"], inst["beta"]
             kind, c = inst["kind"], inst["c"]
             for x in ix.noms:
-                ea, qa = evidence[i, alpha, x]
-                if ea not in ante and not (qa and ix.holds(*qa)):
+                ea = evidence(i, alpha, x)
+                if ea not in ante and not (
+                        (qa := _query(ea)) and ix.holds(*qa)):
                     continue
                 for y in ix.noms:
-                    eb, qb = evidence[i, beta, y]
-                    if eb not in ante and not (qb and ix.holds(*qb)):
+                    eb = evidence(i, beta, y)
+                    if eb not in ante and not (
+                            (qb := _query(eb)) and ix.holds(*qb)):
                         continue
                     key = (CMP_R, e, cls.root(None, x), cls.root(None, y))
                     if key not in fired and \
@@ -482,10 +474,9 @@ def _fresh_move(ix, fresh_left):
     return None
 
 
-def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
+def _attempt(ix, depth_left, fresh_left, steps, fired=frozenset()):
     """Search the branch of the sequent `ix` indexes; returns a closed
-    derivation or None. The branch owns `ix` and updates it at every step;
-    `evidence` is the calling `prove`'s table of comparison evidence.
+    derivation or None. The branch owns `ix` and updates it at every step.
 
     Every branch that gives up records why in steps["bound"]: "depth" (the
     depth bound stopped a move), "fresh" (a left diamond or comparison is
@@ -530,7 +521,7 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
         # the consuming decompositions: a comparison whose evidence holds is
         # answered before the decompositions grow the sequent
         reads = ()
-        if wit := _witness_move(ix, fired, evidence, depth_left > 0):
+        if wit := _witness_move(ix, fired, depth_left > 0):
             rule, inst, key, reads = wit
             fired.add(key)
             depth_left -= rule == DIA_R
@@ -549,13 +540,11 @@ def _attempt(ix, depth_left, fresh_left, steps, evidence, fired=frozenset()):
             p1, p2 = step.premisses
             left_ix = ix.copy()
             left_ix.update(p1)
-            left = _attempt(left_ix, depth_left - 1, fresh_left, steps,
-                            evidence, fired)
+            left = _attempt(left_ix, depth_left - 1, fresh_left, steps, fired)
             if left is None:
                 return None
             ix.update(p2)
-            right = _attempt(ix, depth_left - 1, fresh_left, steps, evidence,
-                             fired)
+            right = _attempt(ix, depth_left - 1, fresh_left, steps, fired)
             if right is None:
                 return None
             return fold(step.node((left, right)))
@@ -620,8 +609,7 @@ def prove(goal, cfg=None):
     """
     cfg = cfg or SearchConfig()
     steps = {"visited": 0}
-    d = _attempt(_Index(goal), cfg.max_depth, cfg.max_fresh_nominals, steps,
-                 _Evidence())
+    d = _attempt(_Index(goal), cfg.max_depth, cfg.max_fresh_nominals, steps)
     if d is not None:
         violations = check_derivation(d)
         if violations:

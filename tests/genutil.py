@@ -9,6 +9,8 @@ Every draw among the members of a set goes through a sorted list, so a seed
 PYTHONHASHSEED.
 """
 
+import random
+
 from hxproof.kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, DIA_L, DIA_R,
     EQ_5, EQ_T, IMP_L, IMP_R, NEQ_L, NEQ_R, S1, S2, S3,
@@ -91,6 +93,15 @@ def rand_sequent(rng, sig=SIG, max_side=3, depth=2):
     cons = {rand_restricted(rng, sig, depth)
             for _ in range(rng.randint(0, max_side))}
     return sequent(ante, cons)
+
+
+CRITERION_6_SEED = 20250810 + 3     # the acceptance suite's default draw
+
+
+def criterion_6_goals(seed=CRITERION_6_SEED, count=500):
+    """Criterion 6's draw, or with another seed one of its shape."""
+    rng = random.Random(seed)
+    return [rand_sequent(rng, SIG, max_side=3, depth=2) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from genutil import (SIG, conclusion_for_rule, rand_derivation, rand_model,
-                     rand_path)
+from genutil import (SIG, conclusion_for_rule, criterion_6_goals,
+                     rand_derivation, rand_model, rand_path)
 from hxproof import goldens, jsonio, kernel, search
 from hxproof.cutelim import _renamed, cut_complexity, cut_height, nominals
 from hxproof.derived import open_leaf, replace, weaken_to
@@ -18,8 +18,8 @@ from hxproof.kernel import (
     IMP_L, LOGICAL_RULES, METAVAR_KINDS, NOM, OPEN, RULES, S1, S2, S3, WL,
     WR, Derivation, KernelError, PrincipalMissing, Sequent, ShapeViolation,
     SideConditionViolated, Step, Violation, axiom, check_derivation, cut,
-    evidence, freeze_inst, infer, is_restricted, premises, premises_memo,
-    premises_of, sequent, weaken,
+    evidence, evidence_memo, freeze_inst, infer, is_restricted, premises,
+    premises_memo, premises_of, sequent, weaken,
 )
 from hxproof.goldens import reflexivity
 from hxproof.model import eval_node, find_countermodel
@@ -195,19 +195,68 @@ def test_cmp_rules_expand_path_evidence():
             premises(sequent({ev_b}, {cm}), CMP_R, inst)
 
 
+def _evidence_draw(seed):
+    """A random generator and the evidence key (i, alpha, x) it drew."""
+    rng = random.Random(seed)
+    alpha = concat(*(rand_path(rng, SIG, 1) for _ in range(rng.randint(1, 3))))
+    return rng, rng.choice(SIG["noms"]), alpha, rng.choice(SIG["noms"])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**9))
 def test_evidence_agrees_with_the_unnormalized_formula(seed):
     # the normalization is sound: @i @m psi is @m psi (Agree) and
     # @i (true & psi) is @i psi, in every model
-    rng = random.Random(seed)
-    alpha = concat(*(rand_path(rng, SIG, 1) for _ in range(rng.randint(1, 3))))
-    i, x = rng.choice(SIG["noms"]), rng.choice(SIG["noms"])
+    rng, i, alpha, x = _evidence_draw(seed)
     m = rand_model(rng, max_nodes=3)
     raw = At(i, dia(alpha, Nominal(x)))
     ev = evidence(i, alpha, x)
     for n in sorted(m.nodes):
         assert eval_node(m, n, ev) == eval_node(m, n, raw), (alpha, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_memoized_evidence_is_a_fresh_build(seed):
+    # the memo may hold the term from any earlier caller; a build with the
+    # memo cleared returns that very term, as evidence is interned
+    _, i, alpha, x = _evidence_draw(seed)
+    memoized = evidence(i, alpha, x)
+    assert evidence_memo[i, alpha, x] is memoized
+    evidence_memo.clear()
+    assert evidence(i, alpha, x) is memoized
+
+
+def test_evidence_memo_keeps_its_bound_and_drops_the_oldest_key():
+    evidence_memo.clear()
+    bound = kernel.EVIDENCE_MEMO_SIZE
+    keys = [(f"n{t}", Atom("a"), "u") for t in range(bound + 10)]
+    for key in keys:
+        evidence(*key)
+        assert len(evidence_memo) <= bound
+    assert list(evidence_memo) == keys[10:]
+
+
+def test_criterion_6_builds_each_evidence_key_once(monkeypatch):
+    # search's witness finder and the CmpL and CmpR templates read evidence
+    # through one memo, which outlives each `prove` call: over the draw,
+    # `evidence` runs `dia` once per distinct key it is called with
+    real, dia, keys, built = kernel.evidence, kernel.dia, set(), []
+
+    def read(*key):
+        keys.add(key)
+        return real(*key)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hxproof") and \
+                getattr(module, "evidence", None) is real:
+            monkeypatch.setattr(module, "evidence", read)
+    monkeypatch.setattr(kernel, "dia", lambda *a: built.append(a) or dia(*a))
+    evidence_memo.clear()
+    for g in criterion_6_goals():
+        search.prove(g)
+    assert 0 < len(keys) < kernel.EVIDENCE_MEMO_SIZE
+    assert len(built) == len(keys)
 
 
 def test_diar_requires_witness_step():

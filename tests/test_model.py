@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 import pairwise
 from genutil import rand_model, rand_node, rand_sequent, SIG
 from hxproof import hylo, syntax as sx
-from hxproof.jsonio import DecodeError
+from hxproof.jsonio import DecodeError, _field
 from hxproof.hylo import is_hylo
 from hxproof.kernel import sequent
 from hxproof.model import (
@@ -639,6 +639,38 @@ def test_each_model_and_graph_file_fault_is_refused_by_place(kind, place,
         with pytest.raises(DecodeError) as caught:
             decode(root[0])
         assert str(caught.value) == message
+
+
+def _valid_graph(n):
+    """A well-formed data graph of `n` nodes in a ring, each node with a
+    label and attributes, the first indexed and the second with a null
+    index."""
+    return {"nodes": [{"id": f"v{t}", "labels": ["P"],
+                       "attrs": {"c": t % 3, "d": None},
+                       **({"index": ("i", None)[t]} if t < 2 else {})}
+                      for t in range(n)],
+            "edges": [{"from": f"v{t}", "label": "r", "to": f"v{(t + 1) % n}"}
+                      for t in range(n)]}
+
+
+def test_a_valid_graph_is_read_with_as_many_field_checks_at_any_size(
+        monkeypatch):
+    # a well-formed node or edge is checked inline, so the field checker
+    # runs for the graph's own fields only, however many nodes it has
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _field(*args)
+
+    monkeypatch.setattr("hxproof.model._field", counted)
+    monkeypatch.setattr("hxproof.jsonio._field", counted)
+    counts = []
+    for n in (10, 10_000):
+        calls.clear()
+        DataGraph.from_json(_valid_graph(n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
 
 
 # ---------------------------------------------------------------------------

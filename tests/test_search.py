@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from genutil import (SIG, conclusion_for_rule, derivation_of, rand_derivation,
+from genutil import (CRITERION_6_SEED, SIG, conclusion_for_rule,
+                     criterion_6_goals, derivation_of, rand_derivation,
                      rand_kind, rand_model, rand_node, rand_path,
                      rand_sequent)
 from hxproof import jsonio, model, search
@@ -18,8 +19,8 @@ from hxproof.goldens import (nom2_golden, paste_template, prove_axiom_suite,
 from hxproof.kernel import (
     AT_5, AT_L, AT_R, AT_T, AX, BOT_RULE, CMP_L, CMP_R, CUT, DIA_L, DIA_R,
     EQ_5, EQ_T, IMP_L, IMP_R, LOGICAL_RULES, NEQ_L, NEQ_R, S1, S2, S3,
-    ax_shape, check_derivation, evidence, premises, premises_memo, s1_shape,
-    sequent,
+    ax_shape, check_derivation, evidence, evidence_memo, premises,
+    premises_memo, s1_shape, sequent,
 )
 from hxproof.model import (check_sequent_validity, find_countermodel,
                            model_to_json)
@@ -30,7 +31,6 @@ from hxproof.syntax import (
 )
 
 CFG = SearchConfig(max_depth=16, countermodel_nodes=2)
-CRITERION_6_SEED = 20250810 + 3     # the acceptance suite's default draw
 
 
 def seq(text, table=None):
@@ -467,7 +467,7 @@ def _moves(seq, fired, dia_ok=True):
     """The moves the search's index finds."""
     ix = search._Index(seq)
     return ((ix.closing, ix.decomposition, ix.branch, ix.fresh),
-            search._witness_move(ix, fired, search._Evidence(), dia_ok))
+            search._witness_move(ix, fired, dia_ok))
 
 
 def _oracle_moves(seq, fired, dia_ok=True, sat=None):
@@ -612,12 +612,6 @@ def _search_visits(monkeypatch, goals, cfg, seen):
     monkeypatch.undo()
 
 
-def _criterion_6_goals(seed=CRITERION_6_SEED, count=500):
-    """Criterion 6's draw, or with another seed one of its shape."""
-    rng = random.Random(seed)
-    return [rand_sequent(rng, SIG, max_side=3, depth=2) for _ in range(count)]
-
-
 def test_criterion_6_takes_few_reflexive_steps(monkeypatch):
     # AtT and EqT fire only where a step reads the atom they add (saturating
     # with them takes 1,818 steps on this draw), and the statuses are
@@ -630,7 +624,7 @@ def test_criterion_6_takes_few_reflexive_steps(monkeypatch):
         return step(goal, rule, inst)
 
     monkeypatch.setattr(search, "premises", counted)
-    results = Counter(prove(g).status for g in _criterion_6_goals())
+    results = Counter(prove(g).status for g in criterion_6_goals())
     assert results == {"proved": 227, "refuted": 273}
     assert counts[AT_T] + counts[EQ_T] <= 600
 
@@ -649,7 +643,7 @@ def test_criterion_6_takes_closure_steps_only_for_atoms_read(monkeypatch):
         return step(goal, rule, inst)
 
     monkeypatch.setattr(search, "premises", counted)
-    results = [prove(g) for g in _criterion_6_goals()]
+    results = [prove(g) for g in criterion_6_goals()]
     assert Counter(r.status for r in results) == {"proved": 227,
                                                   "refuted": 273}
     assert sum(counts[rule] for rule in CLOSURE_RULES) <= 700
@@ -676,14 +670,14 @@ def test_move_finders_agree_on_every_sequent_search_visits(monkeypatch):
     visited, calls = [], []
     witness_move = search._witness_move
 
-    def checked(ix, fired, evidence, dia_ok):
-        got = witness_move(ix, fired, evidence, dia_ok)
+    def checked(ix, fired, dia_ok):
+        got = witness_move(ix, fired, dia_ok)
         assert got == oracle_witness_move(ix.seq, fired, dia_ok), ix.seq
         calls.append(dia_ok)
         return got
 
-    for goals, depth in ((_criterion_6_goals(), 12),
-                         (_criterion_6_goals(CRITERION_6_SEED + 1, 300), 3)):
+    for goals, depth in ((criterion_6_goals(), 12),
+                         (criterion_6_goals(CRITERION_6_SEED + 1, 300), 3)):
         monkeypatch.setattr(search, "_witness_move", checked)
         _search_visits(monkeypatch, goals, SearchConfig(
             max_depth=depth, enable_countermodel=False),
@@ -700,7 +694,7 @@ def test_failed_branch_model_refutes_criterion_6_without_enumeration(
     # refutes all but a few of the goals search does not prove, so the
     # enumeration runs for those few only; every model is checked again
     calls = _count_enumerations(monkeypatch)
-    goals = _criterion_6_goals()
+    goals = criterion_6_goals()
     results = [prove(g) for g in goals]
     assert len(calls) <= 6
     assert not [r for r in results if isinstance(r, Unknown)]
@@ -735,7 +729,7 @@ def test_updated_index_equals_a_fresh_one_wherever_search_goes(monkeypatch):
     # construction conclusions, whose proofs also take the rules that
     # consume their principal
     rng = random.Random(5)
-    goals = _criterion_6_goals() + _criterion_6_goals(CRITERION_6_SEED + 1) + [
+    goals = criterion_6_goals() + criterion_6_goals(CRITERION_6_SEED + 1) + [
         rand_derivation(rng, SIG, steps=5).conclusion for _ in range(150)]
     seen, drops = [], []
 
@@ -802,6 +796,7 @@ def _forests(goals):
 def _drop_kept_expressions():
     """Let go of what the kernel's and the model checker's memos hold."""
     premises_memo.clear()
+    evidence_memo.clear()
     model._compiled.cache_clear()
     gc.collect()
 
