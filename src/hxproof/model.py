@@ -8,11 +8,16 @@ abstracted into comparison classes) and bounded countermodel search.
 
 One evaluator states the semantics: `_Compiler` turns demands ("phi holds"
 or "phi fails" at the node held in a point slot) into one straight-line
-program of bit-mask steps per level of the countermodel search, one step
-per distinct subexpression. The model checker (`eval_node`, `satisfies_set`,
-`check_sequent_validity`, `satisfying_nodes`) runs the single-level case.
-Its program is compiled once per query and node count and kept in a small
-LRU cache (`_compiled`), so a call only sets the point and runs the steps.
+program of bit-mask steps per level, one step per distinct subexpression.
+The countermodel search has one level per model component. The model
+checker (`eval_node`, `satisfies_set`, `check_sequent_validity`,
+`satisfying_nodes`) compiles two levels, model and point: level 0 holds
+every step that does not read the point (paths, jumps, tests with their
+bodies, the bodies of `@i` demands and their checks), level 1 the point's
+steps and checks. A query's program is compiled once per query and node
+count and kept in a small LRU cache (`_compiled`). Its level 0 runs once
+per model, and its slots are kept on the model (`_run`), so a call copies
+them, sets the point and runs level 1 only.
 
 Each node expression is computed at the nodes where its value is needed,
 starting from the point: `@i` needs its body at i's node, `->` passes the
@@ -27,8 +32,9 @@ and so is a test inside a path.
 A model is a frozen value. What the checker reads of it, the node order
 and a symbol's masks (a proposition's mask, a comparison's class masks, a
 relation's successor positions, and each node's successor mask the first
-time a step reads it), is derived once per model and kept on the model
-(see `HybridDataModel`).
+time a step reads it), is derived once per model and kept on the model,
+and so are the level-0 slots of the last programs run on it (see
+`HybridDataModel`).
 """
 
 from __future__ import annotations
@@ -85,8 +91,8 @@ class HybridDataModel:
     every node its class id. So changing what a model was built from changes
     nothing, `dataclasses.replace` builds a variant, and equal models hash
     equal (a set member or a dict key). What the checker derives from a
-    model (`_order`, `_derive`) is kept in `_derived`, so it is built once
-    per model and goes away with it.
+    model (`_order`, `_derive`, and the level-0 runs of `_run`) is kept in
+    `_derived`, so it is built once per model and goes away with it.
     """
 
     nodes: frozenset
@@ -235,8 +241,12 @@ class _Compiler:
     A demand is "phi holds" or "phi fails" at the node in slot POINT. A
     level is one depth of the countermodel search, which fixes one model
     component there; `level_of` maps a component key (kind, symbol) to its
-    level, and model checking, which leaves it empty, runs a single level.
-    An expression's level is the highest level of the slots it reads.
+    level, and `point` is the level of slot POINT. An expression's level is
+    the highest level of the slots it reads. The countermodel search puts
+    the point at level 0. Model checking compiles two levels, model and
+    point: it leaves `level_of` empty and puts the point at level 1, so
+    level 0 computes what does not depend on the point, and `_run` runs
+    it once per model and keeps its slots on the model.
 
     A component's slot of `env` is shared by its leaf expression (`Prop`,
     `Nominal`, `Atom`). Each distinct compound subexpression gets one slot
@@ -259,22 +269,23 @@ class _Compiler:
     nodes) mask operations.
     """
 
-    def __init__(self, n_count, level_of=None):
+    def __init__(self, n_count, level_of=None, point=0):
         self.full = (1 << n_count) - 1
         self.level_of = level_of or {}
+        self.point = POINT, point
         # component key, (need, expression) or a need -> (k, level)
         self.slot = {}
         self.components = {}     # component slot k -> component key
         self.size = POINT + 1    # slots in use
         self.programs = [[] for _ in range(
-            max(self.level_of.values(), default=0) + 1)]
+            max([point, *self.level_of.values()]) + 1)]
 
     def demand(self, phi, want):
         """Check at phi's level that phi holds at the point (want True) or
         fails there (want False)."""
         if not isinstance(phi, NodeExpr):
             raise TypeError(f"not a node expression: {phi!r}")
-        point = POINT, 0
+        point = self.point
         while isinstance(phi, At):
             point, phi = self.component("g", phi.nom), phi.body
         (k, t), (p, s) = self.compile(phi, point), point
@@ -536,55 +547,74 @@ def _passes(env, program):
     return True
 
 
-class _ModelSlots(dict):
-    """The slots of a program run on one model; a component's slot is
-    looked up in the model's `_derived` the first time a step reads it."""
-
-    def __init__(self, model, components):
-        self.model, self.components = model, components
-
-    def __missing__(self, k):
-        key, derived = self.components[k], self.model._derived
-        value = derived.get(key)
-        if value is None:
-            value = derived[key] = self.model._derive(key)
-        self[k] = value
-        return value
+# how many programs `_compiled` keeps, and how many level-0 runs a model keeps
+_PROGRAMS = 16
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=_PROGRAMS)
 def _compiled(query, n_count):
-    """The single-level program of a query on models of n_count nodes, its
-    component slots, and the slot of the query's value: the query is a tuple
-    of (phi, want) demands checked at the point, or one node expression
-    computed over the whole model. Only these are kept, not the compiler."""
-    compiler, out = _Compiler(n_count), None
+    """The two-level program of a query on models of n_count nodes (level
+    0 the model's steps, level 1 the point's), its component slots, and
+    the slot of the query's value: the query is a tuple of (phi, want)
+    demands checked at the point, or one node expression computed over the
+    whole model, at level 0. Only these are kept, not the compiler."""
+    compiler, out = _Compiler(n_count, point=1), None
     if isinstance(query, tuple):
         for phi, want in query:
             compiler.demand(phi, want)
     else:
         out = compiler.whole(query)
-    return compiler.programs[0], compiler.components, out
+    return compiler.programs, compiler.components, out
 
 
 def _run(model, query, n=None):
     """Run a query's program on the model with the point at node n; returns
-    the filled slots, whether every check passed, and the value's slot."""
-    program, components, out = _compiled(query, len(model.nodes))
-    env = _ModelSlots(model, components)
+    the filled slots (None if a level-0 check failed), whether every check
+    passed, and the value's slot.
+
+    An unknown node is refused before any step runs. Level 0 runs once per
+    model and query, on the components of the query, each read from the
+    model's `_derived` (derived there the first time). Its slots, or False
+    if one of its checks failed, are kept in `_derived` under "runs" for
+    the last `_PROGRAMS` queries, the oldest dropped: a plain dict, which
+    holds no reference to the model. Compiling is deterministic, so a kept
+    run fits the query's program even after `_compiled` compiled it again.
+    A later call copies the kept slots, sets the point and runs level 1."""
     if n is not None:
         x = model._order()[1].get(n)
         if x is None:
             raise UnknownNode(f"unknown node {n!r}")
+    (model_steps, point_steps), components, out = _compiled(
+        query, len(model.nodes))
+    derived = model._derived
+    runs = derived.get("runs")
+    if runs is None:
+        runs = derived["runs"] = {}
+    kept = runs.get(query)
+    if kept is None:
+        env = {}
+        for k, key in components.items():
+            value = derived.get(key)
+            if value is None:
+                value = derived[key] = model._derive(key)
+            env[k] = value
+        kept = runs[query] = _passes(env, model_steps) and env.copy()
+        if len(runs) > _PROGRAMS:
+            del runs[next(iter(runs))]
+    elif kept is not False:
+        env = kept.copy()
+    if kept is False:
+        return None, False, out
+    if n is not None:
         env[POINT] = 1 << x
-    return env, _passes(env, program), out
+    return env, _passes(env, point_steps), out
 
 
 def eval_node(model, n, phi):
     """M, n |= phi for a node expression in primitive form; UnknownNode for
     a node outside the model, TypeError if phi is not a node expression.
-    Compiled once per query and node count; a call runs the program with
-    the point at n (see the module docstring).
+    Compiled once per query and node count, its model's steps run once per
+    model; a call runs the point's steps at n (see the module docstring).
     """
     return _run(model, ((phi, True),), n)[1]
 
@@ -893,7 +923,8 @@ def find_countermodel(seq, max_nodes):
     last component it reads, and a compound subexpression is computed once
     per assignment of its level, not once per deeper candidate. `prove`
     verifies every returned model with `check_sequent_validity`, which runs
-    the same steps on the model read back, at a single level.
+    the same steps on the model read back, at the model checker's two
+    levels.
     """
     if not 1 <= max_nodes <= MAX_COUNTERMODEL_NODES:
         raise ValueError(f"max_nodes must be between 1 and "

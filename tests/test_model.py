@@ -24,7 +24,7 @@ from hxproof.model import (
     model_from_json, model_to_json, satisfies_set, satisfying_nodes,
 )
 from hxproof.model import (
-    MAX_COUNTERMODEL_NODES, POINT, _Compiler, _Concat, _compiled,
+    MAX_COUNTERMODEL_NODES, POINT, _Compiler, _Concat, _Test, _compiled,
     _g_assignments,
     _partition_from_classes, _partitions, _passes, _run, _signature,
     _size_tables,
@@ -210,6 +210,29 @@ def test_eval_node_refuses_a_path_and_an_unknown_node(example1):
         satisfying_nodes(example1, Atom("friends"))
     with pytest.raises(UnknownNode):
         eval_node(example1, "zzz", Prop("Person"))
+
+
+def test_an_unknown_node_is_refused_before_any_model_step(monkeypatch):
+    # the node is looked up before the query's model-level steps run, so a
+    # node missing from a big graph costs no component read
+    derived = []
+    derive = HybridDataModel._derive
+
+    def counted(model, key):
+        derived.append(key)
+        return derive(model, key)
+
+    monkeypatch.setattr(HybridDataModel, "_derive", counted)
+    m = HybridDataModel.make(["x", "y"], rels={"a": [("x", "y")]},
+                             cmps={"c": [["x", "y"]]}, val={"p": ["y"]})
+    q = parse_node("<(<a>p)? a =c eps>", sx.SymbolTable())
+    with pytest.raises(UnknownNode, match="unknown node 'zzz'"):
+        eval_node(m, "zzz", q)
+    with pytest.raises(UnknownNode, match="unknown node 'zzz'"):
+        satisfies_set(m, "zzz", [q, At("i", Prop("p"))])
+    assert derived == [] and "runs" not in m._derived
+    assert eval_node(m, "x", q) is pairwise.eval_node(m, "x", q) is True
+    assert derived
 
 
 def test_one_query_on_models_of_one_size():
@@ -436,6 +459,108 @@ def test_a_point_query_builds_only_the_successor_masks_it_reaches(n):
     for v in nodes[:30]:
         assert eval_node(m, v, phi) == any(x in p for w in succ[v]
                                            for x in succ[w])
+
+
+def test_a_test_body_is_computed_once_per_model(monkeypatch):
+    # a test's body does not depend on the node asked about: its step runs
+    # at the first query of a model, and at none of the later ones
+    tests = []
+
+    class Counted(_Test):
+        __slots__ = ()
+
+        def __init__(self, here):
+            tests.append(here)
+            super().__init__(here)
+
+    monkeypatch.setattr("hxproof.model._Test", Counted)
+    rng = random.Random(3)
+    nodes = [f"v{t}" for t in range(2000)]
+    rels = {"a": [(v, w) for v in nodes for w in rng.sample(nodes, 3)]}
+    cmps = {"c": [nodes[t::7] for t in range(7)]}
+    val = {"p": rng.sample(nodes, 200)}
+    phi = parse_node("<(<a>p)? a =c eps>", sx.SymbolTable())
+    asked = rng.sample(nodes, 50)
+    per_model = []
+    for _ in range(2):
+        m = HybridDataModel.make(nodes, rels=rels, cmps=cmps, val=val)
+        before = len(tests)
+        eval_node(m, asked[0], phi)
+        first = len(tests) - before
+        for v in asked[1:]:
+            eval_node(m, v, phi)
+        per_model.append((first, len(tests) - before))
+    # the body's test and `eps`, once each per model
+    assert per_model == [(2, 2), (2, 2)]
+
+
+def test_a_model_keeps_as_many_runs_as_programs_are_compiled():
+    # past the bound the oldest run goes, and a model and its runs are
+    # freed by reference count alone
+    bound = _compiled.cache_info().maxsize
+    nodes = [f"n{t}" for t in range(6)]
+    m = HybridDataModel.make(nodes, rels={"a": list(zip(nodes, nodes[1:]))},
+                             cmps={"c": [nodes[::2]]}, val={"p": nodes[3:]},
+                             g={"i": "n2"})
+    table = sx.SymbolTable()
+    phis = [parse_node(f"<{'a ' * t}=c eps> -> @i <a>p", table)
+            for t in range(1, bound + 6)]
+    holds = [{n for n in nodes if pairwise.eval_node(m, n, phi)}
+             for phi in phis]
+    gc.collect()
+    gc.disable()
+    try:
+        for phi, want in zip(phis, holds):
+            assert {n for n in nodes if eval_node(m, n, phi)} == want
+            assert len(m._derived["runs"]) <= bound
+        runs = m._derived["runs"]
+        assert len(runs) == bound and ((phis[-1], True),) in runs
+        assert ((phis[0], True),) not in runs
+        # a dropped run is run again
+        assert {n for n in nodes if eval_node(m, n, phis[0])} == holds[0]
+        ref = weakref.ref(m)
+        del m, runs
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_interleaved_calls_over_three_models_agree_with_pairwise():
+    # each model keeps its own runs: calls of every entry point, shuffled
+    # over three models and all their nodes, each agree with the oracle
+    rng = random.Random(11)
+    models = [rand_model(rng, max_nodes=6) for _ in range(3)]
+    phis = [rand_node(rng, ABSENT_SIG, 3) for _ in range(8)]
+    # "r" holds nowhere, so this set fails at level 0, at every node
+    failing = [phis[0], At("i", Prop("r"))]
+    seqs = [rand_sequent(rng, ABSENT_SIG) for _ in range(4)]
+    calls = []
+    for m in models:
+        for n in sorted(m.nodes):
+            calls += [("eval", m, n, phi) for phi in phis]
+            calls += [("set", m, n, phis[:3]), ("set", m, n, failing)]
+        calls += [("all", m, None, phi) for phi in phis]
+        calls += [("sequent", m, None, s) for s in seqs]
+    rng.shuffle(calls)
+    for kind, m, n, q in calls:
+        match kind:
+            case "eval":
+                assert eval_node(m, n, q) == pairwise.eval_node(m, n, q)
+            case "set":
+                assert satisfies_set(m, n, q) == all(
+                    pairwise.eval_node(m, n, phi) for phi in q)
+            case "all":
+                assert satisfying_nodes(m, q) == {
+                    x for x in m.nodes if pairwise.eval_node(m, x, q)}
+            case "sequent":
+                assert check_sequent_validity(m, q) == \
+                    pairwise.check_sequent_validity(m, q)
+    query = tuple((phi, True) for phi in failing)
+    for m in models:
+        for n in m.nodes:
+            assert _run(m, query, n) == (None, False, None)
+        assert m._derived["runs"][query] is False
 
 
 # ---------------------------------------------------------------------------
